@@ -6,8 +6,9 @@
 //! contention. This module carries the runtime-tunable policy knobs that let
 //! the table react to the live wait signal instead:
 //!
-//! * **Wait-depth limiting**: a blocking request that would join a queue
-//!   already `limit` deep is refused with `WouldBlock` instead of parked.
+//! * **Wait-depth limiting**: a blocking request that would queue behind
+//!   `limit` or more waiters — the queue part of the table's blocking
+//!   relation — is refused with `WouldBlock` instead of parked.
 //!   Under hot-spot contention this caps the convoy length (Thomasian's
 //!   WDL(d) family) and turns unbounded queueing into bounded retry work the
 //!   caller can schedule with backoff.
@@ -19,32 +20,18 @@
 //!   policy.
 //!
 //! Both knobs default to **off** so the classic behaviour is unchanged;
-//! they are switched on per manager (or process-wide through the
-//! environment) by the layers that watch the [PR 3] wait histograms.
-//!
-//! Environment:
-//!
-//! * `COLOCK_ADAPTIVE` — master switch: any non-empty value other than `0`
-//!   enables hot-victim selection (and the default wait-depth limit below).
-//! * `COLOCK_ADAPTIVE_WAIT_DEPTH` — wait-depth limit (`0` = unlimited);
-//!   overrides the master default.
-//! * `COLOCK_ADAPTIVE_VICTIM` — hot-victim selection on (`1`) or off (`0`);
-//!   overrides the master switch.
+//! they are switched on per manager through the setters by the layers that
+//! watch the [PR 3] wait histograms, or process-wide through the
+//! `COLOCK_ADAPTIVE` master switch: any non-empty value other than `0`
+//! enables hot-victim selection and a wait-depth limit of
+//! [`DEFAULT_WAIT_DEPTH`].
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// Wait-depth limit implied by the `COLOCK_ADAPTIVE` master switch when no
-/// explicit `COLOCK_ADAPTIVE_WAIT_DEPTH` is given. Deep enough to never
-/// bite on benign queues, shallow enough to break hot-spot convoys.
+/// Wait-depth limit implied by the `COLOCK_ADAPTIVE` master switch. Deep
+/// enough to never bite on benign queues, shallow enough to break hot-spot
+/// convoys.
 pub const DEFAULT_WAIT_DEPTH: usize = 32;
-
-fn env_flag(name: &str) -> Option<bool> {
-    std::env::var(name).ok().map(|v| !v.is_empty() && v != "0")
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
-}
 
 /// Runtime-tunable contention-management policy of one [`LockManager`].
 ///
@@ -55,7 +42,8 @@ fn env_usize(name: &str) -> Option<usize> {
 /// [`LockManager`]: crate::LockManager
 #[derive(Debug)]
 pub struct AdaptivePolicy {
-    /// Max ungranted waiters a blocking request may join behind (0 = off).
+    /// Max live incompatible waiters a blocking request may queue behind
+    /// (0 = off).
     wait_depth: AtomicUsize,
     /// Whether the detector picks the hottest-slot waiter as victim.
     hot_victim: AtomicBool,
@@ -73,15 +61,12 @@ impl AdaptivePolicy {
         AdaptivePolicy { wait_depth: AtomicUsize::new(0), hot_victim: AtomicBool::new(false) }
     }
 
-    /// Policy read from the `COLOCK_ADAPTIVE*` environment (see module docs).
+    /// Policy read from the `COLOCK_ADAPTIVE` master switch (see module docs).
     pub fn from_env() -> Self {
-        let master = env_flag("COLOCK_ADAPTIVE").unwrap_or(false);
-        let depth = env_usize("COLOCK_ADAPTIVE_WAIT_DEPTH")
-            .unwrap_or(if master { DEFAULT_WAIT_DEPTH } else { 0 });
-        let victim = env_flag("COLOCK_ADAPTIVE_VICTIM").unwrap_or(master);
+        let on = std::env::var("COLOCK_ADAPTIVE").is_ok_and(|v| !v.is_empty() && v != "0");
         AdaptivePolicy {
-            wait_depth: AtomicUsize::new(depth),
-            hot_victim: AtomicBool::new(victim),
+            wait_depth: AtomicUsize::new(if on { DEFAULT_WAIT_DEPTH } else { 0 }),
+            hot_victim: AtomicBool::new(on),
         }
     }
 

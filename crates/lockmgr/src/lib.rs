@@ -22,10 +22,15 @@
 //! locks are out of scope, exactly as in the paper.
 
 pub mod adaptive;
+mod detector;
 pub mod error;
+mod fastpath;
+mod inventory;
 pub mod mode;
 pub mod persistent;
+mod queue;
 pub mod stats;
+mod summary;
 pub mod table;
 pub mod txnid;
 

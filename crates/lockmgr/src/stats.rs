@@ -7,58 +7,98 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Thread-safe statistics counters.
-#[derive(Debug, Default)]
-pub struct LockStats {
+/// Declares the counters once: [`LockStats`], its `snapshot` and `reset`,
+/// [`StatsSnapshot`] and its `since` are all generated from this one list.
+/// A `counter` is differenced by `since`; a high-water `mark` keeps the
+/// later value.
+macro_rules! lock_stats {
+    ($($(#[$doc:meta])+ $kind:ident $name:ident,)+) => {
+        /// Thread-safe statistics counters.
+        #[derive(Debug, Default)]
+        pub struct LockStats {
+            $($(#[$doc])+ pub $name: AtomicU64,)+
+        }
+
+        impl LockStats {
+            /// Copies all counters into a plain snapshot.
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot { $($name: self.$name.load(Ordering::Relaxed),)+ }
+            }
+
+            /// Resets all counters to zero.
+            pub fn reset(&self) {
+                $(self.$name.store(0, Ordering::Relaxed);)+
+            }
+        }
+
+        /// Plain-data copy of [`LockStats`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $($(#[$doc])+ pub $name: u64,)+
+        }
+
+        impl StatsSnapshot {
+            /// Difference `self - earlier`, counter-wise (high-water marks
+            /// keep the later value).
+            pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
+                StatsSnapshot { $($name: lock_stats!(@$kind self.$name, earlier.$name),)+ }
+            }
+        }
+    };
+    (@counter $later:expr, $earlier:expr) => { $later - $earlier };
+    (@mark $later:expr, $earlier:expr) => { $later };
+}
+
+lock_stats! {
     /// Lock requests issued (including re-requests/conversions).
-    pub requests: AtomicU64,
+    counter requests,
     /// Requests granted without waiting.
-    pub immediate_grants: AtomicU64,
+    counter immediate_grants,
     /// Requests that had to wait at least once.
-    pub waits: AtomicU64,
+    counter waits,
     /// Lock conversions (mode upgrades on an already-held resource).
-    pub conversions: AtomicU64,
-    /// Individual mode-compatibility tests performed.
-    pub conflict_tests: AtomicU64,
+    counter conversions,
+    /// Individual mode-compatibility tests performed by grant decisions.
+    counter conflict_tests,
     /// Deadlocks detected.
-    pub deadlocks: AtomicU64,
+    counter deadlocks,
     /// Releases (per resource).
-    pub releases: AtomicU64,
+    counter releases,
     /// Snapshot deadlock-detector runs (one per new wait edge).
-    pub detector_runs: AtomicU64,
+    counter detector_runs,
     /// Targeted condvar notifications (per-resource wakeups on grant or
     /// victim verdict). Under the old global-condvar design every release
     /// woke every waiter; this counts how many wakeups the sharded table
     /// actually issues.
-    pub wakeups: AtomicU64,
+    counter wakeups,
     /// High-water mark of resources present in the lock table.
-    pub max_table_entries: AtomicU64,
+    mark max_table_entries,
     /// High-water mark of locks held by a single transaction.
-    pub max_locks_per_txn: AtomicU64,
+    mark max_locks_per_txn,
     /// Short IS/IX requests that entered the optimistic fast-path gate
     /// (every such request ends as exactly one fast-path hit or fallback,
     /// so `fastpath_hits + fastpath_fallbacks == intent_acquires`).
-    pub intent_acquires: AtomicU64,
+    counter intent_acquires,
     /// Intent requests published by summary-word CAS (no shard mutex).
-    pub fastpath_hits: AtomicU64,
+    counter fastpath_hits,
     /// Summary-word CAS attempts that lost the race and re-validated.
-    pub fastpath_retries: AtomicU64,
+    counter fastpath_retries,
     /// Gate entries that fell back to the shard-mutex path (summary
     /// conflict, seal, waiters, saturation, conversion or retry exhaustion).
-    pub fastpath_fallbacks: AtomicU64,
+    counter fastpath_fallbacks,
     /// Slot drains: a pessimistic S/SIX/X decision migrated outstanding
     /// optimistic intent grants into real table grants first.
-    pub fastpath_drains: AtomicU64,
+    counter fastpath_drains,
     /// Reads served by the multiversion overlay with no lock acquired at
     /// all: snapshot transactions never enter the table, so these reads
     /// appear in no other counter here. Bumped by `colock-txn`.
-    pub reads_elided: AtomicU64,
+    counter reads_elided,
     /// Sticky-saturated summary-slot count fields repaired after the slot's
     /// activity drained (the fast path works on the slot again).
-    pub desaturations: AtomicU64,
+    counter desaturations,
     /// Blocking requests refused because the wait queue had already reached
     /// the adaptive wait-depth limit.
-    pub wait_depth_refusals: AtomicU64,
+    counter wait_depth_refusals,
 }
 
 impl LockStats {
@@ -75,125 +115,6 @@ impl LockStats {
     /// Raises a high-water mark to at least `value`.
     pub fn raise(counter: &AtomicU64, value: u64) {
         counter.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Copies all counters into a plain snapshot.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            immediate_grants: self.immediate_grants.load(Ordering::Relaxed),
-            waits: self.waits.load(Ordering::Relaxed),
-            conversions: self.conversions.load(Ordering::Relaxed),
-            conflict_tests: self.conflict_tests.load(Ordering::Relaxed),
-            deadlocks: self.deadlocks.load(Ordering::Relaxed),
-            releases: self.releases.load(Ordering::Relaxed),
-            detector_runs: self.detector_runs.load(Ordering::Relaxed),
-            wakeups: self.wakeups.load(Ordering::Relaxed),
-            max_table_entries: self.max_table_entries.load(Ordering::Relaxed),
-            max_locks_per_txn: self.max_locks_per_txn.load(Ordering::Relaxed),
-            intent_acquires: self.intent_acquires.load(Ordering::Relaxed),
-            fastpath_hits: self.fastpath_hits.load(Ordering::Relaxed),
-            fastpath_retries: self.fastpath_retries.load(Ordering::Relaxed),
-            fastpath_fallbacks: self.fastpath_fallbacks.load(Ordering::Relaxed),
-            fastpath_drains: self.fastpath_drains.load(Ordering::Relaxed),
-            reads_elided: self.reads_elided.load(Ordering::Relaxed),
-            desaturations: self.desaturations.load(Ordering::Relaxed),
-            wait_depth_refusals: self.wait_depth_refusals.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        self.requests.store(0, Ordering::Relaxed);
-        self.immediate_grants.store(0, Ordering::Relaxed);
-        self.waits.store(0, Ordering::Relaxed);
-        self.conversions.store(0, Ordering::Relaxed);
-        self.conflict_tests.store(0, Ordering::Relaxed);
-        self.deadlocks.store(0, Ordering::Relaxed);
-        self.releases.store(0, Ordering::Relaxed);
-        self.detector_runs.store(0, Ordering::Relaxed);
-        self.wakeups.store(0, Ordering::Relaxed);
-        self.max_table_entries.store(0, Ordering::Relaxed);
-        self.max_locks_per_txn.store(0, Ordering::Relaxed);
-        self.intent_acquires.store(0, Ordering::Relaxed);
-        self.fastpath_hits.store(0, Ordering::Relaxed);
-        self.fastpath_retries.store(0, Ordering::Relaxed);
-        self.fastpath_fallbacks.store(0, Ordering::Relaxed);
-        self.fastpath_drains.store(0, Ordering::Relaxed);
-        self.reads_elided.store(0, Ordering::Relaxed);
-        self.desaturations.store(0, Ordering::Relaxed);
-        self.wait_depth_refusals.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Plain-data copy of [`LockStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Lock requests issued.
-    pub requests: u64,
-    /// Requests granted without waiting.
-    pub immediate_grants: u64,
-    /// Requests that waited.
-    pub waits: u64,
-    /// Lock conversions.
-    pub conversions: u64,
-    /// Mode-compatibility tests.
-    pub conflict_tests: u64,
-    /// Deadlocks detected.
-    pub deadlocks: u64,
-    /// Releases.
-    pub releases: u64,
-    /// Deadlock-detector runs.
-    pub detector_runs: u64,
-    /// Targeted per-resource wakeups issued.
-    pub wakeups: u64,
-    /// Max resources in the table.
-    pub max_table_entries: u64,
-    /// Max locks held by one transaction.
-    pub max_locks_per_txn: u64,
-    /// Short intent requests that entered the fast-path gate.
-    pub intent_acquires: u64,
-    /// Intent grants published by summary-word CAS.
-    pub fastpath_hits: u64,
-    /// Lost-CAS revalidations on the fast path.
-    pub fastpath_retries: u64,
-    /// Gate entries that fell back to the shard-mutex path.
-    pub fastpath_fallbacks: u64,
-    /// Optimistic-grant drains by pessimistic S/SIX/X decisions.
-    pub fastpath_drains: u64,
-    /// Reads served lock-free by the multiversion overlay.
-    pub reads_elided: u64,
-    /// Saturated summary fields repaired after draining.
-    pub desaturations: u64,
-    /// Blocking requests refused by the adaptive wait-depth limit.
-    pub wait_depth_refusals: u64,
-}
-
-impl StatsSnapshot {
-    /// Difference `self - earlier`, counter-wise (high-water marks keep the
-    /// later value).
-    pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            requests: self.requests - earlier.requests,
-            immediate_grants: self.immediate_grants - earlier.immediate_grants,
-            waits: self.waits - earlier.waits,
-            conversions: self.conversions - earlier.conversions,
-            conflict_tests: self.conflict_tests - earlier.conflict_tests,
-            deadlocks: self.deadlocks - earlier.deadlocks,
-            releases: self.releases - earlier.releases,
-            detector_runs: self.detector_runs - earlier.detector_runs,
-            wakeups: self.wakeups - earlier.wakeups,
-            max_table_entries: self.max_table_entries,
-            max_locks_per_txn: self.max_locks_per_txn,
-            intent_acquires: self.intent_acquires - earlier.intent_acquires,
-            fastpath_hits: self.fastpath_hits - earlier.fastpath_hits,
-            fastpath_retries: self.fastpath_retries - earlier.fastpath_retries,
-            fastpath_fallbacks: self.fastpath_fallbacks - earlier.fastpath_fallbacks,
-            fastpath_drains: self.fastpath_drains - earlier.fastpath_drains,
-            reads_elided: self.reads_elided - earlier.reads_elided,
-            desaturations: self.desaturations - earlier.desaturations,
-            wait_depth_refusals: self.wait_depth_refusals - earlier.wait_depth_refusals,
-        }
     }
 }
 
@@ -223,6 +144,9 @@ mod tests {
         LockStats::bump(&s.requests);
         let second = s.snapshot();
         assert_eq!(second.since(&first).requests, 2);
+        // High-water marks are not differenced: the later value stands.
+        LockStats::raise(&s.max_locks_per_txn, 9);
+        assert_eq!(s.snapshot().since(&second).max_locks_per_txn, 9);
     }
 
     #[test]

@@ -241,6 +241,34 @@ fn queue_drain_reaches_waiters_behind_compatible_grants() {
 }
 
 #[test]
+fn conversion_behind_a_queued_reader_is_not_co_granted() {
+    // Regression: queue [S (t2), X conversion (t3, holds IS)] behind an IX
+    // holder. When the holder leaves, one pass used to approve both against
+    // the same stale granted group — the conversion ignores the queue, the
+    // reader ahead of it only sees t3's old IS — and X and S were co-granted.
+    // Every grant is now installed before the next waiter is judged.
+    let m = Arc::new(Mgr::new());
+    m.acquire(t(1), "r", LockMode::IX, LockRequestOptions::default()).unwrap();
+    m.acquire(t(3), "r", LockMode::IS, LockRequestOptions::default()).unwrap();
+    let m2 = Arc::clone(&m);
+    let h2 = thread::spawn(move || m2.acquire(t(2), "r", LockMode::S, LockRequestOptions::default()));
+    wait_until(WAIT, || m.waiter_count(&"r") == 1);
+    let m3 = Arc::clone(&m);
+    let h3 = thread::spawn(move || m3.acquire(t(3), "r", LockMode::X, LockRequestOptions::default()));
+    wait_until(WAIT, || m.waiter_count(&"r") == 2);
+    m.release_all(t(1));
+    // Conversions go first: t3 gets its X, t2's S keeps waiting behind it.
+    assert!(h3.join().unwrap().is_ok());
+    assert_eq!(m.holders(&"r"), vec![(t(3), LockMode::X)]);
+    assert_eq!(m.waiter_count(&"r"), 1);
+    m.release_all(t(3));
+    assert!(h2.join().unwrap().is_ok());
+    assert_eq!(m.holders(&"r"), vec![(t(2), LockMode::S)]);
+    m.release_all(t(2));
+    assert_eq!(m.table_size(), 0);
+}
+
+#[test]
 fn queue_drain_stops_at_incompatible_waiter() {
     // The fixpoint must still respect FIFO: [S, X, S] behind an X holder
     // drains only the first S; the X (and the S behind it) keep waiting.

@@ -9,15 +9,21 @@
 //! map and leave the summary words consistent (re-derived from the maps by
 //! `check_summary_consistency`).
 //!
-//! No trace/lint assertions live here — the trace ring is process-global
-//! and these tests run in parallel; `tracing.rs` and the check crate own
-//! those.
+//! Two seeded properties pin the folds of the lock table: a chain acquired
+//! link by link and through `acquire_intent_chain` is the same request
+//! sequence (outcomes, stats, trace), and the three release entry points
+//! retire a mixed inventory identically.
+//!
+//! The trace ring is process-global and these tests run in parallel, so the
+//! only trace assertion here filters on transaction ids no other test uses;
+//! lint assertions stay with `tracing.rs` and the check crate.
 
 use colock_lockmgr::table::MAX_FASTPATH_ATTEMPTS;
 use colock_lockmgr::{
     AcquireOutcome, LockError, LockManager, LockMode, LockRequestOptions, TxnId,
 };
-use colock_testkit::run_threads;
+use colock_testkit::prop::vec_of;
+use colock_testkit::{ensure, ensure_eq, forall, run_threads};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -390,4 +396,161 @@ fn racing_optimists_never_lose_grants() {
     assert_eq!(s.intent_acquires, 8 * 250);
     assert_eq!(s.intent_acquires, s.fastpath_hits + s.fastpath_fallbacks);
     mgr.check_summary_consistency().unwrap();
+}
+
+const MODES: [LockMode; 5] = [LockMode::IS, LockMode::IX, LockMode::S, LockMode::SIX, LockMode::X];
+
+/// `(resource, mode index)` pairs.
+type Holds = Vec<(u8, u8)>;
+
+/// The trace events of `txn` in `window`, stripped of everything that tells
+/// two runs of the same requests apart (sequence, timestamp, the id itself).
+fn events_of(window: &[colock_trace::Event], txn: TxnId) -> Vec<colock_trace::Event> {
+    let mut events: Vec<_> = window.iter().filter(|e| e.txn == txn.0).cloned().collect();
+    for e in &mut events {
+        (e.seq, e.t_us, e.txn) = (0, 0, 0);
+    }
+    events
+}
+
+/// One fold of the table: a chain acquired link by link through `acquire`
+/// and the same chain through `acquire_intent_chain` are the same request
+/// sequence — same outcomes (or the same error at the same link, earlier
+/// grants kept), same stats, same trace — for chains mixing fresh,
+/// already-held and conversion links, against another transaction's
+/// conflicting holds, with the fast path on and off.
+#[test]
+fn chain_equals_link_by_link_acquires() {
+    // Ids no other test in this binary uses: the trace ring is shared. The
+    // two managers under comparison act as `own[0]` and `own[1]`.
+    let (own, other) = ([t(7_100_001), t(7_100_002)], t(7_100_003));
+    colock_trace::enable();
+    forall!(
+        cases: 128,
+        |rng| {
+            // Per link: the resource, and what `own` already holds on it
+            // (0 = nothing, else MODES[n - 1]); then the other txn's holds.
+            let link = |rng: &mut colock_testkit::Rng| (rng.gen_range(0u8..10), rng.gen_range(0u8..6));
+            let held = |rng: &mut colock_testkit::Rng| (rng.gen_range(0u8..10), rng.gen_range(0u8..5));
+            (rng.gen_range(0u8..2), vec_of(rng, 1..7, link), vec_of(rng, 0..4, held))
+        },
+        |(mode, links, others): &(u8, Holds, Holds)| {
+            let mode = MODES[*mode as usize];
+            let chain: Vec<u8> = links.iter().map(|&(r, _)| r).collect();
+            for fastpath in [true, false] {
+                let prepared = |own: TxnId| {
+                    let m: LockManager<u8> = LockManager::new();
+                    m.set_fastpath(fastpath);
+                    for &(r, held) in others {
+                        let _ = m.acquire(other, r, MODES[held as usize], LockRequestOptions::try_lock());
+                    }
+                    for &(r, held) in links.iter().filter(|l| l.1 != 0) {
+                        let mode = MODES[held as usize - 1];
+                        let _ = m.acquire(own, r, mode, LockRequestOptions::try_lock());
+                    }
+                    m
+                };
+                let (single, batched) = (prepared(own[0]), prepared(own[1]));
+                let mark = colock_trace::current_seq();
+                let by_link: Result<Vec<_>, _> = chain
+                    .iter()
+                    .map(|&r| single.acquire(own[0], r, mode, LockRequestOptions::try_lock()))
+                    .collect();
+                let by_chain =
+                    batched.acquire_intent_chain(own[1], &chain, mode, LockRequestOptions::try_lock());
+                let window = colock_trace::events_since(mark);
+                let (by_link_events, by_chain_events) =
+                    (events_of(&window, own[0]), events_of(&window, own[1]));
+
+                ensure_eq!(by_chain, by_link, "outcomes (fastpath {fastpath})");
+                ensure_eq!(by_chain_events, by_link_events, "trace (fastpath {fastpath})");
+                ensure!(!by_link_events.is_empty(), "the trace window must have caught the chain");
+                ensure_eq!(batched.stats().snapshot(), single.stats().snapshot());
+                let inventory = |m: &LockManager<u8>, own: TxnId| {
+                    let mut locks = m.locks_of(own);
+                    locks.sort_by_key(|l| l.0);
+                    locks
+                };
+                ensure_eq!(inventory(&batched, own[1]), inventory(&single, own[0]));
+                for (m, own) in [(&single, own[0]), (&batched, own[1])] {
+                    m.check_summary_consistency()?;
+                    m.release_all(own);
+                    m.release_all(other);
+                    ensure_eq!(m.table_size(), 0);
+                    m.check_summary_consistency()?;
+                }
+            }
+            Ok(())
+        }
+    );
+    colock_trace::disable();
+}
+
+/// The other fold: releasing a mixed optimistic / real / long inventory
+/// leaf to root through `release`, through `release_short` + `release_all`,
+/// and through `release_all` alone retires the same locks — same counts,
+/// same `releases` stat, an empty table, and summary words that re-derive
+/// cleanly and admit the fast path again on every resource.
+#[test]
+fn three_release_paths_retire_the_same_inventory() {
+    let (own, other, probe) = (t(1), t(2), t(3));
+    forall!(
+        cases: 128,
+        // Per resource: how `own` holds it, and whether `other` shares it.
+        |rng| vec_of(rng, 1..9, |rng| (rng.gen_range(0u8..7), rng.gen_range(0u8..2))),
+        |kinds: &Vec<(u8, u8)>| {
+            let prepared = || {
+                let m: LockManager<u8> = LockManager::new();
+                for (r, &(kind, shared)) in kinds.iter().enumerate() {
+                    let (mode, fastpath, opts) = match kind {
+                        0 => (LockMode::IS, true, short()),
+                        1 => (LockMode::IX, true, short()),
+                        2 => (LockMode::IX, false, short()),
+                        3 => (LockMode::S, true, short()),
+                        4 => (LockMode::X, true, short()),
+                        5 => (LockMode::IX, true, LockRequestOptions::long()),
+                        _ => (LockMode::X, true, LockRequestOptions::long()),
+                    };
+                    m.set_fastpath(fastpath);
+                    m.acquire(own, r as u8, mode, opts).unwrap();
+                    m.set_fastpath(true);
+                    if shared == 1 {
+                        let _ = m.acquire(other, r as u8, LockMode::IS, LockRequestOptions::try_lock());
+                    }
+                }
+                m
+            };
+            let n = kinds.len();
+
+            let one_by_one = prepared();
+            let released = (0..n as u8).rev().filter(|r| one_by_one.release(own, r)).count();
+            ensure_eq!(released, n, "release, leaf to root");
+
+            let short_then_all = prepared();
+            let shorts = short_then_all.release_short(own);
+            ensure_eq!(shorts, kinds.iter().filter(|k| k.0 < 5).count(), "release_short");
+            ensure_eq!(shorts + short_then_all.release_all(own), n, "release_short + release_all");
+
+            let all_at_once = prepared();
+            ensure_eq!(all_at_once.release_all(own), n, "release_all");
+
+            let releases = all_at_once.stats().snapshot().releases;
+            for m in [&one_by_one, &short_then_all, &all_at_once] {
+                ensure_eq!(m.stats().snapshot().releases, releases);
+                ensure!(m.locks_of(own).is_empty(), "inventory left behind");
+                m.release_all(other);
+                ensure_eq!((m.table_size(), m.grant_count()), (0, 0));
+                m.check_summary_consistency()?;
+                // All-zero words: every resource admits an optimistic IX again.
+                let hits = m.stats().snapshot().fastpath_hits;
+                for r in 0..n as u8 {
+                    m.acquire(probe, r, LockMode::IX, short()).unwrap();
+                }
+                ensure_eq!(m.stats().snapshot().fastpath_hits - hits, n as u64);
+                ensure_eq!(m.release_all(probe), n);
+                m.check_summary_consistency()?;
+            }
+            Ok(())
+        }
+    );
 }

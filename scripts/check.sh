@@ -41,6 +41,11 @@ if [ -n "$bad" ]; then
 fi
 echo "    ok: all dependencies are workspace-path deps"
 
+echo "==> lock-table files stay under 800 lines"
+# table.rs and the files split out of it, one mechanism each (DESIGN.md §5).
+wc -l crates/lockmgr/src/{table,summary,fastpath,queue,detector,inventory}.rs |
+    awk '$2 != "total" && $1 > 800 { print "error: " $2 " has " $1 " lines" > "/dev/stderr"; bad = 1 } END { exit bad }'
+
 echo "==> cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
@@ -55,6 +60,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace -q
 
 echo "==> cargo bench compiles (no run)"
 cargo bench --offline --workspace --no-run -q
+
+echo "==> the frozen repo benchmark still compiles against the crates"
+cargo check --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> colock_check --self-test (static analysis + linted contention demo)"
 # Exercises both the clean path and the detected-cycle accounting: the
