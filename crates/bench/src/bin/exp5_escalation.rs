@@ -9,7 +9,7 @@
 
 use colock_bench::cells_manager;
 use colock_core::optimizer::Optimizer;
-use colock_core::{AccessMode, InstanceTarget, ProtocolOptions};
+use colock_core::{AccessMode, InstanceTarget, LockCtx};
 use colock_lockmgr::LockMode;
 use colock_sim::metrics::Table;
 use colock_sim::CellsConfig;
@@ -62,18 +62,8 @@ fn main() {
         if k > 16 {
             // Escalate: coarse lock + release of the element locks.
             let coarse = InstanceTarget::object("cells", "c1").attr("c_objects");
-            let (report, released) = mgr
-                .engine()
-                .escalate(
-                    mgr.lock_manager(),
-                    t.id(),
-                    &**mgr.store(),
-                    mgr.authorization(),
-                    &coarse,
-                    LockMode::S,
-                    ProtocolOptions::default(),
-                )
-                .unwrap();
+            let cx = LockCtx::new(mgr.lock_manager(), t.id(), &**mgr.store(), mgr.authorization());
+            let (report, released) = mgr.engine().escalate(&cx, &coarse, LockMode::S).unwrap();
             locks += report.lock_count() + released; // work done, then undone
             escalations += 1;
         }
@@ -206,7 +196,7 @@ fn main() {
 
     // Part 4: adaptive θ — the static E5 anticipation number replaced by one
     // derived from measured waits (PR 3 wait histograms).
-    println!("\nadaptive θ from measured contention (COLOCK_ADAPTIVE_THETA):");
+    println!("\nadaptive θ from measured contention (Optimizer::adapted):");
     colock_trace::enable();
     let mark = colock_trace::current_seq();
     {

@@ -6,7 +6,7 @@
 
 use colock_bench::cells_manager;
 use colock_core::optimizer::Optimizer;
-use colock_core::{AccessMode, InstanceTarget, ProtocolOptions};
+use colock_core::{AccessMode, InstanceTarget, LockCtx};
 use colock_sim::metrics::Table;
 use colock_sim::CellsConfig;
 use colock_txn::{ProtocolKind, TxnKind};
@@ -33,17 +33,8 @@ fn main() {
 
         // De-escalate: keep only robot r1.
         let keep = [InstanceTarget::object("cells", "c1").elem("robots", "r1")];
-        mgr.engine()
-            .deescalate(
-                mgr.lock_manager(),
-                holder.id(),
-                &**mgr.store(),
-                mgr.authorization(),
-                &robots,
-                &keep,
-                ProtocolOptions::default(),
-            )
-            .unwrap();
+        let cx = LockCtx::new(mgr.lock_manager(), holder.id(), &**mgr.store(), mgr.authorization());
+        mgr.engine().deescalate(&cx, &robots, &keep).unwrap();
         let unblocked_after = count_free_robots(&mgr, n_robots);
         holder.commit().unwrap();
 
@@ -64,7 +55,7 @@ fn main() {
     // never trades its coarse lock back; the adaptive one watches the PR 3
     // wait histograms of the resource it holds and de-escalates once the
     // measured tail is hot (Optimizer::deescalation_advised).
-    println!("\nadaptive de-escalation from measured waits (COLOCK_ADAPTIVE_THETA):");
+    println!("\nadaptive de-escalation from measured waits (Optimizer::deescalation_advised):");
     colock_trace::enable();
     let n_robots = 8usize;
     let cfg = CellsConfig {
@@ -111,17 +102,9 @@ fn main() {
         holder.lock(&robots, AccessMode::Read).unwrap();
         if advised {
             let keep = [InstanceTarget::object("cells", "c1").elem("robots", "r1")];
-            mgr.engine()
-                .deescalate(
-                    mgr.lock_manager(),
-                    holder.id(),
-                    &**mgr.store(),
-                    mgr.authorization(),
-                    &robots,
-                    &keep,
-                    ProtocolOptions::default(),
-                )
-                .unwrap();
+            let cx =
+                LockCtx::new(mgr.lock_manager(), holder.id(), &**mgr.store(), mgr.authorization());
+            mgr.engine().deescalate(&cx, &robots, &keep).unwrap();
         }
         let free = count_free_robots(&mgr, n_robots);
         holder.commit().unwrap();

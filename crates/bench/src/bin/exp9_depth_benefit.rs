@@ -13,7 +13,7 @@
 //!   rule 4′ (S entry locks — concurrent readers and updaters proceed).
 
 use colock_core::authorization::Authorization;
-use colock_core::{AccessMode, InstanceTarget, ProtocolEngine, ProtocolOptions};
+use colock_core::{InstanceTarget, LockCtx, ProtocolEngine, ProtocolKind, ProtocolOptions};
 use colock_lockmgr::{LockManager, LockMode, TxnId};
 use colock_sim::metrics::Table;
 use colock_sim::workload::chain::{build_chain_store, level_key, level_relation, ChainConfig};
@@ -36,11 +36,21 @@ fn main() {
         let deepest = InstanceTarget::object(level_relation(depth), level_key(depth, 0));
         let lm = LockManager::new();
         let naive = engine
-            .lock_naive_dag(&lm, TxnId(1), &*store, &authz, &deepest, AccessMode::Update, ProtocolOptions::default())
+            .lock(
+                &LockCtx::new(&lm, TxnId(1), &*store, &authz),
+                ProtocolKind::NaiveDag,
+                &deepest,
+                LockMode::X,
+            )
             .unwrap();
         let lm = LockManager::new();
         let proposed = engine
-            .lock_proposed(&lm, TxnId(1), &*store, &authz, &deepest, AccessMode::Update, ProtocolOptions::default())
+            .lock(
+                &LockCtx::new(&lm, TxnId(1), &*store, &authz),
+                ProtocolKind::Proposed,
+                &deepest,
+                LockMode::X,
+            )
             .unwrap();
         t1.row(vec![
             depth.to_string(),
@@ -51,10 +61,7 @@ fn main() {
         ]);
 
         // Part 2: updater of a top object — blocking surface on the chain.
-        for (rule, opts) in [
-            ("4'", ProtocolOptions::default()),
-            ("4", ProtocolOptions::rule4_plain()),
-        ] {
+        for (rule, protocol) in [("4'", ProtocolKind::Proposed), ("4", ProtocolKind::ProposedRule4)] {
             // Under 4' the libraries are non-modifiable for the updater.
             let mut a = Authorization::allow_all();
             if rule == "4'" {
@@ -64,14 +71,11 @@ fn main() {
             }
             let lm = LockManager::new();
             let report = engine
-                .lock_proposed(
-                    &lm,
-                    TxnId(1),
-                    &*store,
-                    &a,
+                .lock(
+                    &LockCtx::new(&lm, TxnId(1), &*store, &a),
+                    protocol,
                     &InstanceTarget::object("top", level_key(0, 0)),
-                    AccessMode::Update,
-                    opts,
+                    LockMode::X,
                 )
                 .unwrap();
             let x_entries = report
@@ -89,14 +93,14 @@ fn main() {
             // chain? Use object 1 which has its own column: always ok; the
             // interesting case is a reader of the shared chain object.
             let reader_ok = engine
-                .lock_proposed(
-                    &lm,
-                    TxnId(2),
-                    &*store,
-                    &a,
+                .lock(
+                    &LockCtx {
+                        opts: ProtocolOptions::default().try_lock(),
+                        ..LockCtx::new(&lm, TxnId(2), &*store, &a)
+                    },
+                    protocol,
                     &InstanceTarget::object(level_relation(1), level_key(1, 0)),
-                    AccessMode::Read,
-                    ProtocolOptions { wait: colock_lockmgr::WaitPolicy::Try, ..opts },
+                    LockMode::S,
                 )
                 .is_ok();
             t2.row(vec![

@@ -3,9 +3,9 @@
 
 use colock_core::fixtures::{fig1_catalog, fig6_source};
 use colock_core::{
-    AccessMode, Authorization, InstanceTarget, ProtocolEngine, ProtocolOptions, Right,
+    Authorization, InstanceTarget, LockCtx, ProtocolEngine, ProtocolKind, ProtocolOptions, Right,
 };
-use colock_lockmgr::{LockManager, TxnId};
+use colock_lockmgr::{LockManager, LockMode, TxnId};
 use std::sync::Arc;
 
 fn main() {
@@ -23,21 +23,19 @@ fn main() {
 
     let t2 = TxnId(2);
     let r2 = engine
-        .lock_proposed(&lm, t2, &src, &authz, &q2, AccessMode::Update, ProtocolOptions::default())
+        .lock(&LockCtx::new(&lm, t2, &src, &authz), ProtocolKind::Proposed, &q2, LockMode::X)
         .expect("Q2 locks");
     println!("locks acquired by Q2 (X on robot r1), in request order:");
     print!("{}", r2.render());
 
     let t3 = TxnId(3);
+    let try_lock = ProtocolOptions::default().try_lock();
     let r3 = engine
-        .lock_proposed(
-            &lm,
-            t3,
-            &src,
-            &authz,
+        .lock(
+            &LockCtx { opts: try_lock, ..LockCtx::new(&lm, t3, &src, &authz) },
+            ProtocolKind::Proposed,
             &q3,
-            AccessMode::Update,
-            ProtocolOptions::default().try_lock(),
+            LockMode::X,
         )
         .expect("Q3 must not block although both queries touch effector e2 (rule 4')");
     println!("\nlocks acquired by Q3 (X on robot r2), in request order:");
@@ -62,17 +60,19 @@ fn main() {
     let lm2 = LockManager::new();
     let permissive = Authorization::allow_all();
     engine
-        .lock_proposed(&lm2, t2, &src, &permissive, &q2, AccessMode::Update, ProtocolOptions::rule4_plain())
+        .lock(
+            &LockCtx::new(&lm2, t2, &src, &permissive),
+            ProtocolKind::ProposedRule4,
+            &q2,
+            LockMode::X,
+        )
         .unwrap();
     let blocked = engine
-        .lock_proposed(
-            &lm2,
-            t3,
-            &src,
-            &permissive,
+        .lock(
+            &LockCtx { opts: try_lock, ..LockCtx::new(&lm2, t3, &src, &permissive) },
+            ProtocolKind::ProposedRule4,
             &q3,
-            AccessMode::Update,
-            ProtocolOptions::rule4_plain().try_lock(),
+            LockMode::X,
         )
         .is_err();
     println!("under plain rule 4 the same pair serializes on e2: {blocked}");

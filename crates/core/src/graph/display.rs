@@ -111,7 +111,8 @@ mod tests {
     fn held_locks_render_like_fig7() {
         use crate::authorization::{Authorization, Right};
         use crate::fixtures::{fig1_catalog, fig6_source};
-        use crate::protocol::{AccessMode, InstanceTarget, ProtocolEngine, ProtocolOptions};
+        use crate::protocol::{InstanceTarget, LockCtx, ProtocolEngine, ProtocolKind};
+        use colock_lockmgr::LockMode;
         use std::sync::Arc;
 
         let engine = ProtocolEngine::new(Arc::new(fig1_catalog()));
@@ -120,17 +121,9 @@ mod tests {
         let mut authz = Authorization::allow_all();
         authz.set_relation_default("effectors", Right::Read);
         for (txn, robot) in [(TxnId(2), "r1"), (TxnId(3), "r2")] {
-            engine
-                .lock_proposed(
-                    &lm,
-                    txn,
-                    &src,
-                    &authz,
-                    &InstanceTarget::object("cells", "c1").elem("robots", robot),
-                    AccessMode::Update,
-                    ProtocolOptions::default(),
-                )
-                .unwrap();
+            let target = InstanceTarget::object("cells", "c1").elem("robots", robot);
+            let cx = LockCtx::new(&lm, txn, &src, &authz);
+            engine.lock(&cx, ProtocolKind::Proposed, &target, LockMode::X).unwrap();
         }
         let text = render_held_locks(&lm, &[(TxnId(2), "Q2"), (TxnId(3), "Q3")]);
         assert!(text.contains("[Q2: IX; Q3: IX]"), "{text}");

@@ -27,8 +27,8 @@
 //! ```
 //! use colock_core::authorization::Authorization;
 //! use colock_core::fixtures::{fig1_catalog, fig6_source};
-//! use colock_core::protocol::{AccessMode, InstanceTarget, ProtocolEngine, ProtocolOptions};
-//! use colock_lockmgr::{LockManager, TxnId};
+//! use colock_core::protocol::{InstanceTarget, LockCtx, ProtocolEngine, ProtocolKind};
+//! use colock_lockmgr::{LockManager, LockMode, TxnId};
 //! use std::sync::Arc;
 //!
 //! let engine = ProtocolEngine::new(Arc::new(fig1_catalog()));
@@ -39,10 +39,8 @@
 //!
 //! // Q2 of the paper: update robot r1 of cell c1.
 //! let q2 = InstanceTarget::object("cells", "c1").elem("robots", "r1");
-//! let report = engine
-//!     .lock_proposed(&lm, TxnId(2), &src, &authz, &q2, AccessMode::Update,
-//!                    ProtocolOptions::default())
-//!     .unwrap();
+//! let cx = LockCtx::new(&lm, TxnId(2), &src, &authz);
+//! let report = engine.lock(&cx, ProtocolKind::Proposed, &q2, LockMode::X).unwrap();
 //! // Robot r1 is X-locked; the shared effectors e1/e2 are S-locked via
 //! // implicit downward propagation under rule 4'.
 //! assert!(report.render().contains("[r1]: X"));
@@ -59,7 +57,7 @@ pub use authorization::{Authorization, Right};
 pub use graph::{derive_lock_graph, Category, ConceptGraph, DbLockGraph, NodeId, Units};
 pub use optimizer::{AccessEstimate, Granularity, LockPlan, Optimizer, PlannedLock};
 pub use protocol::{
-    AccessMode, InstanceSource, InstanceTarget, LockReport, ProtocolEngine, ProtocolError,
-    ProtocolOptions, ReverseScan, TargetStep, TxnLockCache,
+    AccessMode, InstanceSource, InstanceTarget, LockCtx, LockReport, ProtocolEngine, ProtocolError,
+    ProtocolKind, ProtocolOptions, ReverseScan, TargetStep, TxnLockCache,
 };
 pub use resource::{PathStep, ResourcePath};

@@ -189,19 +189,6 @@ impl Optimizer {
         waits.count() >= Self::MIN_WAITS && waits.quantile_us(0.99) >= Self::HOT_WAIT_US
     }
 
-    /// Whether θ adaptation is switched on: `COLOCK_ADAPTIVE_THETA` decides,
-    /// defaulting to the `COLOCK_ADAPTIVE` master switch (any non-empty
-    /// value other than `0` enables).
-    pub fn adaptive_theta_from_env() -> bool {
-        let flag = |name: &str| match std::env::var(name) {
-            Ok(v) => Some(!(v.is_empty() || v == "0")),
-            Err(_) => None,
-        };
-        flag("COLOCK_ADAPTIVE_THETA")
-            .or_else(|| flag("COLOCK_ADAPTIVE"))
-            .unwrap_or(false)
-    }
-
     /// Plans the lock requests for a query's accesses.
     pub fn plan(&self, catalog: &Catalog, accesses: &[AccessEstimate]) -> LockPlan {
         let mut plan = LockPlan::default();
@@ -217,10 +204,7 @@ impl Optimizer {
         a: &AccessEstimate,
         escalations: &mut u64,
     ) -> PlannedLock {
-        let mode = match a.access {
-            AccessMode::Read => LockMode::S,
-            AccessMode::Update => LockMode::X,
-        };
+        let mode = LockMode::from(a.access);
         // Level 1: would per-object locks overflow θ? Then lock the relation.
         if a.objects_expected >= self.theta {
             *escalations += 1;

@@ -1,4 +1,6 @@
-//! Shared protocol machinery: context, lock reports, error mapping.
+//! Shared protocol machinery: the one locking entry point, its context, the
+//! node step and reference-closure walk the protocol bodies share, lock
+//! reports and error mapping.
 
 use crate::authorization::Authorization;
 use crate::graph::derive::derive_lock_graph;
@@ -9,7 +11,7 @@ use colock_lockmgr::{
     AcquireOutcome, LockError, LockManager, LockMode, LockRequestOptions, TxnId, WaitPolicy,
 };
 use colock_trace::{rule_scope, RuleTag};
-use colock_nf2::Catalog;
+use colock_nf2::{Catalog, ObjectRef};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -57,7 +59,8 @@ impl From<LockError> for ProtocolError {
 #[derive(Debug, Clone, Copy)]
 pub struct ProtocolOptions {
     /// Use rule 4′ (authorization-aware downward propagation) instead of
-    /// rule 4.
+    /// rule 4. [`ProtocolEngine::lock`] sets it from its [`ProtocolKind`];
+    /// only escalation and the benchmark forwarder still read the caller's.
     pub rule4_prime: bool,
     /// Wait policy passed to the lock manager.
     pub wait: WaitPolicy,
@@ -78,11 +81,6 @@ impl Default for ProtocolOptions {
 }
 
 impl ProtocolOptions {
-    /// Rule 4 (no authorization cooperation).
-    pub fn rule4_plain() -> Self {
-        ProtocolOptions { rule4_prime: false, ..Default::default() }
-    }
-
     /// Non-blocking variant (used by the deterministic scheduler).
     pub fn try_lock(self) -> Self {
         ProtocolOptions { wait: WaitPolicy::Try, ..self }
@@ -123,13 +121,7 @@ impl LockReport {
     /// The mode acquired on a resource in this run, if any (join of all
     /// grants on it).
     pub fn mode_of(&self, resource: &ResourcePath) -> Option<LockMode> {
-        let mut mode: Option<LockMode> = None;
-        for (r, m) in &self.acquired {
-            if r == resource {
-                mode = Some(mode.map_or(*m, |prev| prev.join(*m)));
-            }
-        }
-        mode
+        self.acquired.iter().filter(|(r, _)| r == resource).map(|(_, m)| *m).reduce(LockMode::join)
     }
 
     /// Merges another report into this one.
@@ -177,11 +169,6 @@ impl ProtocolEngine {
         &self.graph
     }
 
-    /// The database name.
-    pub fn db_name(&self) -> &str {
-        &self.db_name
-    }
-
     /// Whether a relation holds common data.
     pub fn is_common(&self, relation: &str) -> bool {
         self.common.contains(relation)
@@ -200,33 +187,6 @@ impl ProtocolEngine {
     pub fn resource_for(&self, target: &InstanceTarget) -> Result<ResourcePath, ProtocolError> {
         let seg = self.segment_of(&target.relation)?;
         Ok(target.resource(&self.db_name, seg))
-    }
-
-    /// Checks authorization before any lock is requested.
-    pub(crate) fn check_authorized(
-        &self,
-        authz: &Authorization,
-        txn: TxnId,
-        relation: &str,
-        access: AccessMode,
-    ) -> Result<(), ProtocolError> {
-        let ok = match access {
-            AccessMode::Read => authz.can_read(txn, relation),
-            AccessMode::Update => authz.can_modify(txn, relation),
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(ProtocolError::Unauthorized { txn, relation: relation.to_string(), access })
-        }
-    }
-
-    /// The lock mode for the target granule given the access.
-    pub fn target_mode(access: AccessMode) -> LockMode {
-        match access {
-            AccessMode::Read => LockMode::S,
-            AccessMode::Update => LockMode::X,
-        }
     }
 }
 
@@ -286,75 +246,225 @@ impl TxnLockCache {
     pub fn clear(&self) {
         self.locked().clear();
     }
+}
 
-    /// Number of cached entries.
-    pub fn len(&self) -> usize {
-        self.locked().len()
+/// Which lock protocol a request runs under: the paper's (§4.4.2) or one of
+/// the baselines it is evaluated against (§3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProtocolKind {
+    /// The paper's protocol with rule 4′.
+    Proposed,
+    /// The paper's protocol with plain rule 4 (no authorization cooperation).
+    ProposedRule4,
+    /// XSQL-style whole-object locking.
+    WholeObject,
+    /// System R tuple-level locking.
+    TupleLevel,
+    /// Naive traditional DAG on non-disjoint data.
+    NaiveDag,
+    /// Naive DAG with the all-parents rule given up (§3.2.2): cheap X on
+    /// shared data, but from-the-side conflicts go undetected.
+    NaiveRelaxed,
+}
+
+impl ProtocolKind {
+    /// All protocol kinds (for sweeps).
+    pub const ALL: [ProtocolKind; 6] = [
+        ProtocolKind::Proposed,
+        ProtocolKind::ProposedRule4,
+        ProtocolKind::WholeObject,
+        ProtocolKind::TupleLevel,
+        ProtocolKind::NaiveDag,
+        ProtocolKind::NaiveRelaxed,
+    ];
+
+    /// Short display name for reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            ProtocolKind::Proposed => "proposed(4')",
+            ProtocolKind::ProposedRule4 => "proposed(4)",
+            ProtocolKind::WholeObject => "whole-object",
+            ProtocolKind::TupleLevel => "tuple-level",
+            ProtocolKind::NaiveDag => "naive-dag",
+            ProtocolKind::NaiveRelaxed => "naive-relaxed",
+        }
     }
 
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.locked().is_empty()
+    /// The proposed protocol as [`ProtocolOptions::rule4_prime`] selects it
+    /// (for the callers that still choose rule 4 vs 4′ through the options).
+    pub(crate) fn proposed(opts: ProtocolOptions) -> Self {
+        if opts.rule4_prime { ProtocolKind::Proposed } else { ProtocolKind::ProposedRule4 }
     }
 }
 
-/// Mutable per-call context: lock manager handle, transaction, data source,
-/// rights, options and the accumulating report.
-pub(crate) struct Ctx<'a> {
+/// What is bound once per transaction and stays fixed across its lock
+/// requests: lock table, requester, data source, rights, options and the
+/// optional per-transaction lock cache. Only the target and the mode vary
+/// per call to [`ProtocolEngine::lock`].
+#[derive(Clone, Copy)]
+pub struct LockCtx<'a> {
+    /// The lock table all protocols drive.
     pub lm: &'a LockManager<ResourcePath>,
+    /// The requesting transaction.
     pub txn: TxnId,
+    /// Where references and tuples under a target are discovered.
     pub src: &'a dyn InstanceSource,
+    /// The rights matrix (authorization check, rule 4′).
     pub authz: &'a Authorization,
+    /// Wait policy, long locks, dereference semantics.
     pub opts: ProtocolOptions,
+    /// Per-transaction cache of locks already obtained, if any.
     pub cache: Option<&'a TxnLockCache>,
-    pub report: LockReport,
 }
 
-impl<'a> Ctx<'a> {
-    pub fn with_cache(
+impl<'a> LockCtx<'a> {
+    /// A context with default options and no cache; override either with
+    /// struct-update syntax (`LockCtx { opts, ..cx }`).
+    pub fn new(
         lm: &'a LockManager<ResourcePath>,
         txn: TxnId,
         src: &'a dyn InstanceSource,
         authz: &'a Authorization,
-        opts: ProtocolOptions,
-        cache: Option<&'a TxnLockCache>,
     ) -> Self {
-        Ctx { lm, txn, src, authz, opts, cache, report: LockReport::default() }
+        LockCtx { lm, txn, src, authz, opts: ProtocolOptions::default(), cache: None }
+    }
+}
+
+impl ProtocolEngine {
+    /// Locks `target` in `mode` for `cx.txn` under `protocol` and returns the
+    /// lock report — the one entry point of every protocol.
+    ///
+    /// The proposed protocol honours the exact mode (IS/IX/S/SIX/X and the
+    /// semantic Insert/Delete/Member); the baselines have no notion of intent
+    /// requests from above and take the S/X of the mode's access class.
+    /// Authorization is checked before any lock is requested. `protocol`
+    /// decides rule 4 vs 4′; [`ProtocolOptions::rule4_prime`] is overridden.
+    pub fn lock(
+        &self,
+        cx: &LockCtx<'_>,
+        protocol: ProtocolKind,
+        target: &InstanceTarget,
+        mode: LockMode,
+    ) -> Result<LockReport, ProtocolError> {
+        // Write-side modes are exactly those whose parents must announce IX:
+        // semantic Insert/Delete sit *below* IX in the lattice yet authorize
+        // mutation, so `covers(IX)` would misclassify them as reads.
+        let (txn, relation) = (cx.txn, &target.relation);
+        let (access, authorized) = if mode.required_parent_intent() == LockMode::IX {
+            (AccessMode::Update, cx.authz.can_modify(txn, relation))
+        } else {
+            (AccessMode::Read, cx.authz.can_read(txn, relation))
+        };
+        if !authorized {
+            return Err(ProtocolError::Unauthorized { txn, relation: relation.clone(), access });
+        }
+
+        let rule4_prime = protocol == ProtocolKind::Proposed;
+        let mut ctx = Ctx {
+            cx: LockCtx { opts: ProtocolOptions { rule4_prime, ..cx.opts }, ..*cx },
+            report: LockReport::default(),
+        };
+        let coarse = LockMode::from(access);
+        match protocol {
+            ProtocolKind::Proposed | ProtocolKind::ProposedRule4 => {
+                self.proposed(&mut ctx, target, mode)
+            }
+            ProtocolKind::WholeObject => self.whole_object(&mut ctx, target, coarse),
+            ProtocolKind::TupleLevel => self.tuple_level(&mut ctx, target, coarse),
+            ProtocolKind::NaiveDag => self.naive_dag(&mut ctx, target, coarse, true),
+            ProtocolKind::NaiveRelaxed => self.naive_dag(&mut ctx, target, coarse, false),
+        }?;
+        Ok(ctx.report)
     }
 
-    /// Acquires `mode` on `resource`, recording the outcome. A request
-    /// covered by the per-transaction cache is answered as redundant without
-    /// touching the lock table at all.
-    pub fn acquire(&mut self, resource: &ResourcePath, mode: LockMode) -> Result<(), ProtocolError> {
-        if let Some(cache) = self.cache {
-            if cache.covers(resource, mode, self.opts.long) {
-                self.report.redundant += 1;
-                return Ok(());
-            }
+    /// Exists only for the frozen `benchmark/` crate, which calls it
+    /// positionally; the next `[benchmark]` PR deletes it. Use
+    /// [`ProtocolEngine::lock`].
+    #[doc(hidden)]
+    #[allow(clippy::too_many_arguments)]
+    pub fn lock_proposed_mode_cached(
+        &self,
+        lm: &LockManager<ResourcePath>,
+        txn: TxnId,
+        src: &dyn InstanceSource,
+        authz: &Authorization,
+        target: &InstanceTarget,
+        mode: LockMode,
+        opts: ProtocolOptions,
+        cache: Option<&TxnLockCache>,
+    ) -> Result<LockReport, ProtocolError> {
+        let cx = LockCtx { lm, txn, src, authz, opts, cache };
+        self.lock(&cx, ProtocolKind::proposed(opts), target, mode)
+    }
+}
+
+/// One unit of a reference-closure walk: the object to visit, the mode to
+/// lock it in, and the rule that asks for it.
+pub(crate) type Work = (ObjectRef, LockMode, RuleTag);
+
+/// Every object of `refs`, to be locked in `mode` under `tag`.
+pub(crate) fn work_for(refs: Vec<ObjectRef>, mode: LockMode, tag: RuleTag) -> Vec<Work> {
+    refs.into_iter().map(|r| (r, mode, tag)).collect()
+}
+
+/// Mutable per-call state of a protocol body: the bound [`LockCtx`] plus the
+/// accumulating report.
+pub(crate) struct Ctx<'a> {
+    pub cx: LockCtx<'a>,
+    pub report: LockReport,
+}
+
+impl Ctx<'_> {
+    fn request_opts(&self) -> LockRequestOptions {
+        LockRequestOptions { policy: self.cx.opts.wait, long: self.cx.opts.long }
+    }
+
+    /// Whether the per-transaction cache covers the request; a hit is
+    /// answered as redundant without touching the lock table at all.
+    fn covered(&mut self, resource: &ResourcePath, mode: LockMode) -> bool {
+        let hit = self.cx.cache.is_some_and(|c| c.covers(resource, mode, self.cx.opts.long));
+        if hit {
+            self.report.redundant += 1;
         }
-        let lock_opts = LockRequestOptions { policy: self.opts.wait, long: self.opts.long };
-        match self.lm.acquire(self.txn, resource.clone(), mode, lock_opts) {
-            Ok(AcquireOutcome::Granted { waited }) => {
-                if waited {
-                    self.report.waited += 1;
-                }
-                self.report.acquired.push((resource.clone(), mode));
-                if let Some(cache) = self.cache {
-                    cache.record(resource, mode, self.opts.long);
-                }
-                Ok(())
+        hit
+    }
+
+    /// Books one lock-table answer in the report and the cache; `true` for a
+    /// fresh grant (the caller appends it to `report.acquired`).
+    fn book(&mut self, resource: &ResourcePath, mode: LockMode, outcome: AcquireOutcome) -> bool {
+        let granted = match outcome {
+            AcquireOutcome::Granted { waited } => {
+                self.report.waited += u64::from(waited);
+                true
             }
-            Ok(AcquireOutcome::AlreadyHeld) => {
+            AcquireOutcome::AlreadyHeld => {
                 self.report.redundant += 1;
-                if let Some(cache) = self.cache {
-                    // The table does not widen the long flag on AlreadyHeld,
-                    // so cache the covering mode as short only.
-                    cache.record(resource, mode, false);
-                }
-                Ok(())
+                false
             }
-            Err(e) => Err(ProtocolError::Lock(e)),
+        };
+        if let Some(cache) = self.cx.cache {
+            // The table does not widen the long flag on AlreadyHeld, so a
+            // covering mode is cached as short only.
+            cache.record(resource, mode, granted && self.cx.opts.long);
         }
+        granted
+    }
+
+    /// Acquires `mode` on `resource`, recording the outcome.
+    pub(crate) fn acquire(
+        &mut self,
+        resource: &ResourcePath,
+        mode: LockMode,
+    ) -> Result<(), ProtocolError> {
+        if self.covered(resource, mode) {
+            return Ok(());
+        }
+        let outcome =
+            self.cx.lm.acquire(self.cx.txn, resource.clone(), mode, self.request_opts())?;
+        if self.book(resource, mode, outcome) {
+            self.report.acquired.push((resource.clone(), mode));
+        }
+        Ok(())
     }
 
     /// Acquires intent locks on every proper ancestor of `resource`,
@@ -365,54 +475,64 @@ impl<'a> Ctx<'a> {
     /// ([`LockManager::acquire_intent_chain`]): compatible links share a
     /// single optimistic fast-path section instead of taking one shard mutex
     /// each, which is what makes deep chains cheap.
-    pub fn acquire_ancestor_intents(
+    fn acquire_ancestor_intents(
         &mut self,
         resource: &ResourcePath,
         mode: LockMode,
     ) -> Result<(), ProtocolError> {
         let _rule = rule_scope(RuleTag::AncestorIntent);
         let intent = mode.required_parent_intent();
-        let mut chain: Vec<ResourcePath> = Vec::new();
-        for anc in resource.ancestors() {
-            if let Some(cache) = self.cache {
-                if cache.covers(&anc, intent, self.opts.long) {
-                    self.report.redundant += 1;
-                    continue;
-                }
-            }
-            chain.push(anc);
-        }
+        let mut chain = resource.ancestors();
+        chain.retain(|anc| !self.covered(anc, intent));
         if chain.is_empty() {
             return Ok(());
         }
-        let lock_opts = LockRequestOptions { policy: self.opts.wait, long: self.opts.long };
-        let outcomes = self
-            .lm
-            .acquire_intent_chain(self.txn, &chain, intent, lock_opts)
-            .map_err(ProtocolError::Lock)?;
+        let outcomes =
+            self.cx.lm.acquire_intent_chain(self.cx.txn, &chain, intent, self.request_opts())?;
         for (anc, outcome) in chain.into_iter().zip(outcomes) {
-            match outcome {
-                AcquireOutcome::Granted { waited } => {
-                    if waited {
-                        self.report.waited += 1;
-                    }
-                    if let Some(cache) = self.cache {
-                        cache.record(&anc, intent, self.opts.long);
-                    }
-                    self.report.acquired.push((anc, intent));
-                }
-                AcquireOutcome::AlreadyHeld => {
-                    self.report.redundant += 1;
-                    if let Some(cache) = self.cache {
-                        cache.record(&anc, intent, false);
-                    }
-                }
+            if self.book(&anc, intent, outcome) {
+                self.report.acquired.push((anc, intent));
             }
         }
         Ok(())
     }
 
-    pub fn finish(self) -> LockReport {
-        self.report
+    /// The node step every protocol shares: intent locks on all ancestors of
+    /// `resource` (root-to-leaf — this is the implicit upward propagation
+    /// when the node is an entry point, whose chain passes through its
+    /// superunit: database, segment, relation), then `mode` on the node
+    /// itself, traced under `tag`.
+    pub(crate) fn lock_node(
+        &mut self,
+        resource: &ResourcePath,
+        mode: LockMode,
+        tag: RuleTag,
+    ) -> Result<(), ProtocolError> {
+        self.acquire_ancestor_intents(resource, mode)?;
+        let _rule = rule_scope(tag);
+        self.acquire(resource, mode)
+    }
+
+    /// The reference-closure walk every protocol shares: pops an object off
+    /// `work`, skips it if it was already visited in a covering mode, and
+    /// otherwise hands it — in the join of the modes it was reached in — to
+    /// `visit`, which locks whatever the protocol locks per object and
+    /// returns the objects to continue with (depth-first, last pushed first).
+    pub(crate) fn walk<V>(&mut self, mut work: Vec<Work>, mut visit: V) -> Result<(), ProtocolError>
+    where
+        V: FnMut(&mut Self, &InstanceTarget, LockMode, RuleTag) -> Result<Vec<Work>, ProtocolError>,
+    {
+        let mut visited: HashMap<ObjectRef, LockMode> = HashMap::new();
+        while let Some((r, mode, tag)) = work.pop() {
+            let joined = match visited.get(&r) {
+                Some(prev) if prev.covers(mode) => continue,
+                Some(prev) => prev.join(mode),
+                None => mode,
+            };
+            let object = InstanceTarget::object(&r.relation, r.key.clone());
+            visited.insert(r, joined);
+            work.extend(visit(self, &object, joined, tag)?);
+        }
+        Ok(())
     }
 }

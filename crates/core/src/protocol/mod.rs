@@ -8,7 +8,9 @@
 //! | [`tuple_level`] | System R tuple locking: every basic element tuple locked individually (§3.2.1) |
 //! | [`naive_dag`] | straightforward DAG application to non-disjoint objects (§3.2.2): reverse-scan all parents for X on shared data; no downward propagation, so implicit locks stay invisible from the side |
 //!
-//! All engines drive the same [`colock_lockmgr::LockManager`] keyed by
+//! All of them are reached through one entry point,
+//! [`ProtocolEngine::lock`], which selects the body by [`ProtocolKind`], and
+//! drive the same [`colock_lockmgr::LockManager`] keyed by
 //! [`crate::resource::ResourcePath`], so their lock footprints and conflict
 //! behaviour are directly comparable.
 
@@ -19,5 +21,7 @@ pub mod target;
 pub mod tuple_level;
 pub mod whole_object;
 
-pub use engine::{LockReport, ProtocolEngine, ProtocolError, ProtocolOptions, TxnLockCache};
+pub use engine::{
+    LockCtx, LockReport, ProtocolEngine, ProtocolError, ProtocolKind, ProtocolOptions, TxnLockCache,
+};
 pub use target::{AccessMode, InstanceSource, InstanceTarget, ReverseScan, TargetStep};

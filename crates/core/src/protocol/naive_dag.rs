@@ -9,8 +9,8 @@
 //!    include every referencing subobject (every robot using the effector),
 //!    which must first be *found* — a reverse scan over the referencing
 //!    relations (the paper: "It is a very time-consuming task to find out
-//!    which robots are affected"). [`ProtocolEngine::lock_naive_dag`] performs
-//!    exactly that scan and lock cascade; experiment E2 measures it.
+//!    which robots are affected"). `ProtocolKind::NaiveDag` performs exactly
+//!    that scan and lock cascade; experiment E2 measures it.
 //!
 //! 2. **Implicit locks on common data are invisible "from the side".** If
 //!    the all-parents rule is dropped instead, a transaction locking robot
@@ -21,109 +21,33 @@
 //!    propagation), so experiment E3 can demonstrate the resulting
 //!    inconsistency.
 
-use crate::authorization::Authorization;
-use crate::protocol::engine::{
-    Ctx, LockReport, ProtocolEngine, ProtocolError, ProtocolOptions, TxnLockCache,
-};
-use crate::protocol::target::{AccessMode, InstanceSource, InstanceTarget};
-use crate::resource::ResourcePath;
-use colock_lockmgr::{LockManager, LockMode, TxnId};
-use colock_nf2::ObjectKey;
-use colock_trace::{rule_scope, RuleTag};
-use std::collections::HashSet;
+use crate::protocol::engine::{work_for, Ctx, ProtocolEngine, ProtocolError};
+use crate::protocol::target::InstanceTarget;
+use colock_lockmgr::LockMode;
+use colock_nf2::ObjectRef;
+use colock_trace::RuleTag;
 
 impl ProtocolEngine {
-    /// Locks `target` under the naive traditional-DAG protocol.
-    #[allow(clippy::too_many_arguments)]
-    pub fn lock_naive_dag(
+    /// The naive traditional-DAG body. `all_parents: false` is the *relaxed*
+    /// variant (§3.2.2): "If the DAG requirement that all parents … be locked
+    /// before such a node may be requested in mode (I)X is given up" — X on
+    /// shared data takes only its own chain. Cheap, but implicit locks on
+    /// common data are invisible from the side: the E3 experiment
+    /// demonstrates the resulting inconsistency.
+    pub(crate) fn naive_dag(
         &self,
-        lm: &LockManager<ResourcePath>,
-        txn: TxnId,
-        src: &dyn InstanceSource,
-        authz: &Authorization,
+        ctx: &mut Ctx<'_>,
         target: &InstanceTarget,
-        access: AccessMode,
-        opts: ProtocolOptions,
-    ) -> Result<LockReport, ProtocolError> {
-        self.lock_naive_dag_cached(lm, txn, src, authz, target, access, opts, None)
-    }
-
-    /// [`ProtocolEngine::lock_naive_dag`] with a per-transaction lock cache.
-    #[allow(clippy::too_many_arguments)]
-    pub fn lock_naive_dag_cached(
-        &self,
-        lm: &LockManager<ResourcePath>,
-        txn: TxnId,
-        src: &dyn InstanceSource,
-        authz: &Authorization,
-        target: &InstanceTarget,
-        access: AccessMode,
-        opts: ProtocolOptions,
-        cache: Option<&TxnLockCache>,
-    ) -> Result<LockReport, ProtocolError> {
-        self.check_authorized(authz, txn, &target.relation, access)?;
-        let mode = Self::target_mode(access);
-        let mut ctx = Ctx::with_cache(lm, txn, src, authz, opts, cache);
-
-        if mode == LockMode::X && self.is_common(&target.relation) {
+        mode: LockMode,
+        all_parents: bool,
+    ) -> Result<(), ProtocolError> {
+        if all_parents && mode == LockMode::X && self.is_common(&target.relation) {
             // Defect 1: X on shared data requires ALL parents to be locked.
-            self.lock_all_parents(&mut ctx, target)?;
-        }
-
-        let resource = self.resource_for(target)?;
-        ctx.acquire_ancestor_intents(&resource, mode)?;
-        {
-            let _rule = rule_scope(RuleTag::Target);
-            ctx.acquire(&resource, mode)?;
+            self.lock_all_parents(ctx, target)?;
         }
         // Defect 2 (by construction): no downward propagation — referenced
         // common data is only "implicitly" locked, invisibly to other paths.
-        Ok(ctx.finish())
-    }
-
-    /// The *relaxed* naive variant (§3.2.2): "If the DAG requirement that
-    /// all parents … be locked before such a node may be requested in mode
-    /// (I)X is given up" — X on shared data takes only its own chain. Cheap,
-    /// but implicit locks on common data are invisible from the side: the
-    /// E3 experiment demonstrates the resulting inconsistency.
-    #[allow(clippy::too_many_arguments)]
-    pub fn lock_naive_relaxed(
-        &self,
-        lm: &LockManager<ResourcePath>,
-        txn: TxnId,
-        src: &dyn InstanceSource,
-        authz: &Authorization,
-        target: &InstanceTarget,
-        access: AccessMode,
-        opts: ProtocolOptions,
-    ) -> Result<LockReport, ProtocolError> {
-        self.lock_naive_relaxed_cached(lm, txn, src, authz, target, access, opts, None)
-    }
-
-    /// [`ProtocolEngine::lock_naive_relaxed`] with a per-transaction lock
-    /// cache.
-    #[allow(clippy::too_many_arguments)]
-    pub fn lock_naive_relaxed_cached(
-        &self,
-        lm: &LockManager<ResourcePath>,
-        txn: TxnId,
-        src: &dyn InstanceSource,
-        authz: &Authorization,
-        target: &InstanceTarget,
-        access: AccessMode,
-        opts: ProtocolOptions,
-        cache: Option<&TxnLockCache>,
-    ) -> Result<LockReport, ProtocolError> {
-        self.check_authorized(authz, txn, &target.relation, access)?;
-        let mode = Self::target_mode(access);
-        let mut ctx = Ctx::with_cache(lm, txn, src, authz, opts, cache);
-        let resource = self.resource_for(target)?;
-        ctx.acquire_ancestor_intents(&resource, mode)?;
-        {
-            let _rule = rule_scope(RuleTag::Target);
-            ctx.acquire(&resource, mode)?;
-        }
-        Ok(ctx.finish())
+        ctx.lock_node(&self.resource_for(target)?, mode, RuleTag::Target)
     }
 
     /// Finds (by reverse scan) and IX-locks every subobject referencing the
@@ -137,31 +61,22 @@ impl ProtocolEngine {
         let Some(key) = target.object.clone() else {
             return Ok(());
         };
-        let mut visited: HashSet<(String, ObjectKey)> = HashSet::new();
-        let mut work: Vec<(String, ObjectKey)> = vec![(target.relation.clone(), key)];
-        while let Some((relation, key)) = work.pop() {
-            if !visited.insert((relation.clone(), key.clone())) {
-                continue;
-            }
-            let scan = ctx.src.referencing_objects(&relation, &key);
+        let start = vec![ObjectRef::new(&target.relation, key)];
+        ctx.walk(work_for(start, LockMode::IX, RuleTag::AllParentsScan), |ctx, object, mode, tag| {
+            let key = object.object.as_ref().expect("the walk visits objects");
+            let scan = ctx.cx.src.referencing_objects(&object.relation, key);
             ctx.report.scan_cost += scan.objects_scanned;
+            let mut shared_parents = Vec::new();
             for parent in scan.referencing {
-                let resource = self.resource_for(&parent)?;
                 // The referencing subobject and all its ancestors in IX.
-                ctx.acquire_ancestor_intents(&resource, LockMode::X)?;
-                {
-                    let _rule = rule_scope(RuleTag::AllParentsScan);
-                    ctx.acquire(&resource, LockMode::IX)?;
-                }
+                ctx.lock_node(&self.resource_for(&parent)?, mode, tag)?;
                 // If the referencing object itself lives in common data, its
                 // parents must be locked as well (transitive rule).
                 if self.is_common(&parent.relation) {
-                    if let Some(pk) = parent.object.clone() {
-                        work.push((parent.relation.clone(), pk));
-                    }
+                    shared_parents.extend(parent.object.map(|pk| ObjectRef::new(parent.relation, pk)));
                 }
             }
-        }
-        Ok(())
+            Ok(work_for(shared_parents, mode, tag))
+        })
     }
 }

@@ -20,202 +20,64 @@
 //! no extra I/O; only the entry points themselves enter the lock table, which
 //! keeps the table growth moderate (§4.4.2.1).
 
-use crate::authorization::Authorization;
-use crate::protocol::engine::{
-    Ctx, LockReport, ProtocolEngine, ProtocolError, ProtocolOptions, TxnLockCache,
-};
-use crate::protocol::target::{AccessMode, InstanceSource, InstanceTarget};
-use colock_lockmgr::{LockManager, LockMode, TxnId};
-use colock_nf2::{ObjectKey, ObjectRef};
-use colock_trace::{rule_scope, RuleTag};
+use crate::protocol::engine::{Ctx, ProtocolEngine, ProtocolError, Work};
+use crate::protocol::target::{refs_of, InstanceTarget};
 use crate::resource::ResourcePath;
-use std::collections::HashMap;
+use colock_lockmgr::{LockManager, LockMode, TxnId};
+use colock_nf2::ObjectRef;
+use colock_trace::RuleTag;
 
 impl ProtocolEngine {
-    /// Locks `target` for `access` under the proposed protocol and returns
-    /// the lock report. `mode` is derived from the access (S for read, X for
-    /// update); use [`ProtocolEngine::lock_proposed_mode`] for explicit
-    /// intent-mode requests.
-    #[allow(clippy::too_many_arguments)]
-    pub fn lock_proposed(
-        &self,
-        lm: &LockManager<ResourcePath>,
-        txn: TxnId,
-        src: &dyn InstanceSource,
-        authz: &Authorization,
-        target: &InstanceTarget,
-        access: AccessMode,
-        opts: ProtocolOptions,
-    ) -> Result<LockReport, ProtocolError> {
-        self.lock_proposed_mode(lm, txn, src, authz, target, Self::target_mode(access), opts)
-    }
-
-    /// [`ProtocolEngine::lock_proposed`] with a per-transaction lock cache:
-    /// ancestor intention locks already covered by the cache skip the lock
-    /// table entirely.
-    #[allow(clippy::too_many_arguments)]
-    pub fn lock_proposed_cached(
-        &self,
-        lm: &LockManager<ResourcePath>,
-        txn: TxnId,
-        src: &dyn InstanceSource,
-        authz: &Authorization,
-        target: &InstanceTarget,
-        access: AccessMode,
-        opts: ProtocolOptions,
-        cache: Option<&TxnLockCache>,
-    ) -> Result<LockReport, ProtocolError> {
-        self.lock_proposed_mode_cached(
-            lm,
-            txn,
-            src,
-            authz,
-            target,
-            Self::target_mode(access),
-            opts,
-            cache,
-        )
-    }
-
-    /// Locks `target` in an explicit mode (IS/IX/S/X) under the proposed
-    /// protocol.
-    #[allow(clippy::too_many_arguments)]
-    pub fn lock_proposed_mode(
-        &self,
-        lm: &LockManager<ResourcePath>,
-        txn: TxnId,
-        src: &dyn InstanceSource,
-        authz: &Authorization,
-        target: &InstanceTarget,
-        mode: LockMode,
-        opts: ProtocolOptions,
-    ) -> Result<LockReport, ProtocolError> {
-        self.lock_proposed_mode_cached(lm, txn, src, authz, target, mode, opts, None)
-    }
-
-    /// [`ProtocolEngine::lock_proposed_mode`] with a per-transaction lock
-    /// cache.
-    #[allow(clippy::too_many_arguments)]
-    pub fn lock_proposed_mode_cached(
-        &self,
-        lm: &LockManager<ResourcePath>,
-        txn: TxnId,
-        src: &dyn InstanceSource,
-        authz: &Authorization,
-        target: &InstanceTarget,
-        mode: LockMode,
-        opts: ProtocolOptions,
-        cache: Option<&TxnLockCache>,
-    ) -> Result<LockReport, ProtocolError> {
-        // Write-side modes are exactly those whose parents must announce IX:
-        // semantic Insert/Delete sit *below* IX in the lattice yet authorize
-        // mutation, so `covers(IX)` would misclassify them as reads.
-        let access = if mode.required_parent_intent() == LockMode::IX {
-            AccessMode::Update
-        } else {
-            AccessMode::Read
-        };
-        self.check_authorized(authz, txn, &target.relation, access)?;
-
-        let mut ctx = Ctx::with_cache(lm, txn, src, authz, opts, cache);
-        let resource = self.resource_for(target)?;
-
-        // Rules 1–4, first half: intent locks on all immediate parents,
-        // root-to-leaf (this covers implicit upward propagation when the
-        // target lies inside an inner unit — the chain passes through the
-        // superunit: database, segment, relation).
-        ctx.acquire_ancestor_intents(&resource, mode)?;
-        {
-            let _rule = rule_scope(RuleTag::Target);
-            ctx.acquire(&resource, mode)?;
-        }
-
-        // Rules 3/4, second half: implicit downward propagation for S/X.
-        // Skipped when the query semantics guarantee no dereference (§4.5).
-        if mode.allows_read() && opts.deref_refs {
-            let refs = match &target.object {
-                Some(_) => ctx.src.refs_under(target),
-                None => ctx.src.refs_in_relation(&target.relation),
-            };
-            self.propagate_down(&mut ctx, refs, mode)?;
-        }
-        Ok(ctx.finish())
-    }
-
-    /// Implicit downward propagation: locks all entry points of lower inner
-    /// units reachable via the already-locked subtree, transitively.
-    fn propagate_down(
+    /// The proposed protocol's body for one request of `mode` on `target`.
+    pub(crate) fn proposed(
         &self,
         ctx: &mut Ctx<'_>,
-        initial: Vec<ObjectRef>,
+        target: &InstanceTarget,
         mode: LockMode,
     ) -> Result<(), ProtocolError> {
-        // visited: strongest mode already propagated per referenced object.
-        let mut visited: HashMap<(String, ObjectKey), LockMode> = HashMap::new();
-        let mut work: Vec<(ObjectRef, LockMode, RuleTag)> = initial
-            .into_iter()
-            .map(|r| {
-                let (m, tag) = self.entry_mode(ctx, mode, &r.relation);
-                (r, m, tag)
-            })
-            .collect();
+        // Rules 1–4, first half: intent locks on all immediate parents,
+        // root-to-leaf, then the target itself.
+        ctx.lock_node(&self.resource_for(target)?, mode, RuleTag::Target)?;
 
-        while let Some((r, m, tag)) = work.pop() {
-            let key = (r.relation.clone(), r.key.clone());
-            if let Some(prev) = visited.get(&key) {
-                if prev.covers(m) {
-                    continue;
-                }
-            }
-            let joined = visited.get(&key).map_or(m, |p| p.join(m));
-            visited.insert(key, joined);
-
-            // Implicit upward propagation: IS/IX on the superunit chain of
-            // the entry point (database, segment, relation).
-            let entry_target = InstanceTarget::object(&r.relation, r.key.clone());
-            let entry_resource = self.resource_for(&entry_target)?;
-            ctx.acquire_ancestor_intents(&entry_resource, joined)?;
-            // The entry point itself.
-            {
-                let _rule = rule_scope(tag);
-                ctx.acquire(&entry_resource, joined)?;
-            }
+        // Rules 3/4, second half: implicit downward propagation for S/X —
+        // all entry points of lower inner units reachable via the locked
+        // subtree, transitively. Skipped when the query semantics guarantee
+        // no dereference (§4.5).
+        if !(mode.allows_read() && ctx.cx.opts.deref_refs) {
+            return Ok(());
+        }
+        let initial = Self::entry_points(ctx, refs_of(ctx.cx.src, target), mode);
+        ctx.walk(initial, |ctx, entry, mode, tag| {
+            ctx.lock_node(&self.resource_for(entry)?, mode, tag)?;
             ctx.report.entry_points_locked += 1;
-
             // Common data may again contain common data (§2): recurse into
             // references of the inner unit just locked.
-            for child in ctx.src.refs_under(&entry_target) {
-                let (child_mode, child_tag) = self.entry_mode(ctx, joined, &child.relation);
-                work.push((child, child_mode, child_tag));
-            }
-        }
-        Ok(())
+            Ok(Self::entry_points(ctx, ctx.cx.src.refs_under(entry), mode))
+        })
     }
 
-    /// Mode (and trace rule tag) for an entry point during downward
-    /// propagation.
+    /// The entry points `refs` name, each with the mode (and trace rule tag)
+    /// that downward propagation from a node held in `mode` locks it in.
     ///
     /// Rule 4: propagate the requested S/X unchanged. Rule 4′: under X,
     /// non-modifiable inner units get S — "locking of common data in a mode
-    /// which is the least restrictive necessary" (§4.6). The returned tag
+    /// which is the least restrictive necessary" (§4.6). The tag
     /// distinguishes a rule-4′ weakening from a plain entry-point lock.
-    fn entry_mode(&self, ctx: &Ctx<'_>, mode: LockMode, relation: &str) -> (LockMode, RuleTag) {
+    fn entry_points(ctx: &Ctx<'_>, refs: Vec<ObjectRef>, mode: LockMode) -> Vec<Work> {
         debug_assert!(mode.allows_read());
-        if mode == LockMode::X || mode == LockMode::SIX {
-            if ctx.opts.rule4_prime && !ctx.authz.can_modify(ctx.txn, relation) {
-                (LockMode::S, RuleTag::EntryPointNonModifiable)
-            } else {
-                (LockMode::X, RuleTag::EntryPoint)
-            }
-        } else {
-            (LockMode::S, RuleTag::EntryPoint)
-        }
-    }
-
-    /// Releases every lock of `txn` (EOT, rule 5: at EOT locks may be
-    /// released in any order).
-    pub fn release_all(&self, lm: &LockManager<ResourcePath>, txn: TxnId) -> usize {
-        lm.release_all(txn)
+        let cx = &ctx.cx;
+        let exclusive = mode == LockMode::X || mode == LockMode::SIX;
+        refs.into_iter()
+            .map(|entry| {
+                if !exclusive {
+                    (entry, LockMode::S, RuleTag::EntryPoint)
+                } else if cx.opts.rule4_prime && !cx.authz.can_modify(cx.txn, &entry.relation) {
+                    (entry, LockMode::S, RuleTag::EntryPointNonModifiable)
+                } else {
+                    (entry, LockMode::X, RuleTag::EntryPoint)
+                }
+            })
+            .collect()
     }
 
     /// Releases a single target leaf-to-root before EOT (rule 5's other

@@ -1,6 +1,7 @@
 //! Lock targets and the data-access interface used during locking.
 
 use crate::resource::{PathStep, ResourcePath};
+use colock_lockmgr::LockMode;
 use colock_nf2::{ObjectKey, ObjectRef};
 use std::fmt;
 
@@ -11,6 +12,17 @@ pub enum AccessMode {
     Read,
     /// Updating (insert/delete/modify).
     Update,
+}
+
+/// The lock mode an access takes on its target granule: S to read, X to
+/// update.
+impl From<AccessMode> for LockMode {
+    fn from(access: AccessMode) -> Self {
+        match access {
+            AccessMode::Read => LockMode::S,
+            AccessMode::Update => LockMode::X,
+        }
+    }
 }
 
 /// One step into a complex object: an attribute, optionally narrowed to one
@@ -147,6 +159,15 @@ pub trait InstanceSource {
 
     /// Keys of all complex objects of a relation (for relation-wide locks).
     fn object_keys(&self, relation: &str) -> Vec<ObjectKey>;
+}
+
+/// The references a lock on `target` reaches: those under the object's
+/// subtree, or anywhere in the relation for a relation-granule target.
+pub(crate) fn refs_of(src: &dyn InstanceSource, target: &InstanceTarget) -> Vec<ObjectRef> {
+    match &target.object {
+        Some(_) => src.refs_under(target),
+        None => src.refs_in_relation(&target.relation),
+    }
 }
 
 #[cfg(test)]

@@ -8,82 +8,39 @@
 //! nothing between relation and tuple). The lock *count* therefore grows with
 //! the data, which experiment E1 measures.
 
-use crate::authorization::Authorization;
-use crate::protocol::engine::{
-    Ctx, LockReport, ProtocolEngine, ProtocolError, ProtocolOptions, TxnLockCache,
-};
-use crate::protocol::target::{AccessMode, InstanceSource, InstanceTarget};
-use crate::resource::ResourcePath;
-use colock_lockmgr::{LockManager, LockMode, TxnId};
-use colock_nf2::{ObjectKey, ObjectRef};
+use crate::protocol::engine::{work_for, Ctx, ProtocolEngine, ProtocolError};
+use crate::protocol::target::{refs_of, InstanceTarget};
+use colock_lockmgr::LockMode;
 use colock_trace::{rule_scope, RuleTag};
-use std::collections::HashSet;
 
 impl ProtocolEngine {
-    /// Locks every basic tuple under `target` individually.
-    #[allow(clippy::too_many_arguments)]
-    pub fn lock_tuple_level(
+    /// Locks every basic tuple under `target` individually (the
+    /// database/segment/relation intents repeated per tuple are where the
+    /// per-transaction lock cache pays off most).
+    pub(crate) fn tuple_level(
         &self,
-        lm: &LockManager<ResourcePath>,
-        txn: TxnId,
-        src: &dyn InstanceSource,
-        authz: &Authorization,
+        ctx: &mut Ctx<'_>,
         target: &InstanceTarget,
-        access: AccessMode,
-        opts: ProtocolOptions,
-    ) -> Result<LockReport, ProtocolError> {
-        self.lock_tuple_level_cached(lm, txn, src, authz, target, access, opts, None)
-    }
-
-    /// [`ProtocolEngine::lock_tuple_level`] with a per-transaction lock
-    /// cache (the database/segment/relation intents repeated per tuple are
-    /// where the cache pays off most).
-    #[allow(clippy::too_many_arguments)]
-    pub fn lock_tuple_level_cached(
-        &self,
-        lm: &LockManager<ResourcePath>,
-        txn: TxnId,
-        src: &dyn InstanceSource,
-        authz: &Authorization,
-        target: &InstanceTarget,
-        access: AccessMode,
-        opts: ProtocolOptions,
-        cache: Option<&TxnLockCache>,
-    ) -> Result<LockReport, ProtocolError> {
-        self.check_authorized(authz, txn, &target.relation, access)?;
-        let mode = Self::target_mode(access);
-        let mut ctx = Ctx::with_cache(lm, txn, src, authz, opts, cache);
-
+        mode: LockMode,
+    ) -> Result<(), ProtocolError> {
+        let src = ctx.cx.src;
         let tuples = match &target.object {
-            Some(_) => ctx.src.tuples_under(target),
-            None => {
-                let mut all = Vec::new();
-                for key in ctx.src.object_keys(&target.relation) {
-                    let obj = InstanceTarget::object(&target.relation, key);
-                    all.extend(ctx.src.tuples_under(&obj));
-                }
-                all
-            }
+            Some(_) => src.tuples_under(target),
+            None => src
+                .object_keys(&target.relation)
+                .into_iter()
+                .flat_map(|key| src.tuples_under(&InstanceTarget::object(&target.relation, key)))
+                .collect(),
         };
-        let mut refs: Vec<ObjectRef> = match &target.object {
-            Some(_) => ctx.src.refs_under(target),
-            None => ctx.src.refs_in_relation(&target.relation),
-        };
-        self.lock_tuples(&mut ctx, &tuples, mode)?;
+        let refs = work_for(refs_of(src, target), mode, RuleTag::Tuple);
+        self.lock_tuples(ctx, &tuples, mode)?;
 
         // Referenced common data: each referenced object's tuples, too —
         // tuple-level locking has no coarser handle for them.
-        let mut visited: HashSet<(String, ObjectKey)> = HashSet::new();
-        while let Some(r) = refs.pop() {
-            if !visited.insert((r.relation.clone(), r.key.clone())) {
-                continue;
-            }
-            let obj = InstanceTarget::object(&r.relation, r.key.clone());
-            let tuples = ctx.src.tuples_under(&obj);
-            self.lock_tuples(&mut ctx, &tuples, mode)?;
-            refs.extend(ctx.src.refs_under(&obj));
-        }
-        Ok(ctx.finish())
+        ctx.walk(refs, |ctx, object, mode, tag| {
+            self.lock_tuples(ctx, &src.tuples_under(object), mode)?;
+            Ok(work_for(src.refs_under(object), mode, tag))
+        })
     }
 
     fn lock_tuples(
@@ -94,17 +51,14 @@ impl ProtocolEngine {
     ) -> Result<(), ProtocolError> {
         for t in tuples {
             let resource = self.resource_for(t)?;
-            // Intent locks on database/segment/relation only (three levels),
-            // then the tuple itself: System R's flat graph has no
-            // complex-object or sub-object granules.
-            let intent = mode.required_parent_intent();
-            let seg = self.segment_of(&t.relation)?.to_string();
-            let db = ResourcePath::database(self.db_name());
             {
+                // Intent locks on database/segment/relation only (the first
+                // three levels), then the tuple itself: System R's flat graph
+                // has no complex-object or sub-object granules.
                 let _rule = rule_scope(RuleTag::TupleIntent);
-                ctx.acquire(&db, intent)?;
-                ctx.acquire(&db.segment(&seg), intent)?;
-                ctx.acquire(&db.segment(&seg).relation(&t.relation), intent)?;
+                for level in resource.ancestors().iter().take(3) {
+                    ctx.acquire(level, mode.required_parent_intent())?;
+                }
             }
             let _rule = rule_scope(RuleTag::Tuple);
             ctx.acquire(&resource, mode)?;

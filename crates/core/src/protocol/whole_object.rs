@@ -7,108 +7,27 @@
 //! granule-oriented problem: Q1 and Q2 of Fig. 3 touch different parts of
 //! cell `c1` but serialize anyway.
 
-use crate::authorization::Authorization;
-use crate::protocol::engine::{
-    Ctx, LockReport, ProtocolEngine, ProtocolError, ProtocolOptions, TxnLockCache,
-};
-use crate::protocol::target::{AccessMode, InstanceSource, InstanceTarget};
-use crate::resource::ResourcePath;
-use colock_lockmgr::{LockManager, LockMode, TxnId};
-use colock_nf2::{ObjectKey, ObjectRef};
-use colock_trace::{rule_scope, RuleTag};
-use std::collections::HashSet;
+use crate::protocol::engine::{work_for, Ctx, ProtocolEngine, ProtocolError};
+use crate::protocol::target::{refs_of, InstanceTarget};
+use colock_lockmgr::LockMode;
+use colock_trace::RuleTag;
 
 impl ProtocolEngine {
-    /// Locks the complex object containing `target` as a whole (plus all
-    /// transitively referenced common data, in the same mode).
-    #[allow(clippy::too_many_arguments)]
-    pub fn lock_whole_object(
-        &self,
-        lm: &LockManager<ResourcePath>,
-        txn: TxnId,
-        src: &dyn InstanceSource,
-        authz: &Authorization,
-        target: &InstanceTarget,
-        access: AccessMode,
-        opts: ProtocolOptions,
-    ) -> Result<LockReport, ProtocolError> {
-        self.lock_whole_object_cached(lm, txn, src, authz, target, access, opts, None)
-    }
-
-    /// [`ProtocolEngine::lock_whole_object`] with a per-transaction lock
-    /// cache.
-    #[allow(clippy::too_many_arguments)]
-    pub fn lock_whole_object_cached(
-        &self,
-        lm: &LockManager<ResourcePath>,
-        txn: TxnId,
-        src: &dyn InstanceSource,
-        authz: &Authorization,
-        target: &InstanceTarget,
-        access: AccessMode,
-        opts: ProtocolOptions,
-        cache: Option<&TxnLockCache>,
-    ) -> Result<LockReport, ProtocolError> {
-        self.check_authorized(authz, txn, &target.relation, access)?;
-        let mode = Self::target_mode(access);
-        let mut ctx = Ctx::with_cache(lm, txn, src, authz, opts, cache);
-
-        match &target.object {
-            Some(key) => {
-                let object = InstanceTarget::object(&target.relation, key.clone());
-                self.lock_object_coarse(&mut ctx, &object, mode)?;
-            }
-            None => {
-                // Whole-relation access: lock the relation.
-                let resource = self.resource_for(target)?;
-                ctx.acquire_ancestor_intents(&resource, mode)?;
-                let _rule = rule_scope(RuleTag::WholeObject);
-                ctx.acquire(&resource, mode)?;
-                // Referenced common data still must be locked coarsely.
-                let refs = ctx.src.refs_in_relation(&target.relation);
-                self.lock_refs_coarse(&mut ctx, refs, mode)?;
-            }
-        }
-        Ok(ctx.finish())
-    }
-
-    fn lock_object_coarse(
+    /// Locks the complex object containing `target` as a whole — or the
+    /// relation, for a relation-wide access — plus all transitively
+    /// referenced common data, coarsely and in the same mode.
+    pub(crate) fn whole_object(
         &self,
         ctx: &mut Ctx<'_>,
-        object: &InstanceTarget,
+        target: &InstanceTarget,
         mode: LockMode,
     ) -> Result<(), ProtocolError> {
-        let resource = self.resource_for(object)?;
-        ctx.acquire_ancestor_intents(&resource, mode)?;
-        {
-            let _rule = rule_scope(RuleTag::WholeObject);
-            ctx.acquire(&resource, mode)?;
-        }
-        let refs = ctx.src.refs_under(object);
-        self.lock_refs_coarse(ctx, refs, mode)
-    }
-
-    fn lock_refs_coarse(
-        &self,
-        ctx: &mut Ctx<'_>,
-        initial: Vec<ObjectRef>,
-        mode: LockMode,
-    ) -> Result<(), ProtocolError> {
-        let mut visited: HashSet<(String, ObjectKey)> = HashSet::new();
-        let mut work = initial;
-        while let Some(r) = work.pop() {
-            if !visited.insert((r.relation.clone(), r.key.clone())) {
-                continue;
-            }
-            let obj = InstanceTarget::object(&r.relation, r.key.clone());
-            let resource = self.resource_for(&obj)?;
-            ctx.acquire_ancestor_intents(&resource, mode)?;
-            {
-                let _rule = rule_scope(RuleTag::WholeObject);
-                ctx.acquire(&resource, mode)?;
-            }
-            work.extend(ctx.src.refs_under(&obj));
-        }
-        Ok(())
+        let tag = RuleTag::WholeObject;
+        let whole = InstanceTarget { steps: Vec::new(), ..target.clone() };
+        ctx.lock_node(&self.resource_for(&whole)?, mode, tag)?;
+        ctx.walk(work_for(refs_of(ctx.cx.src, &whole), mode, tag), |ctx, object, mode, tag| {
+            ctx.lock_node(&self.resource_for(object)?, mode, tag)?;
+            Ok(work_for(ctx.cx.src.refs_under(object), mode, tag))
+        })
     }
 }

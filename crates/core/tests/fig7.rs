@@ -3,7 +3,9 @@
 
 use colock_core::authorization::{Authorization, Right};
 use colock_core::fixtures::{fig1_catalog, fig6_source};
-use colock_core::protocol::{AccessMode, InstanceTarget, ProtocolEngine, ProtocolOptions};
+use colock_core::protocol::{
+    InstanceTarget, LockCtx, ProtocolEngine, ProtocolKind, ProtocolOptions,
+};
 use colock_core::resource::ResourcePath;
 use colock_lockmgr::{LockManager, LockMode, TxnId};
 use std::sync::Arc;
@@ -56,7 +58,12 @@ fn q2_lock_set_matches_fig7() {
     let (engine, lm, src, authz) = setup();
     let t2 = TxnId(2);
     engine
-        .lock_proposed(&lm, t2, &src, &authz, &q2_target(), AccessMode::Update, ProtocolOptions::default())
+        .lock(
+            &LockCtx::new(&lm, t2, &src, &authz),
+            ProtocolKind::Proposed,
+            &q2_target(),
+            LockMode::X,
+        )
         .unwrap();
 
     // Fig. 7, column Q2.
@@ -86,7 +93,12 @@ fn q3_lock_set_matches_fig7() {
     let (engine, lm, src, authz) = setup();
     let t3 = TxnId(3);
     engine
-        .lock_proposed(&lm, t3, &src, &authz, &q3_target(), AccessMode::Update, ProtocolOptions::default())
+        .lock(
+            &LockCtx::new(&lm, t3, &src, &authz),
+            ProtocolKind::Proposed,
+            &q3_target(),
+            LockMode::X,
+        )
         .unwrap();
     let expect = [
         (ResourcePath::database("db1"), LockMode::IX),
@@ -114,16 +126,21 @@ fn q2_and_q3_run_concurrently_under_rule4_prime() {
     let t2 = TxnId(2);
     let t3 = TxnId(3);
     engine
-        .lock_proposed(&lm, t2, &src, &authz, &q2_target(), AccessMode::Update, ProtocolOptions::default())
+        .lock(
+            &LockCtx::new(&lm, t2, &src, &authz),
+            ProtocolKind::Proposed,
+            &q2_target(),
+            LockMode::X,
+        )
         .unwrap();
-    let r = engine.lock_proposed(
-        &lm,
-        t3,
-        &src,
-        &authz,
+    let r = engine.lock(
+        &LockCtx {
+            opts: ProtocolOptions::default().try_lock(),
+            ..LockCtx::new(&lm, t3, &src, &authz)
+        },
+        ProtocolKind::Proposed,
         &q3_target(),
-        AccessMode::Update,
-        ProtocolOptions::default().try_lock(),
+        LockMode::X,
     );
     assert!(r.is_ok(), "Q3 must not block: {r:?}");
     // Both hold S on the shared effector e2.
@@ -141,16 +158,21 @@ fn without_rule4_prime_q2_and_q3_serialize_on_e2() {
     let t2 = TxnId(2);
     let t3 = TxnId(3);
     engine
-        .lock_proposed(&lm, t2, &src, &authz, &q2_target(), AccessMode::Update, ProtocolOptions::rule4_plain())
+        .lock(
+            &LockCtx::new(&lm, t2, &src, &authz),
+            ProtocolKind::ProposedRule4,
+            &q2_target(),
+            LockMode::X,
+        )
         .unwrap();
-    let r = engine.lock_proposed(
-        &lm,
-        t3,
-        &src,
-        &authz,
+    let r = engine.lock(
+        &LockCtx {
+            opts: ProtocolOptions::default().try_lock(),
+            ..LockCtx::new(&lm, t3, &src, &authz)
+        },
+        ProtocolKind::ProposedRule4,
         &q3_target(),
-        AccessMode::Update,
-        ProtocolOptions::rule4_plain().try_lock(),
+        LockMode::X,
     );
     assert!(r.is_err(), "plain rule 4 must serialize Q2/Q3 on e2");
 }
@@ -159,7 +181,12 @@ fn without_rule4_prime_q2_and_q3_serialize_on_e2() {
 fn report_renders_fig7_annotations() {
     let (engine, lm, src, authz) = setup();
     let report = engine
-        .lock_proposed(&lm, TxnId(2), &src, &authz, &q2_target(), AccessMode::Update, ProtocolOptions::default())
+        .lock(
+            &LockCtx::new(&lm, TxnId(2), &src, &authz),
+            ProtocolKind::Proposed,
+            &q2_target(),
+            LockMode::X,
+        )
         .unwrap();
     let text = report.render();
     assert!(text.contains("rel:cells: IX"), "{text}");
@@ -178,7 +205,7 @@ fn updating_an_effector_directly_locks_its_superunit() {
     let t = TxnId(5);
     let target = InstanceTarget::object("effectors", "e1");
     engine
-        .lock_proposed(&lm, t, &src, &authz, &target, AccessMode::Update, ProtocolOptions::default())
+        .lock(&LockCtx::new(&lm, t, &src, &authz), ProtocolKind::Proposed, &target, LockMode::X)
         .unwrap();
     assert_eq!(lm.held_mode(t, &ResourcePath::database("db1")), LockMode::IX);
     assert_eq!(lm.held_mode(t, &res("seg2")), LockMode::IX);
@@ -194,19 +221,24 @@ fn from_the_side_conflict_is_detected() {
     let (engine, lm, src, authz) = setup();
     let ta = TxnId(10);
     engine
-        .lock_proposed(&lm, ta, &src, &authz, &q2_target(), AccessMode::Update, ProtocolOptions::default())
+        .lock(
+            &LockCtx::new(&lm, ta, &src, &authz),
+            ProtocolKind::Proposed,
+            &q2_target(),
+            LockMode::X,
+        )
         .unwrap();
 
     let authz_b = Authorization::allow_all();
     authz_b.grant(TxnId(11), "effectors", Right::Update);
-    let r = engine.lock_proposed(
-        &lm,
-        TxnId(11),
-        &src,
-        &authz_b,
+    let r = engine.lock(
+        &LockCtx {
+            opts: ProtocolOptions::default().try_lock(),
+            ..LockCtx::new(&lm, TxnId(11), &src, &authz_b)
+        },
+        ProtocolKind::Proposed,
         &InstanceTarget::object("effectors", "e2"),
-        AccessMode::Update,
-        ProtocolOptions::default().try_lock(),
+        LockMode::X,
     );
     assert!(r.is_err(), "X on e2 must conflict with Q2's S entry lock");
 }
@@ -219,17 +251,22 @@ fn read_of_unrelated_cell_part_is_unaffected() {
     let t1 = TxnId(1);
     let t2 = TxnId(2);
     engine
-        .lock_proposed(&lm, t2, &src, &authz, &q2_target(), AccessMode::Update, ProtocolOptions::default())
+        .lock(
+            &LockCtx::new(&lm, t2, &src, &authz),
+            ProtocolKind::Proposed,
+            &q2_target(),
+            LockMode::X,
+        )
         .unwrap();
     let q1 = InstanceTarget::object("cells", "c1").attr("c_objects");
-    let r = engine.lock_proposed(
-        &lm,
-        t1,
-        &src,
-        &authz,
+    let r = engine.lock(
+        &LockCtx {
+            opts: ProtocolOptions::default().try_lock(),
+            ..LockCtx::new(&lm, t1, &src, &authz)
+        },
+        ProtocolKind::Proposed,
         &q1,
-        AccessMode::Read,
-        ProtocolOptions::default().try_lock(),
+        LockMode::S,
     );
     assert!(r.is_ok(), "Q1 and Q2 must run concurrently: {r:?}");
 }

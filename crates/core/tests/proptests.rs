@@ -5,7 +5,8 @@ use colock_core::authorization::Authorization;
 use colock_core::fixtures::StaticSource;
 use colock_core::graph::derive::derive_from_schema;
 use colock_core::{
-    AccessMode, Category, InstanceTarget, ProtocolEngine, ProtocolOptions, TargetStep, Units,
+    Category, InstanceTarget, LockCtx, ProtocolEngine, ProtocolKind, TargetStep, TxnLockCache,
+    Units,
 };
 use colock_lockmgr::{LockManager, LockMode, TxnId};
 use colock_nf2::builder::{DatabaseBuilder, RelationBuilder};
@@ -158,17 +159,23 @@ fn proposed_protocol_lock_sets_obey_parent_rule() {
                 }
             }
             let txn = TxnId(1);
-            let report = engine
-                .lock_proposed(
-                    &lm,
-                    txn,
-                    &src,
-                    &Authorization::allow_all(),
-                    &InstanceTarget::object("top", "t0"),
-                    AccessMode::Update,
-                    ProtocolOptions::default(),
-                )
-                .unwrap();
+            let authz = Authorization::allow_all();
+            let cx = LockCtx::new(&lm, txn, &src, &authz);
+            let t0 = InstanceTarget::object("top", "t0");
+            let report = engine.lock(&cx, ProtocolKind::Proposed, &t0, LockMode::X).unwrap();
+
+            // Cache on ≡ cache off: on a fresh table, the same request with a
+            // per-transaction cache grants the same locks in the same order
+            // and leaves the same inventory.
+            let (lm_cached, cache) = (LockManager::new(), TxnLockCache::new());
+            let cached = LockCtx { lm: &lm_cached, cache: Some(&cache), ..cx };
+            let with_cache = engine.lock(&cached, ProtocolKind::Proposed, &t0, LockMode::X).unwrap();
+            ensure_eq!(with_cache.acquired, report.acquired);
+            let sorted = |mut held: Vec<_>| {
+                held.sort();
+                held
+            };
+            ensure_eq!(sorted(lm_cached.locks_of(txn)), sorted(lm.locks_of(txn)));
 
             // Rule check: for every held non-root lock, the parent resource is
             // held in (at least) the required intent mode by the same txn.

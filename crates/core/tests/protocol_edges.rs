@@ -5,7 +5,8 @@ use colock_core::authorization::{Authorization, Right};
 use colock_core::fixtures::{fig1_catalog, fig6_source, StaticSource};
 use colock_core::optimizer::{AccessEstimate, Optimizer};
 use colock_core::{
-    AccessMode, InstanceTarget, ProtocolEngine, ProtocolError, ProtocolOptions, ResourcePath,
+    AccessMode, InstanceTarget, LockCtx, ProtocolEngine, ProtocolError, ProtocolKind,
+    ProtocolOptions, ResourcePath,
 };
 use colock_lockmgr::{LockManager, LockMode, TxnId};
 use colock_nf2::AttrPath;
@@ -30,7 +31,12 @@ fn explicit_is_lock_takes_only_intents() {
     let authz = Authorization::allow_all();
     let target = InstanceTarget::object("cells", "c1").attr("robots");
     let report = engine
-        .lock_proposed_mode(&lm, TxnId(1), &src, &authz, &target, LockMode::IS, ProtocolOptions::default())
+        .lock(
+            &LockCtx::new(&lm, TxnId(1), &src, &authz),
+            ProtocolKind::Proposed,
+            &target,
+            LockMode::IS,
+        )
         .unwrap();
     // IS is an intent: no downward propagation, no entry points.
     assert_eq!(report.entry_points_locked, 0);
@@ -46,12 +52,12 @@ fn explicit_ix_enables_later_fine_x() {
     let txn = TxnId(1);
     let holu = InstanceTarget::object("cells", "c1").attr("robots");
     engine
-        .lock_proposed_mode(&lm, txn, &src, &authz, &holu, LockMode::IX, ProtocolOptions::default())
+        .lock(&LockCtx::new(&lm, txn, &src, &authz), ProtocolKind::Proposed, &holu, LockMode::IX)
         .unwrap();
     // Now X one robot under the held IX.
     let robot = InstanceTarget::object("cells", "c1").elem("robots", "r1");
     engine
-        .lock_proposed_mode(&lm, txn, &src, &authz, &robot, LockMode::X, ProtocolOptions::default())
+        .lock(&LockCtx::new(&lm, txn, &src, &authz), ProtocolKind::Proposed, &robot, LockMode::X)
         .unwrap();
     assert_eq!(lm.held_mode(txn, &res_robot("r1")), LockMode::X);
 }
@@ -64,7 +70,12 @@ fn six_lock_propagates_like_x_under_rule4() {
     let authz = Authorization::allow_all();
     let target = InstanceTarget::object("cells", "c1");
     let report = engine
-        .lock_proposed_mode(&lm, TxnId(1), &src, &authz, &target, LockMode::SIX, ProtocolOptions::rule4_plain())
+        .lock(
+            &LockCtx::new(&lm, TxnId(1), &src, &authz),
+            ProtocolKind::ProposedRule4,
+            &target,
+            LockMode::SIX,
+        )
         .unwrap();
     assert_eq!(report.entry_points_locked, 3);
     let e1 = ResourcePath::database("db1").segment("seg2").relation("effectors").object("e1");
@@ -78,7 +89,12 @@ fn six_lock_respects_rule4_prime() {
     authz.set_relation_default("effectors", Right::Read);
     let target = InstanceTarget::object("cells", "c1");
     engine
-        .lock_proposed_mode(&lm, TxnId(1), &src, &authz, &target, LockMode::SIX, ProtocolOptions::default())
+        .lock(
+            &LockCtx::new(&lm, TxnId(1), &src, &authz),
+            ProtocolKind::Proposed,
+            &target,
+            LockMode::SIX,
+        )
         .unwrap();
     let e1 = ResourcePath::database("db1").segment("seg2").relation("effectors").object("e1");
     assert_eq!(lm.held_mode(TxnId(1), &e1), LockMode::S);
@@ -90,7 +106,12 @@ fn deep_blu_target_locks_full_chain() {
     let authz = Authorization::allow_all();
     let traj = InstanceTarget::object("cells", "c1").elem("robots", "r1").attr("trajectory");
     engine
-        .lock_proposed(&lm, TxnId(1), &src, &authz, &traj, AccessMode::Update, ProtocolOptions::default())
+        .lock(
+            &LockCtx::new(&lm, TxnId(1), &src, &authz),
+            ProtocolKind::Proposed,
+            &traj,
+            LockMode::X,
+        )
         .unwrap();
     // Every prefix carries IX; the BLU carries X.
     let blu = res_robot("r1").attr("trajectory");
@@ -107,7 +128,12 @@ fn ref_set_target_propagates_only_its_own_refs() {
     let authz = Authorization::allow_all();
     let effs = InstanceTarget::object("cells", "c1").elem("robots", "r1").attr("effectors");
     let report = engine
-        .lock_proposed(&lm, TxnId(1), &src, &authz, &effs, AccessMode::Read, ProtocolOptions::default())
+        .lock(
+            &LockCtx::new(&lm, TxnId(1), &src, &authz),
+            ProtocolKind::Proposed,
+            &effs,
+            LockMode::S,
+        )
         .unwrap();
     assert_eq!(report.entry_points_locked, 2);
     let e3 = ResourcePath::database("db1").segment("seg2").relation("effectors").object("e3");
@@ -121,14 +147,11 @@ fn early_release_keeps_shared_ancestors() {
     let txn = TxnId(1);
     for r in ["r1", "r2"] {
         engine
-            .lock_proposed(
-                &lm,
-                txn,
-                &src,
-                &authz,
+            .lock(
+                &LockCtx::new(&lm, txn, &src, &authz),
+                ProtocolKind::Proposed,
                 &InstanceTarget::object("cells", "c1").elem("robots", r),
-                AccessMode::Read,
-                ProtocolOptions::default(),
+                LockMode::S,
             )
             .unwrap();
     }
@@ -149,7 +172,15 @@ fn early_release_collapses_unneeded_chain() {
     let txn = TxnId(1);
     let target = InstanceTarget::object("cells", "c1").elem("robots", "r1");
     engine
-        .lock_proposed(&lm, txn, &src, &authz, &target, AccessMode::Read, ProtocolOptions { deref_refs: false, ..ProtocolOptions::default() })
+        .lock(
+            &LockCtx {
+                opts: ProtocolOptions { deref_refs: false, ..ProtocolOptions::default() },
+                ..LockCtx::new(&lm, txn, &src, &authz)
+            },
+            ProtocolKind::Proposed,
+            &target,
+            LockMode::S,
+        )
         .unwrap();
     let released = engine.release_target_early(&lm, txn, &target).unwrap();
     // Leaf + the five ancestors (db/seg/rel/obj/robots): nothing else held.
@@ -162,14 +193,11 @@ fn unknown_relation_is_reported() {
     let (engine, lm, src) = setup();
     let authz = Authorization::allow_all();
     let err = engine
-        .lock_proposed(
-            &lm,
-            TxnId(1),
-            &src,
-            &authz,
+        .lock(
+            &LockCtx::new(&lm, TxnId(1), &src, &authz),
+            ProtocolKind::Proposed,
             &InstanceTarget::object("ghosts", "g1"),
-            AccessMode::Read,
-            ProtocolOptions::default(),
+            LockMode::S,
         )
         .unwrap_err();
     assert_eq!(err, ProtocolError::UnknownRelation("ghosts".to_string()));
@@ -204,25 +232,19 @@ fn report_mode_of_joins_repeated_grants() {
     let authz = Authorization::allow_all();
     let txn = TxnId(1);
     let mut report = engine
-        .lock_proposed_mode(
-            &lm,
-            txn,
-            &src,
-            &authz,
+        .lock(
+            &LockCtx::new(&lm, txn, &src, &authz),
+            ProtocolKind::Proposed,
             &InstanceTarget::object("cells", "c1").attr("robots"),
             LockMode::IS,
-            ProtocolOptions::default(),
         )
         .unwrap();
     let second = engine
-        .lock_proposed_mode(
-            &lm,
-            txn,
-            &src,
-            &authz,
+        .lock(
+            &LockCtx::new(&lm, txn, &src, &authz),
+            ProtocolKind::Proposed,
             &InstanceTarget::object("cells", "c1").attr("robots"),
             LockMode::IX,
-            ProtocolOptions::default(),
         )
         .unwrap();
     report.merge(second);
@@ -237,11 +259,21 @@ fn naive_dag_on_non_common_data_equals_relaxed() {
     let authz = Authorization::allow_all();
     let target = InstanceTarget::object("cells", "c1").elem("robots", "r1");
     let naive = engine
-        .lock_naive_dag(&lm, TxnId(1), &src, &authz, &target, AccessMode::Update, ProtocolOptions::default())
+        .lock(
+            &LockCtx::new(&lm, TxnId(1), &src, &authz),
+            ProtocolKind::NaiveDag,
+            &target,
+            LockMode::X,
+        )
         .unwrap();
     let lm2: LockManager<ResourcePath> = LockManager::new();
     let relaxed = engine
-        .lock_naive_relaxed(&lm2, TxnId(1), &src, &authz, &target, AccessMode::Update, ProtocolOptions::default())
+        .lock(
+            &LockCtx::new(&lm2, TxnId(1), &src, &authz),
+            ProtocolKind::NaiveRelaxed,
+            &target,
+            LockMode::X,
+        )
         .unwrap();
     assert_eq!(naive.lock_count(), relaxed.lock_count());
     assert_eq!(naive.scan_cost, 0);
@@ -252,14 +284,11 @@ fn whole_object_relation_target_locks_relation_plus_commons() {
     let (engine, lm, src) = setup();
     let authz = Authorization::allow_all();
     let report = engine
-        .lock_whole_object(
-            &lm,
-            TxnId(1),
-            &src,
-            &authz,
+        .lock(
+            &LockCtx::new(&lm, TxnId(1), &src, &authz),
+            ProtocolKind::WholeObject,
             &InstanceTarget::relation("cells"),
-            AccessMode::Read,
-            ProtocolOptions::default(),
+            LockMode::S,
         )
         .unwrap();
     let cells = ResourcePath::database("db1").segment("seg1").relation("cells");
@@ -279,7 +308,12 @@ fn tuple_level_subtree_scopes_to_elements_below() {
     let authz = Authorization::allow_all();
     let robots = InstanceTarget::object("cells", "c1").attr("robots");
     let report = engine
-        .lock_tuple_level(&lm, TxnId(1), &src, &authz, &robots, AccessMode::Read, ProtocolOptions::default())
+        .lock(
+            &LockCtx::new(&lm, TxnId(1), &src, &authz),
+            ProtocolKind::TupleLevel,
+            &robots,
+            LockMode::S,
+        )
         .unwrap();
     // 2 robot tuples + 3 referenced effector objects (e1, e2, e3).
     let tuple_locks = report

@@ -3,7 +3,9 @@
 
 use colock_core::authorization::{Authorization, Right};
 use colock_core::fixtures::{fig1_catalog, fig6_source_with, StaticSource};
-use colock_core::protocol::{AccessMode, InstanceTarget, ProtocolEngine, ProtocolOptions};
+use colock_core::protocol::{
+    InstanceTarget, LockCtx, ProtocolEngine, ProtocolKind, ProtocolOptions, TxnLockCache,
+};
 use colock_core::resource::ResourcePath;
 use colock_lockmgr::{LockManager, LockMode, TxnId};
 use std::sync::Arc;
@@ -31,16 +33,21 @@ fn granule_problem_whole_object_serializes_q1_q2() {
     let (engine, lm, src) = setup(10);
     let authz = Authorization::allow_all();
     engine
-        .lock_whole_object(&lm, TxnId(1), &src, &authz, &q1(), AccessMode::Read, ProtocolOptions::default())
+        .lock(
+            &LockCtx::new(&lm, TxnId(1), &src, &authz),
+            ProtocolKind::WholeObject,
+            &q1(),
+            LockMode::S,
+        )
         .unwrap();
-    let r = engine.lock_whole_object(
-        &lm,
-        TxnId(2),
-        &src,
-        &authz,
+    let r = engine.lock(
+        &LockCtx {
+            opts: ProtocolOptions::default().try_lock(),
+            ..LockCtx::new(&lm, TxnId(2), &src, &authz)
+        },
+        ProtocolKind::WholeObject,
         &q2(),
-        AccessMode::Update,
-        ProtocolOptions::default().try_lock(),
+        LockMode::X,
     );
     assert!(r.is_err(), "whole-object locking must serialize Q1/Q2");
 }
@@ -51,16 +58,21 @@ fn granule_problem_proposed_runs_q1_q2_concurrently() {
     let mut authz = Authorization::allow_all();
     authz.set_relation_default("effectors", Right::Read);
     engine
-        .lock_proposed(&lm, TxnId(1), &src, &authz, &q1(), AccessMode::Read, ProtocolOptions::default())
+        .lock(
+            &LockCtx::new(&lm, TxnId(1), &src, &authz),
+            ProtocolKind::Proposed,
+            &q1(),
+            LockMode::S,
+        )
         .unwrap();
-    let r = engine.lock_proposed(
-        &lm,
-        TxnId(2),
-        &src,
-        &authz,
+    let r = engine.lock(
+        &LockCtx {
+            opts: ProtocolOptions::default().try_lock(),
+            ..LockCtx::new(&lm, TxnId(2), &src, &authz)
+        },
+        ProtocolKind::Proposed,
         &q2(),
-        AccessMode::Update,
-        ProtocolOptions::default().try_lock(),
+        LockMode::X,
     );
     assert!(r.is_ok(), "{r:?}");
 }
@@ -75,7 +87,12 @@ fn tuple_level_lock_count_grows_with_data() {
         let (engine, lm, src) = setup(n);
         let whole_cell = InstanceTarget::object("cells", "c1");
         let report = engine
-            .lock_tuple_level(&lm, TxnId(1), &src, &authz, &whole_cell, AccessMode::Read, ProtocolOptions::default())
+            .lock(
+                &LockCtx::new(&lm, TxnId(1), &src, &authz),
+                ProtocolKind::TupleLevel,
+                &whole_cell,
+                LockMode::S,
+            )
             .unwrap();
         counts.push(report.lock_count());
     }
@@ -84,14 +101,11 @@ fn tuple_level_lock_count_grows_with_data() {
     // The proposed protocol on the same access: constant-size footprint.
     let (engine, lm, src) = setup(100);
     let report = engine
-        .lock_proposed(
-            &lm,
-            TxnId(1),
-            &src,
-            &authz,
+        .lock(
+            &LockCtx::new(&lm, TxnId(1), &src, &authz),
+            ProtocolKind::Proposed,
             &InstanceTarget::object("cells", "c1"),
-            AccessMode::Read,
-            ProtocolOptions::default(),
+            LockMode::S,
         )
         .unwrap();
     assert!(
@@ -109,7 +123,12 @@ fn naive_dag_x_on_shared_data_pays_reverse_scan() {
     let authz = Authorization::allow_all();
     let e2 = InstanceTarget::object("effectors", "e2");
     let report = engine
-        .lock_naive_dag(&lm, TxnId(1), &src, &authz, &e2, AccessMode::Update, ProtocolOptions::default())
+        .lock(
+            &LockCtx::new(&lm, TxnId(1), &src, &authz),
+            ProtocolKind::NaiveDag,
+            &e2,
+            LockMode::X,
+        )
         .unwrap();
     assert!(report.scan_cost >= 1, "reverse scan must be paid");
     // Both referencing robots are IX-locked, with their full chains.
@@ -126,7 +145,12 @@ fn naive_dag_x_on_shared_data_pays_reverse_scan() {
     // The proposed protocol does the same job with no reverse scan.
     let (engine2, lm2, src2) = setup(2);
     let report2 = engine2
-        .lock_proposed(&lm2, TxnId(1), &src2, &authz, &e2, AccessMode::Update, ProtocolOptions::default())
+        .lock(
+            &LockCtx::new(&lm2, TxnId(1), &src2, &authz),
+            ProtocolKind::Proposed,
+            &e2,
+            LockMode::X,
+        )
         .unwrap();
     assert_eq!(report2.scan_cost, 0);
     assert!(report2.lock_count() < report.lock_count());
@@ -141,7 +165,12 @@ fn naive_dag_misses_from_the_side_conflicts() {
     let (engine, lm, src) = setup(2);
     let authz = Authorization::allow_all();
     engine
-        .lock_naive_dag(&lm, TxnId(1), &src, &authz, &q2(), AccessMode::Update, ProtocolOptions::default())
+        .lock(
+            &LockCtx::new(&lm, TxnId(1), &src, &authz),
+            ProtocolKind::NaiveDag,
+            &q2(),
+            LockMode::X,
+        )
         .unwrap();
     // T2 X-locks e2 via naive protocol *without* the all-parents rule being
     // able to see T1 (T1 holds no lock on e2 or on effectors at all).
@@ -186,14 +215,11 @@ fn proposed_handles_nested_common_data_transitively() {
     let authz = Authorization::allow_all();
     let t = TxnId(1);
     engine
-        .lock_proposed(
-            &lm,
-            t,
-            &src,
-            &authz,
+        .lock(
+            &LockCtx::new(&lm, t, &src, &authz),
+            ProtocolKind::Proposed,
             &InstanceTarget::object("assemblies", "a1"),
-            AccessMode::Read,
-            ProtocolOptions::default(),
+            LockMode::S,
         )
         .unwrap();
     let p1 = ResourcePath::database("db").segment("s").relation("parts").object("p1");
@@ -209,14 +235,11 @@ fn diamond_shared_ref_locked_once() {
     let (engine, lm, src) = setup(2);
     let authz = Authorization::allow_all();
     let report = engine
-        .lock_proposed(
-            &lm,
-            TxnId(1),
-            &src,
-            &authz,
+        .lock(
+            &LockCtx::new(&lm, TxnId(1), &src, &authz),
+            ProtocolKind::Proposed,
             &InstanceTarget::object("cells", "c1"),
-            AccessMode::Read,
-            ProtocolOptions::default(),
+            LockMode::S,
         )
         .unwrap();
     let e2 = ResourcePath::database("db1").segment("seg2").relation("effectors").object("e2");
@@ -231,14 +254,11 @@ fn unauthorized_access_is_rejected_before_locking() {
     let (engine, lm, src) = setup(2);
     let authz = Authorization::allow_all();
     authz.grant(TxnId(7), "cells", Right::Read);
-    let r = engine.lock_proposed(
-        &lm,
-        TxnId(7),
-        &src,
-        &authz,
+    let r = engine.lock(
+        &LockCtx::new(&lm, TxnId(7), &src, &authz),
+        ProtocolKind::Proposed,
         &q2(),
-        AccessMode::Update,
-        ProtocolOptions::default(),
+        LockMode::X,
     );
     assert!(matches!(r, Err(colock_core::ProtocolError::Unauthorized { .. })));
     assert!(lm.locks_of(TxnId(7)).is_empty(), "no locks must be taken");
@@ -251,10 +271,69 @@ fn relation_granule_lock_propagates_over_all_objects() {
     authz.set_relation_default("effectors", Right::Read);
     let rel = InstanceTarget::relation("cells");
     let report = engine
-        .lock_proposed(&lm, TxnId(1), &src, &authz, &rel, AccessMode::Read, ProtocolOptions::default())
+        .lock(
+            &LockCtx::new(&lm, TxnId(1), &src, &authz),
+            ProtocolKind::Proposed,
+            &rel,
+            LockMode::S,
+        )
         .unwrap();
     // Relation S lock + downward propagation to all 3 effectors.
     assert_eq!(report.entry_points_locked, 3);
     let cells = ResourcePath::database("db1").segment("seg1").relation("cells");
     assert_eq!(lm.held_mode(TxnId(1), &cells), LockMode::S);
+}
+
+/// What one txn ends up with after locking the robots container and then the
+/// shared effector `e2` under `protocol` in `mode`: the concatenated
+/// `acquired` lists and the sorted `locks_of` inventory.
+type Footprint = (Vec<(ResourcePath, LockMode)>, Vec<(ResourcePath, LockMode, bool)>);
+
+fn footprint(protocol: ProtocolKind, mode: LockMode, cached: bool) -> Footprint {
+    let (engine, lm, src) = setup(2);
+    let authz = Authorization::allow_all();
+    let cache = TxnLockCache::new();
+    let cx = LockCtx { cache: cached.then_some(&cache), ..LockCtx::new(&lm, TxnId(1), &src, &authz) };
+    let mut acquired = Vec::new();
+    for target in [q2().attr("effectors"), InstanceTarget::object("effectors", "e2")] {
+        acquired.extend(engine.lock(&cx, protocol, &target, mode).unwrap().acquired);
+    }
+    let mut held = lm.locks_of(cx.txn);
+    held.sort();
+    (acquired, held)
+}
+
+#[test]
+fn one_entry_point_serves_every_protocol_mode_and_cache_setting() {
+    use LockMode::{Insert, IS, IX, S, SIX, X};
+    for protocol in ProtocolKind::ALL {
+        let baseline =
+            !matches!(protocol, ProtocolKind::Proposed | ProtocolKind::ProposedRule4);
+        for (mode, access_class) in [(IS, S), (IX, X), (S, S), (X, X), (SIX, X), (Insert, X)] {
+            let what = format!("{} in {mode}", protocol.name());
+            // (i) + (ii): the cache answers requests, it never changes them.
+            let plain = footprint(protocol, mode, false);
+            assert_eq!(plain, footprint(protocol, mode, true), "cache changed {what}");
+            assert!(!plain.0.is_empty(), "{what} locked nothing");
+            // (iii): a baseline has no intent or semantic requests from
+            // above; it takes the S/X of the mode's access class.
+            if baseline {
+                assert_eq!(plain, footprint(protocol, access_class, false), "fallback of {what}");
+            }
+        }
+
+        // (iv): a write-class mode without the modify right is refused
+        // before any lock is requested.
+        let (engine, lm, src) = setup(2);
+        let authz = Authorization::allow_all();
+        authz.grant(TxnId(7), "cells", Right::Read);
+        let cx = LockCtx::new(&lm, TxnId(7), &src, &authz);
+        let refused = engine.lock(&cx, protocol, &q2().attr("effectors"), Insert);
+        assert!(
+            matches!(refused, Err(colock_core::ProtocolError::Unauthorized { .. })),
+            "{}: {refused:?}",
+            protocol.name()
+        );
+        assert!(lm.locks_of(cx.txn).is_empty(), "{}: no locks must be taken", protocol.name());
+    }
 }

@@ -87,8 +87,8 @@ pub fn build_chain_store(cfg: &ChainConfig) -> Arc<Store> {
 mod tests {
     use super::*;
     use colock_core::authorization::Authorization;
-    use colock_core::{AccessMode, InstanceTarget, ProtocolEngine, ProtocolOptions};
-    use colock_lockmgr::{LockManager, TxnId};
+    use colock_core::{InstanceTarget, LockCtx, ProtocolEngine, ProtocolKind};
+    use colock_lockmgr::{LockManager, LockMode, TxnId};
 
     #[test]
     fn schema_depth_matches_config() {
@@ -107,14 +107,11 @@ mod tests {
         let engine = ProtocolEngine::new(Arc::clone(store.catalog()));
         let lm = LockManager::new();
         let report = engine
-            .lock_proposed(
-                &lm,
-                TxnId(1),
-                &*store,
-                &Authorization::allow_all(),
+            .lock(
+                &LockCtx::new(&lm, TxnId(1), &*store, &Authorization::allow_all()),
+                ProtocolKind::Proposed,
                 &InstanceTarget::object("top", level_key(0, 0)),
-                AccessMode::Read,
-                ProtocolOptions::default(),
+                LockMode::S,
             )
             .unwrap();
         // One entry point per level below top.

@@ -153,7 +153,7 @@ pub fn build_partlib_store(cfg: &PartLibConfig) -> Arc<Store> {
 mod tests {
     use super::*;
     use colock_core::authorization::Authorization;
-    use colock_core::{AccessMode, InstanceTarget, ProtocolEngine, ProtocolOptions};
+    use colock_core::{InstanceTarget, LockCtx, ProtocolEngine, ProtocolKind};
     use colock_lockmgr::{LockManager, LockMode, TxnId};
 
     #[test]
@@ -169,14 +169,11 @@ mod tests {
         let engine = ProtocolEngine::new(Arc::clone(store.catalog()));
         let lm = LockManager::new();
         let report = engine
-            .lock_proposed(
-                &lm,
-                TxnId(1),
-                &*store,
-                &Authorization::allow_all(),
+            .lock(
+                &LockCtx::new(&lm, TxnId(1), &*store, &Authorization::allow_all()),
+                ProtocolKind::Proposed,
                 &InstanceTarget::object("assemblies", assembly_key(0)),
-                AccessMode::Read,
-                ProtocolOptions::default(),
+                LockMode::S,
             )
             .unwrap();
         // 5 parts + their (≤5 distinct) materials, all S-locked.

@@ -27,7 +27,8 @@ pub mod transaction;
 pub mod undo;
 
 pub use error::TxnError;
-pub use manager::{ProtocolKind, RecoveryReport, TransactionManager};
+pub use colock_core::ProtocolKind;
+pub use manager::{RecoveryReport, TransactionManager};
 pub use transaction::{Transaction, TxnKind};
 pub use undo::UndoRecord;
 

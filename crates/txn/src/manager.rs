@@ -4,58 +4,16 @@ use crate::error::TxnError;
 use crate::transaction::{Transaction, TxnKind};
 use crate::Result;
 use colock_core::{
-    AccessMode, Authorization, InstanceTarget, LockReport, ProtocolEngine, ProtocolOptions,
-    ResourcePath, TxnLockCache,
+    Authorization, InstanceTarget, LockCtx, LockReport, ProtocolEngine, ProtocolKind,
+    ProtocolOptions, ResourcePath, TxnLockCache,
 };
 use colock_lockmgr::txnid::TxnIdGen;
-use colock_lockmgr::{Journal, JournalSink, LockManager, TxnId};
+use colock_lockmgr::{Journal, JournalSink, LockManager, LockMode, TxnId};
 use colock_lockmgr::LockStats;
 use colock_storage::Store;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-
-/// Which lock protocol a manager (or an individual transaction) uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtocolKind {
-    /// The paper's protocol with rule 4′.
-    Proposed,
-    /// The paper's protocol with plain rule 4 (no authorization cooperation).
-    ProposedRule4,
-    /// XSQL-style whole-object locking.
-    WholeObject,
-    /// System R tuple-level locking.
-    TupleLevel,
-    /// Naive traditional DAG on non-disjoint data.
-    NaiveDag,
-    /// Naive DAG with the all-parents rule given up (§3.2.2): cheap X on
-    /// shared data, but from-the-side conflicts go undetected.
-    NaiveRelaxed,
-}
-
-impl ProtocolKind {
-    /// All protocol kinds (for sweeps).
-    pub const ALL: [ProtocolKind; 6] = [
-        ProtocolKind::Proposed,
-        ProtocolKind::ProposedRule4,
-        ProtocolKind::WholeObject,
-        ProtocolKind::TupleLevel,
-        ProtocolKind::NaiveDag,
-        ProtocolKind::NaiveRelaxed,
-    ];
-
-    /// Short display name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            ProtocolKind::Proposed => "proposed(4')",
-            ProtocolKind::ProposedRule4 => "proposed(4)",
-            ProtocolKind::WholeObject => "whole-object",
-            ProtocolKind::TupleLevel => "tuple-level",
-            ProtocolKind::NaiveDag => "naive-dag",
-            ProtocolKind::NaiveRelaxed => "naive-relaxed",
-        }
-    }
-}
 
 pub(crate) struct TxnState {
     pub undo: Vec<crate::undo::UndoRecord>,
@@ -417,56 +375,31 @@ impl TransactionManager {
         self.protocol
     }
 
-    /// Locks `target` for `txn` under the configured protocol.
+    /// Locks `target` in `mode` for `txn` under the configured protocol. The
+    /// proposed protocol honours the exact multi-granularity mode; the
+    /// baselines fall back to the S/X of its access class (see
+    /// [`ProtocolEngine::lock`]).
     pub fn lock(
         &self,
         txn: TxnId,
         target: &InstanceTarget,
-        access: AccessMode,
+        mode: LockMode,
         opts: ProtocolOptions,
     ) -> Result<LockReport> {
         let cache = self.active_cache(txn)?;
-        let cache = Some(cache.as_ref());
-        let src: &Store = &self.store;
-        let report = match self.protocol {
-            ProtocolKind::Proposed => self.engine.lock_proposed_cached(
-                &self.lm,
-                txn,
-                src,
-                &self.authz,
-                target,
-                access,
-                ProtocolOptions { rule4_prime: true, ..opts },
-                cache,
-            ),
-            ProtocolKind::ProposedRule4 => self.engine.lock_proposed_cached(
-                &self.lm,
-                txn,
-                src,
-                &self.authz,
-                target,
-                access,
-                ProtocolOptions { rule4_prime: false, ..opts },
-                cache,
-            ),
-            ProtocolKind::WholeObject => self
-                .engine
-                .lock_whole_object_cached(&self.lm, txn, src, &self.authz, target, access, opts, cache),
-            ProtocolKind::TupleLevel => self
-                .engine
-                .lock_tuple_level_cached(&self.lm, txn, src, &self.authz, target, access, opts, cache),
-            ProtocolKind::NaiveDag => self
-                .engine
-                .lock_naive_dag_cached(&self.lm, txn, src, &self.authz, target, access, opts, cache),
-            ProtocolKind::NaiveRelaxed => self
-                .engine
-                .lock_naive_relaxed_cached(&self.lm, txn, src, &self.authz, target, access, opts, cache),
-        }?;
-        Ok(report)
+        let cx = LockCtx {
+            lm: &self.lm,
+            txn,
+            src: &*self.store,
+            authz: &self.authz,
+            opts,
+            cache: Some(&cache),
+        };
+        Ok(self.engine.lock(&cx, self.protocol, target, mode)?)
     }
 
     /// Fetches the ancestor-lock cache of an active, still-growing
-    /// transaction (shared entry point of `lock` / `lock_mode`).
+    /// transaction.
     fn active_cache(&self, txn: TxnId) -> Result<Arc<TxnLockCache>> {
         let states = self.states_locked();
         let st = states.get(&txn).ok_or(TxnError::NotActive(txn))?;
@@ -480,54 +413,6 @@ impl TransactionManager {
             return Err(TxnError::ReadOnlyTxn(txn));
         }
         Ok(Arc::clone(&st.cache))
-    }
-
-    /// Locks `target` in an explicit multi-granularity mode (IS/IX/S/SIX/X).
-    /// The proposed protocol honours the exact mode; the baselines have no
-    /// notion of intent requests from above and fall back to the S/X their
-    /// access-kind mapping produces.
-    pub fn lock_mode(
-        &self,
-        txn: TxnId,
-        target: &InstanceTarget,
-        mode: colock_lockmgr::LockMode,
-        opts: ProtocolOptions,
-    ) -> Result<LockReport> {
-        let cache = self.active_cache(txn)?;
-        let src: &Store = &self.store;
-        match self.protocol {
-            ProtocolKind::Proposed => Ok(self.engine.lock_proposed_mode_cached(
-                &self.lm,
-                txn,
-                src,
-                &self.authz,
-                target,
-                mode,
-                ProtocolOptions { rule4_prime: true, ..opts },
-                Some(cache.as_ref()),
-            )?),
-            ProtocolKind::ProposedRule4 => Ok(self.engine.lock_proposed_mode_cached(
-                &self.lm,
-                txn,
-                src,
-                &self.authz,
-                target,
-                mode,
-                ProtocolOptions { rule4_prime: false, ..opts },
-                Some(cache.as_ref()),
-            )?),
-            _ => {
-                // Required parent intent IX singles out the write-side modes
-                // including semantic Insert/Delete, which sit below IX and so
-                // would be misread as Read by a bare `covers(IX)` test.
-                let access = if mode.required_parent_intent() == colock_lockmgr::LockMode::IX {
-                    AccessMode::Update
-                } else {
-                    AccessMode::Read
-                };
-                self.lock(txn, target, access, opts)
-            }
-        }
     }
 
     pub(crate) fn finish(&self, txn: TxnId, commit: bool) -> Result<()> {

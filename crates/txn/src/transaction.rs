@@ -122,48 +122,31 @@ impl<'m> Transaction<'m> {
     /// request). Returns the lock report.
     pub fn lock(&self, target: &InstanceTarget, access: AccessMode) -> Result<LockReport> {
         self.check_may_lock()?;
-        self.mgr.lock(self.id, target, access, self.opts())
+        self.mgr.lock(self.id, target, access.into(), self.opts())
     }
 
     /// Non-blocking lock (used by deterministic schedulers).
     pub fn try_lock(&self, target: &InstanceTarget, access: AccessMode) -> Result<LockReport> {
         self.check_may_lock()?;
-        self.mgr.lock(self.id, target, access, self.opts().try_lock())
+        self.mgr.lock(self.id, target, access.into(), self.opts().try_lock())
     }
 
     /// Locks `target` in an explicit multi-granularity mode (the planner
-    /// emits SIX for scan-updates). `deref_refs: false` skips downward
-    /// propagation for provably non-dereferencing accesses (§4.5).
-    pub fn lock_with_mode(
-        &self,
-        target: &InstanceTarget,
-        mode: colock_lockmgr::LockMode,
-        deref_refs: bool,
-    ) -> Result<LockReport> {
-        self.check_may_lock()?;
-        self.mgr.lock_mode(
-            self.id,
-            target,
-            mode,
-            ProtocolOptions { deref_refs, ..self.opts().try_lock() },
-        )
-    }
-
-    /// Blocking variant of [`Transaction::lock_with_mode`].
+    /// emits SIX for scan-updates), blocking like [`Transaction::lock`].
     pub fn lock_with_mode_blocking(
         &self,
         target: &InstanceTarget,
-        mode: colock_lockmgr::LockMode,
+        mode: LockMode,
     ) -> Result<LockReport> {
         self.check_may_lock()?;
-        self.mgr.lock_mode(self.id, target, mode, self.opts())
+        self.mgr.lock(self.id, target, mode, self.opts())
     }
 
     /// Locks without downward propagation — for accesses whose semantics
     /// provably never dereference the contained references (§4.5).
     pub fn lock_no_deref(&self, target: &InstanceTarget, access: AccessMode) -> Result<LockReport> {
         self.check_may_lock()?;
-        self.mgr.lock(self.id, target, access, ProtocolOptions { deref_refs: false, ..self.opts() })
+        self.mgr.lock(self.id, target, access.into(), ProtocolOptions { deref_refs: false, ..self.opts() })
     }
 
     /// Reads the value at `target`: through the multiversion overlay for a
@@ -302,10 +285,10 @@ impl<'m> Transaction<'m> {
         let (key, elem_key, container) = Self::element_parts(element)?;
         let opts = ProtocolOptions { deref_refs: false, ..self.opts() };
         if self.mgr.semantic_for(&container) {
-            self.mgr.lock_mode(self.id, &container, LockMode::Delete, opts)?;
-            self.mgr.lock(self.id, element, AccessMode::Update, opts)?;
+            self.mgr.lock(self.id, &container, LockMode::Delete, opts)?;
+            self.mgr.lock(self.id, element, LockMode::X, opts)?;
         } else {
-            self.mgr.lock(self.id, &container, AccessMode::Update, opts)?;
+            self.mgr.lock(self.id, &container, LockMode::X, opts)?;
         }
         let (at, before) =
             self.mgr.store().remove_element_pending(&element.relation, &key, &container.steps, &elem_key)?;
@@ -338,7 +321,7 @@ impl<'m> Transaction<'m> {
         }
         let opts = ProtocolOptions { deref_refs: false, ..self.opts() };
         let mode = if self.mgr.semantic_for(container) { LockMode::Insert } else { LockMode::X };
-        self.mgr.lock_mode(self.id, container, mode, opts)?;
+        self.mgr.lock(self.id, container, mode, opts)?;
         // Insert pending first to derive (and validate) the element key, then
         // lock the new element; mirrors [`Transaction::insert`].
         let elem_key = self.mgr.store().insert_element_pending(
@@ -350,7 +333,7 @@ impl<'m> Transaction<'m> {
         let mut elem_target = container.clone();
         let last = elem_target.steps.pop().expect("non-empty: checked above");
         elem_target.steps.push(TargetStep { attr: last.attr, elem: Some(elem_key.clone()) });
-        match self.mgr.lock(self.id, &elem_target, AccessMode::Update, opts) {
+        match self.mgr.lock(self.id, &elem_target, LockMode::X, opts) {
             Ok(_) => {
                 self.log(UndoRecord::ElementInserted {
                     relation: container.relation.clone(),
@@ -387,8 +370,8 @@ impl<'m> Transaction<'m> {
         let (key, _elem_key, container) = Self::element_parts(element)?;
         let opts = ProtocolOptions { deref_refs: false, ..self.opts() };
         let mode = if self.mgr.semantic_for(&container) { LockMode::Member } else { LockMode::IS };
-        self.mgr.lock_mode(self.id, &container, mode, opts)?;
-        self.mgr.lock(self.id, element, AccessMode::Read, opts)?;
+        self.mgr.lock(self.id, &container, mode, opts)?;
+        self.mgr.lock(self.id, element, LockMode::S, opts)?;
         Ok(self.mgr.store().get_at(&element.relation, &key, &element.steps)?)
     }
 
@@ -399,7 +382,7 @@ impl<'m> Transaction<'m> {
         self.mgr.lock(
             self.id,
             target,
-            access,
+            access.into(),
             ProtocolOptions { long: true, wait: self.wait.get(), ..ProtocolOptions::default() },
         )?;
         let key = target.object.clone().ok_or_else(|| {

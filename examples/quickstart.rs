@@ -7,8 +7,8 @@
 use colock::core::authorization::{Authorization, Right};
 use colock::core::fixtures::{fig1_catalog, fig6_source};
 use colock::core::graph::display::object_graph_tree;
-use colock::core::{AccessMode, InstanceTarget, ProtocolEngine, ProtocolOptions};
-use colock::lockmgr::{LockManager, TxnId};
+use colock::core::{InstanceTarget, LockCtx, ProtocolEngine, ProtocolKind, ProtocolOptions};
+use colock::lockmgr::{LockManager, LockMode, TxnId};
 use std::sync::Arc;
 
 fn main() {
@@ -27,9 +27,8 @@ fn main() {
     let lm = LockManager::new();
     let src = fig6_source(); // cell c1 with robots r1 {e1,e2}, r2 {e2,e3}
     let q2 = InstanceTarget::object("cells", "c1").elem("robots", "r1");
-    let report = engine
-        .lock_proposed(&lm, TxnId(2), &src, &authz, &q2, AccessMode::Update, ProtocolOptions::default())
-        .expect("locking Q2");
+    let cx = LockCtx::new(&lm, TxnId(2), &src, &authz);
+    let report = engine.lock(&cx, ProtocolKind::Proposed, &q2, LockMode::X).expect("locking Q2");
 
     println!("\nlocks acquired for Q2 (update robot r1), in request order:");
     print!("{}", report.render());
@@ -41,16 +40,7 @@ fn main() {
     // 4. A second updater on robot r2 runs concurrently although both use
     //    effector e2 — rule 4' locks the shared effectors in S only.
     let q3 = InstanceTarget::object("cells", "c1").elem("robots", "r2");
-    let ok = engine
-        .lock_proposed(
-            &lm,
-            TxnId(3),
-            &src,
-            &authz,
-            &q3,
-            AccessMode::Update,
-            ProtocolOptions::default().try_lock(),
-        )
-        .is_ok();
+    let cx3 = LockCtx { txn: TxnId(3), opts: ProtocolOptions::default().try_lock(), ..cx };
+    let ok = engine.lock(&cx3, ProtocolKind::Proposed, &q3, LockMode::X).is_ok();
     println!("second updater (robot r2) runs concurrently: {ok}");
 }

@@ -46,6 +46,21 @@ echo "==> lock-table files stay under 800 lines"
 wc -l crates/lockmgr/src/{table,summary,fastpath,queue,detector,inventory}.rs |
     awk '$2 != "total" && $1 > 800 { print "error: " $2 " has " $1 " lines" > "/dev/stderr"; bad = 1 } END { exit bad }'
 
+echo "==> one protocol entry point (the lock_* quartet must not grow back)"
+# ProtocolEngine::lock is the only locking entry point; the single
+# too_many_arguments allow and the single other `pub fn lock_*` entry belong
+# to the #[doc(hidden)] forwarder the frozen benchmark/ crate still calls
+# (LockReport::lock_count is an accessor, not an entry point).
+allows=$(grep -r too_many_arguments crates/core/src | wc -l)
+if [ "$allows" -gt 1 ]; then
+    echo "error: $allows too_many_arguments allows in crates/core/src (at most 1)" >&2
+    exit 1
+fi
+if grep -n "pub fn lock_" crates/core/src/protocol/*.rs | grep -v "pub fn lock_proposed_mode_cached(\|pub fn lock_count("; then
+    echo "error: crates/core/src/protocol declares a pub fn lock_* besides lock and the forwarder" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
