@@ -39,7 +39,7 @@ pub use error::Nf2Error;
 pub use path::AttrPath;
 pub use schema::{DatabaseSchema, RelationSchema, SegmentSchema};
 pub use types::{AtomicType, AttrType, Attribute};
-pub use value::{ObjectKey, ObjectRef, Value};
+pub use value::{Name, ObjectKey, ObjectRef, Value};
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, Nf2Error>;

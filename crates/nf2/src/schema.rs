@@ -27,9 +27,17 @@ pub struct RelationSchema {
 }
 
 impl RelationSchema {
-    /// The tuple type of one complex object of this relation.
+    /// The tuple type of one complex object of this relation, as an owned
+    /// [`AttrType`] — a deep copy of the attribute tree. Code that only walks
+    /// the type borrows [`RelationSchema::fields`] instead.
     pub fn tuple_type(&self) -> AttrType {
         AttrType::Tuple(self.attributes.clone())
+    }
+
+    /// The fields of the relation's tuple type, borrowed (what
+    /// [`AttrType::fields`] is for a nested tuple type).
+    pub fn fields(&self) -> &[Attribute] {
+        &self.attributes
     }
 
     /// The key attribute of the relation (first attribute flagged as key).

@@ -2,9 +2,10 @@
 
 use crate::error::Nf2Error;
 use crate::schema::{DatabaseSchema, RelationSchema};
-use crate::types::{AtomicType, AttrType};
+use crate::types::{AtomicType, AttrType, Attribute};
 use crate::Result;
 use std::fmt;
+use std::sync::Arc;
 
 /// Key of a complex object within its relation (the value of the relation's
 /// key attribute). Only atomic values can be keys.
@@ -69,7 +70,46 @@ impl fmt::Display for ObjectRef {
     }
 }
 
+/// A tuple field name. Shared, so copying a tuple node copies no name.
+pub type Name = Arc<str>;
+
+/// Borrowed view of an element key: what [`ObjectKey`] owns, compared
+/// without cloning the string. Variant order matches `ObjectKey`'s, so both
+/// sort alike.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum KeyRef<'a> {
+    Str(&'a str),
+    Int(i64),
+}
+
+impl KeyRef<'_> {
+    fn to_key(self) -> ObjectKey {
+        match self {
+            KeyRef::Str(s) => ObjectKey::Str(s.to_string()),
+            KeyRef::Int(i) => ObjectKey::Int(i),
+        }
+    }
+}
+
+impl<'a> From<&'a ObjectKey> for KeyRef<'a> {
+    fn from(k: &'a ObjectKey) -> Self {
+        match k {
+            ObjectKey::Str(s) => KeyRef::Str(s),
+            ObjectKey::Int(i) => KeyRef::Int(*i),
+        }
+    }
+}
+
 /// An attribute value.
+///
+/// The interior of a composite value is **shared**: `Set`/`List`/`Tuple`
+/// hold their children behind an [`Arc`], so `clone` is O(1) for them and a
+/// clone shares every subtree with its origin. Mutation goes through
+/// [`Value::field_mut`] / [`Value::elements_mut`], which copy a node only if
+/// it is shared (`Arc::make_mut`): writing below a clone copies the spine
+/// from the root to the touched node — one node per level, each as wide as
+/// its fan-out — and leaves every untouched sibling shared with the origin,
+/// which never observes the write.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// String value.
@@ -82,11 +122,11 @@ pub enum Value {
     Bool(bool),
     /// Set of values of one type. For sets of tuples, elements are identified
     /// by their key attribute; for sets of atomic values, by the value itself.
-    Set(Vec<Value>),
+    Set(Arc<Vec<Value>>),
     /// Ordered list of values of one type.
-    List(Vec<Value>),
+    List(Arc<Vec<Value>>),
     /// Complex tuple: `(attribute name, value)` pairs in schema order.
-    Tuple(Vec<(String, Value)>),
+    Tuple(Arc<Vec<(Name, Value)>>),
     /// Reference to a complex object of another relation.
     Ref(ObjectRef),
 }
@@ -105,16 +145,19 @@ impl Value {
     /// The field of a tuple value by attribute name.
     pub fn field(&self, name: &str) -> Option<&Value> {
         match self {
-            Value::Tuple(fields) => fields.iter().find(|(n, _)| n == name).map(|(_, v)| v),
+            Value::Tuple(fields) => fields.iter().find(|(n, _)| &**n == name).map(|(_, v)| v),
             _ => None,
         }
     }
 
-    /// Mutable field of a tuple value.
+    /// Mutable field of a tuple value. Copies the tuple node first if it is
+    /// shared with another value (its fields stay shared); a miss copies
+    /// nothing.
     pub fn field_mut(&mut self, name: &str) -> Option<&mut Value> {
         match self {
             Value::Tuple(fields) => {
-                fields.iter_mut().find(|(n, _)| n == name).map(|(_, v)| v)
+                let i = fields.iter().position(|(n, _)| &**n == name)?;
+                Some(&mut Arc::make_mut(fields)[i].1)
             }
             _ => None,
         }
@@ -128,33 +171,65 @@ impl Value {
         }
     }
 
-    /// Mutable elements of a set or list value.
+    /// Mutable elements of a set or list value. Copies the container node
+    /// first if it is shared with another value (its elements stay shared).
     pub fn elements_mut(&mut self) -> Option<&mut Vec<Value>> {
         match self {
-            Value::Set(es) | Value::List(es) => Some(es),
+            Value::Set(es) | Value::List(es) => Some(Arc::make_mut(es)),
             _ => None,
+        }
+    }
+
+    /// Whether `self` and `other` are the same composite node in memory —
+    /// one is an unmodified clone of the other. Atomic values own their
+    /// payload and never share.
+    pub fn shares_with(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Set(a), Value::Set(b)) | (Value::List(a), Value::List(b)) => Arc::ptr_eq(a, b),
+            (Value::Tuple(a), Value::Tuple(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    fn key_ref(&self) -> Option<KeyRef<'_>> {
+        match self {
+            Value::Str(s) => Some(KeyRef::Str(s)),
+            Value::Int(i) => Some(KeyRef::Int(*i)),
+            _ => None,
+        }
+    }
+
+    fn element_key_ref(&self, elem_ty: &AttrType) -> Option<KeyRef<'_>> {
+        match (self, elem_ty) {
+            (Value::Tuple(_), AttrType::Tuple(fields)) => {
+                let key_attr = fields.iter().find(|a| a.key)?;
+                self.field(&key_attr.name)?.key_ref()
+            }
+            _ => self.key_ref(),
         }
     }
 
     /// Converts an atomic value to an [`ObjectKey`], if possible.
     pub fn as_key(&self) -> Option<ObjectKey> {
-        match self {
-            Value::Str(s) => Some(ObjectKey::Str(s.clone())),
-            Value::Int(i) => Some(ObjectKey::Int(*i)),
-            _ => None,
-        }
+        self.key_ref().map(KeyRef::to_key)
+    }
+
+    /// Whether this atomic value is the key `key` (`as_key() == Some(key)`
+    /// without building the key).
+    pub fn is_key(&self, key: &ObjectKey) -> bool {
+        self.key_ref() == Some(key.into())
     }
 
     /// For a tuple value with a `key` attribute flagged in `fields`, extracts
     /// the element key; for an atomic value, the value itself.
     pub fn element_key(&self, elem_ty: &AttrType) -> Option<ObjectKey> {
-        match (self, elem_ty) {
-            (Value::Tuple(_), AttrType::Tuple(fields)) => {
-                let key_attr = fields.iter().find(|a| a.key)?;
-                self.field(&key_attr.name)?.as_key()
-            }
-            _ => self.as_key(),
-        }
+        self.element_key_ref(elem_ty).map(KeyRef::to_key)
+    }
+
+    /// Whether this element carries the key `key`
+    /// (`element_key(elem_ty) == Some(key)` without building the key).
+    pub fn has_element_key(&self, elem_ty: &AttrType, key: &ObjectKey) -> bool {
+        self.element_key_ref(elem_ty) == Some(key.into())
     }
 
     /// Collects all [`ObjectRef`]s contained anywhere in this value.
@@ -166,12 +241,12 @@ impl Value {
         match self {
             Value::Ref(r) => out.push(r),
             Value::Set(es) | Value::List(es) => {
-                for e in es {
+                for e in es.iter() {
                     e.collect_refs(out);
                 }
             }
             Value::Tuple(fields) => {
-                for (_, v) in fields {
+                for (_, v) in fields.iter() {
                     v.collect_refs(out);
                 }
             }
@@ -189,11 +264,16 @@ impl Value {
         }
     }
 
-    /// Type checks this value against `ty`; `path` is used for error messages.
-    pub fn check_type(&self, ty: &AttrType, path: &str) -> Result<()> {
+    /// Type checks this value against `ty`; `path` names the value in error
+    /// messages (it is formatted only if the check fails).
+    pub fn check_type(&self, ty: &AttrType, path: impl fmt::Display) -> Result<()> {
+        self.check_at(ty, At::Root(&path))
+    }
+
+    fn check_at(&self, ty: &AttrType, at: At<'_>) -> Result<()> {
         let mismatch = |found: &str| {
             Err(Nf2Error::TypeMismatch {
-                path: path.to_string(),
+                path: at.to_string(),
                 expected: ty.to_string(),
                 found: found.to_string(),
             })
@@ -213,41 +293,27 @@ impl Value {
             (Value::Set(es), AttrType::Set(elem)) => {
                 let mut keys = Vec::with_capacity(es.len());
                 for (i, e) in es.iter().enumerate() {
-                    e.check_type(elem, &format!("{path}[{i}]"))?;
-                    if let Some(k) = e.element_key(elem) {
+                    e.check_at(elem, At::Elem(&at, i))?;
+                    if let Some(k) = e.element_key_ref(elem) {
                         keys.push(k);
                     }
                 }
                 keys.sort_unstable();
                 if let Some(w) = keys.windows(2).find(|w| w[0] == w[1]) {
                     return Err(Nf2Error::DuplicateSetKey {
-                        path: path.to_string(),
-                        key: w[0].to_string(),
+                        path: at.to_string(),
+                        key: w[0].to_key().to_string(),
                     });
                 }
                 Ok(())
             }
             (Value::List(es), AttrType::List(elem)) => {
                 for (i, e) in es.iter().enumerate() {
-                    e.check_type(elem, &format!("{path}[{i}]"))?;
+                    e.check_at(elem, At::Elem(&at, i))?;
                 }
                 Ok(())
             }
-            (Value::Tuple(vals), AttrType::Tuple(fields)) => {
-                if vals.len() != fields.len() {
-                    return mismatch(&format!("tuple of {} fields", vals.len()));
-                }
-                for ((name, v), f) in vals.iter().zip(fields) {
-                    if name != &f.name {
-                        return Err(Nf2Error::BadPath {
-                            path: path.to_string(),
-                            step: name.clone(),
-                        });
-                    }
-                    v.check_type(&f.ty, &format!("{path}.{name}"))?;
-                }
-                Ok(())
-            }
+            (Value::Tuple(vals), AttrType::Tuple(fields)) => check_fields(vals, fields, at, ty),
             (v, _) => mismatch(kind_name(v)),
         }
     }
@@ -255,7 +321,19 @@ impl Value {
     /// Validates this value as a complex object of `relation` and returns its
     /// key.
     pub fn check_object(&self, relation: &RelationSchema) -> Result<ObjectKey> {
-        self.check_type(&relation.tuple_type(), &relation.name)?;
+        let at = At::Root(&relation.name);
+        // What `relation.tuple_type()` displays, built only if an error reports it.
+        let expected = fmt::from_fn(|f| write!(f, "{}", relation.tuple_type()));
+        match self {
+            Value::Tuple(vals) => check_fields(vals, relation.fields(), at, &expected)?,
+            v => {
+                return Err(Nf2Error::TypeMismatch {
+                    path: at.to_string(),
+                    expected: expected.to_string(),
+                    found: kind_name(v).to_string(),
+                })
+            }
+        }
         let key_attr = relation
             .key_attribute()
             .ok_or_else(|| Nf2Error::MissingKey(relation.name.clone()))?;
@@ -275,6 +353,50 @@ impl Value {
         }
         Ok(())
     }
+}
+
+/// Where a checked value sits below the value `check_type` was called on: a
+/// chain through the recursion's stack frames, so the path text is built only
+/// when an error reports it.
+#[derive(Clone, Copy)]
+enum At<'a> {
+    Root(&'a dyn fmt::Display),
+    Field(&'a At<'a>, &'a str),
+    Elem(&'a At<'a>, usize),
+}
+
+impl fmt::Display for At<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            At::Root(path) => path.fmt(f),
+            At::Field(parent, name) => write!(f, "{parent}.{name}"),
+            At::Elem(parent, i) => write!(f, "{parent}[{i}]"),
+        }
+    }
+}
+
+/// Checks a tuple's `(name, value)` pairs against the tuple type's fields;
+/// `expected` displays that type.
+fn check_fields(
+    vals: &[(Name, Value)],
+    fields: &[Attribute],
+    at: At<'_>,
+    expected: impl fmt::Display,
+) -> Result<()> {
+    if vals.len() != fields.len() {
+        return Err(Nf2Error::TypeMismatch {
+            path: at.to_string(),
+            expected: expected.to_string(),
+            found: format!("tuple of {} fields", vals.len()),
+        });
+    }
+    for ((name, v), f) in vals.iter().zip(fields) {
+        if **name != *f.name {
+            return Err(Nf2Error::BadPath { path: at.to_string(), step: name.to_string() });
+        }
+        v.check_at(&f.ty, At::Field(&at, name))?;
+    }
+    Ok(())
 }
 
 fn kind_name(v: &Value) -> &'static str {
@@ -338,17 +460,17 @@ pub mod build {
 
     /// Builds a tuple value from `(name, value)` pairs.
     pub fn tup(fields: Vec<(&str, Value)>) -> Value {
-        Value::Tuple(fields.into_iter().map(|(n, v)| (n.to_string(), v)).collect())
+        Value::Tuple(Arc::new(fields.into_iter().map(|(n, v)| (n.into(), v)).collect()))
     }
 
     /// Builds a set value.
     pub fn set(elems: Vec<Value>) -> Value {
-        Value::Set(elems)
+        Value::Set(Arc::new(elems))
     }
 
     /// Builds a list value.
     pub fn list(elems: Vec<Value>) -> Value {
-        Value::List(elems)
+        Value::List(Arc::new(elems))
     }
 }
 
@@ -462,6 +584,29 @@ mod tests {
         assert_eq!(r.element_key(&robot_ty()), Some(ObjectKey::Str("r7".into())));
         assert_eq!(Value::Int(5).element_key(&int_()), Some(ObjectKey::Int(5)));
         assert_eq!(set(vec![]).element_key(&int_()), None);
+        // The comparing forms agree with the building ones.
+        assert!(r.has_element_key(&robot_ty(), &ObjectKey::from("r7")));
+        assert!(!r.has_element_key(&robot_ty(), &ObjectKey::from("r8")));
+        assert!(Value::Int(5).is_key(&ObjectKey::Int(5)));
+        assert!(!Value::str("5").is_key(&ObjectKey::Int(5)));
+        assert!(!set(vec![]).is_key(&ObjectKey::Int(5)));
+    }
+
+    #[test]
+    fn a_clone_shares_until_written() {
+        let original = robot("r1", &["e1"]);
+        let mut copy = original.clone();
+        assert!(copy.shares_with(&original));
+        // A missed lookup copies nothing.
+        assert!(copy.field_mut("nope").is_none());
+        assert!(copy.shares_with(&original));
+        *copy.field_mut("trajectory").unwrap() = Value::str("new");
+        assert!(!copy.shares_with(&original));
+        assert_eq!(original.field("trajectory"), Some(&Value::str("tr1")));
+        // The untouched field is still the original's node.
+        assert!(copy.field("effectors").unwrap().shares_with(original.field("effectors").unwrap()));
+        // Atomic values own their payload.
+        assert!(!Value::Int(1).shares_with(&Value::Int(1)));
     }
 
     #[test]

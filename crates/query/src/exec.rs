@@ -3,15 +3,15 @@
 //! graphs, and locks are requested from a lock manager. … If a lock is
 //! granted, the corresponding data may be accessed."
 
-use crate::analyze::{analyze, eval_condition, eval_operand, BoundRange};
+use crate::analyze::{analyze, eval_condition, eval_operand, Access, BoundRange};
 use crate::ast::{Condition, Operand, Statement};
 use crate::error::QueryError;
 use crate::plan::{plan_locks, QueryPlan};
 use crate::Result;
-use colock_core::optimizer::{Granularity, Optimizer};
+use colock_core::optimizer::{Granularity, Optimizer, PlannedLock};
 use colock_core::{AccessMode, InstanceTarget};
 use colock_lockmgr::LockMode;
-use colock_nf2::{ObjectKey, Value};
+use colock_nf2::{AttrType, ObjectKey, Value};
 use colock_txn::Transaction;
 use std::collections::{HashMap, HashSet};
 
@@ -54,14 +54,45 @@ pub fn run_statement(
 
 /// Executes a planned statement within `txn`.
 pub fn execute(txn: &Transaction<'_>, plan: &QueryPlan) -> Result<ExecOutcome> {
+    let rules: Vec<_> = plan.analysis.ranges.iter().map(|r| binding_rules(plan, r)).collect();
     let mut exec = Executor {
         txn,
         plan,
         outcome: ExecOutcome::default(),
         relation_locked: HashSet::new(),
+        rules: &rules,
     };
     exec.run()?;
     Ok(exec.outcome)
+}
+
+/// A planned lock with the access it serves.
+type Rule<'p> = (&'p PlannedLock, &'p Access);
+
+/// The lock rules that fire each time `range` binds a row: the
+/// Object/Subtree rules of the accesses below a relation range, the Elements
+/// rules of a dependent range's own accesses.
+fn binding_rules<'p>(plan: &'p QueryPlan, range: &BoundRange) -> Vec<Rule<'p>> {
+    let outermost_var = |var: &str| {
+        let mut cur = plan.analysis.range(var)?;
+        while let Some(parent) = &cur.parent {
+            cur = plan.analysis.range(parent)?;
+        }
+        Some(cur.var.as_str())
+    };
+    plan.lock_plan
+        .locks
+        .iter()
+        .zip(&plan.analysis.accesses)
+        .filter(|(planned, access)| match range.parent {
+            None => {
+                planned.relation == range.relation
+                    && matches!(planned.granularity, Granularity::Object | Granularity::Subtree)
+                    && outermost_var(&access.var) == Some(range.var.as_str())
+            }
+            Some(_) => planned.granularity == Granularity::Elements && access.var == range.var,
+        })
+        .collect()
 }
 
 struct Executor<'t, 'p> {
@@ -69,16 +100,17 @@ struct Executor<'t, 'p> {
     plan: &'p QueryPlan,
     outcome: ExecOutcome,
     relation_locked: HashSet<String>,
+    /// Per range of `plan.analysis.ranges`: its [`binding_rules`].
+    rules: &'p [Vec<Rule<'p>>],
 }
 
 /// A bound row during iteration.
-#[derive(Clone)]
 struct Frame {
     bindings: Vec<(String, Value)>,
     targets: HashMap<String, InstanceTarget>,
 }
 
-impl Executor<'_, '_> {
+impl<'t> Executor<'t, '_> {
     fn run(&mut self) -> Result<()> {
         match &self.plan.statement {
             Statement::Insert { relation, value } => {
@@ -105,9 +137,9 @@ impl Executor<'_, '_> {
                     } else {
                         let mut fields = Vec::with_capacity(projections.len());
                         for p in &projections {
-                            fields.push((projection_name(p), project(p, frame)?));
+                            fields.push((projection_name(p).into(), project(p, frame)?));
                         }
-                        rows.push(Value::Tuple(fields));
+                        rows.push(Value::Tuple(fields.into()));
                     }
                     Ok(())
                 })?;
@@ -204,7 +236,8 @@ impl Executor<'_, '_> {
         condition: &Option<Condition>,
         visit: &mut dyn FnMut(&Frame) -> Result<()>,
     ) -> Result<()> {
-        let ranges = &self.plan.analysis.ranges;
+        let plan = self.plan;
+        let ranges = &plan.analysis.ranges;
         if idx == ranges.len() {
             let keep = match condition {
                 Some(c) => eval_condition(&frame.bindings, c)?,
@@ -215,7 +248,7 @@ impl Executor<'_, '_> {
             }
             return Ok(());
         }
-        let range = ranges[idx].clone();
+        let range = &ranges[idx];
         match &range.parent {
             None => {
                 // Relation range: candidates by key predicate or full scan.
@@ -234,7 +267,7 @@ impl Executor<'_, '_> {
                 };
                 for key in keys {
                     let target = InstanceTarget::object(&range.relation, key.clone());
-                    self.fire_object_rules(&range, &target)?;
+                    self.fire_object_rules(idx, &target)?;
                     let value = store
                         .get(&range.relation, &key)
                         .map_err(|e| QueryError::Execution(e.to_string()))?;
@@ -261,36 +294,23 @@ impl Executor<'_, '_> {
                     .map(|(_, v)| v.clone())
                     .expect("parent bound");
                 // Path of this range relative to its parent.
-                let parent_range = self
-                    .plan
-                    .analysis
-                    .range(parent)
-                    .expect("parent analyzed");
-                let rel_steps: Vec<String> = range.path.steps()
-                    [parent_range.path.steps().len()..]
-                    .to_vec();
+                let parent_range = plan.analysis.range(parent).expect("parent analyzed");
+                let rel_steps = &range.path.steps()[parent_range.path.steps().len()..];
                 // Navigate within the bound value.
                 let mut container = &parent_value;
-                for s in &rel_steps {
+                for s in rel_steps {
                     container = container.field(s).ok_or_else(|| {
                         QueryError::Execution(format!("no attribute `{s}`"))
                     })?;
                 }
-                let elem_ty = self.element_type(&range)?;
-                let elements: Vec<(Option<ObjectKey>, Value)> = container
-                    .elements()
-                    .map(|es| {
-                        es.iter()
-                            .map(|e| (elem_ty.as_ref().and_then(|t| e.element_key(t)), e.clone()))
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                for (key, value) in elements {
+                let elem_ty = self.element_type(range)?;
+                for value in container.elements().unwrap_or_default() {
                     if let Some(pred) = &range.key_predicate {
-                        if key.as_ref() != Some(pred) {
+                        if !elem_ty.is_some_and(|t| value.has_element_key(t, pred)) {
                             continue;
                         }
                     }
+                    let key = elem_ty.and_then(|t| value.element_key(t));
                     // The element's instance target.
                     let mut target = parent_target.clone();
                     for (i, s) in rel_steps.iter().enumerate() {
@@ -303,8 +323,8 @@ impl Executor<'_, '_> {
                             target = target.attr(s);
                         }
                     }
-                    self.fire_element_rules(&range, &target)?;
-                    frame.bindings.push((range.var.clone(), value));
+                    self.fire_element_rules(idx, &target)?;
+                    frame.bindings.push((range.var.clone(), value.clone()));
                     frame.targets.insert(range.var.clone(), target);
                     self.iterate(idx + 1, frame, condition, visit)?;
                     frame.bindings.pop();
@@ -315,41 +335,28 @@ impl Executor<'_, '_> {
         }
     }
 
-    fn element_type(&self, range: &BoundRange) -> Result<Option<colock_nf2::AttrType>> {
-        let catalog = self.txn.manager().store().catalog();
-        let rel = catalog
+    fn element_type(&self, range: &BoundRange) -> Result<Option<&'t AttrType>> {
+        let txn = self.txn;
+        let rel = txn
+            .manager()
+            .store()
+            .catalog()
             .schema()
             .relation(&range.relation)
             .map_err(|e| QueryError::Execution(e.to_string()))?;
-        Ok(range.path.resolve(rel).ok().and_then(|t| t.element().cloned()))
+        Ok(range.path.resolve(rel).ok().and_then(AttrType::element))
     }
 
     /// Fires Object/Subtree lock rules when an object binding is created.
-    fn fire_object_rules(&mut self, range: &BoundRange, object: &InstanceTarget) -> Result<()> {
-        let rules: Vec<_> = self
-            .plan
-            .lock_plan
-            .locks
-            .iter()
-            .zip(&self.plan.analysis.accesses)
-            .filter(|(planned, access)| {
-                planned.relation == range.relation
-                    && matches!(planned.granularity, Granularity::Object | Granularity::Subtree)
-                    && self.outermost_var(&access.var).as_deref() == Some(range.var.as_str())
-            })
-            .map(|(planned, access)| (planned.clone(), access.clone()))
-            .collect();
-        for (planned, access) in rules {
+    fn fire_object_rules(&mut self, range: usize, object: &InstanceTarget) -> Result<()> {
+        let plan = self.plan;
+        for &(planned, access) in &self.rules[range] {
             let target = match planned.granularity {
                 Granularity::Object => object.clone(),
                 Granularity::Subtree => {
                     // Lock the ranged container (HoLU) of the access's var.
-                    let holu_path = self
-                        .plan
-                        .analysis
-                        .range(&access.var)
-                        .map(|r| r.path.clone())
-                        .unwrap_or_else(|| access.path.clone());
+                    let holu_path =
+                        plan.analysis.range(&access.var).map_or(&access.path, |r| &r.path);
                     let mut t = object.clone();
                     for s in holu_path.steps() {
                         t = t.attr(s);
@@ -367,19 +374,9 @@ impl Executor<'_, '_> {
     }
 
     /// Fires Elements lock rules when an element binding is created.
-    fn fire_element_rules(&mut self, range: &BoundRange, element: &InstanceTarget) -> Result<()> {
-        let rules: Vec<_> = self
-            .plan
-            .lock_plan
-            .locks
-            .iter()
-            .zip(&self.plan.analysis.accesses)
-            .filter(|(planned, access)| {
-                planned.granularity == Granularity::Elements && access.var == range.var
-            })
-            .map(|(planned, access)| (planned.clone(), access.clone()))
-            .collect();
-        for (planned, access) in rules {
+    fn fire_element_rules(&mut self, range: usize, element: &InstanceTarget) -> Result<()> {
+        let range_path_len = self.plan.analysis.ranges[range].path.steps().len();
+        for &(planned, access) in &self.rules[range] {
             // Semantic container mode first (root-to-leaf, rule 5): Member/
             // Insert/Delete on the set/list replaces the plain intent so
             // distinct-element operations commute.
@@ -393,10 +390,8 @@ impl Executor<'_, '_> {
                 }
             }
             // Trailing attribute steps below the element (e.g. trajectory).
-            let trailing: Vec<String> =
-                access.path.steps()[range.path.steps().len()..].to_vec();
             let mut target = element.clone();
-            for s in &trailing {
+            for s in &access.path.steps()[range_path_len..] {
                 target = target.attr(s);
             }
             let report = self
@@ -424,13 +419,6 @@ impl Executor<'_, '_> {
         }
     }
 
-    fn outermost_var(&self, var: &str) -> Option<String> {
-        let mut cur = self.plan.analysis.range(var)?;
-        while let Some(parent) = &cur.parent {
-            cur = self.plan.analysis.range(parent)?;
-        }
-        Some(cur.var.clone())
-    }
 }
 
 fn mode_to_access(mode: LockMode) -> AccessMode {

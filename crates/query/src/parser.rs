@@ -159,14 +159,14 @@ impl Parser {
                 return Err(self.err("expected `:` after attribute name"));
             }
             let value = self.literal()?;
-            fields.push((name, value));
+            fields.push((name.into(), value));
             match self.next() {
                 Some(Token::Comma) => continue,
                 Some(Token::RParen) => break,
                 other => return Err(self.err(format!("expected `,` or `)`, found {other:?}"))),
             }
         }
-        Ok(Statement::Insert { relation, value: Value::Tuple(fields) })
+        Ok(Statement::Insert { relation, value: Value::Tuple(fields.into()) })
     }
 
     fn delete(&mut self) -> Result<Statement> {

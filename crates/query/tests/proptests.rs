@@ -146,7 +146,7 @@ fn and_or_precedence() {
         ensure!(matches!(cond, Condition::Or(_, _)), "top is OR");
         let bindings = vec![(
             "v".to_string(),
-            Value::Tuple(vec![("n".to_string(), Value::Int(x))]),
+            colock_nf2::value::build::tup(vec![("n", Value::Int(x))]),
         )];
         let expect = x == 1 || (x > 5 && x < 10);
         ensure_eq!(eval_condition(&bindings, &cond).unwrap(), expect);

@@ -11,6 +11,7 @@
 use colock_core::protocol::ProtocolError;
 use colock_core::{AccessMode, InstanceTarget};
 use colock_lockmgr::{LockError, TxnId};
+use colock_nf2::value::build;
 use colock_nf2::{ObjectKey, Value};
 use colock_storage::StorageError;
 use colock_testkit::codec::{decode_record, encode_record};
@@ -842,8 +843,8 @@ impl<'a> ValueParser<'a> {
 
     fn value(&mut self) -> Result<Value, WireError> {
         match self.peek() {
-            Some('{') => self.sequence('{', '}').map(Value::Set),
-            Some('[') => self.sequence('[', ']').map(Value::List),
+            Some('{') => self.sequence('{', '}').map(build::set),
+            Some('[') => self.sequence('[', ']').map(build::list),
             Some('(') => self.tuple(),
             Some(_) => self.atom(),
             None => Err(self.err("empty value".into())),
@@ -875,18 +876,18 @@ impl<'a> ValueParser<'a> {
         let mut fields = Vec::new();
         if self.peek() == Some(')') {
             self.eat(')')?;
-            return Ok(Value::Tuple(fields));
+            return Ok(Value::Tuple(fields.into()));
         }
         loop {
             let name = unescape_name(self.run())?;
             self.eat('=')?;
             let v = self.value()?;
-            fields.push((name, v));
+            fields.push((name.into(), v));
             match self.peek() {
                 Some(',') => self.eat(',')?,
                 Some(')') => {
                     self.eat(')')?;
-                    return Ok(Value::Tuple(fields));
+                    return Ok(Value::Tuple(fields.into()));
                 }
                 _ => return Err(self.err(format!("unterminated tuple in {:?}", self.text))),
             }

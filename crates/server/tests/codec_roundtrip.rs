@@ -5,6 +5,7 @@
 
 use colock_core::InstanceTarget;
 use colock_lockmgr::TxnId;
+use colock_nf2::value::build;
 use colock_nf2::{ObjectKey, Value};
 use colock_server::frame::{encode_frame, FrameError, FrameReader, FRAME_MAX};
 use colock_server::wire::{
@@ -13,6 +14,7 @@ use colock_server::wire::{
 };
 use colock_testkit::Rng;
 use std::io::Cursor;
+use std::sync::Arc;
 
 /// Name pool with every delimiter the codecs must escape.
 const NAMES: &[&str] = &[
@@ -63,11 +65,13 @@ fn rand_value(rng: &mut Rng, depth: usize) -> Value {
         2 => Value::Real(rng.gen_range(0..1_000_000) as f64 / 128.0),
         3 => Value::Bool(rng.gen_range(0..2) == 0),
         4 => Value::Ref(colock_nf2::ObjectRef { relation: rand_name(rng), key: rand_key(rng) }),
-        5 => Value::Set((0..rng.gen_range(0..4)).map(|_| rand_value(rng, depth - 1)).collect()),
-        6 => Value::List((0..rng.gen_range(0..4)).map(|_| rand_value(rng, depth - 1)).collect()),
-        _ => Value::Tuple(
-            (0..rng.gen_range(0..4)).map(|_| (rand_name(rng), rand_value(rng, depth - 1))).collect(),
-        ),
+        5 => build::set((0..rng.gen_range(0..4)).map(|_| rand_value(rng, depth - 1)).collect()),
+        6 => build::list((0..rng.gen_range(0..4)).map(|_| rand_value(rng, depth - 1)).collect()),
+        _ => Value::Tuple(Arc::new(
+            (0..rng.gen_range(0..4))
+                .map(|_| (rand_name(rng).into(), rand_value(rng, depth - 1)))
+                .collect(),
+        )),
     }
 }
 

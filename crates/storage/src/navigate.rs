@@ -7,10 +7,24 @@
 use colock_core::TargetStep;
 use colock_nf2::{AttrType, ObjectKey, RelationSchema, Value};
 
-/// Resolves the attribute type for a step within `ty` (stepping through
-/// set/list constructors like `AttrPath` resolution does).
-fn step_type<'t>(ty: &'t AttrType, attr: &str) -> Option<&'t AttrType> {
-    colock_nf2::path::resolve_step(ty, attr)
+/// The type one step leads to, borrowed from the schema: the attribute's
+/// type (stepping through set/list constructors like `AttrPath` resolution
+/// does), or its element type for an elem step. `cur` is the type the step
+/// starts from; `None` is the relation's own tuple.
+fn step_type<'s>(
+    relation: &'s RelationSchema,
+    cur: Option<&'s AttrType>,
+    step: &TargetStep,
+) -> Option<&'s AttrType> {
+    let attr_ty = match cur {
+        None => &relation.attribute(&step.attr)?.ty,
+        Some(ty) => colock_nf2::path::resolve_step(ty, &step.attr)?,
+    };
+    if step.elem.is_some() {
+        attr_ty.element()
+    } else {
+        Some(attr_ty)
+    }
 }
 
 /// Navigates `value` (an object of `relation`) along `steps`, returning the
@@ -22,60 +36,49 @@ pub fn navigate<'v>(
     steps: &[TargetStep],
 ) -> Option<&'v Value> {
     let mut cur = value;
-    let mut cur_ty = relation.tuple_type();
+    let mut cur_ty = None;
     for step in steps {
-        let attr_ty = step_type(&cur_ty, &step.attr)?.clone();
+        let ty = step_type(relation, cur_ty, step)?;
         cur = cur.field(&step.attr)?;
         if let Some(key) = &step.elem {
-            let elem_ty = attr_ty.element()?.clone();
-            cur = find_element(cur, &elem_ty, key)?;
-            cur_ty = elem_ty;
-        } else {
-            cur_ty = attr_ty;
+            cur = find_element(cur, ty, key)?;
         }
+        cur_ty = Some(ty);
     }
     Some(cur)
 }
 
-/// Mutable navigation; same semantics as [`navigate`].
+/// Mutable navigation; same semantics as [`navigate`]. Every node on the way
+/// that is shared with another value is copied first (`Value::field_mut` /
+/// `Value::elements_mut`), so the caller may write through the result
+/// without any other holder of the object seeing it; the siblings of the
+/// path stay shared.
 pub fn navigate_mut<'v>(
     relation: &RelationSchema,
     value: &'v mut Value,
     steps: &[TargetStep],
 ) -> Option<&'v mut Value> {
     let mut cur = value;
-    let mut cur_ty = relation.tuple_type();
+    let mut cur_ty = None;
     for step in steps {
-        let attr_ty = step_type(&cur_ty, &step.attr)?.clone();
+        let ty = step_type(relation, cur_ty, step)?;
         cur = cur.field_mut(&step.attr)?;
         if let Some(key) = &step.elem {
-            let elem_ty = attr_ty.element()?.clone();
-            cur = find_element_mut(cur, &elem_ty, key)?;
-            cur_ty = elem_ty;
-        } else {
-            cur_ty = attr_ty;
+            let at = element_position(cur, ty, key)?;
+            cur = cur.elements_mut()?.get_mut(at)?;
         }
+        cur_ty = Some(ty);
     }
     Some(cur)
 }
 
-/// Finds a set/list element by key.
-pub fn find_element<'v>(container: &'v Value, elem_ty: &AttrType, key: &ObjectKey) -> Option<&'v Value> {
-    container
-        .elements()?
-        .iter()
-        .find(|e| e.element_key(elem_ty).as_ref() == Some(key))
+fn element_position(container: &Value, elem_ty: &AttrType, key: &ObjectKey) -> Option<usize> {
+    container.elements()?.iter().position(|e| e.has_element_key(elem_ty, key))
 }
 
-fn find_element_mut<'v>(
-    container: &'v mut Value,
-    elem_ty: &AttrType,
-    key: &ObjectKey,
-) -> Option<&'v mut Value> {
-    container
-        .elements_mut()?
-        .iter_mut()
-        .find(|e| e.element_key(elem_ty).as_ref() == Some(key))
+/// Finds a set/list element by key.
+pub fn find_element<'v>(container: &'v Value, elem_ty: &AttrType, key: &ObjectKey) -> Option<&'v Value> {
+    container.elements()?.iter().find(|e| e.has_element_key(elem_ty, key))
 }
 
 /// Removes the element with `key` from a set/list value, returning its
@@ -86,20 +89,30 @@ pub fn remove_element(
     elem_ty: &AttrType,
     key: &ObjectKey,
 ) -> Option<(usize, Value)> {
-    let es = container.elements_mut()?;
-    let idx = es.iter().position(|e| e.element_key(elem_ty).as_ref() == Some(key))?;
-    Some((idx, es.remove(idx)))
+    let idx = element_position(container, elem_ty, key)?;
+    Some((idx, container.elements_mut()?.remove(idx)))
 }
 
 /// The attribute type at the end of `steps` (elem steps resolve to the
-/// element type), starting from the relation's tuple type.
-pub fn path_type(relation: &RelationSchema, steps: &[TargetStep]) -> Option<AttrType> {
-    let mut cur_ty = relation.tuple_type();
+/// element type), borrowed from the schema. `None` for a path that does not
+/// resolve and for the empty path: the object itself has no `AttrType` of
+/// its own (its fields are [`RelationSchema::fields`]).
+pub fn path_type<'s>(relation: &'s RelationSchema, steps: &[TargetStep]) -> Option<&'s AttrType> {
+    let mut cur_ty = None;
     for step in steps {
-        let t = step_type(&cur_ty, &step.attr)?.clone();
-        cur_ty = if step.elem.is_some() { t.element()?.clone() } else { t };
+        cur_ty = Some(step_type(relation, cur_ty, step)?);
     }
-    Some(cur_ty)
+    cur_ty
+}
+
+/// The steps of the container an elem step selects from (`…robots[r1]` →
+/// `…robots`); `None` if `steps` does not end in an elem step.
+pub fn container_steps(steps: &[TargetStep]) -> Option<Vec<TargetStep>> {
+    let (last, prefix) = steps.split_last()?;
+    last.elem.as_ref()?;
+    let mut container = prefix.to_vec();
+    container.push(TargetStep::attr(last.attr.clone()));
+    Some(container)
 }
 
 /// Enumerates the element keys of the set/list at the end of `steps`.
@@ -108,32 +121,12 @@ pub fn element_keys(
     value: &Value,
     steps: &[TargetStep],
 ) -> Vec<ObjectKey> {
-    let Some(container) = navigate(relation, value, steps) else {
-        return Vec::new();
-    };
-    // Determine the element type of the container.
-    let mut cur_ty = relation.tuple_type();
-    for step in steps {
-        let Some(t) = step_type(&cur_ty, &step.attr) else {
-            return Vec::new();
-        };
-        let t = t.clone();
-        cur_ty = if step.elem.is_some() {
-            match t.element() {
-                Some(e) => e.clone(),
-                None => return Vec::new(),
-            }
-        } else {
-            t
-        };
+    let elements = navigate(relation, value, steps).and_then(Value::elements);
+    let elem_ty = path_type(relation, steps).and_then(AttrType::element);
+    match (elements, elem_ty) {
+        (Some(es), Some(ty)) => es.iter().filter_map(|e| e.element_key(ty)).collect(),
+        _ => Vec::new(),
     }
-    let Some(elem_ty) = cur_ty.element() else {
-        return Vec::new();
-    };
-    container
-        .elements()
-        .map(|es| es.iter().filter_map(|e| e.element_key(elem_ty)).collect())
-        .unwrap_or_default()
 }
 
 #[cfg(test)]

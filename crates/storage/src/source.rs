@@ -3,7 +3,7 @@
 use crate::navigate;
 use crate::store::Store;
 use colock_core::{InstanceSource, InstanceTarget, ReverseScan, TargetStep};
-use colock_nf2::{AttrType, ObjectKey, ObjectRef, Value};
+use colock_nf2::{AttrType, Attribute, Name, ObjectKey, ObjectRef, Value};
 
 impl InstanceSource for Store {
     fn refs_under(&self, target: &InstanceTarget) -> Vec<ObjectRef> {
@@ -57,16 +57,13 @@ impl InstanceSource for Store {
             let Some(sub) = navigate::navigate(schema, obj, &target.steps) else {
                 return out;
             };
-            let sub_ty = resolve_target_type(&schema.tuple_type(), &target.steps);
-            if let Some(ty) = sub_ty {
-                collect_element_tuples(
-                    &target.relation,
-                    key,
-                    &target.steps,
-                    sub,
-                    &ty,
-                    &mut out,
-                );
+            let (relation, steps) = (&target.relation, &target.steps);
+            match navigate::path_type(schema, steps) {
+                Some(ty) => collect_element_tuples(relation, key, steps, sub, ty, &mut out),
+                None if steps.is_empty() => {
+                    collect_field_tuples(relation, key, steps, sub, schema.fields(), &mut out)
+                }
+                None => {}
             }
             out
         })
@@ -86,16 +83,15 @@ impl InstanceSource for Store {
             for obj_key in keys {
                 scan.objects_scanned += 1;
                 let _ = self.with_object(&rel.name, &obj_key, |obj| {
-                    find_referencing_paths(
-                        &rel.name,
-                        &obj_key,
-                        obj,
-                        &rel.tuple_type(),
-                        relation,
-                        key,
-                        &mut Vec::new(),
-                        &mut scan.referencing,
-                    );
+                    let Value::Tuple(fields) = obj else { return };
+                    let mut search = RefSearch {
+                        relation: &rel.name,
+                        obj_key: &obj_key,
+                        wanted: (relation, key),
+                        prefix: Vec::new(),
+                        out: &mut scan.referencing,
+                    };
+                    search.fields(fields, rel.fields());
                 });
             }
         }
@@ -106,17 +102,6 @@ impl InstanceSource for Store {
     fn object_keys(&self, relation: &str) -> Vec<ObjectKey> {
         self.keys(relation).unwrap_or_default()
     }
-}
-
-/// Resolves the `AttrType` at the end of target steps (stepping through
-/// set/list constructors; elem steps consume the element type).
-fn resolve_target_type(root: &AttrType, steps: &[TargetStep]) -> Option<AttrType> {
-    let mut cur = root.clone();
-    for s in steps {
-        let t = colock_nf2::path::resolve_step(&cur, &s.attr)?.clone();
-        cur = if s.elem.is_some() { t.element()?.clone() } else { t };
-    }
-    Some(cur)
 }
 
 /// Collects the basic element tuples in `value` (of type `ty`) as lock
@@ -131,13 +116,7 @@ fn collect_element_tuples(
 ) {
     match ty {
         AttrType::Tuple(fields) => {
-            for f in fields {
-                if let Some(v) = value.field(&f.name) {
-                    let mut p = prefix.to_vec();
-                    p.push(TargetStep::attr(&f.name));
-                    collect_element_tuples(relation, obj_key, &p, v, &f.ty, out);
-                }
-            }
+            collect_field_tuples(relation, obj_key, prefix, value, fields, out)
         }
         AttrType::Set(elem) | AttrType::List(elem) => {
             let Some(es) = value.elements() else {
@@ -166,56 +145,76 @@ fn collect_element_tuples(
     }
 }
 
-/// Walks `value` looking for references to `target_rel[target_key]`,
-/// recording the path of the innermost enclosing element (or the object
-/// itself).
-#[allow(clippy::too_many_arguments)]
-fn find_referencing_paths(
+/// The tuple arm of [`collect_element_tuples`], over a borrowed field list
+/// (a tuple type's, or the relation's own).
+fn collect_field_tuples(
     relation: &str,
     obj_key: &ObjectKey,
+    prefix: &[TargetStep],
     value: &Value,
-    ty: &AttrType,
-    target_rel: &str,
-    target_key: &ObjectKey,
-    prefix: &mut Vec<TargetStep>,
+    fields: &[Attribute],
     out: &mut Vec<InstanceTarget>,
 ) {
-    match (value, ty) {
-        (Value::Ref(r), _)
-            if r.relation == target_rel && &r.key == target_key => {
+    for f in fields {
+        if let Some(v) = value.field(&f.name) {
+            let mut p = prefix.to_vec();
+            p.push(TargetStep::attr(&f.name));
+            collect_element_tuples(relation, obj_key, &p, v, &f.ty, out);
+        }
+    }
+}
+
+/// Walks one object looking for references to `wanted`, recording the path
+/// of the innermost enclosing element (or the object itself).
+struct RefSearch<'a> {
+    relation: &'a str,
+    obj_key: &'a ObjectKey,
+    wanted: (&'a str, &'a ObjectKey),
+    prefix: Vec<TargetStep>,
+    out: &'a mut Vec<InstanceTarget>,
+}
+
+impl RefSearch<'_> {
+    fn fields(&mut self, fields: &[(Name, Value)], fts: &[Attribute]) {
+        for ((name, v), ft) in fields.iter().zip(fts) {
+            debug_assert_eq!(**name, *ft.name);
+            self.prefix.push(TargetStep::attr(&**name));
+            self.value(v, &ft.ty);
+            self.prefix.pop();
+        }
+    }
+
+    fn value(&mut self, value: &Value, ty: &AttrType) {
+        match (value, ty) {
+            (Value::Ref(r), _) if (r.relation.as_str(), &r.key) == self.wanted => {
                 // Cut at the last element step: the referencing *subobject*.
-                let cut = prefix
+                let cut = self
+                    .prefix
                     .iter()
                     .rposition(|s| s.elem.is_some())
                     .map(|i| i + 1)
                     .unwrap_or(0);
-                out.push(InstanceTarget {
-                    relation: relation.to_string(),
-                    object: Some(obj_key.clone()),
-                    steps: prefix[..cut].to_vec(),
+                self.out.push(InstanceTarget {
+                    relation: self.relation.to_string(),
+                    object: Some(self.obj_key.clone()),
+                    steps: self.prefix[..cut].to_vec(),
                 });
             }
-        (Value::Tuple(fields), AttrType::Tuple(fts)) => {
-            for ((name, v), ft) in fields.iter().zip(fts) {
-                debug_assert_eq!(name, &ft.name);
-                prefix.push(TargetStep::attr(name));
-                find_referencing_paths(relation, obj_key, v, &ft.ty, target_rel, target_key, prefix, out);
-                prefix.pop();
-            }
-        }
-        (Value::Set(es), AttrType::Set(elem)) | (Value::List(es), AttrType::List(elem)) => {
-            for e in es {
-                let k = e.element_key(elem);
-                if let Some(last) = prefix.last_mut() {
-                    last.elem = k.clone();
-                }
-                find_referencing_paths(relation, obj_key, e, elem, target_rel, target_key, prefix, out);
-                if let Some(last) = prefix.last_mut() {
-                    last.elem = None;
+            (Value::Tuple(fields), AttrType::Tuple(fts)) => self.fields(fields, fts),
+            (Value::Set(es), AttrType::Set(elem)) | (Value::List(es), AttrType::List(elem)) => {
+                for e in es.iter() {
+                    let k = e.element_key(elem);
+                    if let Some(last) = self.prefix.last_mut() {
+                        last.elem = k;
+                    }
+                    self.value(e, elem);
+                    if let Some(last) = self.prefix.last_mut() {
+                        last.elem = None;
+                    }
                 }
             }
+            _ => {}
         }
-        _ => {}
     }
 }
 

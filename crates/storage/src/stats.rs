@@ -2,7 +2,7 @@
 //! §4.5 optimizer plans against real data.
 
 use crate::store::Store;
-use colock_nf2::{AttrPath, AttrType, Catalog, Value};
+use colock_nf2::{AttrPath, AttrType, Attribute, Catalog, Name, Value};
 use std::collections::HashMap;
 
 /// Computes a catalog whose statistics reflect the store's current contents:
@@ -22,7 +22,9 @@ pub fn catalog_with_stats(store: &Store) -> Catalog {
         let mut sums: HashMap<String, (f64, f64)> = HashMap::new();
         for key in &keys {
             let _ = store.with_object(&rel.name, key, |obj| {
-                walk(obj, &rel.tuple_type(), &AttrPath::root(), &mut sums);
+                if let Value::Tuple(fields) = obj {
+                    walk_fields(fields, rel.fields(), &AttrPath::root(), &mut sums);
+                }
             });
         }
         for (path, (sum, parents)) in sums {
@@ -36,20 +38,27 @@ pub fn catalog_with_stats(store: &Store) -> Catalog {
 
 fn walk(value: &Value, ty: &AttrType, path: &AttrPath, sums: &mut HashMap<String, (f64, f64)>) {
     match (value, ty) {
-        (Value::Tuple(fields), AttrType::Tuple(fts)) => {
-            for ((_, v), ft) in fields.iter().zip(fts) {
-                walk(v, &ft.ty, &path.child(&ft.name), sums);
-            }
-        }
+        (Value::Tuple(fields), AttrType::Tuple(fts)) => walk_fields(fields, fts, path, sums),
         (Value::Set(es), AttrType::Set(elem)) | (Value::List(es), AttrType::List(elem)) => {
             let entry = sums.entry(path.to_string()).or_insert((0.0, 0.0));
             entry.0 += es.len() as f64;
             entry.1 += 1.0;
-            for e in es {
+            for e in es.iter() {
                 walk(e, elem, path, sums);
             }
         }
         _ => {}
+    }
+}
+
+fn walk_fields(
+    fields: &[(Name, Value)],
+    fts: &[Attribute],
+    path: &AttrPath,
+    sums: &mut HashMap<String, (f64, f64)>,
+) {
+    for ((_, v), ft) in fields.iter().zip(fts) {
+        walk(v, &ft.ty, &path.child(&ft.name), sums);
     }
 }
 

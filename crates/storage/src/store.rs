@@ -4,17 +4,30 @@
 //! Every committed state of an object is kept as an entry of a per-object
 //! **version chain**, stamped by a monotonic commit timestamp from the
 //! store's [`CommitClock`]. The live map holds the current (possibly
-//! uncommitted) state behind `Arc` copy-on-write: installing a version is an
-//! `Arc` clone, and the first in-place mutation after it pays the deep copy.
+//! uncommitted) state. Live objects, chain entries, before-images and the
+//! values handed to readers are all [`Value`]s whose interior is shared
+//! (`colock_nf2::Value`): handing one out is a reference count, a write
+//! copies the nodes on its path that something else still holds — the spine
+//! from the object root to the touched node, each node as wide as its
+//! fan-out — and a new version is the previous one with that spine replaced.
+//! Nothing on the write path copies a whole object, so the relation latch is
+//! held for O(depth × fan-out of the spine), not O(object).
 //! Snapshot readers resolve "newest version ≤ ts" against the chains and
-//! never consult the live map, so uncommitted in-place writes are invisible
-//! to them by construction.
+//! never consult the live map, so uncommitted writes are invisible to them
+//! by construction.
+//!
+//! What a write is checked against is local to it: the new subvalue's type
+//! (against the schema type at its path) and its references, both before
+//! the latch is taken; under the latch only what needs the object — the
+//! object key must not change, and an element that takes a new key must not
+//! collide with a sibling of its set. The rest of the object was valid
+//! before the write and is not touched by it.
 
 use crate::error::StorageError;
 use crate::navigate;
 use crate::Result;
 use colock_core::TargetStep;
-use colock_nf2::{Catalog, ObjectKey, ObjectRef, RelationSchema, Value};
+use colock_nf2::{AttrType, Catalog, Nf2Error, ObjectKey, ObjectRef, RelationSchema, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -39,13 +52,13 @@ impl<T> Latch<T> for RwLock<T> {
 
 /// One committed state: the commit timestamp and the object image as of that
 /// commit (`None` = the object was deleted by that commit).
-type ChainEntry = (u64, Option<Arc<Value>>);
+type ChainEntry = (u64, Option<Value>);
 
 #[derive(Debug, Default)]
 struct RelationData {
-    /// Live (current) states; shared with chain entries via `Arc`
-    /// copy-on-write, so an unmodified install costs one refcount.
-    objects: BTreeMap<ObjectKey, Arc<Value>>,
+    /// Live (current) states. They share structure with the chain entries
+    /// they were installed from or into; a write un-shares its path only.
+    objects: BTreeMap<ObjectKey, Value>,
     /// Per-object version chains, ascending by commit timestamp. Every
     /// committed object has at least one entry (non-transactional mutators
     /// auto-commit one version); a key absent here is invisible to every
@@ -53,9 +66,19 @@ struct RelationData {
     chains: BTreeMap<ObjectKey, Vec<ChainEntry>>,
 }
 
+impl RelationData {
+    /// The live state of `relation[key]`, for writing.
+    fn live_mut(&mut self, relation: &str, key: &ObjectKey) -> Result<&mut Value> {
+        self.objects.get_mut(key).ok_or_else(|| StorageError::UnknownObject {
+            relation: relation.to_string(),
+            key: key.clone(),
+        })
+    }
+}
+
 /// Newest chain entry visible at snapshot `ts` (`None` if the object did not
 /// exist — never committed before `ts`, or deleted by then).
-fn visible(chain: &[ChainEntry], ts: u64) -> Option<&Arc<Value>> {
+fn visible(chain: &[ChainEntry], ts: u64) -> Option<&Value> {
     chain.iter().rev().find(|(t, _)| *t <= ts).and_then(|(_, v)| v.as_ref())
 }
 
@@ -130,13 +153,14 @@ impl RelationSnapshot<'_> {
         self.ts
     }
 
-    /// `(key, value)` pairs visible at the snapshot, in key order.
+    /// `(key, value)` pairs visible at the snapshot, in key order. The values
+    /// share their structure with the version chains.
     pub fn objects(&self) -> Vec<(ObjectKey, Value)> {
         let data = self.store.data(self.relation).expect("validated at snapshot()").read_latch();
         data.chains
             .iter()
             .filter_map(|(k, chain)| {
-                visible(chain, self.ts).map(|v| (k.clone(), (**v).clone()))
+                visible(chain, self.ts).map(|v| (k.clone(), v.clone()))
             })
             .collect()
     }
@@ -144,7 +168,7 @@ impl RelationSnapshot<'_> {
     /// The value of one object at the snapshot, if visible.
     pub fn get(&self, key: &ObjectKey) -> Option<Value> {
         let data = self.store.data(self.relation).ok()?.read_latch();
-        visible(data.chains.get(key)?, self.ts).map(|v| (**v).clone())
+        visible(data.chains.get(key)?, self.ts).cloned()
     }
 
     /// Keys visible at the snapshot, in order.
@@ -250,6 +274,18 @@ impl Store {
             .ok_or_else(|| StorageError::UnknownRelation(relation.to_string()))
     }
 
+    /// Appends one committed state to `key`'s chain (the key is cloned only
+    /// for an object's first version).
+    fn push_version(&self, data: &mut RelationData, key: &ObjectKey, ts: u64, image: Option<Value>) {
+        match data.chains.get_mut(key) {
+            Some(chain) => chain.push((ts, image)),
+            None => {
+                data.chains.insert(key.clone(), vec![(ts, image)]);
+            }
+        }
+        self.versions_installed.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Inserts a complex object; validates the value against the schema and
     /// checks that every contained reference resolves. Returns the key.
     /// Auto-commits one version (the non-transactional entry point).
@@ -275,19 +311,18 @@ impl Store {
                 key,
             });
         }
-        let arc = Arc::new(value);
         if let Some(ts) = version {
-            data.chains.entry(key.clone()).or_default().push((ts, Some(Arc::clone(&arc))));
-            self.versions_installed.fetch_add(1, Ordering::Relaxed);
+            self.push_version(&mut data, &key, ts, Some(value.clone()));
         }
-        data.objects.insert(key.clone(), arc);
+        data.objects.insert(key.clone(), value);
         Ok(key)
     }
 
-    /// Reads a full object (cloned).
+    /// Reads a full object. The result shares its structure with the store
+    /// (no copy); later writes to the object never show through it.
     pub fn get(&self, relation: &str, key: &ObjectKey) -> Result<Value> {
         let data = self.data(relation)?.read_latch();
-        data.objects.get(key).map(|v| (**v).clone()).ok_or_else(|| StorageError::UnknownObject {
+        data.objects.get(key).cloned().ok_or_else(|| StorageError::UnknownObject {
             relation: relation.to_string(),
             key: key.clone(),
         })
@@ -303,14 +338,15 @@ impl Store {
         let data = self.data(relation)?.read_latch();
         data.objects
             .get(key)
-            .map(|v| f(v))
+            .map(f)
             .ok_or_else(|| StorageError::UnknownObject {
                 relation: relation.to_string(),
                 key: key.clone(),
             })
     }
 
-    /// Reads the subvalue at `steps` within an object (cloned).
+    /// Reads the subvalue at `steps` within an object (a composite subvalue
+    /// is shared with the store, not copied).
     pub fn get_at(&self, relation: &str, key: &ObjectKey, steps: &[TargetStep]) -> Result<Value> {
         let schema = self.schema_of(relation)?;
         self.with_object(relation, key, |v| {
@@ -375,11 +411,9 @@ impl Store {
             let mut data = self.data(relation)?.write_latch();
             match data.objects.get_mut(key) {
                 Some(slot) => {
-                    let arc = Arc::new(value);
-                    let before = std::mem::replace(slot, Arc::clone(&arc));
-                    data.chains.entry(key.clone()).or_default().push((ts, Some(arc)));
-                    self.versions_installed.fetch_add(1, Ordering::Relaxed);
-                    Ok((*before).clone())
+                    let before = std::mem::replace(slot, value.clone());
+                    self.push_version(&mut data, key, ts, Some(value));
+                    Ok(before)
                 }
                 None => Err(StorageError::UnknownObject {
                     relation: relation.to_string(),
@@ -426,28 +460,30 @@ impl Store {
         version: Option<u64>,
     ) -> Result<Value> {
         let schema = self.schema_of(relation)?;
+        // What depends on the new subvalue alone is settled before the latch.
         self.check_refs_resolve(&new_value)?;
+        check_subvalue(schema, key, steps, &new_value)?;
+        let rekeyed = rekeyed_set_element(schema, steps, &new_value);
         let mut data = self.data(relation)?.write_latch();
-        let slot = data.objects.get_mut(key).ok_or_else(|| StorageError::UnknownObject {
-            relation: relation.to_string(),
-            key: key.clone(),
-        })?;
-        let whole_before = Arc::clone(slot);
-        let obj = Arc::make_mut(slot);
+        let obj = data.live_mut(relation, key)?;
+        if let Some((container, elem_ty, new_key)) = &rekeyed {
+            let taken = navigate::navigate(schema, obj, container)
+                .and_then(|c| navigate::find_element(c, elem_ty, new_key));
+            if taken.is_some() {
+                return Err(Nf2Error::DuplicateSetKey {
+                    path: format!("{relation}[{key}].{container:?}"),
+                    key: new_key.to_string(),
+                }
+                .into());
+            }
+        }
         let subtree = navigate::navigate_mut(schema, obj, steps).ok_or_else(|| {
             StorageError::BadTarget(format!("{relation}[{key}].{steps:?}"))
         })?;
         let before = std::mem::replace(subtree, new_value);
-        // Re-validate the whole object (type + key stability).
-        let new_key = obj.check_object(schema)?;
-        if &new_key != key {
-            *slot = whole_before;
-            return Err(StorageError::BadTarget("update_at must not change the key".into()));
-        }
         if let Some(ts) = version {
-            let arc = Arc::clone(slot);
-            data.chains.entry(key.clone()).or_default().push((ts, Some(arc)));
-            self.versions_installed.fetch_add(1, Ordering::Relaxed);
+            let image = obj.clone();
+            self.push_version(&mut data, key, ts, Some(image));
         }
         Ok(before)
     }
@@ -466,40 +502,29 @@ impl Store {
     ) -> Result<ObjectKey> {
         let schema = self.schema_of(relation)?;
         self.check_refs_resolve(&element)?;
-        let elem_ty = navigate::path_type(schema, container)
-            .and_then(|t| t.element().cloned())
-            .ok_or_else(|| {
-                StorageError::BadTarget(format!("{relation}[{key}].{container:?} is not a set/list"))
-            })?;
-        let elem_key = element.element_key(&elem_ty).ok_or_else(|| {
+        let elem_ty = element_type(schema, relation, key, container)?;
+        element.check_type(elem_ty, format_args!("{relation}[{key}].{container:?}[+]"))?;
+        let elem_key = element.element_key(elem_ty).ok_or_else(|| {
             StorageError::BadTarget(format!(
                 "element inserted at {relation}[{key}].{container:?} has no derivable key"
             ))
         })?;
         let mut data = self.data(relation)?.write_latch();
-        let slot = data.objects.get_mut(key).ok_or_else(|| StorageError::UnknownObject {
-            relation: relation.to_string(),
-            key: key.clone(),
-        })?;
-        let whole_before = Arc::clone(slot);
-        let obj = Arc::make_mut(slot);
-        let cont = navigate::navigate_mut(schema, obj, container).ok_or_else(|| {
-            StorageError::BadTarget(format!("{relation}[{key}].{container:?}"))
-        })?;
-        if navigate::find_element(cont, &elem_ty, &elem_key).is_some() {
+        let obj = data.live_mut(relation, key)?;
+        let bad_target = || StorageError::BadTarget(format!("{relation}[{key}].{container:?}"));
+        // Look before copying the path: a refused insert leaves the object
+        // as shared as it was.
+        let cont = navigate::navigate(schema, obj, container).ok_or_else(bad_target)?;
+        if navigate::find_element(cont, elem_ty, &elem_key).is_some() {
             return Err(StorageError::DuplicateObject {
                 relation: format!("{relation}[{key}].{container:?}"),
                 key: elem_key,
             });
         }
-        cont.elements_mut()
-            .expect("path_type proved this is a container")
+        navigate::navigate_mut(schema, obj, container)
+            .and_then(Value::elements_mut)
+            .ok_or_else(bad_target)?
             .push(element);
-        // Re-validate the whole object (element type, set-key uniqueness).
-        if let Err(e) = obj.check_object(schema) {
-            *slot = whole_before;
-            return Err(e.into());
-        }
         Ok(elem_key)
     }
 
@@ -515,21 +540,13 @@ impl Store {
         elem_key: &ObjectKey,
     ) -> Result<(usize, Value)> {
         let schema = self.schema_of(relation)?;
-        let elem_ty = navigate::path_type(schema, container)
-            .and_then(|t| t.element().cloned())
-            .ok_or_else(|| {
-                StorageError::BadTarget(format!("{relation}[{key}].{container:?} is not a set/list"))
-            })?;
+        let elem_ty = element_type(schema, relation, key, container)?;
         let mut data = self.data(relation)?.write_latch();
-        let slot = data.objects.get_mut(key).ok_or_else(|| StorageError::UnknownObject {
-            relation: relation.to_string(),
-            key: key.clone(),
-        })?;
-        let obj = Arc::make_mut(slot);
+        let obj = data.live_mut(relation, key)?;
         let cont = navigate::navigate_mut(schema, obj, container).ok_or_else(|| {
             StorageError::BadTarget(format!("{relation}[{key}].{container:?}"))
         })?;
-        navigate::remove_element(cont, &elem_ty, elem_key).ok_or_else(|| {
+        navigate::remove_element(cont, elem_ty, elem_key).ok_or_else(|| {
             StorageError::UnknownObject {
                 relation: format!("{relation}[{key}].{container:?}"),
                 key: elem_key.clone(),
@@ -551,21 +568,13 @@ impl Store {
         image: Option<(usize, Value)>,
     ) -> Result<()> {
         let schema = self.schema_of(relation)?;
-        let elem_ty = navigate::path_type(schema, container)
-            .and_then(|t| t.element().cloned())
-            .ok_or_else(|| {
-                StorageError::BadTarget(format!("{relation}[{key}].{container:?} is not a set/list"))
-            })?;
+        let elem_ty = element_type(schema, relation, key, container)?;
         let mut data = self.data(relation)?.write_latch();
-        let slot = data.objects.get_mut(key).ok_or_else(|| StorageError::UnknownObject {
-            relation: relation.to_string(),
-            key: key.clone(),
-        })?;
-        let obj = Arc::make_mut(slot);
+        let obj = data.live_mut(relation, key)?;
         let cont = navigate::navigate_mut(schema, obj, container).ok_or_else(|| {
             StorageError::BadTarget(format!("{relation}[{key}].{container:?}"))
         })?;
-        navigate::remove_element(cont, &elem_ty, elem_key);
+        navigate::remove_element(cont, elem_ty, elem_key);
         if let Some((at, v)) = image {
             if let Some(es) = cont.elements_mut() {
                 es.insert(at.min(es.len()), v);
@@ -587,11 +596,7 @@ impl Store {
     ) -> Result<()> {
         let schema = self.schema_of(relation)?;
         let mut data = self.data(relation)?.write_latch();
-        let slot = data.objects.get_mut(key).ok_or_else(|| StorageError::UnknownObject {
-            relation: relation.to_string(),
-            key: key.clone(),
-        })?;
-        let obj = Arc::make_mut(slot);
+        let obj = data.live_mut(relation, key)?;
         let subtree = navigate::navigate_mut(schema, obj, steps).ok_or_else(|| {
             StorageError::BadTarget(format!("{relation}[{key}].{steps:?}"))
         })?;
@@ -628,10 +633,9 @@ impl Store {
             key: key.clone(),
         })?;
         if let Some(ts) = version {
-            data.chains.entry(key.clone()).or_default().push((ts, None));
-            self.versions_installed.fetch_add(1, Ordering::Relaxed);
+            self.push_version(&mut data, key, ts, None);
         }
-        Ok((*gone).clone())
+        Ok(gone)
     }
 
     /// Restores an object to a previous image (transaction rollback); also
@@ -642,7 +646,7 @@ impl Store {
         let mut data = self.data(relation)?.write_latch();
         match image {
             Some(v) => {
-                data.objects.insert(key.clone(), Arc::new(v));
+                data.objects.insert(key.clone(), v);
             }
             None => {
                 data.objects.remove(key);
@@ -659,8 +663,12 @@ impl Store {
     /// writers on *sibling* elements of the same object: the live object may
     /// carry their uncommitted data, so the new version is the last
     /// committed image plus only the committing transaction's own locked
-    /// subtrees. If composition is impossible (no prior committed image, a
-    /// path that no longer navigates), the whole live object is installed.
+    /// subtrees. The new image starts as a clone of the base (one reference
+    /// count) and each path replaces one subtree in it, copying the spine to
+    /// that subtree and nothing else: the new entry shares every untouched
+    /// sibling with the previous one. If composition is impossible (no
+    /// prior committed image, a path that no longer navigates), the whole
+    /// live object is installed.
     pub fn install_version(
         &self,
         relation: &str,
@@ -671,38 +679,29 @@ impl Store {
         let schema = self.schema_of(relation)?;
         let mut data = self.data(relation)?.write_latch();
         let data = &mut *data;
-        let entry = match patch {
-            VersionPatch::Tombstone => (ts, None),
-            VersionPatch::Full => {
-                let live = data.objects.get(key).ok_or_else(|| StorageError::UnknownObject {
-                    relation: relation.to_string(),
-                    key: key.clone(),
-                })?;
-                (ts, Some(Arc::clone(live)))
-            }
+        let live = || {
+            data.objects.get(key).ok_or_else(|| StorageError::UnknownObject {
+                relation: relation.to_string(),
+                key: key.clone(),
+            })
+        };
+        let image = match patch {
+            VersionPatch::Tombstone => None,
+            VersionPatch::Full => Some(live()?.clone()),
             VersionPatch::Paths(paths) => {
-                let live = data.objects.get(key).ok_or_else(|| StorageError::UnknownObject {
-                    relation: relation.to_string(),
-                    key: key.clone(),
-                })?;
+                let live = live()?;
                 let base = data.chains.get(key).and_then(|c| c.last()).and_then(|(_, v)| v.as_ref());
-                match base {
-                    None => (ts, Some(Arc::clone(live))),
-                    Some(base) => {
-                        let mut img = (**base).clone();
-                        let composed =
-                            paths.iter().all(|path| compose_path(schema, live, &mut img, path));
-                        if composed {
-                            (ts, Some(Arc::new(img)))
-                        } else {
-                            (ts, Some(Arc::clone(live)))
-                        }
-                    }
-                }
+                let composed = base.and_then(|base| {
+                    let mut img = base.clone();
+                    paths
+                        .iter()
+                        .all(|path| compose_path(schema, live, &mut img, path))
+                        .then_some(img)
+                });
+                Some(composed.unwrap_or_else(|| live.clone()))
             }
         };
-        data.chains.entry(key.clone()).or_default().push(entry);
-        self.versions_installed.fetch_add(1, Ordering::Relaxed);
+        self.push_version(data, key, ts, image);
         Ok(())
     }
 
@@ -824,59 +823,124 @@ impl Store {
     }
 }
 
+/// The element type of the set/list at `container`, or the `BadTarget` the
+/// element operations report for anything else.
+fn element_type<'s>(
+    schema: &'s RelationSchema,
+    relation: &str,
+    key: &ObjectKey,
+    container: &[TargetStep],
+) -> Result<&'s AttrType> {
+    navigate::path_type(schema, container).and_then(AttrType::element).ok_or_else(|| {
+        StorageError::BadTarget(format!("{relation}[{key}].{container:?} is not a set/list"))
+    })
+}
+
+/// The checks of a sub-object write that need only the new subvalue: its
+/// type against the schema type at `steps`, and — where the write covers the
+/// object's key attribute — that the key stays `key`. (A path the schema
+/// does not resolve is left to navigation, which reports it.)
+fn check_subvalue(
+    schema: &RelationSchema,
+    key: &ObjectKey,
+    steps: &[TargetStep],
+    new_value: &Value,
+) -> Result<()> {
+    let key_kept = match steps {
+        [] => &new_value.check_object(schema)? == key,
+        _ => {
+            if let Some(ty) = navigate::path_type(schema, steps) {
+                new_value
+                    .check_type(ty, format_args!("{}[{key}].{steps:?}", schema.name))?;
+            }
+            match (steps, schema.key_attribute()) {
+                ([only], Some(key_attr)) if only.elem.is_none() && only.attr == key_attr.name => {
+                    new_value.is_key(key)
+                }
+                _ => true,
+            }
+        }
+    };
+    if key_kept {
+        Ok(())
+    } else {
+        Err(StorageError::BadTarget("update_at must not change the key".into()))
+    }
+}
+
+/// If writing `new_value` at `steps` gives an element of a *set* a key other
+/// than the one `steps` addresses it by — the write replaces the element, or
+/// the key attribute right below it — the container's steps, its element
+/// type and the new key: the one thing about the rest of the object the
+/// write can invalidate is that this key is already a sibling's.
+fn rekeyed_set_element<'s>(
+    schema: &'s RelationSchema,
+    steps: &[TargetStep],
+    new_value: &Value,
+) -> Option<(Vec<TargetStep>, &'s AttrType, ObjectKey)> {
+    let (last, prefix) = steps.split_last()?;
+    let (element_steps, new_key) = match &last.elem {
+        Some(_) => {
+            let elem_ty = navigate::path_type(schema, steps)?;
+            (steps, new_value.element_key(elem_ty)?)
+        }
+        None => {
+            prefix.last()?.elem.as_ref()?;
+            let key_attr = navigate::path_type(schema, prefix)?.fields()?.iter().find(|a| a.key)?;
+            if key_attr.name != last.attr {
+                return None;
+            }
+            (prefix, new_value.as_key()?)
+        }
+    };
+    let old_key = element_steps.last()?.elem.as_ref()?;
+    if &new_key == old_key {
+        return None;
+    }
+    let container = navigate::container_steps(element_steps)?;
+    match navigate::path_type(schema, &container)? {
+        AttrType::Set(elem_ty) => Some((container, elem_ty, new_key)),
+        _ => None,
+    }
+}
+
 /// Copies the subtree at `path` from `live` into `img`, element-aware: a
 /// trailing elem step that navigates in `live` but not in `img` is an
 /// element *insert* (appended to `img`'s container), one that navigates in
 /// `img` but not in `live` is an element *removal*. Returns `false` when the
 /// path cannot be composed (the caller falls back to the whole live object).
-fn compose_path(
-    schema: &RelationSchema,
-    live: &Arc<Value>,
-    img: &mut Value,
-    path: &[TargetStep],
-) -> bool {
-    // The container path of a trailing elem step, plus its element type.
-    let elem_context = || {
-        let (last, prefix) = path.split_last()?;
-        let elem_key = last.elem.clone()?;
-        let mut cpath = prefix.to_vec();
-        cpath.push(TargetStep::attr(last.attr.clone()));
-        let elem_ty = navigate::path_type(schema, &cpath)?.element()?.clone();
-        Some((cpath, elem_ty, elem_key))
-    };
-    match navigate::navigate(schema, live, path).cloned() {
-        Some(src) => {
-            if let Some(dst) = navigate::navigate_mut(schema, img, path) {
-                *dst = src;
-                return true;
-            }
-            // In live but not in the committed base: an inserted element.
-            let Some((cpath, elem_ty, elem_key)) = elem_context() else {
-                return false;
-            };
-            let Some(es) = navigate::navigate_mut(schema, img, &cpath)
-                .and_then(Value::elements_mut)
-            else {
-                return false;
-            };
-            es.retain(|e| e.element_key(&elem_ty).as_ref() != Some(&elem_key));
-            es.push(src);
-            true
-        }
-        None => {
-            // Gone from live: a removed element (anything else can't compose).
-            let Some((cpath, elem_ty, elem_key)) = elem_context() else {
-                return false;
-            };
-            match navigate::navigate_mut(schema, img, &cpath).and_then(Value::elements_mut) {
-                Some(es) => {
-                    es.retain(|e| e.element_key(&elem_ty).as_ref() != Some(&elem_key));
-                    true
-                }
-                None => false,
-            }
+///
+/// `img` shares its structure with the committed base; only the spine down
+/// to `path` is copied, and the subtree itself is shared with `live`.
+fn compose_path(schema: &RelationSchema, live: &Value, img: &mut Value, path: &[TargetStep]) -> bool {
+    let src = navigate::navigate(schema, live, path);
+    if let Some(src) = src {
+        if let Some(dst) = navigate::navigate_mut(schema, img, path) {
+            *dst = src.clone();
+            return true;
         }
     }
+    // In live but not in the committed base: an inserted element. Gone from
+    // live: a removed one. Anything else that fails to navigate can't compose.
+    let (Some(cpath), Some(elem_key)) =
+        (navigate::container_steps(path), path.last().and_then(|s| s.elem.as_ref()))
+    else {
+        return false;
+    };
+    let Some(elem_ty) = navigate::path_type(schema, &cpath).and_then(AttrType::element) else {
+        return false;
+    };
+    let Some(container) = navigate::navigate_mut(schema, img, &cpath) else {
+        return false;
+    };
+    if container.elements().is_none() {
+        return false;
+    }
+    navigate::remove_element(container, elem_ty, elem_key);
+    if let (Some(src), Some(es)) = (src, container.elements_mut()) {
+        es.push(src.clone());
+    }
+    true
 }
 
 #[cfg(test)]
@@ -894,9 +958,17 @@ mod tests {
     }
 
     fn cell(id: &str, robots: Vec<(&str, Vec<&str>)>) -> Value {
+        cell_with_objects(id, &[], robots)
+    }
+
+    fn c_object(id: &str) -> Value {
+        tup(vec![("obj_id", Value::str(id)), ("obj_name", Value::str(format!("part-{id}")))])
+    }
+
+    fn cell_with_objects(id: &str, objects: &[&str], robots: Vec<(&str, Vec<&str>)>) -> Value {
         tup(vec![
             ("cell_id", Value::str(id)),
-            ("c_objects", set(vec![])),
+            ("c_objects", set(objects.iter().map(|o| c_object(o)).collect())),
             (
                 "robots",
                 list(
@@ -1010,6 +1082,110 @@ mod tests {
         assert_eq!(v.field("eff_id"), Some(&Value::str("e1")));
     }
 
+    /// The committed image of `relation[key]` at `ts` (shares with the chain).
+    fn image_at(s: &Store, relation: &str, key: &ObjectKey, ts: u64) -> Value {
+        s.get_at_snapshot(relation, key, &[], ts).unwrap()
+    }
+
+    fn robot_of<'v>(cell: &'v Value, id: &str) -> &'v Value {
+        let robots = cell.field("robots").unwrap().elements().unwrap();
+        robots.iter().find(|r| r.field("robot_id") == Some(&Value::str(id))).unwrap()
+    }
+
+    #[test]
+    fn local_checks_reject_what_the_whole_object_check_did() {
+        let s = store();
+        s.insert("effectors", effector("e1", "a")).unwrap();
+        s.insert("cells", cell_with_objects("c1", &["o1", "o2"], vec![("r1", vec!["e1"])])).unwrap();
+        let key = ObjectKey::from("c1");
+        let committed = image_at(&s, "cells", &key, s.clock().stable());
+        let o1 = [TargetStep::elem("c_objects", "o1")];
+        let o1_id = [TargetStep::elem("c_objects", "o1"), TargetStep::attr("obj_id")];
+        let duplicate = |r: Result<Value>| {
+            matches!(r, Err(StorageError::Model(Nf2Error::DuplicateSetKey { .. })))
+        };
+        // A keyed set element replaced by one carrying a sibling's key …
+        assert!(duplicate(s.update_at_pending("cells", &key, &o1, c_object("o2"))));
+        // … or re-keyed to it through its key attribute.
+        assert!(duplicate(s.update_at_pending("cells", &key, &o1_id, Value::str("o2"))));
+        // The new subvalue's type is checked against the type at its path.
+        let traj = [TargetStep::elem("robots", "r1"), TargetStep::attr("trajectory")];
+        assert!(matches!(
+            s.update_at_pending("cells", &key, &traj, Value::Int(1)),
+            Err(StorageError::Model(Nf2Error::TypeMismatch { .. }))
+        ));
+        assert!(s.update_at_pending("cells", &key, &o1, Value::str("o1")).is_err());
+        // Its references must resolve.
+        let effs = [TargetStep::elem("robots", "r1"), TargetStep::attr("effectors")];
+        assert!(matches!(
+            s.update_at_pending("cells", &key, &effs, set(vec![Value::reference("effectors", "e9")])),
+            Err(StorageError::DanglingReference { .. })
+        ));
+        // The object key is stable, also under a whole-object write.
+        assert!(matches!(
+            s.update_at_pending("cells", &key, &[TargetStep::attr("cell_id")], Value::str("c2")),
+            Err(StorageError::BadTarget(_))
+        ));
+        assert!(matches!(
+            s.update_at_pending("cells", &key, &[], cell("c2", vec![])),
+            Err(StorageError::BadTarget(_))
+        ));
+        // Every refusal came before the write: the live object is still the
+        // committed image itself, not even a copy of it.
+        assert!(s.get("cells", &key).unwrap().shares_with(&committed));
+        // A fresh key is fine, by either route.
+        s.update_at_pending("cells", &key, &o1, c_object("o7")).unwrap();
+        s.update_at_pending("cells", &key, &[TargetStep::elem("c_objects", "o7"), TargetStep::attr("obj_id")], Value::str("o8"))
+            .unwrap();
+        assert!(s.get_at("cells", &key, &[TargetStep::elem("c_objects", "o8")]).is_ok());
+    }
+
+    #[test]
+    fn a_version_copies_its_path_and_shares_the_rest() {
+        let s = store();
+        for e in ["e1", "e2", "e3"] {
+            s.insert("effectors", effector(e, "t")).unwrap();
+        }
+        let robots = vec![("r1", vec!["e1"]), ("r2", vec!["e2"]), ("r3", vec!["e3"])];
+        s.insert("cells", cell_with_objects("c1", &["o1", "o2", "o3"], robots.clone())).unwrap();
+        let key = ObjectKey::from("c1");
+        let traj = vec![TargetStep::elem("robots", "r2"), TargetStep::attr("trajectory")];
+        let before_ts = s.clock().stable();
+        let before = image_at(&s, "cells", &key, before_ts);
+
+        s.update_at_pending("cells", &key, &traj, Value::str("moved")).unwrap();
+        s.clock().commit(|ts| {
+            s.install_version("cells", &key, ts, &VersionPatch::Paths(vec![traj.clone()])).unwrap();
+        });
+        let after = image_at(&s, "cells", &key, s.clock().stable());
+
+        // The spine — object root, robots list, robot r2 — is new …
+        assert!(!after.shares_with(&before));
+        assert!(!after.field("robots").unwrap().shares_with(before.field("robots").unwrap()));
+        assert!(!robot_of(&after, "r2").shares_with(robot_of(&before, "r2")));
+        assert_eq!(robot_of(&after, "r2").field("trajectory"), Some(&Value::str("moved")));
+        // … and everything off it is the previous entry's, not a copy.
+        assert!(after.field("c_objects").unwrap().shares_with(before.field("c_objects").unwrap()));
+        for sibling in ["r1", "r3"] {
+            assert!(robot_of(&after, sibling).shares_with(robot_of(&before, sibling)));
+        }
+        assert!(robot_of(&after, "r2")
+            .field("effectors")
+            .unwrap()
+            .shares_with(robot_of(&before, "r2").field("effectors").unwrap()));
+
+        // The live object has a spine of its own: writing it again reaches
+        // neither chain entry, and a pinned reader's value never moves.
+        let live = s.get("cells", &key).unwrap();
+        assert!(!live.shares_with(&after) && !live.shares_with(&before));
+        s.update_at_pending("cells", &key, &traj, Value::str("dirty")).unwrap();
+        s.insert_element_pending("cells", &key, &[TargetStep::attr("robots")], robot("r4")).unwrap();
+        assert_eq!(before, cell_with_objects("c1", &["o1", "o2", "o3"], robots));
+        assert_eq!(image_at(&s, "cells", &key, before_ts), before);
+        assert_eq!(image_at(&s, "cells", &key, s.clock().stable()), after);
+        assert_eq!(robot_of(&live, "r2").field("trajectory"), Some(&Value::str("moved")));
+    }
+
     #[test]
     fn restore_rolls_back() {
         let s = store();
@@ -1076,9 +1252,15 @@ mod tests {
         let s = store();
         s.insert("effectors", effector("e1", "a")).unwrap();
         let ts = s.clock().stable();
+        // What a reader was handed before the write shares the object …
+        let pinned = s.snapshot("effectors").unwrap().get(&ObjectKey::from("e1")).unwrap();
+        assert!(pinned.shares_with(&s.get("effectors", &ObjectKey::from("e1")).unwrap()));
         // Pending update: live changes, chains do not.
         s.update_at_pending("effectors", &ObjectKey::from("e1"), &[TargetStep::attr("tool")], Value::str("dirty"))
             .unwrap();
+        // … and the write copied the node instead of reaching through it.
+        assert_eq!(pinned, effector("e1", "a"));
+        assert!(!pinned.shares_with(&s.get("effectors", &ObjectKey::from("e1")).unwrap()));
         let read = s
             .get_at_snapshot("effectors", &ObjectKey::from("e1"), &[TargetStep::attr("tool")], ts)
             .unwrap();
@@ -1118,6 +1300,7 @@ mod tests {
         let key = ObjectKey::from("c1");
         let r1 = vec![TargetStep::elem("robots", "r1"), TargetStep::attr("trajectory")];
         let r2 = vec![TargetStep::elem("robots", "r2"), TargetStep::attr("trajectory")];
+        let base = image_at(&s, "cells", &key, s.clock().stable());
         // Two concurrent element writers: T1 updates r1, T2 updates r2.
         // Both are pending; T1 commits first.
         s.update_at_pending("cells", &key, &r1, Value::str("t1-traj")).unwrap();
@@ -1129,6 +1312,11 @@ mod tests {
         // T1's commit carries its own subtree but NOT T2's uncommitted write.
         assert_eq!(s.get_at_snapshot("cells", &key, &r1, now).unwrap(), Value::str("t1-traj"));
         assert_eq!(s.get_at_snapshot("cells", &key, &r2, now).unwrap(), Value::str("t-r2"));
+        // T2's robot in T1's version *is* the committed one — shared with
+        // the base entry, so nothing of the live (dirty) r2 can be in it.
+        let t1_version = image_at(&s, "cells", &key, now);
+        assert!(robot_of(&t1_version, "r2").shares_with(robot_of(&base, "r2")));
+        assert!(!robot_of(&t1_version, "r1").shares_with(robot_of(&base, "r1")));
         // After T2 commits, its subtree is visible too.
         s.clock().commit(|ts| {
             s.install_version("cells", &key, ts, &VersionPatch::Paths(vec![r2.clone()])).unwrap();
@@ -1136,6 +1324,9 @@ mod tests {
         let later = s.clock().stable();
         assert_eq!(s.get_at_snapshot("cells", &key, &r2, later).unwrap(), Value::str("t2-dirty"));
         assert_eq!(s.get_at_snapshot("cells", &key, &r1, later).unwrap(), Value::str("t1-traj"));
+        // T2's version is T1's with r2's spine replaced: r1 is shared.
+        let t2_version = image_at(&s, "cells", &key, later);
+        assert!(robot_of(&t2_version, "r1").shares_with(robot_of(&t1_version, "r1")));
     }
 
     fn robot(id: &str) -> Value {
@@ -1206,6 +1397,7 @@ mod tests {
         let robots = [TargetStep::attr("robots")];
         let r1_traj = vec![TargetStep::elem("robots", "r1"), TargetStep::attr("trajectory")];
         let r2_path = vec![TargetStep::elem("robots", "r2")];
+        let base = image_at(&s, "cells", &key, s.clock().stable());
         // T1 inserts element r2; T2 updates sibling r1 — both pending.
         s.insert_element_pending("cells", &key, &robots, robot("r2")).unwrap();
         s.update_at_pending("cells", &key, &r1_traj, Value::str("t2-dirty")).unwrap();
@@ -1218,6 +1410,11 @@ mod tests {
         // The insert is visible, the sibling's dirty write is not.
         assert!(s.get_at_snapshot("cells", &key, &r2_path, now).is_ok());
         assert_eq!(s.get_at_snapshot("cells", &key, &r1_traj, now).unwrap(), Value::str("t-r1"));
+        // The version's r1 is the base entry's own node, its r2 the live one.
+        let inserted = image_at(&s, "cells", &key, now);
+        assert!(robot_of(&inserted, "r1").shares_with(robot_of(&base, "r1")));
+        assert!(inserted.field("c_objects").unwrap().shares_with(base.field("c_objects").unwrap()));
+        assert!(robot_of(&inserted, "r2").shares_with(robot_of(&s.get("cells", &key).unwrap(), "r2")));
         // T2 commits; its update lands on top of the insert.
         s.clock().commit(|ts| {
             s.install_version("cells", &key, ts, &VersionPatch::Paths(vec![r1_traj.clone()]))

@@ -141,6 +141,15 @@ echo "==> stress_snapshot (read-mostly storm against the MVCC overlay, linted)"
 COLOCK_CHECK=1 COLOCK_STRESS_ROUNDS="${COLOCK_STRESS_ROUNDS:-40}" \
     cargo run --offline --release -q -p colock-bench --bin stress_snapshot
 
+echo "==> stress_store (sub-object writers vs snapshots vs GC on one relation, linted)"
+# 4 writers on disjoint robots of the same two cells plus shared effectors,
+# one abort in eight, 2 snapshot-reader threads and interleaved gc_versions:
+# no lost update, every snapshot a committed prefix (no torn two-object
+# commit, nothing uncommitted, never going back), every chain one entry
+# after the final GC.
+COLOCK_CHECK=1 COLOCK_STRESS_ROUNDS="${COLOCK_STRESS_ROUNDS:-40}" \
+    cargo run --offline --release -q -p colock-bench --bin stress_store
+
 echo "==> loopback serving smoke (loadgen small budget, linted)"
 # Real TCP over loopback at a bounded scale: 40 sessions, 300 txns through
 # the full mix. COLOCK_CHECK=1 replays the entire served trace window
