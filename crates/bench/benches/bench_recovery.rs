@@ -27,6 +27,20 @@ fn bench_recovery(h: &mut BenchHarness) {
             journal.record(JournalOp::Grant, TxnId(1), black_box(&i), LockMode::X).unwrap();
         });
     });
+    group.bench("journal_grant_release_cycle", |b| {
+        // Steady state: four owners, each releasing its previous lock before
+        // granting the next, so at most four locks are live.
+        let journal: Journal<u64> = Journal::new();
+        let mut i = 0u64;
+        b.iter(|| {
+            let owner = TxnId(1 + i % 4);
+            if i >= 4 {
+                journal.record(JournalOp::Release, owner, black_box(&(i - 4)), LockMode::X).unwrap();
+            }
+            journal.record(JournalOp::Grant, owner, black_box(&i), LockMode::X).unwrap();
+            i += 1;
+        });
+    });
     group.bench("replay_1500_records", |b| {
         let medium = medium_with(1_000);
         b.iter(|| Journal::<u64>::replay(black_box(&medium)).unwrap());

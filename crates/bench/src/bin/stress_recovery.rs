@@ -3,7 +3,11 @@
 //! random journal append, rebuilds the server from the surviving medium,
 //! and checks §3.1's invariant — every acknowledged long lock is either
 //! fully recovered under its owner or was durably released; nothing is
-//! half-present and nothing leaks past a post-crash sweep.
+//! half-present and nothing leaks past a post-crash sweep. A last sweep
+//! adds a churn station whose check-out/check-in cycles make the journal
+//! checkpoint several times, and crashes in the middle of a checkpoint.
+//! After every cycle the journal medium must be within
+//! `CHECKPOINT_FLOOR + 2 × live bytes`.
 //!
 //! Knobs: `COLOCK_CRASH_SEED` (schedule seed, default 0xC010CC) and
 //! `COLOCK_RECOVERY_ROUNDS` (rounds per crash point, default 25). With
@@ -13,6 +17,7 @@
 
 use colock_core::authorization::{Authorization, Right};
 use colock_core::{AccessMode, InstanceTarget, ResourcePath};
+use colock_lockmgr::persistent::CHECKPOINT_FLOOR;
 use colock_lockmgr::{Journal, TxnId};
 use colock_nf2::Value;
 use colock_sim::{build_cells_store, CellsConfig, Workstation};
@@ -22,6 +27,9 @@ use colock_txn::{ProtocolKind, TransactionManager, TxnKind};
 use std::sync::Arc;
 
 const STATIONS: usize = 4;
+
+/// Churn cycles per run in the mid-compaction sweep: several checkpoints.
+const CHURN_CYCLES: usize = 250;
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
@@ -40,18 +48,47 @@ fn robot(cell: usize) -> InstanceTarget {
     InstanceTarget::object("cells", format!("c{}", cell + 1)).elem("robots", "r1")
 }
 
-/// Runs one crashed cycle; returns (medium, acked-holding ids, acked
-/// check-in cells, appends observed).
-fn run_cycle(
-    store: &Arc<Store>,
-    plan: Option<FaultPlan>,
-) -> (String, Vec<(usize, TxnId)>, Vec<usize>, u64) {
+/// The churn station's robot: no station's target.
+fn churn_robot() -> InstanceTarget {
+    InstanceTarget::object("cells", "c1").elem("robots", "r2")
+}
+
+/// What one crashed cycle left behind.
+struct Cycle {
+    medium: String,
+    /// Acked-holding stations and their session ids.
+    held: Vec<(usize, TxnId)>,
+    /// Stations whose check-in was acked.
+    checked_in: Vec<usize>,
+    appends: u64,
+    crashed: bool,
+    checkpoints: u64,
+    /// Appends before the last churn cycle that wrote a checkpoint: a
+    /// mid-compaction crash planned up to here fires within the cycle.
+    compaction_window: u64,
+}
+
+/// The medium must stay within the checkpoint bound; only a crash in the
+/// middle of a due checkpoint leaves it over, with the old text.
+fn assert_bounded(journal: &Journal<ResourcePath>, label: &str) {
+    let (len, live) = (journal.contents().len(), journal.live_bytes());
+    if journal.crash_point() == Some(CrashPoint::MidCompaction) {
+        assert!(len > CHECKPOINT_FLOOR.max(2 * live), "{label}: crashed checkpoint was not due");
+    } else {
+        assert!(len <= CHECKPOINT_FLOOR + 2 * live, "{label}: medium {len} B, live {live} B");
+    }
+}
+
+/// Runs one crashed cycle with `churn` churn cycles after the check-outs.
+fn run_cycle(store: &Arc<Store>, plan: Option<FaultPlan>, churn: usize) -> Cycle {
     let (mgr, journal) = server(store);
     if let Some(p) = plan {
         journal.arm(p);
     }
     let mut stations: Vec<Workstation<'_>> =
         (0..STATIONS).map(|i| Workstation::connect(&mgr, format!("ws{i}"))).collect();
+    let mut churner = Workstation::connect(&mgr, "churn");
+    let mut compaction_window = 0;
     let mut holding = [false; STATIONS];
     let mut checked_in = Vec::new();
     'script: {
@@ -66,6 +103,17 @@ fn run_cycle(
             })
             .expect("edit of update checkout");
         }
+        for _ in 0..churn {
+            let (appends, checkpoints) = (journal.appends(), journal.checkpoints());
+            let ok = churner.checkout(&churn_robot(), AccessMode::Update).is_ok()
+                && churner.checkin_all().is_ok();
+            if mgr.journal_crashed() || !ok {
+                break 'script;
+            }
+            if journal.checkpoints() > checkpoints {
+                compaction_window = appends;
+            }
+        }
         for (i, ws) in stations.iter_mut().enumerate().take(STATIONS / 2) {
             let ok = ws.checkin_all().is_ok();
             if mgr.journal_crashed() || !ok {
@@ -76,17 +124,28 @@ fn run_cycle(
             checked_in.push(i);
         }
     }
+    churner.crash();
     let mut held = Vec::new();
     for (i, ws) in stations.iter_mut().enumerate() {
         if let (Some(id), true) = (ws.crash(), holding[i]) {
             held.push((i, id));
         }
     }
-    (journal.contents(), held, checked_in, journal.appends())
+    assert_bounded(&journal, "crashed server");
+    Cycle {
+        medium: journal.contents(),
+        held,
+        checked_in,
+        appends: journal.appends(),
+        crashed: journal.crashed(),
+        checkpoints: journal.checkpoints(),
+        compaction_window,
+    }
 }
 
-fn check(store: &Arc<Store>, medium: &str, held: &[(usize, TxnId)], checked_in: &[usize]) -> (usize, usize, usize) {
-    let (mgr, _j) = server(store);
+fn check(store: &Arc<Store>, cycle: &Cycle) -> (usize, usize, usize) {
+    let Cycle { medium, held, checked_in, .. } = cycle;
+    let (mgr, journal) = server(store);
     let report = mgr.recover(medium).expect("medium must replay");
     assert!(report.dropped_tail <= 1, "more than the torn record dropped");
     for (i, id) in held {
@@ -103,8 +162,12 @@ fn check(store: &Arc<Store>, medium: &str, held: &[(usize, TxnId)], checked_in: 
     for owner in &report.owners {
         mgr.resume(*owner).expect("recovered owner resumable").abort().expect("abortable");
     }
+    let probe = mgr.begin(TxnKind::Short);
+    assert!(probe.try_lock(&churn_robot(), AccessMode::Update).is_ok(), "churn robot leaked");
+    probe.commit().expect("probe commit");
     assert_eq!(mgr.lock_manager().table_size(), 0, "leaked locks after sweep");
     assert_eq!(mgr.active_count(), 0, "leaked txn states after sweep");
+    assert_bounded(&journal, "recovered server");
     (report.owners.len(), report.locks, report.dropped_tail)
 }
 
@@ -141,23 +204,46 @@ fn main() {
     // Dry run: learn the append budget and verify the no-crash control.
     let store = build_cells_store(&CellsConfig::default());
     let mark = colock_trace::current_seq();
-    let (medium, held, checked_in, appends) = run_cycle(&store, None);
-    check(&store, &medium, &held, &checked_in);
+    let control = run_cycle(&store, None, 0);
+    check(&store, &control);
     if checking {
         lint_cycle(&store, mark, "control cycle");
     }
-    println!("control: {appends} appends, {} holders recovered, clean sweep", held.len());
+    let appends = control.appends;
+    println!("control: {appends} appends, {} holders recovered, clean sweep", control.held.len());
+
+    // A second control with churn: the window the mid-compaction sweep
+    // draws its crash positions from.
+    let store = build_cells_store(&CellsConfig::default());
+    let mark = colock_trace::current_seq();
+    let churned = run_cycle(&store, None, CHURN_CYCLES);
+    check(&store, &churned);
+    if checking {
+        lint_cycle(&store, mark, "churn control cycle");
+    }
+    assert!(churned.checkpoints >= 3, "churn wrote {} checkpoints", churned.checkpoints);
+    println!(
+        "churn control: {} appends, {} checkpoints, medium {} B, clean sweep",
+        churned.appends,
+        churned.checkpoints,
+        churned.medium.len()
+    );
 
     let mut rng = Rng::seed_from_u64(seed);
-    for point in CrashPoint::ALL {
+    let sweeps = CrashPoint::ALL.map(|p| (p, 0, appends)).into_iter().chain([(
+        CrashPoint::MidCompaction,
+        CHURN_CYCLES,
+        churned.compaction_window,
+    )]);
+    for (point, churn, window) in sweeps {
         let (mut owners, mut locks, mut torn) = (0, 0, 0);
         for round in 0..rounds {
             let store = build_cells_store(&CellsConfig::default());
-            let nth = rng.gen_range(1..appends + 1);
+            let nth = rng.gen_range(1..window + 1);
             let mark = colock_trace::current_seq();
-            let (medium, held, checked_in, _) =
-                run_cycle(&store, Some(FaultPlan::crash_at(point, nth)));
-            let (o, l, t) = check(&store, &medium, &held, &checked_in);
+            let cycle = run_cycle(&store, Some(FaultPlan::crash_at(point, nth)), churn);
+            assert!(cycle.crashed, "{point}@{nth}: the plan must fire within the cycle");
+            let (o, l, t) = check(&store, &cycle);
             if checking {
                 lint_cycle(&store, mark, &format!("{point} round {round}"));
             }

@@ -443,9 +443,10 @@ impl Ctx<'_> {
             }
         };
         if let Some(cache) = self.cx.cache {
-            // The table does not widen the long flag on AlreadyHeld, so a
-            // covering mode is cached as short only.
-            cache.record(resource, mode, granted && self.cx.opts.long);
+            // A long request is answered only once the table's grant is long
+            // (a covering short grant is widened), so either outcome is
+            // cached with the request's flag.
+            cache.record(resource, mode, self.cx.opts.long);
         }
         granted
     }

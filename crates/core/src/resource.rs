@@ -12,8 +12,8 @@
 //! the protocol (rule 5) a simple prefix walk.
 
 use colock_nf2::ObjectKey;
-use colock_testkit::codec::{CodecError, FieldCodec};
-use std::fmt;
+use colock_testkit::codec::{self, CodecError, FieldCodec};
+use std::fmt::{self, Write as _};
 
 /// One step of an instance path.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -201,20 +201,20 @@ impl fmt::Display for ResourcePath {
 // inside names are percent-escaped so the step separator can never be
 // forged by data.
 
-/// Escapes `%` and `/` in a step name for the persisted path syntax.
-fn escape_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
-    for c in name.chars() {
-        match c {
-            '%' => out.push_str("%25"),
-            '/' => out.push_str("%2F"),
-            other => out.push(other),
-        }
+/// Appends `name` with `%` and `/` percent-escaped for the persisted path
+/// syntax, passing the runs in between through `plain` — a bare push for
+/// the field text, the codec's escape for a journal record.
+fn push_name(name: &str, out: &mut String, plain: fn(&str, &mut String)) {
+    let mut rest = name;
+    while let Some(i) = rest.find(['%', '/']) {
+        plain(&rest[..i], out);
+        out.push_str(if rest.as_bytes()[i] == b'%' { "%25" } else { "%2F" });
+        rest = &rest[i + 1..];
     }
-    out
+    plain(rest, out);
 }
 
-/// Reverses [`escape_name`].
+/// Reverses [`push_name`]'s percent escapes.
 fn unescape_name(text: &str) -> Result<String, CodecError> {
     let mut out = String::with_capacity(text.len());
     let mut chars = text.chars();
@@ -238,21 +238,39 @@ fn unescape_name(text: &str) -> Result<String, CodecError> {
     Ok(out)
 }
 
-fn key_field(tag: &str, key: &ObjectKey) -> String {
-    match key {
-        ObjectKey::Str(s) => format!("{tag}:{}", escape_name(s)),
-        ObjectKey::Int(i) => format!("{tag}#{i}"),
-    }
+/// Appends `step`'s persisted syntax to `out`, names through `plain` (see
+/// [`push_name`]).
+fn push_step(step: &PathStep, out: &mut String, plain: fn(&str, &mut String)) {
+    let (tag, name) = match step {
+        PathStep::Database(s) => ("db:", s),
+        PathStep::Segment(s) => ("seg:", s),
+        PathStep::Relation(s) => ("rel:", s),
+        PathStep::Attr(s) => ("attr:", s),
+        PathStep::Object(ObjectKey::Str(s)) => ("obj:", s),
+        PathStep::Elem(ObjectKey::Str(s)) => ("elem:", s),
+        PathStep::Object(ObjectKey::Int(i)) => {
+            let _ = write!(out, "obj#{i}");
+            return;
+        }
+        PathStep::Elem(ObjectKey::Int(i)) => {
+            let _ = write!(out, "elem#{i}");
+            return;
+        }
+    };
+    out.push_str(tag);
+    push_name(name, out, plain);
 }
 
-fn step_field(step: &PathStep) -> String {
-    match step {
-        PathStep::Database(s) => format!("db:{}", escape_name(s)),
-        PathStep::Segment(s) => format!("seg:{}", escape_name(s)),
-        PathStep::Relation(s) => format!("rel:{}", escape_name(s)),
-        PathStep::Attr(s) => format!("attr:{}", escape_name(s)),
-        PathStep::Object(k) => key_field("obj", k),
-        PathStep::Elem(k) => key_field("elem", k),
+impl ResourcePath {
+    /// Appends the persisted path syntax, `/`-separated, names through
+    /// `plain`.
+    fn push_field(&self, out: &mut String, plain: fn(&str, &mut String)) {
+        for (i, step) in self.steps.iter().enumerate() {
+            if i > 0 {
+                out.push('/');
+            }
+            push_step(step, out, plain);
+        }
     }
 }
 
@@ -287,7 +305,13 @@ fn parse_step(seg: &str) -> Result<PathStep, CodecError> {
 
 impl FieldCodec for ResourcePath {
     fn to_field(&self) -> String {
-        self.steps.iter().map(step_field).collect::<Vec<_>>().join("/")
+        let mut out = String::new();
+        self.push_field(&mut out, |run, out| out.push_str(run));
+        out
+    }
+
+    fn write_field(&self, out: &mut String) {
+        self.push_field(out, codec::escape_into);
     }
 
     fn from_field(field: &str) -> Result<Self, CodecError> {
@@ -396,6 +420,31 @@ mod tests {
             .attr("a/t%tr");
         let field = nasty.to_field();
         assert_eq!(ResourcePath::from_field(&field).unwrap(), nasty, "{field}");
+    }
+
+    #[test]
+    fn write_field_is_the_escaped_field_text_byte_for_byte() {
+        // Both strings were produced by the `format!`/`join` encoder this
+        // one-buffer encoder replaced; journals on disk depend on them.
+        let nasty = ResourcePath::database("d%b\t1")
+            .segment("se/g")
+            .relation("r%2Fel")
+            .object("k/e%y\n")
+            .attr("a/t%tr\\")
+            .elem(ObjectKey::Int(-7))
+            .attr("\u{fc}\r");
+        let field = "db:d%25b\t1/seg:se%2Fg/rel:r%252Fel/obj:k%2Fe%25y\n/attr:a%2Ft%25tr\\\
+                     /elem#-7/attr:\u{fc}\r";
+        assert_eq!(nasty.to_field(), field);
+        let mut written = String::from("op\t");
+        nasty.write_field(&mut written);
+        let escaped = "db:d%25b\\t1/seg:se%2Fg/rel:r%252Fel/obj:k%2Fe%25y\\n/attr:a%2Ft%25tr\\\\\
+                       /elem#-7/attr:\u{fc}\\r";
+        assert_eq!(written, format!("op\t{escaped}"));
+        assert_eq!(written["op\t".len()..], codec::escape(field));
+        let mut plain = String::new();
+        robot_r1().write_field(&mut plain);
+        assert_eq!(plain, robot_r1().to_field());
     }
 
     #[test]

@@ -240,9 +240,10 @@ impl LockMode {
     }
 }
 
-impl fmt::Display for LockMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl LockMode {
+    /// The mode's short name — its `Display` text and its persisted field.
+    fn name(self) -> &'static str {
+        match self {
             LockMode::NL => "NL",
             LockMode::IS => "IS",
             LockMode::IX => "IX",
@@ -252,14 +253,23 @@ impl fmt::Display for LockMode {
             LockMode::Member => "MB",
             LockMode::Insert => "IN",
             LockMode::Delete => "DL",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for LockMode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
 impl colock_testkit::codec::FieldCodec for LockMode {
     fn to_field(&self) -> String {
         self.to_string()
+    }
+
+    fn write_field(&self, out: &mut String) {
+        out.push_str(self.name());
     }
 
     fn from_field(field: &str) -> Result<Self, colock_testkit::codec::CodecError> {
@@ -571,6 +581,9 @@ mod tests {
         all.extend(LockMode::ALL);
         for m in all {
             assert_eq!(LockMode::from_field(&m.to_field()).unwrap(), m);
+            let mut written = String::new();
+            m.write_field(&mut written);
+            assert_eq!(written, m.to_field());
         }
         assert!(LockMode::from_field("QQ").is_err());
     }

@@ -9,11 +9,11 @@
 //!   grant flagged `long`, restorable into a fresh [`LockManager`]. A
 //!   snapshot only protects locks that existed *at capture time* — a crash
 //!   between check-out and capture loses the lock.
-//! * [`Journal`] — the crash-safe replacement: an **append-only, checksummed,
-//!   versioned log** with one record per grant/conversion/release of a long
-//!   lock, written *before* the operation is acknowledged. Replaying the
-//!   journal after a crash yields exactly the set of long locks that were
-//!   durably granted ([`Recovered`]); a torn final record (the crash struck
+//! * [`Journal`] — the crash-safe replacement: a **checksummed, versioned
+//!   log** with one record per grant/conversion/release of a long lock,
+//!   written *before* the operation is acknowledged. Replaying the journal
+//!   after a crash yields exactly the set of long locks that were durably
+//!   granted ([`Recovered`]); a torn final record (the crash struck
 //!   mid-write) is truncated and reported via [`Recovered::dropped_tail`],
 //!   never silently re-adopted.
 //!
@@ -41,23 +41,57 @@
 //!   [`Recovered::dropped_tail`] — those operations were never acknowledged,
 //! * damage *followed by* valid records is not a torn tail but medium
 //!   corruption: replay refuses with a [`JournalError`] rather than guess.
+//!
+//! # Checkpoints
+//!
+//! Appending alone would grow the medium with the journal's history, not
+//! with what it protects. A journal therefore keeps a *live index*: the
+//! replay fold itself, `(owner, resource) →` the last record line written
+//! for it, updated in the same critical section as each append. When the
+//! medium exceeds `max(`[`CHECKPOINT_FLOOR`]`, 2 × live bytes)`, the journal
+//! writes a **checkpoint** — the header plus the live lines, sorted — on the
+//! side and swaps it in with one assignment. A checkpoint is itself a v1
+//! journal that replays to the same set, so the format and every reader are
+//! unchanged, and the medium stays within `CHECKPOINT_FLOOR + 2 × live
+//! bytes` after every append at amortised O(1) cost per record.
 
 use crate::mode::LockMode;
-use crate::table::{LockManager, Resource};
+use crate::table::{FastHasher, FastMap, LockManager, Resource};
 use crate::txnid::TxnId;
 use colock_testkit::codec::{self, CodecError, FieldCodec};
 use colock_testkit::fault::{CrashPoint, FaultPlan};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Header line of the persisted image format.
 const HEADER: &str = "colock-long-locks v1";
 
-/// Header line of the append-only journal format.
-const JOURNAL_HEADER: &str = "colock-journal v1";
+/// Header line of the journal format, newline included (what a healthy
+/// medium — and every checkpoint — starts with).
+const JOURNAL_HEADER: &str = "colock-journal v1\n";
+
+/// Medium size up to which a journal never checkpoints, whatever its live
+/// set: compaction is amortised against at least this much history. The
+/// medium holds at most `CHECKPOINT_FLOOR + 2 ×` [`Journal::live_bytes`]
+/// after any completed append.
+pub const CHECKPOINT_FLOOR: usize = 64 * 1024;
+
+/// Sorts `(resource, owner, mode)` triples into the one deterministic order
+/// captures and replays share. The resource must participate: one owner
+/// holding several long locks in the same mode would otherwise come out in
+/// shard- or hash-iteration order.
+fn sort_entries<R: fmt::Debug>(entries: &mut [(R, TxnId, LockMode)]) {
+    entries.sort_by_cached_key(|a| (a.1, a.2, format!("{:?}", a.0)));
+}
+
+fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Serializable snapshot of all long locks in a lock manager.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -75,10 +109,7 @@ impl<R: Resource> LongLockImage<R> {
                 entries.push((r.clone(), txn, mode));
             }
         });
-        // Deterministic order for comparisons and round-trips. The resource
-        // must participate: one txn holding several long locks in the same
-        // mode would otherwise sort to a shard-iteration-dependent order.
-        entries.sort_by_cached_key(|a| (a.1, a.2, format!("{:?}", a.0)));
+        sort_entries(&mut entries);
         LongLockImage { entries }
     }
 
@@ -264,78 +295,72 @@ impl<R> Recovered<R> {
     }
 }
 
-/// Append-only, checksummed long-lock journal over a simulated durable
-/// medium (an `Arc<Mutex<String>>` that outlives the lock manager, the way a
-/// disk outlives a process).
+/// Checksummed long-lock journal over a simulated durable medium (an
+/// `Arc<Mutex<String>>` that outlives the lock manager, the way a disk
+/// outlives a process).
 ///
 /// Writes are acknowledged only after the record is fully on the medium; a
 /// [`FaultPlan`] can crash the medium before/after/mid-way through any
-/// append, after which the journal is frozen ([`Journal::crashed`]) and all
-/// further appends fail. [`Journal::replay`] turns the surviving text back
-/// into the set of durably-granted long locks.
+/// append or in the middle of a checkpoint, after which the journal is
+/// frozen ([`Journal::crashed`]) and all further appends fail.
+/// [`Journal::replay`] turns the surviving text back into the set of
+/// durably-granted long locks. Checkpoints (module docs) keep the medium
+/// proportional to the live long locks.
 pub struct Journal<R> {
     medium: Arc<Mutex<String>>,
+    /// The live index. Lock order: this mutex, then the medium's — so the
+    /// index and the medium change together.
+    live: Mutex<LiveSet>,
+    /// Whether the medium replayed when the journal was opened over it. A
+    /// medium [`Journal::replay`] refuses is appended to but never
+    /// compacted — a checkpoint would drop what the index could not read —
+    /// so its journal keeps no index either.
+    compactable: bool,
+    /// Cheap flag checked on every append; the plan mutex is only touched
+    /// while a plan is armed.
+    armed: AtomicBool,
     plan: Mutex<Option<FaultPlan>>,
     crashed: AtomicBool,
     crash_point: Mutex<Option<CrashPoint>>,
     appends: AtomicU64,
+    bytes_appended: AtomicU64,
+    checkpoints: AtomicU64,
     _resource: PhantomData<fn(R) -> R>,
 }
 
 impl<R> fmt::Debug for Journal<R> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Journal")
-            .field("appends", &self.appends.load(Ordering::Relaxed))
+            .field("appends", &self.appends())
+            .field("checkpoints", &self.checkpoints())
             .field("crashed", &self.crashed())
             .finish()
     }
 }
 
-impl<R> Default for Journal<R> {
+impl<R: Resource + FieldCodec> Default for Journal<R> {
     fn default() -> Self {
         Self::new()
     }
 }
 
 impl<R> Journal<R> {
-    /// A journal over a fresh empty medium.
-    pub fn new() -> Self {
-        Self::over_medium(Arc::new(Mutex::new(String::new())))
-    }
-
-    /// A journal over an existing medium (writes the header if the medium is
-    /// empty; otherwise appends after whatever is already there).
-    pub fn over_medium(medium: Arc<Mutex<String>>) -> Self {
-        {
-            let mut m = medium.lock().unwrap_or_else(PoisonError::into_inner);
-            if m.is_empty() {
-                m.push_str(JOURNAL_HEADER);
-                m.push('\n');
-            }
-        }
-        Journal {
-            medium,
-            plan: Mutex::new(None),
-            crashed: AtomicBool::new(false),
-            crash_point: Mutex::new(None),
-            appends: AtomicU64::new(0),
-            _resource: PhantomData,
-        }
-    }
-
-    /// The shared medium (survives the crash of the journal's owner).
+    /// The shared medium (survives the crash of the journal's owner). A
+    /// checkpoint replaces its text in place, so holders see the compacted
+    /// journal.
     pub fn medium(&self) -> Arc<Mutex<String>> {
         Arc::clone(&self.medium)
     }
 
     /// A copy of the medium's current text.
     pub fn contents(&self) -> String {
-        self.medium.lock().unwrap_or_else(PoisonError::into_inner).clone()
+        locked(&self.medium).clone()
     }
 
     /// Arms a one-shot crash plan. Replaces any previous plan.
     pub fn arm(&self, plan: FaultPlan) {
-        *self.plan.lock().unwrap_or_else(PoisonError::into_inner) = Some(plan);
+        *locked(&self.plan) = Some(plan);
+        self.armed.store(true, Ordering::Release);
     }
 
     /// Whether an armed crash has fired; once true, the journal is frozen.
@@ -345,7 +370,7 @@ impl<R> Journal<R> {
 
     /// The crash point of the fired plan, if any.
     pub fn crash_point(&self) -> Option<CrashPoint> {
-        *self.crash_point.lock().unwrap_or_else(PoisonError::into_inner)
+        *locked(&self.crash_point)
     }
 
     /// Append attempts so far (including the crashing one) — a fault-free
@@ -353,9 +378,93 @@ impl<R> Journal<R> {
     pub fn appends(&self) -> u64 {
         self.appends.load(Ordering::Relaxed)
     }
+
+    /// Record bytes this journal has appended, newlines and torn prefixes
+    /// included. Monotonic, unlike the medium's length, which a checkpoint
+    /// shrinks: per-operation journal volume is a difference of this.
+    pub fn bytes_appended(&self) -> u64 {
+        self.bytes_appended.load(Ordering::Relaxed)
+    }
+
+    /// Checkpoints written so far.
+    pub fn checkpoints(&self) -> u64 {
+        self.checkpoints.load(Ordering::Relaxed)
+    }
+
+    /// Bytes of the live lines (newlines included) — what a checkpoint
+    /// written now would hold after its header.
+    pub fn live_bytes(&self) -> usize {
+        locked(&self.live).bytes
+    }
+
+    /// The error every append of a frozen journal returns.
+    fn frozen(&self) -> JournalCrash {
+        JournalCrash { point: self.crash_point().unwrap_or(CrashPoint::BeforeAppend) }
+    }
+
+    /// Freezes the journal at `point`: this and every later append fail.
+    fn freeze(&self, point: CrashPoint) -> JournalCrash {
+        *locked(&self.crash_point) = Some(point);
+        self.crashed.store(true, Ordering::Release);
+        JournalCrash { point }
+    }
+
+    /// Replaces the medium's text by the checkpoint of `live` — built on
+    /// the side, swapped in with one assignment (the in-memory write-temp +
+    /// rename). A `MidCompaction` crash strikes before the swap and leaves
+    /// the old text.
+    fn checkpoint(&self, live: &LiveSet, medium: &mut String) -> Result<(), JournalCrash> {
+        if self.armed.load(Ordering::Acquire)
+            && locked(&self.plan).as_ref().is_some_and(FaultPlan::on_checkpoint)
+        {
+            return Err(self.freeze(CrashPoint::MidCompaction));
+        }
+        *medium = live.checkpoint();
+        self.checkpoints.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
 }
 
 impl<R: Resource + FieldCodec> Journal<R> {
+    /// A journal over a fresh empty medium. Allocates the header only; the
+    /// live index grows with the first long lock.
+    pub fn new() -> Self {
+        Self::over_medium(Arc::new(Mutex::new(String::new())))
+    }
+
+    /// A journal over an existing medium: writes the header if the medium is
+    /// empty; otherwise seeds the live index by replaying what is there —
+    /// so a checkpoint keeps the surviving locks of a previous incarnation —
+    /// and appends after it. A medium that does not replay is appended to
+    /// but never compacted.
+    pub fn over_medium(medium: Arc<Mutex<String>>) -> Self {
+        let (live, compactable) = {
+            let mut m = locked(&medium);
+            if m.is_empty() {
+                m.push_str(JOURNAL_HEADER);
+                (LiveSet::default(), true)
+            } else {
+                match LiveSet::fold::<R>(&m) {
+                    Ok((live, _, _)) => (live, true),
+                    Err(_) => (LiveSet::default(), false),
+                }
+            }
+        };
+        Journal {
+            medium,
+            live: Mutex::new(live),
+            compactable,
+            armed: AtomicBool::new(false),
+            plan: Mutex::new(None),
+            crashed: AtomicBool::new(false),
+            crash_point: Mutex::new(None),
+            appends: AtomicU64::new(0),
+            bytes_appended: AtomicU64::new(0),
+            checkpoints: AtomicU64::new(0),
+            _resource: PhantomData,
+        }
+    }
+
     fn append(
         &self,
         op: JournalOp,
@@ -364,49 +473,67 @@ impl<R: Resource + FieldCodec> Journal<R> {
         mode: LockMode,
     ) -> Result<(), JournalCrash> {
         if self.crashed() {
-            let point = self.crash_point().unwrap_or(CrashPoint::BeforeAppend);
-            return Err(JournalCrash { point });
+            return Err(self.frozen());
+        }
+        // Encode outside the critical section; the line then moves into the
+        // live index.
+        let (line, field) = encode_line(op, |out| resource.write_field(out), txn, mode);
+        let mut live = locked(&self.live);
+        if self.crashed() {
+            // A concurrent append froze the journal while this one encoded.
+            return Err(self.frozen());
         }
         self.appends.fetch_add(1, Ordering::Relaxed);
-        let fired = {
-            let plan = self.plan.lock().unwrap_or_else(PoisonError::into_inner);
-            plan.as_ref().and_then(FaultPlan::on_append)
+        let fired = if self.armed.load(Ordering::Acquire) {
+            locked(&self.plan).as_ref().and_then(FaultPlan::on_append)
+        } else {
+            None
         };
-        let payload = codec::encode_record(&[
-            op.as_str().to_string(),
-            resource.to_field(),
-            txn.to_field(),
-            mode.to_field(),
-        ]);
-        let crc = codec::crc32(payload.as_bytes());
-        let line = format!("{payload}\t{crc:08x}");
-        let mut medium = self.medium.lock().unwrap_or_else(PoisonError::into_inner);
-        match fired {
-            None => {
+        let mut medium = locked(&self.medium);
+        let written = match fired {
+            Some(CrashPoint::BeforeAppend) => 0,
+            Some(CrashPoint::MidRecord) => {
+                // Torn write: a prefix of the record, no newline.
+                let cut = line.len() * 2 / 3;
+                let cut = (0..=cut).rev().find(|&i| line.is_char_boundary(i)).unwrap_or(0);
+                medium.push_str(&line[..cut]);
+                cut
+            }
+            _ => {
                 medium.push_str(&line);
                 medium.push('\n');
-                Ok(())
-            }
-            Some(point) => {
-                match point {
-                    CrashPoint::BeforeAppend => {}
-                    CrashPoint::AfterAppend => {
-                        medium.push_str(&line);
-                        medium.push('\n');
-                    }
-                    CrashPoint::MidRecord => {
-                        // Torn write: a prefix of the record, no newline.
-                        let cut = line.len() * 2 / 3;
-                        let cut = (0..=cut).rev().find(|&i| line.is_char_boundary(i)).unwrap_or(0);
-                        medium.push_str(&line[..cut]);
-                    }
+                let written = line.len() + 1;
+                if self.compactable {
+                    live.apply(op, txn, mode, line, field);
                 }
-                drop(medium);
-                *self.crash_point.lock().unwrap_or_else(PoisonError::into_inner) = Some(point);
-                self.crashed.store(true, Ordering::Release);
-                Err(JournalCrash { point })
+                written
             }
+        };
+        self.bytes_appended.fetch_add(written as u64, Ordering::Relaxed);
+        if let Some(point) = fired {
+            return Err(self.freeze(point));
         }
+        if self.compactable && medium.len() > CHECKPOINT_FLOOR.max(2 * live.bytes) {
+            self.checkpoint(&live, &mut medium)?;
+        }
+        Ok(())
+    }
+
+    /// Writes a checkpoint now, whatever the medium's size — lets tests
+    /// compact at arbitrary points of a stream.
+    #[cfg(test)]
+    pub(crate) fn compact_now(&self) -> Result<(), JournalCrash> {
+        let live = locked(&self.live);
+        if self.crashed() {
+            return Err(self.frozen());
+        }
+        self.checkpoint(&live, &mut locked(&self.medium))
+    }
+
+    /// The live index's locks, in [`Recovered::entries`] order.
+    #[cfg(test)]
+    pub(crate) fn live_entries(&self) -> Vec<(R, TxnId, LockMode)> {
+        locked(&self.live).entries()
     }
 
     /// Replays journal text into the set of durably-granted long locks.
@@ -415,7 +542,180 @@ impl<R: Resource + FieldCodec> Journal<R> {
     /// a single crash can produce — a trailing run of torn/unchecksummed
     /// records — is dropped and counted; anything else is an error.
     pub fn replay(text: &str) -> Result<Recovered<R>, JournalError> {
-        let Some(body) = text.strip_prefix(concat_header()) else {
+        let (live, records, dropped_tail) = LiveSet::fold::<R>(text)?;
+        Ok(Recovered { entries: live.entries(), records, dropped_tail })
+    }
+}
+
+/// Encodes one record line (no newline) into a single buffer, byte for byte
+/// the `codec::encode_record` of the four fields plus `\t` and the CRC;
+/// `resource` appends the escaped resource field. Returns the line and the
+/// range of that field in it, which is how the live index identifies the
+/// resource.
+fn encode_line(
+    op: JournalOp,
+    resource: impl FnOnce(&mut String),
+    owner: TxnId,
+    mode: LockMode,
+) -> (String, Range<usize>) {
+    let mut line = String::with_capacity(128);
+    line.push_str(op.as_str());
+    line.push('\t');
+    let start = line.len();
+    resource(&mut line);
+    let field = start..line.len();
+    line.push('\t');
+    owner.write_field(&mut line);
+    line.push('\t');
+    mode.write_field(&mut line);
+    let crc = codec::crc32(line.as_bytes());
+    line.push('\t');
+    // `{crc:08x}` without the formatter: eight lowercase hex digits.
+    line.extend((0..8).rev().map(|i| char::from_digit((crc >> (4 * i)) & 0xF, 16).unwrap_or('0')));
+    (line, field)
+}
+
+/// The live index's hash of an escaped resource field.
+fn field_hash(field: &str) -> u64 {
+    let mut h = FastHasher::default();
+    field.hash(&mut h);
+    h.finish()
+}
+
+/// The replay fold: `(owner, resource) →` the last record line written for
+/// it. `grant` and `convert` record the target mode, so that line's mode is
+/// the owner's joined long mode there. [`Journal::replay`] folds a medium's
+/// text through it once; a [`Journal`] keeps one current with every append,
+/// and a checkpoint is its lines.
+///
+/// A resource is identified by its escaped field text — the canonical
+/// `write_field` encoding, which is injective — found inside the line
+/// itself, so an append neither clones the resource nor allocates a key.
+#[derive(Default)]
+struct LiveSet {
+    /// `(hash of the resource field, owner)` → that owner's lock.
+    locks: FastMap<(u64, TxnId), LiveLock>,
+    /// Locks whose slot holds another resource with the same field hash.
+    collided: Vec<LiveLock>,
+    /// Bytes of the live lines, newlines included.
+    bytes: usize,
+}
+
+struct LiveLock {
+    owner: TxnId,
+    mode: LockMode,
+    line: String,
+    /// Where the resource field sits in `line`.
+    field: Range<usize>,
+}
+
+impl LiveLock {
+    fn resource(&self) -> &str {
+        &self.line[self.field.clone()]
+    }
+}
+
+impl LiveSet {
+    /// Applies one record whose text (no newline) is `line` and whose
+    /// canonical resource field is `line[field]`: `grant` and `convert`
+    /// join `mode` into the owner's lock, `release` removes it.
+    fn apply<L: AsRef<str> + Into<String>>(
+        &mut self,
+        op: JournalOp,
+        owner: TxnId,
+        mode: LockMode,
+        line: L,
+        field: Range<usize>,
+    ) {
+        let resource = &line.as_ref()[field.clone()];
+        let slot = (field_hash(resource), owner);
+        let in_slot = self.locks.get(&slot).is_some_and(|l| l.resource() == resource);
+        let collided = if in_slot {
+            None
+        } else {
+            self.collided.iter().position(|l| l.owner == owner && l.resource() == resource)
+        };
+        if op == JournalOp::Release {
+            let removed = if in_slot {
+                self.locks.remove(&slot)
+            } else {
+                collided.map(|i| self.collided.swap_remove(i))
+            };
+            if let Some(l) = removed {
+                self.bytes -= l.line.len() + 1;
+            }
+            return;
+        }
+        let held = if in_slot {
+            self.locks.get_mut(&slot)
+        } else {
+            collided.map(|i| &mut self.collided[i])
+        };
+        let Some(held) = held else {
+            let line = line.into();
+            self.bytes += line.len() + 1;
+            let lock = LiveLock { owner, mode, line, field };
+            match self.locks.entry(slot) {
+                Entry::Vacant(e) => {
+                    e.insert(lock);
+                }
+                Entry::Occupied(_) => self.collided.push(lock),
+            }
+            return;
+        };
+        let joined = held.mode.join(mode);
+        let (line, field) = if joined == mode {
+            (line.into(), field)
+        } else if joined == held.mode {
+            return; // the line on file already states the join
+        } else {
+            // Neither mode covers the other: no record on file states the
+            // join, so the checkpoint line is a grant of it.
+            encode_line(JournalOp::Grant, |out| out.push_str(resource), owner, joined)
+        };
+        self.bytes = self.bytes - held.line.len() + line.len();
+        *held = LiveLock { owner, mode: joined, line, field };
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &LiveLock> {
+        self.locks.values().chain(&self.collided)
+    }
+
+    /// The header plus every live line, ordered by owner, then line text —
+    /// a v1 journal that replays to this set.
+    fn checkpoint(&self) -> String {
+        let mut lines: Vec<(TxnId, &str)> = self.iter().map(|l| (l.owner, l.line.as_str())).collect();
+        lines.sort_unstable();
+        // Room for the history up to the next checkpoint.
+        let mut text = String::with_capacity(CHECKPOINT_FLOOR.max(2 * self.bytes) + 1024);
+        text.push_str(JOURNAL_HEADER);
+        for (_, line) in lines {
+            text.push_str(line);
+            text.push('\n');
+        }
+        text
+    }
+
+    /// The live locks as `(resource, owner, mode)`, in capture order.
+    fn entries<R: Resource + FieldCodec>(&self) -> Vec<(R, TxnId, LockMode)> {
+        let mut entries: Vec<(R, TxnId, LockMode)> = self
+            .iter()
+            .map(|l| {
+                let resource = codec::unescape(l.resource())
+                    .ok()
+                    .and_then(|f| R::from_field(&f).ok())
+                    .expect("a live field is the canonical field of a decoded resource");
+                (resource, l.owner, l.mode)
+            })
+            .collect();
+        sort_entries(&mut entries);
+        entries
+    }
+
+    /// Folds journal text: the live set, the records applied and the
+    /// damaged records dropped from the tail.
+    fn fold<R: FieldCodec>(text: &str) -> Result<(Self, usize, usize), JournalError> {
+        let Some(body) = text.strip_prefix(JOURNAL_HEADER) else {
             let first = text.lines().next().unwrap_or("");
             return Err(JournalError::BadHeader(first.to_string()));
         };
@@ -435,7 +735,7 @@ impl<R: Resource + FieldCodec> Journal<R> {
 
         // Decode every unit; damaged units are only tolerated as a
         // contiguous run at the tail.
-        let mut decoded: Vec<Unit<R>> = Vec::with_capacity(units.len());
+        let mut decoded: Vec<Unit<'_, R>> = Vec::with_capacity(units.len());
         for &(lineno, seg, complete) in &units {
             if seg.is_empty() {
                 decoded.push(Unit::Skip);
@@ -456,12 +756,8 @@ impl<R: Resource + FieldCodec> Journal<R> {
             .rposition(|u| matches!(u, Unit::Ok(..)))
             .map(|i| i + 1)
             .unwrap_or(0);
-        let mut dropped_tail = 0usize;
-        for u in &decoded[last_ok..] {
-            if let Unit::Bad(_) = u {
-                dropped_tail += 1;
-            }
-        }
+        let dropped_tail =
+            decoded[last_ok..].iter().filter(|u| matches!(u, Unit::Bad(_))).count();
         // Any damage *before* the last valid record is not a torn tail.
         for u in &decoded[..last_ok] {
             if let Unit::Bad(e) = u {
@@ -469,42 +765,40 @@ impl<R: Resource + FieldCodec> Journal<R> {
             }
         }
 
-        let mut live: HashMap<(R, TxnId), LockMode> = HashMap::new();
+        let mut live = LiveSet::default();
         let mut records = 0usize;
+        let mut canonical = String::new();
         for u in &decoded[..last_ok] {
-            let Unit::Ok(op, r, txn, mode) = u else {
+            let Unit::Ok(op, r, txn, mode, seg) = u else {
                 continue;
             };
             records += 1;
-            match op {
-                JournalOp::Grant | JournalOp::Convert => {
-                    let e = live.entry((r.clone(), *txn)).or_insert(LockMode::NL);
-                    *e = e.join(*mode);
-                }
-                JournalOp::Release => {
-                    live.remove(&(r.clone(), *txn));
-                }
+            // A decoded record has four tab-separated fields before its CRC;
+            // the resource is the second.
+            let start = seg.find('\t').map_or(0, |i| i + 1);
+            let field = start..start + seg[start..].find('\t').unwrap_or(0);
+            canonical.clear();
+            r.write_field(&mut canonical);
+            if seg[field.clone()] == *canonical {
+                live.apply(*op, *txn, *mode, *seg, field);
+            } else {
+                // Not this journal's encoding of the resource (a
+                // hand-written text): key it, and keep it, canonically.
+                let (line, field) = encode_line(*op, |out| r.write_field(out), *txn, *mode);
+                live.apply(*op, *txn, *mode, line, field);
             }
         }
-        let mut entries: Vec<(R, TxnId, LockMode)> =
-            live.into_iter().map(|((r, t), m)| (r, t, m)).collect();
-        entries.sort_by_cached_key(|a| (a.1, a.2, format!("{:?}", a.0)));
-        Ok(Recovered { entries, records, dropped_tail })
+        Ok((live, records, dropped_tail))
     }
 }
 
-/// The journal header plus its newline (what a healthy medium starts with).
-fn concat_header() -> &'static str {
-    concat!("colock-journal v1", "\n")
-}
-
-enum Unit<R> {
+enum Unit<'a, R> {
     Skip,
-    Ok(JournalOp, R, TxnId, LockMode),
+    Ok(JournalOp, R, TxnId, LockMode, &'a str),
     Bad(JournalError),
 }
 
-fn decode_journal_line<R: FieldCodec>(lineno: usize, seg: &str) -> Unit<R> {
+fn decode_journal_line<R: FieldCodec>(lineno: usize, seg: &str) -> Unit<'_, R> {
     let Some((payload, crc_text)) = seg.rsplit_once('\t') else {
         return Unit::Bad(JournalError::Codec {
             line: lineno,
@@ -542,7 +836,7 @@ fn decode_journal_line<R: FieldCodec>(lineno: usize, seg: &str) -> Unit<R> {
         Ok(m) => m,
         Err(err) => return Unit::Bad(JournalError::Codec { line: lineno, err }),
     };
-    Unit::Ok(op, r, txn, mode)
+    Unit::Ok(op, r, txn, mode, seg)
 }
 
 impl<R: Resource + FieldCodec> JournalSink<R> for Journal<R> {
@@ -560,8 +854,10 @@ impl<R: Resource + FieldCodec> JournalSink<R> for Journal<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::LockRequestOptions;
+    use crate::table::{AcquireOutcome, LockRequestOptions};
     use crate::LockError;
+    use colock_testkit::prop::{pick_weighted, vec_of};
+    use colock_testkit::{ensure, ensure_eq, forall, no_shrink, Rng};
     use LockMode::*;
 
     #[test]
@@ -809,6 +1105,7 @@ mod tests {
                     assert_eq!(rec.entries.len(), 1);
                     assert_eq!(rec.dropped_tail, 1, "torn record must be counted");
                 }
+                CrashPoint::MidCompaction => unreachable!("not an append crash point"),
             }
         }
     }
@@ -861,5 +1158,280 @@ mod tests {
         j.record(JournalOp::Grant, TxnId(5), &nasty, SIX).unwrap();
         let rec = J::replay(&j.contents()).unwrap();
         assert_eq!(rec.entries, vec![(nasty, TxnId(5), SIX)]);
+    }
+
+    #[test]
+    fn mid_compaction_crash_leaves_the_old_text_and_freezes() {
+        let j = J::new();
+        grant(&j, 1, "a", X).unwrap();
+        grant(&j, 2, "b", S).unwrap();
+        j.arm(FaultPlan::crash_at(CrashPoint::MidCompaction, 1));
+        // A dead record, so the checkpoint would differ from the text.
+        j.record(JournalOp::Release, TxnId(2), &"b".to_string(), S).unwrap();
+        let before = j.contents();
+        let err = j.compact_now().unwrap_err();
+        assert_eq!(err.point, CrashPoint::MidCompaction);
+        assert_eq!(j.crash_point(), Some(CrashPoint::MidCompaction));
+        assert_eq!(j.contents(), before, "the swap never happened");
+        assert_eq!(j.checkpoints(), 0);
+        assert!(grant(&j, 3, "c", S).is_err(), "frozen");
+        assert_eq!(J::replay(&before).unwrap().records, 3);
+    }
+
+    #[test]
+    fn checkpoint_is_the_header_plus_the_sorted_live_lines() {
+        let j = J::new();
+        grant(&j, 2, "b", S).unwrap();
+        grant(&j, 1, "a", X).unwrap();
+        grant(&j, 1, "z", IS).unwrap();
+        j.record(JournalOp::Convert, TxnId(1), &"z".to_string(), IX).unwrap();
+        j.record(JournalOp::Release, TxnId(2), &"b".to_string(), S).unwrap();
+        let before = J::replay(&j.contents()).unwrap();
+        j.compact_now().unwrap();
+        let text = j.contents();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[0], "colock-journal v1");
+        // Owner, then line text: the last record of each lock, verbatim.
+        assert!(lines[1].starts_with("convert\tz\t1\tIX\t"), "{text}");
+        assert!(lines[2].starts_with("grant\ta\t1\tX\t"), "{text}");
+        assert_eq!(lines.len(), 3);
+        assert_eq!(text.len(), JOURNAL_HEADER.len() + j.live_bytes());
+        assert_eq!(J::replay(&text).unwrap().entries, before.entries);
+        // The journal keeps appending after the checkpoint.
+        grant(&j, 3, "c", S).unwrap();
+        assert_eq!(J::replay(&j.contents()).unwrap().entries.len(), 3);
+    }
+
+    #[test]
+    fn fold_keeps_the_join_when_a_record_states_less() {
+        // Hand-written v1 text whose later records do not restate the join:
+        // the checkpoint must still replay to what the text replays to.
+        let mut text = concat!("colock-journal v1", "\n").to_string();
+        for (op, mode) in [(JournalOp::Grant, X), (JournalOp::Convert, S)] {
+            text.push_str(&encode_line(op, |out| out.push('a'), TxnId(1), mode).0);
+            text.push('\n');
+        }
+        for (op, mode) in [(JournalOp::Grant, S), (JournalOp::Grant, IX)] {
+            text.push_str(&encode_line(op, |out| out.push('b'), TxnId(1), mode).0);
+            text.push('\n');
+        }
+        let medium = Arc::new(Mutex::new(text.clone()));
+        let j = J::over_medium(Arc::clone(&medium));
+        j.compact_now().unwrap();
+        let replayed = J::replay(&j.contents()).unwrap().entries;
+        assert_eq!(replayed, J::replay(&text).unwrap().entries);
+        assert_eq!(replayed, vec![("b".to_string(), TxnId(1), SIX), ("a".to_string(), TxnId(1), X)]);
+    }
+
+    #[test]
+    fn fold_keys_resources_by_value_not_spelling() {
+        // `007` and `7` are one resource to replay; the index must agree, and
+        // a checkpoint must keep the record under the canonical spelling.
+        let mut text = JOURNAL_HEADER.to_string();
+        for (op, spelling) in [(JournalOp::Grant, "007"), (JournalOp::Grant, "9")] {
+            text.push_str(&encode_line(op, |out| out.push_str(spelling), TxnId(1), X).0);
+            text.push('\n');
+        }
+        text.push_str(&encode_line(JournalOp::Release, |out| out.push('7'), TxnId(1), X).0);
+        text.push('\n');
+        let j: Journal<u64> = Journal::over_medium(Arc::new(Mutex::new(text.clone())));
+        assert_eq!(Journal::<u64>::replay(&text).unwrap().entries, vec![(9, TxnId(1), X)]);
+        assert_eq!(j.live_entries(), vec![(9, TxnId(1), X)]);
+        j.compact_now().unwrap();
+        assert_eq!(Journal::<u64>::replay(&j.contents()).unwrap().entries, vec![(9, TxnId(1), X)]);
+    }
+
+    #[test]
+    fn colliding_field_hashes_keep_both_locks() {
+        // Force a collision: b's slot already holds a lock on a.
+        let record = |op, r: char, mode| encode_line(op, |out| out.push(r), TxnId(1), mode);
+        let (a, field) = record(JournalOp::Grant, 'a', X);
+        let mut live = LiveSet { bytes: a.len() + 1, ..LiveSet::default() };
+        let on_a = LiveLock { owner: TxnId(1), mode: X, line: a, field };
+        live.locks.insert((field_hash("b"), TxnId(1)), on_a);
+        for (op, mode) in [(JournalOp::Grant, S), (JournalOp::Convert, X)] {
+            let (line, field) = record(op, 'b', mode);
+            live.apply(op, TxnId(1), mode, line, field);
+        }
+        assert_eq!(live.collided.len(), 1);
+        let both = vec![("a".to_string(), TxnId(1), X), ("b".to_string(), TxnId(1), X)];
+        assert_eq!(live.entries::<String>(), both);
+        assert_eq!(J::replay(&live.checkpoint()).unwrap().entries, both);
+        let (line, field) = record(JournalOp::Release, 'b', X);
+        live.apply(JournalOp::Release, TxnId(1), X, line, field);
+        assert!(live.collided.is_empty());
+        assert_eq!(live.entries::<String>(), vec![("a".to_string(), TxnId(1), X)]);
+        assert_eq!(live.checkpoint().len(), JOURNAL_HEADER.len() + live.bytes);
+    }
+
+    #[test]
+    fn over_medium_seeds_the_index_and_never_compacts_a_refused_medium() {
+        let old = J::new();
+        grant(&old, 1, "kept", X).unwrap();
+        grant(&old, 2, "gone", S).unwrap();
+        old.record(JournalOp::Release, TxnId(2), &"gone".to_string(), S).unwrap();
+        let j = J::over_medium(old.medium());
+        j.compact_now().unwrap();
+        assert_eq!(
+            J::replay(&j.contents()).unwrap().entries,
+            vec![("kept".to_string(), TxnId(1), X)],
+            "a checkpoint keeps the previous incarnation's surviving locks"
+        );
+
+        // Damage followed by a valid record: replay refuses, so no
+        // checkpoint may ever replace the text, however long it grows.
+        let mut corrupt = old.contents();
+        corrupt.insert_str(JOURNAL_HEADER.len(), "garbage\tdeadbeef\n");
+        let j = J::over_medium(Arc::new(Mutex::new(corrupt.clone())));
+        for i in 0..2_000 {
+            grant(&j, 9, &format!("r{i}"), S).unwrap();
+        }
+        assert!(j.contents().starts_with(&corrupt));
+        assert_eq!(j.checkpoints(), 0);
+    }
+
+    #[test]
+    fn long_request_over_a_covering_short_grant_widens_and_journals_it() {
+        for fast in [true, false] {
+            let mgr: LockManager<String> = LockManager::new();
+            mgr.set_fastpath(fast);
+            let j = Arc::new(J::new());
+            mgr.attach_journal(j.clone());
+            let t1 = TxnId(1);
+            // Short grants: an intent (optimistic with the fast path on) and an S.
+            mgr.acquire(t1, "db".into(), IX, LockRequestOptions::default()).unwrap();
+            mgr.acquire(t1, "cells/c1".into(), S, LockRequestOptions::default()).unwrap();
+            assert_eq!(j.appends(), 0);
+            // Long requests they cover: still AlreadyHeld, but now long and
+            // journaled write-ahead — once.
+            for (r, m) in [("db", IS), ("db", IX), ("cells/c1", S), ("cells/c1", IS)] {
+                let out = mgr.acquire(t1, r.into(), m, LockRequestOptions::long()).unwrap();
+                assert_eq!(out, AcquireOutcome::AlreadyHeld, "fast={fast} {r} {m}");
+            }
+            assert_eq!(j.appends(), 2, "fast={fast}");
+            assert!(mgr.locks_of(t1).iter().all(|l| l.2), "fast={fast}: all widened");
+            let rec = J::replay(&j.contents()).unwrap();
+            assert_eq!(rec.entries.len(), 2);
+            assert_eq!(rec.entries, LongLockImage::capture(&mgr).entries);
+            // Widened grants survive the end of the session.
+            assert_eq!(mgr.release_short(t1), 0);
+            assert_eq!(mgr.held_mode(t1, &"db".to_string()), IX);
+            // …and still exclude: the long IX blocks another owner's S.
+            let err = mgr.acquire(TxnId(2), "db".into(), S, LockRequestOptions::try_lock());
+            assert!(matches!(err, Err(LockError::WouldBlock { .. })), "fast={fast}");
+            mgr.check_summary_consistency().unwrap();
+            assert_eq!(mgr.release_all(t1), 2);
+            assert!(J::replay(&j.contents()).unwrap().entries.is_empty());
+            assert_eq!(mgr.table_size(), 0);
+            mgr.check_summary_consistency().unwrap();
+        }
+    }
+
+    #[test]
+    fn hundred_thousand_cycles_stay_within_the_bound() {
+        let j = J::new();
+        let mut held: [Option<String>; 4] = Default::default();
+        let medium = j.medium();
+        for i in 0..100_000u64 {
+            let owner = i % 4;
+            if let Some(r) = held[owner as usize].take() {
+                j.record(JournalOp::Release, TxnId(owner + 1), &r, X).unwrap();
+            }
+            let r = format!("cells/c{i}");
+            j.record(JournalOp::Grant, TxnId(owner + 1), &r, X).unwrap();
+            held[owner as usize] = Some(r);
+            let len = medium.lock().unwrap().len();
+            assert!(len <= CHECKPOINT_FLOOR + 2 * j.live_bytes(), "cycle {i}: {len} bytes");
+        }
+        // ≈ 6.5 MB of records went through a medium that never held 66 KB.
+        assert!(j.checkpoints() >= 90, "{} checkpoints", j.checkpoints());
+        assert!(j.bytes_appended() > 90 * CHECKPOINT_FLOOR as u64);
+        assert_eq!(J::replay(&j.contents()).unwrap().entries, j.live_entries());
+        assert_eq!(j.live_entries().len(), 4);
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Acquire { txn: u64, resource: usize, mode: LockMode, long: bool },
+        Release { txn: u64, resource: usize },
+        ReleaseAll { txn: u64 },
+        ReleaseShort { txn: u64 },
+        Compact,
+    }
+
+    no_shrink!(Step);
+
+    const RESOURCES: [&str; 4] = ["db", "cells/c1", "lib/e\t2", "cells/c2"];
+
+    fn step(rng: &mut Rng) -> Step {
+        let txn = rng.gen_range(1u64..4);
+        let resource = rng.gen_range(0..RESOURCES.len());
+        match pick_weighted(rng, &[8, 3, 1, 1, 1]) {
+            0 => Step::Acquire {
+                txn,
+                resource,
+                mode: *rng.choose(&LockMode::ALL).unwrap(),
+                long: rng.gen_bool(0.6),
+            },
+            1 => Step::Release { txn, resource },
+            2 => Step::ReleaseAll { txn },
+            3 => Step::ReleaseShort { txn },
+            _ => Step::Compact,
+        }
+    }
+
+    /// At every step of a random stream the journal text, the live index and
+    /// the manager's long grants agree, and every checkpoint replays to what
+    /// the text it replaced replayed to.
+    #[test]
+    fn index_text_and_manager_agree_through_random_checkpoints() {
+        forall!(cases: 128, |rng| (rng.gen_bool(0.5), vec_of(rng, 1..80, step)),
+            |(fast, steps): &(bool, Vec<Step>)| {
+            let mgr: LockManager<String> = LockManager::new();
+            mgr.set_fastpath(*fast);
+            let j = Arc::new(J::new());
+            mgr.attach_journal(j.clone());
+            for (i, s) in steps.iter().enumerate() {
+                match *s {
+                    Step::Acquire { txn, resource, mode, long } => {
+                        let opts = LockRequestOptions { long, ..LockRequestOptions::try_lock() };
+                        match mgr.acquire(TxnId(txn), RESOURCES[resource].into(), mode, opts) {
+                            Ok(_) | Err(LockError::WouldBlock { .. }) => {}
+                            Err(e) => ensure!(false, "step {i}: unexpected {e}"),
+                        }
+                    }
+                    Step::Release { txn, resource } => {
+                        mgr.release(TxnId(txn), &RESOURCES[resource].to_string());
+                    }
+                    Step::ReleaseAll { txn } => {
+                        mgr.release_all(TxnId(txn));
+                    }
+                    Step::ReleaseShort { txn } => {
+                        mgr.release_short(TxnId(txn));
+                    }
+                    Step::Compact => {
+                        let old = j.contents();
+                        j.compact_now().unwrap();
+                        let new = j.contents();
+                        ensure_eq!(
+                            J::replay(&old).unwrap().entries,
+                            J::replay(&new).unwrap().entries,
+                            "step {i}: checkpoint changed the replayed set"
+                        );
+                        ensure_eq!(new.len(), JOURNAL_HEADER.len() + j.live_bytes());
+                    }
+                }
+                let text = j.contents();
+                let replayed = J::replay(&text).map_err(|e| format!("step {i}: {e}"))?.entries;
+                ensure_eq!(replayed, j.live_entries(), "step {i}: text vs live index");
+                ensure_eq!(
+                    replayed,
+                    LongLockImage::capture(&mgr).entries,
+                    "step {i}: text vs the manager's long grants"
+                );
+                ensure!(text.len() <= CHECKPOINT_FLOOR + 2 * j.live_bytes());
+            }
+            Ok(())
+        });
     }
 }

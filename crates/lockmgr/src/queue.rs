@@ -193,13 +193,18 @@ impl<R: Resource> LockManager<R> {
                 }
             }
         }
-        if held.covers(mode) {
+        // A long request is covered only by a long grant: a short one that
+        // covers the mode is *widened* — the same mode, now long, journaled
+        // write-ahead like a conversion (an optimistic grant is migrated
+        // into the shard map on the way, as for any conversion).
+        let widen = opts.long && !held_long && held.covers(mode);
+        if held.covers(mode) && !widen {
             self.trace_lock(EventKind::Grant, txn, h, held, &resource, "already-held");
             return Ok(AcquireOutcome::AlreadyHeld);
         }
         let target = held.join(mode);
         let conversion = held != LockMode::NL;
-        if conversion {
+        if conversion && !widen {
             LockStats::bump(&self.stats.conversions);
             let kind = EventKind::Conversion;
             self.trace_lock(kind, txn, h, target, &resource, format_args!("{held} -> {target}"));
@@ -276,6 +281,10 @@ impl<R: Resource> LockManager<R> {
                 debug_assert!(absorbed.is_none() && prev == held, "reserve raced an optimist");
             } else {
                 self.publish_grant(slot, seal.take(), prev, target, absorbed);
+            }
+            if widen {
+                self.trace_lock(EventKind::Grant, txn, h, held, &resource, "already-held");
+                return Ok(AcquireOutcome::AlreadyHeld);
             }
             LockStats::bump(&self.stats.immediate_grants);
             self.trace_lock(EventKind::Grant, txn, h, target, &resource, "immediate");

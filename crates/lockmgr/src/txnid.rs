@@ -19,6 +19,10 @@ impl colock_testkit::codec::FieldCodec for TxnId {
         self.0.to_string()
     }
 
+    fn write_field(&self, out: &mut String) {
+        self.0.write_field(out);
+    }
+
     fn from_field(field: &str) -> Result<Self, colock_testkit::codec::CodecError> {
         u64::from_field(field).map(TxnId)
     }

@@ -3,9 +3,12 @@
 //!
 //! A fixed workstation script (4 stations check out one robot each, edit,
 //! half of them check in) is swept against a matrix of injected crashes —
-//! every `CrashPoint` × several seeded journal-append positions. After each
-//! crash the server is rebuilt over the same store and recovers from the
-//! old journal medium. The invariant: every long lock *acknowledged* before
+//! every append `CrashPoint` × several seeded journal-append positions. A
+//! second sweep adds a churn station (check-out/check-in cycles beside the
+//! live long locks, enough history for several journal checkpoints) and
+//! crashes in the middle of a checkpoint (`CrashPoint::MidCompaction`).
+//! After each crash the server is rebuilt over the same store and recovers
+//! from the old journal medium. The invariant: every long lock *acknowledged* before
 //! the crash is either fully recovered under its original owner or was
 //! cleanly released by an acknowledged check-in — never half-present, never
 //! leaked past a full round of post-crash aborts.
@@ -15,6 +18,7 @@
 
 use colock_core::authorization::{Authorization, Right};
 use colock_core::{AccessMode, InstanceTarget, ResourcePath};
+use colock_lockmgr::persistent::CHECKPOINT_FLOOR;
 use colock_lockmgr::{Journal, TxnId};
 use colock_nf2::Value;
 use colock_sim::{build_cells_store, CellsConfig, Workstation};
@@ -23,6 +27,10 @@ use colock_txn::{ProtocolKind, TransactionManager, TxnKind};
 use std::sync::Arc;
 
 const STATIONS: usize = 4;
+
+/// Check-out/check-in cycles of the churn station in the `MidCompaction`
+/// sweep: a few checkpoints' worth of journal history.
+const CHURN_CYCLES: usize = 250;
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
@@ -39,6 +47,11 @@ fn server(store: &Arc<colock_storage::Store>) -> (TransactionManager, Arc<Journa
 
 fn robot(cell: usize) -> InstanceTarget {
     InstanceTarget::object("cells", format!("c{}", cell + 1)).elem("robots", "r1")
+}
+
+/// The churn station's robot: no station's target, same cell as ws0's.
+fn churn_robot() -> InstanceTarget {
+    InstanceTarget::object("cells", "c1").elem("robots", "r2")
 }
 
 /// Per-workstation outcome of one scripted run, as seen by the *client*:
@@ -58,12 +71,21 @@ struct CellRun {
     medium: String,
     appends: u64,
     crashed: bool,
+    checkpoints: u64,
+    /// Appends before the last churn cycle that wrote a checkpoint: a
+    /// `MidCompaction` plan at any position up to here fires in the script.
+    compaction_window: u64,
 }
 
 /// Runs the fixed script against a fresh server over `store`, with an
-/// optional armed fault plan, leaking every open session at the end (the
-/// crash). Returns what each station knows plus the surviving medium.
-fn run_script(store: &Arc<colock_storage::Store>, plan: Option<FaultPlan>) -> CellRun {
+/// optional armed fault plan and `churn` churn cycles after the check-outs,
+/// leaking every open session at the end (the crash). Returns what each
+/// station knows plus the surviving medium.
+fn run_script(
+    store: &Arc<colock_storage::Store>,
+    plan: Option<FaultPlan>,
+    churn: usize,
+) -> CellRun {
     let (mgr, journal) = server(store);
     if let Some(p) = plan {
         journal.arm(p);
@@ -71,6 +93,8 @@ fn run_script(store: &Arc<colock_storage::Store>, plan: Option<FaultPlan>) -> Ce
     let mut stations: Vec<Workstation<'_>> =
         (0..STATIONS).map(|i| Workstation::connect(&mgr, format!("ws{i}"))).collect();
     let mut outcomes = vec![Outcome::Unacknowledged; STATIONS];
+    let mut churner = Workstation::connect(&mgr, "churn");
+    let mut compaction_window = 0;
 
     'script: {
         for i in 0..STATIONS {
@@ -87,6 +111,17 @@ fn run_script(store: &Arc<colock_storage::Store>, plan: Option<FaultPlan>) -> Ce
                 })
                 .unwrap();
         }
+        for _ in 0..churn {
+            let (appends, checkpoints) = (journal.appends(), journal.checkpoints());
+            let ok = churner.checkout(&churn_robot(), AccessMode::Update).is_ok()
+                && churner.checkin_all().is_ok();
+            if mgr.journal_crashed() || !ok {
+                break 'script;
+            }
+            if journal.checkpoints() > checkpoints {
+                compaction_window = appends;
+            }
+        }
         // Half the stations check in before the crash window closes.
         for i in 0..STATIONS / 2 {
             let ok = stations[i].checkin_all().is_ok();
@@ -98,6 +133,7 @@ fn run_script(store: &Arc<colock_storage::Store>, plan: Option<FaultPlan>) -> Ce
         }
     }
     // Crash: leak whatever is still open, then tear the server down.
+    churner.crash();
     for (i, ws) in stations.iter_mut().enumerate() {
         match (ws.crash(), outcomes[i]) {
             (Some(id), Outcome::HoldsLock(_)) => outcomes[i] = Outcome::HoldsLock(id),
@@ -105,11 +141,20 @@ fn run_script(store: &Arc<colock_storage::Store>, plan: Option<FaultPlan>) -> Ce
             _ => {}
         }
     }
+    let medium = journal.contents();
+    if journal.crash_point() == Some(CrashPoint::MidCompaction) {
+        // The checkpoint was due and never replaced the old text.
+        assert!(medium.len() > CHECKPOINT_FLOOR.max(2 * journal.live_bytes()));
+    } else {
+        assert!(medium.len() <= CHECKPOINT_FLOOR + 2 * journal.live_bytes());
+    }
     CellRun {
         outcomes,
-        medium: journal.contents(),
+        medium,
         appends: journal.appends(),
         crashed: journal.crashed(),
+        checkpoints: journal.checkpoints(),
+        compaction_window,
     }
 }
 
@@ -159,6 +204,11 @@ fn check_recovery(store: &Arc<colock_storage::Store>, run: &CellRun, label: &str
     // After the final sweep nothing may linger: no leaked locks, no ghosts.
     assert_eq!(mgr.lock_manager().table_size(), 0, "{label}: leaked locks");
     assert_eq!(mgr.active_count(), 0, "{label}: leaked txn states");
+    let probe = mgr.begin(TxnKind::Short);
+    probe
+        .try_lock(&churn_robot(), AccessMode::Update)
+        .unwrap_or_else(|e| panic!("{label}: churn target still blocked: {e}"));
+    probe.commit().unwrap();
     for i in 0..STATIONS {
         let probe = mgr.begin(TxnKind::Short);
         probe
@@ -176,7 +226,7 @@ fn crash_matrix_every_point_every_position_recovers_exactly() {
     // Dry run (no fault): learn the append count the script produces, and
     // verify the no-crash control — acked state only, nothing dropped.
     let store = build_cells_store(&CellsConfig::default());
-    let dry = run_script(&store, None);
+    let dry = run_script(&store, None, 0);
     assert!(!dry.crashed);
     assert!(dry.appends > 0, "script must journal long locks");
     check_recovery(&store, &dry, "control");
@@ -188,9 +238,34 @@ fn crash_matrix_every_point_every_position_recovers_exactly() {
             let store = build_cells_store(&CellsConfig::default());
             let nth = rng.gen_range(1..dry.appends + 1);
             let label = format!("{point}@{nth} round {round}");
-            let run = run_script(&store, Some(FaultPlan::crash_at(point, nth)));
+            let run = run_script(&store, Some(FaultPlan::crash_at(point, nth)), 0);
             assert!(run.crashed, "{label}: plan must fire within the schedule");
             check_recovery(&store, &run, &label);
         }
+    }
+}
+
+#[test]
+fn crash_matrix_mid_compaction_recovers_exactly() {
+    let seed = env_u64("COLOCK_CRASH_SEED", 0xC0_10CC);
+    let rounds = env_u64("COLOCK_RECOVERY_ROUNDS", 4);
+
+    // Dry run: the churn compacts the journal several times beside the
+    // stations' live long locks, and the compacted medium recovers them.
+    let store = build_cells_store(&CellsConfig::default());
+    let dry = run_script(&store, None, CHURN_CYCLES);
+    assert!(!dry.crashed);
+    assert!(dry.checkpoints >= 3, "churn wrote {} checkpoints", dry.checkpoints);
+    check_recovery(&store, &dry, "compacted control");
+
+    let mut rng = Rng::seed_from_u64(seed ^ 0xC0_4AC7);
+    for round in 0..rounds {
+        let store = build_cells_store(&CellsConfig::default());
+        let nth = rng.gen_range(1..dry.compaction_window + 1);
+        let label = format!("{}@{nth} round {round}", CrashPoint::MidCompaction);
+        let plan = FaultPlan::crash_at(CrashPoint::MidCompaction, nth);
+        let run = run_script(&store, Some(plan), CHURN_CYCLES);
+        assert!(run.crashed, "{label}: a checkpoint follows every position in the window");
+        check_recovery(&store, &run, &label);
     }
 }

@@ -16,7 +16,7 @@
 //! assert_eq!(u64::from_field(&fields[1]).unwrap(), 7);
 //! ```
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,16 +61,25 @@ impl std::error::Error for CodecError {}
 /// Escapes one field (backslash, tab, newline, carriage return).
 pub fn escape(field: &str) -> String {
     let mut out = String::with_capacity(field.len());
-    for c in field.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            other => out.push(other),
-        }
-    }
+    escape_into(field, &mut out);
     out
+}
+
+/// Appends the escaped form of `field` to `out` — [`escape`] without the
+/// allocation, for encoders that build a whole record in one buffer.
+pub fn escape_into(field: &str, out: &mut String) {
+    let mut rest = field;
+    while let Some(i) = rest.find(['\\', '\t', '\n', '\r']) {
+        out.push_str(&rest[..i]);
+        out.push_str(match rest.as_bytes()[i] {
+            b'\\' => "\\\\",
+            b'\t' => "\\t",
+            b'\n' => "\\n",
+            _ => "\\r",
+        });
+        rest = &rest[i + 1..];
+    }
+    out.push_str(rest);
 }
 
 /// Reverses [`escape`].
@@ -150,11 +159,20 @@ pub trait FieldCodec: Sized {
     fn to_field(&self) -> String;
     /// Parses the field text back.
     fn from_field(field: &str) -> Result<Self, CodecError>;
+    /// Appends the *escaped* field text to `out`: byte for byte
+    /// `escape(&self.to_field())`. Hot encoders override it to skip the
+    /// intermediate strings.
+    fn write_field(&self, out: &mut String) {
+        escape_into(&self.to_field(), out);
+    }
 }
 
 impl FieldCodec for String {
     fn to_field(&self) -> String {
         self.clone()
+    }
+    fn write_field(&self, out: &mut String) {
+        escape_into(self, out);
     }
     fn from_field(field: &str) -> Result<Self, CodecError> {
         Ok(field.to_string())
@@ -172,6 +190,10 @@ macro_rules! impl_field_codec_parse {
                     field: field.to_string(),
                     expected: $name,
                 })
+            }
+            fn write_field(&self, out: &mut String) {
+                // Digits, signs and `true`/`NaN`/`inf` need no escaping.
+                let _ = write!(out, "{self}");
             }
         }
     )*};
@@ -192,6 +214,41 @@ mod tests {
         for s in ["", "plain", "a\tb", "a\nb\r", "back\\slash", "\\t literal", "mixed\t\\\n"] {
             assert_eq!(unescape(&escape(s)).unwrap(), s, "{s:?}");
         }
+    }
+
+    #[test]
+    fn escape_into_maps_each_special_char() {
+        // Reference: the char-by-char mapping the format defines.
+        let reference = |s: &str| -> String {
+            s.chars()
+                .map(|c| match c {
+                    '\\' => "\\\\".to_string(),
+                    '\t' => "\\t".to_string(),
+                    '\n' => "\\n".to_string(),
+                    '\r' => "\\r".to_string(),
+                    other => other.to_string(),
+                })
+                .collect()
+        };
+        for s in ["", "plain", "a\tb", "a\nb\r", "back\\slash", "\\t literal", "\u{fc}\t\u{df}\\"] {
+            let mut out = String::from("prefix|");
+            escape_into(s, &mut out);
+            assert_eq!(out, format!("prefix|{}", reference(s)), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn write_field_matches_escaped_to_field() {
+        fn check<T: FieldCodec>(v: T) {
+            let mut out = String::new();
+            v.write_field(&mut out);
+            assert_eq!(out, escape(&v.to_field()));
+        }
+        check("tab\there\\".to_string());
+        check(u64::MAX);
+        check(-42i64);
+        check(true);
+        check(f64::NAN);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Deterministic fault injection — crash-point hooks for recovery tests.
 //!
 //! A [`FaultPlan`] arms a single simulated crash at the *n*-th append a
-//! durable medium performs, at one of three [`CrashPoint`]s. The consumer
-//! (the long-lock journal in `colock-lockmgr`) calls [`FaultPlan::on_append`]
-//! once per append; the plan fires exactly once and never again, so a plan
-//! describes one crash and a sweep over `(point, nth)` enumerates every
-//! possible crash of a schedule.
+//! durable medium performs, at one of three [`CrashPoint`]s, or at the first
+//! checkpoint the medium writes at or after that append
+//! ([`CrashPoint::MidCompaction`]). The consumer (the long-lock journal in
+//! `colock-lockmgr`) calls [`FaultPlan::on_append`] once per append and
+//! [`FaultPlan::on_checkpoint`] once per checkpoint; the plan fires exactly
+//! once and never again, so a plan describes one crash and a sweep over
+//! `(point, nth)` enumerates every possible crash of a schedule.
 //!
 //! Plans are plain data driven by the seeded [`Rng`] (via
 //! [`FaultPlan::seeded`]) or enumerated exhaustively ([`FaultPlan::crash_at`]),
@@ -27,10 +29,17 @@ pub enum CrashPoint {
     /// Power is lost mid-write: a torn prefix of the record, with no
     /// terminator, is what restart finds.
     MidRecord,
+    /// Power is lost while a checkpoint is being written, before it replaces
+    /// the medium: the record that triggered it is wholly present (as with
+    /// [`CrashPoint::AfterAppend`]) and the old text is what restart finds.
+    MidCompaction,
 }
 
 impl CrashPoint {
-    /// All crash points, in sweep order.
+    /// The three append crash points, in sweep order — what
+    /// [`FaultPlan::seeded`] draws from. [`CrashPoint::MidCompaction`] is
+    /// swept explicitly, so seeded schedules stay what they were before it
+    /// existed.
     pub const ALL: [CrashPoint; 3] =
         [CrashPoint::BeforeAppend, CrashPoint::AfterAppend, CrashPoint::MidRecord];
 }
@@ -41,11 +50,14 @@ impl fmt::Display for CrashPoint {
             CrashPoint::BeforeAppend => "before-append",
             CrashPoint::AfterAppend => "after-append",
             CrashPoint::MidRecord => "mid-record",
+            CrashPoint::MidCompaction => "mid-compaction",
         })
     }
 }
 
-/// A one-shot crash plan: fire `point` on the `nth` append (1-based).
+/// A one-shot crash plan: fire `point` on the `nth` append (1-based), or —
+/// for [`CrashPoint::MidCompaction`] — at the first checkpoint at or after
+/// it.
 ///
 /// Thread-safe; the fire decision is a single atomic increment so a plan can
 /// sit on the hot path of a concurrent journal.
@@ -58,7 +70,9 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Crash at `point` on the `nth` append (1-based). `nth == 0` never fires.
+    /// Crash at `point` on the `nth` append (1-based); a `MidCompaction`
+    /// plan waits for the first checkpoint from there on. `nth == 0` never
+    /// fires.
     pub fn crash_at(point: CrashPoint, nth: u64) -> FaultPlan {
         FaultPlan { point, nth, seen: AtomicU64::new(0), fired: AtomicBool::new(false) }
     }
@@ -73,15 +87,26 @@ impl FaultPlan {
     }
 
     /// Called once per append by the medium. Returns `Some(point)` exactly
-    /// when this append is the one the plan crashes on.
+    /// when this append is the one the plan crashes on (never for a
+    /// `MidCompaction` plan, which only counts appends).
     pub fn on_append(&self) -> Option<CrashPoint> {
         let n = self.seen.fetch_add(1, Ordering::Relaxed) + 1;
-        if n == self.nth {
+        if n == self.nth && self.point != CrashPoint::MidCompaction {
             self.fired.store(true, Ordering::Relaxed);
             Some(self.point)
         } else {
             None
         }
+    }
+
+    /// Called by the medium before it swaps in a checkpoint. Returns `true`
+    /// exactly once: for a `MidCompaction` plan, at the first checkpoint
+    /// once the `nth` append has been seen.
+    pub fn on_checkpoint(&self) -> bool {
+        self.point == CrashPoint::MidCompaction
+            && self.nth != 0
+            && self.seen.load(Ordering::Relaxed) >= self.nth
+            && !self.fired.swap(true, Ordering::Relaxed)
     }
 
     /// Whether the plan has fired.
@@ -126,6 +151,22 @@ mod tests {
         assert!(plan.fired());
         assert_eq!(plan.on_append(), None);
         assert_eq!(plan.appends_seen(), 4);
+    }
+
+    #[test]
+    fn mid_compaction_fires_at_the_first_checkpoint_from_nth_on() {
+        let plan = FaultPlan::crash_at(CrashPoint::MidCompaction, 2);
+        assert_eq!(plan.on_append(), None);
+        assert!(!plan.on_checkpoint(), "a checkpoint before the nth append survives");
+        assert_eq!(plan.on_append(), None, "the nth append itself is written");
+        assert_eq!(plan.on_append(), None);
+        assert!(plan.on_checkpoint());
+        assert!(plan.fired());
+        assert!(!plan.on_checkpoint(), "one shot");
+        // Append plans never fire at a checkpoint.
+        let append = FaultPlan::crash_at(CrashPoint::AfterAppend, 1);
+        assert!(!append.on_checkpoint());
+        assert!(!FaultPlan::crash_at(CrashPoint::MidCompaction, 0).on_checkpoint());
     }
 
     #[test]

@@ -10,7 +10,8 @@
 use colock_core::authorization::Authorization;
 use colock_core::fixtures::fig1_catalog;
 use colock_core::{AccessMode, InstanceTarget, ResourcePath};
-use colock_lockmgr::Journal;
+use colock_lockmgr::persistent::CHECKPOINT_FLOOR;
+use colock_lockmgr::{Journal, TxnId};
 use colock_nf2::value::build::{list, set, tup};
 use colock_nf2::Value;
 use colock_storage::Store;
@@ -201,7 +202,9 @@ fn unacknowledged_grant_is_never_recovered() {
             // durable even though the ack was lost, so the owner comes back
             // with its partial (intent-only) lock set — never half-present,
             // and releasable below like any other owner.
-            CrashPoint::AfterAppend => assert_eq!(report.owners, vec![id1, id2], "{point}"),
+            CrashPoint::AfterAppend | CrashPoint::MidCompaction => {
+                assert_eq!(report.owners, vec![id1, id2], "{point}");
+            }
             // Nothing (or a torn half-record) reached the medium: the
             // unacknowledged grant must not resurrect t2.
             CrashPoint::BeforeAppend | CrashPoint::MidRecord => {
@@ -219,6 +222,112 @@ fn unacknowledged_grant_is_never_recovered() {
         let sweep = mgr2.begin(TxnKind::Short);
         sweep.try_lock(&trajectory("r1"), AccessMode::Update).unwrap();
         sweep.commit().unwrap();
+    }
+}
+
+/// A long request covered by a short grant of the same transaction must
+/// widen that grant to long and journal it: otherwise the check-out's long
+/// leaf survives a crash without the ancestor intents that protect it.
+#[test]
+fn long_request_covered_by_a_short_grant_is_journaled() {
+    let store = populated_store();
+    let (mgr, journal) = journaled_manager(&store);
+    let t = mgr.begin(TxnKind::Short);
+    let id = t.id();
+    // Short IX on db … robots (plus X on r1's trajectory), then a check-out
+    // of r2's trajectory whose ancestor intents those short grants cover.
+    t.lock(&trajectory("r1"), AccessMode::Update).unwrap();
+    t.checkout(&trajectory("r2"), AccessMode::Update).unwrap();
+    let live = mgr.lock_manager().locks_of(id);
+    let long_of = |path: &ResourcePath| live.iter().find(|l| &l.0 == path).map(|l| l.2);
+    let robots = ResourcePath::database("db1")
+        .segment("seg1")
+        .relation("cells")
+        .object("c1")
+        .attr("robots");
+    assert_eq!(long_of(&robots), Some(true), "covered ancestor intent widened to long");
+    let replayed = Journal::<ResourcePath>::replay(&journal.contents()).unwrap();
+    for ancestor in robots.ancestors().iter().chain([&robots]) {
+        assert!(
+            replayed.entries.iter().any(|e| &e.0 == ancestor && e.1 == id),
+            "{ancestor:?} missing from the journal"
+        );
+    }
+    t.leak();
+    let medium = journal.contents();
+    drop(mgr);
+
+    let (mgr2, _j2) = journaled_manager(&store);
+    assert_eq!(mgr2.recover(&medium).unwrap().owners, vec![id]);
+    // The recovered owner holds X below cells/c1: S on the cell must wait.
+    let probe = mgr2.begin(TxnKind::Short);
+    assert!(
+        probe.try_lock(&InstanceTarget::object("cells", "c1"), AccessMode::Read).is_err(),
+        "S on cells/c1 granted beside a recovered X below it"
+    );
+    probe.abort().unwrap();
+    mgr2.resume(id).unwrap().abort().unwrap();
+    assert_eq!(mgr2.lock_manager().table_size(), 0);
+}
+
+/// Check-out/check-in churn on r2 beside a durable check-out of r1, until
+/// the journal has written `checkpoints` checkpoints or crashed. Returns the
+/// churning transaction the crash caught, if any.
+fn churn_until(mgr: &TransactionManager, journal: &Journal<ResourcePath>, checkpoints: u64) -> Option<TxnId> {
+    while journal.checkpoints() < checkpoints {
+        let t = mgr.begin(TxnKind::Long);
+        let id = t.id();
+        if t.checkout(&trajectory("r2"), AccessMode::Update).is_err() {
+            t.leak();
+            return Some(id);
+        }
+        t.commit().unwrap();
+        if journal.crashed() {
+            return Some(id);
+        }
+    }
+    None
+}
+
+/// Checkpoints under a live long lock: a medium compacted twice recovers
+/// exactly the acknowledged check-out, and so does the old text a crash in
+/// the middle of a checkpoint leaves behind.
+#[test]
+fn compaction_and_a_crash_mid_checkpoint_keep_acknowledged_checkouts() {
+    for crash in [false, true] {
+        let store = populated_store();
+        let (mgr, journal) = journaled_manager(&store);
+        let t1 = mgr.begin(TxnKind::Long);
+        let id1 = t1.id();
+        t1.checkout(&trajectory("r1"), AccessMode::Update).unwrap();
+        if crash {
+            journal.arm(FaultPlan::crash_at(CrashPoint::MidCompaction, journal.appends() + 1));
+        }
+        let in_flight = churn_until(&mgr, &journal, 2);
+        let medium = journal.contents();
+        if crash {
+            assert_eq!(journal.crash_point(), Some(CrashPoint::MidCompaction));
+            assert_eq!(journal.checkpoints(), 0);
+            assert!(medium.len() > CHECKPOINT_FLOOR, "the old text stays");
+        } else {
+            assert!(!journal.crashed() && in_flight.is_none());
+            assert!(medium.len() <= CHECKPOINT_FLOOR + 2 * journal.live_bytes());
+        }
+        t1.leak();
+        drop(mgr);
+
+        let (mgr2, _j2) = journaled_manager(&store);
+        let report = mgr2.recover(&medium).unwrap();
+        assert_eq!(report.dropped_tail, 0, "crash={crash}");
+        assert!(report.owners.contains(&id1), "crash={crash}: acknowledged check-out lost");
+        assert!(report.owners.iter().all(|o| *o == id1 || Some(*o) == in_flight));
+        let probe = mgr2.begin(TxnKind::Short);
+        assert!(probe.try_lock(&trajectory("r1"), AccessMode::Update).is_err());
+        probe.abort().unwrap();
+        for owner in report.owners {
+            mgr2.resume(owner).unwrap().abort().unwrap();
+        }
+        assert_eq!(mgr2.lock_manager().table_size(), 0, "crash={crash}");
     }
 }
 
