@@ -12,9 +12,10 @@ use colock_lockmgr::{
 };
 use colock_trace::{rule_scope, RuleTag};
 use colock_nf2::{Catalog, ObjectRef};
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// Errors raised by protocol execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -203,12 +204,12 @@ impl ProtocolEngine {
 /// `release_short` would strand long leaf locks without their ancestor
 /// intents.
 ///
-/// The cache is owned by the transaction's state and dropped at EOT, so
-/// invalidation is automatic; early (pre-EOT) releases must call
-/// [`TxnLockCache::clear`].
+/// The cache is owned by the transaction handle — one thread, so no lock —
+/// and dropped at EOT, so invalidation is automatic; early (pre-EOT)
+/// releases must call [`TxnLockCache::clear`].
 #[derive(Debug, Default)]
 pub struct TxnLockCache {
-    held: Mutex<HashMap<ResourcePath, (LockMode, bool)>>,
+    held: RefCell<HashMap<ResourcePath, (LockMode, bool)>>,
 }
 
 impl TxnLockCache {
@@ -217,17 +218,14 @@ impl TxnLockCache {
         Self::default()
     }
 
-    fn locked(&self) -> std::sync::MutexGuard<'_, HashMap<ResourcePath, (LockMode, bool)>> {
-        self.held.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Whether a request for `mode` (long if `long`) is covered by a cached
     /// lock. Admissibility is `satisfies_parent_intent`, not bare `covers`: a
     /// held semantic Insert/Delete answers an IX ancestor requirement without
     /// a conversion — upgrading the container to IX would re-serialize the
     /// commuting inserters the semantic mode exists to keep parallel.
     pub fn covers(&self, resource: &ResourcePath, mode: LockMode, long: bool) -> bool {
-        self.locked()
+        self.held
+            .borrow()
             .get(resource)
             .map(|&(m, l)| m.satisfies_parent_intent(mode) && (l || !long))
             .unwrap_or(false)
@@ -236,7 +234,7 @@ impl TxnLockCache {
     /// Records a lock obtained from the table (joins modes, widens short to
     /// long).
     pub fn record(&self, resource: &ResourcePath, mode: LockMode, long: bool) {
-        let mut held = self.locked();
+        let mut held = self.held.borrow_mut();
         let entry = held.entry(resource.clone()).or_insert((LockMode::NL, false));
         entry.0 = entry.0.join(mode);
         entry.1 = entry.1 || long;
@@ -244,7 +242,7 @@ impl TxnLockCache {
 
     /// Forgets everything — required after any early (pre-EOT) release.
     pub fn clear(&self) {
-        self.locked().clear();
+        self.held.borrow_mut().clear();
     }
 }
 

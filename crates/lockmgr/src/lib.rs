@@ -12,8 +12,7 @@
 //! * waits-for-graph deadlock detection with youngest-victim selection,
 //! * *long locks* (§3.1/\[KSUW85\]): locks flagged long survive a simulated
 //!   system shutdown/crash via the [`persistent`] journal (crash-safe,
-//!   checksummed, checkpointed to the live set) or whole-image snapshots
-//!   (planned shutdowns),
+//!   checksummed, checkpointed to the live set),
 //! * detailed statistics (lock-table entries, conflict tests, waits,
 //!   deadlocks) — the quantities the paper's qualitative evaluation (§4.6)
 //!   argues about; the experiment harness measures them.

@@ -2,22 +2,22 @@
 //!
 //! §3.1: "Complex objects which are checked-out by a user on a workstation
 //! get a long lock. In contrast to traditional short locks, long locks must
-//! survive system shutdowns and system crashes." Two mechanisms live here:
+//! survive system shutdowns and system crashes." The [`Journal`] is what
+//! survives: a **checksummed, versioned log** with one record per
+//! grant/conversion/release of a long lock, written *before* the operation
+//! is acknowledged. Replaying it after a crash yields exactly the set of
+//! long locks that were durably granted ([`Recovered`]); a torn final record
+//! (the crash struck mid-write) is truncated and reported via
+//! [`Recovered::dropped_tail`], never silently re-adopted. Its checkpoint is
+//! the live long-lock image in the journal's own format, so there is one
+//! persisted format.
 //!
-//! * [`LongLockImage`] — the original whole-image snapshot/restore pair,
-//!   kept for planned shutdowns and for tests: a manual capture of every
-//!   grant flagged `long`, restorable into a fresh [`LockManager`]. A
-//!   snapshot only protects locks that existed *at capture time* — a crash
-//!   between check-out and capture loses the lock.
-//! * [`Journal`] — the crash-safe replacement: a **checksummed, versioned
-//!   log** with one record per grant/conversion/release of a long lock,
-//!   written *before* the operation is acknowledged. Replaying the journal
-//!   after a crash yields exactly the set of long locks that were durably
-//!   granted ([`Recovered`]); a torn final record (the crash struck
-//!   mid-write) is truncated and reported via [`Recovered::dropped_tail`],
-//!   never silently re-adopted.
+//! [`LongLockImage`] is an in-memory capture of every grant flagged `long`,
+//! restorable into a fresh [`LockManager`] — the oracle the journal's
+//! property test and examples compare against. It is not persisted, and it
+//! only holds locks that existed *at capture time*.
 //!
-//! Short locks — by design — do not survive either mechanism.
+//! Short locks — by design — are never journaled.
 //!
 //! # Journal format
 //!
@@ -68,9 +68,6 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Header line of the persisted image format.
-const HEADER: &str = "colock-long-locks v1";
-
 /// Header line of the journal format, newline included (what a healthy
 /// medium — and every checkpoint — starts with).
 const JOURNAL_HEADER: &str = "colock-journal v1\n";
@@ -93,7 +90,7 @@ fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Serializable snapshot of all long locks in a lock manager.
+/// Snapshot of all long locks in a lock manager.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LongLockImage<R> {
     /// `(resource, owner, mode)` triples.
@@ -128,49 +125,6 @@ impl<R: Resource> LongLockImage<R> {
     /// Whether the image is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-}
-
-impl<R: Resource + FieldCodec> LongLockImage<R> {
-    /// Encodes the image into its persisted text form (§3.1's "long locks
-    /// must survive system shutdowns and system crashes" — this is the
-    /// representation that survives).
-    pub fn to_lines(&self) -> String {
-        let mut out = String::with_capacity(32 + self.entries.len() * 24);
-        out.push_str(HEADER);
-        out.push('\n');
-        for (resource, txn, mode) in &self.entries {
-            out.push_str(&codec::encode_record(&[
-                resource.to_field(),
-                txn.to_field(),
-                mode.to_field(),
-            ]));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Decodes an image previously produced by [`Self::to_lines`].
-    pub fn from_lines(text: &str) -> Result<Self, CodecError> {
-        let mut lines = text.lines();
-        match lines.next() {
-            Some(HEADER) => {}
-            other => return Err(CodecError::BadHeader(other.unwrap_or("").to_string())),
-        }
-        let mut entries = Vec::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let fields = codec::decode_record(line)?;
-            codec::expect_arity(&fields, 3)?;
-            entries.push((
-                R::from_field(&fields[0])?,
-                TxnId::from_field(&fields[1])?,
-                LockMode::from_field(&fields[2])?,
-            ));
-        }
-        Ok(LongLockImage { entries })
     }
 }
 
@@ -888,28 +842,6 @@ mod tests {
         let mgr: LockManager<&'static str> = LockManager::new();
         mgr.acquire(TxnId(1), "a", S, LockRequestOptions::default()).unwrap();
         assert!(LongLockImage::capture(&mgr).is_empty());
-    }
-
-    #[test]
-    fn lines_roundtrip_exactly() {
-        let mgr: LockManager<String> = LockManager::new();
-        mgr.acquire(TxnId(3), "cells/c1".into(), X, LockRequestOptions::long()).unwrap();
-        mgr.acquire(TxnId(9), "lib/e\t2".into(), S, LockRequestOptions::long()).unwrap();
-        let image = LongLockImage::capture(&mgr);
-        let text = image.to_lines();
-        assert!(text.starts_with("colock-long-locks v1\n"), "{text}");
-        let back = LongLockImage::from_lines(&text).unwrap();
-        assert_eq!(back, image);
-    }
-
-    #[test]
-    fn from_lines_rejects_garbage() {
-        assert!(LongLockImage::<String>::from_lines("").is_err());
-        assert!(LongLockImage::<String>::from_lines("not-the-header\n").is_err());
-        let bad_mode = "colock-long-locks v1\nr\t1\tZZ\n";
-        assert!(LongLockImage::<String>::from_lines(bad_mode).is_err());
-        let bad_arity = "colock-long-locks v1\nr\t1\n";
-        assert!(LongLockImage::<String>::from_lines(bad_arity).is_err());
     }
 
     #[test]

@@ -165,7 +165,7 @@ fn recovered_long_locks_participate_in_new_conflicts() {
 }
 
 #[test]
-fn image_roundtrips_through_codec_and_survives_crash() {
+fn captured_image_survives_crash() {
     let m: LockManager<String> = LockManager::new();
     m.acquire(t(1), "a".to_string(), LockMode::X, LockRequestOptions::long()).unwrap();
     m.acquire(t(2), "b".to_string(), LockMode::S, LockRequestOptions::long()).unwrap();
@@ -173,15 +173,10 @@ fn image_roundtrips_through_codec_and_survives_crash() {
     let image = LongLockImage::capture(&m);
     assert_eq!(image.len(), 2, "short lock must not be captured");
 
-    // The on-medium representation of §3.1's survival: text out, text in.
-    let text = image.to_lines();
-    let decoded = LongLockImage::from_lines(&text).unwrap();
-    assert_eq!(decoded, image);
-
     // "Crash": restore into a brand-new manager and check the long locks are
     // live again (install_recovered under the hood) while short ones are gone.
     let fresh: LockManager<String> = LockManager::new();
-    decoded.restore(&fresh);
+    image.restore(&fresh);
     assert_eq!(fresh.held_mode(t(1), &"a".to_string()), LockMode::X);
     assert_eq!(fresh.held_mode(t(2), &"b".to_string()), LockMode::S);
     assert_eq!(fresh.held_mode(t(2), &"scratch".to_string()), LockMode::NL);

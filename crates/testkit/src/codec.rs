@@ -1,11 +1,11 @@
 //! A small hand-rolled, line-oriented encode/decode — the workspace's
-//! replacement for `serde` where bytes actually hit a medium (long-lock
-//! persistence in `colock-lockmgr`).
+//! replacement for `serde` where bytes actually hit a medium (the long-lock
+//! journal in `colock-lockmgr`, trace lines in `colock-trace`).
 //!
 //! Format: one *record* per line; a record is tab-separated *fields*; a
 //! field is escaped UTF-8 (`\\`, `\t`, `\n`, `\r` are backslash-escaped).
 //! The format is trivially greppable, diffable and append-friendly, which
-//! is all a crash-survivable lock image needs.
+//! is all a crash-survivable journal needs.
 //!
 //! ```
 //! use colock_testkit::codec::{decode_record, encode_record, FieldCodec};

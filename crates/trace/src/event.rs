@@ -1,7 +1,8 @@
 //! The structured event record and its two enums: what happened
 //! ([`EventKind`]) and which protocol rule caused it ([`RuleTag`]).
 
-use std::fmt;
+use colock_testkit::codec::{escape_into, unescape};
+use std::fmt::{self, Write as _};
 
 /// Why a trace line failed to parse. The conformance linter consumes trace
 /// files, so a torn or corrupted line must surface as a typed error rather
@@ -56,46 +57,10 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Escapes tabs, newlines, carriage returns and backslashes so a payload
-/// field can never break the tab-separated line format.
-fn escape_field(s: &str) -> String {
-    if !s.contains(['\t', '\n', '\r', '\\']) {
-        return s.to_string();
-    }
-    let mut out = String::with_capacity(s.len() + 4);
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Inverse of [`escape_field`]; rejects dangling or unknown escapes.
+/// Inverse of the escaping in [`Event::to_line`]; a dangling or unknown
+/// escape is a [`ParseError::BadEscape`] naming `field`.
 fn unescape_field(s: &str, field: &'static str) -> Result<String, ParseError> {
-    if !s.contains('\\') {
-        return Ok(s.to_string());
-    }
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            _ => return Err(ParseError::BadEscape { field, value: s.to_string() }),
-        }
-    }
-    Ok(out)
+    unescape(s).map_err(|_| ParseError::BadEscape { field, value: s.to_string() })
 }
 
 /// What happened, from the lock manager's or transaction manager's point of
@@ -350,8 +315,8 @@ impl fmt::Display for RuleTag {
 }
 
 /// One traced occurrence: a fixed header (sequence number, microsecond
-/// timestamp, kind, transaction) plus stringly-typed context fields that keep
-/// this crate dependency-free.
+/// timestamp, kind, transaction) plus stringly-typed context fields, so the
+/// crate depends on no other engine crate.
 ///
 /// Events are built with the consuming setters and serialized with
 /// [`Event::to_line`] / [`Event::parse_line`]:
@@ -430,21 +395,20 @@ impl Event {
     /// `seq  t_us  kind  txn  shard  mode  rule  resource  detail`.
     ///
     /// Tabs, newlines, carriage returns and backslashes inside the payload
-    /// fields (`mode`, `resource`, `detail`) are backslash-escaped so the
-    /// round-trip through [`Event::parse_line`] is lossless.
+    /// fields (`mode`, `resource`, `detail`) are backslash-escaped with the
+    /// workspace's line codec ([`colock_testkit::codec`]) so the round-trip
+    /// through [`Event::parse_line`] is lossless.
     pub fn to_line(&self) -> String {
-        format!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-            self.seq,
-            self.t_us,
-            self.kind,
-            self.txn,
-            self.shard,
-            escape_field(&self.mode),
-            self.rule,
-            escape_field(&self.resource),
-            escape_field(&self.detail),
-        )
+        let mut line = format!(
+            "{}\t{}\t{}\t{}\t{}\t",
+            self.seq, self.t_us, self.kind, self.txn, self.shard
+        );
+        escape_into(&self.mode, &mut line);
+        let _ = write!(line, "\t{}\t", self.rule);
+        escape_into(&self.resource, &mut line);
+        line.push('\t');
+        escape_into(&self.detail, &mut line);
+        line
     }
 
     /// Parses a line produced by [`Event::to_line`]; malformed input yields
@@ -545,6 +509,21 @@ mod tests {
         assert!(!line.contains('\n'), "payload newlines must be escaped");
         let parsed = Event::parse_line(&line).unwrap();
         assert_eq!(parsed, e);
+    }
+
+    #[test]
+    fn line_bytes_are_pinned() {
+        // The trace file format: a change here breaks every stored trace.
+        let e = Event::new(EventKind::Wait, 7)
+            .shard(2)
+            .mode("S\\X")
+            .rule(RuleTag::EntryPoint)
+            .resource("a\tb\\c")
+            .detail("c\nd\re\\\\f");
+        assert_eq!(
+            e.to_line(),
+            "0\t0\twait\t7\t2\tS\\\\X\tentry-point\ta\\tb\\\\c\tc\\nd\\re\\\\\\\\f"
+        );
     }
 
     #[test]

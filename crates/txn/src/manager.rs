@@ -1,35 +1,20 @@
 //! The transaction manager.
 
 use crate::error::TxnError;
-use crate::transaction::{Transaction, TxnKind};
+use crate::transaction::{Transaction, TxnKind, TxnState};
+use crate::undo::UndoRecord;
 use crate::Result;
-use colock_core::{
-    Authorization, InstanceTarget, LockCtx, LockReport, ProtocolEngine, ProtocolKind,
-    ProtocolOptions, ResourcePath, TxnLockCache,
-};
+use colock_core::{Authorization, InstanceTarget, ProtocolEngine, ProtocolKind, ResourcePath};
 use colock_lockmgr::txnid::TxnIdGen;
-use colock_lockmgr::{Journal, JournalSink, LockManager, LockMode, TxnId};
+use colock_lockmgr::{Journal, JournalSink, LockManager, TxnId};
 use colock_lockmgr::LockStats;
 use colock_storage::Store;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-pub(crate) struct TxnState {
-    pub undo: Vec<crate::undo::UndoRecord>,
-    pub shrinking: bool,
-    pub checked_out: HashMap<String, InstanceTarget>,
-    /// Per-transaction ancestor-lock cache; dies with the state at EOT, so
-    /// invalidation needs no extra bookkeeping. Cleared on early release.
-    pub cache: Arc<TxnLockCache>,
-    /// Begun via `begin_readonly`: must never write.
-    pub readonly: bool,
-    /// Snapshot timestamp pinned at begin (MVCC read-only transactions
-    /// only); unregistered from the GC watermark set at EOT.
-    pub snapshot_ts: Option<u64>,
-}
-
-/// The transaction manager: owns lock manager, engine, store, rights.
+/// The transaction manager: owns lock manager, engine, store, rights. Each
+/// transaction's own state lives in its [`Transaction`] handle.
 pub struct TransactionManager {
     lm: Arc<LockManager<ResourcePath>>,
     engine: Arc<ProtocolEngine>,
@@ -37,7 +22,11 @@ pub struct TransactionManager {
     authz: Arc<Authorization>,
     protocol: ProtocolKind,
     idgen: TxnIdGen,
-    pub(crate) states: Mutex<HashMap<TxnId, TxnState>>,
+    /// Transactions begun or recovered and not yet finished.
+    active: AtomicUsize,
+    /// States with no handle: leaked by [`Transaction::leak`] or re-adopted
+    /// by [`TransactionManager::recover`], until `resume` takes them.
+    parked: Mutex<HashMap<TxnId, TxnState>>,
     /// Durable long-lock journal, if one has been attached. The manager
     /// keeps the concrete type (the lock manager only sees the sink trait)
     /// so recovery can inspect the medium.
@@ -110,7 +99,8 @@ impl TransactionManager {
             authz,
             protocol,
             idgen: TxnIdGen::new(),
-            states: Mutex::new(HashMap::new()),
+            active: AtomicUsize::new(0),
+            parked: Mutex::new(HashMap::new()),
             journal: OnceLock::new(),
             mvcc: AtomicBool::new(mvcc_default()),
             snapshots: Mutex::new(BTreeMap::new()),
@@ -201,10 +191,8 @@ impl TransactionManager {
         self.store.prune_versions(watermark)
     }
 
-    /// Locks the per-transaction state map, recovering from poisoning so a
-    /// panicking test thread cannot wedge the whole manager.
-    pub(crate) fn states_locked(&self) -> MutexGuard<'_, HashMap<TxnId, TxnState>> {
-        self.states.lock().unwrap_or_else(PoisonError::into_inner)
+    fn parked_locked(&self) -> MutexGuard<'_, HashMap<TxnId, TxnState>> {
+        self.parked.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Convenience constructor wiring everything from a store.
@@ -235,32 +223,27 @@ impl TransactionManager {
 
     /// Replays a journal (the medium text of a crashed peer) into this
     /// manager: every surviving long lock is re-installed in the lock
-    /// manager under its original owner, and each owner gets a fresh long
-    /// transaction state so it can be resumed, checked in, or aborted
-    /// exactly like a live one. The id generator is bumped past the highest
-    /// recovered owner so new transactions cannot collide with re-adopted
-    /// ones.
+    /// manager under its original owner, and each owner not already parked
+    /// here gets a fresh long transaction state, parked until
+    /// [`TransactionManager::resume`] hands it out to be checked in or
+    /// aborted exactly like a live one. The id generator is bumped past the
+    /// highest recovered owner so new transactions cannot collide with
+    /// re-adopted ones.
     ///
     /// If a journal is attached to *this* manager, the re-installed locks
     /// are re-journaled into it, so a second crash recovers them again.
     pub fn recover(&self, journal_text: &str) -> Result<RecoveryReport> {
         let recovered = Journal::<ResourcePath>::replay(journal_text)?;
         let owners = recovered.owners();
-        let mut per_owner: HashMap<TxnId, usize> = HashMap::new();
         for (resource, txn, mode) in &recovered.entries {
             self.lm.install_recovered(*txn, resource.clone(), *mode);
-            *per_owner.entry(*txn).or_insert(0) += 1;
         }
         {
-            let mut states = self.states_locked();
+            let mut parked = self.parked_locked();
             for &owner in &owners {
-                states.entry(owner).or_insert_with(|| TxnState {
-                    undo: Vec::new(),
-                    shrinking: false,
-                    checked_out: HashMap::new(),
-                    cache: Arc::new(TxnLockCache::new()),
-                    readonly: false,
-                    snapshot_ts: None,
+                parked.entry(owner).or_insert_with(|| {
+                    self.active.fetch_add(1, Ordering::Relaxed);
+                    TxnState::new(TxnKind::Long, None)
                 });
             }
         }
@@ -268,8 +251,8 @@ impl TransactionManager {
             self.idgen.ensure_above(max);
         }
         for &owner in &owners {
-            let n = per_owner.get(&owner).copied().unwrap_or(0);
             colock_trace::emit(|| {
+                let n = recovered.entries.iter().filter(|e| e.1 == owner).count();
                 colock_trace::Event::new(colock_trace::EventKind::TxnRecovered, owner.0)
                     .detail(format!("{n} long locks"))
             });
@@ -281,37 +264,35 @@ impl TransactionManager {
         })
     }
 
-    /// Hands out a handle to a transaction this manager already tracks —
-    /// the post-crash counterpart of `begin`, for owners re-adopted by
-    /// `recover`. The caller is responsible for not resuming the same
-    /// transaction twice concurrently (the second handle's drop would abort
-    /// an already-finished transaction).
+    /// Hands out the handle of a parked transaction — one leaked by
+    /// [`Transaction::leak`] or re-adopted by `recover`; the post-crash
+    /// counterpart of `begin`. A parked state is handed out once: resuming
+    /// an id that is not parked (never known, finished, or already resumed)
+    /// is [`TxnError::NotActive`].
     pub fn resume(&self, txn: TxnId) -> Result<Transaction<'_>> {
-        if !self.states_locked().contains_key(&txn) {
-            return Err(TxnError::NotActive(txn));
-        }
-        Ok(Transaction::new(self, txn, TxnKind::Long))
+        let st = self.parked_locked().remove(&txn).ok_or(TxnError::NotActive(txn))?;
+        Ok(Transaction::new(self, txn, st))
+    }
+
+    /// Parks the state of a leaked handle for a later `resume`.
+    pub(crate) fn park(&self, txn: TxnId, st: TxnState) {
+        self.parked_locked().insert(txn, st);
     }
 
     /// Starts a transaction.
     pub fn begin(&self, kind: TxnKind) -> Transaction<'_> {
         let id = self.idgen.next();
-        self.states_locked().insert(
-            id,
-            TxnState {
-                undo: Vec::new(),
-                shrinking: false,
-                checked_out: HashMap::new(),
-                cache: Arc::new(TxnLockCache::new()),
-                readonly: false,
-                snapshot_ts: None,
-            },
-        );
         colock_trace::emit(|| {
             colock_trace::Event::new(colock_trace::EventKind::TxnBegin, id.0)
                 .detail(if kind == TxnKind::Long { "long" } else { "short" })
         });
-        Transaction::new(self, id, kind)
+        self.open(id, TxnState::new(kind, None))
+    }
+
+    /// A handle for a new transaction, active until it finishes.
+    fn open(&self, id: TxnId, st: TxnState) -> Transaction<'_> {
+        self.active.fetch_add(1, Ordering::Relaxed);
+        Transaction::new(self, id, st)
     }
 
     /// Starts a read-only transaction. With the multiversion overlay on it
@@ -332,22 +313,11 @@ impl TransactionManager {
         } else {
             None
         };
-        self.states_locked().insert(
-            id,
-            TxnState {
-                undo: Vec::new(),
-                shrinking: false,
-                checked_out: HashMap::new(),
-                cache: Arc::new(TxnLockCache::new()),
-                readonly: true,
-                snapshot_ts: snap,
-            },
-        );
         colock_trace::emit(|| {
             colock_trace::Event::new(colock_trace::EventKind::TxnBegin, id.0)
                 .detail(if snap.is_some() { "readonly" } else { "readonly-locking" })
         });
-        Transaction::new_readonly(self, id, snap)
+        self.open(id, TxnState::new(TxnKind::ReadOnly, snap))
     }
 
     /// The lock manager.
@@ -375,52 +345,17 @@ impl TransactionManager {
         self.protocol
     }
 
-    /// Locks `target` in `mode` for `txn` under the configured protocol. The
-    /// proposed protocol honours the exact multi-granularity mode; the
-    /// baselines fall back to the S/X of its access class (see
-    /// [`ProtocolEngine::lock`]).
-    pub fn lock(
+    /// Ends `txn`, which pinned snapshot `snap` and logged `undo`: rolls
+    /// back or installs its versions, then releases its locks and rights.
+    pub(crate) fn finish(
         &self,
         txn: TxnId,
-        target: &InstanceTarget,
-        mode: LockMode,
-        opts: ProtocolOptions,
-    ) -> Result<LockReport> {
-        let cache = self.active_cache(txn)?;
-        let cx = LockCtx {
-            lm: &self.lm,
-            txn,
-            src: &*self.store,
-            authz: &self.authz,
-            opts,
-            cache: Some(&cache),
-        };
-        Ok(self.engine.lock(&cx, self.protocol, target, mode)?)
-    }
-
-    /// Fetches the ancestor-lock cache of an active, still-growing
-    /// transaction.
-    fn active_cache(&self, txn: TxnId) -> Result<Arc<TxnLockCache>> {
-        let states = self.states_locked();
-        let st = states.get(&txn).ok_or(TxnError::NotActive(txn))?;
-        if st.shrinking {
-            return Err(TxnError::TwoPhaseViolation(txn));
-        }
-        // Manager-level backstop for the handle-level guard: a snapshot
-        // transaction must never reach the lock table, whatever path the
-        // request took.
-        if st.readonly && st.snapshot_ts.is_some() {
-            return Err(TxnError::ReadOnlyTxn(txn));
-        }
-        Ok(Arc::clone(&st.cache))
-    }
-
-    pub(crate) fn finish(&self, txn: TxnId, commit: bool) -> Result<()> {
-        let state = self
-            .states_locked()
-            .remove(&txn)
-            .ok_or(TxnError::NotActive(txn))?;
-        if let Some(ts) = state.snapshot_ts {
+        snap: Option<u64>,
+        undo: &[UndoRecord],
+        commit: bool,
+    ) -> Result<()> {
+        self.active.fetch_sub(1, Ordering::Relaxed);
+        if let Some(ts) = snap {
             // Unpin the snapshot; the GC watermark may advance past it now.
             let mut snaps = self.snapshots_locked();
             if let Some(n) = snaps.get_mut(&ts) {
@@ -433,7 +368,7 @@ impl TransactionManager {
         let rolled_back = if commit {
             Ok(())
         } else {
-            crate::undo::rollback(&self.store, &state.undo)
+            crate::undo::rollback(&self.store, undo)
         };
         // A committing writer installs its new versions *before* releasing
         // its X locks: the patches are composed from subtrees no concurrent
@@ -441,9 +376,9 @@ impl TransactionManager {
         // multi-object install atomic to snapshot readers.
         let mut commit_ts = None;
         let installed: std::result::Result<(), colock_storage::StorageError> = if commit
-            && !state.undo.is_empty()
+            && !undo.is_empty()
         {
-            let patches = crate::undo::commit_patches(&self.store, &state.undo);
+            let patches = crate::undo::commit_patches(&self.store, undo);
             self.store.clock().commit(|ts| {
                 commit_ts = Some(ts);
                 for (relation, key, patch) in &patches {
@@ -473,7 +408,7 @@ impl TransactionManager {
                 None => ev,
             }
         });
-        if commit && !state.undo.is_empty() {
+        if commit && !undo.is_empty() {
             let every = self.gc_every.load(Ordering::Relaxed);
             if every > 0
                 && (self.commits_since_gc.fetch_add(1, Ordering::Relaxed) + 1).is_multiple_of(every)
@@ -489,9 +424,10 @@ impl TransactionManager {
         LockStats::bump(&self.lm.stats().reads_elided);
     }
 
-    /// Number of active transactions.
+    /// Number of active transactions: begun or recovered and not finished,
+    /// whether a handle holds them or they are parked.
     pub fn active_count(&self) -> usize {
-        self.states_locked().len()
+        self.active.load(Ordering::Relaxed)
     }
 }
 

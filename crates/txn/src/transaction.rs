@@ -4,10 +4,13 @@ use crate::error::TxnError;
 use crate::manager::TransactionManager;
 use crate::undo::UndoRecord;
 use crate::Result;
-use colock_core::{AccessMode, InstanceTarget, LockReport, ProtocolOptions, TargetStep};
+use colock_core::{
+    AccessMode, InstanceTarget, LockCtx, LockReport, ProtocolOptions, TargetStep, TxnLockCache,
+};
 use colock_lockmgr::{LockMode, TxnId, WaitPolicy};
 use colock_nf2::{ObjectKey, Value};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::collections::HashSet;
 
 /// Short (conventional) vs long ("conversational", workstation-server)
 /// transactions (§1).
@@ -25,17 +28,43 @@ pub enum TxnKind {
     ReadOnly,
 }
 
-/// A live transaction. Dropping without [`Transaction::commit`] /
-/// [`Transaction::abort`] leaks locks on purpose — call one of them (the
-/// experiment drivers always do); a `debug_assert` guards misuse in tests.
-pub struct Transaction<'m> {
-    mgr: &'m TransactionManager,
-    id: TxnId,
+/// What a transaction owns from begin to EOT. Its handle holds it; between
+/// [`Transaction::leak`] (or crash recovery) and the
+/// [`TransactionManager::resume`] that takes it back, the manager parks it.
+pub(crate) struct TxnState {
     kind: TxnKind,
     /// Snapshot timestamp (MVCC read-only transactions only). `Some` means
     /// every read resolves against the version chains and any lock request
     /// is an error.
     snap: Option<u64>,
+    undo: RefCell<Vec<UndoRecord>>,
+    /// Set by an early release: the transaction may not grow again.
+    shrinking: Cell<bool>,
+    checked_out: RefCell<HashSet<InstanceTarget>>,
+    /// Ancestor-lock cache; dies with the state at EOT, cleared on early
+    /// release.
+    cache: TxnLockCache,
+}
+
+impl TxnState {
+    pub(crate) fn new(kind: TxnKind, snap: Option<u64>) -> Self {
+        TxnState {
+            kind,
+            snap,
+            undo: RefCell::default(),
+            shrinking: Cell::new(false),
+            checked_out: RefCell::default(),
+            cache: TxnLockCache::new(),
+        }
+    }
+}
+
+/// A live transaction. Dropping it without [`Transaction::commit`],
+/// [`Transaction::abort`] or [`Transaction::leak`] aborts it.
+pub struct Transaction<'m> {
+    mgr: &'m TransactionManager,
+    id: TxnId,
+    st: TxnState,
     /// Wait policy applied to every implicit lock request this handle
     /// issues. Defaults to [`WaitPolicy::Block`]; a serving layer overrides
     /// it with a timeout so one stuck session can never block forever.
@@ -44,19 +73,8 @@ pub struct Transaction<'m> {
 }
 
 impl<'m> Transaction<'m> {
-    pub(crate) fn new(mgr: &'m TransactionManager, id: TxnId, kind: TxnKind) -> Self {
-        Transaction { mgr, id, kind, snap: None, wait: Cell::new(WaitPolicy::Block), finished: false }
-    }
-
-    pub(crate) fn new_readonly(mgr: &'m TransactionManager, id: TxnId, snap: Option<u64>) -> Self {
-        Transaction {
-            mgr,
-            id,
-            kind: TxnKind::ReadOnly,
-            snap,
-            wait: Cell::new(WaitPolicy::Block),
-            finished: false,
-        }
+    pub(crate) fn new(mgr: &'m TransactionManager, id: TxnId, st: TxnState) -> Self {
+        Transaction { mgr, id, st, wait: Cell::new(WaitPolicy::Block), finished: false }
     }
 
     /// The transaction id.
@@ -66,7 +84,7 @@ impl<'m> Transaction<'m> {
 
     /// Short or long.
     pub fn kind(&self) -> TxnKind {
-        self.kind
+        self.st.kind
     }
 
     /// The owning manager (store/catalog/lock-manager access for executors).
@@ -77,7 +95,7 @@ impl<'m> Transaction<'m> {
     /// The pinned snapshot timestamp, if this is an MVCC read-only
     /// transaction.
     pub fn snapshot_ts(&self) -> Option<u64> {
-        self.snap
+        self.st.snap
     }
 
     /// Overrides the wait policy for every later lock request made through
@@ -94,25 +112,44 @@ impl<'m> Transaction<'m> {
 
     fn opts(&self) -> ProtocolOptions {
         ProtocolOptions {
-            long: self.kind == TxnKind::Long,
+            long: self.st.kind == TxnKind::Long,
             wait: self.wait.get(),
             ..ProtocolOptions::default()
         }
     }
 
-    /// Snapshot transactions never enter the lock table; a lock request on
-    /// one is a protocol bug, reported as [`TxnError::ReadOnlyTxn`] (and the
-    /// conformance linter flags any that slips through to the trace).
-    fn check_may_lock(&self) -> Result<()> {
-        if self.snap.is_some() {
+    /// The one lock path: `target` in `mode` under the manager's protocol,
+    /// through this transaction's lock cache. Snapshot transactions never
+    /// enter the lock table; a request on one is a protocol bug, reported as
+    /// [`TxnError::ReadOnlyTxn`] (and the conformance linter flags any that
+    /// slips through to the trace). A shrinking transaction may not grow.
+    fn request(
+        &self,
+        target: &InstanceTarget,
+        mode: LockMode,
+        opts: ProtocolOptions,
+    ) -> Result<LockReport> {
+        if self.st.snap.is_some() {
             return Err(TxnError::ReadOnlyTxn(self.id));
         }
-        Ok(())
+        if self.st.shrinking.get() {
+            return Err(TxnError::TwoPhaseViolation(self.id));
+        }
+        let mgr = self.mgr;
+        let cx = LockCtx {
+            lm: mgr.lock_manager(),
+            txn: self.id,
+            src: &**mgr.store(),
+            authz: mgr.authorization(),
+            opts,
+            cache: Some(&self.st.cache),
+        };
+        Ok(mgr.engine().lock(&cx, mgr.protocol(), target, mode)?)
     }
 
     /// Any write on a read-only transaction is rejected, snapshot or not.
     fn check_may_write(&self) -> Result<()> {
-        if self.kind == TxnKind::ReadOnly {
+        if self.st.kind == TxnKind::ReadOnly {
             return Err(TxnError::ReadOnlyTxn(self.id));
         }
         Ok(())
@@ -121,14 +158,12 @@ impl<'m> Transaction<'m> {
     /// Locks `target` for `access` without touching data (explicit lock
     /// request). Returns the lock report.
     pub fn lock(&self, target: &InstanceTarget, access: AccessMode) -> Result<LockReport> {
-        self.check_may_lock()?;
-        self.mgr.lock(self.id, target, access.into(), self.opts())
+        self.request(target, access.into(), self.opts())
     }
 
     /// Non-blocking lock (used by deterministic schedulers).
     pub fn try_lock(&self, target: &InstanceTarget, access: AccessMode) -> Result<LockReport> {
-        self.check_may_lock()?;
-        self.mgr.lock(self.id, target, access.into(), self.opts().try_lock())
+        self.request(target, access.into(), self.opts().try_lock())
     }
 
     /// Locks `target` in an explicit multi-granularity mode (the planner
@@ -138,21 +173,19 @@ impl<'m> Transaction<'m> {
         target: &InstanceTarget,
         mode: LockMode,
     ) -> Result<LockReport> {
-        self.check_may_lock()?;
-        self.mgr.lock(self.id, target, mode, self.opts())
+        self.request(target, mode, self.opts())
     }
 
     /// Locks without downward propagation — for accesses whose semantics
     /// provably never dereference the contained references (§4.5).
     pub fn lock_no_deref(&self, target: &InstanceTarget, access: AccessMode) -> Result<LockReport> {
-        self.check_may_lock()?;
-        self.mgr.lock(self.id, target, access.into(), ProtocolOptions { deref_refs: false, ..self.opts() })
+        self.request(target, access.into(), ProtocolOptions { deref_refs: false, ..self.opts() })
     }
 
     /// Reads the value at `target`: through the multiversion overlay for a
     /// snapshot transaction, via an S lock otherwise.
     pub fn read(&self, target: &InstanceTarget) -> Result<Value> {
-        if self.snap.is_some() {
+        if self.st.snap.is_some() {
             return self.snapshot_read(target);
         }
         self.lock(target, AccessMode::Read)?;
@@ -171,7 +204,7 @@ impl<'m> Transaction<'m> {
     /// (`COLOCK_NO_MVCC` ablation) this degrades to the locking
     /// [`Transaction::read`], which *can* block.
     pub fn snapshot_read(&self, target: &InstanceTarget) -> Result<Value> {
-        let Some(ts) = self.snap else {
+        let Some(ts) = self.st.snap else {
             return self.read(target);
         };
         let key = target.object.clone().ok_or_else(|| {
@@ -192,7 +225,7 @@ impl<'m> Transaction<'m> {
     /// [`Transaction::snapshot_read`] under MVCC (which never blocks
     /// anyway); under the ablation it try-locks S and surfaces would-block.
     pub fn try_snapshot_read(&self, target: &InstanceTarget) -> Result<Value> {
-        if self.snap.is_some() {
+        if self.st.snap.is_some() {
             return self.snapshot_read(target);
         }
         self.try_lock(target, AccessMode::Read)?;
@@ -285,10 +318,10 @@ impl<'m> Transaction<'m> {
         let (key, elem_key, container) = Self::element_parts(element)?;
         let opts = ProtocolOptions { deref_refs: false, ..self.opts() };
         if self.mgr.semantic_for(&container) {
-            self.mgr.lock(self.id, &container, LockMode::Delete, opts)?;
-            self.mgr.lock(self.id, element, LockMode::X, opts)?;
+            self.request(&container, LockMode::Delete, opts)?;
+            self.request(element, LockMode::X, opts)?;
         } else {
-            self.mgr.lock(self.id, &container, LockMode::X, opts)?;
+            self.request(&container, LockMode::X, opts)?;
         }
         let (at, before) =
             self.mgr.store().remove_element_pending(&element.relation, &key, &container.steps, &elem_key)?;
@@ -321,7 +354,7 @@ impl<'m> Transaction<'m> {
         }
         let opts = ProtocolOptions { deref_refs: false, ..self.opts() };
         let mode = if self.mgr.semantic_for(container) { LockMode::Insert } else { LockMode::X };
-        self.mgr.lock(self.id, container, mode, opts)?;
+        self.request(container, mode, opts)?;
         // Insert pending first to derive (and validate) the element key, then
         // lock the new element; mirrors [`Transaction::insert`].
         let elem_key = self.mgr.store().insert_element_pending(
@@ -333,7 +366,7 @@ impl<'m> Transaction<'m> {
         let mut elem_target = container.clone();
         let last = elem_target.steps.pop().expect("non-empty: checked above");
         elem_target.steps.push(TargetStep { attr: last.attr, elem: Some(elem_key.clone()) });
-        match self.mgr.lock(self.id, &elem_target, LockMode::X, opts) {
+        match self.request(&elem_target, LockMode::X, opts) {
             Ok(_) => {
                 self.log(UndoRecord::ElementInserted {
                     relation: container.relation.clone(),
@@ -364,14 +397,14 @@ impl<'m> Transaction<'m> {
     /// transactions read the version chains lock-free; without semantic
     /// modes the container gets a plain IS (the classical read ancestor).
     pub fn member_element(&self, element: &InstanceTarget) -> Result<Value> {
-        if self.snap.is_some() {
+        if self.st.snap.is_some() {
             return self.snapshot_read(element);
         }
         let (key, _elem_key, container) = Self::element_parts(element)?;
         let opts = ProtocolOptions { deref_refs: false, ..self.opts() };
         let mode = if self.mgr.semantic_for(&container) { LockMode::Member } else { LockMode::IS };
-        self.mgr.lock(self.id, &container, mode, opts)?;
-        self.mgr.lock(self.id, element, LockMode::S, opts)?;
+        self.request(&container, mode, opts)?;
+        self.request(element, LockMode::S, opts)?;
         Ok(self.mgr.store().get_at(&element.relation, &key, &element.steps)?)
     }
 
@@ -379,20 +412,12 @@ impl<'m> Transaction<'m> {
     /// check-out, X for update check-out) plus a private copy of the data.
     pub fn checkout(&self, target: &InstanceTarget, access: AccessMode) -> Result<Value> {
         self.check_may_write()?;
-        self.mgr.lock(
-            self.id,
-            target,
-            access.into(),
-            ProtocolOptions { long: true, wait: self.wait.get(), ..ProtocolOptions::default() },
-        )?;
+        self.request(target, access.into(), ProtocolOptions { long: true, ..self.opts() })?;
         let key = target.object.clone().ok_or_else(|| {
             TxnError::Storage(colock_storage::StorageError::BadTarget(target.to_string()))
         })?;
         let value = self.mgr.store().get_at(&target.relation, &key, &target.steps)?;
-        let mut states = self.mgr.states_locked();
-        if let Some(st) = states.get_mut(&self.id) {
-            st.checked_out.insert(target.to_string(), target.clone());
-        }
+        self.st.checked_out.borrow_mut().insert(target.clone());
         Ok(value)
     }
 
@@ -400,12 +425,8 @@ impl<'m> Transaction<'m> {
     /// by this transaction.
     pub fn checkin(&self, target: &InstanceTarget, new_value: Value) -> Result<()> {
         self.check_may_write()?;
-        {
-            let states = self.mgr.states_locked();
-            let st = states.get(&self.id).ok_or(TxnError::NotActive(self.id))?;
-            if !st.checked_out.contains_key(&target.to_string()) {
-                return Err(TxnError::NotCheckedOut(target.to_string()));
-            }
+        if !self.st.checked_out.borrow().contains(target) {
+            return Err(TxnError::NotCheckedOut(target.to_string()));
         }
         let key = target.object.clone().ok_or_else(|| {
             TxnError::Storage(colock_storage::StorageError::BadTarget(target.to_string()))
@@ -435,42 +456,42 @@ impl<'m> Transaction<'m> {
                 .resource(target.to_string())
                 .detail(format!("released {released} locks"))
         });
-        let mut states = self.mgr.states_locked();
-        if let Some(st) = states.get_mut(&self.id) {
-            st.shrinking = true;
-            // The cache may now claim locks that were just released; the
-            // shrinking flag already blocks further requests, but clear it
-            // anyway so no stale coverage can ever be consulted.
-            st.cache.clear();
-        }
+        self.st.shrinking.set(true);
+        // The cache may now claim locks that were just released; the
+        // shrinking flag already blocks further requests, but clear it
+        // anyway so no stale coverage can ever be consulted.
+        self.st.cache.clear();
         Ok(released)
     }
 
     fn log(&self, rec: UndoRecord) {
-        let mut states = self.mgr.states_locked();
-        if let Some(st) = states.get_mut(&self.id) {
-            st.undo.push(rec);
-        }
+        self.st.undo.borrow_mut().push(rec);
     }
 
     /// Forgets this handle without releasing locks or rolling back — the
-    /// client side of a simulated crash. The transaction stays registered in
-    /// the manager and its long locks stay held; a post-crash manager can
-    /// re-adopt it from the journal via `TransactionManager::recover`.
+    /// client side of a simulated crash. The manager parks the transaction's
+    /// state and its locks stay held: [`TransactionManager::resume`] hands
+    /// it out again, and a post-crash manager re-adopts it from the journal
+    /// via [`TransactionManager::recover`].
     pub fn leak(mut self) {
         self.finished = true;
+        let st = std::mem::replace(&mut self.st, TxnState::new(TxnKind::Short, None));
+        self.mgr.park(self.id, st);
     }
 
     /// Commits: releases all locks, keeps all changes.
     pub fn commit(mut self) -> Result<()> {
-        self.finished = true;
-        self.mgr.finish(self.id, true)
+        self.finish(true)
     }
 
     /// Aborts: rolls back all changes, releases all locks.
     pub fn abort(mut self) -> Result<()> {
+        self.finish(false)
+    }
+
+    fn finish(&mut self, commit: bool) -> Result<()> {
         self.finished = true;
-        self.mgr.finish(self.id, false)
+        self.mgr.finish(self.id, self.st.snap, self.st.undo.get_mut(), commit)
     }
 }
 
@@ -478,7 +499,7 @@ impl Drop for Transaction<'_> {
     fn drop(&mut self) {
         if !self.finished {
             // Abort on drop keeps the system consistent even on panics.
-            let _ = self.mgr.finish(self.id, false);
+            let _ = self.finish(false);
         }
     }
 }

@@ -16,7 +16,7 @@ use colock_nf2::value::build::{list, set, tup};
 use colock_nf2::Value;
 use colock_storage::Store;
 use colock_testkit::{Backoff, CrashPoint, FaultPlan};
-use colock_txn::{ProtocolKind, TransactionManager, TxnKind};
+use colock_txn::{ProtocolKind, TransactionManager, TxnError, TxnKind};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -124,7 +124,7 @@ fn recovered_owner_can_check_in() {
     let (mgr2, _j2) = journaled_manager(&store);
     mgr2.recover(&medium).unwrap();
     let resumed = mgr2.resume(id).unwrap();
-    // The check-out registry died with the old manager, so the post-crash
+    // The check-out set died with the crashed server, so the post-crash
     // write path is a plain update under the still-held X lock.
     resumed.update(&trajectory("r2"), Value::str("t2-edited")).unwrap();
     resumed.commit().unwrap();
@@ -132,6 +132,55 @@ fn recovered_owner_can_check_in() {
         mgr2.begin(TxnKind::Short).read(&trajectory("r2")).unwrap(),
         Value::str("t2-edited")
     );
+}
+
+/// A parked transaction — leaked on this manager or re-adopted by
+/// `recover` — is handed out once: a second `resume` while the first handle
+/// is live must not create a second owner of the same state.
+#[test]
+fn a_parked_transaction_is_resumed_once() {
+    let store = populated_store();
+    let (mgr, journal) = journaled_manager(&store);
+    let t = mgr.begin(TxnKind::Long);
+    let id = t.id();
+    t.checkout(&trajectory("r1"), AccessMode::Update).unwrap();
+    t.leak();
+    let medium = journal.contents();
+
+    let first = mgr.resume(id).unwrap();
+    assert!(matches!(mgr.resume(id), Err(TxnError::NotActive(t)) if t == id), "leaked twice");
+    first.abort().unwrap();
+    assert!(matches!(mgr.resume(id), Err(TxnError::NotActive(_))), "finished");
+    assert_eq!((mgr.active_count(), mgr.lock_manager().table_size()), (0, 0));
+
+    let (mgr2, _j2) = journaled_manager(&store);
+    mgr2.recover(&medium).unwrap();
+    let first = mgr2.resume(id).unwrap();
+    assert!(matches!(mgr2.resume(id), Err(TxnError::NotActive(_))), "recovered twice");
+    first.abort().unwrap();
+    assert_eq!((mgr2.active_count(), mgr2.lock_manager().table_size()), (0, 0));
+}
+
+/// A leaked handle parks its whole state — undo log included — so the
+/// resumed transaction aborts back to the before-image and leaves nothing.
+#[test]
+fn leaked_short_transaction_resumes_and_rolls_back() {
+    let store = populated_store();
+    let mgr = manager(&store);
+    let t = mgr.begin(TxnKind::Short);
+    let id = t.id();
+    t.update(&trajectory("r1"), Value::str("t1-edited")).unwrap();
+    t.leak();
+    assert_eq!(mgr.active_count(), 1, "a parked transaction is still active");
+
+    let resumed = mgr.resume(id).unwrap();
+    assert_eq!(resumed.kind(), TxnKind::Short);
+    resumed.abort().unwrap();
+    assert_eq!(mgr.active_count(), 0);
+    assert_eq!(mgr.lock_manager().table_size(), 0);
+    let probe = mgr.begin(TxnKind::Short);
+    assert_eq!(probe.read(&trajectory("r1")).unwrap(), Value::str("t1"));
+    probe.commit().unwrap();
 }
 
 /// The bug the snapshot path hides: re-installing locks without re-adopting

@@ -61,6 +61,9 @@ if grep -n "pub fn lock_" crates/core/src/protocol/*.rs | grep -v "pub fn lock_p
     exit 1
 fi
 
+echo "==> scripts parse"
+bash -n scripts/ab.sh
+
 echo "==> cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
