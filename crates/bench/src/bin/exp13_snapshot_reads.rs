@@ -7,9 +7,9 @@
 //! (here they would simply never be granted); snapshot readers take a commit
 //! timestamp at begin, read the newest committed versions, and never enter
 //! the lock table — their p99 latency is a few microseconds of tree walking
-//! regardless of the check-out. The ablation (`COLOCK_NO_MVCC` semantics,
-//! toggled in-process) sends the same readers through S locks and counts how
-//! many of their reads would block.
+//! regardless of the check-out. The ablation (`set_mvcc(false)`) sends the
+//! same readers through S locks and counts how many of their reads would
+//! block.
 //!
 //! ```text
 //! cargo run --release --bin exp13_snapshot_reads

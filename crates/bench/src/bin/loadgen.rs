@@ -8,21 +8,20 @@
 //! over the socket) in a `WaitHistogram`.
 //!
 //! Transaction mix (percentages of `COLOCK_LOAD_TXNS`, default 2000 total):
-//! - `COLOCK_LOAD_READONLY_PCT` (default 30): `BEGIN READONLY` + snapshot
-//!   `GET` — never waits on long locks (PR 7's overlay).
-//! - `COLOCK_LOAD_CHECKOUT_PCT` (default 20): `BEGIN LONG` + `CHECKOUT` /
-//!   `CHECKIN` of a robot — durable long locks over the wire.
+//! - 30 %: `BEGIN READONLY` + snapshot `GET` — never waits on long locks
+//!   (the multiversion overlay).
+//! - 20 %: `BEGIN LONG` + `CHECKOUT` / `CHECKIN` of a robot — durable long
+//!   locks over the wire.
 //! - remainder: short read-modify-write of a robot trajectory.
 //!
-//! `COLOCK_LOAD_SKEW` (default 20) redirects that percentage of
-//! transactions to cell 1 — a tunable hot spot. Retryable refusals
+//! 20 % of transactions go to cell 1 — a hot spot. Retryable refusals
 //! (deadlock victim, admission BUSY, lock timeout) abort the attempt and
 //! retry on the same session, as a closed-loop client would.
 //!
-//! With `COLOCK_CHECK=1`, tracing is enabled and the entire served window
-//! is replayed through the §4.4.2 protocol linter at the end.
+//! The entire served window is traced, then linted against the §4.4.2 rules
+//! and certified at the end.
 
-use colock_bench::f1;
+use colock_bench::{check_trace, f1};
 use colock_core::authorization::{Authorization, Right};
 use colock_core::AccessMode;
 use colock_nf2::Value;
@@ -42,13 +41,17 @@ fn env<T: std::str::FromStr>(name: &str, default: T) -> T {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
+/// Percent of transactions that are read-only snapshot reads.
+const READONLY_PCT: u64 = 30;
+/// Percent of transactions that check a robot out and back in.
+const CHECKOUT_PCT: u64 = 20;
+/// Percent of transactions pinned to the cell-1 hot spot.
+const SKEW_PCT: u64 = 20;
+
 struct LoadConfig {
     sessions: usize,
     workers: usize,
     txns: u64,
-    readonly_pct: u64,
-    checkout_pct: u64,
-    skew_pct: u64,
     cells: usize,
     seed: u64,
 }
@@ -86,7 +89,7 @@ fn run_worker(
         let slot = next % clients.len();
         let c = &mut clients[slot];
         next += 1;
-        let cell = if rng.gen_range(0..100u64) < cfg.skew_pct {
+        let cell = if rng.gen_range(0..100u64) < SKEW_PCT {
             1
         } else {
             rng.gen_range(0..cfg.cells) + 1
@@ -94,9 +97,9 @@ fn run_worker(
         let robot = rng.gen_range(0..4usize) + 1;
         let draw = rng.gen_range(0..100u64);
         let started = Instant::now();
-        let outcome = if draw < cfg.readonly_pct {
+        let outcome = if draw < READONLY_PCT {
             run_readonly(c, cell, robot)
-        } else if draw < cfg.readonly_pct + cfg.checkout_pct {
+        } else if draw < READONLY_PCT + CHECKOUT_PCT {
             run_checkout(c, cell, robot)
         } else {
             run_rmw(c, cell, robot)
@@ -172,17 +175,11 @@ fn run_rmw(c: &mut Client, cell: usize, robot: usize) -> Outcome {
 }
 
 fn main() {
-    let checking = colock_check::enabled_from_env();
-    if checking {
-        colock_trace::enable();
-    }
+    colock_trace::enable();
     let cfg = LoadConfig {
         sessions: env("COLOCK_LOAD_SESSIONS", 1000),
         workers: env("COLOCK_LOAD_WORKERS", 8),
         txns: env("COLOCK_LOAD_TXNS", 2000),
-        readonly_pct: env("COLOCK_LOAD_READONLY_PCT", 30),
-        checkout_pct: env("COLOCK_LOAD_CHECKOUT_PCT", 20),
-        skew_pct: env("COLOCK_LOAD_SKEW", 20),
         cells: env("COLOCK_CELLS", 8),
         seed: env("COLOCK_SEED", 42),
     };
@@ -236,8 +233,8 @@ fn main() {
     println!("# E14: served throughput over loopback TCP (closed loop)");
     println!(
         "sessions={} workers={} mix: {}% readonly / {}% checkout / {}% rmw, skew {}% to cell 1",
-        sessions_served, cfg.workers, cfg.readonly_pct, cfg.checkout_pct,
-        100 - cfg.readonly_pct - cfg.checkout_pct, cfg.skew_pct
+        sessions_served, cfg.workers, READONLY_PCT, CHECKOUT_PCT,
+        100 - READONLY_PCT - CHECKOUT_PCT, SKEW_PCT
     );
     println!(
         "| committed | retries | txns/s | p50 (us) | p99 (us) | p999 (us) | mean (us) |"
@@ -258,32 +255,12 @@ fn main() {
     assert_eq!(manager.active_count(), 0, "no transactions may survive the drain");
     assert!(committed + retries >= cfg.txns, "budget fully consumed");
 
-    if checking {
-        let events = colock_trace::events_since(mark);
-        let report =
-            colock_check::Linter::with_catalog(manager.store().catalog()).lint(&events);
-        assert!(
-            report.is_clean(),
-            "COLOCK_CHECK: served trace has protocol violations:\n{}",
-            report.render()
-        );
-        println!(
-            "lint: {} events, {} grants checked, 0 violations",
-            events.len(),
-            report.grants_checked
-        );
-        if colock_check::certify_enabled_from_env() {
-            let cert = colock_check::Certifier::new().certify(&events);
-            assert!(
-                cert.is_clean(),
-                "COLOCK_CERTIFY: served trace not conflict-serializable:\n{}",
-                cert.render_with_context(&events)
-            );
-            println!(
-                "certify: {} committed txn(s), {} edge(s), conflict graph acyclic",
-                cert.txns_committed, cert.edges
-            );
-        }
-    }
+    let events = colock_trace::events_since(mark);
+    let (lint, cert) = check_trace("served trace", manager.store().catalog(), &events);
+    println!("lint: {} events, {} grants checked, 0 violations", events.len(), lint.grants_checked);
+    println!(
+        "certify: {} committed txn(s), {} edge(s), conflict graph acyclic",
+        cert.txns_committed, cert.edges
+    );
     println!("loadgen: ok");
 }

@@ -1,27 +1,28 @@
 //! Stress harness: the hot-HoLU insert storm — the acceptance workload of
 //! the semantic commutativity modes.
 //!
-//! Every round, `COLOCK_STORM_WORKERS` writer threads each run
-//! `COLOCK_STORM_INSERTS` short transactions that insert one *distinct*
-//! robot into the same set-valued HoLU (`cells/c1.robots`). With the
-//! semantic modes on (the default), each inserter announces `Insert` on the
-//! container and X on only its own element, so the whole storm commutes in
-//! the lock table; with `COLOCK_NO_SEMANTIC=1` every insert X-locks the
-//! container and the storm fully serializes. Both configurations must be
-//! *correct* — the round asserts every inserted element is present exactly
-//! once, no transaction survives, and the summary words still re-derive —
-//! the difference is purely concurrency (measured in E5's scaling table).
+//! Every round, `WORKERS` writer threads each run `INSERTS` short
+//! transactions that insert one *distinct* robot into the same set-valued
+//! HoLU (`cells/c1.robots`). With the semantic modes on (the default), each
+//! inserter announces `Insert` on the container and X on only its own
+//! element, so the whole storm commutes in the lock table; with them off
+//! (every fourth round: 1, 5, 9, …) every insert X-locks the container and
+//! the storm fully serializes. Every fourth round (3, 7, 11, …) runs with
+//! the adaptive contention policy on. Every configuration must be *correct*
+//! — the round asserts every inserted element is present exactly once, no
+//! transaction survives, and the summary words still re-derive — the
+//! difference is purely concurrency (measured in E5's scaling table).
 //!
-//! With `COLOCK_CHECK=1` the entire round's trace is replayed through the
-//! §4.4.2 protocol linter, which knows the semantic modes' parent-intent
-//! rules.
+//! The entire round's trace is linted against the §4.4.2 rules (the linter
+//! knows the semantic modes' parent-intent rules) and certified.
 //!
 //! Runs `COLOCK_STRESS_ROUNDS` rounds (default 100000 — effectively until
 //! interrupted; CI sets a small bound) with a stall watchdog like
 //! `stress_lockmgr`.
 
-use colock_bench::cells_manager;
+use colock_bench::{cells_manager, check_trace};
 use colock_core::InstanceTarget;
+use colock_lockmgr::adaptive::DEFAULT_WAIT_DEPTH;
 use colock_nf2::value::build::{set, tup};
 use colock_nf2::Value;
 use colock_sim::CellsConfig;
@@ -29,9 +30,10 @@ use colock_txn::{ProtocolKind, TxnKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
+/// Writer threads per round.
+const WORKERS: usize = 4;
+/// Inserts per writer per round into the one hot container.
+const INSERTS: usize = 16;
 
 fn robot(worker: usize, i: usize) -> Value {
     tup(vec![
@@ -42,13 +44,9 @@ fn robot(worker: usize, i: usize) -> Value {
 }
 
 fn main() {
-    let checking = colock_check::enabled_from_env();
-    if checking {
-        colock_trace::enable();
-    }
-    let rounds = env_u64("COLOCK_STRESS_ROUNDS", 100000);
-    let workers = env_u64("COLOCK_STORM_WORKERS", 4) as usize;
-    let inserts = env_u64("COLOCK_STORM_INSERTS", 16) as usize;
+    colock_trace::enable();
+    let rounds: u64 =
+        std::env::var("COLOCK_STRESS_ROUNDS").ok().and_then(|v| v.parse().ok()).unwrap_or(100000);
     let cells = CellsConfig {
         n_cells: 1,
         c_objects_per_cell: 4,
@@ -62,7 +60,19 @@ fn main() {
         round_counter.store(round, Ordering::Relaxed);
         let mark = colock_trace::current_seq();
         let mgr = cells_manager(&cells, ProtocolKind::Proposed);
-        let semantic = mgr.semantic_enabled();
+        let ablation = match round % 4 {
+            1 => {
+                mgr.set_semantic(false);
+                "semantic off"
+            }
+            3 => {
+                let policy = mgr.lock_manager().adaptive();
+                policy.set_hot_victim(true);
+                policy.set_wait_depth_limit(DEFAULT_WAIT_DEPTH);
+                "adaptive on"
+            }
+            _ => "defaults",
+        };
 
         // Watchdog: if this round takes >8s, dump the lock table and park.
         let mgr2 = Arc::clone(&mgr);
@@ -82,11 +92,11 @@ fn main() {
         let container = InstanceTarget::object("cells", "c1").attr("robots");
         let started = std::time::Instant::now();
         std::thread::scope(|scope| {
-            for w in 0..workers {
+            for w in 0..WORKERS {
                 let mgr = &mgr;
                 let container = &container;
                 scope.spawn(move || {
-                    for i in 0..inserts {
+                    for i in 0..INSERTS {
                         let t = mgr.begin(TxnKind::Short);
                         t.insert_element(container, robot(w, i))
                             .expect("storm insert must succeed");
@@ -105,39 +115,21 @@ fn main() {
             other => panic!("robots is not a collection: {other:?}"),
         };
         t.commit().expect("verify commit");
-        let expected = cells.robots_per_cell + workers * inserts;
+        let expected = cells.robots_per_cell + WORKERS * INSERTS;
         assert_eq!(members.len(), expected, "round {round}: lost or duplicated inserts");
         assert_eq!(mgr.active_count(), 0, "round {round}: transactions survived");
         if let Err(e) = mgr.lock_manager().check_summary_consistency() {
             panic!("round {round}: summary words inconsistent: {e}");
         }
 
-        if checking {
-            let events = colock_trace::events_since(mark);
-            let report =
-                colock_check::Linter::with_catalog(mgr.store().catalog()).lint(&events);
-            assert!(
-                report.is_clean(),
-                "round {round}: storm trace has protocol violations:\n{}",
-                report.render()
-            );
-            if colock_check::certify_enabled_from_env() {
-                let cert = colock_check::Certifier::new().certify(&events);
-                assert!(
-                    cert.is_clean(),
-                    "round {round}: storm trace not conflict-serializable:\n{}",
-                    cert.render_with_context(&events)
-                );
-            }
-        }
-        if round % 50 == 0 {
-            println!(
-                "round {round}: semantic={semantic} {} inserts in {:.1}ms ({:.0}/s)",
-                workers * inserts,
-                elapsed.as_secs_f64() * 1000.0,
-                workers as f64 * inserts as f64 / elapsed.as_secs_f64(),
-            );
-        }
+        let events = colock_trace::events_since(mark);
+        check_trace(&format!("round {round}"), mgr.store().catalog(), &events);
+        println!(
+            "round {round} ({ablation}): {} inserts in {:.1}ms ({:.0}/s)",
+            WORKERS * INSERTS,
+            elapsed.as_secs_f64() * 1000.0,
+            (WORKERS * INSERTS) as f64 / elapsed.as_secs_f64(),
+        );
     }
     println!("stress_insert_storm: ok");
 }

@@ -1,17 +1,22 @@
 //! Stress harness: hammers the multithreaded driver with varied-seed
 //! engineering-mix workloads and watchdogs every round — the tool that
 //! exposed the lock manager's lost-grant and invisible-positional-block
-//! bugs (see DESIGN.md §5). Runs `COLOCK_STRESS_ROUNDS` rounds (default
-//! 100000 — effectively until interrupted; CI sets a small bound); prints a
+//! bugs (see DESIGN.md §5). Every round's trace is linted and certified.
+//! Ablations by round number: every fourth round (1, 5, 9, …) runs with the
+//! fast path off, every fourth (3, 7, 11, …) with the adaptive contention
+//! policy on. Runs `COLOCK_STRESS_ROUNDS` rounds (default 100000 —
+//! effectively until interrupted; CI sets a small bound); prints a
 //! lock-table dump and parks if any round stalls for more than 8 seconds.
 
-use colock_bench::cells_manager;
+use colock_bench::{cells_manager, check_trace};
+use colock_lockmgr::adaptive::DEFAULT_WAIT_DEPTH;
 use colock_sim::{run_threads, CellsConfig, QueryMix, ThreadConfig};
 use colock_txn::ProtocolKind;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn main() {
+    colock_trace::enable();
     let cells = CellsConfig {
         n_cells: 4, c_objects_per_cell: 40, robots_per_cell: 4,
         n_effectors: 6, effectors_per_robot: 2, ..Default::default()
@@ -24,6 +29,19 @@ fn main() {
     for round in 0..rounds {
         round_counter.store(round, Ordering::Relaxed);
         let mgr = cells_manager(&cells, ProtocolKind::Proposed);
+        let lm = mgr.lock_manager();
+        let ablation = match round % 4 {
+            1 => {
+                lm.set_fastpath(false);
+                "fastpath off"
+            }
+            3 => {
+                lm.adaptive().set_hot_victim(true);
+                lm.adaptive().set_wait_depth_limit(DEFAULT_WAIT_DEPTH);
+                "adaptive on"
+            }
+            _ => "defaults",
+        };
         let cfg = ThreadConfig {
             workers: 4, txns_per_worker: 8, ops_per_txn: 3,
             mix: QueryMix::engineering(), seed: round, cells,
@@ -46,8 +64,11 @@ fn main() {
                 }
             }
         });
+        let mark = colock_trace::current_seq();
         let r = run_threads(&mgr, &cfg);
         drop(watchdog);
+        let events = colock_trace::events_since(mark);
+        check_trace(&format!("round {round}"), mgr.store().catalog(), &events);
         // Fast-path bookkeeping must balance every round: each gate entry is
         // exactly one CAS publication or one shard-mutex fallback, and the
         // summary words must re-derive from the (now quiescent) shard maps.
@@ -60,12 +81,10 @@ fn main() {
         if let Err(e) = mgr.lock_manager().check_summary_consistency() {
             panic!("round {round}: summary words inconsistent: {e}");
         }
-        if round % 50 == 0 {
-            println!(
-                "round {round}: committed={} deadlocks={} fastpath={}/{}",
-                r.metrics.committed, r.metrics.deadlock_aborts,
-                stats.fastpath_hits, stats.intent_acquires
-            );
-        }
+        println!(
+            "round {round} ({ablation}): committed={} deadlocks={} fastpath={}/{}",
+            r.metrics.committed, r.metrics.deadlock_aborts,
+            stats.fastpath_hits, stats.intent_acquires
+        );
     }
 }

@@ -10,11 +10,12 @@
 //! `CHECKPOINT_FLOOR + 2 × live bytes`.
 //!
 //! Knobs: `COLOCK_CRASH_SEED` (schedule seed, default 0xC010CC) and
-//! `COLOCK_RECOVERY_ROUNDS` (rounds per crash point, default 25). With
-//! `COLOCK_CHECK=1` every crash/recovery cycle is additionally traced and
-//! replayed through the §4.4.2 protocol linter — recovered grants, probes
-//! and the post-recovery sweep must all be conformant.
+//! `COLOCK_RECOVERY_ROUNDS` (rounds per crash point, default 25). Odd rounds
+//! run both servers with the fast path off. Every crash/recovery cycle is
+//! traced, linted against the §4.4.2 rules and certified — recovered
+//! grants, probes and the post-recovery sweep must all be conformant.
 
+use colock_bench::check_trace;
 use colock_core::authorization::{Authorization, Right};
 use colock_core::{AccessMode, InstanceTarget, ResourcePath};
 use colock_lockmgr::persistent::CHECKPOINT_FLOOR;
@@ -35,10 +36,11 @@ fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
-fn server(store: &Arc<Store>) -> (TransactionManager, Arc<Journal<ResourcePath>>) {
+fn server(store: &Arc<Store>, fastpath: bool) -> (TransactionManager, Arc<Journal<ResourcePath>>) {
     let mut authz = Authorization::allow_all();
     authz.set_relation_default("effectors", Right::Read);
     let mgr = TransactionManager::over_store(Arc::clone(store), authz, ProtocolKind::Proposed);
+    mgr.lock_manager().set_fastpath(fastpath);
     let journal = Arc::new(Journal::<ResourcePath>::new());
     assert!(mgr.attach_journal(Arc::clone(&journal)));
     (mgr, journal)
@@ -80,8 +82,8 @@ fn assert_bounded(journal: &Journal<ResourcePath>, label: &str) {
 }
 
 /// Runs one crashed cycle with `churn` churn cycles after the check-outs.
-fn run_cycle(store: &Arc<Store>, plan: Option<FaultPlan>, churn: usize) -> Cycle {
-    let (mgr, journal) = server(store);
+fn run_cycle(store: &Arc<Store>, plan: Option<FaultPlan>, churn: usize, fastpath: bool) -> Cycle {
+    let (mgr, journal) = server(store, fastpath);
     if let Some(p) = plan {
         journal.arm(p);
     }
@@ -143,9 +145,9 @@ fn run_cycle(store: &Arc<Store>, plan: Option<FaultPlan>, churn: usize) -> Cycle
     }
 }
 
-fn check(store: &Arc<Store>, cycle: &Cycle) -> (usize, usize, usize) {
+fn check(store: &Arc<Store>, cycle: &Cycle, fastpath: bool) -> (usize, usize, usize) {
     let Cycle { medium, held, checked_in, .. } = cycle;
-    let (mgr, journal) = server(store);
+    let (mgr, journal) = server(store, fastpath);
     let report = mgr.recover(medium).expect("medium must replay");
     assert!(report.dropped_tail <= 1, "more than the torn record dropped");
     for (i, id) in held {
@@ -171,44 +173,19 @@ fn check(store: &Arc<Store>, cycle: &Cycle) -> (usize, usize, usize) {
     (report.owners.len(), report.locks, report.dropped_tail)
 }
 
-/// Under `COLOCK_CHECK=1`, drains the cycle's trace window through the
-/// protocol linter and aborts loudly on any violation. The linter treats a
-/// re-begun transaction id as a fresh incarnation, so the pre-crash server
-/// and the recovery server sharing one window is fine.
-fn lint_cycle(store: &Arc<Store>, mark: u64, label: &str) {
-    let events = colock_trace::events_since(mark);
-    let report = colock_check::Linter::with_catalog(store.catalog()).lint(&events);
-    assert!(
-        report.is_clean(),
-        "COLOCK_CHECK: protocol violations in {label}:\n{}",
-        report.render_with_context(&events)
-    );
-    if colock_check::certify_enabled_from_env() {
-        let cert = colock_check::Certifier::new().certify(&events);
-        assert!(
-            cert.is_clean(),
-            "COLOCK_CERTIFY: {label} not conflict-serializable:\n{}",
-            cert.render_with_context(&events)
-        );
-    }
-}
-
 fn main() {
     let seed = env_u64("COLOCK_CRASH_SEED", 0xC0_10CC);
     let rounds = env_u64("COLOCK_RECOVERY_ROUNDS", 25);
-    let checking = colock_check::enabled_from_env();
-    if checking {
-        colock_trace::enable();
-    }
+    colock_trace::enable();
 
     // Dry run: learn the append budget and verify the no-crash control.
     let store = build_cells_store(&CellsConfig::default());
     let mark = colock_trace::current_seq();
-    let control = run_cycle(&store, None, 0);
-    check(&store, &control);
-    if checking {
-        lint_cycle(&store, mark, "control cycle");
-    }
+    let control = run_cycle(&store, None, 0, true);
+    check(&store, &control, true);
+    // The linter treats a re-begun transaction id as a fresh incarnation, so
+    // the pre-crash server and the recovery server may share one window.
+    check_trace("control cycle", store.catalog(), &colock_trace::events_since(mark));
     let appends = control.appends;
     println!("control: {appends} appends, {} holders recovered, clean sweep", control.held.len());
 
@@ -216,11 +193,9 @@ fn main() {
     // draws its crash positions from.
     let store = build_cells_store(&CellsConfig::default());
     let mark = colock_trace::current_seq();
-    let churned = run_cycle(&store, None, CHURN_CYCLES);
-    check(&store, &churned);
-    if checking {
-        lint_cycle(&store, mark, "churn control cycle");
-    }
+    let churned = run_cycle(&store, None, CHURN_CYCLES, true);
+    check(&store, &churned, true);
+    check_trace("churn control cycle", store.catalog(), &colock_trace::events_since(mark));
     assert!(churned.checkpoints >= 3, "churn wrote {} checkpoints", churned.checkpoints);
     println!(
         "churn control: {} appends, {} checkpoints, medium {} B, clean sweep",
@@ -238,21 +213,23 @@ fn main() {
     for (point, churn, window) in sweeps {
         let (mut owners, mut locks, mut torn) = (0, 0, 0);
         for round in 0..rounds {
+            let fastpath = round % 2 == 0;
             let store = build_cells_store(&CellsConfig::default());
             let nth = rng.gen_range(1..window + 1);
             let mark = colock_trace::current_seq();
-            let cycle = run_cycle(&store, Some(FaultPlan::crash_at(point, nth)), churn);
+            let cycle = run_cycle(&store, Some(FaultPlan::crash_at(point, nth)), churn, fastpath);
             assert!(cycle.crashed, "{point}@{nth}: the plan must fire within the cycle");
-            let (o, l, t) = check(&store, &cycle);
-            if checking {
-                lint_cycle(&store, mark, &format!("{point} round {round}"));
-            }
+            let (o, l, t) = check(&store, &cycle, fastpath);
+            let label = format!("{point} round {round} (fastpath {fastpath})");
+            check_trace(&label, store.catalog(), &colock_trace::events_since(mark));
             owners += o;
             locks += l;
             torn += t;
         }
         println!(
-            "{point}: {rounds} rounds, {owners} owners / {locks} locks recovered, {torn} torn tails, 0 violations"
+            "{point}: {rounds} rounds ({} with the fast path off), {owners} owners / {locks} locks \
+             recovered, {torn} torn tails, 0 violations",
+            rounds / 2
         );
     }
     println!("stress_recovery: all invariants held (seed {seed:#x}, {rounds} rounds/point)");

@@ -15,9 +15,10 @@
 //! 6. assert every acknowledged long lock was re-adopted and the table
 //!    sweeps clean.
 //!
-//! Knobs: `COLOCK_SERVER_ROUNDS` (default 5), `COLOCK_SEED`. With
-//! `COLOCK_CHECK=1` every round's trace window is linted.
+//! Knob: `COLOCK_SERVER_ROUNDS` (default 5). Every round's trace window is
+//! linted and certified.
 
+use colock_bench::check_trace;
 use colock_core::authorization::{Authorization, Right};
 use colock_core::{AccessMode, ResourcePath};
 use colock_lockmgr::Journal;
@@ -58,10 +59,7 @@ fn robot(i: usize) -> colock_core::InstanceTarget {
 
 fn main() {
     let rounds: u64 = env("COLOCK_SERVER_ROUNDS", 5);
-    let checking = colock_check::enabled_from_env();
-    if checking {
-        colock_trace::enable();
-    }
+    colock_trace::enable();
 
     for round in 0..rounds {
         let store = build_cells_store(&CellsConfig {
@@ -139,23 +137,7 @@ fn main() {
         let stragglers = server2.drain(Duration::from_secs(2));
         assert_eq!(stragglers, 0);
 
-        if checking {
-            let events = colock_trace::events_since(mark);
-            let lint = colock_check::Linter::with_catalog(store.catalog()).lint(&events);
-            assert!(
-                lint.is_clean(),
-                "COLOCK_CHECK: round {round} violations:\n{}",
-                lint.render()
-            );
-            if colock_check::certify_enabled_from_env() {
-                let cert = colock_check::Certifier::new().certify(&events);
-                assert!(
-                    cert.is_clean(),
-                    "COLOCK_CERTIFY: round {round} not conflict-serializable:\n{}",
-                    cert.render_with_context(&events)
-                );
-            }
-        }
+        check_trace(&format!("round {round}"), store.catalog(), &colock_trace::events_since(mark));
         println!(
             "round {round}: {} long locks crashed, {} re-adopted, resumed and committed over TCP",
             acked.len(),

@@ -1,19 +1,20 @@
 //! Read-mostly stress harness for the multiversion overlay: varied-seed
 //! rounds of the threaded driver with a large read-only fraction racing the
-//! engineering mix's checkouts and updates. Honors `COLOCK_CHECK=1` (every
-//! round's trace through the protocol linter, including the snapshot rules)
-//! and `COLOCK_NO_MVCC=1` (the S-locking ablation — readers must still
-//! complete, now through the lock table). Runs `COLOCK_STRESS_ROUNDS`
+//! engineering mix's checkouts and updates. Every round's trace is linted
+//! (including the snapshot rules) and certified. Every fourth round (1, 5,
+//! 9, …) runs the MVCC-off ablation: readers fall back to S locks and must
+//! still complete, now through the lock table. Runs `COLOCK_STRESS_ROUNDS`
 //! rounds (default 100000 — effectively until interrupted; CI sets a small
 //! bound) with the same 8-second stall watchdog as `stress_lockmgr`.
 
-use colock_bench::cells_manager;
+use colock_bench::{cells_manager, check_trace};
 use colock_sim::{run_threads, CellsConfig, QueryMix, ThreadConfig};
 use colock_txn::ProtocolKind;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn main() {
+    colock_trace::enable();
     let cells = CellsConfig {
         n_cells: 4, c_objects_per_cell: 40, robots_per_cell: 4,
         n_effectors: 6, effectors_per_robot: 2, ..Default::default()
@@ -26,7 +27,8 @@ fn main() {
     for round in 0..rounds {
         round_counter.store(round, Ordering::Relaxed);
         let mgr = cells_manager(&cells, ProtocolKind::Proposed);
-        let mvcc = mgr.mvcc_enabled();
+        let mvcc = round % 4 != 1;
+        mgr.set_mvcc(mvcc);
         let cfg = ThreadConfig {
             workers: 4, txns_per_worker: 8, ops_per_txn: 3,
             mix: QueryMix::engineering(), seed: round, cells,
@@ -49,8 +51,11 @@ fn main() {
                 }
             }
         });
+        let mark = colock_trace::current_seq();
         let r = run_threads(&mgr, &cfg);
         drop(watchdog);
+        let events = colock_trace::events_since(mark);
+        check_trace(&format!("round {round}"), mgr.store().catalog(), &events);
         let stats = mgr.lock_manager().stats().snapshot();
         // Overlay invariants, per round: with MVCC on, every snapshot read
         // bypassed the lock table (and at 70% read-only some must exist);
@@ -70,12 +75,11 @@ fn main() {
             assert_eq!(stats.reads_elided, 0, "round {round}: ablation elided a read");
         }
         assert_eq!(mgr.lock_manager().table_size(), 0, "round {round}: lock table not drained");
-        if round % 50 == 0 {
-            println!(
-                "round {round}: committed={} deadlocks={} elided={} pruned={} (mvcc={})",
-                r.metrics.committed, r.metrics.deadlock_aborts,
-                stats.reads_elided, mgr.store().versions_pruned(), mvcc
-            );
-        }
+        println!(
+            "round {round} (mvcc {}): committed={} deadlocks={} elided={} pruned={}",
+            if mvcc { "on" } else { "off" },
+            r.metrics.committed, r.metrics.deadlock_aborts,
+            stats.reads_elided, mgr.store().versions_pruned()
+        );
     }
 }

@@ -22,12 +22,11 @@
 //! * **chains stay bounded** — after a final GC every chain is one entry;
 //! * the lock table drains and no transaction survives.
 //!
-//! With `COLOCK_CHECK=1` the round's trace goes through the protocol linter
-//! (and the certifier, under `COLOCK_CERTIFY=1`). Runs
+//! Every round's trace is linted and certified. Runs
 //! `COLOCK_STRESS_ROUNDS` rounds (default 100000 — effectively until
 //! interrupted; the gate sets a small bound).
 
-use colock_bench::cells_manager_writable;
+use colock_bench::{cells_manager_writable, check_trace};
 use colock_core::{AccessMode, InstanceTarget};
 use colock_nf2::Value;
 use colock_sim::CellsConfig;
@@ -140,10 +139,7 @@ fn reader(mgr: &TransactionManager, begun: &[AtomicU64], writers_done: &AtomicBo
 }
 
 fn main() {
-    let checking = colock_check::enabled_from_env();
-    if checking {
-        colock_trace::enable();
-    }
+    colock_trace::enable();
     let rounds: u64 = std::env::var("COLOCK_STRESS_ROUNDS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -159,8 +155,6 @@ fn main() {
     for round in 0..rounds {
         let mark = colock_trace::current_seq();
         let mgr = cells_manager_writable(&cells, ProtocolKind::Proposed);
-        // The readers must be snapshot readers whatever the environment says.
-        mgr.set_mvcc(true);
 
         // Counters start at 0 (the generated store holds free-form strings).
         let t = mgr.begin(TxnKind::Short);
@@ -230,23 +224,7 @@ fn main() {
             assert_eq!(entries, objects, "round {round}: {relation} chains not pruned to one entry each");
         }
 
-        if checking {
-            let events = colock_trace::events_since(mark);
-            let report = colock_check::Linter::with_catalog(store.catalog()).lint(&events);
-            assert!(
-                report.is_clean(),
-                "round {round}: store storm trace has protocol violations:\n{}",
-                report.render()
-            );
-            if colock_check::certify_enabled_from_env() {
-                let cert = colock_check::Certifier::new().certify(&events);
-                assert!(
-                    cert.is_clean(),
-                    "round {round}: store storm trace not conflict-serializable:\n{}",
-                    cert.render_with_context(&events)
-                );
-            }
-        }
+        check_trace(&format!("round {round}"), store.catalog(), &colock_trace::events_since(mark));
         if round % 10 == 0 {
             let commits: u64 = expected.0.iter().chain(&expected.1).sum();
             println!(

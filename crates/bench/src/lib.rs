@@ -3,8 +3,11 @@
 //! Criterion benches. Every table printed by a binary in `src/bin/` is
 //! recorded (paper statement vs measured shape) in `EXPERIMENTS.md`.
 
+use colock_check::{CertifyReport, Certifier, LintReport, Linter};
 use colock_core::authorization::{Authorization, Right};
+use colock_nf2::Catalog;
 use colock_sim::{build_cells_store, CellsConfig};
+use colock_trace::Event;
 use colock_txn::{ProtocolKind, TransactionManager};
 use std::sync::Arc;
 
@@ -39,6 +42,26 @@ pub fn cells_manager_writable(cfg: &CellsConfig, protocol: ProtocolKind) -> Arc<
 /// Formats a float with 1 decimal.
 pub fn f1(v: f64) -> String {
     format!("{v:.1}")
+}
+
+/// Checks one harness's trace window: lints it against the §4.4.2 rules and
+/// certifies it conflict-serializable, panicking with the rendered timeline
+/// on either failure. A certification failure first saves the trace to the
+/// temp dir for `colock_check --certify <file>`.
+pub fn check_trace(label: &str, catalog: &Catalog, events: &[Event]) -> (LintReport, CertifyReport) {
+    let lint = Linter::with_catalog(catalog).lint(events);
+    assert!(lint.is_clean(), "{label}: protocol violations:\n{}", lint.render_with_context(events));
+    let cert = Certifier::new().certify(events);
+    if !cert.is_clean() {
+        let path = std::env::temp_dir().join("colock_certify_fail.trace");
+        let lines: String = events.iter().map(|e| format!("{}\n", e.to_line())).collect();
+        let saved = std::fs::write(&path, lines).map(|_| path.display().to_string());
+        panic!(
+            "{label}: not conflict-serializable (trace saved: {saved:?}):\n{}",
+            cert.render_with_context(events)
+        );
+    }
+    (lint, cert)
 }
 
 /// Runs the built-in contention demo shared by `trace_explain` and

@@ -11,10 +11,9 @@
 //!   actually did, reporting typed [`Violation`]s.
 //!
 //! Neither path touches engine internals, so a bug in the engine cannot hide
-//! itself from its own checker. The sim driver and the stress binaries drain
-//! the trace ring through the linter when `COLOCK_CHECK=1` is set (see
-//! [`enabled_from_env`]); `cargo run --bin colock_check` lints trace files
-//! offline.
+//! itself from its own checker. The stress binaries and the sim tests drain
+//! the trace ring through the linter and the [`certify`] certifier after
+//! every run; `cargo run --bin colock_check` lints trace files offline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,31 +25,3 @@ pub mod static_check;
 pub use certify::{Certifier, CertifyReport, ConflictCycle, ConflictEdge, TxnNode};
 pub use lint::{LintReport, Linter, Violation, ViolationKind};
 pub use static_check::{check_graph, check_matrix, check_schema, CheckError, StaticReport};
-
-use std::sync::OnceLock;
-
-fn env_flag(v: &str) -> bool {
-    matches!(v.to_ascii_lowercase().as_str(), "1" | "true" | "on" | "yes")
-}
-
-/// Whether `COLOCK_CHECK` asks for conformance checking (`1`, `true`, `on`
-/// or `yes`, case-insensitive). Read once and cached for the process.
-pub fn enabled_from_env() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        std::env::var("COLOCK_CHECK").map(|v| env_flag(&v)).unwrap_or(false)
-    })
-}
-
-/// Whether the serializability certifier should run. `COLOCK_CERTIFY` wins
-/// when set (so the certifier can be toggled independently, e.g. off for a
-/// bisect of a linter failure); otherwise it follows `COLOCK_CHECK`, putting
-/// the certifier next to the linter in every gated harness. Read once and
-/// cached for the process.
-pub fn certify_enabled_from_env() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var("COLOCK_CERTIFY") {
-        Ok(v) => env_flag(&v),
-        Err(_) => enabled_from_env(),
-    })
-}

@@ -1219,7 +1219,7 @@ mod tests {
         }
     }
 
-    /// The `COLOCK_NO_MVCC` fallback reader begins `readonly-locking` and
+    /// The MVCC-off fallback reader begins `readonly-locking` and
     /// reads through ordinary S locks — that is legal, not a violation.
     #[test]
     fn readonly_locking_fallback_may_lock() {

@@ -21,15 +21,12 @@
 //!
 //! Both knobs default to **off** so the classic behaviour is unchanged;
 //! they are switched on per manager through the setters by the layers that
-//! watch the [PR 3] wait histograms, or process-wide through the
-//! `COLOCK_ADAPTIVE` master switch: any non-empty value other than `0`
-//! enables hot-victim selection and a wait-depth limit of
-//! [`DEFAULT_WAIT_DEPTH`].
+//! watch the wait histograms. The ablation harnesses switch both on at once:
+//! hot-victim selection and a wait-depth limit of [`DEFAULT_WAIT_DEPTH`].
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// Wait-depth limit implied by the `COLOCK_ADAPTIVE` master switch. Deep
-/// enough to never bite on benign queues, shallow enough to break hot-spot
+/// Wait-depth limit the ablation harnesses switch on. Deep enough to never bite on benign queues, shallow enough to break hot-spot
 /// convoys.
 pub const DEFAULT_WAIT_DEPTH: usize = 32;
 
@@ -51,7 +48,7 @@ pub struct AdaptivePolicy {
 
 impl Default for AdaptivePolicy {
     fn default() -> Self {
-        Self::from_env()
+        Self::off()
     }
 }
 
@@ -59,15 +56,6 @@ impl AdaptivePolicy {
     /// Policy with both knobs off (the classic static behaviour).
     pub fn off() -> Self {
         AdaptivePolicy { wait_depth: AtomicUsize::new(0), hot_victim: AtomicBool::new(false) }
-    }
-
-    /// Policy read from the `COLOCK_ADAPTIVE` master switch (see module docs).
-    pub fn from_env() -> Self {
-        let on = std::env::var("COLOCK_ADAPTIVE").is_ok_and(|v| !v.is_empty() && v != "0");
-        AdaptivePolicy {
-            wait_depth: AtomicUsize::new(if on { DEFAULT_WAIT_DEPTH } else { 0 }),
-            hot_victim: AtomicBool::new(on),
-        }
     }
 
     /// Current wait-depth limit (0 = unlimited).

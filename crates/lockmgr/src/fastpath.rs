@@ -10,8 +10,8 @@
 //! into real shard grants, so the classic path always decides against a
 //! complete granted group; waiters, conversions, long locks and saturated
 //! counters all force the fallback. See DESIGN.md §5 for the equivalence
-//! argument; `COLOCK_NO_FASTPATH=1` (or [`LockManager::set_fastpath`])
-//! disables the gate for ablations and differential testing.
+//! argument; [`LockManager::set_fastpath`] disables the gate for ablations
+//! and differential testing.
 
 use crate::inventory::HeldLock;
 use crate::mode::LockMode;

@@ -187,12 +187,6 @@ pub const MAX_FASTPATH_ATTEMPTS: u32 = 4;
 /// validate and its CAS.
 type FastpathProbe = Box<dyn FnMut() + Send>;
 
-/// Whether the fast path starts enabled: `COLOCK_NO_FASTPATH` set to any
-/// non-empty value other than `0` disables it.
-fn fastpath_default() -> bool {
-    !std::env::var("COLOCK_NO_FASTPATH").map(|v| !v.is_empty() && v != "0").unwrap_or(false)
-}
-
 /// The manager's one poison policy: recover the guard and continue, so a
 /// panicking thread never cascades into every later acquire (DESIGN.md §5
 /// states why that is sound).
@@ -237,8 +231,7 @@ pub struct LockManager<R: Resource> {
     pub(crate) heat: Box<[AtomicU64]>,
     /// Adaptive contention-management knobs (all off by default).
     pub(crate) adaptive: AdaptivePolicy,
-    /// Whether the optimistic intent fast path is on (default: on unless
-    /// `COLOCK_NO_FASTPATH` is set).
+    /// Whether the optimistic intent fast path is on (default: on).
     fastpath: AtomicBool,
     /// Set by [`LockManager::begin_drain`]: parked waiters are woken and
     /// refused with [`LockError::Draining`] so shutdown never sleeps behind
@@ -278,8 +271,8 @@ impl<R: Resource> LockManager<R> {
             journal: OnceLock::new(),
             summaries: (0..n * SLOTS_PER_SHARD).map(|_| AtomicU64::new(0)).collect(),
             heat: (0..n * SLOTS_PER_SHARD).map(|_| AtomicU64::new(0)).collect(),
-            adaptive: AdaptivePolicy::from_env(),
-            fastpath: AtomicBool::new(fastpath_default()),
+            adaptive: AdaptivePolicy::off(),
+            fastpath: AtomicBool::new(true),
             draining: AtomicBool::new(false),
             probe_armed: AtomicBool::new(false),
             fastpath_probe: Mutex::new(None),

@@ -23,7 +23,7 @@ fn env_parse<T: std::str::FromStr>(name: &str, default: T) -> T {
 
 fn main() {
     colock_trace::enable_from_env();
-    let cfg = ServerConfig::from_env();
+    let cfg = ServerConfig::from_lookup(|k| std::env::var(k).ok());
 
     let cells = CellsConfig {
         n_cells: env_parse("COLOCK_CELLS", 8),

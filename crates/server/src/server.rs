@@ -33,8 +33,8 @@ use std::time::{Duration, Instant};
 /// How often a session thread wakes to check idle/drain state.
 const POLL_TICK: Duration = Duration::from_millis(100);
 
-/// Server tunables. [`ServerConfig::from_env`] reads the `COLOCK_*`
-/// environment documented in the README.
+/// Server tunables. [`ServerConfig::from_lookup`] parses the `COLOCK_*`
+/// settings documented in the README.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Listen address (`COLOCK_LISTEN`, default `127.0.0.1:0` = ephemeral).
@@ -72,36 +72,32 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Defaults overridden by the `COLOCK_*` environment (unparsable values
-    /// fall back silently — a server must come up even with a typo'd env).
-    pub fn from_env() -> ServerConfig {
+    /// Defaults overridden by the `COLOCK_*` settings that `lookup` returns
+    /// (`colock_server` looks them up in its environment). Unparsable values
+    /// fall back silently — a server must come up even with a typo.
+    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> ServerConfig {
+        let parse = |name: &str| lookup(name).and_then(|v| v.parse::<u64>().ok());
         let mut cfg = ServerConfig::default();
-        if let Ok(v) = std::env::var("COLOCK_LISTEN") {
+        if let Some(v) = lookup("COLOCK_LISTEN") {
             cfg.listen = v;
         }
-        if let Some(v) = env_parse::<usize>("COLOCK_MAX_SESSIONS") {
-            cfg.max_sessions = v;
+        if let Some(v) = parse("COLOCK_MAX_SESSIONS") {
+            cfg.max_sessions = v as usize;
         }
-        if let Some(v) = env_parse::<usize>("COLOCK_MAX_INFLIGHT") {
-            cfg.max_inflight = v;
+        if let Some(v) = parse("COLOCK_MAX_INFLIGHT") {
+            cfg.max_inflight = v as usize;
         }
-        if let Ok(v) = std::env::var("COLOCK_ADMISSION") {
-            if let Some(p) = AdmissionPolicy::parse(&v) {
-                cfg.admission = p;
-            }
+        if let Some(p) = lookup("COLOCK_ADMISSION").as_deref().and_then(AdmissionPolicy::parse) {
+            cfg.admission = p;
         }
-        if let Some(v) = env_parse::<u64>("COLOCK_IDLE_TIMEOUT") {
+        if let Some(v) = parse("COLOCK_IDLE_TIMEOUT") {
             cfg.idle_timeout = Some(Duration::from_secs(v));
         }
-        if let Some(v) = env_parse::<u64>("COLOCK_DRAIN_TIMEOUT") {
+        if let Some(v) = parse("COLOCK_DRAIN_TIMEOUT") {
             cfg.drain_timeout = Duration::from_secs(v);
         }
         cfg
     }
-}
-
-fn env_parse<T: std::str::FromStr>(name: &str) -> Option<T> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
 }
 
 struct Shared {
@@ -368,5 +364,43 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
             session.close(CloseReason::Disconnect);
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashMap;
+
+    fn config(pairs: &[(&str, &str)]) -> ServerConfig {
+        let vars: HashMap<String, String> =
+            pairs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
+        ServerConfig::from_lookup(|k| vars.get(k).cloned())
+    }
+
+    #[test]
+    fn timeouts_are_seconds() {
+        let cfg = config(&[("COLOCK_DRAIN_TIMEOUT", "7"), ("COLOCK_IDLE_TIMEOUT", "3")]);
+        assert_eq!(cfg.drain_timeout, Duration::from_secs(7));
+        assert_eq!(cfg.idle_timeout, Some(Duration::from_secs(3)));
+    }
+
+    #[test]
+    fn unparsable_values_fall_back_to_defaults() {
+        let cfg = config(&[
+            ("COLOCK_DRAIN_TIMEOUT", "5000ms"),
+            ("COLOCK_MAX_SESSIONS", "many"),
+            ("COLOCK_ADMISSION", "maybe"),
+        ]);
+        let default = ServerConfig::default();
+        assert_eq!(cfg.drain_timeout, default.drain_timeout);
+        assert_eq!(cfg.max_sessions, default.max_sessions);
+        assert_eq!(cfg.admission, default.admission);
+        assert_eq!(cfg.idle_timeout, None);
+    }
+
+    #[test]
+    fn admission_refuse_is_honoured() {
+        assert_eq!(config(&[("COLOCK_ADMISSION", "refuse")]).admission, AdmissionPolicy::Refuse);
     }
 }

@@ -63,15 +63,8 @@ pub struct ThreadReport {
 pub fn run_threads(mgr: &Arc<TransactionManager>, cfg: &ThreadConfig) -> ThreadReport {
     let start_stats = mgr.lock_manager().stats().snapshot();
     let start_scans = mgr.store().scan_visits();
-    // COLOCK_CHECK=1 turns every threaded run into a conformance check: the
-    // trace ring is drained through the protocol linter afterwards and any
-    // violation aborts the run loudly.
-    let checking = colock_check::enabled_from_env();
-    if checking {
-        colock_trace::enable();
-    }
     // When tracing is on, remember where the event stream stood so the
-    // histograms and the linter below cover exactly this run.
+    // histograms below cover exactly this run.
     let trace_start = colock_trace::current_seq();
     let deadlocks = AtomicU64::new(0);
     let committed = AtomicU64::new(0);
@@ -178,29 +171,6 @@ pub fn run_threads(mgr: &Arc<TransactionManager>, cfg: &ThreadConfig) -> ThreadR
     } else {
         Vec::new()
     };
-    if checking {
-        let report = colock_check::Linter::with_catalog(mgr.store().catalog()).lint(&events);
-        assert!(
-            report.is_clean(),
-            "COLOCK_CHECK: protocol violations in threaded run:\n{}",
-            report.render_with_context(&events)
-        );
-    }
-    if colock_check::certify_enabled_from_env() && !events.is_empty() {
-        let cert = colock_check::Certifier::new().certify(&events);
-        if !cert.is_clean() {
-            // Persist the raw trace so the failure can be replayed offline
-            // with `colock_check --certify <file>`.
-            let path = std::env::temp_dir().join("colock_certify_fail.trace");
-            let lines: String = events.iter().map(|e| format!("{}\n", e.to_line())).collect();
-            let saved = std::fs::write(&path, lines).map(|_| path.display().to_string());
-            panic!(
-                "COLOCK_CERTIFY: threaded run not conflict-serializable \
-                 (trace saved: {saved:?}):\n{}",
-                cert.render_with_context(&events)
-            );
-        }
-    }
     let wait_hists = if events.is_empty() {
         Default::default()
     } else {

@@ -32,7 +32,7 @@ pub struct TickConfig {
     /// via [`TransactionManager::begin_readonly`] and read through the
     /// multiversion overlay instead of S locks. Per-read blocked-tick counts
     /// land in [`Metrics::reader_waits`] (always 0 while MVCC is on — the
-    /// whole point; under the `COLOCK_NO_MVCC` ablation they lock and wait).
+    /// whole point; under the MVCC-off ablation they lock and wait).
     pub snapshot_readers: bool,
 }
 

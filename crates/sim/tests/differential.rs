@@ -12,11 +12,14 @@
 //!
 //! The scripted driver is single-threaded and deterministic, so any
 //! difference between the runs is the fast path changing an admission
-//! decision — exactly the bug class this harness exists to catch.
+//! decision — exactly the bug class this harness exists to catch. Whether
+//! the adaptive contention policy is on is one more generated input: both
+//! runs of a case share it.
 
 use colock_check::Linter;
 use colock_core::authorization::Authorization;
 use colock_core::{InstanceTarget, TargetStep};
+use colock_lockmgr::adaptive::DEFAULT_WAIT_DEPTH;
 use colock_sim::consistency::{run_scripted, History, HOp};
 use colock_sim::{build_cells_store, CellsConfig};
 use colock_testkit::prop::Shrink;
@@ -56,11 +59,12 @@ fn random_scripts(seed: u64, workers: usize, ops: usize, c: &CellsConfig) -> Vec
         .collect()
 }
 
-/// A multi-worker workload. Unlike the opaque serializability workloads,
-/// this one shrinks: divergence drops whole scripts first, then single
-/// operations, homing in on the smallest schedule that still diverges.
+/// A multi-worker workload and whether the adaptive contention policy is
+/// on. Unlike the opaque serializability workloads, this one shrinks:
+/// divergence drops whole scripts first, then single operations, homing in
+/// on the smallest schedule that still diverges.
 #[derive(Debug, Clone)]
-struct Workload(Vec<Vec<HOp>>);
+struct Workload(Vec<Vec<HOp>>, bool);
 
 impl Shrink for Workload {
     fn shrink(&self) -> Vec<Self> {
@@ -69,7 +73,7 @@ impl Shrink for Workload {
             let mut v = self.0.clone();
             v.remove(i);
             if !v.is_empty() {
-                out.push(Workload(v));
+                out.push(Workload(v, self.1));
             }
         }
         for i in 0..self.0.len() {
@@ -80,7 +84,7 @@ impl Shrink for Workload {
                     v.remove(i);
                 }
                 if !v.is_empty() {
-                    out.push(Workload(v));
+                    out.push(Workload(v, self.1));
                 }
             }
         }
@@ -142,7 +146,7 @@ fn storage_fingerprint(mgr: &TransactionManager) -> String {
 }
 
 /// Runs the workload once on a fresh store with the fast path forced on or
-/// off, lints the trace window it produced, and re-derives the summary
+/// off (and the adaptive policy as the workload says), lints the trace window it produced, and re-derives the summary
 /// words. The scripted runs are sequential within the test, so each gets a
 /// disjoint `events_since` window of the process-global ring.
 fn run_one(w: &Workload, fastpath: bool) -> Result<Observation, String> {
@@ -152,6 +156,10 @@ fn run_one(w: &Workload, fastpath: bool) -> Result<Observation, String> {
         ProtocolKind::Proposed,
     );
     mgr.lock_manager().set_fastpath(fastpath);
+    if w.1 {
+        mgr.lock_manager().adaptive().set_hot_victim(true);
+        mgr.lock_manager().adaptive().set_wait_depth_limit(DEFAULT_WAIT_DEPTH);
+    }
     trace::enable();
     let mark = trace::current_seq();
     let history = run_scripted(&mgr, w.0.clone());
@@ -176,7 +184,8 @@ fn run_one(w: &Workload, fastpath: bool) -> Result<Observation, String> {
 #[test]
 fn optimistic_and_pessimistic_paths_are_observationally_equivalent() {
     let c = cfg();
-    forall!(cases: 24, |rng| Workload(random_scripts(rng.next_u64(), 4, 4, &c)), |w: &Workload| {
+    let gen = |rng: &mut Rng| Workload(random_scripts(rng.next_u64(), 4, 4, &c), rng.gen_bool(0.5));
+    forall!(cases: 24, gen, |w: &Workload| {
         let optimistic = run_one(w, true)?;
         let pessimistic = run_one(w, false)?;
         ensure_eq!(optimistic.committed, pessimistic.committed, "commit sets diverge");
@@ -254,7 +263,8 @@ fn run_mvcc(w: &Workload, mvcc: bool) -> Result<(Observation, String, u64), Stri
 #[test]
 fn mvcc_overlay_and_locking_reads_are_observationally_equivalent() {
     let c = cfg();
-    forall!(cases: 16, |rng| Workload(random_scripts(rng.next_u64(), 4, 4, &c)), |w: &Workload| {
+    let gen = |rng: &mut Rng| Workload(random_scripts(rng.next_u64(), 4, 4, &c), false);
+    forall!(cases: 16, gen, |w: &Workload| {
         let (on_obs, on_reads, on_elided) = run_mvcc(w, true)?;
         let (off_obs, off_reads, off_elided) = run_mvcc(w, false)?;
         ensure_eq!(on_obs, off_obs, "writer phase diverges under MVCC");
@@ -281,7 +291,7 @@ fn equivalence_holds_under_write_heavy_contention() {
         for s in &mut scripts {
             s.push(HOp::WriteRobot { cell: 0, robot: 0 });
         }
-        Workload(scripts)
+        Workload(scripts, rng.gen_bool(0.5))
     }, |w: &Workload| {
         let optimistic = run_one(w, true)?;
         let pessimistic = run_one(w, false)?;

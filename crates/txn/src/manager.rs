@@ -31,8 +31,8 @@ pub struct TransactionManager {
     /// keeps the concrete type (the lock manager only sees the sink trait)
     /// so recovery can inspect the medium.
     journal: OnceLock<Arc<Journal<ResourcePath>>>,
-    /// Multiversion overlay toggle (`COLOCK_NO_MVCC` ablation): off,
-    /// `begin_readonly` degrades to a locking reader.
+    /// Multiversion overlay toggle (ablation): off, `begin_readonly`
+    /// degrades to a locking reader.
     mvcc: AtomicBool,
     /// Active snapshot timestamps → number of pinning transactions. The min
     /// key is the GC low watermark; pruning runs under this mutex so a
@@ -40,36 +40,15 @@ pub struct TransactionManager {
     snapshots: Mutex<BTreeMap<u64, usize>>,
     /// Writer commits since the last GC pass.
     commits_since_gc: AtomicU64,
-    /// GC cadence in writer commits (`COLOCK_GC_EVERY`, 0 = off).
+    /// GC cadence in writer commits (0 = off).
     gc_every: AtomicU64,
-    /// Semantic commutativity container modes toggle (`COLOCK_NO_SEMANTIC`
-    /// ablation): off, element operations degrade to classical X on the
-    /// container.
+    /// Semantic commutativity container modes toggle (ablation): off,
+    /// element operations degrade to classical X on the container.
     semantic: AtomicBool,
 }
 
-/// `COLOCK_NO_MVCC` set (non-empty, not "0") disables the overlay.
-fn mvcc_default() -> bool {
-    match std::env::var("COLOCK_NO_MVCC") {
-        Ok(v) => v.is_empty() || v == "0",
-        Err(_) => true,
-    }
-}
-
-/// `COLOCK_GC_EVERY` overrides the version-GC cadence (default every 64
-/// writer commits; 0 disables automatic pruning).
-fn gc_every_default() -> u64 {
-    std::env::var("COLOCK_GC_EVERY").ok().and_then(|v| v.parse().ok()).unwrap_or(64)
-}
-
-/// `COLOCK_NO_SEMANTIC` set (non-empty, not "0") disables the semantic
-/// Insert/Delete/Member container modes.
-fn semantic_default() -> bool {
-    match std::env::var("COLOCK_NO_SEMANTIC") {
-        Ok(v) => v.is_empty() || v == "0",
-        Err(_) => true,
-    }
-}
+/// Writer commits between automatic version-GC passes.
+const GC_EVERY: u64 = 64;
 
 /// What `TransactionManager::recover` restored from a journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,11 +81,11 @@ impl TransactionManager {
             active: AtomicUsize::new(0),
             parked: Mutex::new(HashMap::new()),
             journal: OnceLock::new(),
-            mvcc: AtomicBool::new(mvcc_default()),
+            mvcc: AtomicBool::new(true),
             snapshots: Mutex::new(BTreeMap::new()),
             commits_since_gc: AtomicU64::new(0),
-            gc_every: AtomicU64::new(gc_every_default()),
-            semantic: AtomicBool::new(semantic_default()),
+            gc_every: AtomicU64::new(GC_EVERY),
+            semantic: AtomicBool::new(true),
         }
     }
 
@@ -115,27 +94,25 @@ impl TransactionManager {
     }
 
     /// Whether the multiversion read overlay is active (read-only
-    /// transactions elide locks). Defaults to on; `COLOCK_NO_MVCC=1` or
-    /// [`TransactionManager::set_mvcc`] turn it off.
+    /// transactions elide locks). Defaults to on;
+    /// [`TransactionManager::set_mvcc`] turns it off.
     pub fn mvcc_enabled(&self) -> bool {
         self.mvcc.load(Ordering::Relaxed)
     }
 
-    /// Toggles the multiversion overlay (ablation hook; the env-independent
-    /// counterpart of `COLOCK_NO_MVCC` for parallel tests).
+    /// Toggles the multiversion overlay (ablation hook).
     pub fn set_mvcc(&self, enabled: bool) {
         self.mvcc.store(enabled, Ordering::Relaxed);
     }
 
     /// Whether the semantic commutativity container modes (Insert/Delete/
-    /// Member) are in play. Defaults to on; `COLOCK_NO_SEMANTIC=1` or
-    /// [`TransactionManager::set_semantic`] turn them off.
+    /// Member) are in play. Defaults to on;
+    /// [`TransactionManager::set_semantic`] turns them off.
     pub fn semantic_enabled(&self) -> bool {
         self.semantic.load(Ordering::Relaxed)
     }
 
-    /// Toggles the semantic container modes (the env-independent counterpart
-    /// of `COLOCK_NO_SEMANTIC` for parallel tests).
+    /// Toggles the semantic container modes (ablation hook).
     pub fn set_semantic(&self, enabled: bool) {
         self.semantic.store(enabled, Ordering::Relaxed);
     }
@@ -156,13 +133,13 @@ impl TransactionManager {
             .unwrap_or(false)
     }
 
-    /// Version-GC cadence in writer commits (0 = automatic GC off).
+    /// Version-GC cadence in writer commits (default 64; 0 = automatic GC
+    /// off).
     pub fn gc_every(&self) -> u64 {
         self.gc_every.load(Ordering::Relaxed)
     }
 
-    /// Overrides the version-GC cadence (the env-independent counterpart of
-    /// `COLOCK_GC_EVERY`).
+    /// Overrides the version-GC cadence.
     pub fn set_gc_every(&self, every: u64) {
         self.gc_every.store(every, Ordering::Relaxed);
     }
@@ -299,8 +276,9 @@ impl TransactionManager {
     /// pins a snapshot timestamp at begin and every read resolves against
     /// the version chains — zero locks, never in the waits-for graph, never
     /// blocked behind a long check-out. With the overlay off
-    /// (`COLOCK_NO_MVCC`) it degrades to an ordinary locking reader (begin
-    /// detail `readonly-locking`), which is the ablation baseline.
+    /// ([`TransactionManager::set_mvcc`]) it degrades to an ordinary locking
+    /// reader (begin detail `readonly-locking`), which is the ablation
+    /// baseline.
     pub fn begin_readonly(&self) -> Transaction<'_> {
         let id = self.idgen.next();
         let snap = if self.mvcc_enabled() {

@@ -200,8 +200,8 @@ impl<'m> Transaction<'m> {
     /// against the version chains, so it can never block behind a long
     /// check-out (and never appears in the waits-for graph). Emits a
     /// `SnapshotRead` trace event and counts as an elided read in the lock
-    /// manager's statistics. On a non-MVCC read-only transaction
-    /// (`COLOCK_NO_MVCC` ablation) this degrades to the locking
+    /// manager's statistics. On a non-MVCC read-only transaction (the
+    /// `set_mvcc(false)` ablation) this degrades to the locking
     /// [`Transaction::read`], which *can* block.
     pub fn snapshot_read(&self, target: &InstanceTarget) -> Result<Value> {
         let Some(ts) = self.st.snap else {

@@ -61,6 +61,25 @@ if grep -n "pub fn lock_" crates/core/src/protocol/*.rs | grep -v "pub fn lock_p
     exit 1
 fi
 
+echo "==> no environment reads in library code"
+# Engine settings are per-instance setters; only binaries, the harnesses in
+# crates/bench and the test kit read COLOCK_* variables. crates/trace is
+# exempt: the frozen benchmark sets COLOCK_TRACE_CAP before the trace ring's
+# first use.
+if grep -rn 'env::var' crates/*/src | grep -v '/src/bin/\|^crates/bench/\|^crates/testkit/\|^crates/trace/'; then
+    echo "error: library code reads the environment" >&2
+    exit 1
+fi
+
+echo "==> the README knob table lists exactly the COLOCK_* names the code reads"
+code_knobs=$(grep -rhoE '"COLOCK_[A-Z0-9_]+"' crates examples | tr -d '"' | sort -u)
+readme_knobs=$(grep -E '^\| `COLOCK_' README.md | cut -d'|' -f2 | grep -oE 'COLOCK_[A-Z0-9_]+' | sort -u)
+if [ "$code_knobs" != "$readme_knobs" ]; then
+    echo "error: COLOCK_* names in crates/ + examples/ (<) and the README table (>) differ:" >&2
+    diff <(echo "$code_knobs") <(echo "$readme_knobs") >&2 || true
+    exit 1
+fi
+
 echo "==> scripts parse"
 bash -n scripts/ab.sh
 
@@ -118,87 +137,61 @@ echo "==> stress_explore (DPOR interleaving explorer, linted + certified)"
 COLOCK_EXPLORE_MAX_SCHEDULES="${COLOCK_EXPLORE_MAX_SCHEDULES:-600}" \
     cargo run --offline --release -q -p colock-bench --bin stress_explore
 
-echo "==> stress_lockmgr (bounded rounds, linted)"
-COLOCK_CHECK=1 COLOCK_STRESS_ROUNDS="${COLOCK_STRESS_ROUNDS:-40}" \
+echo "==> stress_lockmgr (bounded rounds; fast-path-off and adaptive rounds; linted + certified)"
+# Every harness below traces, lints and certifies every round. Each picks its
+# own ablation rounds by round number and names the ablation in its output.
+COLOCK_STRESS_ROUNDS="${COLOCK_STRESS_ROUNDS:-40}" \
     cargo run --offline --release -q -p colock-bench --bin stress_lockmgr
 
-echo "==> stress_insert_storm (hot-HoLU commuting inserts, linted)"
+echo "==> stress_insert_storm (hot-HoLU commuting inserts; semantic-off and adaptive rounds)"
 # The semantic-mode acceptance workload: N writers insert distinct elements
-# into ONE set-valued HoLU. Runs twice under COLOCK_CHECK=1 — semantic modes
-# on (inserters commute via Insert on the container) and the
-# COLOCK_NO_SEMANTIC=1 ablation (every insert X-locks the container) — both
-# must keep every per-round invariant and lint clean.
-COLOCK_CHECK=1 COLOCK_STRESS_ROUNDS="${COLOCK_STRESS_ROUNDS:-20}" \
-    cargo run --offline --release -q -p colock-bench --bin stress_insert_storm
-COLOCK_NO_SEMANTIC=1 COLOCK_CHECK=1 COLOCK_STRESS_ROUNDS=10 \
+# into ONE set-valued HoLU. With semantic modes on, inserters commute via
+# Insert on the container; on semantic-off rounds every insert X-locks it.
+# Every round must keep every per-round invariant.
+COLOCK_STRESS_ROUNDS="${COLOCK_STRESS_ROUNDS:-40}" \
     cargo run --offline --release -q -p colock-bench --bin stress_insert_storm
 
-echo "==> stress_recovery (bounded fault-injection sweep, linted)"
-COLOCK_CHECK=1 COLOCK_RECOVERY_ROUNDS="${COLOCK_RECOVERY_ROUNDS:-10}" \
+echo "==> stress_recovery (bounded fault-injection sweep; fast-path-off rounds)"
+COLOCK_RECOVERY_ROUNDS="${COLOCK_RECOVERY_ROUNDS:-10}" \
     cargo run --offline --release -q -p colock-bench --bin stress_recovery
 
-echo "==> stress_snapshot (read-mostly storm against the MVCC overlay, linted)"
-# 70% snapshot readers against writers under COLOCK_CHECK=1: every round
-# asserts reads_elided matches the reader histogram, the lock table drains,
-# and the linter sees no snapshot txn in any lock-manager event.
-COLOCK_CHECK=1 COLOCK_STRESS_ROUNDS="${COLOCK_STRESS_ROUNDS:-40}" \
+echo "==> stress_snapshot (read-mostly storm against the MVCC overlay; MVCC-off rounds)"
+# 70% snapshot readers against writers: every MVCC round asserts
+# reads_elided matches the reader histogram, every MVCC-off round that
+# nothing is elided; the table drains, and the linter sees no snapshot txn
+# in any lock-manager event.
+COLOCK_STRESS_ROUNDS="${COLOCK_STRESS_ROUNDS:-40}" \
     cargo run --offline --release -q -p colock-bench --bin stress_snapshot
 
-echo "==> stress_store (sub-object writers vs snapshots vs GC on one relation, linted)"
+echo "==> stress_store (sub-object writers vs snapshots vs GC on one relation)"
 # 4 writers on disjoint robots of the same two cells plus shared effectors,
 # one abort in eight, 2 snapshot-reader threads and interleaved gc_versions:
 # no lost update, every snapshot a committed prefix (no torn two-object
 # commit, nothing uncommitted, never going back), every chain one entry
 # after the final GC.
-COLOCK_CHECK=1 COLOCK_STRESS_ROUNDS="${COLOCK_STRESS_ROUNDS:-40}" \
+COLOCK_STRESS_ROUNDS="${COLOCK_STRESS_ROUNDS:-40}" \
     cargo run --offline --release -q -p colock-bench --bin stress_store
 
-echo "==> loopback serving smoke (loadgen small budget, linted)"
+echo "==> loopback serving smoke (loadgen small budget)"
 # Real TCP over loopback at a bounded scale: 40 sessions, 300 txns through
-# the full mix. COLOCK_CHECK=1 replays the entire served trace window
-# through the protocol linter — served traffic must be as conformant as
-# in-process traffic.
-COLOCK_CHECK=1 COLOCK_LOAD_SESSIONS=40 COLOCK_LOAD_WORKERS=4 COLOCK_LOAD_TXNS=300 \
+# the full mix. The entire served trace window is linted and certified —
+# served traffic must be as conformant as in-process traffic.
+COLOCK_LOAD_SESSIONS=40 COLOCK_LOAD_WORKERS=4 COLOCK_LOAD_TXNS=300 \
     cargo run --offline --release -q -p colock-bench --bin loadgen
 
-echo "==> stress_server (one kill/restart recovery round over TCP, linted)"
+echo "==> stress_server (one kill/restart recovery round over TCP)"
 # §3.1 durability end to end: clients check out long locks over TCP, the
 # server is killed, a new one recovers the journal, every acked lock must
 # be re-adopted and resumable by reconnecting clients.
-COLOCK_CHECK=1 COLOCK_SERVER_ROUNDS="${COLOCK_SERVER_ROUNDS:-1}" \
+COLOCK_SERVER_ROUNDS="${COLOCK_SERVER_ROUNDS:-1}" \
     cargo run --offline --release -q -p colock-bench --bin stress_server
 
 echo "==> differential fast-path equivalence suite"
-# The optimistic/pessimistic differential harness runs both paths itself;
-# this run keeps it in the gate so a fast-path change cannot land without
-# the observational-equivalence proof passing.
+# The optimistic/pessimistic differential harness runs both paths itself,
+# with the adaptive policy on or off as one more generated input; this run
+# keeps it in the gate so a fast-path change cannot land without the
+# observational-equivalence proof passing.
 cargo test --offline -q -p colock-sim --test differential
-
-echo "==> stress + differential with the adaptive policy enabled"
-# COLOCK_ADAPTIVE=1 switches on wait-depth limiting, histogram-driven
-# escalation thresholds and hot-spot victim selection; the same invariants
-# and the linter must hold with the policy live.
-COLOCK_ADAPTIVE=1 COLOCK_CHECK=1 COLOCK_STRESS_ROUNDS=10 \
-    cargo run --offline --release -q -p colock-bench --bin stress_lockmgr
-COLOCK_ADAPTIVE=1 COLOCK_CHECK=1 COLOCK_STRESS_ROUNDS=10 \
-    cargo run --offline --release -q -p colock-bench --bin stress_insert_storm
-COLOCK_ADAPTIVE=1 cargo test --offline -q -p colock-sim --test differential
-
-echo "==> stress harnesses with the fast path disabled"
-# One bounded round of each with COLOCK_NO_FASTPATH=1: the classic
-# shard-mutex path must keep passing the same per-round invariants
-# (gate identity trivially zero, summary words re-derivable).
-COLOCK_NO_FASTPATH=1 COLOCK_CHECK=1 COLOCK_STRESS_ROUNDS=10 \
-    cargo run --offline --release -q -p colock-bench --bin stress_lockmgr
-COLOCK_NO_FASTPATH=1 COLOCK_CHECK=1 COLOCK_RECOVERY_ROUNDS=5 \
-    cargo run --offline --release -q -p colock-bench --bin stress_recovery
-
-echo "==> stress_snapshot with the overlay disabled (locking fallback)"
-# COLOCK_NO_MVCC=1 drops read-only txns to the S-locking fallback: the same
-# storm must still commit every round with zero elided reads and a drained
-# table, proving the toggle is safe under contention.
-COLOCK_NO_MVCC=1 COLOCK_CHECK=1 COLOCK_STRESS_ROUNDS=10 \
-    cargo run --offline --release -q -p colock-bench --bin stress_snapshot
 
 echo "==> shard-scaling bench (small budget)"
 COLOCK_BENCH_MS="${COLOCK_BENCH_MS:-50}" \
