@@ -22,7 +22,6 @@
 
 use colock_bench::{cells_manager, check_trace};
 use colock_core::InstanceTarget;
-use colock_lockmgr::adaptive::DEFAULT_WAIT_DEPTH;
 use colock_nf2::value::build::{set, tup};
 use colock_nf2::Value;
 use colock_sim::CellsConfig;
@@ -66,9 +65,7 @@ fn main() {
                 "semantic off"
             }
             3 => {
-                let policy = mgr.lock_manager().adaptive();
-                policy.set_hot_victim(true);
-                policy.set_wait_depth_limit(DEFAULT_WAIT_DEPTH);
+                mgr.lock_manager().adaptive().enable();
                 "adaptive on"
             }
             _ => "defaults",

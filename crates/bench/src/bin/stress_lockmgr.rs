@@ -2,14 +2,13 @@
 //! engineering-mix workloads and watchdogs every round — the tool that
 //! exposed the lock manager's lost-grant and invisible-positional-block
 //! bugs (see DESIGN.md §5). Every round's trace is linted and certified.
-//! Ablations by round number: every fourth round (1, 5, 9, …) runs with the
-//! fast path off, every fourth (3, 7, 11, …) with the adaptive contention
+//! Ablations by round number: every sixth round (1, 7, 13, …) runs with the
+//! fast path off, every sixth (4, 10, 16, …) with the adaptive contention
 //! policy on. Runs `COLOCK_STRESS_ROUNDS` rounds (default 100000 —
 //! effectively until interrupted; CI sets a small bound); prints a
 //! lock-table dump and parks if any round stalls for more than 8 seconds.
 
 use colock_bench::{cells_manager, check_trace};
-use colock_lockmgr::adaptive::DEFAULT_WAIT_DEPTH;
 use colock_sim::{run_threads, CellsConfig, QueryMix, ThreadConfig};
 use colock_txn::ProtocolKind;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,14 +29,13 @@ fn main() {
         round_counter.store(round, Ordering::Relaxed);
         let mgr = cells_manager(&cells, ProtocolKind::Proposed);
         let lm = mgr.lock_manager();
-        let ablation = match round % 4 {
+        let ablation = match round % 6 {
             1 => {
                 lm.set_fastpath(false);
                 "fastpath off"
             }
-            3 => {
-                lm.adaptive().set_hot_victim(true);
-                lm.adaptive().set_wait_depth_limit(DEFAULT_WAIT_DEPTH);
+            4 => {
+                lm.adaptive().enable();
                 "adaptive on"
             }
             _ => "defaults",

@@ -1,8 +1,8 @@
 //! Read-mostly stress harness for the multiversion overlay: varied-seed
 //! rounds of the threaded driver with a large read-only fraction racing the
 //! engineering mix's checkouts and updates. Every round's trace is linted
-//! (including the snapshot rules) and certified. Every fourth round (1, 5,
-//! 9, …) runs the MVCC-off ablation: readers fall back to S locks and must
+//! (including the snapshot rules) and certified. Every fifth round (1, 6,
+//! 11, …) runs the MVCC-off ablation: readers fall back to S locks and must
 //! still complete, now through the lock table. Runs `COLOCK_STRESS_ROUNDS`
 //! rounds (default 100000 — effectively until interrupted; CI sets a small
 //! bound) with the same 8-second stall watchdog as `stress_lockmgr`.
@@ -27,7 +27,7 @@ fn main() {
     for round in 0..rounds {
         round_counter.store(round, Ordering::Relaxed);
         let mgr = cells_manager(&cells, ProtocolKind::Proposed);
-        let mvcc = round % 4 != 1;
+        let mvcc = round % 5 != 1;
         mgr.set_mvcc(mvcc);
         let cfg = ThreadConfig {
             workers: 4, txns_per_worker: 8, ops_per_txn: 3,

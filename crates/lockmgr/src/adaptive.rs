@@ -21,13 +21,13 @@
 //!
 //! Both knobs default to **off** so the classic behaviour is unchanged;
 //! they are switched on per manager through the setters by the layers that
-//! watch the wait histograms. The ablation harnesses switch both on at once:
-//! hot-victim selection and a wait-depth limit of [`DEFAULT_WAIT_DEPTH`].
+//! watch the wait histograms, or both at once through
+//! [`AdaptivePolicy::enable`], as the ablation harnesses do.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// Wait-depth limit the ablation harnesses switch on. Deep enough to never bite on benign queues, shallow enough to break hot-spot
-/// convoys.
+/// Wait-depth limit set by [`AdaptivePolicy::enable`]. Deep enough to never
+/// bite on benign queues, shallow enough to break hot-spot convoys.
 pub const DEFAULT_WAIT_DEPTH: usize = 32;
 
 /// Runtime-tunable contention-management policy of one [`LockManager`].
@@ -56,6 +56,13 @@ impl AdaptivePolicy {
     /// Policy with both knobs off (the classic static behaviour).
     pub fn off() -> Self {
         AdaptivePolicy { wait_depth: AtomicUsize::new(0), hot_victim: AtomicBool::new(false) }
+    }
+
+    /// Switches both knobs on: hot-victim selection and a wait-depth limit
+    /// of [`DEFAULT_WAIT_DEPTH`].
+    pub fn enable(&self) {
+        self.set_wait_depth_limit(DEFAULT_WAIT_DEPTH);
+        self.set_hot_victim(true);
     }
 
     /// Current wait-depth limit (0 = unlimited).
@@ -88,6 +95,14 @@ mod tests {
         let p = AdaptivePolicy::off();
         assert_eq!(p.wait_depth_limit(), 0);
         assert!(!p.hot_victim());
+    }
+
+    #[test]
+    fn enable_switches_both_knobs_on() {
+        let p = AdaptivePolicy::off();
+        p.enable();
+        assert_eq!(p.wait_depth_limit(), DEFAULT_WAIT_DEPTH);
+        assert!(p.hot_victim());
     }
 
     #[test]

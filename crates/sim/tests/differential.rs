@@ -12,14 +12,13 @@
 //!
 //! The scripted driver is single-threaded and deterministic, so any
 //! difference between the runs is the fast path changing an admission
-//! decision — exactly the bug class this harness exists to catch. Whether
-//! the adaptive contention policy is on is one more generated input: both
-//! runs of a case share it.
+//! decision — exactly the bug class this harness exists to catch. Every
+//! property runs each case with the adaptive contention policy off, then
+//! on.
 
 use colock_check::Linter;
 use colock_core::authorization::Authorization;
 use colock_core::{InstanceTarget, TargetStep};
-use colock_lockmgr::adaptive::DEFAULT_WAIT_DEPTH;
 use colock_sim::consistency::{run_scripted, History, HOp};
 use colock_sim::{build_cells_store, CellsConfig};
 use colock_testkit::prop::Shrink;
@@ -59,12 +58,11 @@ fn random_scripts(seed: u64, workers: usize, ops: usize, c: &CellsConfig) -> Vec
         .collect()
 }
 
-/// A multi-worker workload and whether the adaptive contention policy is
-/// on. Unlike the opaque serializability workloads, this one shrinks:
-/// divergence drops whole scripts first, then single operations, homing in
-/// on the smallest schedule that still diverges.
+/// A multi-worker workload. Unlike the opaque serializability workloads,
+/// this one shrinks: divergence drops whole scripts first, then single
+/// operations, homing in on the smallest schedule that still diverges.
 #[derive(Debug, Clone)]
-struct Workload(Vec<Vec<HOp>>, bool);
+struct Workload(Vec<Vec<HOp>>);
 
 impl Shrink for Workload {
     fn shrink(&self) -> Vec<Self> {
@@ -73,7 +71,7 @@ impl Shrink for Workload {
             let mut v = self.0.clone();
             v.remove(i);
             if !v.is_empty() {
-                out.push(Workload(v, self.1));
+                out.push(Workload(v));
             }
         }
         for i in 0..self.0.len() {
@@ -84,7 +82,7 @@ impl Shrink for Workload {
                     v.remove(i);
                 }
                 if !v.is_empty() {
-                    out.push(Workload(v, self.1));
+                    out.push(Workload(v));
                 }
             }
         }
@@ -146,19 +144,19 @@ fn storage_fingerprint(mgr: &TransactionManager) -> String {
 }
 
 /// Runs the workload once on a fresh store with the fast path forced on or
-/// off (and the adaptive policy as the workload says), lints the trace window it produced, and re-derives the summary
-/// words. The scripted runs are sequential within the test, so each gets a
-/// disjoint `events_since` window of the process-global ring.
-fn run_one(w: &Workload, fastpath: bool) -> Result<Observation, String> {
+/// off and the adaptive policy on or off, lints the trace window it
+/// produced, and re-derives the summary words. The scripted runs are
+/// sequential within the test, so each gets a disjoint `events_since`
+/// window of the process-global ring.
+fn run_one(w: &Workload, fastpath: bool, adaptive: bool) -> Result<Observation, String> {
     let mgr = TransactionManager::over_store(
         build_cells_store(&cfg()),
         Authorization::allow_all(),
         ProtocolKind::Proposed,
     );
     mgr.lock_manager().set_fastpath(fastpath);
-    if w.1 {
-        mgr.lock_manager().adaptive().set_hot_victim(true);
-        mgr.lock_manager().adaptive().set_wait_depth_limit(DEFAULT_WAIT_DEPTH);
+    if adaptive {
+        mgr.lock_manager().adaptive().enable();
     }
     trace::enable();
     let mark = trace::current_seq();
@@ -184,24 +182,33 @@ fn run_one(w: &Workload, fastpath: bool) -> Result<Observation, String> {
 #[test]
 fn optimistic_and_pessimistic_paths_are_observationally_equivalent() {
     let c = cfg();
-    let gen = |rng: &mut Rng| Workload(random_scripts(rng.next_u64(), 4, 4, &c), rng.gen_bool(0.5));
-    forall!(cases: 24, gen, |w: &Workload| {
-        let optimistic = run_one(w, true)?;
-        let pessimistic = run_one(w, false)?;
-        ensure_eq!(optimistic.committed, pessimistic.committed, "commit sets diverge");
-        ensure_eq!(optimistic.aborted, pessimistic.aborted, "abort sets diverge");
-        ensure!(
-            optimistic.history == pessimistic.history,
-            "histories diverge:\n  fast: {}\n  slow: {}",
-            optimistic.history,
-            pessimistic.history
-        );
-        ensure!(
-            optimistic.storage == pessimistic.storage,
-            "final storage diverges:\n  fast:\n{}\n  slow:\n{}",
-            optimistic.storage,
-            pessimistic.storage
-        );
+    forall!(cases: 24, |rng| Workload(random_scripts(rng.next_u64(), 4, 4, &c)), |w: &Workload| {
+        for adaptive in [false, true] {
+            let optimistic = run_one(w, true, adaptive)?;
+            let pessimistic = run_one(w, false, adaptive)?;
+            ensure_eq!(
+                optimistic.committed,
+                pessimistic.committed,
+                "adaptive={adaptive}: commit sets diverge"
+            );
+            ensure_eq!(
+                optimistic.aborted,
+                pessimistic.aborted,
+                "adaptive={adaptive}: abort sets diverge"
+            );
+            ensure!(
+                optimistic.history == pessimistic.history,
+                "adaptive={adaptive}: histories diverge:\n  fast: {}\n  slow: {}",
+                optimistic.history,
+                pessimistic.history
+            );
+            ensure!(
+                optimistic.storage == pessimistic.storage,
+                "adaptive={adaptive}: final storage diverges:\n  fast:\n{}\n  slow:\n{}",
+                optimistic.storage,
+                pessimistic.storage
+            );
+        }
         Ok(())
     });
 }
@@ -213,7 +220,11 @@ fn optimistic_and_pessimistic_paths_are_observationally_equivalent() {
 /// the reader phase. Both phases must be lint-clean (the snapshot rules
 /// check the reader trace: no lock events from "readonly" transactions,
 /// no snapshot reads outside them).
-fn run_mvcc(w: &Workload, mvcc: bool) -> Result<(Observation, String, u64), String> {
+fn run_mvcc(
+    w: &Workload,
+    mvcc: bool,
+    adaptive: bool,
+) -> Result<(Observation, String, u64), String> {
     use std::fmt::Write;
     let mgr = TransactionManager::over_store(
         build_cells_store(&cfg()),
@@ -221,6 +232,9 @@ fn run_mvcc(w: &Workload, mvcc: bool) -> Result<(Observation, String, u64), Stri
         ProtocolKind::Proposed,
     );
     mgr.set_mvcc(mvcc);
+    if adaptive {
+        mgr.lock_manager().adaptive().enable();
+    }
     trace::enable();
     let mark = trace::current_seq();
     let history = run_scripted(&mgr, w.0.clone());
@@ -263,20 +277,21 @@ fn run_mvcc(w: &Workload, mvcc: bool) -> Result<(Observation, String, u64), Stri
 #[test]
 fn mvcc_overlay_and_locking_reads_are_observationally_equivalent() {
     let c = cfg();
-    let gen = |rng: &mut Rng| Workload(random_scripts(rng.next_u64(), 4, 4, &c), false);
-    forall!(cases: 16, gen, |w: &Workload| {
-        let (on_obs, on_reads, on_elided) = run_mvcc(w, true)?;
-        let (off_obs, off_reads, off_elided) = run_mvcc(w, false)?;
-        ensure_eq!(on_obs, off_obs, "writer phase diverges under MVCC");
-        ensure!(
-            on_reads == off_reads,
-            "reader results diverge:\n  mvcc:\n{}\n  locking:\n{}",
-            on_reads,
-            off_reads
-        );
-        let expected = (cfg().n_cells * cfg().robots_per_cell + cfg().n_effectors) as u64;
-        ensure_eq!(on_elided, expected, "every overlay read must elide its lock");
-        ensure_eq!(off_elided, 0, "fallback readers must go through the lock table");
+    forall!(cases: 16, |rng| Workload(random_scripts(rng.next_u64(), 4, 4, &c)), |w: &Workload| {
+        for adaptive in [false, true] {
+            let (on_obs, on_reads, on_elided) = run_mvcc(w, true, adaptive)?;
+            let (off_obs, off_reads, off_elided) = run_mvcc(w, false, adaptive)?;
+            ensure_eq!(on_obs, off_obs, "adaptive={adaptive}: writer phase diverges under MVCC");
+            ensure!(
+                on_reads == off_reads,
+                "adaptive={adaptive}: reader results diverge:\n  mvcc:\n{}\n  locking:\n{}",
+                on_reads,
+                off_reads
+            );
+            let expected = (cfg().n_cells * cfg().robots_per_cell + cfg().n_effectors) as u64;
+            ensure_eq!(on_elided, expected, "every overlay read must elide its lock");
+            ensure_eq!(off_elided, 0, "fallback readers must go through the lock table");
+        }
         Ok(())
     });
 }
@@ -291,11 +306,13 @@ fn equivalence_holds_under_write_heavy_contention() {
         for s in &mut scripts {
             s.push(HOp::WriteRobot { cell: 0, robot: 0 });
         }
-        Workload(scripts, rng.gen_bool(0.5))
+        Workload(scripts)
     }, |w: &Workload| {
-        let optimistic = run_one(w, true)?;
-        let pessimistic = run_one(w, false)?;
-        ensure_eq!(optimistic, pessimistic, "write-heavy divergence");
+        for adaptive in [false, true] {
+            let optimistic = run_one(w, true, adaptive)?;
+            let pessimistic = run_one(w, false, adaptive)?;
+            ensure_eq!(optimistic, pessimistic, "adaptive={adaptive}: write-heavy divergence");
+        }
         Ok(())
     });
 }

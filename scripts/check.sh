@@ -140,27 +140,30 @@ COLOCK_EXPLORE_MAX_SCHEDULES="${COLOCK_EXPLORE_MAX_SCHEDULES:-600}" \
 echo "==> stress_lockmgr (bounded rounds; fast-path-off and adaptive rounds; linted + certified)"
 # Every harness below traces, lints and certifies every round. Each picks its
 # own ablation rounds by round number and names the ablation in its output.
-COLOCK_STRESS_ROUNDS="${COLOCK_STRESS_ROUNDS:-40}" \
+# 60 rounds: 40 default, 10 fast-path-off, 10 adaptive.
+COLOCK_STRESS_ROUNDS="${COLOCK_STRESS_ROUNDS:-60}" \
     cargo run --offline --release -q -p colock-bench --bin stress_lockmgr
 
 echo "==> stress_insert_storm (hot-HoLU commuting inserts; semantic-off and adaptive rounds)"
 # The semantic-mode acceptance workload: N writers insert distinct elements
 # into ONE set-valued HoLU. With semantic modes on, inserters commute via
 # Insert on the container; on semantic-off rounds every insert X-locks it.
-# Every round must keep every per-round invariant.
+# Every round must keep every per-round invariant. 40 rounds: 20 default, 10
+# semantic-off, 10 adaptive.
 COLOCK_STRESS_ROUNDS="${COLOCK_STRESS_ROUNDS:-40}" \
     cargo run --offline --release -q -p colock-bench --bin stress_insert_storm
 
 echo "==> stress_recovery (bounded fault-injection sweep; fast-path-off rounds)"
-COLOCK_RECOVERY_ROUNDS="${COLOCK_RECOVERY_ROUNDS:-10}" \
+# 15 rounds per crash point: 10 fast path on, 5 off.
+COLOCK_RECOVERY_ROUNDS="${COLOCK_RECOVERY_ROUNDS:-15}" \
     cargo run --offline --release -q -p colock-bench --bin stress_recovery
 
 echo "==> stress_snapshot (read-mostly storm against the MVCC overlay; MVCC-off rounds)"
 # 70% snapshot readers against writers: every MVCC round asserts
 # reads_elided matches the reader histogram, every MVCC-off round that
 # nothing is elided; the table drains, and the linter sees no snapshot txn
-# in any lock-manager event.
-COLOCK_STRESS_ROUNDS="${COLOCK_STRESS_ROUNDS:-40}" \
+# in any lock-manager event. 50 rounds: 40 MVCC on, 10 off.
+COLOCK_STRESS_ROUNDS="${COLOCK_STRESS_ROUNDS:-50}" \
     cargo run --offline --release -q -p colock-bench --bin stress_snapshot
 
 echo "==> stress_store (sub-object writers vs snapshots vs GC on one relation)"
@@ -188,8 +191,8 @@ COLOCK_SERVER_ROUNDS="${COLOCK_SERVER_ROUNDS:-1}" \
 
 echo "==> differential fast-path equivalence suite"
 # The optimistic/pessimistic differential harness runs both paths itself,
-# with the adaptive policy on or off as one more generated input; this run
-# keeps it in the gate so a fast-path change cannot land without the
+# each case with the adaptive policy off and on; this run keeps it in the
+# gate so a fast-path change cannot land without the
 # observational-equivalence proof passing.
 cargo test --offline -q -p colock-sim --test differential
 
