@@ -62,7 +62,8 @@ fn bench_acquire_release(h: &mut BenchHarness) {
 
 /// The optimistic-vs-pessimistic ablation: the same 5-intent ancestor chain
 /// through the summary-word CAS (per-acquire and batched) and forced down
-/// the shard-mutex path.
+/// the shard-mutex path, plus the read-then-update chain pair whose IX links
+/// are conversions of the IS ones.
 fn bench_optimistic_ablation(h: &mut BenchHarness) {
     let mut group = h.group("optimistic");
     group.bench("chain_fastpath_gate", |b| {
@@ -82,6 +83,21 @@ fn bench_optimistic_ablation(h: &mut BenchHarness) {
         b.iter(|| {
             lm.acquire_intent_chain(txn, black_box(&ancestors), LockMode::IX, LockRequestOptions::default())
                 .unwrap();
+            lm.release_all(txn);
+        });
+    });
+    group.bench("chain_is_then_ix", |b| {
+        // The mix's short write: read (IS chain + S leaf), then update (IX
+        // chain + X leaf) of the same leaf — every IX link converts an IS.
+        let lm: LockManager<u64> = LockManager::new();
+        let txn = TxnId(1);
+        let ancestors: Vec<u64> = (0..5).collect();
+        b.iter(|| {
+            for (intent, leaf) in [(LockMode::IS, LockMode::S), (LockMode::IX, LockMode::X)] {
+                lm.acquire_intent_chain(txn, black_box(&ancestors), intent, LockRequestOptions::default())
+                    .unwrap();
+                lm.acquire(txn, 5, leaf, LockRequestOptions::default()).unwrap();
+            }
             lm.release_all(txn);
         });
     });

@@ -5,13 +5,15 @@
 //! compatible intent publishes itself by validate-and-CAS on its slot's
 //! mode-summary word (`summary.rs`, bounded retries); the grant then lives
 //! only in the transaction's inventory, marked *optimistic*, and never
-//! materializes in the shard map. Any pessimistic S/SIX/X decision on the
-//! slot first *seals* the word and *drains* outstanding optimistic grants
-//! into real shard grants, so the classic path always decides against a
-//! complete granted group; waiters, conversions, long locks and saturated
-//! counters all force the fallback. See DESIGN.md §5 for the equivalence
-//! argument; [`LockManager::set_fastpath`] disables the gate for ablations
-//! and differential testing.
+//! materializes in the shard map. An optimistic grant converts to a
+//! stronger intent (IS → IX, say) the same way: one validated CAS moves it
+//! from its old lane to the new one. Any pessimistic S/SIX/X decision on
+//! the slot first *seals* the word and *drains* outstanding optimistic
+//! grants into real shard grants, so the classic path always decides
+//! against a complete granted group; waiters, conversions of real grants,
+//! long locks and saturated counters all force the fallback. See DESIGN.md
+//! §5 for the equivalence argument; [`LockManager::set_fastpath`] disables
+//! the gate for ablations and differential testing.
 
 use crate::inventory::HeldLock;
 use crate::mode::LockMode;
@@ -29,10 +31,11 @@ impl<R: Resource> LockManager<R> {
     /// The optimistic gate: answers `links` front to back from the inventory
     /// and the summary words alone — one stripe critical section, no shard
     /// mutex — reporting each outcome through `answer`, and stops at the
-    /// first link it must refuse (conversion, summary conflict, retry
-    /// exhaustion). The caller takes that link down the pessimistic path;
-    /// the fallback is counted here, the request itself by whichever path
-    /// answers. Stats and trace are coalesced after the unlock.
+    /// first link it must refuse (conversion of a real grant, summary
+    /// conflict, retry exhaustion). The caller takes that link down the
+    /// pessimistic path; the fallback is counted here, the request itself by
+    /// whichever path answers. Stats and trace are coalesced after the
+    /// unlock.
     ///
     /// Kept out of line: inlined into `acquire`, its frame taxes every
     /// non-intent request too (`reentrant_covered_acquire`, +7 %).
@@ -44,38 +47,66 @@ impl<R: Resource> LockManager<R> {
         mode: LockMode,
         mut answer: impl FnMut(AcquireOutcome),
     ) {
-        // Per answered link, for the trace only: the covering mode of an
-        // AlreadyHeld answer, `None` for a fresh optimistic grant.
+        // Per answered link, for the trace only: the mode held before the
+        // request (`None` for a fresh optimistic grant).
         let traced = trace::is_enabled();
-        let mut covering: Vec<Option<LockMode>> = Vec::new();
-        let (mut answered, mut hits) = (0, 0);
+        let mut before: Vec<Option<LockMode>> = Vec::new();
+        let (mut answered, mut intents, mut hits, mut conversions) = (0, 0, 0, 0);
+        let mut fell_back = false;
         {
             let mut stripe = self.stripe_locked(txn);
             let t = stripe.entry(txn).or_default();
             for r in links {
-                let held = t.held.get(r).map(|e| e.mode);
-                let covers = held.filter(|m| m.covers(mode));
-                if covers.is_none() {
-                    LockStats::bump(&self.stats.intent_acquires);
-                    let h = Self::hash_of(r);
-                    // Conversions belong to the pessimistic path.
-                    if held.is_some() || !self.publish_optimistic(self.slot_from_hash(h), mode) {
-                        LockStats::bump(&self.stats.fastpath_fallbacks);
-                        break;
+                let entry = t.held.get_mut(r);
+                let held = entry.as_ref().map(|e| e.mode);
+                let covered = held.is_some_and(|m| m.covers(mode));
+                if !covered {
+                    intents += 1;
+                    match entry {
+                        None => {
+                            let h = Self::hash_of(r);
+                            if !self.publish_optimistic(self.slot_from_hash(h), None, mode) {
+                                fell_back = true;
+                                break;
+                            }
+                            // Published: the inventory entry must exist
+                            // before the stripe unlocks, or a draining
+                            // pessimist could find the count with nothing
+                            // to migrate.
+                            let e = HeldLock { mode, long: false, optimistic: true, hash: h };
+                            t.held.insert(r.clone(), e);
+                            LockStats::raise(&self.stats.max_locks_per_txn, t.held.len() as u64);
+                        }
+                        // An optimistic grant moves lanes in one CAS. The
+                        // mode is rewritten before the stripe unlocks, so a
+                        // drainer sees the old (mode, lane) pair or the new
+                        // one, never a mix. Intents join to an intent.
+                        Some(e) if e.optimistic => {
+                            let target = e.mode.join(mode);
+                            let slot = self.slot_from_hash(e.hash);
+                            if !self.publish_optimistic(slot, Some(e.mode), target) {
+                                fell_back = true;
+                                break;
+                            }
+                            e.mode = target;
+                            conversions += 1;
+                        }
+                        // Conversions of real grants belong to the
+                        // pessimistic path.
+                        Some(_) => {
+                            fell_back = true;
+                            break;
+                        }
                     }
-                    // Published: the inventory entry must exist before the
-                    // stripe unlocks, or a draining pessimist could find the
-                    // count with nothing to migrate.
-                    t.held.insert(r.clone(), HeldLock { mode, long: false, optimistic: true, hash: h });
-                    LockStats::raise(&self.stats.max_locks_per_txn, t.held.len() as u64);
                     hits += 1;
                 }
                 if traced {
-                    covering.push(covers);
+                    before.push(held);
                 }
-                answer(match covers {
-                    Some(_) => AcquireOutcome::AlreadyHeld,
-                    None => AcquireOutcome::Granted { waited: false },
+                answer(if covered {
+                    AcquireOutcome::AlreadyHeld
+                } else {
+                    AcquireOutcome::Granted { waited: false }
                 });
                 answered += 1;
             }
@@ -84,28 +115,50 @@ impl<R: Resource> LockManager<R> {
             }
         }
         LockStats::add(&self.stats.requests, answered);
+        if intents != 0 {
+            LockStats::add(&self.stats.intent_acquires, intents);
+        }
+        if fell_back {
+            LockStats::bump(&self.stats.fastpath_fallbacks);
+        }
         if hits != 0 {
             LockStats::add(&self.stats.immediate_grants, hits);
             LockStats::add(&self.stats.fastpath_hits, hits);
         }
-        for (r, covers) in links.iter().zip(covering) {
+        if conversions != 0 {
+            LockStats::add(&self.stats.conversions, conversions);
+        }
+        // The pessimistic path's event order: Request, Conversion, Grant.
+        for (r, held) in links.iter().zip(before) {
             let h = Self::hash_of(r);
             self.trace_lock(EventKind::Request, txn, h, mode, r, "");
-            match covers {
-                Some(held) => self.trace_lock(EventKind::Grant, txn, h, held, r, "already-held"),
+            match held {
+                Some(held) if held.covers(mode) => {
+                    self.trace_lock(EventKind::Grant, txn, h, held, r, "already-held")
+                }
+                Some(held) => {
+                    let target = held.join(mode);
+                    let detail = format_args!("{held} -> {target}");
+                    self.trace_lock(EventKind::Conversion, txn, h, target, r, detail);
+                    self.trace_lock(EventKind::Grant, txn, h, target, r, "fastpath");
+                }
                 None => self.trace_lock(EventKind::Grant, txn, h, mode, r, "fastpath"),
             }
         }
     }
 
-    /// Bounded validate-and-CAS publication of one optimistic intent into
-    /// `slot`. Retries only on a lost CAS (the version moved); any summary
-    /// conflict — seal, waiters, class counts, saturation — refuses
+    /// Bounded validate-and-CAS publication of one optimistic intent `to`
+    /// into `slot` — or, with `from`, the conversion of an optimistic grant
+    /// already counted there: the word is validated and published as if
+    /// `from` were gone (both lanes may be the same; the word then only
+    /// changes version). Retries only on a lost CAS (the version moved); any
+    /// summary conflict — seal, waiters, class counts, saturation — refuses
     /// immediately.
-    fn publish_optimistic(&self, slot: &AtomicU64, mode: LockMode) -> bool {
+    fn publish_optimistic(&self, slot: &AtomicU64, from: Option<LockMode>, to: LockMode) -> bool {
         for _ in 0..MAX_FASTPATH_ATTEMPTS {
             let w = slot.load(Ordering::Acquire);
-            if !summary::admits(w, mode) {
+            let base = from.map_or(w, |m| summary::opt_dec(w, m));
+            if !summary::admits(base, to) {
                 return false;
             }
             if self.probe_armed.load(Ordering::Relaxed) {
@@ -113,7 +166,7 @@ impl<R: Resource> LockManager<R> {
                     probe();
                 }
             }
-            let next = summary::bump_version(summary::opt_inc(w, mode));
+            let next = summary::bump_version(summary::opt_inc(base, to));
             if slot.compare_exchange(w, next, Ordering::AcqRel, Ordering::Relaxed).is_ok() {
                 return true;
             }

@@ -56,7 +56,9 @@ lock_stats! {
     counter immediate_grants,
     /// Requests that had to wait at least once.
     counter waits,
-    /// Lock conversions (mode upgrades on an already-held resource).
+    /// Lock conversions (mode upgrades on an already-held resource),
+    /// whichever path grants them: an optimistic intent converted to a
+    /// stronger intent by the gate counts here as well as a fast-path hit.
     counter conversions,
     /// Individual mode-compatibility tests performed by grant decisions.
     counter conflict_tests,
@@ -75,16 +77,19 @@ lock_stats! {
     mark max_table_entries,
     /// High-water mark of locks held by a single transaction.
     mark max_locks_per_txn,
-    /// Short IS/IX requests that entered the optimistic fast-path gate
-    /// (every such request ends as exactly one fast-path hit or fallback,
-    /// so `fastpath_hits + fastpath_fallbacks == intent_acquires`).
+    /// Short IS/IX requests that entered the optimistic fast-path gate and
+    /// were not already covered (every such request ends as exactly one
+    /// fast-path hit or fallback, so
+    /// `fastpath_hits + fastpath_fallbacks == intent_acquires`).
     counter intent_acquires,
-    /// Intent requests published by summary-word CAS (no shard mutex).
+    /// Intent requests published by summary-word CAS (no shard mutex):
+    /// fresh optimistic grants and intent conversions of optimistic ones.
     counter fastpath_hits,
     /// Summary-word CAS attempts that lost the race and re-validated.
     counter fastpath_retries,
     /// Gate entries that fell back to the shard-mutex path (summary
-    /// conflict, seal, waiters, saturation, conversion or retry exhaustion).
+    /// conflict, seal, waiters, saturation, conversion of a real grant or
+    /// retry exhaustion).
     counter fastpath_fallbacks,
     /// Slot drains: a pessimistic S/SIX/X decision migrated outstanding
     /// optimistic intent grants into real table grants first.
@@ -112,9 +117,13 @@ impl LockStats {
         counter.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Raises a high-water mark to at least `value`.
+    /// Raises a high-water mark to at least `value`. The load comes first:
+    /// a mark rarely rises, and the read-modify-write would take the shared
+    /// stats line exclusively on every call.
     pub fn raise(counter: &AtomicU64, value: u64) {
-        counter.fetch_max(value, Ordering::Relaxed);
+        if counter.load(Ordering::Relaxed) < value {
+            counter.fetch_max(value, Ordering::Relaxed);
+        }
     }
 }
 
@@ -129,10 +138,14 @@ mod tests {
         LockStats::add(&s.conflict_tests, 5);
         LockStats::raise(&s.max_table_entries, 7);
         LockStats::raise(&s.max_table_entries, 3); // lower value must not win
+        LockStats::raise(&s.max_table_entries, 7); // nor does an equal one move it
         let snap = s.snapshot();
         assert_eq!(snap.requests, 1);
         assert_eq!(snap.conflict_tests, 5);
         assert_eq!(snap.max_table_entries, 7);
+        // After non-rising calls, a higher value still raises the mark.
+        LockStats::raise(&s.max_table_entries, 8);
+        assert_eq!(s.snapshot().max_table_entries, 8);
     }
 
     #[test]

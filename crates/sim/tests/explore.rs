@@ -107,6 +107,78 @@ fn explored_insert_schedules_certify_clean() {
     assert!(report.distinct_schedules >= 2, "only one schedule explored: {report}");
 }
 
+/// A short writer reads and then updates a robot's trajectory — an IS chain,
+/// then an IX chain whose links convert the optimistic IS grants in one CAS
+/// each — while a reader S-locks that robot's cell object. The reader's S
+/// seals the object's slot and drains whatever optimistic intent the writer
+/// holds there: before, between or after the conversion. Every schedule
+/// must commit both, lint and certify clean, and leave consistent summary
+/// words and an empty table.
+struct ConvertAgainstDrain {
+    mgr: Option<Arc<TransactionManager>>,
+    mark: u64,
+}
+
+impl Explorable for ConvertAgainstDrain {
+    fn reset(&mut self) {
+        self.mark = colock_trace::current_seq();
+        self.mgr = Some(manager(&small_cells()));
+    }
+
+    fn threads(&mut self) -> Vec<Box<dyn FnOnce() + Send + 'static>> {
+        let mgr = self.mgr.as_ref().expect("reset ran").clone();
+        let cell = InstanceTarget::object("cells", "c1");
+        let trajectory = cell.clone().elem("robots", "r1").attr("trajectory");
+        let writer = {
+            let mgr = Arc::clone(&mgr);
+            Box::new(move || {
+                let t = mgr.begin(TxnKind::Short);
+                let old = t.read(&trajectory).expect("read");
+                t.update(&trajectory, old).expect("update");
+                t.commit().expect("writer commit");
+            }) as Box<dyn FnOnce() + Send + 'static>
+        };
+        let reader = Box::new(move || {
+            let t = mgr.begin(TxnKind::Short);
+            t.lock(&cell, AccessMode::Read).expect("reader lock");
+            t.commit().expect("reader commit");
+        }) as Box<dyn FnOnce() + Send + 'static>;
+        vec![writer, reader]
+    }
+
+    fn check(&mut self) -> Result<(), String> {
+        let mgr = self.mgr.take().expect("reset ran");
+        if mgr.active_count() != 0 {
+            return Err("transactions survived".into());
+        }
+        let lm = mgr.lock_manager();
+        if lm.table_size() != 0 || lm.grant_count() != 0 {
+            return Err(format!("locks left behind:\n{}", lm.debug_dump()));
+        }
+        lm.check_summary_consistency()?;
+        verify_trace(&mgr, self.mark)
+    }
+
+    fn rescue(&self) {
+        if let Some(mgr) = &self.mgr {
+            mgr.lock_manager().begin_drain();
+        }
+    }
+}
+
+#[test]
+fn explored_conversions_against_drains_certify_clean() {
+    colock_trace::enable();
+    let mut scenario = ConvertAgainstDrain { mgr: None, mark: 0 };
+    let report = explore(&ExploreConfig::default(), &mut scenario);
+    if let Some(f) = &report.failure {
+        panic!("schedule failed:\n{f}");
+    }
+    assert!(report.is_clean(), "{report}");
+    assert!(!report.truncated, "the schedule space must be exhausted: {report}");
+    assert!(report.distinct_schedules >= 2, "only one schedule explored: {report}");
+}
+
 /// Opposite-order X locks: the explorer must reach the deadlock and see it
 /// resolved (one victim, one survivor) in every schedule that closes it.
 struct OppositeOrder {

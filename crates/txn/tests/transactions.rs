@@ -92,6 +92,29 @@ fn read_own_update() {
     t2.commit().unwrap();
 }
 
+/// The mix's short write: a read and then an update of one trajectory. The
+/// update's IX chain converts the read's IS chain link by link; those
+/// conversions stay on the optimistic fast path, so before commit the shard
+/// map holds the trajectory alone, not its six ancestors as well.
+#[test]
+fn short_write_keeps_its_ancestors_out_of_the_shard_map() {
+    let mgr = manager(ProtocolKind::Proposed);
+    let lm = mgr.lock_manager();
+    let before = lm.stats().snapshot();
+    let t = mgr.begin(TxnKind::Short);
+    assert_eq!(t.read(&trajectory("r1")).unwrap(), Value::str("t1"));
+    t.update(&trajectory("r1"), Value::str("t1'")).unwrap();
+    assert_eq!(lm.table_size(), 1, "only the trajectory is a real grant:\n{}", lm.debug_dump());
+    let s = lm.stats().snapshot().since(&before);
+    // Seven links a side — six ancestors and the trajectory — as before
+    // the conversions moved to the fast path.
+    assert_eq!(s.requests, 14);
+    assert_eq!(s.fastpath_hits, s.intent_acquires, "every intent is a gate hit: {s:?}");
+    assert_eq!(s.conversions, 7, "six ancestors IS -> IX, the trajectory S -> X");
+    t.commit().unwrap();
+    assert_eq!(lm.table_size(), 0);
+}
+
 #[test]
 fn abort_rolls_back_updates() {
     let mgr = manager(ProtocolKind::Proposed);
