@@ -329,7 +329,8 @@ impl<R: Resource> LockManager<R> {
     /// force a version bump in exactly that window. The probe runs with the
     /// caller's txn stripe held: it must only act as transactions owned by
     /// *other* stripes, and only while no optimistic grants are outstanding
-    /// on the probed slot (a drain would block on the held stripe).
+    /// on the probed slot (a drain would block on the held stripe) — a
+    /// converting optimist's own grant is always outstanding there.
     pub fn set_fastpath_probe(&self, probe: Option<FastpathProbe>) {
         self.probe_armed.store(probe.is_some(), Ordering::Relaxed);
         *self.probe_locked() = probe;
