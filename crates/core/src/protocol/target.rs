@@ -87,19 +87,26 @@ impl InstanceTarget {
     }
 
     /// Builds the [`ResourcePath`] for this target given database and segment
-    /// names (the engine supplies them from the catalog).
+    /// names (the engine supplies them from the catalog), in one pass: one
+    /// step vector, one spine.
     pub fn resource(&self, database: &str, segment: &str) -> ResourcePath {
-        let mut p = ResourcePath::database(database).segment(segment).relation(&self.relation);
+        let inner = self.object.as_ref().map_or(0, |_| {
+            1 + self.steps.len() + self.steps.iter().filter(|s| s.elem.is_some()).count()
+        });
+        let mut steps = Vec::with_capacity(3 + inner);
+        steps.push(PathStep::Database(database.to_string()));
+        steps.push(PathStep::Segment(segment.to_string()));
+        steps.push(PathStep::Relation(self.relation.clone()));
         if let Some(k) = &self.object {
-            p = p.child(PathStep::Object(k.clone()));
+            steps.push(PathStep::Object(k.clone()));
             for s in &self.steps {
-                p = p.attr(&s.attr);
+                steps.push(PathStep::Attr(s.attr.clone()));
                 if let Some(e) = &s.elem {
-                    p = p.child(PathStep::Elem(e.clone()));
+                    steps.push(PathStep::Elem(e.clone()));
                 }
             }
         }
-        p
+        ResourcePath::from_steps(steps)
     }
 
     /// The schema-level attribute path of this target (element keys erased).

@@ -13,7 +13,10 @@
 
 use colock_nf2::ObjectKey;
 use colock_testkit::codec::{self, CodecError, FieldCodec};
+use std::cmp::Ordering;
 use std::fmt::{self, Write as _};
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// One step of an instance path.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -46,9 +49,59 @@ impl fmt::Display for PathStep {
 }
 
 /// A hierarchical instance path identifying one lockable unit.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// A path is a view — the first `len` steps — of a shared, immutable
+/// `Spine`. Every prefix's identity hash is computed once, when the spine
+/// is built, so `clone`, [`parent`](Self::parent),
+/// [`ancestors`](Self::ancestors) and [`object_prefix`](Self::object_prefix)
+/// only bump a refcount, and hashing a path into the lock table writes one
+/// cached `u64`. Equality, ordering and hashing depend on the steps alone,
+/// never on which spine backs a view.
+#[derive(Clone)]
 pub struct ResourcePath {
-    steps: Vec<PathStep>,
+    spine: Arc<Spine>,
+    /// Number of steps of `spine` this path covers (≥ 1).
+    len: usize,
+}
+
+/// The steps of the path a spine was built for, and per prefix its hash.
+struct Spine {
+    steps: Box<[PathStep]>,
+    /// `hashes[i]` identifies `steps[..=i]`: [`prefix_hash`] folded over the
+    /// steps, so equal step slices hash equal on any spine.
+    hashes: Box<[u64]>,
+}
+
+/// FNV-1a over the bytes a step's derived `Hash` writes: deterministic (no
+/// per-process seed), so a prefix hashes the same on every spine that
+/// spells it. It is not the lock table's `FastHasher` because that one is
+/// private to `colock-lockmgr`, and exporting it would widen the lock
+/// manager's API; std's seedless SipHash would serve, but costs a locking
+/// read about a quarter more on `bench_snapshot`.
+struct StepHasher(u64);
+
+impl Hasher for StepHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// The hash of a prefix ending in `step`, given the hash of the prefix
+/// before it (`None` at the database). The splitmix64 finaliser spreads
+/// every input bit over the low bits, which pick the lock-table shard.
+fn prefix_hash(before: Option<u64>, step: &PathStep) -> u64 {
+    let mut h = StepHasher(before.unwrap_or(0xcbf2_9ce4_8422_2325));
+    step.hash(&mut h);
+    let mut z = h.finish();
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// `Debug` delegates to `Display` (`db:db1/seg:seg1/rel:cells/...`): the
@@ -60,28 +113,86 @@ impl fmt::Debug for ResourcePath {
     }
 }
 
+/// Views of one spine with the same length are equal without a look at the
+/// steps; across spines, the cached hashes reject almost every mismatch
+/// before the step slices are compared.
+impl PartialEq for ResourcePath {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.spells_start_of(other)
+    }
+}
+
+impl Eq for ResourcePath {}
+
+impl Hash for ResourcePath {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash_value());
+    }
+}
+
+impl PartialOrd for ResourcePath {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ResourcePath {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.steps().cmp(other.steps())
+    }
+}
+
 impl ResourcePath {
     /// The database root resource.
     pub fn database(name: impl Into<String>) -> Self {
-        ResourcePath { steps: vec![PathStep::Database(name.into())] }
+        Self::from_steps(vec![PathStep::Database(name.into())])
     }
 
-    /// Builds a path from raw steps (must start with `Database`).
+    /// Builds a path from raw steps (must start with `Database`), hashing
+    /// every prefix once.
     pub fn from_steps(steps: Vec<PathStep>) -> Self {
         debug_assert!(matches!(steps.first(), Some(PathStep::Database(_))));
-        ResourcePath { steps }
+        let mut hashes = Vec::with_capacity(steps.len());
+        for step in &steps {
+            hashes.push(prefix_hash(hashes.last().copied(), step));
+        }
+        let len = steps.len();
+        ResourcePath {
+            spine: Arc::new(Spine { steps: steps.into_boxed_slice(), hashes: hashes.into() }),
+            len,
+        }
+    }
+
+    /// The view of this path's first `len` steps, sharing its spine.
+    fn prefix(&self, len: usize) -> ResourcePath {
+        ResourcePath { spine: Arc::clone(&self.spine), len }
+    }
+
+    /// Whether `other`'s first `self.len` steps (it must have as many) are
+    /// `self`'s: a shared spine decides at once, otherwise the cached prefix
+    /// hashes, then the steps.
+    fn spells_start_of(&self, other: &ResourcePath) -> bool {
+        Arc::ptr_eq(&self.spine, &other.spine)
+            || (other.spine.hashes[self.len - 1] == self.hash_value()
+                && other.spine.steps[..self.len] == *self.steps())
+    }
+
+    /// The cached identity hash of this path.
+    fn hash_value(&self) -> u64 {
+        self.spine.hashes[self.len - 1]
     }
 
     /// The steps of this path.
     pub fn steps(&self) -> &[PathStep] {
-        &self.steps
+        &self.spine.steps[..self.len]
     }
 
-    /// Extends by one step.
+    /// Extends by one step (a new spine: the steps are copied).
     pub fn child(&self, step: PathStep) -> Self {
-        let mut steps = self.steps.clone();
+        let mut steps = Vec::with_capacity(self.len + 1);
+        steps.extend_from_slice(self.steps());
         steps.push(step);
-        ResourcePath { steps }
+        Self::from_steps(steps)
     }
 
     /// Convenience: segment child.
@@ -111,23 +222,17 @@ impl ResourcePath {
 
     /// The parent resource (one step shorter), or `None` at the database.
     pub fn parent(&self) -> Option<ResourcePath> {
-        if self.steps.len() <= 1 {
-            None
-        } else {
-            Some(ResourcePath { steps: self.steps[..self.steps.len() - 1].to_vec() })
-        }
+        (self.len > 1).then(|| self.prefix(self.len - 1))
     }
 
     /// All proper ancestors, root first (database, segment, …).
     pub fn ancestors(&self) -> Vec<ResourcePath> {
-        (1..self.steps.len())
-            .map(|n| ResourcePath { steps: self.steps[..n].to_vec() })
-            .collect()
+        (1..self.len).map(|n| self.prefix(n)).collect()
     }
 
     /// Number of steps.
     pub fn len(&self) -> usize {
-        self.steps.len()
+        self.len
     }
 
     /// Never empty by construction.
@@ -137,13 +242,12 @@ impl ResourcePath {
 
     /// `true` if `self` is a (non-strict) prefix of `other`.
     pub fn is_prefix_of(&self, other: &ResourcePath) -> bool {
-        other.steps.len() >= self.steps.len()
-            && self.steps.iter().zip(&other.steps).all(|(a, b)| a == b)
+        other.len >= self.len && self.spells_start_of(other)
     }
 
     /// The relation name on this path, if the path descends into one.
     pub fn relation_name(&self) -> Option<&str> {
-        self.steps.iter().find_map(|s| match s {
+        self.steps().iter().find_map(|s| match s {
             PathStep::Relation(r) => Some(r.as_str()),
             _ => None,
         })
@@ -151,7 +255,7 @@ impl ResourcePath {
 
     /// The complex-object key on this path, if any.
     pub fn object_key(&self) -> Option<&ObjectKey> {
-        self.steps.iter().find_map(|s| match s {
+        self.steps().iter().find_map(|s| match s {
             PathStep::Object(k) => Some(k),
             _ => None,
         })
@@ -159,8 +263,8 @@ impl ResourcePath {
 
     /// The prefix of this path ending at the complex-object step, if present.
     pub fn object_prefix(&self) -> Option<ResourcePath> {
-        let idx = self.steps.iter().position(|s| matches!(s, PathStep::Object(_)))?;
-        Some(ResourcePath { steps: self.steps[..=idx].to_vec() })
+        let idx = self.steps().iter().position(|s| matches!(s, PathStep::Object(_)))?;
+        Some(self.prefix(idx + 1))
     }
 
     /// The attribute steps after the complex-object step (schema path within
@@ -168,7 +272,7 @@ impl ResourcePath {
     pub fn attr_steps(&self) -> Vec<&str> {
         let mut out = Vec::new();
         let mut past_object = false;
-        for s in &self.steps {
+        for s in self.steps() {
             match s {
                 PathStep::Object(_) => past_object = true,
                 PathStep::Attr(a) if past_object => out.push(a.as_str()),
@@ -181,7 +285,7 @@ impl ResourcePath {
 
 impl fmt::Display for ResourcePath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, s) in self.steps.iter().enumerate() {
+        for (i, s) in self.steps().iter().enumerate() {
             if i > 0 {
                 f.write_str("/")?;
             }
@@ -265,7 +369,7 @@ impl ResourcePath {
     /// Appends the persisted path syntax, `/`-separated, names through
     /// `plain`.
     fn push_field(&self, out: &mut String, plain: fn(&str, &mut String)) {
-        for (i, step) in self.steps.iter().enumerate() {
+        for (i, step) in self.steps().iter().enumerate() {
             if i > 0 {
                 out.push('/');
             }
@@ -323,7 +427,7 @@ impl FieldCodec for ResourcePath {
                 expected: "resource path starting at db:",
             });
         }
-        Ok(ResourcePath { steps })
+        Ok(ResourcePath::from_steps(steps))
     }
 }
 

@@ -98,19 +98,21 @@ pub fn encode_frame(payload: &str) -> String {
 pub struct FrameReader<R> {
     inner: R,
     buf: Vec<u8>,
-    /// Read chunk size (small to exercise resumption in tests).
-    chunk: usize,
+    /// The one buffer every socket read lands in before it is appended to
+    /// `buf`; its length is the read size (small to exercise resumption in
+    /// tests).
+    chunk: Box<[u8]>,
 }
 
 impl<R: Read> FrameReader<R> {
     /// Wraps a byte stream.
     pub fn new(inner: R) -> Self {
-        FrameReader { inner, buf: Vec::new(), chunk: 4096 }
+        Self::with_chunk(inner, 4096)
     }
 
     /// Wraps a byte stream with a custom read-chunk size (tests).
     pub fn with_chunk(inner: R, chunk: usize) -> Self {
-        FrameReader { inner, buf: Vec::new(), chunk: chunk.max(1) }
+        FrameReader { inner, buf: Vec::new(), chunk: vec![0u8; chunk.max(1)].into() }
     }
 
     /// The underlying stream.
@@ -126,8 +128,7 @@ impl<R: Read> FrameReader<R> {
             if let Some(parsed) = self.try_parse()? {
                 return Ok(Some(parsed));
             }
-            let mut chunk = vec![0u8; self.chunk];
-            match self.inner.read(&mut chunk) {
+            match self.inner.read(&mut self.chunk) {
                 Ok(0) => {
                     if self.buf.is_empty() {
                         return Ok(None);
@@ -135,7 +136,7 @@ impl<R: Read> FrameReader<R> {
                     // We know the frame is incomplete (try_parse said so).
                     return Err(FrameError::Truncated { missing: self.missing_bytes() });
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.buf.extend_from_slice(&self.chunk[..n]),
                 Err(e) => return Err(FrameError::Io(e)),
             }
         }

@@ -10,7 +10,7 @@ use colock_nf2::value::build::{set, tup};
 use colock_nf2::Value;
 use colock_sim::{build_cells_store, CellsConfig};
 use colock_testkit::explore::{explore, Explorable, ExploreConfig};
-use colock_txn::{ProtocolKind, TransactionManager, TxnKind};
+use colock_txn::{ProtocolKind, Transaction, TransactionManager, TxnKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -267,5 +267,118 @@ fn explored_deadlocks_are_resolved_and_certify_clean() {
     assert!(
         scenario.deadlock_schedules > 0,
         "no explored schedule reached the deadlock: {report}"
+    );
+}
+
+/// An inserter that aborts races a reader that can reach the new object
+/// or element before it is locked: a full-range scan (`Store::keys`, then
+/// an S lock and a read per key, the way a query's relation range runs),
+/// or a member probe (Member on the container commutes with the
+/// inserter's Insert). No schedule may hand the reader what was inserted:
+/// it never committed, so reading it is a dirty read — one the certifier
+/// cannot see, because no lock event covers it.
+struct InsertAgainstRead {
+    mgr: Option<Arc<TransactionManager>>,
+    mark: u64,
+    /// Inserts one object or element, then aborts.
+    insert: fn(&Transaction),
+    /// Whether the reader saw the inserted object or element.
+    read_new: fn(&TransactionManager, &Transaction) -> bool,
+    dirty_reads: Arc<AtomicU64>,
+}
+
+impl Explorable for InsertAgainstRead {
+    fn reset(&mut self) {
+        self.mark = colock_trace::current_seq();
+        self.mgr = Some(manager(&small_cells()));
+        self.dirty_reads.store(0, Ordering::Relaxed);
+    }
+
+    fn threads(&mut self) -> Vec<Box<dyn FnOnce() + Send + 'static>> {
+        let mgr = self.mgr.as_ref().expect("reset ran").clone();
+        let insert = self.insert;
+        let inserter = {
+            let mgr = Arc::clone(&mgr);
+            Box::new(move || {
+                let t = mgr.begin(TxnKind::Short);
+                insert(&t);
+                t.abort().expect("abort");
+            }) as Box<dyn FnOnce() + Send + 'static>
+        };
+        let (read_new, dirty_reads) = (self.read_new, Arc::clone(&self.dirty_reads));
+        let reader = Box::new(move || {
+            let t = mgr.begin(TxnKind::Short);
+            if read_new(&mgr, &t) {
+                dirty_reads.fetch_add(1, Ordering::Relaxed);
+            }
+            t.commit().expect("reader commit");
+        }) as Box<dyn FnOnce() + Send + 'static>;
+        vec![inserter, reader]
+    }
+
+    fn check(&mut self) -> Result<(), String> {
+        let mgr = self.mgr.take().expect("reset ran");
+        if self.dirty_reads.load(Ordering::Relaxed) != 0 {
+            return Err("the reader saw the uncommitted insert".into());
+        }
+        if mgr.active_count() != 0 {
+            return Err("transactions survived".into());
+        }
+        verify_trace(&mgr, self.mark)
+    }
+
+    fn rescue(&self) {
+        if let Some(mgr) = &self.mgr {
+            mgr.lock_manager().begin_drain();
+        }
+    }
+}
+
+fn explore_insert_against(
+    insert: fn(&Transaction),
+    read_new: fn(&TransactionManager, &Transaction) -> bool,
+) {
+    colock_trace::enable();
+    let dirty_reads = Arc::new(AtomicU64::new(0));
+    let mut scenario = InsertAgainstRead { mgr: None, mark: 0, insert, read_new, dirty_reads };
+    let report = explore(&ExploreConfig::default(), &mut scenario);
+    if let Some(f) = &report.failure {
+        panic!("schedule failed:\n{f}");
+    }
+    assert!(report.is_clean(), "{report}");
+    assert!(!report.truncated, "the schedule space must be exhausted: {report}");
+}
+
+#[test]
+fn explored_scans_never_read_an_uncommitted_insert() {
+    explore_insert_against(
+        |t| {
+            let effector = tup(vec![("eff_id", Value::str("e-new")), ("tool", Value::str("t"))]);
+            t.insert("effectors", effector).expect("insert");
+        },
+        |mgr, t| {
+            // A key whose object vanished before the S lock was granted (the
+            // inserter aborted) fails to read; that is no dirty read.
+            mgr.store().keys("effectors").expect("relation exists").into_iter().any(|key| {
+                let read = t.read(&InstanceTarget::object("effectors", key.clone()));
+                read.is_ok() && key == "e-new".into()
+            })
+        },
+    );
+}
+
+#[test]
+fn explored_member_probes_never_read_an_uncommitted_element() {
+    explore_insert_against(
+        |t| {
+            let robot = tup(vec![
+                ("robot_id", Value::str("r-new")),
+                ("trajectory", Value::str("t")),
+                ("effectors", set(Vec::new())),
+            ]);
+            let container = InstanceTarget::object("cells", "c1").attr("robots");
+            t.insert_element(&container, robot).expect("insert element");
+        },
+        |_, t| t.member_element(&InstanceTarget::object("cells", "c1").elem("robots", "r-new")).is_ok(),
     );
 }

@@ -290,19 +290,35 @@ impl Store {
     /// checks that every contained reference resolves. Returns the key.
     /// Auto-commits one version (the non-transactional entry point).
     pub fn insert(&self, relation: &str, value: Value) -> Result<ObjectKey> {
-        self.clock.commit(|ts| self.insert_inner(relation, value, Some(ts)))
+        let key = self.object_key(relation, &value)?;
+        self.clock.commit(|ts| self.insert_inner(relation, key.clone(), value, Some(ts)))?;
+        Ok(key)
     }
 
-    /// Transactional insert: identical checks, but no version is installed —
-    /// the object stays invisible to snapshots until the owning transaction
-    /// commits it via [`Store::install_version`].
-    pub fn insert_pending(&self, relation: &str, value: Value) -> Result<ObjectKey> {
-        self.insert_inner(relation, value, None)
+    /// The key `value` would be inserted under, validating it against the
+    /// relation's schema; takes no latch. A transaction locks this key before
+    /// [`Store::insert_pending`] makes the object visible to [`Store::keys`].
+    pub fn object_key(&self, relation: &str, value: &Value) -> Result<ObjectKey> {
+        Ok(value.check_object(self.schema_of(relation)?)?)
     }
 
-    fn insert_inner(&self, relation: &str, value: Value, version: Option<u64>) -> Result<ObjectKey> {
-        let schema = self.schema_of(relation)?;
-        let key = value.check_object(schema)?;
+    /// Transactional insert of `value` under `key`, which the caller derived
+    /// (and so validated) with [`Store::object_key`]. References are checked
+    /// as by [`Store::insert`], but no version is installed — the object
+    /// stays invisible to snapshots until the owning transaction commits it
+    /// via [`Store::install_version`].
+    pub fn insert_pending(&self, relation: &str, key: ObjectKey, value: Value) -> Result<()> {
+        debug_assert_eq!(self.object_key(relation, &value).ok(), Some(key.clone()));
+        self.insert_inner(relation, key, value, None)
+    }
+
+    fn insert_inner(
+        &self,
+        relation: &str,
+        key: ObjectKey,
+        value: Value,
+        version: Option<u64>,
+    ) -> Result<()> {
         self.check_refs_resolve(&value)?;
         let mut data = self.data(relation)?.write_latch();
         if data.objects.contains_key(&key) {
@@ -314,8 +330,8 @@ impl Store {
         if let Some(ts) = version {
             self.push_version(&mut data, &key, ts, Some(value.clone()));
         }
-        data.objects.insert(key.clone(), value);
-        Ok(key)
+        data.objects.insert(key, value);
+        Ok(())
     }
 
     /// Reads a full object. The result shares its structure with the store
@@ -488,27 +504,47 @@ impl Store {
         Ok(before)
     }
 
-    /// Transactional element insert: appends `element` to the keyed set/list
-    /// at `container` within `relation[key]` and returns the derived element
-    /// key. No version is installed — the element stays invisible to
-    /// snapshots until the owning transaction commits it via
+    /// The key `element` would be inserted under at `container` within
+    /// `relation[key]`, validating its type against the schema; takes no
+    /// latch. A transaction locks this key before
+    /// [`Store::insert_element_pending`] splices the element in.
+    pub fn element_key(
+        &self,
+        relation: &str,
+        key: &ObjectKey,
+        container: &[TargetStep],
+        element: &Value,
+    ) -> Result<ObjectKey> {
+        let elem_ty = element_type(self.schema_of(relation)?, relation, key, container)?;
+        element.check_type(elem_ty, format_args!("{relation}[{key}].{container:?}[+]"))?;
+        element.element_key(elem_ty).ok_or_else(|| {
+            StorageError::BadTarget(format!(
+                "element inserted at {relation}[{key}].{container:?} has no derivable key"
+            ))
+        })
+    }
+
+    /// Transactional element insert: appends `element` under `elem_key`,
+    /// which the caller derived (and so validated) with
+    /// [`Store::element_key`], to the keyed set/list at `container` within
+    /// `relation[key]`. No version is installed — the element stays
+    /// invisible to snapshots until the owning transaction commits it via
     /// [`Store::install_version`] with the element's path in its patch.
     pub fn insert_element_pending(
         &self,
         relation: &str,
         key: &ObjectKey,
         container: &[TargetStep],
+        elem_key: ObjectKey,
         element: Value,
-    ) -> Result<ObjectKey> {
+    ) -> Result<()> {
+        debug_assert_eq!(
+            self.element_key(relation, key, container, &element).ok(),
+            Some(elem_key.clone())
+        );
         let schema = self.schema_of(relation)?;
         self.check_refs_resolve(&element)?;
         let elem_ty = element_type(schema, relation, key, container)?;
-        element.check_type(elem_ty, format_args!("{relation}[{key}].{container:?}[+]"))?;
-        let elem_key = element.element_key(elem_ty).ok_or_else(|| {
-            StorageError::BadTarget(format!(
-                "element inserted at {relation}[{key}].{container:?} has no derivable key"
-            ))
-        })?;
         let mut data = self.data(relation)?.write_latch();
         let obj = data.live_mut(relation, key)?;
         let bad_target = || StorageError::BadTarget(format!("{relation}[{key}].{container:?}"));
@@ -525,7 +561,7 @@ impl Store {
             .and_then(Value::elements_mut)
             .ok_or_else(bad_target)?
             .push(element);
-        Ok(elem_key)
+        Ok(())
     }
 
     /// Transactional element removal: removes the element with `elem_key`
@@ -1179,7 +1215,7 @@ mod tests {
         let live = s.get("cells", &key).unwrap();
         assert!(!live.shares_with(&after) && !live.shares_with(&before));
         s.update_at_pending("cells", &key, &traj, Value::str("dirty")).unwrap();
-        s.insert_element_pending("cells", &key, &[TargetStep::attr("robots")], robot("r4")).unwrap();
+        insert_element(&s, &key, &[TargetStep::attr("robots")], robot("r4")).unwrap();
         assert_eq!(before, cell_with_objects("c1", &["o1", "o2", "o3"], robots));
         assert_eq!(image_at(&s, "cells", &key, before_ts), before);
         assert_eq!(image_at(&s, "cells", &key, s.clock().stable()), after);
@@ -1266,7 +1302,7 @@ mod tests {
             .unwrap();
         assert_eq!(read, Value::str("a"));
         // Pending insert: invisible until installed.
-        s.insert_pending("effectors", effector("e2", "b")).unwrap();
+        s.insert_pending("effectors", ObjectKey::from("e2"), effector("e2", "b")).unwrap();
         assert!(!s.contains_at("effectors", &ObjectKey::from("e2"), s.clock().stable()));
         // Install both at one commit timestamp.
         s.clock().commit(|ts| {
@@ -1329,6 +1365,18 @@ mod tests {
         assert!(robot_of(&t2_version, "r1").shares_with(robot_of(&t1_version, "r1")));
     }
 
+    /// A transaction's element insert: derive the key, then splice.
+    fn insert_element(
+        s: &Store,
+        key: &ObjectKey,
+        container: &[TargetStep],
+        element: Value,
+    ) -> Result<ObjectKey> {
+        let elem_key = s.element_key("cells", key, container, &element)?;
+        s.insert_element_pending("cells", key, container, elem_key.clone(), element)?;
+        Ok(elem_key)
+    }
+
     fn robot(id: &str) -> Value {
         tup(vec![
             ("robot_id", Value::str(id)),
@@ -1344,14 +1392,14 @@ mod tests {
         let key = ObjectKey::from("c1");
         let robots = [TargetStep::attr("robots")];
         // Insert derives the element key from the key attribute.
-        let ek = s.insert_element_pending("cells", &key, &robots, robot("r2")).unwrap();
+        let ek = insert_element(&s, &key, &robots, robot("r2")).unwrap();
         assert_eq!(ek, ObjectKey::from("r2"));
         assert!(s
             .get_at("cells", &key, &[TargetStep::elem("robots", "r2")])
             .is_ok());
         // Same key again is a duplicate.
         assert!(matches!(
-            s.insert_element_pending("cells", &key, &robots, robot("r2")),
+            insert_element(&s, &key, &robots, robot("r2")),
             Err(StorageError::DuplicateObject { .. })
         ));
         // Removal returns the before-image; restore re-establishes it.
@@ -1371,14 +1419,12 @@ mod tests {
         let key = ObjectKey::from("c1");
         // A scalar attribute is not a container.
         assert!(matches!(
-            s.insert_element_pending("cells", &key, &[TargetStep::attr("cell_id")], robot("r2")),
+            insert_element(&s, &key, &[TargetStep::attr("cell_id")], robot("r2")),
             Err(StorageError::BadTarget(_))
         ));
         // A schema-typed element that fails validation is rolled back whole.
         let bad = tup(vec![("robot_id", Value::Int(9))]);
-        assert!(s
-            .insert_element_pending("cells", &key, &[TargetStep::attr("robots")], bad)
-            .is_err());
+        assert!(insert_element(&s, &key, &[TargetStep::attr("robots")], bad).is_err());
         assert_eq!(
             s.get("cells", &key).unwrap().field("robots").unwrap().elements().unwrap().len(),
             1
@@ -1399,7 +1445,7 @@ mod tests {
         let r2_path = vec![TargetStep::elem("robots", "r2")];
         let base = image_at(&s, "cells", &key, s.clock().stable());
         // T1 inserts element r2; T2 updates sibling r1 — both pending.
-        s.insert_element_pending("cells", &key, &robots, robot("r2")).unwrap();
+        insert_element(&s, &key, &robots, robot("r2")).unwrap();
         s.update_at_pending("cells", &key, &r1_traj, Value::str("t2-dirty")).unwrap();
         // T1 commits alone.
         s.clock().commit(|ts| {

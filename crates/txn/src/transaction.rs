@@ -258,12 +258,19 @@ impl<'m> Transaction<'m> {
     /// Inserts a complex object (locks the relation IX + the new object X).
     pub fn insert(&self, relation: &str, value: Value) -> Result<ObjectKey> {
         self.check_may_write()?;
-        // Insert first to learn the key, then lock the new object; the
-        // relation-level IX comes with the object lock chain. (Phantom
-        // protection is future work in the paper, §5.) The insert is
-        // *pending*: no version exists until this transaction commits.
-        let key = self.mgr.store().insert_pending(relation, value)?;
+        // X-lock the new object before it exists: a pending insert is listed
+        // by `Store::keys`, so a scan reaching it must already find it
+        // locked. The relation-level IX comes with the object lock chain.
+        // (Phantom protection is future work in the paper, §5.) The insert
+        // is *pending*: no version exists until this transaction commits.
+        let store = self.mgr.store();
+        let key = store.object_key(relation, &value)?;
         let target = InstanceTarget::object(relation, key.clone());
+        self.lock_no_deref(&target, AccessMode::Update)?;
+        store.insert_pending(relation, key.clone(), value)?;
+        // Only now are the object's references visible to downward
+        // propagation (rules 4/4′): the same request again finds the chain
+        // cached and locks the entry points of the referenced common data.
         match self.lock(&target, AccessMode::Update) {
             Ok(_) => {
                 self.log(UndoRecord::Inserted { relation: relation.to_string(), key: key.clone() });
@@ -271,7 +278,7 @@ impl<'m> Transaction<'m> {
             }
             Err(e) => {
                 // Lock failed (deadlock victim, …): undo the insert now.
-                let _ = self.mgr.store().restore(relation, &key, None);
+                let _ = store.restore(relation, &key, None);
                 Err(e)
             }
         }
@@ -355,39 +362,29 @@ impl<'m> Transaction<'m> {
         let opts = ProtocolOptions { deref_refs: false, ..self.opts() };
         let mode = if self.mgr.semantic_for(container) { LockMode::Insert } else { LockMode::X };
         self.request(container, mode, opts)?;
-        // Insert pending first to derive (and validate) the element key, then
-        // lock the new element; mirrors [`Transaction::insert`].
-        let elem_key = self.mgr.store().insert_element_pending(
-            &container.relation,
-            &key,
-            &container.steps,
-            element,
-        )?;
+        // Lock the new element before splicing it in, as in
+        // [`Transaction::insert`]: a member probe holds only Member on the
+        // container, so it must find the pending element already X-locked.
+        let elem_key =
+            self.mgr.store().element_key(&container.relation, &key, &container.steps, &element)?;
         let mut elem_target = container.clone();
         let last = elem_target.steps.pop().expect("non-empty: checked above");
         elem_target.steps.push(TargetStep { attr: last.attr, elem: Some(elem_key.clone()) });
-        match self.request(&elem_target, LockMode::X, opts) {
-            Ok(_) => {
-                self.log(UndoRecord::ElementInserted {
-                    relation: container.relation.clone(),
-                    key,
-                    steps: container.steps.clone(),
-                    elem_key: elem_key.clone(),
-                });
-                Ok(elem_key)
-            }
-            Err(e) => {
-                // Lock failed (deadlock victim, …): undo the splice now.
-                let _ = self.mgr.store().restore_element(
-                    &container.relation,
-                    &key,
-                    &container.steps,
-                    &elem_key,
-                    None,
-                );
-                Err(e)
-            }
-        }
+        self.request(&elem_target, LockMode::X, opts)?;
+        self.mgr.store().insert_element_pending(
+            &container.relation,
+            &key,
+            &container.steps,
+            elem_key.clone(),
+            element,
+        )?;
+        self.log(UndoRecord::ElementInserted {
+            relation: container.relation.clone(),
+            key,
+            steps: container.steps.clone(),
+            elem_key: elem_key.clone(),
+        });
+        Ok(elem_key)
     }
 
     /// Membership probe: reads one element of a set/list under a semantic

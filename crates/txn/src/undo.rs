@@ -261,7 +261,7 @@ mod tests {
             )
             .unwrap();
         let gone = store.delete_pending("effectors", &ObjectKey::from("e2")).unwrap();
-        store.insert_pending("effectors", effector("e3", "c")).unwrap();
+        store.insert_pending("effectors", ObjectKey::from("e3"), effector("e3", "c")).unwrap();
         let log = vec![
             UndoRecord::Updated {
                 relation: "effectors".into(),

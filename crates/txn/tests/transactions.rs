@@ -277,6 +277,52 @@ fn release_early_enters_shrinking_phase() {
     t.commit().unwrap();
 }
 
+/// An inserted object's references are common data it depends on: the
+/// insert locks their entry points (rule 4) although it locks the object
+/// before the object exists, so a deleter of the referenced effector waits
+/// for the inserter instead of counting its uncommitted reference.
+#[test]
+fn insert_locks_the_entry_points_its_object_references() {
+    let mgr = TransactionManager::over_store(
+        populated_store(),
+        Authorization::allow_all(),
+        ProtocolKind::Proposed,
+    );
+    let e9 = ObjectKey::from("e9");
+    let t = mgr.begin(TxnKind::Short);
+    t.insert("effectors", tup(vec![("eff_id", Value::str("e9")), ("tool", Value::str("x"))]))
+        .unwrap();
+    t.commit().unwrap();
+
+    let t1 = mgr.begin(TxnKind::Short);
+    let cell = tup(vec![
+        ("cell_id", Value::str("c2")),
+        ("c_objects", set(vec![])),
+        (
+            "robots",
+            list(vec![tup(vec![
+                ("robot_id", Value::str("r9")),
+                ("trajectory", Value::str("t9")),
+                ("effectors", set(vec![Value::reference("effectors", "e9")])),
+            ])]),
+        ),
+    ]);
+    t1.insert("cells", cell).unwrap();
+    let entry = InstanceTarget::object("effectors", e9.clone());
+    let entry = mgr.engine().resource_for(&entry).unwrap();
+    assert_eq!(mgr.lock_manager().held_mode(t1.id(), &entry), colock_lockmgr::LockMode::X);
+
+    let t2 = mgr.begin(TxnKind::Short);
+    t2.set_wait_policy(colock_lockmgr::WaitPolicy::Try);
+    let err = t2.delete("effectors", &e9).unwrap_err();
+    assert!(err.is_would_block(), "{err:?}");
+    t1.abort().unwrap();
+    // The reference never committed: nothing keeps e9 alive.
+    t2.delete("effectors", &e9).unwrap();
+    t2.commit().unwrap();
+    assert!(!mgr.store().contains("effectors", &e9));
+}
+
 #[test]
 fn checkout_takes_long_locks_that_survive_crash() {
     let mgr = manager(ProtocolKind::Proposed);
