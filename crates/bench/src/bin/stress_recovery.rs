@@ -30,8 +30,9 @@ use std::sync::Arc;
 
 const STATIONS: usize = 4;
 
-/// Churn cycles per run in the mid-compaction sweep: several checkpoints.
-const CHURN_CYCLES: usize = 250;
+/// Churn cycles per run in the mid-compaction sweep: several checkpoints
+/// (each cycle writes one grant set and one release-all).
+const CHURN_CYCLES: usize = 750;
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)

@@ -8,7 +8,8 @@ use crate::graph::object::DbLockGraph;
 use crate::protocol::target::{AccessMode, InstanceSource, InstanceTarget};
 use crate::resource::ResourcePath;
 use colock_lockmgr::{
-    AcquireOutcome, LockError, LockManager, LockMode, LockRequestOptions, TxnId, WaitPolicy,
+    AcquireOutcome, LockError, LockManager, LockMode, LockRequestOptions, Request, TxnId,
+    WaitPolicy,
 };
 use colock_trace::{rule_scope, RuleTag};
 use colock_nf2::{Catalog, ObjectRef};
@@ -337,6 +338,10 @@ impl ProtocolEngine {
     /// requests from above and take the S/X of the mode's access class.
     /// Authorization is checked before any lock is requested. `protocol`
     /// decides rule 4 vs 4′; [`ProtocolOptions::rule4_prime`] is overridden.
+    ///
+    /// The call is one lock-manager [`Request`]: its long grants are
+    /// journaled as one grant set before it returns, `Ok` or `Err`, and a
+    /// journal crash there is `LockError::Crashed` whatever the walk did.
     pub fn lock(
         &self,
         cx: &LockCtx<'_>,
@@ -361,9 +366,10 @@ impl ProtocolEngine {
         let mut ctx = Ctx {
             cx: LockCtx { opts: ProtocolOptions { rule4_prime, ..cx.opts }, ..*cx },
             report: LockReport::default(),
+            request: cx.lm.request(txn),
         };
         let coarse = LockMode::from(access);
-        match protocol {
+        let walked = match protocol {
             ProtocolKind::Proposed | ProtocolKind::ProposedRule4 => {
                 self.proposed(&mut ctx, target, mode)
             }
@@ -371,8 +377,9 @@ impl ProtocolEngine {
             ProtocolKind::TupleLevel => self.tuple_level(&mut ctx, target, coarse),
             ProtocolKind::NaiveDag => self.naive_dag(&mut ctx, target, coarse, true),
             ProtocolKind::NaiveRelaxed => self.naive_dag(&mut ctx, target, coarse, false),
-        }?;
-        Ok(ctx.report)
+        };
+        ctx.request.finish()?;
+        walked.map(|()| ctx.report)
     }
 
     /// Exists only for the frozen `benchmark/` crate, which calls it
@@ -405,11 +412,13 @@ pub(crate) fn work_for(refs: Vec<ObjectRef>, mode: LockMode, tag: RuleTag) -> Ve
     refs.into_iter().map(|r| (r, mode, tag)).collect()
 }
 
-/// Mutable per-call state of a protocol body: the bound [`LockCtx`] plus the
-/// accumulating report.
+/// Mutable per-call state of a protocol body: the bound [`LockCtx`], the
+/// accumulating report and the lock-manager request every lock of the call
+/// goes through.
 pub(crate) struct Ctx<'a> {
     pub cx: LockCtx<'a>,
     pub report: LockReport,
+    pub request: Request<'a, ResourcePath>,
 }
 
 impl Ctx<'_> {
@@ -458,8 +467,8 @@ impl Ctx<'_> {
         if self.covered(resource, mode) {
             return Ok(());
         }
-        let outcome =
-            self.cx.lm.acquire(self.cx.txn, resource.clone(), mode, self.request_opts())?;
+        let opts = self.request_opts();
+        let outcome = self.request.acquire(resource.clone(), mode, opts)?;
         if self.book(resource, mode, outcome) {
             self.report.acquired.push((resource.clone(), mode));
         }
@@ -486,8 +495,8 @@ impl Ctx<'_> {
         if chain.is_empty() {
             return Ok(());
         }
-        let outcomes =
-            self.cx.lm.acquire_intent_chain(self.cx.txn, &chain, intent, self.request_opts())?;
+        let opts = self.request_opts();
+        let outcomes = self.request.acquire_intent_chain(&chain, intent, opts)?;
         for (anc, outcome) in chain.into_iter().zip(outcomes) {
             if self.book(&anc, intent, outcome) {
                 self.report.acquired.push((anc, intent));

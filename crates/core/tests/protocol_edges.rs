@@ -8,7 +8,8 @@ use colock_core::{
     AccessMode, InstanceTarget, LockCtx, ProtocolEngine, ProtocolError, ProtocolKind,
     ProtocolOptions, ResourcePath,
 };
-use colock_lockmgr::{LockManager, LockMode, TxnId};
+use colock_lockmgr::{Journal, LockError, LockManager, LockMode, LongLockImage, TxnId};
+use colock_testkit::{CrashPoint, FaultPlan};
 use colock_nf2::AttrPath;
 use std::sync::Arc;
 
@@ -322,4 +323,59 @@ fn tuple_level_subtree_scopes_to_elements_below() {
         .filter(|(_, m)| *m == LockMode::S)
         .count();
     assert_eq!(tuple_locks, 5, "{}", report.render());
+}
+
+/// A long `lock` call is one lock-manager request: its grants reach the
+/// journal as one grant set when it returns — also when it fails midway,
+/// since the grants made before the error stay held.
+#[test]
+fn a_long_lock_call_journals_one_grant_set_even_when_it_fails() {
+    let (engine, lm, src) = setup();
+    let journal = Arc::new(Journal::<ResourcePath>::new());
+    assert!(lm.attach_journal(journal.clone()));
+    let authz = Authorization::allow_all();
+    let long = ProtocolOptions { long: true, ..ProtocolOptions::default() };
+    let robot = |r: &str| InstanceTarget::object("cells", "c1").elem("robots", r);
+
+    let t1 = LockCtx { opts: long, ..LockCtx::new(&lm, TxnId(1), &src, &authz) };
+    let report = engine.lock(&t1, ProtocolKind::Proposed, &robot("r1"), LockMode::X).unwrap();
+    assert!(report.acquired.len() > 5, "{report:?}");
+    assert_eq!(journal.appends(), 1, "one record for {} locks", report.acquired.len());
+    let replayed = Journal::<ResourcePath>::replay(&journal.contents()).unwrap();
+    assert_eq!(replayed.entries, LongLockImage::capture(&lm).entries);
+
+    // t3 holds e3 exclusively, so t2's long X on r2 fails at that entry
+    // point under the try policy — after its ancestors and r2 are granted.
+    let e3 = InstanceTarget::object("effectors", "e3");
+    let t3 = LockCtx::new(&lm, TxnId(3), &src, &authz);
+    engine.lock(&t3, ProtocolKind::Proposed, &e3, LockMode::X).unwrap();
+    let t2 = LockCtx { opts: long.try_lock(), ..LockCtx::new(&lm, TxnId(2), &src, &authz) };
+    let err = engine.lock(&t2, ProtocolKind::Proposed, &robot("r2"), LockMode::X).unwrap_err();
+    assert!(matches!(err, ProtocolError::Lock(LockError::WouldBlock { .. })), "{err:?}");
+    assert_eq!(journal.appends(), 2);
+    let replayed = Journal::<ResourcePath>::replay(&journal.contents()).unwrap();
+    assert_eq!(replayed.entries, LongLockImage::capture(&lm).entries);
+    assert!(replayed.owners().contains(&TxnId(2)), "t2's partial grants are durable");
+}
+
+/// A crash at the request's flush fails the `lock` call, and the medium
+/// holds none of that request's locks.
+#[test]
+fn a_crash_at_the_flush_fails_the_lock_call_and_replay_holds_none_of_it() {
+    for point in [CrashPoint::BeforeAppend, CrashPoint::MidRecord] {
+        let (engine, lm, src) = setup();
+        let journal = Arc::new(Journal::<ResourcePath>::new());
+        lm.attach_journal(journal.clone());
+        let authz = Authorization::allow_all();
+        let long = ProtocolOptions { long: true, ..ProtocolOptions::default() };
+        let cx = |t| LockCtx { opts: long, ..LockCtx::new(&lm, TxnId(t), &src, &authz) };
+        let robot = |r: &str| InstanceTarget::object("cells", "c1").elem("robots", r);
+        engine.lock(&cx(1), ProtocolKind::Proposed, &robot("r1"), LockMode::S).unwrap();
+        journal.arm(FaultPlan::crash_at(point, 1));
+        let err = engine.lock(&cx(2), ProtocolKind::Proposed, &robot("r2"), LockMode::S);
+        assert_eq!(err.unwrap_err(), ProtocolError::Lock(LockError::Crashed), "{point:?}");
+        let replayed = Journal::<ResourcePath>::replay(&journal.contents()).unwrap();
+        assert_eq!(replayed.owners(), vec![TxnId(1)], "{point:?}");
+        assert_eq!(replayed.dropped_tail, usize::from(point == CrashPoint::MidRecord));
+    }
 }

@@ -9,15 +9,13 @@
 //! youngest markable member is stamped as victim and woken through its
 //! resource's condvar. There is no polling loop and no background thread.
 
-use crate::queue::ShardInner;
 use crate::stats::LockStats;
-use crate::table::{LockManager, Resource};
+use crate::table::{LockManager, Resource, ShardGuard};
 use crate::txnid::TxnId;
 use colock_testkit::explore;
 use colock_trace::{self as trace, Event, EventKind};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::MutexGuard;
 
 impl<R: Resource> LockManager<R> {
     /// Snapshot deadlock detector.
@@ -32,7 +30,7 @@ impl<R: Resource> LockManager<R> {
     /// cycle.
     pub(crate) fn run_detector(&self) {
         LockStats::bump(&self.stats.detector_runs);
-        let mut guards: Vec<MutexGuard<'_, ShardInner<R>>> =
+        let mut guards: Vec<ShardGuard<'_, R>> =
             (0..self.shards.len()).map(|i| self.shard_locked(i)).collect();
         let traced = trace::is_enabled();
         loop {

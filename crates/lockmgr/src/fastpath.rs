@@ -73,7 +73,7 @@ impl<R: Resource> LockManager<R> {
                             // before the stripe unlocks, or a draining
                             // pessimist could find the count with nothing
                             // to migrate.
-                            let e = HeldLock { mode, long: false, optimistic: true, hash: h };
+                            let e = HeldLock { optimistic: true, mode, ..HeldLock::real(h) };
                             t.held.insert(r.clone(), e);
                             LockStats::raise(&self.stats.max_locks_per_txn, t.held.len() as u64);
                         }

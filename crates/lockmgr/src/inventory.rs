@@ -10,7 +10,13 @@
 //! stripe (`release_entries`), a real grant under its shard
 //! (`release_real`); `release`, `release_all` and `release_short` only
 //! differ in which entries they take out of the inventory.
+//!
+//! The inventory is also where a request stages its long grants for the
+//! journal (`HeldLock::staged`) until `flush_staged` writes them as one
+//! grant set. Every journal record is written with no shard and no stripe
+//! locked.
 
+use crate::error::LockError;
 use crate::mode::LockMode;
 use crate::persistent::JournalOp;
 use crate::queue::ShardInner;
@@ -18,9 +24,9 @@ use crate::stats::LockStats;
 use crate::summary::{self, slot_update};
 use crate::table::{recover, FastMap, LockManager, Resource};
 use crate::txnid::TxnId;
+use crate::Result;
 use colock_testkit::explore;
 use colock_trace::EventKind;
-use std::sync::atomic::Ordering;
 use std::sync::{Mutex, MutexGuard};
 
 /// One entry of a transaction's lock inventory.
@@ -34,6 +40,16 @@ pub(crate) struct HeldLock {
     /// The resource's placement hash, cached so releases and drains derive
     /// shard and summary slot without rehashing.
     pub(crate) hash: u64,
+    /// A long grant, conversion or widening of this lock awaits its
+    /// request's grant-set record (only with a journal attached).
+    pub(crate) staged: bool,
+}
+
+impl HeldLock {
+    /// A fresh entry for a real grant, before its mode is joined in.
+    pub(crate) fn real(hash: u64) -> Self {
+        HeldLock { mode: LockMode::NL, long: false, optimistic: false, hash, staged: false }
+    }
 }
 
 #[derive(Debug)]
@@ -99,29 +115,25 @@ impl<R: Resource> LockManager<R> {
     }
 
     /// Releases `resource` for `txn`. Returns `true` if a lock was released.
+    /// A long lock's release is journaled as one v1 `release` record.
     pub fn release(&self, txn: TxnId, resource: &R) -> bool {
         explore::yield_point(|| format!("release|{resource:?}"));
-        let h = Self::hash_of(resource);
-        // Optimistic grants live only in the inventory: releasing one never
-        // touches the shard. Zero optimistic counts prove ours (if any) is a
-        // real grant — one atomic load on the common path.
-        if summary::opt_total(self.slot_from_hash(h).load(Ordering::Acquire)) != 0 {
-            let mut stripe = self.stripe_locked(txn);
-            if let Some(t) = stripe.get_mut(&txn) {
-                if t.held.get(resource).is_some_and(|e| e.optimistic) {
-                    let entry = t.held.remove_entry(resource);
-                    if t.held.is_empty() {
-                        stripe.remove(&txn);
-                    }
-                    return self.release_entries(txn, stripe, entry) == 1;
-                }
-            }
+        let mut stripe = self.stripe_locked(txn);
+        let Some(t) = stripe.get_mut(&txn) else {
+            return false;
+        };
+        let Some(entry) = t.held.remove_entry(resource) else {
+            return false;
+        };
+        if t.held.is_empty() {
+            stripe.remove(&txn);
         }
-        self.release_real(&mut self.shard_locked(self.shard_of(h)), txn, resource, h, true)
+        self.release_entries(txn, stripe, Some(entry), false) == 1
     }
 
     /// Releases all locks of `txn` (end of transaction). Returns the number
-    /// released.
+    /// released. A transaction that held a long lock is journaled as one
+    /// `releaseall` record.
     ///
     /// The per-txn inventory is *drained* (not cloned): ownership of the
     /// resource keys moves out of the stripe, and each affected shard is
@@ -130,7 +142,7 @@ impl<R: Resource> LockManager<R> {
         explore::yield_point(|| "release_all|*".to_string());
         let mut stripe = self.stripe_locked(txn);
         let held = stripe.remove(&txn).map(|t| t.held).unwrap_or_default();
-        self.release_entries(txn, stripe, held)
+        self.release_entries(txn, stripe, held, true)
     }
 
     /// Releases only the *short* locks of `txn`, keeping long locks — models
@@ -148,7 +160,7 @@ impl<R: Resource> LockManager<R> {
         } else {
             t.held.extend(long);
         }
-        self.release_entries(txn, stripe, short)
+        self.release_entries(txn, stripe, short, false)
     }
 
     /// Releases inventory entries the caller already took out of `txn`'s
@@ -156,16 +168,32 @@ impl<R: Resource> LockManager<R> {
     /// right here, real ones once the stripe is unlocked (a stripe guard is
     /// never carried into a shard critical section). Returns how many there
     /// were.
+    ///
+    /// Long locks among them are journaled in between, with nothing locked
+    /// — one `releaseall` when `eot` (the whole inventory is going), else
+    /// one `release` each. The record precedes the in-memory release, so
+    /// the medium never shows a lock this release hands to a waiter as
+    /// still held by `txn`; a crash in between drops a release nobody was
+    /// told about.
     fn release_entries(
         &self,
         txn: TxnId,
         stripe: StripeGuard<'_, R>,
         entries: impl IntoIterator<Item = (R, HeldLock)>,
+        eot: bool,
     ) -> usize {
         let mut real: Vec<(R, u64)> = Vec::new();
         let mut optimistic = 0;
+        let mut long: Option<(R, LockMode)> = None;
+        let mut any_long = false;
         for (r, e) in entries {
             if !e.optimistic {
+                if e.long && !eot {
+                    // Only `release` passes a long entry without `eot`,
+                    // and it passes one.
+                    long = Some((r.clone(), e.mode));
+                }
+                any_long |= e.long;
                 real.push((r, e.hash));
                 continue;
             }
@@ -184,9 +212,44 @@ impl<R: Resource> LockManager<R> {
         }
         drop(stripe);
         LockStats::add(&self.stats.releases, optimistic as u64);
+        if let Some(j) = self.journal().filter(|_| any_long) {
+            // A journal crash cannot fail the release (the caller's memory
+            // state dies with the crash anyway); the frozen journal simply
+            // stops acknowledging, and replay decides.
+            let _ = match &long {
+                Some((r, mode)) => j.record(JournalOp::Release, txn, r, *mode),
+                None => j.record_release_all(txn),
+            };
+        }
         let n = real.len() + optimistic;
         self.release_batch(txn, real);
         n
+    }
+
+    /// Journals `txn`'s staged long grants as one grant set, each at its
+    /// joined mode, and clears their marks. The set is gathered under the
+    /// stripe and written after it unlocks. A no-op without a journal or
+    /// with nothing staged.
+    pub(crate) fn flush_staged(&self, txn: TxnId) -> Result<()> {
+        let Some(j) = self.journal() else {
+            return Ok(());
+        };
+        let set: Vec<(R, LockMode)> = match self.stripe_locked(txn).get_mut(&txn) {
+            Some(t) => t
+                .held
+                .iter_mut()
+                .filter(|(_, e)| e.staged)
+                .map(|(r, e)| {
+                    e.staged = false;
+                    (r.clone(), e.mode)
+                })
+                .collect(),
+            None => return Ok(()),
+        };
+        if set.is_empty() {
+            return Ok(());
+        }
+        j.record_grant_set(txn, &set).map_err(|_| LockError::Crashed)
     }
 
     /// Removes `txn`'s grants on the given resources (inventory already
@@ -198,29 +261,21 @@ impl<R: Resource> LockManager<R> {
         for group in resources.chunk_by(|a, b| self.shard_of(a.1) == self.shard_of(b.1)) {
             let mut shard = self.shard_locked(self.shard_of(group[0].1));
             for (r, h) in group {
-                self.release_real(&mut shard, txn, r, *h, false);
+                self.release_real(&mut shard, txn, r, *h);
             }
         }
     }
 
-    /// Releases `txn`'s real grant on `r` under the locked shard owning it:
-    /// the grant leaves the shard map and the slot's class count, the
-    /// resource's queue is re-processed and a saturated slot repaired.
-    /// `update_inventory` also drops the inventory entry (callers that
-    /// drained the inventory themselves pass `false`).
-    fn release_real(
-        &self,
-        shard: &mut ShardInner<R>,
-        txn: TxnId,
-        r: &R,
-        h: u64,
-        update_inventory: bool,
-    ) -> bool {
+    /// Releases `txn`'s real grant on `r` under the locked shard owning it
+    /// (the caller already took the inventory entry out): the grant leaves
+    /// the shard map and the slot's class count, the resource's queue is
+    /// re-processed and a saturated slot repaired.
+    fn release_real(&self, shard: &mut ShardInner<R>, txn: TxnId, r: &R, h: u64) {
         let Some(state) = shard.resources.get_mut(r) else {
-            return false;
+            return;
         };
         let Some(i) = state.granted.iter().position(|g| g.txn == txn) else {
-            return false;
+            return;
         };
         let g = state.granted.remove(i);
         self.trace_lock(EventKind::Release, txn, h, g.mode, r, "");
@@ -228,26 +283,9 @@ impl<R: Resource> LockManager<R> {
         // in-flight optimistic validations observe the writer.
         slot_update(self.slot_from_hash(h), |w| summary::class_delta(w, g.mode, LockMode::NL));
         self.drop_state_if_empty(shard, r);
-        if update_inventory {
-            // Stripe nests strictly inside the shard critical section (leaf).
-            let mut stripe = self.stripe_locked(txn);
-            if let Some(t) = stripe.get_mut(&txn) {
-                t.held.remove(r);
-                if t.held.is_empty() {
-                    stripe.remove(&txn);
-                }
-            }
-        }
         LockStats::bump(&self.stats.releases);
-        if g.long {
-            // A journal crash here cannot fail the release (the caller's
-            // memory state dies with the crash anyway); the frozen journal
-            // simply stops acknowledging, and replay decides.
-            let _ = self.journal_record(JournalOp::Release, txn, r, g.mode);
-        }
         self.process_queue(shard, r);
         self.maybe_desaturate(shard, self.slot_index_from_hash(h));
-        true
     }
 }
 

@@ -29,6 +29,7 @@ mod inventory;
 pub mod mode;
 pub mod persistent;
 mod queue;
+mod request;
 pub mod stats;
 mod summary;
 pub mod table;
@@ -41,6 +42,7 @@ pub use persistent::{
     Journal, JournalCrash, JournalError, JournalOp, JournalSink, LongLockImage, Recovered,
 };
 pub use stats::{LockStats, StatsSnapshot};
+pub use request::Request;
 pub use table::{AcquireOutcome, LockManager, LockRequestOptions, WaitPolicy};
 pub use txnid::{TxnId, TxnIdGen};
 

@@ -242,7 +242,7 @@ impl LockMode {
 
 impl LockMode {
     /// The mode's short name — its `Display` text and its persisted field.
-    fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             LockMode::NL => "NL",
             LockMode::IS => "IS",

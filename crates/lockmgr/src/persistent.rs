@@ -3,14 +3,16 @@
 //! §3.1: "Complex objects which are checked-out by a user on a workstation
 //! get a long lock. In contrast to traditional short locks, long locks must
 //! survive system shutdowns and system crashes." The [`Journal`] is what
-//! survives: a **checksummed, versioned log** with one record per
-//! grant/conversion/release of a long lock, written *before* the operation
-//! is acknowledged. Replaying it after a crash yields exactly the set of
-//! long locks that were durably granted ([`Recovered`]); a torn final record
-//! (the crash struck mid-write) is truncated and reported via
-//! [`Recovered::dropped_tail`], never silently re-adopted. Its checkpoint is
-//! the live long-lock image in the journal's own format, so there is one
-//! persisted format.
+//! survives: a **checksummed, versioned log** of long-lock records, each
+//! durable before the request it covers is acknowledged. A long request's
+//! whole grant set is one `grantset` record, written when the request
+//! ends; a transaction's end is one `releaseall`. Replaying the log after a
+//! crash yields exactly the set of long locks that were durably granted
+//! ([`Recovered`]); a torn final record (the crash struck mid-write) is
+//! truncated and reported via [`Recovered::dropped_tail`], never silently
+//! re-adopted — for a grant set that means all of it or none. Its
+//! checkpoint is the live long-lock image in the journal's own format, so
+//! there is one persisted format.
 //!
 //! [`LongLockImage`] is an in-memory capture of every grant flagged `long`,
 //! restorable into a fresh [`LockManager`] — the oracle the journal's
@@ -21,20 +23,24 @@
 //!
 //! # Journal format
 //!
-//! Line-oriented ([`colock_testkit::codec`]): a `colock-journal v1` header,
-//! then one record per line:
+//! Line-oriented ([`colock_testkit::codec`]): a `colock-journal v2` header,
+//! then one record per line, escaped fields separated by tabs:
 //!
 //! ```text
-//! op \t resource \t owner \t mode \t crc
+//! grantset   \t owner (\t resource \t mode)… \t crc
+//! releaseall \t owner \t crc
+//! op         \t resource \t owner \t mode \t crc      (op: grant, convert, release)
 //! ```
 //!
-//! `op` is `grant`, `convert` or `release`; `crc` is the CRC-32 (IEEE) of
-//! the escaped record text up to (excluding) the crc's own tab, in lowercase
-//! hex. Replay rules:
+//! `crc` is the CRC-32 (IEEE) of the record text up to (excluding) the
+//! crc's own tab, in lowercase hex. A `grantset` joins each mode into the
+//! owner's lock on that resource (the lock manager writes the joined mode,
+//! so the join is the mode written); `releaseall` drops every lock of the
+//! owner. The three single-lock records are the v1 format, still written
+//! by [`JournalSink::record`] and by a single-lock release: `grant` and
+//! `convert` join the mode in, `release` removes the lock. Replay rules:
 //!
-//! * a record whose line is complete and whose CRC verifies is applied
-//!   (`grant`/`convert` join the mode into the owner's lock, `release`
-//!   removes it),
+//! * a record whose line is complete and whose CRC verifies is applied,
 //! * empty lines are skipped,
 //! * a trailing run of damaged records (torn line without a newline, CRC
 //!   mismatch, unparseable fields) is truncated and counted in
@@ -42,25 +48,33 @@
 //! * damage *followed by* valid records is not a torn tail but medium
 //!   corruption: replay refuses with a [`JournalError`] rather than guess.
 //!
+//! A `colock-journal v1` medium (single-lock records only) still replays. A
+//! journal opened over one rewrites the header to v2 before it appends, so
+//! an older binary refuses the medium ([`JournalError::BadHeader`]) instead
+//! of truncating a `grantset` it cannot parse as a torn tail.
+//!
 //! # Checkpoints
 //!
 //! Appending alone would grow the medium with the journal's history, not
 //! with what it protects. A journal therefore keeps a *live index*: the
-//! replay fold itself, `(owner, resource) →` the last record line written
-//! for it, updated in the same critical section as each append. When the
-//! medium exceeds `max(`[`CHECKPOINT_FLOOR`]`, 2 × live bytes)`, the journal
-//! writes a **checkpoint** — the header plus the live lines, sorted — on the
-//! side and swaps it in with one assignment. A checkpoint is itself a v1
-//! journal that replays to the same set, so the format and every reader are
-//! unchanged, and the medium stays within `CHECKPOINT_FLOOR + 2 × live
-//! bytes` after every append at amortised O(1) cost per record.
+//! replay fold itself, owner → its long locks, updated in the same critical
+//! section as each append. A `releaseall` removes an owner in O(1); the
+//! locks a record adds key the index by ranges of the record's own line,
+//! so an append allocates per record, never per lock. When the medium
+//! exceeds `max(`[`CHECKPOINT_FLOOR`]`, 2 × live bytes)`, the journal writes
+//! a **checkpoint** — the header plus one `grantset` line per live owner,
+//! sorted — on the side and swaps it in with one assignment. A checkpoint
+//! is itself a journal that replays to the same set, so the format and
+//! every reader are unchanged, and the medium stays within
+//! `CHECKPOINT_FLOOR + 2 × live bytes` after every append at amortised O(1)
+//! cost per record.
 
 use crate::mode::LockMode;
-use crate::table::{FastHasher, FastMap, LockManager, Resource};
+use crate::table::{FastMap, LockManager, Resource};
 use crate::txnid::TxnId;
 use colock_testkit::codec::{self, CodecError, FieldCodec};
 use colock_testkit::fault::{CrashPoint, FaultPlan};
-use std::collections::hash_map::Entry;
+use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
@@ -70,7 +84,11 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Header line of the journal format, newline included (what a healthy
 /// medium — and every checkpoint — starts with).
-const JOURNAL_HEADER: &str = "colock-journal v1\n";
+const JOURNAL_HEADER: &str = "colock-journal v2\n";
+
+/// Header of a v1 medium: single-lock records only. Replayed as is; a
+/// journal opened over it rewrites it to [`JOURNAL_HEADER`] (same length).
+const JOURNAL_HEADER_V1: &str = "colock-journal v1\n";
 
 /// Medium size up to which a journal never checkpoints, whatever its live
 /// set: compaction is amortised against at least this much history. The
@@ -110,10 +128,11 @@ impl<R: Resource> LongLockImage<R> {
         LongLockImage { entries }
     }
 
-    /// Re-installs the captured long locks into a (fresh) lock manager.
+    /// Re-installs the captured long locks into a (fresh) lock manager, one
+    /// owner at a time (entries are sorted by owner).
     pub fn restore(&self, mgr: &LockManager<R>) {
-        for (r, txn, mode) in &self.entries {
-            mgr.install_recovered(*txn, r.clone(), *mode);
+        for owner in self.entries.chunk_by(|a, b| a.1 == b.1) {
+            mgr.install_recovered(owner[0].1, owner.iter().map(|(r, _, m)| (r.clone(), *m)));
         }
     }
 
@@ -130,7 +149,7 @@ impl<R: Resource> LongLockImage<R> {
 
 // ----- journal --------------------------------------------------------------
 
-/// One journaled long-lock operation.
+/// One journaled single-lock operation (the v1 records).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JournalOp {
     /// A new long grant (owner did not hold the resource).
@@ -167,6 +186,10 @@ impl fmt::Display for JournalOp {
     }
 }
 
+/// Record names of the two set records.
+const GRANT_SET: &str = "grantset";
+const RELEASE_ALL: &str = "releaseall";
+
 /// The journal's simulated medium crashed during an append (fault
 /// injection): the operation was not acknowledged and the whole system must
 /// be treated as down.
@@ -178,10 +201,11 @@ pub struct JournalCrash {
 
 /// Where the lock manager writes long-lock records. Implemented by
 /// [`Journal`]; a trait so the manager stays decoupled from the medium and
-/// tests can substitute their own sink.
+/// tests can substitute their own sink. Every method appends one record;
+/// `Err` means the medium crashed mid-append and the operation must not be
+/// acknowledged to the caller.
 pub trait JournalSink<R>: Send + Sync {
-    /// Appends one record. `Err` means the medium crashed mid-append and the
-    /// operation must not be acknowledged to the caller.
+    /// Appends one single-lock record.
     fn record(
         &self,
         op: JournalOp,
@@ -189,6 +213,14 @@ pub trait JournalSink<R>: Send + Sync {
         resource: &R,
         mode: LockMode,
     ) -> Result<(), JournalCrash>;
+
+    /// Appends one grant set: `txn` holds each resource long in (at least)
+    /// the given mode, its joined mode there. Replay applies all of it or,
+    /// torn, none.
+    fn record_grant_set(&self, txn: TxnId, locks: &[(R, LockMode)]) -> Result<(), JournalCrash>;
+
+    /// Appends one release-all: `txn` holds no long lock any more.
+    fn record_release_all(&self, txn: TxnId) -> Result<(), JournalCrash>;
 }
 
 /// Replay failure: the journal text is damaged in a way a single torn-tail
@@ -377,61 +409,17 @@ impl<R> Journal<R> {
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
-}
 
-impl<R: Resource + FieldCodec> Journal<R> {
-    /// A journal over a fresh empty medium. Allocates the header only; the
-    /// live index grows with the first long lock.
-    pub fn new() -> Self {
-        Self::over_medium(Arc::new(Mutex::new(String::new())))
-    }
-
-    /// A journal over an existing medium: writes the header if the medium is
-    /// empty; otherwise seeds the live index by replaying what is there —
-    /// so a checkpoint keeps the surviving locks of a previous incarnation —
-    /// and appends after it. A medium that does not replay is appended to
-    /// but never compacted.
-    pub fn over_medium(medium: Arc<Mutex<String>>) -> Self {
-        let (live, compactable) = {
-            let mut m = locked(&medium);
-            if m.is_empty() {
-                m.push_str(JOURNAL_HEADER);
-                (LiveSet::default(), true)
-            } else {
-                match LiveSet::fold::<R>(&m) {
-                    Ok((live, _, _)) => (live, true),
-                    Err(_) => (LiveSet::default(), false),
-                }
-            }
-        };
-        Journal {
-            medium,
-            live: Mutex::new(live),
-            compactable,
-            armed: AtomicBool::new(false),
-            plan: Mutex::new(None),
-            crashed: AtomicBool::new(false),
-            crash_point: Mutex::new(None),
-            appends: AtomicU64::new(0),
-            bytes_appended: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
-            _resource: PhantomData,
-        }
-    }
-
-    fn append(
-        &self,
-        op: JournalOp,
-        txn: TxnId,
-        resource: &R,
-        mode: LockMode,
-    ) -> Result<(), JournalCrash> {
+    /// Appends one encoded record (no newline) and applies `change` to the
+    /// live index in the same critical section. No caller may hold a lock
+    /// table shard: debug builds assert it, so every test run checks that
+    /// the journal's mutexes never nest inside a shard's.
+    fn append(&self, line: String, change: Change) -> Result<(), JournalCrash> {
+        #[cfg(debug_assertions)]
+        assert_eq!(crate::table::held_shard_guards(), 0, "journal append under a shard lock");
         if self.crashed() {
             return Err(self.frozen());
         }
-        // Encode outside the critical section; the line then moves into the
-        // live index.
-        let (line, field) = encode_line(op, |out| resource.write_field(out), txn, mode);
         let mut live = locked(&self.live);
         if self.crashed() {
             // A concurrent append froze the journal while this one encoded.
@@ -458,7 +446,7 @@ impl<R: Resource + FieldCodec> Journal<R> {
                 medium.push('\n');
                 let written = line.len() + 1;
                 if self.compactable {
-                    live.apply(op, txn, mode, line, field);
+                    live.apply(line, change);
                 }
                 written
             }
@@ -471,6 +459,51 @@ impl<R: Resource + FieldCodec> Journal<R> {
             self.checkpoint(&live, &mut medium)?;
         }
         Ok(())
+    }
+}
+
+impl<R: Resource + FieldCodec> Journal<R> {
+    /// A journal over a fresh empty medium. Allocates the header only; the
+    /// live index grows with the first long lock.
+    pub fn new() -> Self {
+        Self::over_medium(Arc::new(Mutex::new(String::new())))
+    }
+
+    /// A journal over an existing medium: writes the header if the medium is
+    /// empty; otherwise seeds the live index by replaying what is there —
+    /// so a checkpoint keeps the surviving locks of a previous incarnation —
+    /// and appends after it. A v1 header is rewritten to v2 first (the v1
+    /// body is a v2 body). A medium that does not replay is appended to but
+    /// never compacted.
+    pub fn over_medium(medium: Arc<Mutex<String>>) -> Self {
+        let (live, compactable) = {
+            let mut m = locked(&medium);
+            if m.starts_with(JOURNAL_HEADER_V1) {
+                m.replace_range(..JOURNAL_HEADER.len(), JOURNAL_HEADER);
+            }
+            if m.is_empty() {
+                m.push_str(JOURNAL_HEADER);
+                (LiveSet::default(), true)
+            } else {
+                match LiveSet::fold::<R>(&m) {
+                    Ok((live, _, _)) => (live, true),
+                    Err(_) => (LiveSet::default(), false),
+                }
+            }
+        };
+        Journal {
+            medium,
+            live: Mutex::new(live),
+            compactable,
+            armed: AtomicBool::new(false),
+            plan: Mutex::new(None),
+            crashed: AtomicBool::new(false),
+            crash_point: Mutex::new(None),
+            appends: AtomicU64::new(0),
+            bytes_appended: AtomicU64::new(0),
+            checkpoints: AtomicU64::new(0),
+            _resource: PhantomData,
+        }
     }
 
     /// Writes a checkpoint now, whatever the medium's size — lets tests
@@ -496,13 +529,56 @@ impl<R: Resource + FieldCodec> Journal<R> {
     /// a single crash can produce — a trailing run of torn/unchecksummed
     /// records — is dropped and counted; anything else is an error.
     pub fn replay(text: &str) -> Result<Recovered<R>, JournalError> {
-        let (live, records, dropped_tail) = LiveSet::fold::<R>(text)?;
+        let (mut live, records, dropped_tail) = LiveSet::fold::<R>(text)?;
         Ok(Recovered { entries: live.entries(), records, dropped_tail })
     }
 }
 
-/// Encodes one record line (no newline) into a single buffer, byte for byte
-/// the `codec::encode_record` of the four fields plus `\t` and the CRC;
+impl<R: Resource + FieldCodec> JournalSink<R> for Journal<R> {
+    fn record(
+        &self,
+        op: JournalOp,
+        txn: TxnId,
+        resource: &R,
+        mode: LockMode,
+    ) -> Result<(), JournalCrash> {
+        if self.crashed() {
+            return Err(self.frozen());
+        }
+        // Encode outside the critical section; the line then moves into the
+        // live index.
+        let (line, field) = encode_line(op, |out| resource.write_field(out), txn, mode);
+        self.append(line, Change::Lock(op, txn, mode, field))
+    }
+
+    fn record_grant_set(&self, txn: TxnId, locks: &[(R, LockMode)]) -> Result<(), JournalCrash> {
+        if self.crashed() {
+            return Err(self.frozen());
+        }
+        let mut line = String::with_capacity(64 + 64 * locks.len());
+        begin_grant_set(&mut line, txn);
+        for (resource, mode) in locks {
+            push_lock(&mut line, |out| resource.write_field(out), *mode);
+        }
+        push_crc(&mut line, 0);
+        self.append(line, Change::Set(txn))
+    }
+
+    fn record_release_all(&self, txn: TxnId) -> Result<(), JournalCrash> {
+        if self.crashed() {
+            return Err(self.frozen());
+        }
+        let mut line = String::with_capacity(32);
+        line.push_str(RELEASE_ALL);
+        line.push('\t');
+        txn.write_field(&mut line);
+        push_crc(&mut line, 0);
+        self.append(line, Change::ReleaseAll(txn))
+    }
+}
+
+/// Encodes one single-lock record line (no newline), byte for byte the
+/// `codec::encode_record` of the four fields plus `\t` and the CRC;
 /// `resource` appends the escaped resource field. Returns the line and the
 /// range of that field in it, which is how the live index identifies the
 /// resource.
@@ -522,144 +598,279 @@ fn encode_line(
     owner.write_field(&mut line);
     line.push('\t');
     mode.write_field(&mut line);
-    let crc = codec::crc32(line.as_bytes());
-    line.push('\t');
-    // `{crc:08x}` without the formatter: eight lowercase hex digits.
-    line.extend((0..8).rev().map(|i| char::from_digit((crc >> (4 * i)) & 0xF, 16).unwrap_or('0')));
+    push_crc(&mut line, 0);
     (line, field)
 }
 
-/// The live index's hash of an escaped resource field.
-fn field_hash(field: &str) -> u64 {
-    let mut h = FastHasher::default();
-    field.hash(&mut h);
-    h.finish()
+/// Appends `grantset \t owner` — the start of a grant-set record.
+fn begin_grant_set(out: &mut String, owner: TxnId) {
+    out.push_str(GRANT_SET);
+    out.push('\t');
+    owner.write_field(out);
 }
 
-/// The replay fold: `(owner, resource) →` the last record line written for
-/// it. `grant` and `convert` record the target mode, so that line's mode is
-/// the owner's joined long mode there. [`Journal::replay`] folds a medium's
-/// text through it once; a [`Journal`] keeps one current with every append,
-/// and a checkpoint is its lines.
+/// Appends one `\t resource \t mode` pair of a grant set; `resource`
+/// appends the escaped resource field.
+fn push_lock(out: &mut String, resource: impl FnOnce(&mut String), mode: LockMode) {
+    out.push('\t');
+    resource(out);
+    out.push('\t');
+    mode.write_field(out);
+}
+
+/// Ends the record that starts at `out[start..]`: `\t` and its CRC as eight
+/// lowercase hex digits.
+fn push_crc(out: &mut String, start: usize) {
+    let crc = codec::crc32(&out.as_bytes()[start..]);
+    out.push('\t');
+    // `{crc:08x}` without the formatter.
+    out.extend((0..8).rev().map(|i| char::from_digit((crc >> (4 * i)) & 0xF, 16).unwrap_or('0')));
+}
+
+/// The `(resource field range, mode)` pairs of a grant-set line this
+/// journal encoded: escaped fields hold no raw tab, so the line's tabs
+/// delimit them.
+fn grant_set_locks(line: &str) -> impl Iterator<Item = (Range<usize>, LockMode)> + '_ {
+    let mut tabs = line.match_indices('\t').map(|(i, _)| i);
+    // Past `grantset` and the owner.
+    let mut start = tabs.nth(1).map_or(line.len(), |i| i + 1);
+    std::iter::from_fn(move || {
+        let (field_end, mode_end) = (tabs.next()?, tabs.next()?);
+        let mode = LockMode::from_field(&line[field_end + 1..mode_end])
+            .expect("a grant set this journal encoded");
+        let field = start..field_end;
+        start = mode_end + 1;
+        Some((field, mode))
+    })
+}
+
+/// Checkpoint-line bytes an owner costs beyond its locks: `grantset`, the
+/// owner field, the CRC with its tab, and the newline.
+fn owner_bytes(owner: TxnId) -> usize {
+    let digits = owner.0.checked_ilog10().map_or(1, |d| d as usize + 1);
+    GRANT_SET.len() + 1 + digits + 1 + 8 + 1
+}
+
+/// Checkpoint-line bytes of one `\t resource \t mode` pair.
+fn lock_bytes(field: &str, mode: LockMode) -> usize {
+    2 + field.len() + mode.name().len()
+}
+
+/// What one appended record does to the live index.
+enum Change {
+    /// A single-lock record; the range locates the escaped resource field
+    /// in the record's line.
+    Lock(JournalOp, TxnId, LockMode, Range<usize>),
+    /// A grant set (its line lists the locks).
+    Set(TxnId),
+    /// A release-all.
+    ReleaseAll(TxnId),
+}
+
+/// A resource's canonical escaped field: a range of the record line that
+/// stated it — a single-lock record's own line, or a grant set's, shared by
+/// every lock of the set. Hashes and compares as its text, so the index is
+/// probed with a plain `&str`.
+struct Field {
+    line: Line,
+    range: Range<usize>,
+}
+
+enum Line {
+    One(String),
+    Set(Arc<String>),
+}
+
+impl Field {
+    fn as_str(&self) -> &str {
+        let line = match &self.line {
+            Line::One(line) => line,
+            Line::Set(line) => &**line,
+        };
+        &line[self.range.clone()]
+    }
+}
+
+impl Borrow<str> for Field {
+    fn borrow(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl Hash for Field {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl PartialEq for Field {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Field {}
+
+/// The replay fold: owner → its long locks, each at its joined mode.
+/// [`Journal::replay`] folds a medium's text through it once; a [`Journal`]
+/// keeps one current with every append, and a checkpoint is one grant-set
+/// line per owner.
 ///
 /// A resource is identified by its escaped field text — the canonical
-/// `write_field` encoding, which is injective — found inside the line
-/// itself, so an append neither clones the resource nor allocates a key.
+/// `write_field` encoding, which is injective — found inside the record
+/// line itself, so an append neither clones a resource nor allocates a key.
 #[derive(Default)]
 struct LiveSet {
-    /// `(hash of the resource field, owner)` → that owner's lock.
-    locks: FastMap<(u64, TxnId), LiveLock>,
-    /// Locks whose slot holds another resource with the same field hash.
-    collided: Vec<LiveLock>,
-    /// Bytes of the live lines, newlines included.
+    owners: FastMap<TxnId, LiveOwner>,
+    /// Bytes of the checkpoint's lines, newlines included.
     bytes: usize,
 }
 
-struct LiveLock {
-    owner: TxnId,
-    mode: LockMode,
-    line: String,
-    /// Where the resource field sits in `line`.
-    field: Range<usize>,
-}
-
-impl LiveLock {
-    fn resource(&self) -> &str {
-        &self.line[self.field.clone()]
-    }
+struct LiveOwner {
+    /// The owner's one grant-set line while it has had no other record —
+    /// a check-out — kept whole, so the append indexes nothing per lock.
+    /// Any other record of the owner indexes it into `locks` first.
+    set: Option<String>,
+    locks: FastMap<Field, LockMode>,
+    /// Bytes of this owner's checkpoint line, newline included.
+    bytes: usize,
 }
 
 impl LiveSet {
-    /// Applies one record whose text (no newline) is `line` and whose
-    /// canonical resource field is `line[field]`: `grant` and `convert`
-    /// join `mode` into the owner's lock, `release` removes it.
-    fn apply<L: AsRef<str> + Into<String>>(
-        &mut self,
-        op: JournalOp,
-        owner: TxnId,
-        mode: LockMode,
-        line: L,
-        field: Range<usize>,
-    ) {
-        let resource = &line.as_ref()[field.clone()];
-        let slot = (field_hash(resource), owner);
-        let in_slot = self.locks.get(&slot).is_some_and(|l| l.resource() == resource);
-        let collided = if in_slot {
-            None
-        } else {
-            self.collided.iter().position(|l| l.owner == owner && l.resource() == resource)
-        };
-        if op == JournalOp::Release {
-            let removed = if in_slot {
-                self.locks.remove(&slot)
-            } else {
-                collided.map(|i| self.collided.swap_remove(i))
-            };
-            if let Some(l) = removed {
-                self.bytes -= l.line.len() + 1;
-            }
-            return;
-        }
-        let held = if in_slot {
-            self.locks.get_mut(&slot)
-        } else {
-            collided.map(|i| &mut self.collided[i])
-        };
-        let Some(held) = held else {
-            let line = line.into();
-            self.bytes += line.len() + 1;
-            let lock = LiveLock { owner, mode, line, field };
-            match self.locks.entry(slot) {
-                Entry::Vacant(e) => {
-                    e.insert(lock);
+    /// Applies one record whose text (no newline) is `line`. An owner's
+    /// whole-kept grant set is indexed before any other record of it.
+    fn apply(&mut self, line: String, change: Change) {
+        match change {
+            Change::ReleaseAll(owner) => {
+                if let Some(o) = self.owners.remove(&owner) {
+                    self.bytes -= o.bytes;
                 }
-                Entry::Occupied(_) => self.collided.push(lock),
             }
+            Change::Set(owner) if !self.owners.contains_key(&owner) => {
+                // A checkpoint writes the same pairs in another order: the
+                // line's length is the owner's.
+                let bytes = line.len() + 1;
+                self.bytes += bytes;
+                let locks = FastMap::default();
+                self.owners.insert(owner, LiveOwner { set: Some(line), locks, bytes });
+            }
+            Change::Set(owner) => {
+                self.index(owner);
+                self.join_set(owner, line);
+            }
+            Change::Lock(JournalOp::Release, owner, _, field) => {
+                self.index(owner);
+                self.release(owner, &line[field]);
+            }
+            Change::Lock(_, owner, mode, range) => {
+                self.index(owner);
+                self.join(owner, Field { line: Line::One(line), range }, mode);
+            }
+        }
+    }
+
+    /// Joins every lock of grant-set `line` into `owner`'s.
+    fn join_set(&mut self, owner: TxnId, line: String) {
+        let line = Arc::new(line);
+        for (range, mode) in grant_set_locks(&line) {
+            self.join(owner, Field { line: Line::Set(Arc::clone(&line)), range }, mode);
+        }
+    }
+
+    /// Indexes `owner`'s whole-kept grant set per lock, if it has one.
+    fn index(&mut self, owner: TxnId) {
+        let Some(o) = self.owners.get_mut(&owner) else {
             return;
         };
-        let joined = held.mode.join(mode);
-        let (line, field) = if joined == mode {
-            (line.into(), field)
-        } else if joined == held.mode {
-            return; // the line on file already states the join
-        } else {
-            // Neither mode covers the other: no record on file states the
-            // join, so the checkpoint line is a grant of it.
-            encode_line(JournalOp::Grant, |out| out.push_str(resource), owner, joined)
+        if let Some(line) = o.set.take() {
+            self.bytes -= o.bytes;
+            self.owners.remove(&owner);
+            self.join_set(owner, line);
+        }
+    }
+
+    /// Joins `mode` into `owner`'s lock on `field`.
+    fn join(&mut self, owner: TxnId, field: Field, mode: LockMode) {
+        let total = &mut self.bytes;
+        let o = self.owners.entry(owner).or_insert_with(|| {
+            *total += owner_bytes(owner);
+            LiveOwner { set: None, locks: FastMap::default(), bytes: owner_bytes(owner) }
+        });
+        let before = o.bytes;
+        match o.locks.get_mut(field.as_str()) {
+            Some(held) => {
+                let joined = held.join(mode);
+                o.bytes = o.bytes + joined.name().len() - held.name().len();
+                *held = joined;
+            }
+            None => {
+                o.bytes += lock_bytes(field.as_str(), mode);
+                o.locks.insert(field, mode);
+            }
+        }
+        *total = *total + o.bytes - before;
+    }
+
+    /// Removes `owner`'s lock on `field`, and the owner with its last lock.
+    fn release(&mut self, owner: TxnId, field: &str) {
+        let Some(o) = self.owners.get_mut(&owner) else {
+            return;
         };
-        self.bytes = self.bytes - held.line.len() + line.len();
-        *held = LiveLock { owner, mode: joined, line, field };
+        let Some((f, mode)) = o.locks.remove_entry(field) else {
+            return;
+        };
+        let freed = lock_bytes(f.as_str(), mode);
+        o.bytes -= freed;
+        self.bytes -= freed;
+        if o.locks.is_empty() {
+            self.bytes -= o.bytes;
+            self.owners.remove(&owner);
+        }
     }
 
-    fn iter(&self) -> impl Iterator<Item = &LiveLock> {
-        self.locks.values().chain(&self.collided)
-    }
-
-    /// The header plus every live line, ordered by owner, then line text —
-    /// a v1 journal that replays to this set.
+    /// The header plus one grant-set line per owner, ordered by owner, its
+    /// locks by field text — a journal that replays to this set.
     fn checkpoint(&self) -> String {
-        let mut lines: Vec<(TxnId, &str)> = self.iter().map(|l| (l.owner, l.line.as_str())).collect();
-        lines.sort_unstable();
+        let mut owners: Vec<(&TxnId, &LiveOwner)> = self.owners.iter().collect();
+        owners.sort_unstable_by_key(|(owner, _)| **owner);
         // Room for the history up to the next checkpoint.
         let mut text = String::with_capacity(CHECKPOINT_FLOOR.max(2 * self.bytes) + 1024);
         text.push_str(JOURNAL_HEADER);
-        for (_, line) in lines {
-            text.push_str(line);
+        let mut locks: Vec<(&str, LockMode)> = Vec::new();
+        for (&owner, o) in owners {
+            locks.clear();
+            match &o.set {
+                Some(line) => locks.extend(grant_set_locks(line).map(|(f, m)| (&line[f], m))),
+                None => locks.extend(o.locks.iter().map(|(f, m)| (f.as_str(), *m))),
+            }
+            locks.sort_unstable_by_key(|&(f, _)| f);
+            let start = text.len();
+            begin_grant_set(&mut text, owner);
+            for &(field, mode) in &locks {
+                push_lock(&mut text, |out| out.push_str(field), mode);
+            }
+            push_crc(&mut text, start);
             text.push('\n');
         }
         text
     }
 
     /// The live locks as `(resource, owner, mode)`, in capture order.
-    fn entries<R: Resource + FieldCodec>(&self) -> Vec<(R, TxnId, LockMode)> {
+    fn entries<R: Resource + FieldCodec>(&mut self) -> Vec<(R, TxnId, LockMode)> {
+        let owners: Vec<TxnId> = self.owners.keys().copied().collect();
+        for owner in owners {
+            self.index(owner);
+        }
         let mut entries: Vec<(R, TxnId, LockMode)> = self
+            .owners
             .iter()
-            .map(|l| {
-                let resource = codec::unescape(l.resource())
+            .flat_map(|(&owner, o)| o.locks.iter().map(move |(f, &mode)| (f, owner, mode)))
+            .map(|(f, owner, mode)| {
+                let resource = codec::unescape(f.as_str())
                     .ok()
                     .and_then(|f| R::from_field(&f).ok())
                     .expect("a live field is the canonical field of a decoded resource");
-                (resource, l.owner, l.mode)
+                (resource, owner, mode)
             })
             .collect();
         sort_entries(&mut entries);
@@ -669,7 +880,9 @@ impl LiveSet {
     /// Folds journal text: the live set, the records applied and the
     /// damaged records dropped from the tail.
     fn fold<R: FieldCodec>(text: &str) -> Result<(Self, usize, usize), JournalError> {
-        let Some(body) = text.strip_prefix(JOURNAL_HEADER) else {
+        let Some(body) =
+            text.strip_prefix(JOURNAL_HEADER).or_else(|| text.strip_prefix(JOURNAL_HEADER_V1))
+        else {
             let first = text.lines().next().unwrap_or("");
             return Err(JournalError::BadHeader(first.to_string()));
         };
@@ -689,7 +902,7 @@ impl LiveSet {
 
         // Decode every unit; damaged units are only tolerated as a
         // contiguous run at the tail.
-        let mut decoded: Vec<Unit<'_, R>> = Vec::with_capacity(units.len());
+        let mut decoded: Vec<Unit<R>> = Vec::with_capacity(units.len());
         for &(lineno, seg, complete) in &units {
             if seg.is_empty() {
                 decoded.push(Unit::Skip);
@@ -719,40 +932,91 @@ impl LiveSet {
             }
         }
 
+        // Each record is applied as this journal would have written it:
+        // re-encoding keys a hand-written spelling of a resource (`007` for
+        // `7`) under its canonical field.
         let mut live = LiveSet::default();
         let mut records = 0usize;
-        let mut canonical = String::new();
         for u in &decoded[..last_ok] {
-            let Unit::Ok(op, r, txn, mode, seg) = u else {
+            let Unit::Ok(record) = u else {
                 continue;
             };
             records += 1;
-            // A decoded record has four tab-separated fields before its CRC;
-            // the resource is the second.
-            let start = seg.find('\t').map_or(0, |i| i + 1);
-            let field = start..start + seg[start..].find('\t').unwrap_or(0);
-            canonical.clear();
-            r.write_field(&mut canonical);
-            if seg[field.clone()] == *canonical {
-                live.apply(*op, *txn, *mode, *seg, field);
-            } else {
-                // Not this journal's encoding of the resource (a
-                // hand-written text): key it, and keep it, canonically.
-                let (line, field) = encode_line(*op, |out| r.write_field(out), *txn, *mode);
-                live.apply(*op, *txn, *mode, line, field);
-            }
+            let (line, change) = record.encode();
+            live.apply(line, change);
         }
         Ok((live, records, dropped_tail))
     }
 }
 
-enum Unit<'a, R> {
+/// One decoded record.
+enum Record<R> {
+    Lock(JournalOp, R, TxnId, LockMode),
+    Set(TxnId, Vec<(R, LockMode)>),
+    ReleaseAll(TxnId),
+}
+
+impl<R: FieldCodec> Record<R> {
+    /// Parses a record's unescaped fields (CRC already stripped).
+    fn parse(fields: &[String]) -> Result<Self, CodecError> {
+        match fields[0].as_str() {
+            GRANT_SET => {
+                if fields.len() < 4 || !fields.len().is_multiple_of(2) {
+                    return Err(CodecError::BadArity { got: fields.len(), want: 4 });
+                }
+                let locks = fields[2..]
+                    .chunks(2)
+                    .map(|p| -> Result<(R, LockMode), CodecError> {
+                        Ok((R::from_field(&p[0])?, LockMode::from_field(&p[1])?))
+                    })
+                    .collect::<Result<_, _>>()?;
+                Ok(Record::Set(TxnId::from_field(&fields[1])?, locks))
+            }
+            RELEASE_ALL => {
+                codec::expect_arity(fields, 2)?;
+                Ok(Record::ReleaseAll(TxnId::from_field(&fields[1])?))
+            }
+            op => {
+                codec::expect_arity(fields, 4)?;
+                let op = JournalOp::parse(op).ok_or_else(|| CodecError::BadField {
+                    field: op.to_string(),
+                    expected: "journal op",
+                })?;
+                let resource = R::from_field(&fields[1])?;
+                let owner = TxnId::from_field(&fields[2])?;
+                Ok(Record::Lock(op, resource, owner, LockMode::from_field(&fields[3])?))
+            }
+        }
+    }
+
+    /// The record's canonical line and its change to the live index.
+    fn encode(&self) -> (String, Change) {
+        match self {
+            Record::Lock(op, r, owner, mode) => {
+                let (line, field) = encode_line(*op, |out| r.write_field(out), *owner, *mode);
+                (line, Change::Lock(*op, *owner, *mode, field))
+            }
+            Record::Set(owner, locks) => {
+                let mut line = String::new();
+                begin_grant_set(&mut line, *owner);
+                for (r, mode) in locks {
+                    push_lock(&mut line, |out| r.write_field(out), *mode);
+                }
+                push_crc(&mut line, 0);
+                (line, Change::Set(*owner))
+            }
+            Record::ReleaseAll(owner) => (String::new(), Change::ReleaseAll(*owner)),
+        }
+    }
+}
+
+enum Unit<R> {
     Skip,
-    Ok(JournalOp, R, TxnId, LockMode, &'a str),
+    Ok(Record<R>),
     Bad(JournalError),
 }
 
-fn decode_journal_line<R: FieldCodec>(lineno: usize, seg: &str) -> Unit<'_, R> {
+fn decode_journal_line<R: FieldCodec>(lineno: usize, seg: &str) -> Unit<R> {
     let Some((payload, crc_text)) = seg.rsplit_once('\t') else {
         return Unit::Bad(JournalError::Codec {
             line: lineno,
@@ -765,43 +1029,9 @@ fn decode_journal_line<R: FieldCodec>(lineno: usize, seg: &str) -> Unit<'_, R> {
     if codec::crc32(payload.as_bytes()) != crc {
         return Unit::Bad(JournalError::BadCrc { line: lineno });
     }
-    let fields = match codec::decode_record(payload) {
-        Ok(f) => f,
-        Err(err) => return Unit::Bad(JournalError::Codec { line: lineno, err }),
-    };
-    if let Err(err) = codec::expect_arity(&fields, 4) {
-        return Unit::Bad(JournalError::Codec { line: lineno, err });
-    }
-    let Some(op) = JournalOp::parse(&fields[0]) else {
-        return Unit::Bad(JournalError::Codec {
-            line: lineno,
-            err: CodecError::BadField { field: fields[0].clone(), expected: "journal op" },
-        });
-    };
-    let r = match R::from_field(&fields[1]) {
-        Ok(r) => r,
-        Err(err) => return Unit::Bad(JournalError::Codec { line: lineno, err }),
-    };
-    let txn = match TxnId::from_field(&fields[2]) {
-        Ok(t) => t,
-        Err(err) => return Unit::Bad(JournalError::Codec { line: lineno, err }),
-    };
-    let mode = match LockMode::from_field(&fields[3]) {
-        Ok(m) => m,
-        Err(err) => return Unit::Bad(JournalError::Codec { line: lineno, err }),
-    };
-    Unit::Ok(op, r, txn, mode, seg)
-}
-
-impl<R: Resource + FieldCodec> JournalSink<R> for Journal<R> {
-    fn record(
-        &self,
-        op: JournalOp,
-        txn: TxnId,
-        resource: &R,
-        mode: LockMode,
-    ) -> Result<(), JournalCrash> {
-        self.append(op, txn, resource, mode)
+    match codec::decode_record(payload).and_then(|fields| Record::parse(&fields)) {
+        Ok(record) => Unit::Ok(record),
+        Err(err) => Unit::Bad(JournalError::Codec { line: lineno, err }),
     }
 }
 
@@ -936,7 +1166,7 @@ mod tests {
 
     #[test]
     fn journal_rejects_wrong_header_version() {
-        for text in ["", "colock-journal v2\n", "colock-long-locks v1\n", "garbage"] {
+        for text in ["", "colock-journal v3\n", "colock-long-locks v1\n", "garbage"] {
             let err = J::replay(text).unwrap_err();
             assert!(matches!(err, JournalError::BadHeader(_)), "{text:?} -> {err:?}");
         }
@@ -1068,19 +1298,96 @@ mod tests {
     }
 
     #[test]
-    fn crashed_journal_fails_the_acquire_without_installing() {
+    fn crashed_journal_fails_the_acquire_and_replay_holds_nothing() {
+        for point in [CrashPoint::BeforeAppend, CrashPoint::MidRecord] {
+            let mgr: LockManager<String> = LockManager::new();
+            let j = Arc::new(J::new());
+            mgr.attach_journal(j.clone());
+            j.arm(FaultPlan::crash_at(point, 1));
+            let err = mgr
+                .acquire(TxnId(1), "cells/c1".into(), X, LockRequestOptions::long())
+                .unwrap_err();
+            assert_eq!(err, LockError::Crashed);
+            assert!(j.crashed());
+            // Durable before acknowledged: the grant was installed, but the
+            // caller was told it failed, and the medium does not hold it.
+            assert!(J::replay(&j.contents()).unwrap().entries.is_empty(), "{point:?}");
+        }
+    }
+
+    #[test]
+    fn a_request_journals_its_long_grants_as_one_set_and_eot_as_one_record() {
         let mgr: LockManager<String> = LockManager::new();
         let j = Arc::new(J::new());
         mgr.attach_journal(j.clone());
-        j.arm(FaultPlan::crash_at(CrashPoint::BeforeAppend, 1));
-        let err = mgr
-            .acquire(TxnId(1), "cells/c1".into(), X, LockRequestOptions::long())
-            .unwrap_err();
-        assert_eq!(err, LockError::Crashed);
-        assert!(j.crashed());
-        // The unacknowledged grant must not be installed in memory either.
-        assert!(mgr.locks_of(TxnId(1)).is_empty());
-        assert_eq!(mgr.grant_count(), 0);
+        let (t1, long) = (TxnId(1), LockRequestOptions::long());
+        mgr.acquire(t1, "cells/c0".into(), S, long).unwrap();
+        assert_eq!(j.appends(), 1);
+        let mut rq = mgr.request(t1);
+        let chain: Vec<String> = ["db", "seg", "cells"].map(String::from).to_vec();
+        rq.acquire_intent_chain(&chain, IX, long).unwrap();
+        rq.acquire("cells/c1".into(), X, long).unwrap();
+        // A conversion and a widening of locks the request took itself, and
+        // one of an earlier request's lock, all in the same set.
+        rq.acquire("cells/c1".into(), S, long).unwrap();
+        rq.acquire("db".into(), S, long).unwrap();
+        rq.acquire("cells/c0".into(), X, LockRequestOptions::default()).unwrap();
+        // A short lock is not staged, and a short request that stages
+        // nothing writes nothing.
+        rq.acquire("notes".into(), X, LockRequestOptions::default()).unwrap();
+        assert_eq!(j.appends(), 1, "nothing is written before the request ends");
+        rq.finish().unwrap();
+        assert_eq!(j.appends(), 2);
+        let text = j.contents();
+        let set = text.lines().last().unwrap();
+        assert!(set.starts_with("grantset\t1\t"), "{set}");
+        assert_eq!(set.split('\t').count(), 3 + 2 * 5, "five locks, each once: {set}");
+        assert!(set.contains("\tdb\tSIX\t") && set.contains("\tcells/c0\tX\t"), "{set}");
+        let rec = J::replay(&text).unwrap();
+        assert_eq!(rec.entries, LongLockImage::capture(&mgr).entries);
+        assert_eq!(rec.records, 2);
+        mgr.request(t1).finish().unwrap();
+        assert_eq!(j.appends(), 2, "an empty request writes nothing");
+
+        mgr.release_all(t1);
+        assert_eq!(j.appends(), 3);
+        assert!(j.contents().lines().last().unwrap().starts_with("releaseall\t1\t"));
+        assert!(J::replay(&j.contents()).unwrap().entries.is_empty());
+        // A transaction without long locks ends without a record.
+        mgr.acquire(TxnId(2), "notes".into(), X, LockRequestOptions::default()).unwrap();
+        mgr.release_all(TxnId(2));
+        assert_eq!(j.appends(), 3);
+    }
+
+    #[test]
+    fn a_torn_grant_set_drops_whole() {
+        let mgr: LockManager<String> = LockManager::new();
+        let j = Arc::new(J::new());
+        mgr.attach_journal(j.clone());
+        mgr.acquire(TxnId(1), "kept".into(), X, LockRequestOptions::long()).unwrap();
+        j.arm(FaultPlan::crash_at(CrashPoint::MidRecord, 1));
+        let mut rq = mgr.request(TxnId(2));
+        for r in ["a", "b", "c", "d"] {
+            rq.acquire(r.into(), X, LockRequestOptions::long()).unwrap();
+        }
+        assert_eq!(rq.finish(), Err(LockError::Crashed));
+        let text = j.contents();
+        assert!(!text.ends_with('\n'), "the set was torn mid-line");
+        assert!(text.lines().last().unwrap().contains("\ta\t"), "the tear kept a prefix");
+        let rec = J::replay(&text).unwrap();
+        assert_eq!(rec.dropped_tail, 1);
+        assert_eq!(rec.entries, vec![("kept".to_string(), TxnId(1), X)], "none of the set");
+    }
+
+    #[test]
+    fn over_a_v1_medium_the_header_becomes_v2() {
+        let (record, _) = encode_line(JournalOp::Grant, |o| o.push('a'), TxnId(1), X);
+        let v1 = format!("{JOURNAL_HEADER_V1}{record}\n");
+        let j = J::over_medium(Arc::new(Mutex::new(v1.clone())));
+        assert_eq!(j.contents(), format!("{JOURNAL_HEADER}{}", &v1[JOURNAL_HEADER_V1.len()..]));
+        assert_eq!(J::replay(&v1).unwrap().entries, J::replay(&j.contents()).unwrap().entries);
+        j.record_grant_set(TxnId(2), &[("b".to_string(), S)]).unwrap();
+        assert_eq!(J::replay(&j.contents()).unwrap().entries.len(), 2);
     }
 
     #[test]
@@ -1111,22 +1418,22 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_is_the_header_plus_the_sorted_live_lines() {
+    fn checkpoint_is_the_header_plus_one_sorted_grant_set_per_owner() {
         let j = J::new();
         grant(&j, 2, "b", S).unwrap();
-        grant(&j, 1, "a", X).unwrap();
         grant(&j, 1, "z", IS).unwrap();
-        j.record(JournalOp::Convert, TxnId(1), &"z".to_string(), IX).unwrap();
+        j.record_grant_set(TxnId(1), &[("a".to_string(), X), ("z".to_string(), IX)]).unwrap();
+        j.record_grant_set(TxnId(3), &[("c".to_string(), S)]).unwrap();
         j.record(JournalOp::Release, TxnId(2), &"b".to_string(), S).unwrap();
+        j.record_release_all(TxnId(3)).unwrap();
         let before = J::replay(&j.contents()).unwrap();
         j.compact_now().unwrap();
         let text = j.contents();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], "colock-journal v1");
-        // Owner, then line text: the last record of each lock, verbatim.
-        assert!(lines[1].starts_with("convert\tz\t1\tIX\t"), "{text}");
-        assert!(lines[2].starts_with("grant\ta\t1\tX\t"), "{text}");
-        assert_eq!(lines.len(), 3);
+        assert_eq!(lines[0], "colock-journal v2");
+        // Owners ascending, their locks by field text, at the joined mode.
+        assert!(lines[1].starts_with("grantset\t1\ta\tX\tz\tIX\t"), "{text}");
+        assert_eq!(lines.len(), 2);
         assert_eq!(text.len(), JOURNAL_HEADER.len() + j.live_bytes());
         assert_eq!(J::replay(&text).unwrap().entries, before.entries);
         // The journal keeps appending after the checkpoint.
@@ -1156,6 +1463,26 @@ mod tests {
     }
 
     #[test]
+    fn a_grant_set_naming_a_resource_twice_replays_the_join() {
+        // Never written by the lock manager, but well-formed: the set joins
+        // both modes, kept whole or indexed, and so does its checkpoint.
+        let mut line = String::new();
+        begin_grant_set(&mut line, TxnId(4));
+        for (r, mode) in [('a', S), ('b', IS), ('a', IX)] {
+            push_lock(&mut line, |out| out.push(r), mode);
+        }
+        push_crc(&mut line, 0);
+        let text = format!("{JOURNAL_HEADER}{line}\n");
+        let want = vec![("b".to_string(), TxnId(4), IS), ("a".to_string(), TxnId(4), SIX)];
+        assert_eq!(J::replay(&text).unwrap().entries, want);
+        let j = J::over_medium(Arc::new(Mutex::new(text)));
+        j.compact_now().unwrap();
+        assert_eq!(j.contents().len(), JOURNAL_HEADER.len() + j.live_bytes());
+        assert_eq!(J::replay(&j.contents()).unwrap().entries, want);
+        assert_eq!(j.live_entries(), want);
+    }
+
+    #[test]
     fn fold_keys_resources_by_value_not_spelling() {
         // `007` and `7` are one resource to replay; the index must agree, and
         // a checkpoint must keep the record under the canonical spelling.
@@ -1174,26 +1501,28 @@ mod tests {
     }
 
     #[test]
-    fn colliding_field_hashes_keep_both_locks() {
-        // Force a collision: b's slot already holds a lock on a.
-        let record = |op, r: char, mode| encode_line(op, |out| out.push(r), TxnId(1), mode);
-        let (a, field) = record(JournalOp::Grant, 'a', X);
-        let mut live = LiveSet { bytes: a.len() + 1, ..LiveSet::default() };
-        let on_a = LiveLock { owner: TxnId(1), mode: X, line: a, field };
-        live.locks.insert((field_hash("b"), TxnId(1)), on_a);
-        for (op, mode) in [(JournalOp::Grant, S), (JournalOp::Convert, X)] {
-            let (line, field) = record(op, 'b', mode);
-            live.apply(op, TxnId(1), mode, line, field);
-        }
-        assert_eq!(live.collided.len(), 1);
-        let both = vec![("a".to_string(), TxnId(1), X), ("b".to_string(), TxnId(1), X)];
-        assert_eq!(live.entries::<String>(), both);
-        assert_eq!(J::replay(&live.checkpoint()).unwrap().entries, both);
-        let (line, field) = record(JournalOp::Release, 'b', X);
-        live.apply(JournalOp::Release, TxnId(1), X, line, field);
-        assert!(live.collided.is_empty());
-        assert_eq!(live.entries::<String>(), vec![("a".to_string(), TxnId(1), X)]);
-        assert_eq!(live.checkpoint().len(), JOURNAL_HEADER.len() + live.bytes);
+    fn live_bytes_track_joins_releases_and_release_alls() {
+        // After every record, a checkpoint written now is exactly the header
+        // plus the live bytes.
+        let j = J::new();
+        let check = |j: &J| {
+            let live = j.live_bytes();
+            j.compact_now().unwrap();
+            assert_eq!(j.contents().len(), JOURNAL_HEADER.len() + live, "{}", j.contents());
+        };
+        j.record_grant_set(TxnId(7), &[("a".to_string(), IS), ("b\tc".to_string(), S)]).unwrap();
+        check(&j);
+        j.record(JournalOp::Convert, TxnId(7), &"a".to_string(), SIX).unwrap();
+        check(&j);
+        grant(&j, 1_000_000, "a", X).unwrap();
+        check(&j);
+        j.record(JournalOp::Release, TxnId(7), &"a".to_string(), SIX).unwrap();
+        check(&j);
+        j.record_release_all(TxnId(7)).unwrap();
+        check(&j);
+        j.record(JournalOp::Release, TxnId(1_000_000), &"a".to_string(), X).unwrap();
+        assert_eq!(j.live_bytes(), 0);
+        check(&j);
     }
 
     #[test]
@@ -1235,7 +1564,7 @@ mod tests {
             mgr.acquire(t1, "cells/c1".into(), S, LockRequestOptions::default()).unwrap();
             assert_eq!(j.appends(), 0);
             // Long requests they cover: still AlreadyHeld, but now long and
-            // journaled write-ahead — once.
+            // journaled before acknowledged — once each.
             for (r, m) in [("db", IS), ("db", IX), ("cells/c1", S), ("cells/c1", IS)] {
                 let out = mgr.acquire(t1, r.into(), m, LockRequestOptions::long()).unwrap();
                 assert_eq!(out, AcquireOutcome::AlreadyHeld, "fast={fast} {r} {m}");
@@ -1285,6 +1614,8 @@ mod tests {
     #[derive(Debug, Clone)]
     enum Step {
         Acquire { txn: u64, resource: usize, mode: LockMode, long: bool },
+        /// Several acquires through one request (one grant set).
+        Request { txn: u64, locks: Vec<(usize, LockMode)>, long: bool },
         Release { txn: u64, resource: usize },
         ReleaseAll { txn: u64 },
         ReleaseShort { txn: u64 },
@@ -1298,16 +1629,17 @@ mod tests {
     fn step(rng: &mut Rng) -> Step {
         let txn = rng.gen_range(1u64..4);
         let resource = rng.gen_range(0..RESOURCES.len());
-        match pick_weighted(rng, &[8, 3, 1, 1, 1]) {
-            0 => Step::Acquire {
+        let mode = |rng: &mut Rng| *rng.choose(&LockMode::ALL).unwrap();
+        match pick_weighted(rng, &[8, 3, 3, 1, 1, 1]) {
+            0 => Step::Acquire { txn, resource, mode: mode(rng), long: rng.gen_bool(0.6) },
+            1 => Step::Request {
                 txn,
-                resource,
-                mode: *rng.choose(&LockMode::ALL).unwrap(),
+                locks: vec_of(rng, 1..5, |rng| (rng.gen_range(0..RESOURCES.len()), mode(rng))),
                 long: rng.gen_bool(0.6),
             },
-            1 => Step::Release { txn, resource },
-            2 => Step::ReleaseAll { txn },
-            3 => Step::ReleaseShort { txn },
+            2 => Step::Release { txn, resource },
+            3 => Step::ReleaseAll { txn },
+            4 => Step::ReleaseShort { txn },
             _ => Step::Compact,
         }
     }
@@ -1331,6 +1663,17 @@ mod tests {
                             Ok(_) | Err(LockError::WouldBlock { .. }) => {}
                             Err(e) => ensure!(false, "step {i}: unexpected {e}"),
                         }
+                    }
+                    Step::Request { txn, ref locks, long } => {
+                        let mut rq = mgr.request(TxnId(txn));
+                        let opts = LockRequestOptions { long, ..LockRequestOptions::try_lock() };
+                        for &(resource, mode) in locks {
+                            match rq.acquire(RESOURCES[resource].into(), mode, opts) {
+                                Ok(_) | Err(LockError::WouldBlock { .. }) => {}
+                                Err(e) => ensure!(false, "step {i}: unexpected {e}"),
+                            }
+                        }
+                        rq.finish().map_err(|e| format!("step {i}: {e}"))?;
                     }
                     Step::Release { txn, resource } => {
                         mgr.release(TxnId(txn), &RESOURCES[resource].to_string());

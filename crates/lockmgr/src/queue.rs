@@ -24,11 +24,10 @@
 use crate::error::LockError;
 use crate::inventory::HeldLock;
 use crate::mode::LockMode;
-use crate::persistent::JournalOp;
 use crate::stats::LockStats;
 use crate::summary::{self, slot_update, SealGuard};
 use crate::table::{
-    recover, AcquireOutcome, FastMap, LockManager, LockRequestOptions, Resource, WaitPolicy,
+    AcquireOutcome, FastMap, LockManager, LockRequestOptions, Resource, ShardGuard, WaitPolicy,
 };
 use crate::txnid::TxnId;
 use crate::Result;
@@ -36,7 +35,7 @@ use colock_testkit::explore;
 use colock_trace::EventKind;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, MutexGuard};
+use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
 #[derive(Debug, Clone)]
@@ -158,13 +157,16 @@ impl<R: Resource> LockManager<R> {
     /// The classic shard-mutex acquire path. Pessimistic S/SIX/X decisions
     /// seal the summary slot and drain outstanding optimistic grants into
     /// real shard grants before deciding, so the blocking relation always
-    /// sees the complete granted group.
+    /// sees the complete granted group. A grant whose lock ends up long is
+    /// staged in the inventory for its request's grant set, and `staged`
+    /// is raised.
     pub(crate) fn acquire_pessimistic(
         &self,
         txn: TxnId,
         resource: R,
         mode: LockMode,
         opts: LockRequestOptions,
+        staged: &mut bool,
     ) -> Result<AcquireOutcome> {
         LockStats::bump(&self.stats.requests);
         let h = Self::hash_of(&resource);
@@ -194,8 +196,8 @@ impl<R: Resource> LockManager<R> {
             }
         }
         // A long request is covered only by a long grant: a short one that
-        // covers the mode is *widened* — the same mode, now long, journaled
-        // write-ahead like a conversion (an optimistic grant is migrated
+        // covers the mode is *widened* — the same mode, now long, staged for
+        // the journal like a conversion (an optimistic grant is migrated
         // into the shard map on the way, as for any conversion).
         let widen = opts.long && !held_long && held.covers(mode);
         if held.covers(mode) && !widen {
@@ -210,10 +212,10 @@ impl<R: Resource> LockManager<R> {
             self.trace_lock(kind, txn, h, target, &resource, format_args!("{held} -> {target}"));
         }
 
-        // A lock is journaled when the resulting grant is long: either the
-        // request itself is long, or it converts a grant that already is
-        // (the conversion target must survive a crash just like the
-        // original mode did).
+        // A grant is staged for the journal when the resulting lock is
+        // long: either the request itself is long, or it converts a grant
+        // that already is (the conversion target must survive a crash just
+        // like the original mode did). `install_grant` marks the entry.
         let journal_long = opts.long || (conversion && held_long);
 
         // S/SIX/X decisions must account for every optimistic grant. With
@@ -257,21 +259,7 @@ impl<R: Resource> LockManager<R> {
         }
 
         if grantable {
-            if journal_long {
-                // Write-ahead: the record must be durable before the grant
-                // is acknowledged. A journal crash aborts the acquire — the
-                // caller never learns whether the record made it, and replay
-                // decides the lock's fate at restart.
-                let op = if conversion { JournalOp::Convert } else { JournalOp::Grant };
-                if let Err(e) = self.journal_record(op, txn, &resource, target) {
-                    if reserved {
-                        // Nothing was installed: retract the reserved class
-                        // counts before surfacing the crash.
-                        slot_update(slot, |w| summary::class_delta(w, target, held));
-                    }
-                    return Err(e);
-                }
-            }
+            *staged |= journal_long;
             let (prev, absorbed) =
                 self.install_grant(&mut shard, txn, &resource, target, opts.long, h);
             if reserved {
@@ -306,17 +294,11 @@ impl<R: Resource> LockManager<R> {
                 || state.blockers(txn, target, conversion, ahead, &mut 0).count() - holders.len()
                     < limit
             {
-                return self.block_until_granted(
-                    shard,
-                    txn,
-                    resource,
-                    h,
-                    target,
-                    conversion,
-                    opts,
-                    journal_long,
-                    seal,
+                let outcome = self.block_until_granted(
+                    shard, txn, resource, h, target, conversion, opts, seal,
                 );
+                *staged |= journal_long && outcome.is_ok();
+                return outcome;
             }
             LockStats::bump(&self.stats.wait_depth_refusals);
             self.trace_lock(EventKind::Request, txn, h, target, &resource, "wait-depth-refused");
@@ -352,7 +334,10 @@ impl<R: Resource> LockManager<R> {
     /// Installs (or joins) the real grant and the inventory entry. Returns
     /// the grant's previous real mode (`NL` if new) and, when the inventory
     /// entry was an optimistic fast-path grant absorbed by this install, its
-    /// mode — the caller owes the summary slot that decrement.
+    /// mode — the caller owes the summary slot that decrement. An entry that
+    /// ends up long is staged for its request's grant set (with a journal
+    /// attached): every install on a long entry changes what a crash must
+    /// recover — a new lock, a conversion or a widening.
     pub(crate) fn install_grant(
         &self,
         shard: &mut ShardInner<R>,
@@ -378,7 +363,7 @@ impl<R: Resource> LockManager<R> {
         let entry = txn_state
             .held
             .entry(resource.clone())
-            .or_insert(HeldLock { mode: LockMode::NL, long: false, optimistic: false, hash: h });
+            .or_insert(HeldLock::real(h));
         let absorbed = if entry.optimistic { Some(entry.mode) } else { None };
         debug_assert!(
             absorbed.is_none() || prev == LockMode::NL,
@@ -387,6 +372,7 @@ impl<R: Resource> LockManager<R> {
         entry.mode = entry.mode.join(mode);
         entry.long = entry.long || long;
         entry.optimistic = false;
+        entry.staged |= entry.long && self.journal().is_some();
         LockStats::raise(&self.stats.max_locks_per_txn, txn_state.held.len() as u64);
         (prev, absorbed)
     }
@@ -454,14 +440,13 @@ impl<R: Resource> LockManager<R> {
     #[allow(clippy::too_many_arguments)]
     fn block_until_granted<'a>(
         &'a self,
-        mut shard: MutexGuard<'a, ShardInner<R>>,
+        mut shard: ShardGuard<'a, R>,
         txn: TxnId,
         resource: R,
         h: u64,
         target: LockMode,
         conversion: bool,
         opts: LockRequestOptions,
-        journal_long: bool,
         seal: Option<SealGuard<'a>>,
     ) -> Result<AcquireOutcome> {
         let deadline = match opts.policy {
@@ -532,7 +517,7 @@ impl<R: Resource> LockManager<R> {
                 left => left,
             };
             explore::before_block(txn.0);
-            shard = Self::park(&cond, shard, left);
+            shard = shard.park(&cond, left);
             explore::after_block(txn.0);
         };
 
@@ -548,29 +533,8 @@ impl<R: Resource> LockManager<R> {
             self.process_queue(&mut shard, &resource);
             return Err(e);
         }
-        if journal_long {
-            // The grant was installed by `process_queue`; the record must
-            // still be durable before the waiter's acquire acknowledges. A
-            // crash here leaves the in-memory grant unacknowledged — replay
-            // at restart is the authority on whether it survived.
-            let op = if conversion { JournalOp::Convert } else { JournalOp::Grant };
-            self.journal_record(op, txn, &resource, target)?;
-        }
         self.trace_lock(EventKind::Grant, txn, h, target, &resource, "after-wait");
         Ok(AcquireOutcome::Granted { waited: true })
-    }
-
-    /// The one condvar wait: parks on `cond` (at most `timeout`) and hands
-    /// the re-acquired shard guard back, poisoned or not.
-    fn park<'a>(
-        cond: &Condvar,
-        shard: MutexGuard<'a, ShardInner<R>>,
-        timeout: Option<Duration>,
-    ) -> MutexGuard<'a, ShardInner<R>> {
-        match timeout {
-            Some(t) => recover(cond.wait_timeout(shard, t)).0,
-            None => recover(cond.wait(shard)),
-        }
     }
 }
 

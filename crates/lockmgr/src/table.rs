@@ -34,23 +34,31 @@
 //! No path locks a shard while holding a stripe and no path locks two
 //! stripes, so the manager's own locks cannot deadlock. Every acquisition of
 //! those mutexes recovers from poisoning (one policy, DESIGN.md §5).
+//!
+//! The long-lock journal's mutexes sit outside this hierarchy: a journal
+//! record is only ever written with no shard locked (debug builds count the
+//! `ShardGuard`s each thread holds and the journal asserts zero).
 
 use crate::adaptive::AdaptivePolicy;
+#[cfg(doc)]
 use crate::error::LockError;
 use crate::inventory::{TxnStripe, TXN_STRIPES};
 use crate::mode::LockMode;
-use crate::persistent::{JournalOp, JournalSink};
+use crate::persistent::JournalSink;
 use crate::queue::ShardInner;
+use crate::request::Request;
 use crate::stats::LockStats;
 use crate::txnid::TxnId;
 use crate::Result;
-use colock_testkit::explore;
 use colock_trace::{self as trace, Event, EventKind};
+#[cfg(debug_assertions)]
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, LockResult, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// Multiply-rotate hasher (the `rustc-hash` idiom) for every placement
@@ -194,6 +202,71 @@ pub(crate) fn recover<G>(result: LockResult<G>) -> G {
     result.unwrap_or_else(PoisonError::into_inner)
 }
 
+#[cfg(debug_assertions)]
+thread_local! {
+    /// Shard guards this thread holds (debug builds only).
+    static HELD_SHARDS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// How many lock-table shard guards the calling thread holds — the journal
+/// asserts zero before every append.
+#[cfg(debug_assertions)]
+pub(crate) fn held_shard_guards() -> usize {
+    HELD_SHARDS.with(Cell::get)
+}
+
+/// One held shard as the thread's count sees it: counted while alive in
+/// debug builds, a zero-sized nothing in release builds.
+struct HeldShard(());
+
+impl HeldShard {
+    fn new() -> Self {
+        #[cfg(debug_assertions)]
+        HELD_SHARDS.with(|n| n.set(n.get() + 1));
+        HeldShard(())
+    }
+}
+
+#[cfg(debug_assertions)]
+impl Drop for HeldShard {
+    fn drop(&mut self) {
+        HELD_SHARDS.with(|n| n.set(n.get() - 1));
+    }
+}
+
+/// A locked shard.
+pub(crate) struct ShardGuard<'a, R: Resource> {
+    guard: MutexGuard<'a, ShardInner<R>>,
+    held: HeldShard,
+}
+
+impl<'a, R: Resource> ShardGuard<'a, R> {
+    /// Parks on `cond` (at most `timeout`), the shard unlocked meanwhile,
+    /// and hands the re-acquired guard back, poisoned or not.
+    pub(crate) fn park(self, cond: &Condvar, timeout: Option<Duration>) -> Self {
+        let ShardGuard { guard, held } = self;
+        drop(held);
+        let guard = match timeout {
+            Some(t) => recover(cond.wait_timeout(guard, t)).0,
+            None => recover(cond.wait(guard)),
+        };
+        ShardGuard { guard, held: HeldShard::new() }
+    }
+}
+
+impl<R: Resource> Deref for ShardGuard<'_, R> {
+    type Target = ShardInner<R>;
+    fn deref(&self) -> &ShardInner<R> {
+        &self.guard
+    }
+}
+
+impl<R: Resource> DerefMut for ShardGuard<'_, R> {
+    fn deref_mut(&mut self) -> &mut ShardInner<R> {
+        &mut self.guard
+    }
+}
+
 /// The lock manager.
 ///
 /// ```
@@ -218,9 +291,9 @@ pub struct LockManager<R: Resource> {
     /// the `max_table_entries` high-water mark needs no cross-shard lock).
     pub(crate) live_resources: AtomicU64,
     pub(crate) stats: LockStats,
-    /// Durable long-lock journal (write-ahead with respect to the grant
-    /// acknowledgement). `None` until attached; short-lock operations never
-    /// consult it, so the hot path stays journal-free.
+    /// Durable long-lock journal: a request's long grants are on it before
+    /// the request is acknowledged. `None` until attached; short-lock
+    /// operations never consult it, so the hot path stays journal-free.
     journal: OnceLock<Arc<dyn JournalSink<R>>>,
     /// Mode-summary words, `shards * SLOTS_PER_SHARD` of them: the slot
     /// index embeds the shard index, so same slot ⟹ same shard mutex.
@@ -341,12 +414,22 @@ impl<R: Resource> LockManager<R> {
         recover(self.fastpath_probe.lock())
     }
 
-    /// Attaches the durable long-lock journal. Every later grant, conversion
-    /// or release of a *long* lock is recorded before it is acknowledged. At
-    /// most one journal per manager: returns `false` (and changes nothing)
-    /// if one is already attached.
+    /// Attaches the durable long-lock journal. From then on the long
+    /// grants, conversions and widenings of a [`Request`] are staged in the
+    /// inventory and written as one grant set when it finishes, before the
+    /// caller is acknowledged (a plain [`LockManager::acquire`] is a request
+    /// of one); [`LockManager::release_all`] writes one release-all for a
+    /// transaction that held long locks, and a single-lock release of a
+    /// long lock one release record. Every record is written with no shard
+    /// locked. At most one journal per manager: returns `false` (and changes
+    /// nothing) if one is already attached.
     pub fn attach_journal(&self, sink: Arc<dyn JournalSink<R>>) -> bool {
         self.journal.set(sink).is_ok()
+    }
+
+    /// The attached journal, if any.
+    pub(crate) fn journal(&self) -> Option<&dyn JournalSink<R>> {
+        self.journal.get().map(|j| &**j)
     }
 
     /// Whether a journal is attached.
@@ -398,8 +481,8 @@ impl<R: Resource> LockManager<R> {
     }
 
     /// Locks one shard.
-    pub(crate) fn shard_locked(&self, idx: usize) -> MutexGuard<'_, ShardInner<R>> {
-        recover(self.shards[idx].lock())
+    pub(crate) fn shard_locked(&self, idx: usize) -> ShardGuard<'_, R> {
+        ShardGuard { guard: recover(self.shards[idx].lock()), held: HeldShard::new() }
     }
 
     /// Records one lock event about `resource` — if tracing is on. The
@@ -438,21 +521,6 @@ impl<R: Resource> LockManager<R> {
                 .resource(format!("{resource:?}"))
                 .detail(detail.to_string())
         });
-    }
-
-    /// Journals one long-lock operation if a journal is attached; a
-    /// mid-append crash surfaces as [`LockError::Crashed`].
-    pub(crate) fn journal_record(
-        &self,
-        op: JournalOp,
-        txn: TxnId,
-        resource: &R,
-        mode: LockMode,
-    ) -> Result<()> {
-        if let Some(j) = self.journal.get() {
-            j.record(op, txn, resource, mode).map_err(|_| LockError::Crashed)?;
-        }
-        Ok(())
     }
 
     /// All `(txn, mode)` grants on `resource` — the shard map's real grants
@@ -550,16 +618,12 @@ impl<R: Resource> LockManager<R> {
 
     /// Whether a request may enter the optimistic gate at all: short intent
     /// requests only, and only while the fast path is on.
-    fn gate_open(&self, mode: LockMode, opts: LockRequestOptions) -> bool {
+    pub(crate) fn gate_open(&self, mode: LockMode, opts: LockRequestOptions) -> bool {
         mode.is_intent() && !opts.long && self.fastpath.load(Ordering::Relaxed)
     }
 
-    /// Acquires (or converts to) `mode` on `resource` for `txn`.
-    ///
-    /// Short IS/IX requests first try the optimistic fast path (a validated
-    /// CAS on the slot's mode-summary word, no shard mutex) as a chain of
-    /// one; every other request — and every fast-path refusal — takes the
-    /// classic shard-mutex path.
+    /// Acquires (or converts to) `mode` on `resource` for `txn`: a request
+    /// of one lock ([`Request::acquire`], then [`Request::finish`]).
     pub fn acquire(
         &self,
         txn: TxnId,
@@ -567,27 +631,13 @@ impl<R: Resource> LockManager<R> {
         mode: LockMode,
         opts: LockRequestOptions,
     ) -> Result<AcquireOutcome> {
-        debug_assert!(mode != LockMode::NL, "cannot acquire NL");
-        explore::yield_point(|| format!("acquire {mode}|{resource:?}"));
-        if self.gate_open(mode, opts) {
-            let mut answer = None;
-            self.gate_links(txn, std::slice::from_ref(&resource), mode, |o| answer = Some(o));
-            if let Some(outcome) = answer {
-                return Ok(outcome);
-            }
-        }
-        self.acquire_pessimistic(txn, resource, mode, opts)
+        let mut request = self.request(txn);
+        let outcome = request.acquire(resource, mode, opts);
+        request.finish().and(outcome)
     }
 
-    /// Acquires `mode` (an intent) on every resource of `chain`, front to
-    /// back — the protocol layer's ancestor chain. Consecutive fast-path
-    /// answers share one stripe critical section and coalesced stats; any
-    /// link the gate refuses (conversion, summary conflict) is delegated to
-    /// the pessimistic path and the batch resumes after it. With the gate
-    /// closed (long request, fast path disabled) the chain is the plain
-    /// sequence of [`LockManager::acquire`] calls. Outcomes come back per
-    /// link, in order; an error keeps earlier grants, exactly like that
-    /// sequence.
+    /// Acquires `mode` on every resource of `chain`: a request of one chain
+    /// ([`Request::acquire_intent_chain`], then [`Request::finish`]).
     pub fn acquire_intent_chain(
         &self,
         txn: TxnId,
@@ -595,52 +645,43 @@ impl<R: Resource> LockManager<R> {
         mode: LockMode,
         opts: LockRequestOptions,
     ) -> Result<Vec<AcquireOutcome>> {
-        debug_assert!(mode.is_intent(), "chain batching is for intent modes");
-        explore::yield_point(|| {
-            let mut label = format!("chain {mode}");
-            for r in chain {
-                label.push('|');
-                label.push_str(&format!("{r:?}"));
-            }
-            label
-        });
-        if !self.gate_open(mode, opts) {
-            return chain.iter().map(|r| self.acquire(txn, r.clone(), mode, opts)).collect();
-        }
-        let mut out = Vec::with_capacity(chain.len());
-        while out.len() < chain.len() {
-            self.gate_links(txn, &chain[out.len()..], mode, |o| out.push(o));
-            if let Some(refused) = chain.get(out.len()) {
-                // Delegate directly (not via `acquire`): the gate already
-                // counted this link, so re-entering it would double-count.
-                out.push(self.acquire_pessimistic(txn, refused.clone(), mode, opts)?);
-            }
-        }
-        Ok(out)
+        let mut request = self.request(txn);
+        let outcomes = request.acquire_intent_chain(chain, mode, opts);
+        request.finish().and(outcomes)
     }
 
-    /// Installs a grant directly (used by crash-recovery of long locks).
-    ///
-    /// The grant is re-journaled into this manager's journal (if attached):
-    /// a recovered lock is as durable as a fresh one, so a second crash
+    /// Opens a request for `txn`: the journal boundary of one protocol
+    /// call, however many locks it takes.
+    pub fn request(&self, txn: TxnId) -> Request<'_, R> {
+        Request::new(self, txn)
+    }
+
+    /// Installs one owner's recovered long locks directly (crash recovery)
+    /// and journals them as one grant set, if a journal is attached: a
+    /// recovered lock is as durable as a fresh one, so a second crash
     /// before its release must find it again.
-    pub fn install_recovered(&self, txn: TxnId, resource: R, mode: LockMode) {
-        let h = Self::hash_of(&resource);
-        let mut shard = self.shard_locked(self.shard_of(h));
-        let _ = self.journal_record(JournalOp::Grant, txn, &resource, mode);
-        // Recovery is cold: seal and drain unconditionally, keeping the
-        // summary publication a single step regardless of the mode.
-        let seal = self.seal_and_drain(&mut shard, self.slot_index_from_hash(h));
-        let (prev, absorbed) = self.install_grant(&mut shard, txn, &resource, mode, true, h);
-        self.publish_grant(self.slot_from_hash(h), Some(seal), prev, prev.join(mode), absorbed);
-        let _rule = trace::rule_scope(trace::RuleTag::Recovered);
-        self.trace_lock(EventKind::Grant, txn, h, mode, &resource, "recovered");
+    pub fn install_recovered(&self, txn: TxnId, locks: impl IntoIterator<Item = (R, LockMode)>) {
+        for (resource, mode) in locks {
+            let h = Self::hash_of(&resource);
+            let mut shard = self.shard_locked(self.shard_of(h));
+            // Recovery is cold: seal and drain unconditionally, keeping the
+            // summary publication a single step regardless of the mode.
+            let seal = self.seal_and_drain(&mut shard, self.slot_index_from_hash(h));
+            let (prev, absorbed) = self.install_grant(&mut shard, txn, &resource, mode, true, h);
+            self.publish_grant(self.slot_from_hash(h), Some(seal), prev, prev.join(mode), absorbed);
+            let _rule = trace::rule_scope(trace::RuleTag::Recovered);
+            self.trace_lock(EventKind::Grant, txn, h, mode, &resource, "recovered");
+        }
+        // A crashed journal fails nothing here: the frozen medium is what a
+        // restart replays.
+        let _ = self.flush_staged(txn);
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::error::LockError;
     use crate::mode::LockMode::*;
 
     pub(crate) type Mgr = LockManager<&'static str>;

@@ -2,8 +2,8 @@
 //! written before checkpoints existed (`fixtures/journal_v1.txt`, produced
 //! by [`fixed_stream`] with the `format!`/`join` encoder the one-buffer
 //! encoder replaced) must replay to the same locks, and the same stream
-//! must still produce that text byte for byte while it stays below the
-//! checkpoint threshold.
+//! must still produce that text's body byte for byte, now under a v2
+//! header, while it stays below the checkpoint threshold.
 
 use colock_lockmgr::persistent::CHECKPOINT_FLOOR;
 use colock_lockmgr::LockMode::{self, *};
@@ -68,7 +68,12 @@ fn the_fixed_stream_still_writes_the_v1_text_byte_for_byte() {
     fixed_stream(&j);
     assert!(FIXTURE.len() < CHECKPOINT_FLOOR);
     assert_eq!(j.checkpoints(), 0);
-    assert_eq!(j.contents(), FIXTURE);
+    // A fresh journal's header is v2; the v1 records after it are the
+    // fixture's body, byte for byte.
+    assert_eq!(
+        j.contents().strip_prefix("colock-journal v2\n"),
+        FIXTURE.strip_prefix("colock-journal v1\n")
+    );
     assert_eq!(j.bytes_appended() as usize, FIXTURE.len() - "colock-journal v1\n".len());
 }
 
@@ -105,7 +110,7 @@ fn the_v1_fixture_replays_to_the_same_locks() {
     assert_eq!(rec.entries, want);
 
     // A journal opened over the fixture keeps those locks through a
-    // checkpoint, and the checkpoint is itself a v1 text.
+    // checkpoint, and the checkpoint is a v2 text.
     let j: Journal<String> = Journal::over_medium(std::sync::Arc::new(
         std::sync::Mutex::new(FIXTURE.to_string()),
     ));
@@ -117,6 +122,6 @@ fn the_v1_fixture_replays_to_the_same_locks() {
         i += 1;
     }
     let text = j.contents();
-    assert!(text.starts_with("colock-journal v1\n") && text.len() < FIXTURE.len());
+    assert!(text.starts_with("colock-journal v2\n") && text.len() < FIXTURE.len());
     assert_eq!(Journal::<String>::replay(&text).unwrap().entries, want);
 }

@@ -29,8 +29,9 @@ use std::sync::Arc;
 const STATIONS: usize = 4;
 
 /// Check-out/check-in cycles of the churn station in the `MidCompaction`
-/// sweep: a few checkpoints' worth of journal history.
-const CHURN_CYCLES: usize = 250;
+/// sweep: a few checkpoints' worth of journal history (each cycle writes
+/// one grant set and one release-all).
+const CHURN_CYCLES: usize = 750;
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)

@@ -179,8 +179,8 @@ impl TransactionManager {
     }
 
     /// Attaches a durable long-lock journal to this manager *and* its lock
-    /// manager; every long-lock grant/conversion/release is recorded
-    /// write-ahead from now on. First sink wins (returns `false` if either
+    /// manager; from now on every request's long grants are recorded before
+    /// it is acknowledged, and every long release. First sink wins (returns `false` if either
     /// the manager or the lock manager already had one).
     pub fn attach_journal(&self, journal: Arc<Journal<ResourcePath>>) -> bool {
         let sink: Arc<dyn JournalSink<ResourcePath>> = Arc::clone(&journal) as _;
@@ -207,13 +207,16 @@ impl TransactionManager {
     /// highest recovered owner so new transactions cannot collide with
     /// re-adopted ones.
     ///
-    /// If a journal is attached to *this* manager, the re-installed locks
-    /// are re-journaled into it, so a second crash recovers them again.
+    /// If a journal is attached to *this* manager, each owner's re-installed
+    /// locks are re-journaled into it as one grant set, so a second crash
+    /// recovers them again.
     pub fn recover(&self, journal_text: &str) -> Result<RecoveryReport> {
         let recovered = Journal::<ResourcePath>::replay(journal_text)?;
         let owners = recovered.owners();
-        for (resource, txn, mode) in &recovered.entries {
-            self.lm.install_recovered(*txn, resource.clone(), *mode);
+        // Replay sorts the entries by owner first.
+        for set in recovered.entries.chunk_by(|a, b| a.1 == b.1) {
+            let locks = set.iter().map(|(resource, _, mode)| (resource.clone(), *mode));
+            self.lm.install_recovered(set[0].1, locks);
         }
         {
             let mut parked = self.parked_locked();

@@ -203,7 +203,7 @@ fn install_recovered_without_readoption_leaks_the_lock() {
     // Old-style recovery: locks only, no transaction state.
     let replayed = Journal::<ResourcePath>::replay(&medium).unwrap();
     for (resource, owner, mode) in &replayed.entries {
-        mgr2.lock_manager().install_recovered(*owner, resource.clone(), *mode);
+        mgr2.lock_manager().install_recovered(*owner, [(resource.clone(), *mode)]);
     }
     // The lock is held by a ghost: it blocks everyone...
     let probe = mgr2.begin(TxnKind::Short);
@@ -246,30 +246,34 @@ fn unacknowledged_grant_is_never_recovered() {
         let (mgr2, _j2) = journaled_manager(&store);
         let report = mgr2.recover(&medium).unwrap();
         assert!(report.dropped_tail <= 1, "{point}");
-        match point {
-            // The record hit the medium before the crash: that one grant is
+        // t2's check-out is one grant-set record: durable whole or not at
+        // all, never half-present.
+        let t2_back = match point {
+            // The record hit the medium before the crash: the whole set is
             // durable even though the ack was lost, so the owner comes back
-            // with its partial (intent-only) lock set — never half-present,
-            // and releasable below like any other owner.
+            // with its check-out — releasable below like any other owner.
             CrashPoint::AfterAppend | CrashPoint::MidCompaction => {
                 assert_eq!(report.owners, vec![id1, id2], "{point}");
+                true
             }
             // Nothing (or a torn half-record) reached the medium: the
-            // unacknowledged grant must not resurrect t2.
+            // unacknowledged grants must not resurrect t2.
             CrashPoint::BeforeAppend | CrashPoint::MidRecord => {
                 assert_eq!(report.owners, vec![id1], "{point}");
+                false
             }
-        }
-        // t2 crashed before its X lock on the target subtree was journaled,
-        // so the target itself is free in every case.
+        };
+        // The target is locked exactly when t2 came back.
         let probe = mgr2.begin(TxnKind::Short);
-        probe.try_lock(&trajectory("r2"), AccessMode::Update).unwrap();
-        probe.commit().unwrap();
+        let free = probe.try_lock(&trajectory("r2"), AccessMode::Update).is_ok();
+        assert_eq!(free, !t2_back, "{point}");
+        probe.abort().unwrap();
         for owner in report.owners {
             mgr2.resume(owner).unwrap().abort().unwrap();
         }
         let sweep = mgr2.begin(TxnKind::Short);
         sweep.try_lock(&trajectory("r1"), AccessMode::Update).unwrap();
+        sweep.try_lock(&trajectory("r2"), AccessMode::Update).unwrap();
         sweep.commit().unwrap();
     }
 }

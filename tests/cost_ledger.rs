@@ -1,17 +1,23 @@
-//! Allocation ledger: exact heap-allocation counts for the resource-identity
-//! operations on the lock path, pinned as budgets.
+//! Work ledger: exact counts pinned as budgets — heap allocations of the
+//! resource-identity operations on the lock path, and long-lock journal
+//! records per transaction.
 //!
 //! A count is the same on every host and every run, so a change that adds
-//! an allocation to one of these operations fails here on any machine. The
-//! budgets are a ratchet: lower one when a change removes allocations;
-//! raise one only with the reason recorded in `CHANGES.md`.
+//! an allocation or a record to one of these operations fails here on any
+//! machine. The budgets are a ratchet: lower one when a change removes
+//! work; raise one only with the reason recorded in `CHANGES.md`.
 //!
 //! The counting allocator needs `unsafe` (`GlobalAlloc` is an unsafe
 //! trait). An integration test is its own crate, so the library crates keep
 //! their `#![forbid(unsafe_code)]`.
 
+use colock::core::authorization::{Authorization, Right};
 use colock::core::fixtures::fig1_catalog;
-use colock::core::{InstanceTarget, ProtocolEngine, ResourcePath};
+use colock::core::{AccessMode, InstanceTarget, ProtocolEngine, ResourcePath};
+use colock::lockmgr::Journal;
+use colock::nf2::Value;
+use colock::sim::{build_cells_store, CellsConfig};
+use colock::txn::{ProtocolKind, TransactionManager, TxnKind};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -93,4 +99,50 @@ fn resolving_a_trajectory_target_stays_within_budget() {
     let (n, path) = allocations(|| engine.resource_for(&target).unwrap());
     assert_eq!(path.to_string(), "db:db1/seg:seg1/rel:cells/obj:c1/robots/[r1]/trajectory");
     assert_eq!(n, RESOLVE_TRAJECTORY_BUDGET, "resource_for allocations changed: edit the budget");
+}
+
+/// Journal records of one long check-out → check-in → commit: one grant
+/// set for the check-out request, one release-all at commit (§3.1 asks for
+/// durable long locks, not a record per lock).
+const LONG_TXN_RECORDS: u64 = 2;
+
+#[test]
+fn a_long_transaction_writes_two_journal_records_and_others_none() {
+    let mut authz = Authorization::allow_all();
+    authz.set_relation_default("effectors", Right::Read);
+    let store = build_cells_store(&CellsConfig::default());
+    let mgr = TransactionManager::over_store(store, authz, ProtocolKind::Proposed);
+    let journal = Arc::new(Journal::new());
+    assert!(mgr.attach_journal(Arc::clone(&journal)));
+    let robot = InstanceTarget::object("cells", "c1").elem("robots", "r1");
+    let records = |f: &dyn Fn()| {
+        let before = journal.appends();
+        f();
+        journal.appends() - before
+    };
+
+    let long = records(&|| {
+        let txn = mgr.begin(TxnKind::Long);
+        let copy = txn.checkout(&robot, AccessMode::Update).unwrap();
+        txn.checkin(&robot, copy).unwrap();
+        txn.commit().unwrap();
+    });
+    assert_eq!(long, LONG_TXN_RECORDS, "records per long transaction changed: edit the budget");
+
+    let short_write = records(&|| {
+        let txn = mgr.begin(TxnKind::Short);
+        let target = trajectory();
+        txn.read(&target).unwrap();
+        txn.update(&target, Value::str("moved")).unwrap();
+        txn.commit().unwrap();
+    });
+    assert_eq!(short_write, 0, "a short write journals nothing");
+
+    let snapshot_read = records(&|| {
+        let txn = mgr.begin_readonly();
+        txn.snapshot_read(&trajectory()).unwrap();
+        txn.commit().unwrap();
+    });
+    assert_eq!(snapshot_read, 0, "a snapshot read journals nothing");
+    assert!(Journal::<ResourcePath>::replay(&journal.contents()).unwrap().entries.is_empty());
 }
