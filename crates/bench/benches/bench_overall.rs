@@ -9,6 +9,7 @@ use colock_testkit::BenchHarness;
 use colock_txn::{ProtocolKind, TxnKind};
 
 const Q2: &str = "SELECT r FROM c IN cells, r IN c.robots WHERE c.cell_id = 'c1' AND r.robot_id = 'r1' FOR UPDATE";
+const Q1: &str = "SELECT o FROM c IN cells, o IN c.c_objects WHERE c.cell_id = 'c1' FOR READ";
 
 fn bench_mixed_throughput(h: &mut BenchHarness) {
     let mut group = h.group("e6_mixed_throughput");
@@ -64,6 +65,27 @@ fn bench_plan_overhead(h: &mut BenchHarness) {
         b.iter(|| {
             let t = mgr.begin(TxnKind::Short);
             let out = colock_query::exec::run(&t, Q2, &Optimizer::default()).unwrap();
+            t.commit().unwrap();
+            out
+        });
+    });
+    // Fig. 7's Q1 on the `fig7_queries` database: all 200 c_objects of a
+    // cell under one subtree S lock, so the cost is the row loop's.
+    let fig7 = cells_manager(
+        &CellsConfig {
+            n_cells: 2,
+            c_objects_per_cell: 200,
+            robots_per_cell: 4,
+            n_effectors: 4,
+            effectors_per_robot: 2,
+            seed: 42,
+        },
+        ProtocolKind::Proposed,
+    );
+    group.bench("full_execution_q1_fig7", |b| {
+        b.iter(|| {
+            let t = fig7.begin(TxnKind::Short);
+            let out = colock_query::exec::run(&t, Q1, &Optimizer::default()).unwrap();
             t.commit().unwrap();
             out
         });

@@ -359,28 +359,14 @@ fn outermost<'b>(bound: &'b [BoundRange], r: &'b BoundRange) -> Option<&'b Bound
     Some(cur)
 }
 
-/// Evaluates an operand against variable bindings (used by the executor; the
-/// function lives here to keep path semantics in one place).
-pub fn eval_operand(
-    bindings: &[(String, Value)],
-    op: &Operand,
-) -> std::result::Result<Value, QueryError> {
-    match op {
-        Operand::Literal(v) => Ok(v.clone()),
-        Operand::Path { var, path } => {
-            let (_, base) = bindings
-                .iter()
-                .find(|(v, _)| v == var)
-                .ok_or_else(|| QueryError::Execution(format!("unbound variable `{var}`")))?;
-            let mut cur = base;
-            for step in path {
-                cur = cur.field(step).ok_or_else(|| {
-                    QueryError::Execution(format!("no field `{step}` in `{var}`"))
-                })?;
-            }
-            Ok(cur.clone())
-        }
-    }
+/// Evaluates an operand against variable bindings (the executor's helpers
+/// live here to keep path semantics in one place). Borrows: a path yields a
+/// reference into its bound value, a literal the literal itself.
+pub fn eval_operand<'a>(
+    bindings: &'a [(String, Value)],
+    op: &'a Operand,
+) -> std::result::Result<&'a Value, QueryError> {
+    operand_value(&named(bindings), op)
 }
 
 /// Evaluates a condition against bindings.
@@ -388,15 +374,46 @@ pub fn eval_condition(
     bindings: &[(String, Value)],
     cond: &Condition,
 ) -> std::result::Result<bool, QueryError> {
+    condition_holds(&named(bindings), cond)
+}
+
+/// The lookup of a variable in name-keyed bindings.
+fn named<'a>(bindings: &'a [(String, Value)]) -> impl Fn(&str) -> Option<&'a Value> {
+    move |var| bindings.iter().find(|(v, _)| v == var).map(|(_, b)| b)
+}
+
+/// [`eval_operand`] over any variable lookup.
+pub(crate) fn operand_value<'a>(
+    lookup: &impl Fn(&str) -> Option<&'a Value>,
+    op: &'a Operand,
+) -> std::result::Result<&'a Value, QueryError> {
+    match op {
+        Operand::Literal(v) => Ok(v),
+        Operand::Path { var, path } => {
+            let mut cur = lookup(var)
+                .ok_or_else(|| QueryError::Execution(format!("unbound variable `{var}`")))?;
+            for step in path {
+                cur = cur.field(step).ok_or_else(|| {
+                    QueryError::Execution(format!("no field `{step}` in `{var}`"))
+                })?;
+            }
+            Ok(cur)
+        }
+    }
+}
+
+/// [`eval_condition`] over any variable lookup.
+pub(crate) fn condition_holds<'a>(
+    lookup: &impl Fn(&str) -> Option<&'a Value>,
+    cond: &'a Condition,
+) -> std::result::Result<bool, QueryError> {
     match cond {
         Condition::Cmp { left, op, right } => {
-            let l = eval_operand(bindings, left)?;
-            let r = eval_operand(bindings, right)?;
-            Ok(op.eval(&l, &r))
+            Ok(op.eval(operand_value(lookup, left)?, operand_value(lookup, right)?))
         }
-        Condition::And(a, b) => Ok(eval_condition(bindings, a)? && eval_condition(bindings, b)?),
-        Condition::Or(a, b) => Ok(eval_condition(bindings, a)? || eval_condition(bindings, b)?),
-        Condition::Not(c) => Ok(!eval_condition(bindings, c)?),
+        Condition::And(a, b) => Ok(condition_holds(lookup, a)? && condition_holds(lookup, b)?),
+        Condition::Or(a, b) => Ok(condition_holds(lookup, a)? || condition_holds(lookup, b)?),
+        Condition::Not(c) => Ok(!condition_holds(lookup, c)?),
     }
 }
 

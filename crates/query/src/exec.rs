@@ -2,8 +2,15 @@
 //! granule and mode information are obtained from the query-specific lock
 //! graphs, and locks are requested from a lock manager. … If a lock is
 //! granted, the corresponding data may be accessed."
+//!
+//! [`execute`] first compiles the plan: one slot per range with its parent
+//! slot, its steps below the parent, its element type, the lock rules its
+//! rows fire, whether anything needs its rows' instance targets, and the
+//! top-level WHERE conjuncts that can be decided once it is bound. The row
+//! loop then only binds: values by slot, targets where needed, locks as
+//! each row binds.
 
-use crate::analyze::{analyze, eval_condition, eval_operand, Access, BoundRange};
+use crate::analyze::{analyze, condition_holds, operand_value, Access, BoundRange};
 use crate::ast::{Condition, Operand, Statement};
 use crate::error::QueryError;
 use crate::plan::{plan_locks, QueryPlan};
@@ -11,9 +18,10 @@ use crate::Result;
 use colock_core::optimizer::{Granularity, Optimizer, PlannedLock};
 use colock_core::{AccessMode, InstanceTarget};
 use colock_lockmgr::LockMode;
-use colock_nf2::{AttrType, ObjectKey, Value};
+use colock_nf2::{AttrType, Catalog, ObjectKey, Value};
+use colock_storage::StorageError;
 use colock_txn::Transaction;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// One result row: the projected value.
 pub type Row = Value;
@@ -54,43 +62,218 @@ pub fn run_statement(
 
 /// Executes a planned statement within `txn`.
 pub fn execute(txn: &Transaction<'_>, plan: &QueryPlan) -> Result<ExecOutcome> {
-    let rules: Vec<_> = plan.analysis.ranges.iter().map(|r| binding_rules(plan, r)).collect();
+    let compiled = compile(plan, txn.manager().store().catalog())?;
     let mut exec = Executor {
         txn,
         plan,
+        compiled: &compiled,
         outcome: ExecOutcome::default(),
         relation_locked: HashSet::new(),
-        rules: &rules,
     };
     exec.run()?;
     Ok(exec.outcome)
 }
 
-/// A planned lock with the access it serves.
-type Rule<'p> = (&'p PlannedLock, &'p Access);
+/// A plan compiled for its row loop: one slot per range, outermost first,
+/// and the WHERE conjuncts no range binds.
+struct Compiled<'p> {
+    ranges: &'p [BoundRange],
+    slots: Vec<Slot<'p>>,
+    /// Conjuncts naming no bound variable, evaluated on each complete row.
+    leaf: Vec<&'p Condition>,
+}
+
+/// What binding one row of a range does, decided once per execution.
+struct Slot<'p> {
+    range: &'p BoundRange,
+    /// Slot of the parent range (dependent ranges only).
+    parent: Option<usize>,
+    /// Attribute steps from the parent's row down to the ranged container.
+    rel_steps: &'p [String],
+    /// Element type of the ranged container (dependent ranges only).
+    elem_ty: Option<&'p AttrType>,
+    /// The lock rules fired each time a row binds.
+    rules: Vec<Rule<'p>>,
+    /// Whether anything needs the row's [`InstanceTarget`]: a lock rule of
+    /// this range or a deeper one, or the UPDATE/DELETE target variable.
+    /// Rows of other ranges bind their value only.
+    needs_target: bool,
+    /// Top-level WHERE conjuncts whose deepest variable this range binds,
+    /// evaluated once per row right after it binds.
+    conjuncts: Vec<&'p Condition>,
+}
+
+/// A planned lock as one range's rows fire it.
+struct Rule<'p> {
+    planned: &'p PlannedLock,
+    /// Attribute steps from the row's target to the locked granule: none for
+    /// an Object rule, the ranged container (HoLU) for a Subtree rule, the
+    /// attribute below the element for an Elements rule.
+    steps: &'p [String],
+    /// The DELETE target variable never dereferences its references, so
+    /// downward propagation is skipped for it (§4.5).
+    no_deref: bool,
+}
+
+fn compile<'p>(plan: &'p QueryPlan, catalog: &'p Catalog) -> Result<Compiled<'p>> {
+    let ranges = &plan.analysis.ranges;
+    let (condition, target_var, delete_var) = match &plan.statement {
+        Statement::Select(q) => (q.condition.as_ref(), None, None),
+        Statement::Update { target, condition, .. } => {
+            let var = match target {
+                Operand::Path { var, .. } => Some(var.as_str()),
+                Operand::Literal(_) => None,
+            };
+            (condition.as_ref(), var, None)
+        }
+        Statement::Delete { var, condition, .. } => {
+            (condition.as_ref(), Some(var.as_str()), Some(var.as_str()))
+        }
+        Statement::Insert { .. } => (None, None, None),
+    };
+    let mut slots: Vec<Slot<'p>> = Vec::with_capacity(ranges.len());
+    for range in ranges {
+        let (parent, rel_steps, elem_ty) = match &range.parent {
+            None => (None, &[][..], None),
+            Some(parent) => {
+                let p = slot_of(ranges, parent)
+                    .ok_or_else(|| QueryError::Execution(format!("unbound `{parent}`")))?;
+                let rel = catalog
+                    .schema()
+                    .relation(&range.relation)
+                    .map_err(|e| QueryError::Execution(e.to_string()))?;
+                let rel_steps = &range.path.steps()[ranges[p].path.steps().len()..];
+                (Some(p), rel_steps, range.path.resolve(rel).ok().and_then(AttrType::element))
+            }
+        };
+        let rules = binding_rules(plan, range, delete_var);
+        slots.push(Slot {
+            range,
+            parent,
+            rel_steps,
+            elem_ty,
+            needs_target: !rules.is_empty() || target_var == Some(range.var.as_str()),
+            rules,
+            conjuncts: Vec::new(),
+        });
+    }
+    // A row's target is built from its parent's.
+    for i in (0..slots.len()).rev() {
+        if let (true, Some(p)) = (slots[i].needs_target, slots[i].parent) {
+            slots[p].needs_target = true;
+        }
+    }
+    let mut leaf = Vec::new();
+    let mut conjuncts = Vec::new();
+    if let Some(c) = condition {
+        split_conjuncts(c, &mut conjuncts);
+    }
+    for c in conjuncts {
+        match conjunct_slot(ranges, c) {
+            Some(i) => slots[i].conjuncts.push(c),
+            None => leaf.push(c),
+        }
+    }
+    Ok(Compiled { ranges, slots, leaf })
+}
+
+fn slot_of(ranges: &[BoundRange], var: &str) -> Option<usize> {
+    ranges.iter().position(|r| r.var == var)
+}
+
+/// The top-level `AND` conjuncts of `cond`, left to right.
+fn split_conjuncts<'c>(cond: &'c Condition, out: &mut Vec<&'c Condition>) {
+    match cond {
+        Condition::And(a, b) => {
+            split_conjuncts(a, out);
+            split_conjuncts(b, out);
+        }
+        other => out.push(other),
+    }
+}
+
+/// The slot at which a conjunct is evaluated: the deepest of the slots that
+/// bind its variables. `None` when it names no variable, or one no range
+/// binds (it is then evaluated, and reported, on the complete row).
+fn conjunct_slot(ranges: &[BoundRange], cond: &Condition) -> Option<usize> {
+    fn deepest(ranges: &[BoundRange], cond: &Condition) -> Option<usize> {
+        match cond {
+            Condition::Cmp { left, right, .. } => [left, right]
+                .into_iter()
+                .filter_map(|op| match op {
+                    Operand::Path { var, .. } => Some(slot_of(ranges, var).unwrap_or(usize::MAX)),
+                    Operand::Literal(_) => None,
+                })
+                .max(),
+            Condition::And(a, b) | Condition::Or(a, b) => {
+                deepest(ranges, a).max(deepest(ranges, b))
+            }
+            Condition::Not(c) => deepest(ranges, c),
+        }
+    }
+    deepest(ranges, cond).filter(|&i| i < ranges.len())
+}
+
+impl<'p> Compiled<'p> {
+    /// The variable lookup of a row bound up to `values.len()` slots.
+    fn lookup<'a>(&'a self, values: &'a [Value]) -> impl Fn(&str) -> Option<&'a Value> {
+        move |var| values.get(slot_of(self.ranges, var)?)
+    }
+
+    /// The value of `op` on a row bound up to `values.len()` slots.
+    fn value<'a>(&'a self, values: &'a [Value], op: &'a Operand) -> Result<&'a Value> {
+        operand_value(&self.lookup(values), op)
+    }
+
+    /// Whether every conjunct holds on a row bound up to `values.len()` slots.
+    fn holds(&self, conjuncts: &[&'p Condition], values: &[Value]) -> Result<bool> {
+        let lookup = self.lookup(values);
+        for c in conjuncts {
+            if !condition_holds(&lookup, c)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+}
 
 /// The lock rules that fire each time `range` binds a row: the
 /// Object/Subtree rules of the accesses below a relation range, the Elements
 /// rules of a dependent range's own accesses.
-fn binding_rules<'p>(plan: &'p QueryPlan, range: &BoundRange) -> Vec<Rule<'p>> {
+fn binding_rules<'p>(
+    plan: &'p QueryPlan,
+    range: &BoundRange,
+    delete_var: Option<&str>,
+) -> Vec<Rule<'p>> {
+    let analysis = &plan.analysis;
     let outermost_var = |var: &str| {
-        let mut cur = plan.analysis.range(var)?;
+        let mut cur = analysis.range(var)?;
         while let Some(parent) = &cur.parent {
-            cur = plan.analysis.range(parent)?;
+            cur = analysis.range(parent)?;
         }
         Some(cur.var.as_str())
+    };
+    let below_relation_range = |planned: &PlannedLock, access: &Access| {
+        range.parent.is_none()
+            && planned.relation == range.relation
+            && outermost_var(&access.var) == Some(range.var.as_str())
     };
     plan.lock_plan
         .locks
         .iter()
-        .zip(&plan.analysis.accesses)
-        .filter(|(planned, access)| match range.parent {
-            None => {
-                planned.relation == range.relation
-                    && matches!(planned.granularity, Granularity::Object | Granularity::Subtree)
-                    && outermost_var(&access.var) == Some(range.var.as_str())
-            }
-            Some(_) => planned.granularity == Granularity::Elements && access.var == range.var,
+        .zip(&analysis.accesses)
+        .filter_map(|(planned, access)| {
+            let steps = match planned.granularity {
+                Granularity::Object if below_relation_range(planned, access) => &[][..],
+                Granularity::Subtree if below_relation_range(planned, access) => {
+                    analysis.range(&access.var).map_or(&access.path, |r| &r.path).steps()
+                }
+                Granularity::Elements if range.parent.is_some() && access.var == range.var => {
+                    &access.path.steps()[range.path.steps().len()..]
+                }
+                _ => return None,
+            };
+            Some(Rule { planned, steps, no_deref: delete_var == Some(access.var.as_str()) })
         })
         .collect()
 }
@@ -98,21 +281,24 @@ fn binding_rules<'p>(plan: &'p QueryPlan, range: &BoundRange) -> Vec<Rule<'p>> {
 struct Executor<'t, 'p> {
     txn: &'t Transaction<'t>,
     plan: &'p QueryPlan,
+    compiled: &'p Compiled<'p>,
     outcome: ExecOutcome,
     relation_locked: HashSet<String>,
-    /// Per range of `plan.analysis.ranges`: its [`binding_rules`].
-    rules: &'p [Vec<Rule<'p>>],
 }
 
-/// A bound row during iteration.
-struct Frame {
-    bindings: Vec<(String, Value)>,
-    targets: HashMap<String, InstanceTarget>,
+/// The bound prefix of a row, by slot: each range's value, and its target
+/// where the slot needs one.
+#[derive(Default)]
+struct Bound {
+    values: Vec<Value>,
+    targets: Vec<Option<InstanceTarget>>,
 }
 
 impl<'t> Executor<'t, '_> {
     fn run(&mut self) -> Result<()> {
-        match &self.plan.statement {
+        let plan = self.plan;
+        let compiled = self.compiled;
+        match &plan.statement {
             Statement::Insert { relation, value } => {
                 self.txn
                     .insert(relation, value.clone())
@@ -122,51 +308,39 @@ impl<'t> Executor<'t, '_> {
             }
             Statement::Select(q) => {
                 self.lock_relation_granules()?;
-                let projections = q.projections.clone();
-                let count = q.count;
-                let condition = q.condition.clone();
                 let mut rows = Vec::new();
                 let mut matches = 0u64;
-                self.iterate(0, &mut Frame { bindings: Vec::new(), targets: HashMap::new() }, &condition, &mut |frame| {
-                    if count {
+                self.bind(0, &mut Bound::default(), &mut |row| {
+                    if q.count {
                         matches += 1;
                         return Ok(());
                     }
-                    if projections.len() == 1 {
-                        rows.push(project(&projections[0], frame)?);
+                    if let [p] = q.projections.as_slice() {
+                        rows.push(project(compiled, p, row)?);
                     } else {
-                        let mut fields = Vec::with_capacity(projections.len());
-                        for p in &projections {
-                            fields.push((projection_name(p).into(), project(p, frame)?));
+                        let mut fields = Vec::with_capacity(q.projections.len());
+                        for p in &q.projections {
+                            fields.push((projection_name(p).into(), project(compiled, p, row)?));
                         }
                         rows.push(Value::Tuple(fields.into()));
                     }
                     Ok(())
                 })?;
-                if count {
+                if q.count {
                     rows.push(Value::Int(matches as i64));
                 }
                 self.outcome.rows = rows;
                 Ok(())
             }
-            Statement::Update { target, value, condition, .. } => {
+            Statement::Update { target, value, .. } => {
                 self.lock_relation_granules()?;
-                let condition = condition.clone();
-                let target = target.clone();
                 let mut updates: Vec<(InstanceTarget, Value)> = Vec::new();
-                self.iterate(0, &mut Frame { bindings: Vec::new(), targets: HashMap::new() }, &condition, &mut |frame| {
-                    let Operand::Path { var, path } = &target else {
+                self.bind(0, &mut Bound::default(), &mut |row| {
+                    let Operand::Path { var, path } = target else {
                         return Err(QueryError::Execution("UPDATE target must be a path".into()));
                     };
-                    let t = frame
-                        .targets
-                        .get(var)
-                        .ok_or_else(|| QueryError::Execution(format!("unbound `{var}`")))?;
-                    let mut t = t.clone();
-                    for s in path {
-                        t = t.attr(s);
-                    }
-                    updates.push((t, value.clone()));
+                    let t = bound_target(compiled, row, var)?;
+                    updates.push((with_steps(t, path), value.clone()));
                     Ok(())
                 })?;
                 for (t, v) in updates {
@@ -175,17 +349,11 @@ impl<'t> Executor<'t, '_> {
                 }
                 Ok(())
             }
-            Statement::Delete { var, condition, .. } => {
+            Statement::Delete { var, .. } => {
                 self.lock_relation_granules()?;
-                let condition = condition.clone();
-                let var = var.clone();
                 let mut victims: Vec<InstanceTarget> = Vec::new();
-                self.iterate(0, &mut Frame { bindings: Vec::new(), targets: HashMap::new() }, &condition, &mut |frame| {
-                    let t = frame
-                        .targets
-                        .get(&var)
-                        .ok_or_else(|| QueryError::Execution(format!("unbound `{var}`")))?;
-                    victims.push(t.clone());
+                self.bind(0, &mut Bound::default(), &mut |row| {
+                    victims.push(bound_target(compiled, row, var)?.clone());
                     Ok(())
                 })?;
                 for t in victims {
@@ -205,9 +373,7 @@ impl<'t> Executor<'t, '_> {
 
     /// Locks all Relation-granule plan entries up front.
     fn lock_relation_granules(&mut self) -> Result<()> {
-        for (planned, _access) in
-            self.plan.lock_plan.locks.iter().zip(&self.plan.analysis.accesses)
-        {
+        for planned in &self.plan.lock_plan.locks {
             if planned.granularity == Granularity::Relation
                 && self.relation_locked.insert(planned.relation.clone())
             {
@@ -227,160 +393,124 @@ impl<'t> Executor<'t, '_> {
         self.outcome.entry_points_locked += report.entry_points_locked;
     }
 
-    /// Nested-loop iteration over the bound ranges with lock acquisition at
-    /// binding time, per the query-specific lock graph.
-    fn iterate(
+    /// Nested-loop iteration over the slots from `idx` on, with lock
+    /// acquisition at binding time per the query-specific lock graph;
+    /// `visit` sees every complete row that satisfies the WHERE clause.
+    fn bind(
         &mut self,
         idx: usize,
-        frame: &mut Frame,
-        condition: &Option<Condition>,
-        visit: &mut dyn FnMut(&Frame) -> Result<()>,
+        row: &mut Bound,
+        visit: &mut dyn FnMut(&Bound) -> Result<()>,
     ) -> Result<()> {
-        let plan = self.plan;
-        let ranges = &plan.analysis.ranges;
-        if idx == ranges.len() {
-            let keep = match condition {
-                Some(c) => eval_condition(&frame.bindings, c)?,
-                None => true,
-            };
-            if keep {
-                visit(frame)?;
+        let compiled = self.compiled;
+        let Some(slot) = compiled.slots.get(idx) else {
+            if compiled.holds(&compiled.leaf, &row.values)? {
+                visit(row)?;
             }
             return Ok(());
-        }
-        let range = &ranges[idx];
-        match &range.parent {
+        };
+        let range = slot.range;
+        match slot.parent {
             None => {
                 // Relation range: candidates by key predicate or full scan.
-                let store = self.txn.manager().store().clone();
+                let txn = self.txn;
+                let store = txn.manager().store();
                 let keys: Vec<ObjectKey> = match &range.key_predicate {
-                    Some(k) => {
-                        if store.contains(&range.relation, k) {
-                            vec![k.clone()]
-                        } else {
-                            Vec::new()
-                        }
-                    }
+                    Some(k) if store.contains(&range.relation, k) => vec![k.clone()],
+                    Some(_) => Vec::new(),
                     None => store
                         .keys(&range.relation)
                         .map_err(|e| QueryError::Execution(e.to_string()))?,
                 };
                 for key in keys {
-                    let target = InstanceTarget::object(&range.relation, key.clone());
-                    self.fire_object_rules(idx, &target)?;
-                    let value = store
-                        .get(&range.relation, &key)
-                        .map_err(|e| QueryError::Execution(e.to_string()))?;
-                    frame.bindings.push((range.var.clone(), value));
-                    frame.targets.insert(range.var.clone(), target);
-                    self.iterate(idx + 1, frame, condition, visit)?;
-                    frame.bindings.pop();
-                    frame.targets.remove(&range.var);
+                    let target = slot
+                        .needs_target
+                        .then(|| InstanceTarget::object(&range.relation, key.clone()));
+                    if let Some(object) = &target {
+                        self.fire_object_rules(slot, object)?;
+                    }
+                    // The lock is granted. An object removed while we waited
+                    // for it (a committed delete, a rolled-back insert) is
+                    // no row under two-phase locking.
+                    let value = match store.get(&range.relation, &key) {
+                        Ok(value) => value,
+                        Err(StorageError::UnknownObject { .. }) => continue,
+                        Err(e) => return Err(QueryError::Execution(e.to_string())),
+                    };
+                    self.descend(idx, row, value, target, visit)?;
                 }
                 Ok(())
             }
             Some(parent) => {
                 // Dependent range: elements of a container below the parent
-                // binding.
-                let parent_target = frame
-                    .targets
-                    .get(parent)
-                    .ok_or_else(|| QueryError::Execution(format!("unbound `{parent}`")))?
-                    .clone();
-                let parent_value = frame
-                    .bindings
-                    .iter()
-                    .find(|(v, _)| v == parent)
-                    .map(|(_, v)| v.clone())
-                    .expect("parent bound");
-                // Path of this range relative to its parent.
-                let parent_range = plan.analysis.range(parent).expect("parent analyzed");
-                let rel_steps = &range.path.steps()[parent_range.path.steps().len()..];
-                // Navigate within the bound value.
+                // row. The row stack grows below, so the parent's value is
+                // held by its own handle (a reference-count bump).
+                let parent_value = row.values[parent].clone();
                 let mut container = &parent_value;
-                for s in rel_steps {
-                    container = container.field(s).ok_or_else(|| {
-                        QueryError::Execution(format!("no attribute `{s}`"))
-                    })?;
+                for s in slot.rel_steps {
+                    container = container
+                        .field(s)
+                        .ok_or_else(|| QueryError::Execution(format!("no attribute `{s}`")))?;
                 }
-                let elem_ty = self.element_type(range)?;
                 for value in container.elements().unwrap_or_default() {
                     if let Some(pred) = &range.key_predicate {
-                        if !elem_ty.is_some_and(|t| value.has_element_key(t, pred)) {
+                        if !slot.elem_ty.is_some_and(|t| value.has_element_key(t, pred)) {
                             continue;
                         }
                     }
-                    let key = elem_ty.and_then(|t| value.element_key(t));
-                    // The element's instance target.
-                    let mut target = parent_target.clone();
-                    for (i, s) in rel_steps.iter().enumerate() {
-                        if i + 1 == rel_steps.len() {
-                            match &key {
-                                Some(k) => target = target.elem(s, k.clone()),
-                                None => target = target.attr(s),
-                            }
-                        } else {
-                            target = target.attr(s);
+                    let target = match &row.targets[parent] {
+                        Some(parent_target) if slot.needs_target => {
+                            let key = slot.elem_ty.and_then(|t| value.element_key(t));
+                            Some(element_target(parent_target, slot.rel_steps, key))
                         }
+                        _ => None,
+                    };
+                    if let Some(element) = &target {
+                        self.fire_element_rules(slot, element)?;
                     }
-                    self.fire_element_rules(idx, &target)?;
-                    frame.bindings.push((range.var.clone(), value.clone()));
-                    frame.targets.insert(range.var.clone(), target);
-                    self.iterate(idx + 1, frame, condition, visit)?;
-                    frame.bindings.pop();
-                    frame.targets.remove(&range.var);
+                    self.descend(idx, row, value.clone(), target, visit)?;
                 }
                 Ok(())
             }
         }
     }
 
-    fn element_type(&self, range: &BoundRange) -> Result<Option<&'t AttrType>> {
-        let txn = self.txn;
-        let rel = txn
-            .manager()
-            .store()
-            .catalog()
-            .schema()
-            .relation(&range.relation)
-            .map_err(|e| QueryError::Execution(e.to_string()))?;
-        Ok(range.path.resolve(rel).ok().and_then(AttrType::element))
+    /// Binds one row of slot `idx` and, if the conjuncts placed there hold,
+    /// iterates the deeper slots under it.
+    fn descend(
+        &mut self,
+        idx: usize,
+        row: &mut Bound,
+        value: Value,
+        target: Option<InstanceTarget>,
+        visit: &mut dyn FnMut(&Bound) -> Result<()>,
+    ) -> Result<()> {
+        row.values.push(value);
+        row.targets.push(target);
+        let slot = &self.compiled.slots[idx];
+        if self.compiled.holds(&slot.conjuncts, &row.values)? {
+            self.bind(idx + 1, row, visit)?;
+        }
+        row.values.pop();
+        row.targets.pop();
+        Ok(())
     }
 
     /// Fires Object/Subtree lock rules when an object binding is created.
-    fn fire_object_rules(&mut self, range: usize, object: &InstanceTarget) -> Result<()> {
-        let plan = self.plan;
-        for &(planned, access) in &self.rules[range] {
-            let target = match planned.granularity {
-                Granularity::Object => object.clone(),
-                Granularity::Subtree => {
-                    // Lock the ranged container (HoLU) of the access's var.
-                    let holu_path =
-                        plan.analysis.range(&access.var).map_or(&access.path, |r| &r.path);
-                    let mut t = object.clone();
-                    for s in holu_path.steps() {
-                        t = t.attr(s);
-                    }
-                    t
-                }
-                _ => continue,
-            };
-            let report = self
-                .lock_planned(&target, planned.mode, &access.var)
-                .map_err(|e| QueryError::Execution(e.to_string()))?;
-            self.absorb(&report);
+    fn fire_object_rules(&mut self, slot: &Slot<'_>, object: &InstanceTarget) -> Result<()> {
+        for rule in &slot.rules {
+            self.lock_planned(&with_steps(object, rule.steps), rule)?;
         }
         Ok(())
     }
 
     /// Fires Elements lock rules when an element binding is created.
-    fn fire_element_rules(&mut self, range: usize, element: &InstanceTarget) -> Result<()> {
-        let range_path_len = self.plan.analysis.ranges[range].path.steps().len();
-        for &(planned, access) in &self.rules[range] {
+    fn fire_element_rules(&mut self, slot: &Slot<'_>, element: &InstanceTarget) -> Result<()> {
+        for rule in &slot.rules {
             // Semantic container mode first (root-to-leaf, rule 5): Member/
             // Insert/Delete on the set/list replaces the plain intent so
             // distinct-element operations commute.
-            if let Some(container_mode) = planned.container_mode {
+            if let Some(container_mode) = rule.planned.container_mode {
                 if let Some(container) = container_of(element) {
                     let report = self
                         .txn
@@ -389,36 +519,22 @@ impl<'t> Executor<'t, '_> {
                     self.absorb(&report);
                 }
             }
-            // Trailing attribute steps below the element (e.g. trajectory).
-            let mut target = element.clone();
-            for s in &access.path.steps()[range_path_len..] {
-                target = target.attr(s);
-            }
-            let report = self
-                .lock_planned(&target, planned.mode, &access.var)
-                .map_err(|e| QueryError::Execution(e.to_string()))?;
-            self.absorb(&report);
+            self.lock_planned(&with_steps(element, rule.steps), rule)?;
         }
         Ok(())
     }
 
-    /// Locks `target` in the planned mode, exploiting query semantics
-    /// (§4.5): the DELETE target variable never dereferences its references,
-    /// so downward propagation is skipped for it.
-    fn lock_planned(
-        &self,
-        target: &InstanceTarget,
-        mode: LockMode,
-        var: &str,
-    ) -> colock_txn::Result<colock_core::LockReport> {
-        let no_deref = matches!(&self.plan.statement, Statement::Delete { var: dv, .. } if dv == var);
-        if no_deref {
-            self.txn.lock_no_deref(target, mode_to_access(mode))
+    /// Locks `target` in the rule's planned mode.
+    fn lock_planned(&mut self, target: &InstanceTarget, rule: &Rule<'_>) -> Result<()> {
+        let report = if rule.no_deref {
+            self.txn.lock_no_deref(target, mode_to_access(rule.planned.mode))
         } else {
-            self.txn.lock_with_mode_blocking(target, mode)
+            self.txn.lock_with_mode_blocking(target, rule.planned.mode)
         }
+        .map_err(|e| QueryError::Execution(e.to_string()))?;
+        self.absorb(&report);
+        Ok(())
     }
-
 }
 
 fn mode_to_access(mode: LockMode) -> AccessMode {
@@ -450,13 +566,49 @@ fn projection_name(p: &Operand) -> String {
     }
 }
 
-fn project(projection: &Operand, frame: &Frame) -> Result<Value> {
+fn project(compiled: &Compiled<'_>, projection: &Operand, row: &Bound) -> Result<Value> {
     match projection {
-        Operand::Path { var, path } if var == "*" && path.is_empty() => frame
-            .bindings
-            .first()
-            .map(|(_, v)| v.clone())
-            .ok_or_else(|| QueryError::Execution("empty frame".into())),
-        other => eval_operand(&frame.bindings, other),
+        Operand::Path { var, path } if var == "*" && path.is_empty() => {
+            row.values.first().cloned().ok_or_else(|| QueryError::Execution("empty frame".into()))
+        }
+        other => compiled.value(&row.values, other).cloned(),
+    }
+}
+
+/// The target of `var`'s row (its slot needs one: it is the UPDATE/DELETE
+/// target variable).
+fn bound_target<'r>(
+    compiled: &Compiled<'_>,
+    row: &'r Bound,
+    var: &str,
+) -> Result<&'r InstanceTarget> {
+    slot_of(compiled.ranges, var)
+        .and_then(|i| row.targets.get(i)?.as_ref())
+        .ok_or_else(|| QueryError::Execution(format!("unbound `{var}`")))
+}
+
+/// `base` extended by attribute steps.
+fn with_steps(base: &InstanceTarget, steps: &[String]) -> InstanceTarget {
+    let mut t = base.clone();
+    for s in steps {
+        t = t.attr(s);
+    }
+    t
+}
+
+/// The instance target of an element `rel_steps` below its parent row's
+/// target, narrowed to the element's key when it has one.
+fn element_target(
+    parent: &InstanceTarget,
+    rel_steps: &[String],
+    key: Option<ObjectKey>,
+) -> InstanceTarget {
+    let Some((last, above)) = rel_steps.split_last() else {
+        return parent.clone();
+    };
+    let target = with_steps(parent, above);
+    match key {
+        Some(k) => target.elem(last, k),
+        None => target.attr(last),
     }
 }

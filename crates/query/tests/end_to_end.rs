@@ -1,78 +1,20 @@
 //! End-to-end: the paper's Fig. 3 queries parsed, planned and executed over
 //! a populated store, with the lock behaviour of §4.4.2.2.
 
+mod common;
+
 use colock_core::authorization::{Authorization, Right};
-use colock_core::fixtures::fig1_catalog;
 use colock_core::optimizer::Optimizer;
-use colock_nf2::value::build::{list, set, tup};
+use colock_nf2::value::build::tup;
 use colock_nf2::{ObjectKey, Value};
 use colock_query::exec::{run, ExecOutcome};
 use colock_storage::Store;
 use colock_txn::{ProtocolKind, TransactionManager, TxnKind};
+use common::populated;
 use std::sync::Arc;
 
-fn populated() -> Arc<Store> {
-    let store = Arc::new(Store::new(Arc::new(fig1_catalog())));
-    for (e, t) in [("e1", "grip"), ("e2", "weld"), ("e3", "drill")] {
-        store
-            .insert("effectors", tup(vec![("eff_id", Value::str(e)), ("tool", Value::str(t))]))
-            .unwrap();
-    }
-    for c in ["c1", "c2"] {
-        store
-            .insert(
-                "cells",
-                tup(vec![
-                    ("cell_id", Value::str(c)),
-                    (
-                        "c_objects",
-                        set((1..=5)
-                            .map(|i| {
-                                tup(vec![
-                                    ("obj_id", Value::str(format!("{c}o{i}"))),
-                                    ("obj_name", Value::str(format!("part{i}"))),
-                                ])
-                            })
-                            .collect()),
-                    ),
-                    (
-                        "robots",
-                        list(vec![
-                            tup(vec![
-                                ("robot_id", Value::str("r1")),
-                                ("trajectory", Value::str("t1")),
-                                (
-                                    "effectors",
-                                    set(vec![
-                                        Value::reference("effectors", "e1"),
-                                        Value::reference("effectors", "e2"),
-                                    ]),
-                                ),
-                            ]),
-                            tup(vec![
-                                ("robot_id", Value::str("r2")),
-                                ("trajectory", Value::str("t2")),
-                                (
-                                    "effectors",
-                                    set(vec![
-                                        Value::reference("effectors", "e2"),
-                                        Value::reference("effectors", "e3"),
-                                    ]),
-                                ),
-                            ]),
-                        ]),
-                    ),
-                ]),
-            )
-            .unwrap();
-    }
-    store
-}
-
 fn manager() -> TransactionManager {
-    let mut authz = Authorization::allow_all();
-    authz.set_relation_default("effectors", Right::Read);
-    TransactionManager::over_store(populated(), authz, ProtocolKind::Proposed)
+    common::manager(populated(), common::engineer_authz())
 }
 
 const Q1: &str =

@@ -1,49 +1,17 @@
 //! Tests of the language extensions beyond Fig. 3: projection lists,
 //! COUNT(*), and INSERT literal syntax.
 
+mod common;
+
 use colock_core::authorization::Authorization;
-use colock_core::fixtures::fig1_catalog;
 use colock_core::optimizer::Optimizer;
-use colock_nf2::value::build::{list, set, tup};
 use colock_nf2::{ObjectKey, Value};
 use colock_query::exec::run;
 use colock_query::{parse, QueryError, Statement};
-use colock_storage::Store;
-use colock_txn::{ProtocolKind, TransactionManager, TxnKind};
-use std::sync::Arc;
+use colock_txn::{TransactionManager, TxnKind};
 
 fn manager() -> TransactionManager {
-    let store = Arc::new(Store::new(Arc::new(fig1_catalog())));
-    for (e, t) in [("e1", "grip"), ("e2", "weld")] {
-        store
-            .insert("effectors", tup(vec![("eff_id", Value::str(e)), ("tool", Value::str(t))]))
-            .unwrap();
-    }
-    store
-        .insert(
-            "cells",
-            tup(vec![
-                ("cell_id", Value::str("c1")),
-                (
-                    "c_objects",
-                    set(vec![
-                        tup(vec![("obj_id", Value::str("o1")), ("obj_name", Value::str("nut"))]),
-                        tup(vec![("obj_id", Value::str("o2")), ("obj_name", Value::str("bolt"))]),
-                        tup(vec![("obj_id", Value::str("o3")), ("obj_name", Value::str("nut"))]),
-                    ]),
-                ),
-                (
-                    "robots",
-                    list(vec![tup(vec![
-                        ("robot_id", Value::str("r1")),
-                        ("trajectory", Value::str("t1")),
-                        ("effectors", set(vec![Value::reference("effectors", "e1")])),
-                    ])]),
-                ),
-            ]),
-        )
-        .unwrap();
-    TransactionManager::over_store(store, Authorization::allow_all(), ProtocolKind::Proposed)
+    common::manager(common::extensions_store(), Authorization::allow_all())
 }
 
 #[test]

@@ -1,5 +1,6 @@
 //! Property-based tests: the lexer/parser never panic, valid shapes
-//! round-trip, and condition evaluation is logically consistent.
+//! round-trip, condition evaluation is logically consistent, and the
+//! executor's conjunct placement returns the rows of naive filtering.
 
 use colock_nf2::Value;
 use colock_query::ast::{Comparison, Condition, Operand, Statement};
@@ -152,4 +153,130 @@ fn and_or_precedence() {
         ensure_eq!(eval_condition(&bindings, &cond).unwrap(), expect);
         Ok(())
     });
+}
+
+/// One drawn conjunct-placement case: the inner range and the WHERE clause.
+#[derive(Debug, Clone)]
+struct Placement {
+    inner: &'static str,
+    condition: Condition,
+}
+
+colock_testkit::no_shrink!(Placement);
+
+fn comparison(rng: &mut Rng) -> Comparison {
+    // `=` is drawn most often: it is the shape that pins keys.
+    use Comparison::*;
+    *rng.choose(&[Eq, Eq, Eq, Neq, Lt, Ge]).unwrap()
+}
+
+/// A comparison of one attribute of the outer (`c`) or inner variable
+/// with a literal, on either side: key attributes and plain ones, values
+/// that exist and one that does not.
+fn atom(rng: &mut Rng, inner: &str) -> Condition {
+    let cell = rng.gen_range(1..5usize);
+    let n = rng.gen_range(0..4usize);
+    let (var, attr, literal) = match (inner, rng.gen_range(0..3u8)) {
+        (_, 0) => ("c", "cell_id", format!("c{cell}")),
+        ("c_objects", 1) => ("o", "obj_id", format!("c{cell}-o{n}")),
+        ("c_objects", _) => ("o", "obj_name", format!("part-{n}")),
+        (_, 1) => ("r", "robot_id", format!("r{}", n + 1)),
+        _ => ("r", "trajectory", format!("traj-c{cell}-r{n}")),
+    };
+    let path = Operand::Path { var: var.into(), path: vec![attr.into()] };
+    let lit = Operand::Literal(Value::str(literal));
+    let op = comparison(rng);
+    let (left, right) = if rng.gen_bool(0.8) { (path, lit) } else { (lit, path) };
+    Condition::Cmp { left, op, right }
+}
+
+fn condition(rng: &mut Rng, inner: &str, depth: u32) -> Condition {
+    if depth == 0 || rng.gen_bool(0.4) {
+        return atom(rng, inner);
+    }
+    let kind = rng.gen_range(0..4u8);
+    let mut sub = || Box::new(condition(rng, inner, depth - 1));
+    match kind {
+        0 | 1 => Condition::And(sub(), sub()),
+        2 => Condition::Or(sub(), sub()),
+        _ => Condition::Not(sub()),
+    }
+}
+
+/// The executor places each top-level conjunct at the shallowest range that
+/// binds its variables and pushes key equalities into navigation; it must
+/// return exactly the rows of binding every row and filtering the complete
+/// ones.
+#[test]
+fn conjunct_placement_returns_what_filtering_complete_rows_returns() {
+    use colock_core::authorization::Authorization;
+    use colock_core::optimizer::Optimizer;
+    use colock_query::ast::{Query, RangeDecl, RangeSource};
+    use colock_query::analyze::eval_condition;
+    use colock_query::exec::run_statement;
+    use colock_sim::{build_cells_store, CellsConfig};
+    use colock_txn::{ProtocolKind, TransactionManager, TxnKind};
+
+    let store = build_cells_store(&CellsConfig {
+        n_cells: 3,
+        c_objects_per_cell: 4,
+        robots_per_cell: 3,
+        n_effectors: 4,
+        effectors_per_robot: 2,
+        seed: 7,
+    });
+    let mgr =
+        TransactionManager::over_store(store, Authorization::allow_all(), ProtocolKind::Proposed);
+    forall!(
+        cases: 256,
+        |rng| {
+            let inner = *rng.choose(&["c_objects", "robots"]).unwrap();
+            // A top-level conjunction of one to three subtrees, so that
+            // conjuncts land at both ranges and key equalities are pinned.
+            let mut condition = self::condition(rng, inner, 2);
+            for _ in 0..rng.gen_range(0..3usize) {
+                let more = self::condition(rng, inner, 2);
+                condition = Condition::And(Box::new(condition), Box::new(more));
+            }
+            Placement { inner, condition }
+        },
+        |case: &Placement| {
+            let var = if case.inner == "c_objects" { "o" } else { "r" };
+            let stmt = Statement::Select(Query {
+                projections: vec![Operand::Path { var: var.into(), path: vec![] }],
+                count: false,
+                ranges: vec![
+                    RangeDecl { var: "c".into(), source: RangeSource::Relation("cells".into()) },
+                    RangeDecl {
+                        var: var.into(),
+                        source: RangeSource::Path {
+                            parent: "c".into(),
+                            path: vec![case.inner.into()],
+                        },
+                    },
+                ],
+                condition: Some(case.condition.clone()),
+                for_clause: colock_query::ast::ForClause::Read,
+            });
+            let txn = mgr.begin(TxnKind::Short);
+            let got =
+                run_statement(&txn, stmt, &Optimizer::default()).map_err(|e| e.to_string())?;
+            txn.commit().map_err(|e| e.to_string())?;
+
+            let store = mgr.store();
+            let mut want = Vec::new();
+            for key in store.keys("cells").unwrap() {
+                let cell = store.get("cells", &key).unwrap();
+                for element in cell.field(case.inner).and_then(Value::elements).unwrap() {
+                    let bindings =
+                        vec![("c".to_string(), cell.clone()), (var.to_string(), element.clone())];
+                    if eval_condition(&bindings, &case.condition).unwrap() {
+                        want.push(element.clone());
+                    }
+                }
+            }
+            ensure_eq!(got.rows, want);
+            Ok(())
+        }
+    );
 }

@@ -208,4 +208,8 @@ echo "==> snapshot-read bench (small budget)"
 COLOCK_BENCH_MS="${COLOCK_BENCH_MS:-50}" \
     cargo bench --offline -p colock-bench --bench bench_snapshot -q
 
+echo "==> overall bench (small budget: plan overhead, Fig. 7 Q1 execution)"
+COLOCK_BENCH_MS="${COLOCK_BENCH_MS:-50}" \
+    cargo bench --offline -p colock-bench --bench bench_overall -q
+
 echo "==> all checks passed"

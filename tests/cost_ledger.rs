@@ -13,9 +13,10 @@
 
 use colock::core::authorization::{Authorization, Right};
 use colock::core::fixtures::fig1_catalog;
-use colock::core::{AccessMode, InstanceTarget, ProtocolEngine, ResourcePath};
+use colock::core::{AccessMode, InstanceTarget, Optimizer, ProtocolEngine, ResourcePath};
 use colock::lockmgr::Journal;
 use colock::nf2::Value;
+use colock::query;
 use colock::sim::{build_cells_store, CellsConfig};
 use colock::txn::{ProtocolKind, TransactionManager, TxnKind};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -145,4 +146,68 @@ fn a_long_transaction_writes_two_journal_records_and_others_none() {
     });
     assert_eq!(snapshot_read, 0, "a snapshot read journals nothing");
     assert!(Journal::<ResourcePath>::replay(&journal.contents()).unwrap().entries.is_empty());
+}
+
+/// The `fig7_queries` database: 2 cells × 200 c_objects × 4 robots.
+fn fig7_manager() -> TransactionManager {
+    let mut authz = Authorization::allow_all();
+    authz.set_relation_default("effectors", Right::Read);
+    let cells = CellsConfig {
+        n_cells: 2,
+        c_objects_per_cell: 200,
+        robots_per_cell: 4,
+        n_effectors: 4,
+        effectors_per_robot: 2,
+        seed: 42,
+    };
+    TransactionManager::over_store(build_cells_store(&cells), authz, ProtocolKind::Proposed)
+}
+
+/// Allocations of `colock_query::execute` for `stmt` in a fresh short
+/// transaction; parse, analysis and plan happen outside the count.
+fn execute_allocations(mgr: &TransactionManager, stmt: &str) -> u64 {
+    let catalog = mgr.store().catalog();
+    let parsed = query::parse(stmt).unwrap();
+    let analysis = query::analyze::analyze(catalog, &parsed).unwrap();
+    let plan = query::plan_locks(catalog, parsed, analysis, &Optimizer::default()).unwrap();
+    let execute = || {
+        let txn = mgr.begin(TxnKind::Short);
+        let (n, out) = allocations(|| query::execute(&txn, &plan).unwrap());
+        drop(out);
+        txn.abort().unwrap();
+        n
+    };
+    execute(); // warms the lock table
+    execute()
+}
+
+/// Fig. 7's Q1: all 200 c_objects of one cell under one subtree S lock.
+/// The rows bind by slot and build no instance target, so what is left is
+/// the compiled plan, the one subtree lock and the growth of the result.
+const FIG7_Q1_BUDGET: u64 = 39;
+/// Q2's read half: one robot, X on the element, S on its two effectors.
+const FIG7_Q2_SELECT_BUDGET: u64 = 75;
+/// Q3: one trajectory update.
+const FIG7_Q3_BUDGET: u64 = 70;
+
+#[test]
+fn fig7_statements_execute_within_budget() {
+    let mgr = fig7_manager();
+    let q1 = execute_allocations(
+        &mgr,
+        "SELECT o FROM c IN cells, o IN c.c_objects WHERE c.cell_id = 'c1' FOR READ",
+    );
+    let q2 = execute_allocations(
+        &mgr,
+        "SELECT r FROM c IN cells, r IN c.robots WHERE c.cell_id = 'c1' AND r.robot_id = 'r2' FOR UPDATE",
+    );
+    let q3 = execute_allocations(
+        &mgr,
+        "UPDATE r.trajectory = 'w0-1' FROM c IN cells, r IN c.robots WHERE c.cell_id = 'c2' AND r.robot_id = 'r3'",
+    );
+    assert_eq!(
+        (q1, q2, q3),
+        (FIG7_Q1_BUDGET, FIG7_Q2_SELECT_BUDGET, FIG7_Q3_BUDGET),
+        "execute allocations (Q1, Q2-select, Q3) changed: edit the budgets"
+    );
 }
