@@ -194,68 +194,6 @@ fn main() {
     println!("at 1x there regardless of locking.");
     println!("this host: {} core(s).", std::thread::available_parallelism().map_or(1, |n| n.get()));
 
-    // Part 4: adaptive θ — the static E5 anticipation number replaced by one
-    // derived from measured waits (PR 3 wait histograms).
-    println!("\nadaptive θ from measured contention (Optimizer::adapted):");
-    colock_trace::enable();
-    let mark = colock_trace::current_seq();
-    {
-        // Generate real waits: a serialized storm on the hot container.
-        let cfg = CellsConfig { n_cells: 1, c_objects_per_cell: 4, ..Default::default() };
-        let mgr = cells_manager(&cfg, ProtocolKind::Proposed);
-        mgr.set_semantic(false);
-        let container = InstanceTarget::object("cells", "c1").attr("robots");
-        std::thread::scope(|scope| {
-            for w in 0..4 {
-                let mgr = &mgr;
-                let container = &container;
-                scope.spawn(move || {
-                    for i in 0..25 {
-                        let t = mgr.begin(TxnKind::Short);
-                        t.insert_element(container, storm_robot(w, 1000 + i)).unwrap();
-                        // Hold the container X across a "think time" so the
-                        // queued rivals accumulate real, hot waits.
-                        std::thread::sleep(std::time::Duration::from_millis(3));
-                        t.commit().unwrap();
-                    }
-                });
-            }
-        });
-    }
-    let mut measured = colock_trace::WaitHistogram::default();
-    for (_, h) in colock_trace::wait_histograms(&colock_trace::events_since(mark)) {
-        measured.merge(&h);
-    }
-    let mut t4 = Table::new(&["signal", "waits", "p99 (us)", "θ in", "θ out", "20-elem scan plans"]);
-    let quiet = colock_trace::WaitHistogram::default();
-    for (label, hist) in [("quiet (no waits)", &quiet), ("measured storm", &measured)] {
-        let base = Optimizer::new(16.0);
-        let adapted = base.adapted(hist);
-        let plan = adapted.plan(
-            mgr_catalog(&CellsConfig { n_cells: 1, c_objects_per_cell: 256, ..Default::default() }),
-            &[colock_core::optimizer::AccessEstimate {
-                relation: "cells".into(),
-                path: colock_nf2::AttrPath::parse("c_objects"),
-                access: AccessMode::Read,
-                objects_expected: 1.0,
-                elems_expected: 20.0,
-            }],
-        );
-        t4.row(vec![
-            label.to_string(),
-            hist.count().to_string(),
-            hist.quantile_us(0.99).to_string(),
-            "16".to_string(),
-            format!("{}", adapted.theta),
-            format!("{:?}", plan.locks[0].granularity),
-        ]);
-    }
-    print!("{}", t4.render());
-    println!();
-    println!("expected shape: with no measured waiting the optimizer escalates");
-    println!("eagerly (θ halves — coarse locks cost no concurrency); a hot wait");
-    println!("tail raises θ (stay fine-grained), so the same 20-element scan that");
-    println!("the static θ=16 coarsens stays element-granular under contention.");
 }
 
 fn storm_robot(worker: usize, i: usize) -> colock_nf2::Value {

@@ -6,9 +6,8 @@
 //! HoLU (`cells/c1.robots`). With the semantic modes on (the default), each
 //! inserter announces `Insert` on the container and X on only its own
 //! element, so the whole storm commutes in the lock table; with them off
-//! (every fourth round: 1, 5, 9, …) every insert X-locks the container and
-//! the storm fully serializes. Every fourth round (3, 7, 11, …) runs with
-//! the adaptive contention policy on. Every configuration must be *correct*
+//! (every third round: 1, 4, 7, …) every insert X-locks the container and
+//! the storm fully serializes. Every configuration must be *correct*
 //! — the round asserts every inserted element is present exactly once, no
 //! transaction survives, and the summary words still re-derive — the
 //! difference is purely concurrency (measured in E5's scaling table).
@@ -59,16 +58,11 @@ fn main() {
         round_counter.store(round, Ordering::Relaxed);
         let mark = colock_trace::current_seq();
         let mgr = cells_manager(&cells, ProtocolKind::Proposed);
-        let ablation = match round % 4 {
-            1 => {
-                mgr.set_semantic(false);
-                "semantic off"
-            }
-            3 => {
-                mgr.lock_manager().adaptive().enable();
-                "adaptive on"
-            }
-            _ => "defaults",
+        let ablation = if round % 3 == 1 {
+            mgr.set_semantic(false);
+            "semantic off"
+        } else {
+            "defaults"
         };
 
         // Watchdog: if this round takes >8s, dump the lock table and park.

@@ -2,9 +2,8 @@
 //! engineering-mix workloads and watchdogs every round — the tool that
 //! exposed the lock manager's lost-grant and invisible-positional-block
 //! bugs (see DESIGN.md §5). Every round's trace is linted and certified.
-//! Ablations by round number: every sixth round (1, 7, 13, …) runs with the
-//! fast path off, every sixth (4, 10, 16, …) with the adaptive contention
-//! policy on. Runs `COLOCK_STRESS_ROUNDS` rounds (default 100000 —
+//! Ablation by round number: every fifth round (1, 6, 11, …) runs with the
+//! fast path off. Runs `COLOCK_STRESS_ROUNDS` rounds (default 100000 —
 //! effectively until interrupted; CI sets a small bound); prints a
 //! lock-table dump and parks if any round stalls for more than 8 seconds.
 
@@ -28,17 +27,11 @@ fn main() {
     for round in 0..rounds {
         round_counter.store(round, Ordering::Relaxed);
         let mgr = cells_manager(&cells, ProtocolKind::Proposed);
-        let lm = mgr.lock_manager();
-        let ablation = match round % 6 {
-            1 => {
-                lm.set_fastpath(false);
-                "fastpath off"
-            }
-            4 => {
-                lm.adaptive().enable();
-                "adaptive on"
-            }
-            _ => "defaults",
+        let ablation = if round % 5 == 1 {
+            mgr.lock_manager().set_fastpath(false);
+            "fastpath off"
+        } else {
+            "defaults"
         };
         let cfg = ThreadConfig {
             workers: 4, txns_per_worker: 8, ops_per_txn: 3,

@@ -140,53 +140,9 @@ impl Default for Optimizer {
 }
 
 impl Optimizer {
-    /// Floor of the adaptive θ sweep: below this, escalation fires on
-    /// workloads too small for a coarse lock to ever pay for itself.
-    pub const THETA_MIN: f64 = 4.0;
-    /// Ceiling of the adaptive θ sweep.
-    pub const THETA_MAX: f64 = 1024.0;
-    /// p99 lock wait (µs) above which the contended resource counts as hot.
-    pub const HOT_WAIT_US: u64 = 5_000;
-    /// Fewer recorded waits than this is statistical silence, not evidence.
-    pub const MIN_WAITS: u64 = 8;
-
     /// Creates an optimizer with threshold θ.
     pub fn new(theta: f64) -> Self {
         Optimizer { theta }
-    }
-
-    /// Contention-adapted optimizer: replaces the static θ with one derived
-    /// from *measured* waits (the PR 3 [`WaitHistogram`]s), per Thomasian's
-    /// observation that the right escalation point is a property of the live
-    /// contention level, not of the schema:
-    ///
-    /// * no meaningful waiting observed → escalating costs no concurrency,
-    ///   so θ halves (coarse locks early, lock-table entries saved);
-    /// * a hot wait tail (p99 ≥ [`Self::HOT_WAIT_US`]) → coarse locks are
-    ///   what queues everyone, so θ quadruples (stay fine-grained — the
-    ///   de-escalation direction);
-    /// * moderate contention → the configured θ stands.
-    ///
-    /// [`WaitHistogram`]: colock_trace::WaitHistogram
-    #[must_use]
-    pub fn adapted(self, waits: &colock_trace::WaitHistogram) -> Optimizer {
-        let theta = if waits.count() < Self::MIN_WAITS {
-            (self.theta / 2.0).max(Self::THETA_MIN)
-        } else if waits.quantile_us(0.99) >= Self::HOT_WAIT_US {
-            (self.theta * 4.0).min(Self::THETA_MAX)
-        } else {
-            self.theta
-        };
-        Optimizer { theta }
-    }
-
-    /// Whether measured contention says a held coarse lock should be traded
-    /// back for fine ones ([`ProtocolEngine::deescalate`]): the wait tail on
-    /// the resource is hot and the sample is large enough to trust.
-    ///
-    /// [`ProtocolEngine::deescalate`]: crate::protocol::engine::ProtocolEngine::deescalate
-    pub fn deescalation_advised(waits: &colock_trace::WaitHistogram) -> bool {
-        waits.count() >= Self::MIN_WAITS && waits.quantile_us(0.99) >= Self::HOT_WAIT_US
     }
 
     /// Plans the lock requests for a query's accesses.
@@ -374,59 +330,6 @@ mod tests {
         assert_eq!(fine.locks[0].granularity, Granularity::Elements);
         let coarse = Optimizer::new(8.0).plan(&c, &[access]);
         assert_eq!(coarse.locks[0].granularity, Granularity::Subtree);
-    }
-
-    #[test]
-    fn adaptation_tracks_the_measured_contention() {
-        use colock_trace::WaitHistogram;
-        let base = Optimizer::new(16.0);
-
-        // Silence: escalate eagerly.
-        let quiet = WaitHistogram::default();
-        assert_eq!(base.adapted(&quiet).theta, 8.0);
-        assert!(!Optimizer::deescalation_advised(&quiet));
-
-        // Hot tail: stay fine-grained.
-        let mut hot = WaitHistogram::default();
-        for _ in 0..Optimizer::MIN_WAITS {
-            hot.record(Optimizer::HOT_WAIT_US * 2);
-        }
-        assert_eq!(base.adapted(&hot).theta, 64.0);
-        assert!(Optimizer::deescalation_advised(&hot));
-
-        // Moderate: the configured θ stands.
-        let mut mild = WaitHistogram::default();
-        for _ in 0..64 {
-            mild.record(100);
-        }
-        assert_eq!(base.adapted(&mild).theta, 16.0);
-        assert!(!Optimizer::deescalation_advised(&mild));
-    }
-
-    #[test]
-    fn adaptation_clamps_to_the_theta_band() {
-        use colock_trace::WaitHistogram;
-        let quiet = WaitHistogram::default();
-        assert_eq!(Optimizer::new(4.0).adapted(&quiet).theta, Optimizer::THETA_MIN);
-        let mut hot = WaitHistogram::default();
-        for _ in 0..Optimizer::MIN_WAITS {
-            hot.record(Optimizer::HOT_WAIT_US);
-        }
-        assert_eq!(Optimizer::new(512.0).adapted(&hot).theta, Optimizer::THETA_MAX);
-        // Adapting a hot plan changes real decisions: 20 expected elements
-        // escalate under the static θ=16 but stay element-granular adapted.
-        let c = catalog_with_stats();
-        let access = AccessEstimate {
-            relation: "cells".into(),
-            path: AttrPath::parse("c_objects"),
-            access: AccessMode::Read,
-            objects_expected: 1.0,
-            elems_expected: 20.0,
-        };
-        let static_plan = Optimizer::new(16.0).plan(&c, std::slice::from_ref(&access));
-        assert_eq!(static_plan.locks[0].granularity, Granularity::Subtree);
-        let adapted_plan = Optimizer::new(16.0).adapted(&hot).plan(&c, &[access]);
-        assert_eq!(adapted_plan.locks[0].granularity, Granularity::Elements);
     }
 
     #[test]

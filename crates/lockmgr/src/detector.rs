@@ -15,7 +15,6 @@ use crate::txnid::TxnId;
 use colock_testkit::explore;
 use colock_trace::{self as trace, Event, EventKind};
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 
 impl<R: Resource> LockManager<R> {
     /// Snapshot deadlock detector.
@@ -68,26 +67,9 @@ impl<R: Resource> LockManager<R> {
                 cycle.iter().map(|t| format!("T{}", t.0)).collect::<Vec<_>>().join(", ");
             // Youngest member (max TxnId) dies; if its waiter is stale
             // (granted meanwhile), fall back to the next youngest so a real
-            // cycle is never left standing. With the adaptive hot-victim
-            // policy on, members are ranked by the heat of the slot they
-            // wait at instead (ties still youngest-first): killing the
-            // waiter at the hottest spot frees the deepest demand first.
-            // Any cycle member is a protocol-correct victim.
+            // cycle is never left standing.
             let mut members = cycle.clone();
-            if self.adaptive.hot_victim() {
-                members.sort_unstable_by_key(|t| {
-                    let heat = locs
-                        .get(t)
-                        .map(|(_, r)| {
-                            let idx = self.slot_index_from_hash(Self::hash_of(r));
-                            self.heat[idx].load(Ordering::Relaxed)
-                        })
-                        .unwrap_or(0);
-                    (heat, *t)
-                });
-            } else {
-                members.sort_unstable();
-            }
+            members.sort_unstable();
             let mut marked = false;
             for &victim in members.iter().rev() {
                 let Some((vsi, vres)) = locs.get(&victim) else {
@@ -192,11 +174,10 @@ mod tests {
     use crate::error::LockError;
     use crate::mode::LockMode::*;
     use crate::table::tests::{t, Mgr, WAIT};
-    use crate::table::{LockRequestOptions, WaitPolicy};
+    use crate::table::LockRequestOptions;
     use colock_testkit::wait_until;
     use std::sync::Arc;
     use std::thread;
-    use std::time::Duration;
 
     #[test]
     fn deadlock_detected_youngest_aborts() {
@@ -256,60 +237,5 @@ mod tests {
         }
         m.release_all(t(2));
         assert!(h1.join().unwrap().is_ok());
-    }
-
-    #[test]
-    fn hot_victim_policy_kills_hottest_waiter() {
-        let m = Arc::new(Mgr::new());
-        m.adaptive().set_hot_victim(true);
-        let cold = "cold";
-        // Pick a hot resource on a different summary slot than `cold` so
-        // the heat comparison is meaningful.
-        let hot = ["hot0", "hot1", "hot2", "hot3", "hot4", "hot5"]
-            .into_iter()
-            .find(|r| {
-                m.slot_index_from_hash(Mgr::hash_of(r))
-                    != m.slot_index_from_hash(Mgr::hash_of(&cold))
-            })
-            .expect("a candidate on a different slot");
-        // Pre-heat `hot`'s slot: every enqueued wait bumps it, timeouts
-        // included.
-        m.acquire(t(9), hot, X, LockRequestOptions::default()).unwrap();
-        for i in 0..4 {
-            let err = m
-                .acquire(
-                    t(10 + i),
-                    hot,
-                    X,
-                    LockRequestOptions {
-                        policy: WaitPolicy::BlockTimeout(Duration::from_millis(5)),
-                        long: false,
-                    },
-                )
-                .unwrap_err();
-            assert_eq!(err, LockError::Timeout);
-        }
-        m.release_all(t(9));
-        // Cycle: t1 (older) holds `cold` and waits on `hot`; t2 (younger)
-        // holds `hot` and waits on `cold`. The youngest rule would kill t2;
-        // the hot policy kills t1, the waiter at the hotter slot.
-        m.acquire(t(2), hot, X, LockRequestOptions::default()).unwrap();
-        m.acquire(t(1), cold, X, LockRequestOptions::default()).unwrap();
-        let m1 = Arc::clone(&m);
-        let h1 = thread::spawn(move || match m1.acquire(t(1), hot, X, LockRequestOptions::default())
-        {
-            Err(LockError::Deadlock { victim, .. }) => {
-                assert_eq!(victim, t(1), "hot policy must pick the hottest waiter");
-                m1.release_all(t(1));
-            }
-            other => panic!("expected t1 to be the victim, got {other:?}"),
-        });
-        wait_until(WAIT, || m.waiter_count(&hot) == 1);
-        let m2 = Arc::clone(&m);
-        let h2 = thread::spawn(move || m2.acquire(t(2), cold, X, LockRequestOptions::default()));
-        h1.join().unwrap();
-        assert!(h2.join().unwrap().is_ok());
-        m.release_all(t(2));
-        assert_eq!(m.table_size(), 0);
     }
 }

@@ -21,7 +21,6 @@
 //! released, normally at end-of-transaction; action-oriented (latch-style)
 //! locks are out of scope, exactly as in the paper.
 
-pub mod adaptive;
 mod detector;
 pub mod error;
 mod fastpath;
@@ -35,7 +34,6 @@ mod summary;
 pub mod table;
 pub mod txnid;
 
-pub use adaptive::AdaptivePolicy;
 pub use error::LockError;
 pub use mode::LockMode;
 pub use persistent::{

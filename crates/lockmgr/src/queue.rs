@@ -80,8 +80,8 @@ impl ResourceState {
     /// the request is a conversion, which bypasses queue order — every live
     /// waiter among the first `ahead` queue entries with an incompatible
     /// mode (FIFO fairness; an arriving request has the whole queue ahead).
-    /// The immediate decision, the queue pass, `WouldBlock.holders`, the
-    /// wait-depth count and the detector's edges are all this one function.
+    /// The immediate decision, the queue pass, `WouldBlock.holders` and the
+    /// detector's edges are all this one function.
     /// `tests` counts the compatibility tests performed.
     pub(crate) fn blockers<'a>(
         &'a self,
@@ -279,30 +279,14 @@ impl<R: Resource> LockManager<R> {
             return Ok(AcquireOutcome::Granted { waited: false });
         }
 
+        if opts.policy != WaitPolicy::Try {
+            let outcome =
+                self.block_until_granted(shard, txn, resource, h, target, conversion, opts, seal);
+            *staged |= journal_long && outcome.is_ok();
+            return outcome;
+        }
         let state = shard.resources.get(&resource).expect("a blocked request has a state");
         let holders: Vec<TxnId> = state.blockers(txn, target, conversion, 0, &mut 0).collect();
-        if opts.policy != WaitPolicy::Try {
-            // Adaptive wait-depth limiting: refuse instead of queueing
-            // behind `limit` or more waiters — under hot-spot contention a
-            // bounded refusal the caller can retry with backoff beats an
-            // unbounded convoy. The depth is the blocking relation's queue
-            // part: the live incompatible waiters this request would wait
-            // behind (none for a conversion, which bypasses the queue).
-            let limit = self.adaptive.wait_depth_limit();
-            let ahead = state.waiting.len();
-            if limit == 0
-                || state.blockers(txn, target, conversion, ahead, &mut 0).count() - holders.len()
-                    < limit
-            {
-                let outcome = self.block_until_granted(
-                    shard, txn, resource, h, target, conversion, opts, seal,
-                );
-                *staged |= journal_long && outcome.is_ok();
-                return outcome;
-            }
-            LockStats::bump(&self.stats.wait_depth_refusals);
-            self.trace_lock(EventKind::Request, txn, h, target, &resource, "wait-depth-refused");
-        }
         // A live seal guard unseals itself on drop.
         Err(LockError::WouldBlock { holders })
     }
@@ -456,9 +440,6 @@ impl<R: Resource> LockManager<R> {
         let slot_idx = self.slot_index_from_hash(h);
         let slot = &self.summaries[slot_idx];
         LockStats::bump(&self.stats.waits);
-        // Heat accrues per wait: the adaptive victim policy reads it to rank
-        // deadlock-cycle members by the demand on their wait target.
-        self.heat[slot_idx].fetch_add(1, Ordering::Relaxed);
         self.trace_lock(EventKind::Wait, txn, h, target, &resource, "");
         let cond = {
             let state = self.state_entry(&mut shard, &resource);
@@ -683,27 +664,6 @@ mod tests {
                 }
             }
         });
-        assert_eq!(m.table_size(), 0);
-    }
-
-    #[test]
-    fn wait_depth_limit_refuses_instead_of_parking() {
-        let m = Arc::new(Mgr::new());
-        m.adaptive().set_wait_depth_limit(1);
-        m.acquire(t(1), "a", X, LockRequestOptions::default()).unwrap();
-        let m2 = Arc::clone(&m);
-        let h = thread::spawn(move || {
-            m2.acquire(t(2), "a", X, LockRequestOptions::default()).unwrap()
-        });
-        wait_until(WAIT, || m.waiter_count(&"a") == 1);
-        // The queue is at the limit: a third blocking X is refused with
-        // WouldBlock instead of parked behind the convoy.
-        let err = m.acquire(t(3), "a", X, LockRequestOptions::default()).unwrap_err();
-        assert!(matches!(err, LockError::WouldBlock { .. }));
-        assert_eq!(m.stats().snapshot().wait_depth_refusals, 1);
-        m.release(t(1), &"a");
-        h.join().unwrap();
-        m.release_all(t(2));
         assert_eq!(m.table_size(), 0);
     }
 }

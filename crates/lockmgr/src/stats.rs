@@ -101,9 +101,6 @@ lock_stats! {
     /// Sticky-saturated summary-slot count fields repaired after the slot's
     /// activity drained (the fast path works on the slot again).
     counter desaturations,
-    /// Blocking requests refused because the wait queue had already reached
-    /// the adaptive wait-depth limit.
-    counter wait_depth_refusals,
 }
 
 impl LockStats {

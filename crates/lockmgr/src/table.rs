@@ -39,7 +39,6 @@
 //! record is only ever written with no shard locked (debug builds count the
 //! `ShardGuard`s each thread holds and the journal asserts zero).
 
-use crate::adaptive::AdaptivePolicy;
 #[cfg(doc)]
 use crate::error::LockError;
 use crate::inventory::{TxnStripe, TXN_STRIPES};
@@ -298,12 +297,6 @@ pub struct LockManager<R: Resource> {
     /// Mode-summary words, `shards * SLOTS_PER_SHARD` of them: the slot
     /// index embeds the shard index, so same slot ⟹ same shard mutex.
     pub(crate) summaries: Box<[AtomicU64]>,
-    /// Per-slot heat: accumulated waits, one counter per summary slot. The
-    /// adaptive victim policy ranks deadlock-cycle members by the heat of
-    /// the slot they are waiting at.
-    pub(crate) heat: Box<[AtomicU64]>,
-    /// Adaptive contention-management knobs (all off by default).
-    pub(crate) adaptive: AdaptivePolicy,
     /// Whether the optimistic intent fast path is on (default: on).
     fastpath: AtomicBool,
     /// Set by [`LockManager::begin_drain`]: parked waiters are woken and
@@ -343,8 +336,6 @@ impl<R: Resource> LockManager<R> {
             stats: LockStats::default(),
             journal: OnceLock::new(),
             summaries: (0..n * SLOTS_PER_SHARD).map(|_| AtomicU64::new(0)).collect(),
-            heat: (0..n * SLOTS_PER_SHARD).map(|_| AtomicU64::new(0)).collect(),
-            adaptive: AdaptivePolicy::off(),
             fastpath: AtomicBool::new(true),
             draining: AtomicBool::new(false),
             probe_armed: AtomicBool::new(false),
@@ -440,11 +431,6 @@ impl<R: Resource> LockManager<R> {
     /// Statistics counters.
     pub fn stats(&self) -> &LockStats {
         &self.stats
-    }
-
-    /// The adaptive contention-management policy (runtime-tunable).
-    pub fn adaptive(&self) -> &AdaptivePolicy {
-        &self.adaptive
     }
 
     /// Number of shards the table is striped into.

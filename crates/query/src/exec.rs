@@ -239,7 +239,8 @@ impl<'p> Compiled<'p> {
 
 /// The lock rules that fire each time `range` binds a row: the
 /// Object/Subtree rules of the accesses below a relation range, the Elements
-/// rules of a dependent range's own accesses.
+/// rules of the range's own accesses (a relation range's path has no steps,
+/// so its Elements rule locks the accessed attribute of each bound object).
 fn binding_rules<'p>(
     plan: &'p QueryPlan,
     range: &BoundRange,
@@ -268,7 +269,7 @@ fn binding_rules<'p>(
                 Granularity::Subtree if below_relation_range(planned, access) => {
                     analysis.range(&access.var).map_or(&access.path, |r| &r.path).steps()
                 }
-                Granularity::Elements if range.parent.is_some() && access.var == range.var => {
+                Granularity::Elements if access.var == range.var => {
                     &access.path.steps()[range.path.steps().len()..]
                 }
                 _ => return None,

@@ -21,8 +21,9 @@ fn a_rejected_outer_row_takes_no_inner_locks_and_the_trace_stays_clean() {
     colock_trace::enable();
     let mark = colock_trace::current_seq();
 
-    // `c.cell_id > 'c1'` is no key predicate: the scan binds c1 and c2, and
-    // the conjunct rejects c1 before its robots are iterated.
+    // `c.cell_id > 'c1'` is no key predicate: the scan binds c1 and c2,
+    // S-locks the `cell_id` the conjunct reads on each, and the conjunct
+    // rejects c1 before its robots are iterated.
     let reader = mgr.begin(TxnKind::Short);
     let out = run(
         &reader,
@@ -45,7 +46,10 @@ fn a_rejected_outer_row_takes_no_inner_locks_and_the_trace_stays_clean() {
             "db:db1 IX",
             "db:db1/seg:seg1 IX",
             "db:db1/seg:seg1/rel:cells IX",
+            "db:db1/seg:seg1/rel:cells/obj:c1 IS",
+            "db:db1/seg:seg1/rel:cells/obj:c1/cell_id S",
             "db:db1/seg:seg1/rel:cells/obj:c2 IX",
+            "db:db1/seg:seg1/rel:cells/obj:c2/cell_id S",
             "db:db1/seg:seg1/rel:cells/obj:c2/robots IX",
             "db:db1/seg:seg1/rel:cells/obj:c2/robots/[r1] X",
             "db:db1/seg:seg2 IS",

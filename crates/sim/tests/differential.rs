@@ -12,9 +12,7 @@
 //!
 //! The scripted driver is single-threaded and deterministic, so any
 //! difference between the runs is the fast path changing an admission
-//! decision — exactly the bug class this harness exists to catch. Every
-//! property runs each case with the adaptive contention policy off, then
-//! on.
+//! decision — exactly the bug class this harness exists to catch.
 
 use colock_check::Linter;
 use colock_core::authorization::Authorization;
@@ -144,20 +142,16 @@ fn storage_fingerprint(mgr: &TransactionManager) -> String {
 }
 
 /// Runs the workload once on a fresh store with the fast path forced on or
-/// off and the adaptive policy on or off, lints the trace window it
-/// produced, and re-derives the summary words. The scripted runs are
+/// off, lints the trace window it produced, and re-derives the summary words. The scripted runs are
 /// sequential within the test, so each gets a disjoint `events_since`
 /// window of the process-global ring.
-fn run_one(w: &Workload, fastpath: bool, adaptive: bool) -> Result<Observation, String> {
+fn run_one(w: &Workload, fastpath: bool) -> Result<Observation, String> {
     let mgr = TransactionManager::over_store(
         build_cells_store(&cfg()),
         Authorization::allow_all(),
         ProtocolKind::Proposed,
     );
     mgr.lock_manager().set_fastpath(fastpath);
-    if adaptive {
-        mgr.lock_manager().adaptive().enable();
-    }
     trace::enable();
     let mark = trace::current_seq();
     let history = run_scripted(&mgr, w.0.clone());
@@ -183,32 +177,22 @@ fn run_one(w: &Workload, fastpath: bool, adaptive: bool) -> Result<Observation, 
 fn optimistic_and_pessimistic_paths_are_observationally_equivalent() {
     let c = cfg();
     forall!(cases: 24, |rng| Workload(random_scripts(rng.next_u64(), 4, 4, &c)), |w: &Workload| {
-        for adaptive in [false, true] {
-            let optimistic = run_one(w, true, adaptive)?;
-            let pessimistic = run_one(w, false, adaptive)?;
-            ensure_eq!(
-                optimistic.committed,
-                pessimistic.committed,
-                "adaptive={adaptive}: commit sets diverge"
-            );
-            ensure_eq!(
-                optimistic.aborted,
-                pessimistic.aborted,
-                "adaptive={adaptive}: abort sets diverge"
-            );
-            ensure!(
-                optimistic.history == pessimistic.history,
-                "adaptive={adaptive}: histories diverge:\n  fast: {}\n  slow: {}",
-                optimistic.history,
-                pessimistic.history
-            );
-            ensure!(
-                optimistic.storage == pessimistic.storage,
-                "adaptive={adaptive}: final storage diverges:\n  fast:\n{}\n  slow:\n{}",
-                optimistic.storage,
-                pessimistic.storage
-            );
-        }
+        let optimistic = run_one(w, true)?;
+        let pessimistic = run_one(w, false)?;
+        ensure_eq!(optimistic.committed, pessimistic.committed, "commit sets diverge");
+        ensure_eq!(optimistic.aborted, pessimistic.aborted, "abort sets diverge");
+        ensure!(
+            optimistic.history == pessimistic.history,
+            "histories diverge:\n  fast: {}\n  slow: {}",
+            optimistic.history,
+            pessimistic.history
+        );
+        ensure!(
+            optimistic.storage == pessimistic.storage,
+            "final storage diverges:\n  fast:\n{}\n  slow:\n{}",
+            optimistic.storage,
+            pessimistic.storage
+        );
         Ok(())
     });
 }
@@ -220,11 +204,7 @@ fn optimistic_and_pessimistic_paths_are_observationally_equivalent() {
 /// the reader phase. Both phases must be lint-clean (the snapshot rules
 /// check the reader trace: no lock events from "readonly" transactions,
 /// no snapshot reads outside them).
-fn run_mvcc(
-    w: &Workload,
-    mvcc: bool,
-    adaptive: bool,
-) -> Result<(Observation, String, u64), String> {
+fn run_mvcc(w: &Workload, mvcc: bool) -> Result<(Observation, String, u64), String> {
     use std::fmt::Write;
     let mgr = TransactionManager::over_store(
         build_cells_store(&cfg()),
@@ -232,9 +212,6 @@ fn run_mvcc(
         ProtocolKind::Proposed,
     );
     mgr.set_mvcc(mvcc);
-    if adaptive {
-        mgr.lock_manager().adaptive().enable();
-    }
     trace::enable();
     let mark = trace::current_seq();
     let history = run_scripted(&mgr, w.0.clone());
@@ -278,20 +255,18 @@ fn run_mvcc(
 fn mvcc_overlay_and_locking_reads_are_observationally_equivalent() {
     let c = cfg();
     forall!(cases: 16, |rng| Workload(random_scripts(rng.next_u64(), 4, 4, &c)), |w: &Workload| {
-        for adaptive in [false, true] {
-            let (on_obs, on_reads, on_elided) = run_mvcc(w, true, adaptive)?;
-            let (off_obs, off_reads, off_elided) = run_mvcc(w, false, adaptive)?;
-            ensure_eq!(on_obs, off_obs, "adaptive={adaptive}: writer phase diverges under MVCC");
-            ensure!(
-                on_reads == off_reads,
-                "adaptive={adaptive}: reader results diverge:\n  mvcc:\n{}\n  locking:\n{}",
-                on_reads,
-                off_reads
-            );
-            let expected = (cfg().n_cells * cfg().robots_per_cell + cfg().n_effectors) as u64;
-            ensure_eq!(on_elided, expected, "every overlay read must elide its lock");
-            ensure_eq!(off_elided, 0, "fallback readers must go through the lock table");
-        }
+        let (on_obs, on_reads, on_elided) = run_mvcc(w, true)?;
+        let (off_obs, off_reads, off_elided) = run_mvcc(w, false)?;
+        ensure_eq!(on_obs, off_obs, "writer phase diverges under MVCC");
+        ensure!(
+            on_reads == off_reads,
+            "reader results diverge:\n  mvcc:\n{}\n  locking:\n{}",
+            on_reads,
+            off_reads
+        );
+        let expected = (cfg().n_cells * cfg().robots_per_cell + cfg().n_effectors) as u64;
+        ensure_eq!(on_elided, expected, "every overlay read must elide its lock");
+        ensure_eq!(off_elided, 0, "fallback readers must go through the lock table");
         Ok(())
     });
 }
@@ -308,11 +283,9 @@ fn equivalence_holds_under_write_heavy_contention() {
         }
         Workload(scripts)
     }, |w: &Workload| {
-        for adaptive in [false, true] {
-            let optimistic = run_one(w, true, adaptive)?;
-            let pessimistic = run_one(w, false, adaptive)?;
-            ensure_eq!(optimistic, pessimistic, "adaptive={adaptive}: write-heavy divergence");
-        }
+        let optimistic = run_one(w, true)?;
+        let pessimistic = run_one(w, false)?;
+        ensure_eq!(optimistic, pessimistic, "write-heavy divergence");
         Ok(())
     });
 }

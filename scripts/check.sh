@@ -137,20 +137,20 @@ echo "==> stress_explore (DPOR interleaving explorer, linted + certified)"
 COLOCK_EXPLORE_MAX_SCHEDULES="${COLOCK_EXPLORE_MAX_SCHEDULES:-600}" \
     cargo run --offline --release -q -p colock-bench --bin stress_explore
 
-echo "==> stress_lockmgr (bounded rounds; fast-path-off and adaptive rounds; linted + certified)"
+echo "==> stress_lockmgr (bounded rounds; fast-path-off rounds; linted + certified)"
 # Every harness below traces, lints and certifies every round. Each picks its
 # own ablation rounds by round number and names the ablation in its output.
-# 60 rounds: 40 default, 10 fast-path-off, 10 adaptive.
-COLOCK_STRESS_ROUNDS="${COLOCK_STRESS_ROUNDS:-60}" \
+# 50 rounds: 40 default, 10 fast-path-off.
+COLOCK_STRESS_ROUNDS="${COLOCK_STRESS_ROUNDS:-50}" \
     cargo run --offline --release -q -p colock-bench --bin stress_lockmgr
 
-echo "==> stress_insert_storm (hot-HoLU commuting inserts; semantic-off and adaptive rounds)"
+echo "==> stress_insert_storm (hot-HoLU commuting inserts; semantic-off rounds)"
 # The semantic-mode acceptance workload: N writers insert distinct elements
 # into ONE set-valued HoLU. With semantic modes on, inserters commute via
 # Insert on the container; on semantic-off rounds every insert X-locks it.
-# Every round must keep every per-round invariant. 40 rounds: 20 default, 10
-# semantic-off, 10 adaptive.
-COLOCK_STRESS_ROUNDS="${COLOCK_STRESS_ROUNDS:-40}" \
+# Every round must keep every per-round invariant. 30 rounds: 20 default, 10
+# semantic-off.
+COLOCK_STRESS_ROUNDS="${COLOCK_STRESS_ROUNDS:-30}" \
     cargo run --offline --release -q -p colock-bench --bin stress_insert_storm
 
 echo "==> stress_recovery (bounded fault-injection sweep; fast-path-off rounds)"
@@ -191,7 +191,7 @@ COLOCK_SERVER_ROUNDS="${COLOCK_SERVER_ROUNDS:-1}" \
 
 echo "==> differential fast-path equivalence suite"
 # The optimistic/pessimistic differential harness runs both paths itself,
-# each case with the adaptive policy off and on; this run keeps it in the
+# and each MVCC case with the overlay on and off; this run keeps it in the
 # gate so a fast-path change cannot land without the
 # observational-equivalence proof passing.
 cargo test --offline -q -p colock-sim --test differential
