@@ -4,8 +4,9 @@
 //! Every round, `WORKERS` writer threads run `OPS` seeded transactions each
 //! against one shared manager. Half of them bump the writer's *own* counter,
 //! kept in its own robot's `trajectory` in `cells[c1]` AND `cells[c2]` — so
-//! all writers work on disjoint elements of the same two objects, under the
-//! same relation latch, and every commit is a two-object version install.
+//! all writers work on disjoint elements of the same two objects, each
+//! object under one store latch stripe, and every commit is a two-object
+//! version install across two stripes.
 //! The other half bump a counter in a *shared* effector (`tool`), which
 //! serializes the writers on its X lock. One transaction in eight writes
 //! `dirty` and aborts. Meanwhile `READERS` threads take `begin_readonly`

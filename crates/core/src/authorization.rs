@@ -13,9 +13,13 @@
 //! can be updated by a serving layer: `colock-server` grants a session's
 //! rights at `BEGIN` and retracts them at end of transaction, giving each
 //! connection its own rule 4′ environment without rebuilding the manager.
+//! While no transaction holds an override — the common case — checks and
+//! retractions skip that lock: a count of the transactions with overrides,
+//! changed only under its write lock, reads zero.
 
 use colock_lockmgr::TxnId;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{PoisonError, RwLock};
 
 /// Access right of a transaction on a relation.
@@ -42,17 +46,22 @@ pub struct Authorization {
     /// `(txn) -> (relation -> right)`. Interior-mutable: grants arrive while
     /// the matrix is shared behind an `Arc` (per-session contexts).
     txn_rights: RwLock<HashMap<TxnId, HashMap<String, Right>>>,
+    /// Transactions with an entry in `txn_rights`; changed only under its
+    /// write lock. A transaction's grants happen before its own checks and
+    /// its retraction, so while this reads zero it has no entry and neither
+    /// needs the lock.
+    overriding: AtomicUsize,
     /// Relation-wide defaults (apply to all txns without specific override).
     relation_defaults: HashMap<String, Right>,
 }
 
 impl Clone for Authorization {
     fn clone(&self) -> Self {
+        let txn_rights = self.txn_rights.read().unwrap_or_else(PoisonError::into_inner).clone();
         Authorization {
             default_right: self.default_right,
-            txn_rights: RwLock::new(
-                self.txn_rights.read().unwrap_or_else(PoisonError::into_inner).clone(),
-            ),
+            overriding: AtomicUsize::new(txn_rights.len()),
+            txn_rights: RwLock::new(txn_rights),
             relation_defaults: self.relation_defaults.clone(),
         }
     }
@@ -80,30 +89,38 @@ impl Authorization {
     /// `&self`: the matrix may already be shared (sessions grant through the
     /// manager's `Arc`).
     pub fn grant(&self, txn: TxnId, relation: impl Into<String>, right: Right) {
-        self.txn_rights
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(txn)
-            .or_default()
-            .insert(relation.into(), right);
+        let mut rights = self.txn_rights.write().unwrap_or_else(PoisonError::into_inner);
+        let overrides = rights.entry(txn).or_insert_with(|| {
+            self.overriding.fetch_add(1, Ordering::Relaxed);
+            HashMap::new()
+        });
+        overrides.insert(relation.into(), right);
     }
 
     /// Drops every per-transaction override of `txn` (end of transaction —
     /// ids are never reused, so keeping them would leak).
     pub fn retract(&self, txn: TxnId) {
-        self.txn_rights.write().unwrap_or_else(PoisonError::into_inner).remove(&txn);
+        if self.overriding.load(Ordering::Relaxed) == 0 {
+            return;
+        }
+        let mut rights = self.txn_rights.write().unwrap_or_else(PoisonError::into_inner);
+        if rights.remove(&txn).is_some() {
+            self.overriding.fetch_sub(1, Ordering::Relaxed);
+        }
     }
 
     /// The effective right of `txn` on `relation`.
     pub fn right(&self, txn: TxnId, relation: &str) -> Right {
-        if let Some(r) = self
-            .txn_rights
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&txn)
-            .and_then(|m| m.get(relation))
-        {
-            return *r;
+        if self.overriding.load(Ordering::Relaxed) > 0 {
+            if let Some(r) = self
+                .txn_rights
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get(&txn)
+                .and_then(|m| m.get(relation))
+            {
+                return *r;
+            }
         }
         if let Some(r) = self.relation_defaults.get(relation) {
             return *r;

@@ -18,6 +18,7 @@
 
 use crate::error::LockError;
 use crate::mode::LockMode;
+use crate::pad::CachePadded;
 use crate::persistent::JournalOp;
 use crate::queue::ShardInner;
 use crate::stats::LockStats;
@@ -67,8 +68,9 @@ impl<R> Default for TxnState<R> {
 /// only contended across distinct transactions).
 pub(crate) const TXN_STRIPES: usize = 16;
 
-/// One stripe of the per-transaction state map.
-pub(crate) type TxnStripe<R> = Mutex<FastMap<TxnId, TxnState<R>>>;
+/// One stripe of the per-transaction state map, on lines of its own (the
+/// stripes of concurrent transactions are locked by different threads).
+pub(crate) type TxnStripe<R> = CachePadded<Mutex<FastMap<TxnId, TxnState<R>>>>;
 
 pub(crate) type StripeGuard<'a, R> = MutexGuard<'a, FastMap<TxnId, TxnState<R>>>;
 

@@ -27,6 +27,7 @@ mod fastpath;
 mod inventory;
 pub mod mode;
 pub mod persistent;
+pub mod pad;
 mod queue;
 mod request;
 pub mod stats;
@@ -36,6 +37,7 @@ pub mod txnid;
 
 pub use error::LockError;
 pub use mode::LockMode;
+pub use pad::CachePadded;
 pub use persistent::{
     Journal, JournalCrash, JournalError, JournalOp, JournalSink, LongLockImage, Recovered,
 };

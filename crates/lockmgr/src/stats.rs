@@ -4,30 +4,61 @@
 //! argues about qualitatively (§3.2.1, §4.6): number of locks requested and
 //! held (administration overhead), number of compatibility tests (conflict
 //! test overhead), waits (lost concurrency) and deadlocks.
+//!
+//! Every lock request bumps several of them, so they are kept per thread:
+//! [`LockStats`] holds one cache-padded [`StatsCell`] for each of eight
+//! thread slots and hands the calling thread its own (through `Deref`), so
+//! threads working on disjoint objects never write one shared line. A
+//! snapshot sums the counters over the cells and takes the maximum of the
+//! marks.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::pad::CachePadded;
+use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Declares the counters once: [`LockStats`], its `snapshot` and `reset`,
-/// [`StatsSnapshot`] and its `since` are all generated from this one list.
-/// A `counter` is differenced by `since`; a high-water `mark` keeps the
-/// later value.
+/// Counter cells per [`LockStats`]. Threads take slots round-robin in the
+/// order they first touch any `LockStats`; threads sharing a slot share its
+/// cell, which is still exact, only no longer private.
+const STAT_SLOTS: usize = 8;
+
+/// The slot the next thread to touch statistics takes (modulo
+/// [`STAT_SLOTS`]).
+static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's cell index in every `LockStats`.
+    static SLOT: usize = NEXT_SLOT.fetch_add(1, Ordering::Relaxed) % STAT_SLOTS;
+}
+
+/// Declares the counters once: [`StatsCell`], [`LockStats`]'s `snapshot`
+/// and `reset`, [`StatsSnapshot`] and its `since` are all generated from
+/// this one list. A `counter` is summed over the cells and differenced by
+/// `since`; a high-water `mark` is the maximum over the cells, and `since`
+/// keeps the later value.
 macro_rules! lock_stats {
     ($($(#[$doc:meta])+ $kind:ident $name:ident,)+) => {
-        /// Thread-safe statistics counters.
+        /// One thread slot's counters (see [`LockStats`]).
         #[derive(Debug, Default)]
-        pub struct LockStats {
+        pub struct StatsCell {
             $($(#[$doc])+ pub $name: AtomicU64,)+
         }
 
         impl LockStats {
-            /// Copies all counters into a plain snapshot.
+            /// Copies all counters into a plain snapshot: counters summed
+            /// over the thread cells, marks their maximum.
             pub fn snapshot(&self) -> StatsSnapshot {
-                StatsSnapshot { $($name: self.$name.load(Ordering::Relaxed),)+ }
+                let mut s = StatsSnapshot::default();
+                for cell in self.cells.iter() {
+                    $(lock_stats!(@merge $kind s.$name, cell.$name.load(Ordering::Relaxed));)+
+                }
+                s
             }
 
-            /// Resets all counters to zero.
+            /// Resets every counter of every cell to zero.
             pub fn reset(&self) {
-                $(self.$name.store(0, Ordering::Relaxed);)+
+                for cell in self.cells.iter() {
+                    $(cell.$name.store(0, Ordering::Relaxed);)+
+                }
             }
         }
 
@@ -41,12 +72,31 @@ macro_rules! lock_stats {
             /// Difference `self - earlier`, counter-wise (high-water marks
             /// keep the later value).
             pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-                StatsSnapshot { $($name: lock_stats!(@$kind self.$name, earlier.$name),)+ }
+                StatsSnapshot { $($name: lock_stats!(@since $kind self.$name, earlier.$name),)+ }
             }
         }
     };
-    (@counter $later:expr, $earlier:expr) => { $later - $earlier };
-    (@mark $later:expr, $earlier:expr) => { $later };
+    (@merge counter $acc:expr, $cell:expr) => { $acc += $cell };
+    (@merge mark $acc:expr, $cell:expr) => { $acc = $acc.max($cell) };
+    (@since counter $later:expr, $earlier:expr) => { $later - $earlier };
+    (@since mark $later:expr, $earlier:expr) => { $later };
+}
+
+/// Thread-safe statistics counters: one cache-padded [`StatsCell`] per
+/// thread slot. `stats.requests` (through `Deref`) is the calling thread's
+/// cell, which is what the bumping helpers below take; read the totals
+/// with [`LockStats::snapshot`].
+#[derive(Debug, Default)]
+pub struct LockStats {
+    cells: [CachePadded<StatsCell>; STAT_SLOTS],
+}
+
+impl Deref for LockStats {
+    type Target = StatsCell;
+    /// The calling thread's cell.
+    fn deref(&self) -> &StatsCell {
+        &self.cells[SLOT.with(|s| *s)]
+    }
 }
 
 lock_stats! {

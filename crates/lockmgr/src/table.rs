@@ -43,6 +43,7 @@
 use crate::error::LockError;
 use crate::inventory::{TxnStripe, TXN_STRIPES};
 use crate::mode::LockMode;
+use crate::pad::CachePadded;
 use crate::persistent::JournalSink;
 use crate::queue::ShardInner;
 use crate::request::Request;
@@ -283,12 +284,15 @@ impl<R: Resource> DerefMut for ShardGuard<'_, R> {
 /// assert!(lm.acquire(t2, "cells/c1", LockMode::S, LockRequestOptions::try_lock()).is_ok());
 /// ```
 pub struct LockManager<R: Resource> {
-    pub(crate) shards: Box<[Mutex<ShardInner<R>>]>,
+    /// Shard mutexes, each on lines of its own.
+    pub(crate) shards: Box<[CachePadded<Mutex<ShardInner<R>>>]>,
     pub(crate) shard_mask: usize,
     pub(crate) stripes: Box<[TxnStripe<R>]>,
     /// Resources currently present across all shards (kept as an atomic so
     /// the `max_table_entries` high-water mark needs no cross-shard lock).
-    pub(crate) live_resources: AtomicU64,
+    /// Padded: it is written on every table insert and removal, and the
+    /// read-mostly words every request reads must not share its line.
+    pub(crate) live_resources: CachePadded<AtomicU64>,
     pub(crate) stats: LockStats,
     /// Durable long-lock journal: a request's long grants are on it before
     /// the request is acknowledged. `None` until attached; short-lock
@@ -329,10 +333,12 @@ impl<R: Resource> LockManager<R> {
     pub fn with_shards(n: usize) -> Self {
         let n = n.max(1).next_power_of_two();
         LockManager {
-            shards: (0..n).map(|_| Mutex::new(ShardInner::default())).collect(),
+            shards: (0..n).map(|_| CachePadded::new(Mutex::new(ShardInner::default()))).collect(),
             shard_mask: n - 1,
-            stripes: (0..TXN_STRIPES).map(|_| Mutex::new(FastMap::default())).collect(),
-            live_resources: AtomicU64::new(0),
+            stripes: (0..TXN_STRIPES)
+                .map(|_| CachePadded::new(Mutex::new(FastMap::default())))
+                .collect(),
+            live_resources: CachePadded::new(AtomicU64::new(0)),
             stats: LockStats::default(),
             journal: OnceLock::new(),
             summaries: (0..n * SLOTS_PER_SHARD).map(|_| AtomicU64::new(0)).collect(),

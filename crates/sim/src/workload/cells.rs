@@ -5,7 +5,7 @@
 use colock_core::fixtures::fig1_schema;
 use colock_nf2::value::build::{list, set, tup};
 use colock_nf2::{Catalog, ObjectKey, Value};
-use colock_storage::stats::catalog_with_stats;
+use colock_storage::stats::catalog_with_object_stats;
 use colock_storage::Store;
 use colock_testkit::Rng;
 use std::sync::Arc;
@@ -67,23 +67,22 @@ impl CellsConfig {
 /// Builds a populated store (with measured catalog statistics) for the
 /// configuration. Deterministic for a given seed.
 pub fn build_cells_store(cfg: &CellsConfig) -> Arc<Store> {
-    let base = Arc::new(Catalog::new(fig1_schema()).expect("fig1 schema"));
-    let staging = Store::new(base);
+    let base = Catalog::new(fig1_schema()).expect("fig1 schema");
     let mut rng = Rng::seed_from_u64(cfg.seed);
 
+    let mut effectors = Vec::with_capacity(cfg.n_effectors);
     for e in 0..cfg.n_effectors {
-        staging
-            .insert(
-                "effectors",
-                tup(vec![
-                    ("eff_id", Value::str(CellsConfig::effector_key(e).to_string())),
-                    ("tool", Value::str(format!("tool-{e}"))),
-                ]),
-            )
-            .expect("effector insert");
+        let key = CellsConfig::effector_key(e);
+        let effector = tup(vec![
+            ("eff_id", Value::str(key.to_string())),
+            ("tool", Value::str(format!("tool-{e}"))),
+        ]);
+        effectors.push((key, effector));
     }
+    let mut cells = Vec::with_capacity(cfg.n_cells);
     for c in 0..cfg.n_cells {
-        let cell_id = CellsConfig::cell_key(c).to_string();
+        let key = CellsConfig::cell_key(c);
+        let cell_id = key.to_string();
         let c_objects: Vec<Value> = (0..cfg.c_objects_per_cell)
             .map(|o| {
                 tup(vec![
@@ -119,28 +118,34 @@ pub fn build_cells_store(cfg: &CellsConfig) -> Arc<Store> {
                 ])
             })
             .collect();
-        staging
-            .insert(
-                "cells",
-                tup(vec![
-                    ("cell_id", Value::str(cell_id)),
-                    ("c_objects", set(c_objects)),
-                    ("robots", list(robots)),
-                ]),
-            )
-            .expect("cell insert");
+        let cell = tup(vec![
+            ("cell_id", Value::str(cell_id)),
+            ("c_objects", set(c_objects)),
+            ("robots", list(robots)),
+        ]);
+        cells.push((key, cell));
     }
 
-    // Rebuild under a stats-bearing catalog so the §4.5 optimizer sees real
-    // cardinalities.
-    let catalog = Arc::new(catalog_with_stats(&staging));
-    let store = Arc::new(Store::new(catalog));
-    for rel in ["effectors", "cells"] {
-        for (_, v) in staging.snapshot(rel).expect("snapshot").objects() {
-            store.insert(rel, v).expect("reinsert");
+    // A stats-bearing catalog, so the §4.5 optimizer sees real
+    // cardinalities, measured on the values before the one store is built.
+    let (effectors, cells) = (in_key_order(effectors), in_key_order(cells));
+    let catalog =
+        catalog_with_object_stats(&base, &[("effectors", &effectors), ("cells", &cells)]);
+    let store = Arc::new(Store::new(Arc::new(catalog)));
+    for (rel, objects) in [("effectors", effectors), ("cells", cells)] {
+        for v in objects {
+            store.insert(rel, v).expect("insert");
         }
     }
     store
+}
+
+/// The values of `objects` sorted by key: the order a load from a
+/// key-ordered scan inserts them in, so each object commits at the same
+/// timestamp whatever order they were generated in.
+fn in_key_order(mut objects: Vec<(ObjectKey, Value)>) -> Vec<Value> {
+    objects.sort_by(|a, b| a.0.cmp(&b.0));
+    objects.into_iter().map(|(_, v)| v).collect()
 }
 
 #[cfg(test)]

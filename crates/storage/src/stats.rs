@@ -9,23 +9,41 @@ use std::collections::HashMap;
 /// relation cardinalities plus average set/list cardinalities per attribute
 /// path.
 pub fn catalog_with_stats(store: &Store) -> Catalog {
-    let mut catalog = (**store.catalog()).clone();
+    let objects: Vec<(&str, Vec<Value>)> = store
+        .catalog()
+        .schema()
+        .relations
+        .iter()
+        .map(|rel| {
+            let keys = store.keys(&rel.name).unwrap_or_default();
+            let values = keys.iter().filter_map(|k| store.get(&rel.name, k).ok()).collect();
+            (rel.name.as_str(), values)
+        })
+        .collect();
+    let objects: Vec<(&str, &[Value])> =
+        objects.iter().map(|(rel, values)| (*rel, values.as_slice())).collect();
+    catalog_with_object_stats(store.catalog(), &objects)
+}
+
+/// `base` with the statistics [`catalog_with_stats`] would measure on a store
+/// holding exactly `objects` (per relation; a relation not listed is
+/// empty) — so a loader can plan against real cardinalities without
+/// populating a store twice.
+pub fn catalog_with_object_stats(base: &Catalog, objects: &[(&str, &[Value])]) -> Catalog {
+    let mut catalog = base.clone();
     let schema = catalog.schema().clone();
     for rel in &schema.relations {
-        let keys = store.keys(&rel.name).unwrap_or_default();
-        let n = keys.len() as u64;
-        catalog.relation_stats_mut(&rel.name).cardinality = n;
-        if n == 0 {
+        let values = objects.iter().find(|(name, _)| *name == rel.name).map_or(&[][..], |(_, v)| *v);
+        catalog.relation_stats_mut(&rel.name).cardinality = values.len() as u64;
+        if values.is_empty() {
             continue;
         }
         // Accumulate (sum, count-of-parents) per homogeneous path.
         let mut sums: HashMap<String, (f64, f64)> = HashMap::new();
-        for key in &keys {
-            let _ = store.with_object(&rel.name, key, |obj| {
-                if let Value::Tuple(fields) = obj {
-                    walk_fields(fields, rel.fields(), &AttrPath::root(), &mut sums);
-                }
-            });
+        for obj in values {
+            if let Value::Tuple(fields) = obj {
+                walk_fields(fields, rel.fields(), &AttrPath::root(), &mut sums);
+            }
         }
         for (path, (sum, parents)) in sums {
             if parents > 0.0 {

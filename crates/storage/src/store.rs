@@ -10,7 +10,7 @@
 //! copies the nodes on its path that something else still holds — the spine
 //! from the object root to the touched node, each node as wide as its
 //! fan-out — and a new version is the previous one with that spine replaced.
-//! Nothing on the write path copies a whole object, so the relation latch is
+//! Nothing on the write path copies a whole object, so an object's latch is
 //! held for O(depth × fan-out of the spine), not O(object).
 //! Snapshot readers resolve "newest version ≤ ts" against the chains and
 //! never consult the live map, so uncommitted writes are invisible to them
@@ -22,18 +22,32 @@
 //! object key must not change, and an element that takes a new key must not
 //! collide with a sibling of its set. The rest of the object was valid
 //! before the write and is not touched by it.
+//!
+//! **Latches.** Each relation's objects are spread over eight
+//! cache-padded read/write latches by a hash of the object key. A per-key
+//! operation takes its key's stripe only, so transactions on disjoint
+//! objects share no latch word. Whole-relation reads visit the stripes one
+//! at a time, in stripe order, and sort what they collect into key order.
+//! No path holds two stripes. That a scan is not one atomic cut of the
+//! relation is sound for the reasons a per-object latch would be: logical
+//! locks keep writers off the objects a transaction reads, a relation scan
+//! that must not see phantoms holds a relation-level lock that excludes
+//! inserts and deletes, and a snapshot scan reads chain entries ≤ its
+//! timestamp, which no concurrent commit changes (pruning keeps every entry
+//! a pinned snapshot can reach).
 
 use crate::error::StorageError;
 use crate::navigate;
 use crate::Result;
 use colock_core::TargetStep;
+use colock_lockmgr::CachePadded;
 use colock_nf2::{AttrType, Catalog, Nf2Error, ObjectKey, ObjectRef, RelationSchema, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Poison-recovering latch acquisition: a reader/writer that panicked cannot
-/// leave a relation permanently unusable — the data is guarded by the
+/// leave a latch stripe permanently unusable — the data is guarded by the
 /// transaction locks above, the latch only protects the map structure.
 trait Latch<T> {
     fn read_latch(&self) -> RwLockReadGuard<'_, T>;
@@ -54,25 +68,129 @@ impl<T> Latch<T> for RwLock<T> {
 /// commit (`None` = the object was deleted by that commit).
 type ChainEntry = (u64, Option<Value>);
 
-#[derive(Debug, Default)]
-struct RelationData {
-    /// Live (current) states. They share structure with the chain entries
-    /// they were installed from or into; a write un-shares its path only.
-    objects: BTreeMap<ObjectKey, Value>,
-    /// Per-object version chains, ascending by commit timestamp. Every
-    /// committed object has at least one entry (non-transactional mutators
-    /// auto-commit one version); a key absent here is invisible to every
-    /// snapshot.
-    chains: BTreeMap<ObjectKey, Vec<ChainEntry>>,
+/// Latch stripes per relation (a power of two).
+const STRIPES: usize = 8;
+
+/// The stripe of `key`: FNV-1a over a string key's bytes, an integer key's
+/// value. The last byte is multiplied by an odd number, so keys that differ
+/// only in their last character's low bits (`c1`, `c2`, …) land on
+/// different stripes, as do consecutive integer keys.
+fn stripe_of(key: &ObjectKey) -> usize {
+    let hash = match key {
+        ObjectKey::Str(s) => s.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        }),
+        ObjectKey::Int(i) => *i as u64,
+    };
+    hash as usize & (STRIPES - 1)
 }
 
-impl RelationData {
+/// One object: its live state and its committed versions.
+#[derive(Debug, Default)]
+struct Slot {
+    /// The live (current, possibly uncommitted) state; `None` before a
+    /// pending insert is committed into it or after a delete. It shares
+    /// structure with the chain entries it was installed from or into; a
+    /// write un-shares its path only.
+    live: Option<Value>,
+    /// Committed states, ascending by commit timestamp. Every committed
+    /// object has at least one entry (non-transactional mutators
+    /// auto-commit one version); an empty chain is invisible to every
+    /// snapshot.
+    chain: Vec<ChainEntry>,
+}
+
+/// The objects of one latch stripe. A slot with neither a live state nor a
+/// chain entry is removed.
+#[derive(Debug, Default)]
+struct StripeData {
+    slots: BTreeMap<ObjectKey, Slot>,
+}
+
+impl StripeData {
+    /// The live state of `key`.
+    fn live(&self, key: &ObjectKey) -> Option<&Value> {
+        self.slots.get(key)?.live.as_ref()
+    }
+
+    /// The version chain of `key` (empty if it never committed).
+    fn chain(&self, key: &ObjectKey) -> &[ChainEntry] {
+        self.slots.get(key).map_or(&[], |slot| &slot.chain)
+    }
+
     /// The live state of `relation[key]`, for writing.
     fn live_mut(&mut self, relation: &str, key: &ObjectKey) -> Result<&mut Value> {
-        self.objects.get_mut(key).ok_or_else(|| StorageError::UnknownObject {
-            relation: relation.to_string(),
-            key: key.clone(),
+        self.slots.get_mut(key).and_then(|slot| slot.live.as_mut()).ok_or_else(|| {
+            StorageError::UnknownObject { relation: relation.to_string(), key: key.clone() }
         })
+    }
+
+    /// The slot of `key`, created empty (the key cloned) if absent.
+    fn slot_mut(&mut self, key: &ObjectKey) -> &mut Slot {
+        if !self.slots.contains_key(key) {
+            self.slots.insert(key.clone(), Slot::default());
+        }
+        self.slots.get_mut(key).expect("inserted above")
+    }
+
+    /// Replaces the live state of `key`; returns the previous one.
+    fn set_live(&mut self, key: &ObjectKey, value: Option<Value>) -> Option<Value> {
+        let before = match value {
+            Some(v) => self.slot_mut(key).live.replace(v),
+            None => self.slots.get_mut(key).and_then(|slot| slot.live.take()),
+        };
+        self.drop_if_empty(key);
+        before
+    }
+
+    /// Removes `key`'s slot if nothing is left in it.
+    fn drop_if_empty(&mut self, key: &ObjectKey) {
+        if self.slots.get(key).is_some_and(|slot| slot.live.is_none() && slot.chain.is_empty()) {
+            self.slots.remove(key);
+        }
+    }
+}
+
+/// One relation: its objects over [`STRIPES`] latches, each on lines of its
+/// own.
+#[derive(Debug)]
+struct Relation {
+    stripes: Box<[CachePadded<RwLock<StripeData>>]>,
+}
+
+impl Relation {
+    fn new() -> Self {
+        Relation { stripes: (0..STRIPES).map(|_| CachePadded::default()).collect() }
+    }
+
+    /// The latch of `key`'s stripe.
+    fn stripe(&self, key: &ObjectKey) -> &RwLock<StripeData> {
+        &self.stripes[stripe_of(key)]
+    }
+
+    /// Visits every slot, one stripe read-latched at a time, in stripe order
+    /// (not key order).
+    fn for_each(&self, mut f: impl FnMut(&ObjectKey, &Slot)) {
+        for stripe in self.stripes.iter() {
+            for (key, slot) in &stripe.read_latch().slots {
+                f(key, slot);
+            }
+        }
+    }
+
+    /// What `f` picks from the slots, in key order (`key` names the key of
+    /// a picked item).
+    fn collect_sorted<T>(
+        &self,
+        mut f: impl FnMut(&ObjectKey, &Slot) -> Option<T>,
+        key: impl Fn(&T) -> &ObjectKey,
+    ) -> Vec<T> {
+        let mut out = Vec::new();
+        self.for_each(|k, slot| out.extend(f(k, slot)));
+        // Keys are unique across stripes, so the unstable sort is the order
+        // one map over the whole relation would have.
+        out.sort_unstable_by(|a, b| key(a).cmp(key(b)));
+        out
     }
 }
 
@@ -156,35 +274,32 @@ impl RelationSnapshot<'_> {
     /// `(key, value)` pairs visible at the snapshot, in key order. The values
     /// share their structure with the version chains.
     pub fn objects(&self) -> Vec<(ObjectKey, Value)> {
-        let data = self.store.data(self.relation).expect("validated at snapshot()").read_latch();
-        data.chains
-            .iter()
-            .filter_map(|(k, chain)| {
-                visible(chain, self.ts).map(|v| (k.clone(), v.clone()))
-            })
-            .collect()
+        self.data().collect_sorted(
+            |k, slot| visible(&slot.chain, self.ts).map(|v| (k.clone(), v.clone())),
+            |(k, _)| k,
+        )
     }
 
     /// The value of one object at the snapshot, if visible.
     pub fn get(&self, key: &ObjectKey) -> Option<Value> {
-        let data = self.store.data(self.relation).ok()?.read_latch();
-        visible(data.chains.get(key)?, self.ts).cloned()
+        let data = self.data().stripe(key).read_latch();
+        visible(data.chain(key), self.ts).cloned()
     }
 
     /// Keys visible at the snapshot, in order.
     pub fn keys(&self) -> Vec<ObjectKey> {
-        let data = self.store.data(self.relation).expect("validated at snapshot()").read_latch();
-        data.chains
-            .iter()
-            .filter(|(_, chain)| visible(chain, self.ts).is_some())
-            .map(|(k, _)| k.clone())
-            .collect()
+        self.store.keys_at(self.relation, self.ts).expect("validated at snapshot()")
     }
 
     /// Number of objects visible at the snapshot.
     pub fn len(&self) -> usize {
-        let data = self.store.data(self.relation).expect("validated at snapshot()").read_latch();
-        data.chains.values().filter(|chain| visible(chain, self.ts).is_some()).count()
+        let mut n = 0;
+        self.data().for_each(|_, slot| n += usize::from(visible(&slot.chain, self.ts).is_some()));
+        n
+    }
+
+    fn data(&self) -> &Relation {
+        self.store.data(self.relation).expect("validated at snapshot()")
     }
 
     /// Whether nothing is visible at the snapshot.
@@ -195,9 +310,10 @@ impl RelationSnapshot<'_> {
 
 /// The in-memory complex-object store.
 ///
-/// Thread-safe: relations are guarded by per-relation read/write locks (the
-/// *physical* latches of a storage engine — distinct from the transaction
-/// locks of `colock-lockmgr`, which are the paper's subject).
+/// Thread-safe: each relation's objects are guarded by eight read/write
+/// latches chosen by key (the *physical* latches of a storage engine —
+/// distinct from the transaction locks of `colock-lockmgr`, which are the
+/// paper's subject).
 ///
 /// ```
 /// use colock_core::fixtures::fig1_catalog;
@@ -222,14 +338,23 @@ impl RelationSnapshot<'_> {
 #[derive(Debug)]
 pub struct Store {
     catalog: Arc<Catalog>,
-    relations: BTreeMap<String, RwLock<RelationData>>,
-    clock: CommitClock,
+    relations: BTreeMap<String, Relation>,
+    /// What every commit writes, on lines of its own: the relation map
+    /// beside it is read by every operation.
+    commits: CachePadded<Commits>,
     /// Objects visited by reverse-reference scans (cumulative, for E2).
     scan_visits: AtomicU64,
-    /// Versions installed into chains (cumulative).
-    versions_installed: AtomicU64,
     /// Chain entries dropped by [`Store::prune_versions`] (cumulative).
     versions_pruned: AtomicU64,
+}
+
+/// The commit clock and the count of versions installed (bumped only under
+/// the clock's gate).
+#[derive(Debug, Default)]
+struct Commits {
+    clock: CommitClock,
+    /// Versions installed into chains (cumulative).
+    versions_installed: AtomicU64,
 }
 
 impl Store {
@@ -239,14 +364,13 @@ impl Store {
             .schema()
             .relations
             .iter()
-            .map(|r| (r.name.clone(), RwLock::new(RelationData::default())))
+            .map(|r| (r.name.clone(), Relation::new()))
             .collect();
         Store {
             catalog,
             relations,
-            clock: CommitClock::default(),
+            commits: CachePadded::default(),
             scan_visits: AtomicU64::new(0),
-            versions_installed: AtomicU64::new(0),
             versions_pruned: AtomicU64::new(0),
         }
     }
@@ -258,7 +382,7 @@ impl Store {
 
     /// The commit-timestamp clock of the multiversion overlay.
     pub fn clock(&self) -> &CommitClock {
-        &self.clock
+        &self.commits.clock
     }
 
     fn schema_of(&self, relation: &str) -> Result<&RelationSchema> {
@@ -268,22 +392,16 @@ impl Store {
             .map_err(|_| StorageError::UnknownRelation(relation.to_string()))
     }
 
-    fn data(&self, relation: &str) -> Result<&RwLock<RelationData>> {
+    fn data(&self, relation: &str) -> Result<&Relation> {
         self.relations
             .get(relation)
             .ok_or_else(|| StorageError::UnknownRelation(relation.to_string()))
     }
 
-    /// Appends one committed state to `key`'s chain (the key is cloned only
-    /// for an object's first version).
-    fn push_version(&self, data: &mut RelationData, key: &ObjectKey, ts: u64, image: Option<Value>) {
-        match data.chains.get_mut(key) {
-            Some(chain) => chain.push((ts, image)),
-            None => {
-                data.chains.insert(key.clone(), vec![(ts, image)]);
-            }
-        }
-        self.versions_installed.fetch_add(1, Ordering::Relaxed);
+    /// Appends one committed state to an object's chain.
+    fn push_version(&self, slot: &mut Slot, ts: u64, image: Option<Value>) {
+        slot.chain.push((ts, image));
+        self.commits.versions_installed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Inserts a complex object; validates the value against the schema and
@@ -291,7 +409,7 @@ impl Store {
     /// Auto-commits one version (the non-transactional entry point).
     pub fn insert(&self, relation: &str, value: Value) -> Result<ObjectKey> {
         let key = self.object_key(relation, &value)?;
-        self.clock.commit(|ts| self.insert_inner(relation, key.clone(), value, Some(ts)))?;
+        self.clock().commit(|ts| self.insert_inner(relation, key.clone(), value, Some(ts)))?;
         Ok(key)
     }
 
@@ -320,25 +438,26 @@ impl Store {
         version: Option<u64>,
     ) -> Result<()> {
         self.check_refs_resolve(&value)?;
-        let mut data = self.data(relation)?.write_latch();
-        if data.objects.contains_key(&key) {
+        let mut data = self.data(relation)?.stripe(&key).write_latch();
+        if data.live(&key).is_some() {
             return Err(StorageError::DuplicateObject {
                 relation: relation.to_string(),
                 key,
             });
         }
+        let slot = data.slots.entry(key).or_default();
         if let Some(ts) = version {
-            self.push_version(&mut data, &key, ts, Some(value.clone()));
+            self.push_version(slot, ts, Some(value.clone()));
         }
-        data.objects.insert(key, value);
+        slot.live = Some(value);
         Ok(())
     }
 
     /// Reads a full object. The result shares its structure with the store
     /// (no copy); later writes to the object never show through it.
     pub fn get(&self, relation: &str, key: &ObjectKey) -> Result<Value> {
-        let data = self.data(relation)?.read_latch();
-        data.objects.get(key).cloned().ok_or_else(|| StorageError::UnknownObject {
+        let data = self.data(relation)?.stripe(key).read_latch();
+        data.live(key).cloned().ok_or_else(|| StorageError::UnknownObject {
             relation: relation.to_string(),
             key: key.clone(),
         })
@@ -351,9 +470,8 @@ impl Store {
         key: &ObjectKey,
         f: impl FnOnce(&Value) -> T,
     ) -> Result<T> {
-        let data = self.data(relation)?.read_latch();
-        data.objects
-            .get(key)
+        let data = self.data(relation)?.stripe(key).read_latch();
+        data.live(key)
             .map(f)
             .ok_or_else(|| StorageError::UnknownObject {
                 relation: relation.to_string(),
@@ -383,8 +501,8 @@ impl Store {
         ts: u64,
     ) -> Result<Value> {
         let schema = self.schema_of(relation)?;
-        let data = self.data(relation)?.read_latch();
-        let img = data.chains.get(key).and_then(|chain| visible(chain, ts)).ok_or_else(|| {
+        let data = self.data(relation)?.stripe(key).read_latch();
+        let img = visible(data.chain(key), ts).ok_or_else(|| {
             StorageError::UnknownObject { relation: relation.to_string(), key: key.clone() }
         })?;
         navigate::navigate(schema, img, steps)
@@ -395,21 +513,16 @@ impl Store {
     /// Whether an object is visible at snapshot timestamp `ts`.
     pub fn contains_at(&self, relation: &str, key: &ObjectKey, ts: u64) -> bool {
         self.data(relation)
-            .map(|d| {
-                d.read_latch().chains.get(key).and_then(|c| visible(c, ts)).is_some()
-            })
+            .map(|d| visible(d.stripe(key).read_latch().chain(key), ts).is_some())
             .unwrap_or(false)
     }
 
     /// Keys visible at snapshot timestamp `ts`, in order.
     pub fn keys_at(&self, relation: &str, ts: u64) -> Result<Vec<ObjectKey>> {
-        let data = self.data(relation)?.read_latch();
-        Ok(data
-            .chains
-            .iter()
-            .filter(|(_, c)| visible(c, ts).is_some())
-            .map(|(k, _)| k.clone())
-            .collect())
+        Ok(self.data(relation)?.collect_sorted(
+            |k, slot| visible(&slot.chain, ts).map(|_| k.clone()),
+            |k| k,
+        ))
     }
 
     /// Replaces the whole object; returns the before-image. Auto-commits one
@@ -423,19 +536,11 @@ impl Store {
             )));
         }
         self.check_refs_resolve(&value)?;
-        self.clock.commit(|ts| {
-            let mut data = self.data(relation)?.write_latch();
-            match data.objects.get_mut(key) {
-                Some(slot) => {
-                    let before = std::mem::replace(slot, value.clone());
-                    self.push_version(&mut data, key, ts, Some(value));
-                    Ok(before)
-                }
-                None => Err(StorageError::UnknownObject {
-                    relation: relation.to_string(),
-                    key: key.clone(),
-                }),
-            }
+        self.clock().commit(|ts| {
+            let mut data = self.data(relation)?.stripe(key).write_latch();
+            let before = std::mem::replace(data.live_mut(relation, key)?, value.clone());
+            self.push_version(data.slot_mut(key), ts, Some(value));
+            Ok(before)
         })
     }
 
@@ -451,7 +556,7 @@ impl Store {
         steps: &[TargetStep],
         new_value: Value,
     ) -> Result<Value> {
-        self.clock.commit(|ts| self.update_at_inner(relation, key, steps, new_value, Some(ts)))
+        self.clock().commit(|ts| self.update_at_inner(relation, key, steps, new_value, Some(ts)))
     }
 
     /// Transactional sub-object update: identical semantics, but the result
@@ -480,7 +585,7 @@ impl Store {
         self.check_refs_resolve(&new_value)?;
         check_subvalue(schema, key, steps, &new_value)?;
         let rekeyed = rekeyed_set_element(schema, steps, &new_value);
-        let mut data = self.data(relation)?.write_latch();
+        let mut data = self.data(relation)?.stripe(key).write_latch();
         let obj = data.live_mut(relation, key)?;
         if let Some((container, elem_ty, new_key)) = &rekeyed {
             let taken = navigate::navigate(schema, obj, container)
@@ -499,7 +604,7 @@ impl Store {
         let before = std::mem::replace(subtree, new_value);
         if let Some(ts) = version {
             let image = obj.clone();
-            self.push_version(&mut data, key, ts, Some(image));
+            self.push_version(data.slot_mut(key), ts, Some(image));
         }
         Ok(before)
     }
@@ -545,7 +650,7 @@ impl Store {
         let schema = self.schema_of(relation)?;
         self.check_refs_resolve(&element)?;
         let elem_ty = element_type(schema, relation, key, container)?;
-        let mut data = self.data(relation)?.write_latch();
+        let mut data = self.data(relation)?.stripe(key).write_latch();
         let obj = data.live_mut(relation, key)?;
         let bad_target = || StorageError::BadTarget(format!("{relation}[{key}].{container:?}"));
         // Look before copying the path: a refused insert leaves the object
@@ -577,7 +682,7 @@ impl Store {
     ) -> Result<(usize, Value)> {
         let schema = self.schema_of(relation)?;
         let elem_ty = element_type(schema, relation, key, container)?;
-        let mut data = self.data(relation)?.write_latch();
+        let mut data = self.data(relation)?.stripe(key).write_latch();
         let obj = data.live_mut(relation, key)?;
         let cont = navigate::navigate_mut(schema, obj, container).ok_or_else(|| {
             StorageError::BadTarget(format!("{relation}[{key}].{container:?}"))
@@ -605,7 +710,7 @@ impl Store {
     ) -> Result<()> {
         let schema = self.schema_of(relation)?;
         let elem_ty = element_type(schema, relation, key, container)?;
-        let mut data = self.data(relation)?.write_latch();
+        let mut data = self.data(relation)?.stripe(key).write_latch();
         let obj = data.live_mut(relation, key)?;
         let cont = navigate::navigate_mut(schema, obj, container).ok_or_else(|| {
             StorageError::BadTarget(format!("{relation}[{key}].{container:?}"))
@@ -631,7 +736,7 @@ impl Store {
         image: Value,
     ) -> Result<()> {
         let schema = self.schema_of(relation)?;
-        let mut data = self.data(relation)?.write_latch();
+        let mut data = self.data(relation)?.stripe(key).write_latch();
         let obj = data.live_mut(relation, key)?;
         let subtree = navigate::navigate_mut(schema, obj, steps).ok_or_else(|| {
             StorageError::BadTarget(format!("{relation}[{key}].{steps:?}"))
@@ -644,7 +749,7 @@ impl Store {
     /// (referential integrity). Returns the before-image. Auto-commits a
     /// tombstone version (the non-transactional entry point).
     pub fn delete(&self, relation: &str, key: &ObjectKey) -> Result<Value> {
-        self.clock.commit(|ts| self.delete_inner(relation, key, Some(ts)))
+        self.clock().commit(|ts| self.delete_inner(relation, key, Some(ts)))
     }
 
     /// Transactional delete: the object leaves the live map now, but stays
@@ -663,13 +768,13 @@ impl Store {
                 referencers,
             });
         }
-        let mut data = self.data(relation)?.write_latch();
-        let gone = data.objects.remove(key).ok_or_else(|| StorageError::UnknownObject {
+        let mut data = self.data(relation)?.stripe(key).write_latch();
+        let gone = data.set_live(key, None).ok_or_else(|| StorageError::UnknownObject {
             relation: relation.to_string(),
             key: key.clone(),
         })?;
         if let Some(ts) = version {
-            self.push_version(&mut data, key, ts, None);
+            self.push_version(data.slot_mut(key), ts, None);
         }
         Ok(gone)
     }
@@ -679,15 +784,7 @@ impl Store {
     /// Never versions: rollback re-establishes a state the chains already
     /// end in.
     pub fn restore(&self, relation: &str, key: &ObjectKey, image: Option<Value>) -> Result<()> {
-        let mut data = self.data(relation)?.write_latch();
-        match image {
-            Some(v) => {
-                data.objects.insert(key.clone(), v);
-            }
-            None => {
-                data.objects.remove(key);
-            }
-        }
+        self.data(relation)?.stripe(key).write_latch().set_live(key, image);
         Ok(())
     }
 
@@ -713,10 +810,10 @@ impl Store {
         patch: &VersionPatch,
     ) -> Result<()> {
         let schema = self.schema_of(relation)?;
-        let mut data = self.data(relation)?.write_latch();
+        let mut data = self.data(relation)?.stripe(key).write_latch();
         let data = &mut *data;
         let live = || {
-            data.objects.get(key).ok_or_else(|| StorageError::UnknownObject {
+            data.live(key).ok_or_else(|| StorageError::UnknownObject {
                 relation: relation.to_string(),
                 key: key.clone(),
             })
@@ -726,7 +823,7 @@ impl Store {
             VersionPatch::Full => Some(live()?.clone()),
             VersionPatch::Paths(paths) => {
                 let live = live()?;
-                let base = data.chains.get(key).and_then(|c| c.last()).and_then(|(_, v)| v.as_ref());
+                let base = data.chain(key).last().and_then(|(_, v)| v.as_ref());
                 let composed = base.and_then(|base| {
                     let mut img = base.clone();
                     paths
@@ -737,7 +834,7 @@ impl Store {
                 Some(composed.unwrap_or_else(|| live.clone()))
             }
         };
-        self.push_version(data, key, ts, image);
+        self.push_version(data.slot_mut(key), ts, image);
         Ok(())
     }
 
@@ -748,17 +845,16 @@ impl Store {
     /// entries dropped.
     pub fn prune_versions(&self, watermark: u64) -> u64 {
         let mut pruned = 0u64;
-        for lock in self.relations.values() {
-            let mut data = lock.write_latch();
-            data.chains.retain(|_, chain| {
+        for stripe in self.relations.values().flat_map(|r| r.stripes.iter()) {
+            stripe.write_latch().slots.retain(|_, Slot { live, chain }| {
                 let keep_from = chain.iter().rposition(|(t, _)| *t <= watermark).unwrap_or(0);
                 pruned += keep_from as u64;
                 chain.drain(..keep_from);
                 if chain.len() == 1 && chain[0].0 <= watermark && chain[0].1.is_none() {
                     pruned += 1;
-                    return false;
+                    chain.clear();
                 }
-                true
+                live.is_some() || !chain.is_empty()
             });
         }
         self.versions_pruned.fetch_add(pruned, Ordering::Relaxed);
@@ -767,12 +863,14 @@ impl Store {
 
     /// Total chain entries of one relation (GC observability).
     pub fn version_entries(&self, relation: &str) -> Result<usize> {
-        Ok(self.data(relation)?.read_latch().chains.values().map(Vec::len).sum())
+        let mut n = 0;
+        self.data(relation)?.for_each(|_, slot| n += slot.chain.len());
+        Ok(n)
     }
 
     /// Versions installed into chains so far (cumulative).
     pub fn versions_installed(&self) -> u64 {
-        self.versions_installed.load(Ordering::Relaxed)
+        self.commits.versions_installed.load(Ordering::Relaxed)
     }
 
     /// Chain entries dropped by pruning so far (cumulative).
@@ -782,12 +880,14 @@ impl Store {
 
     /// Keys of a relation, in order.
     pub fn keys(&self, relation: &str) -> Result<Vec<ObjectKey>> {
-        Ok(self.data(relation)?.read_latch().objects.keys().cloned().collect())
+        Ok(self.data(relation)?.collect_sorted(|k, slot| slot.live.as_ref().map(|_| k.clone()), |k| k))
     }
 
     /// Number of objects in a relation.
     pub fn len(&self, relation: &str) -> Result<usize> {
-        Ok(self.data(relation)?.read_latch().objects.len())
+        let mut n = 0;
+        self.data(relation)?.for_each(|_, slot| n += usize::from(slot.live.is_some()));
+        Ok(n)
     }
 
     /// Whether a relation is empty.
@@ -798,7 +898,7 @@ impl Store {
     /// Whether an object exists.
     pub fn contains(&self, relation: &str, key: &ObjectKey) -> bool {
         self.data(relation)
-            .map(|d| d.read_latch().objects.contains_key(key))
+            .map(|d| d.stripe(key).read_latch().live(key).is_some())
             .unwrap_or(false)
     }
 
@@ -810,7 +910,7 @@ impl Store {
             .relations
             .get_key_value(relation)
             .ok_or_else(|| StorageError::UnknownRelation(relation.to_string()))?;
-        Ok(RelationSnapshot { store: self, relation: name, ts: self.clock.stable() })
+        Ok(RelationSnapshot { store: self, relation: name, ts: self.clock().stable() })
     }
 
     /// Objects visited by all reverse scans so far.
@@ -830,15 +930,15 @@ impl Store {
             if !rel.direct_ref_targets().contains(&relation) {
                 continue;
             }
-            let data = self.data(&rel.name)?.read_latch();
-            for obj in data.objects.values() {
+            self.data(&rel.name)?.for_each(|_, slot| {
+                let Some(obj) = &slot.live else { return };
                 let mut refs = Vec::new();
                 obj.collect_refs(&mut refs);
                 count += refs
                     .iter()
                     .filter(|r| r.relation == relation && &r.key == key)
                     .count();
-            }
+            });
         }
         Ok(count)
     }
@@ -848,7 +948,7 @@ impl Store {
         value.collect_refs(&mut refs);
         for r in refs {
             let data = self.data(&r.relation)?;
-            if !data.read_latch().objects.contains_key(&r.key) {
+            if data.stripe(&r.key).read_latch().live(&r.key).is_none() {
                 return Err(StorageError::DanglingReference {
                     relation: r.relation.clone(),
                     key: r.key.clone(),

@@ -7,7 +7,7 @@ use crate::Result;
 use colock_core::{Authorization, InstanceTarget, ProtocolEngine, ProtocolKind, ResourcePath};
 use colock_lockmgr::txnid::TxnIdGen;
 use colock_lockmgr::{Journal, JournalSink, LockManager, TxnId};
-use colock_lockmgr::LockStats;
+use colock_lockmgr::{CachePadded, LockStats};
 use colock_storage::Store;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -21,9 +21,9 @@ pub struct TransactionManager {
     store: Arc<Store>,
     authz: Arc<Authorization>,
     protocol: ProtocolKind,
-    idgen: TxnIdGen,
-    /// Transactions begun or recovered and not yet finished.
-    active: AtomicUsize,
+    /// The words every transaction writes, on lines of their own: the
+    /// read-mostly settings beside them are read by every transaction.
+    hot: CachePadded<Hot>,
     /// States with no handle: leaked by [`Transaction::leak`] or re-adopted
     /// by [`TransactionManager::recover`], until `resume` takes them.
     parked: Mutex<HashMap<TxnId, TxnState>>,
@@ -34,12 +34,12 @@ pub struct TransactionManager {
     /// Multiversion overlay toggle (ablation): off, `begin_readonly`
     /// degrades to a locking reader.
     mvcc: AtomicBool,
-    /// Active snapshot timestamps → number of pinning transactions. The min
-    /// key is the GC low watermark; pruning runs under this mutex so a
-    /// concurrent `begin_readonly` cannot pin a timestamp mid-prune.
-    snapshots: Mutex<BTreeMap<u64, usize>>,
-    /// Writer commits since the last GC pass.
-    commits_since_gc: AtomicU64,
+    /// Active snapshot timestamps → number of pinning transactions, striped
+    /// by transaction id: a read-only transaction pins and unpins under its
+    /// own stripe's mutex only. The min key over all stripes is the GC low
+    /// watermark; pruning runs with every stripe locked, so a concurrent
+    /// `begin_readonly` cannot pin a timestamp mid-prune.
+    snapshots: [CachePadded<Mutex<BTreeMap<u64, usize>>>; SNAPSHOT_STRIPES],
     /// GC cadence in writer commits (0 = off).
     gc_every: AtomicU64,
     /// Semantic commutativity container modes toggle (ablation): off,
@@ -49,6 +49,18 @@ pub struct TransactionManager {
 
 /// Writer commits between automatic version-GC passes.
 const GC_EVERY: u64 = 64;
+
+/// Stripes of the snapshot-pin registry.
+const SNAPSHOT_STRIPES: usize = 8;
+
+/// The counters every transaction writes.
+struct Hot {
+    idgen: TxnIdGen,
+    /// Transactions begun or recovered and not yet finished.
+    active: AtomicUsize,
+    /// Writer commits since the last GC pass.
+    commits_since_gc: AtomicU64,
+}
 
 /// What `TransactionManager::recover` restored from a journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,20 +89,39 @@ impl TransactionManager {
             store,
             authz,
             protocol,
-            idgen: TxnIdGen::new(),
-            active: AtomicUsize::new(0),
+            hot: CachePadded::new(Hot {
+                idgen: TxnIdGen::new(),
+                active: AtomicUsize::new(0),
+                commits_since_gc: AtomicU64::new(0),
+            }),
             parked: Mutex::new(HashMap::new()),
             journal: OnceLock::new(),
             mvcc: AtomicBool::new(true),
-            snapshots: Mutex::new(BTreeMap::new()),
-            commits_since_gc: AtomicU64::new(0),
+            snapshots: std::array::from_fn(|_| CachePadded::new(Mutex::new(BTreeMap::new()))),
             gc_every: AtomicU64::new(GC_EVERY),
             semantic: AtomicBool::new(true),
         }
     }
 
-    fn snapshots_locked(&self) -> MutexGuard<'_, BTreeMap<u64, usize>> {
-        self.snapshots.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Locks the snapshot-pin stripe of `txn`.
+    fn snapshot_stripe(&self, txn: TxnId) -> MutexGuard<'_, BTreeMap<u64, usize>> {
+        let stripe = &self.snapshots[txn.0 as usize % SNAPSHOT_STRIPES];
+        stripe.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Locks every snapshot-pin stripe, in index order (the only order two
+    /// stripes are ever held in), and returns the oldest pinned timestamp —
+    /// or the current stable timestamp when nothing is pinned — with the
+    /// guards. While they are held no reader can pin: one that pinned
+    /// before is counted, one that pins after reads `stable()` ≥ the result.
+    fn pin_watermark(&self) -> (u64, Vec<MutexGuard<'_, BTreeMap<u64, usize>>>) {
+        let guards: Vec<_> = self
+            .snapshots
+            .iter()
+            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner))
+            .collect();
+        let oldest = guards.iter().filter_map(|g| g.keys().next().copied()).min();
+        (oldest.unwrap_or_else(|| self.store.clock().stable()), guards)
     }
 
     /// Whether the multiversion read overlay is active (read-only
@@ -149,22 +180,16 @@ impl TransactionManager {
     /// none is active. Versions older than the newest chain entry ≤ this are
     /// unreachable.
     pub fn low_watermark(&self) -> u64 {
-        self.snapshots_locked()
-            .keys()
-            .next()
-            .copied()
-            .unwrap_or_else(|| self.store.clock().stable())
+        self.pin_watermark().0
     }
 
     /// Prunes version chains up to the low watermark now; returns entries
     /// dropped. Runs automatically every [`TransactionManager::gc_every`]
     /// writer commits.
     pub fn gc_versions(&self) -> u64 {
-        // Hold the snapshot registry across the prune: a reader beginning
+        // Hold every pin stripe across the prune: a reader beginning
         // concurrently pins stable() ≥ our watermark, which pruning keeps.
-        let snaps = self.snapshots_locked();
-        let watermark =
-            snaps.keys().next().copied().unwrap_or_else(|| self.store.clock().stable());
+        let (watermark, _pins) = self.pin_watermark();
         self.store.prune_versions(watermark)
     }
 
@@ -222,13 +247,13 @@ impl TransactionManager {
             let mut parked = self.parked_locked();
             for &owner in &owners {
                 parked.entry(owner).or_insert_with(|| {
-                    self.active.fetch_add(1, Ordering::Relaxed);
+                    self.hot.active.fetch_add(1, Ordering::Relaxed);
                     TxnState::new(TxnKind::Long, None)
                 });
             }
         }
         if let Some(&max) = owners.iter().max() {
-            self.idgen.ensure_above(max);
+            self.hot.idgen.ensure_above(max);
         }
         for &owner in &owners {
             colock_trace::emit(|| {
@@ -261,7 +286,7 @@ impl TransactionManager {
 
     /// Starts a transaction.
     pub fn begin(&self, kind: TxnKind) -> Transaction<'_> {
-        let id = self.idgen.next();
+        let id = self.hot.idgen.next();
         colock_trace::emit(|| {
             colock_trace::Event::new(colock_trace::EventKind::TxnBegin, id.0)
                 .detail(if kind == TxnKind::Long { "long" } else { "short" })
@@ -271,7 +296,7 @@ impl TransactionManager {
 
     /// A handle for a new transaction, active until it finishes.
     fn open(&self, id: TxnId, st: TxnState) -> Transaction<'_> {
-        self.active.fetch_add(1, Ordering::Relaxed);
+        self.hot.active.fetch_add(1, Ordering::Relaxed);
         Transaction::new(self, id, st)
     }
 
@@ -283,11 +308,11 @@ impl TransactionManager {
     /// reader (begin detail `readonly-locking`), which is the ablation
     /// baseline.
     pub fn begin_readonly(&self) -> Transaction<'_> {
-        let id = self.idgen.next();
+        let id = self.hot.idgen.next();
         let snap = if self.mvcc_enabled() {
-            // Pin under the registry lock so a concurrent GC pass cannot
+            // Pin under the stripe lock so a concurrent GC pass cannot
             // compute a watermark above this timestamp before it lands.
-            let mut snaps = self.snapshots_locked();
+            let mut snaps = self.snapshot_stripe(id);
             let ts = self.store.clock().stable();
             *snaps.entry(ts).or_insert(0) += 1;
             Some(ts)
@@ -335,10 +360,10 @@ impl TransactionManager {
         undo: &[UndoRecord],
         commit: bool,
     ) -> Result<()> {
-        self.active.fetch_sub(1, Ordering::Relaxed);
+        self.hot.active.fetch_sub(1, Ordering::Relaxed);
         if let Some(ts) = snap {
             // Unpin the snapshot; the GC watermark may advance past it now.
-            let mut snaps = self.snapshots_locked();
+            let mut snaps = self.snapshot_stripe(txn);
             if let Some(n) = snaps.get_mut(&ts) {
                 *n -= 1;
                 if *n == 0 {
@@ -392,7 +417,7 @@ impl TransactionManager {
         if commit && !undo.is_empty() {
             let every = self.gc_every.load(Ordering::Relaxed);
             if every > 0
-                && (self.commits_since_gc.fetch_add(1, Ordering::Relaxed) + 1).is_multiple_of(every)
+                && (self.hot.commits_since_gc.fetch_add(1, Ordering::Relaxed) + 1).is_multiple_of(every)
             {
                 self.gc_versions();
             }
@@ -408,7 +433,7 @@ impl TransactionManager {
     /// Number of active transactions: begun or recovered and not finished,
     /// whether a handle holds them or they are parked.
     pub fn active_count(&self) -> usize {
-        self.active.load(Ordering::Relaxed)
+        self.hot.active.load(Ordering::Relaxed)
     }
 }
 

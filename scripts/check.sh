@@ -158,6 +158,12 @@ echo "==> stress_recovery (bounded fault-injection sweep; fast-path-off rounds)"
 COLOCK_RECOVERY_ROUNDS="${COLOCK_RECOVERY_ROUNDS:-15}" \
     cargo run --offline --release -q -p colock-bench --bin stress_recovery
 
+echo "==> disjoint_scaling (per-layer 1- vs 2-thread rates on disjoint cells; small budget)"
+# Every operation must succeed and never wait; the rates are printed, not
+# gated (EXPERIMENTS.md E16 has full-budget runs).
+COLOCK_BENCH_MS="${COLOCK_BENCH_MS:-50}" \
+    cargo run --offline --release -q -p colock-bench --bin disjoint_scaling
+
 echo "==> stress_snapshot (read-mostly storm against the MVCC overlay; MVCC-off rounds)"
 # 70% snapshot readers against writers: every MVCC round asserts
 # reads_elided matches the reader histogram, every MVCC-off round that
@@ -166,9 +172,11 @@ echo "==> stress_snapshot (read-mostly storm against the MVCC overlay; MVCC-off 
 COLOCK_STRESS_ROUNDS="${COLOCK_STRESS_ROUNDS:-50}" \
     cargo run --offline --release -q -p colock-bench --bin stress_snapshot
 
-echo "==> stress_store (sub-object writers vs snapshots vs GC on one relation)"
-# 4 writers on disjoint robots of the same two cells plus shared effectors,
-# one abort in eight, 2 snapshot-reader threads and interleaved gc_versions:
+echo "==> stress_store (sub-object writers vs snapshots vs GC on shared objects)"
+# 4 writers on disjoint robots of the same two cells plus shared effectors
+# (so same-object writers share a store latch stripe, and every commit
+# installs into two stripes), one abort in eight, 2 snapshot-reader threads
+# and interleaved gc_versions:
 # no lost update, every snapshot a committed prefix (no torn two-object
 # commit, nothing uncommitted, never going back), every chain one entry
 # after the final GC.

@@ -1,6 +1,7 @@
 //! Work ledger: exact counts pinned as budgets — heap allocations of the
-//! resource-identity operations on the lock path, and long-lock journal
-//! records per transaction.
+//! resource-identity operations on the lock path, of Fig. 7 statements and
+//! of building the mix database, and long-lock journal records per
+//! transaction.
 //!
 //! A count is the same on every host and every run, so a change that adds
 //! an allocation or a record to one of these operations fails here on any
@@ -210,4 +211,27 @@ fn fig7_statements_execute_within_budget() {
         (FIG7_Q1_BUDGET, FIG7_Q2_SELECT_BUDGET, FIG7_Q3_BUDGET),
         "execute allocations (Q1, Q2-select, Q3) changed: edit the budgets"
     );
+}
+
+/// Building the mix database (`CellsConfig { n_cells: 8, c_objects_per_cell:
+/// 8, .. }`, the repo benchmark's `parallel_disjoint` and `embedded_mix`
+/// database): the generated values, the stats-bearing catalog and the one
+/// populated store; then the manager over it (lock manager, protocol
+/// engine, rights). What a set-up repetition of the benchmark allocates
+/// besides the journal. The store was 2 557 while the catalog statistics
+/// were measured on a second, staging store.
+const MIX_STORE_BUDGET: u64 = 2_390;
+const MIX_MANAGER_BUDGET: u64 = 128;
+
+#[test]
+fn building_the_mix_store_and_manager_stays_within_budget() {
+    let cells = CellsConfig { n_cells: 8, c_objects_per_cell: 8, ..CellsConfig::default() };
+    let mut authz = Authorization::allow_all();
+    authz.set_relation_default("effectors", Right::Read);
+    let (store_allocs, store) = allocations(|| build_cells_store(&cells));
+    let (manager_allocs, mgr) =
+        allocations(|| TransactionManager::over_store(store, authz, ProtocolKind::Proposed));
+    assert_eq!(mgr.store().len("cells").unwrap(), 8);
+    assert_eq!(store_allocs, MIX_STORE_BUDGET, "mix store allocations changed: edit the budget");
+    assert_eq!(manager_allocs, MIX_MANAGER_BUDGET, "manager allocations changed: edit the budget");
 }
