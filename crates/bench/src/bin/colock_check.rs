@@ -223,7 +223,9 @@ fn self_test() {
         }
     }
     let _ = std::fs::remove_file(&path);
-    if reparsed != events {
+    // The line format leaves out the in-process manager instance id.
+    let captured: Vec<Event> = events.iter().map(|e| e.clone().instance(0)).collect();
+    if reparsed != captured {
         fail("round trip", "re-parsed stream differs from the captured one");
     }
     let report = linter.lint(&reparsed);

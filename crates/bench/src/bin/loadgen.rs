@@ -21,7 +21,7 @@
 //! The entire served window is traced, then linted against the §4.4.2 rules
 //! and certified at the end.
 
-use colock_bench::{check_trace, f1};
+use colock_bench::{f1, verify_window};
 use colock_core::authorization::{Authorization, Right};
 use colock_core::AccessMode;
 use colock_nf2::Value;
@@ -255,9 +255,12 @@ fn main() {
     assert_eq!(manager.active_count(), 0, "no transactions may survive the drain");
     assert!(committed + retries >= cfg.txns, "budget fully consumed");
 
-    let events = colock_trace::events_since(mark);
-    let (lint, cert) = check_trace("served trace", manager.store().catalog(), &events);
-    println!("lint: {} events, {} grants checked, 0 violations", events.len(), lint.grants_checked);
+    let (lint, cert) =
+        verify_window("served trace", manager.store().catalog(), mark, &[manager.trace_instance()]);
+    println!(
+        "lint: {} events, {} grants checked, 0 violations",
+        lint.events_seen, lint.grants_checked
+    );
     println!(
         "certify: {} committed txn(s), {} edge(s), conflict graph acyclic",
         cert.txns_committed, cert.edges

@@ -18,7 +18,7 @@
 //! Knob: `COLOCK_SERVER_ROUNDS` (default 5). Every round's trace window is
 //! linted and certified.
 
-use colock_bench::check_trace;
+use colock_bench::verify_window;
 use colock_core::authorization::{Authorization, Right};
 use colock_core::{AccessMode, ResourcePath};
 use colock_lockmgr::Journal;
@@ -71,8 +71,9 @@ fn main() {
         let mark = colock_trace::current_seq();
 
         // ---- Phase 1: serve, check out long locks, then crash. ----
-        let server = Server::start(manager_over(&store, &medium), ServerConfig::default())
-            .expect("bind");
+        let mgr1 = manager_over(&store, &medium);
+        let crashed = mgr1.trace_instance();
+        let server = Server::start(mgr1, ServerConfig::default()).expect("bind");
         let addr = server.addr();
         let mut acked: Vec<(usize, colock_lockmgr::TxnId)> = Vec::new();
         {
@@ -137,7 +138,9 @@ fn main() {
         let stragglers = server2.drain(Duration::from_secs(2));
         assert_eq!(stragglers, 0);
 
-        check_trace(&format!("round {round}"), store.catalog(), &colock_trace::events_since(mark));
+        // The crashed and the recovered server's events, one window.
+        let instances = [crashed, mgr2.trace_instance()];
+        verify_window(&format!("round {round}"), store.catalog(), mark, &instances);
         println!(
             "round {round}: {} long locks crashed, {} re-adopted, resumed and committed over TCP",
             acked.len(),

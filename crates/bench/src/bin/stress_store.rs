@@ -27,7 +27,7 @@
 //! `COLOCK_STRESS_ROUNDS` rounds (default 100000 — effectively until
 //! interrupted; the gate sets a small bound).
 
-use colock_bench::{cells_manager_writable, check_trace};
+use colock_bench::{cells_manager_writable, stress_rounds, verify_window};
 use colock_core::{AccessMode, InstanceTarget};
 use colock_nf2::Value;
 use colock_sim::CellsConfig;
@@ -140,11 +140,13 @@ fn reader(mgr: &TransactionManager, begun: &[AtomicU64], writers_done: &AtomicBo
 }
 
 fn main() {
+    // A round traces ~76k events, more than the default ring holds; the
+    // window of a whole round must fit, or its check fails.
+    if std::env::var_os("COLOCK_TRACE_CAP").is_none() {
+        std::env::set_var("COLOCK_TRACE_CAP", "131072");
+    }
     colock_trace::enable();
-    let rounds: u64 = std::env::var("COLOCK_STRESS_ROUNDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100000);
+    let rounds = stress_rounds();
     let cells = CellsConfig {
         n_cells: 2,
         c_objects_per_cell: 40,
@@ -225,7 +227,7 @@ fn main() {
             assert_eq!(entries, objects, "round {round}: {relation} chains not pruned to one entry each");
         }
 
-        check_trace(&format!("round {round}"), store.catalog(), &colock_trace::events_since(mark));
+        verify_window(&format!("round {round}"), store.catalog(), mark, &[mgr.trace_instance()]);
         if round % 10 == 0 {
             let commits: u64 = expected.0.iter().chain(&expected.1).sum();
             println!(

@@ -3,13 +3,13 @@
 //! Criterion benches. Every table printed by a binary in `src/bin/` is
 //! recorded (paper statement vs measured shape) in `EXPERIMENTS.md`.
 
-use colock_check::{CertifyReport, Certifier, LintReport, Linter};
+use colock_check::{CertifyReport, LintReport};
 use colock_core::authorization::{Authorization, Right};
 use colock_nf2::Catalog;
 use colock_sim::{build_cells_store, CellsConfig};
-use colock_trace::Event;
 use colock_txn::{ProtocolKind, TransactionManager};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 /// The standard rights of the paper's running example: everyone may update
 /// cells, nobody may update the effectors library (Fig. 7's assumption).
@@ -44,24 +44,69 @@ pub fn f1(v: f64) -> String {
     format!("{v:.1}")
 }
 
-/// Checks one harness's trace window: lints it against the §4.4.2 rules and
-/// certifies it conflict-serializable, panicking with the rendered timeline
-/// on either failure. A certification failure first saves the trace to the
-/// temp dir for `colock_check --certify <file>`.
-pub fn check_trace(label: &str, catalog: &Catalog, events: &[Event]) -> (LintReport, CertifyReport) {
-    let lint = Linter::with_catalog(catalog).lint(events);
-    assert!(lint.is_clean(), "{label}: protocol violations:\n{}", lint.render_with_context(events));
-    let cert = Certifier::new().certify(events);
-    if !cert.is_clean() {
-        let path = std::env::temp_dir().join("colock_certify_fail.trace");
-        let lines: String = events.iter().map(|e| format!("{}\n", e.to_line())).collect();
-        let saved = std::fs::write(&path, lines).map(|_| path.display().to_string());
-        panic!(
-            "{label}: not conflict-serializable (trace saved: {saved:?}):\n{}",
-            cert.render_with_context(events)
-        );
+/// Reads the events `instances` traced since `mark`, then lints and
+/// certifies them ([`colock_check::verify_trace`]); panics naming `label`
+/// with the offending timelines, or when the ring overwrote the window.
+pub fn verify_window(
+    label: &str,
+    catalog: &Catalog,
+    mark: u64,
+    instances: &[u64],
+) -> (LintReport, CertifyReport) {
+    let events = colock_trace::events_since_in(mark, instances)
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    colock_check::verify_trace(catalog, &events).unwrap_or_else(|e| panic!("{label}: {e}"))
+}
+
+/// Rounds a soak harness runs: `COLOCK_STRESS_ROUNDS`, default 100 000 —
+/// effectively until interrupted (the gate sets a small bound).
+pub fn stress_rounds() -> u64 {
+    std::env::var("COLOCK_STRESS_ROUNDS").ok().and_then(|v| v.parse().ok()).unwrap_or(100_000)
+}
+
+/// A round that runs longer than this is reported as a stall.
+const STALL: Duration = Duration::from_secs(8);
+
+/// The soak loop of the stress harnesses, with tracing on. Each of
+/// [`stress_rounds`] rounds builds its manager with `setup(round)`, runs
+/// `run(round, &mgr)` (the round's work and its invariants, returning the
+/// line to print) and then lints and certifies the manager's trace window.
+/// A watchdog thread prints the lock table of a round still running after
+/// 8 s, twice, 2 s apart, and parks the process for inspection.
+pub fn soak(
+    mut setup: impl FnMut(u64) -> Arc<TransactionManager>,
+    mut run: impl FnMut(u64, &Arc<TransactionManager>) -> String,
+) {
+    colock_trace::enable();
+    // The running round, its start, and its manager.
+    let watched = Arc::new(Mutex::new((0, Instant::now(), None::<Arc<TransactionManager>>)));
+    let watchdog = Arc::clone(&watched);
+    std::thread::spawn(move || loop {
+        std::thread::sleep(Duration::from_secs(1));
+        let (round, mgr) = match &*watchdog.lock().unwrap_or_else(PoisonError::into_inner) {
+            (round, since, Some(mgr)) if since.elapsed() > STALL => (*round, Arc::clone(mgr)),
+            _ => continue,
+        };
+        for dump in 1..=2 {
+            eprintln!("=== STALL at round {round} (dump {dump}) ===");
+            eprintln!("{}", mgr.lock_manager().debug_dump());
+            std::thread::sleep(Duration::from_secs(2));
+        }
+        eprintln!("=== parked for inspection (pid {}) ===", std::process::id());
+        loop {
+            std::thread::sleep(Duration::from_secs(60));
+        }
+    });
+    for round in 0..stress_rounds() {
+        let mgr = setup(round);
+        *watched.lock().unwrap_or_else(PoisonError::into_inner) =
+            (round, Instant::now(), Some(Arc::clone(&mgr)));
+        let mark = colock_trace::current_seq();
+        let line = run(round, &mgr);
+        let label = format!("round {round}");
+        verify_window(&label, mgr.store().catalog(), mark, &[mgr.trace_instance()]);
+        println!("{label} {line}");
     }
-    (lint, cert)
 }
 
 /// Runs the built-in contention demo shared by `trace_explain` and
@@ -113,7 +158,7 @@ pub fn contention_demo() -> Vec<colock_trace::Event> {
         }
     });
 
-    colock_trace::events_since(mark)
+    colock_trace::events_since_in(mark, &[mgr.trace_instance()]).expect("the demo fits the ring")
 }
 
 #[cfg(test)]

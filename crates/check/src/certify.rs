@@ -76,7 +76,7 @@
 //! advisory**, not a violation; only cycles made entirely of short and
 //! snapshot transactions fail certification.
 
-use crate::lint::{involves_txn, is_strict_ancestor, parse_mode, strict_ancestors};
+use crate::lint::{involves_txn, is_strict_ancestor, strict_ancestors};
 use colock_lockmgr::LockMode;
 use colock_trace::{dot_escape, explain, Event, EventKind};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -418,7 +418,7 @@ impl Certifier {
                     class.insert(node_of(&incarnation, e.txn), NodeClass::Long);
                 }
                 EventKind::Grant => {
-                    let Some(mode) = parse_mode(&e.mode) else {
+                    let Some(mode) = LockMode::parse(&e.mode) else {
                         report.malformed += 1;
                         continue;
                     };

@@ -25,3 +25,25 @@ pub mod static_check;
 pub use certify::{Certifier, CertifyReport, ConflictCycle, ConflictEdge, TxnNode};
 pub use lint::{LintReport, Linter, Violation, ViolationKind};
 pub use static_check::{check_graph, check_matrix, check_schema, CheckError, StaticReport};
+
+use colock_nf2::Catalog;
+use colock_trace::Event;
+
+/// Lints one trace window against the §4.4.2 rules (with `catalog`'s
+/// schema), then certifies it conflict-serializable — the check every
+/// harness runs on what it traced. The error names the first failure and
+/// renders the offending transactions' timelines.
+pub fn verify_trace(
+    catalog: &Catalog,
+    events: &[Event],
+) -> Result<(LintReport, CertifyReport), String> {
+    let lint = Linter::with_catalog(catalog).lint(events);
+    if !lint.is_clean() {
+        return Err(format!("protocol violations:\n{}", lint.render_with_context(events)));
+    }
+    let cert = Certifier::new().certify(events);
+    if !cert.is_clean() {
+        return Err(format!("not conflict-serializable:\n{}", cert.render_with_context(events)));
+    }
+    Ok((lint, cert))
+}

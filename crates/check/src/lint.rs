@@ -238,21 +238,6 @@ fn parse_cycle(detail: &str) -> Vec<u64> {
         .collect()
 }
 
-pub(crate) fn parse_mode(s: &str) -> Option<LockMode> {
-    Some(match s {
-        "NL" => LockMode::NL,
-        "IS" => LockMode::IS,
-        "MB" => LockMode::Member,
-        "IN" => LockMode::Insert,
-        "DL" => LockMode::Delete,
-        "IX" => LockMode::IX,
-        "S" => LockMode::S,
-        "SIX" => LockMode::SIX,
-        "X" => LockMode::X,
-        _ => return None,
-    })
-}
-
 /// Strict ancestors of a rendered [`ResourcePath`], root first: for
 /// `a/b/c` yields `a` then `a/b`.
 ///
@@ -438,7 +423,7 @@ impl Linter {
                     }
                 }
                 EventKind::Grant => {
-                    if let Some(mode) = parse_mode(&e.mode) {
+                    if let Some(mode) = LockMode::parse(&e.mode) {
                         if !mode.is_intent() && mode != LockMode::NL {
                             let hs = holders.entry(e.resource.clone()).or_default();
                             for &(other, held) in hs.iter() {
@@ -541,7 +526,7 @@ impl Linter {
     }
 
     fn check_grant(&self, e: &Event, state: &mut TxnState, report: &mut LintReport) {
-        let Some(mode) = parse_mode(&e.mode) else {
+        let Some(mode) = LockMode::parse(&e.mode) else {
             report.violations.push(Violation {
                 kind: ViolationKind::MalformedEvent,
                 txn: e.txn,
@@ -769,7 +754,7 @@ fn check_conversion(e: &Event, state: &mut TxnState, report: &mut LintReport) {
     // Conversion detail is `"{held} -> {target}"`; the mode field carries
     // the target.
     let parsed = e.detail.split_once(" -> ").and_then(|(h, t)| {
-        Some((parse_mode(h.trim())?, parse_mode(t.trim())?))
+        Some((LockMode::parse(h.trim())?, LockMode::parse(t.trim())?))
     });
     let Some((stated_held, target)) = parsed else {
         report.violations.push(Violation {

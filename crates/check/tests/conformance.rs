@@ -7,8 +7,9 @@
 //! paths and assert the linter stays silent — together they show the checks
 //! are neither vacuous nor trigger-happy.
 //!
-//! The trace ring is process-global, so every test serializes on [`RING`]
-//! and scopes its assertions to `events_since(mark)`.
+//! Tests run side by side on the one trace ring: each reads back only the
+//! events of its own manager instance (its synthetic events carry the same
+//! id) with `events_since_in`.
 
 use colock_check::{Linter, ViolationKind};
 use colock_core::authorization::{Authorization, Right};
@@ -21,17 +22,17 @@ use colock_nf2::{ObjectKey, Value};
 use colock_storage::Store;
 use colock_trace::{self as trace, Event, EventKind, RuleTag};
 use colock_txn::{ProtocolKind, TransactionManager, TxnKind};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-static RING: Mutex<()> = Mutex::new(());
-
-/// Serializes ring access, enables tracing, and hands the caller the
-/// sequence mark to drain from.
-fn with_ring<T>(f: impl FnOnce(u64) -> T) -> T {
-    let _guard = RING.lock().unwrap_or_else(|e| e.into_inner());
+/// Enables tracing and hands the caller the sequence mark to read from.
+fn traced<T>(f: impl FnOnce(u64) -> T) -> T {
     trace::enable();
-    let mark = trace::current_seq();
-    f(mark)
+    f(trace::current_seq())
+}
+
+/// The events `instance` emitted since `mark`.
+fn window(mark: u64, instance: u64) -> Vec<Event> {
+    trace::events_since_in(mark, &[instance]).expect("window kept")
 }
 
 fn kinds(report: &colock_check::LintReport) -> Vec<ViolationKind> {
@@ -45,24 +46,24 @@ fn cells_object(key: &str) -> ResourcePath {
         .child(PathStep::Object(ObjectKey::from(key)))
 }
 
-fn begin_short(txn: TxnId) {
-    trace::emit(|| Event::new(EventKind::TxnBegin, txn.0).detail("short"));
+fn begin_short(instance: u64, txn: TxnId) {
+    trace::emit(|| Event::new(EventKind::TxnBegin, txn.0).instance(instance).detail("short"));
 }
 
 #[test]
 fn mutant_skipping_ancestor_intents_is_caught() {
-    with_ring(|mark| {
+    traced(|mark| {
         // A broken protocol layer that grabs the explicit target lock
         // without first intent-locking the path above it (rules 1/2).
         let lm: LockManager<ResourcePath> = LockManager::new();
         let txn = TxnId(7001);
-        begin_short(txn);
+        begin_short(lm.trace_instance(), txn);
         {
             let _rule = trace::rule_scope(RuleTag::Target);
             lm.acquire(txn, cells_object("c1"), LockMode::X, LockRequestOptions::default())
                 .unwrap();
         }
-        let report = Linter::with_catalog(&fig1_catalog()).lint(&trace::events_since(mark));
+        let report = Linter::with_catalog(&fig1_catalog()).lint(&window(mark, lm.trace_instance()));
         assert_eq!(kinds(&report), vec![ViolationKind::MissingAncestorIntent], "{}", report.render());
         assert!(report.violations[0].detail.contains("db:db1"), "{}", report.violations[0]);
     });
@@ -70,32 +71,33 @@ fn mutant_skipping_ancestor_intents_is_caught() {
 
 #[test]
 fn mutant_releasing_mid_growth_is_caught() {
-    with_ring(|mark| {
+    traced(|mark| {
         // A broken engine that releases during the growing phase of a short
         // transaction and then keeps acquiring (two-phase discipline).
         let lm: LockManager<ResourcePath> = LockManager::new();
         let txn = TxnId(7002);
         let db = ResourcePath::database("db1");
-        begin_short(txn);
+        begin_short(lm.trace_instance(), txn);
         let scope = trace::rule_scope(RuleTag::AncestorIntent);
         lm.acquire(txn, db.clone(), LockMode::IX, LockRequestOptions::default()).unwrap();
         lm.release(txn, &db);
         lm.acquire(txn, db, LockMode::IX, LockRequestOptions::default()).unwrap();
         drop(scope);
-        let report = Linter::with_catalog(&fig1_catalog()).lint(&trace::events_since(mark));
+        let report = Linter::with_catalog(&fig1_catalog()).lint(&window(mark, lm.trace_instance()));
         assert_eq!(kinds(&report), vec![ViolationKind::AcquireAfterRelease], "{}", report.render());
     });
 }
 
 #[test]
 fn mutant_downgrading_conversion_is_caught() {
-    with_ring(|mark| {
+    traced(|mark| {
         // The real lock manager only converts along `join`; emit the exact
         // event stream a lock manager with a downgrade bug would produce.
-        let txn = TxnId(7003);
-        begin_short(txn);
+        let (txn, instance) = (TxnId(7003), trace::next_instance());
+        begin_short(instance, txn);
         trace::emit(|| {
             Event::new(EventKind::Grant, txn.0)
+                .instance(instance)
                 .resource("db:db1")
                 .mode("X")
                 .rule(RuleTag::Target)
@@ -103,25 +105,27 @@ fn mutant_downgrading_conversion_is_caught() {
         });
         trace::emit(|| {
             Event::new(EventKind::Conversion, txn.0)
+                .instance(instance)
                 .resource("db:db1")
                 .mode("S")
                 .detail("X -> S")
         });
-        let report = Linter::with_catalog(&fig1_catalog()).lint(&trace::events_since(mark));
+        let report = Linter::with_catalog(&fig1_catalog()).lint(&window(mark, instance));
         assert_eq!(kinds(&report), vec![ViolationKind::IllegalConversion], "{}", report.render());
     });
 }
 
 #[test]
 fn mutant_releasing_root_before_leaf_is_caught() {
-    with_ring(|mark| {
+    traced(|mark| {
         // A broken early-release path that walks root-to-leaf (rule 5
         // demands leaf-to-root before EOT).
         let lm: LockManager<ResourcePath> = LockManager::new();
         let txn = TxnId(7004);
         let db = ResourcePath::database("db1");
         let seg = db.clone().child(PathStep::Segment("seg1".into()));
-        trace::emit(|| Event::new(EventKind::TxnBegin, txn.0).detail("long"));
+        let instance = lm.trace_instance();
+        trace::emit(|| Event::new(EventKind::TxnBegin, txn.0).instance(instance).detail("long"));
         let scope = trace::rule_scope(RuleTag::AncestorIntent);
         lm.acquire(txn, db.clone(), LockMode::IX, LockRequestOptions::default()).unwrap();
         lm.acquire(txn, seg.clone(), LockMode::IX, LockRequestOptions::default()).unwrap();
@@ -129,9 +133,11 @@ fn mutant_releasing_root_before_leaf_is_caught() {
         lm.release(txn, &db);
         lm.release(txn, &seg);
         trace::emit(|| {
-            Event::new(EventKind::TxnReleaseEarly, txn.0).resource(format!("{seg:?}"))
+            Event::new(EventKind::TxnReleaseEarly, txn.0)
+                .instance(instance)
+                .resource(format!("{seg:?}"))
         });
-        let report = Linter::with_catalog(&fig1_catalog()).lint(&trace::events_since(mark));
+        let report = Linter::with_catalog(&fig1_catalog()).lint(&window(mark, instance));
         assert_eq!(kinds(&report), vec![ViolationKind::ReleaseOrder], "{}", report.render());
         assert_eq!(report.violations[0].resource, "db:db1");
     });
@@ -139,13 +145,18 @@ fn mutant_releasing_root_before_leaf_is_caught() {
 
 #[test]
 fn mutant_detector_without_victim_is_caught() {
-    with_ring(|mark| {
+    traced(|mark| {
         // A detector that reports a live cycle and never resolves it. The
         // later lock-manager event proves the stream continued past the
         // detection with no victim in between.
-        trace::emit(|| Event::new(EventKind::DeadlockDetected, 0).detail("T3, T8"));
-        trace::emit(|| Event::new(EventKind::Release, 9001).resource("r").mode("X"));
-        let report = Linter::new().lint(&trace::events_since(mark));
+        let instance = trace::next_instance();
+        trace::emit(|| {
+            Event::new(EventKind::DeadlockDetected, 0).instance(instance).detail("T3, T8")
+        });
+        trace::emit(|| {
+            Event::new(EventKind::Release, 9001).instance(instance).resource("r").mode("X")
+        });
+        let report = Linter::new().lint(&window(mark, instance));
         assert_eq!(kinds(&report), vec![ViolationKind::MissingVictim], "{}", report.render());
     });
 }
@@ -197,7 +208,7 @@ fn robot(r: &str) -> InstanceTarget {
 
 #[test]
 fn conformant_short_txns_lint_clean() {
-    with_ring(|mark| {
+    traced(|mark| {
         let mut authz = Authorization::allow_all();
         authz.set_relation_default("effectors", Right::Read);
         let store = populated_store();
@@ -216,7 +227,7 @@ fn conformant_short_txns_lint_clean() {
         t.read(&InstanceTarget::object("effectors", "e1")).unwrap();
         t.abort().unwrap();
 
-        let events = trace::events_since(mark);
+        let events = window(mark, mgr.trace_instance());
         let report = linter.lint(&events);
         assert!(report.is_clean(), "{}", report.render_with_context(&events));
         assert!(report.grants_checked > 0, "linter saw no grants — tracing broken?");
@@ -226,7 +237,7 @@ fn conformant_short_txns_lint_clean() {
 
 #[test]
 fn conformant_long_txn_with_early_release_lints_clean() {
-    with_ring(|mark| {
+    traced(|mark| {
         let store = populated_store();
         let linter = Linter::with_catalog(store.catalog());
         let mgr =
@@ -238,7 +249,7 @@ fn conformant_long_txn_with_early_release_lints_clean() {
         t.release_early(&robot("r1")).unwrap();
         t.commit().unwrap();
 
-        let events = trace::events_since(mark);
+        let events = window(mark, mgr.trace_instance());
         let report = linter.lint(&events);
         assert!(report.is_clean(), "{}", report.render_with_context(&events));
     });

@@ -88,7 +88,9 @@ impl<R: Resource> LockManager<R> {
                 // exactly one VictimChosen (stale cycles carry the `stale`
                 // marker instead — see below).
                 trace::emit(|| {
-                    Event::new(EventKind::DeadlockDetected, 0).detail(members_detail.clone())
+                    Event::new(EventKind::DeadlockDetected, 0)
+                        .instance(self.trace_instance())
+                        .detail(members_detail.clone())
                 });
                 let h = Self::hash_of(vres);
                 self.trace_lock(EventKind::VictimChosen, victim, h, w.mode, vres, "");
@@ -117,6 +119,7 @@ impl<R: Resource> LockManager<R> {
                 // victim was (or needed to be) chosen.
                 trace::emit(|| {
                     Event::new(EventKind::DeadlockDetected, 0)
+                        .instance(self.trace_instance())
                         .resource("stale")
                         .detail(members_detail.clone())
                 });

@@ -255,6 +255,19 @@ impl LockMode {
             LockMode::Delete => "DL",
         }
     }
+
+    /// Inverse of the `Display` name — the one parser of a mode field, for
+    /// the journal and the trace checkers alike; `None` for unknown names.
+    ///
+    /// ```
+    /// use colock_lockmgr::LockMode;
+    /// assert_eq!(LockMode::parse("SIX"), Some(LockMode::SIX));
+    /// assert_eq!(LockMode::parse("MB"), Some(LockMode::Member));
+    /// assert_eq!(LockMode::parse("Q"), None);
+    /// ```
+    pub fn parse(name: &str) -> Option<LockMode> {
+        std::iter::once(LockMode::NL).chain(LockMode::ALL).find(|m| m.name() == name)
+    }
 }
 
 impl fmt::Display for LockMode {
@@ -273,21 +286,10 @@ impl colock_testkit::codec::FieldCodec for LockMode {
     }
 
     fn from_field(field: &str) -> Result<Self, colock_testkit::codec::CodecError> {
-        match field {
-            "NL" => Ok(LockMode::NL),
-            "IS" => Ok(LockMode::IS),
-            "IX" => Ok(LockMode::IX),
-            "S" => Ok(LockMode::S),
-            "SIX" => Ok(LockMode::SIX),
-            "X" => Ok(LockMode::X),
-            "MB" => Ok(LockMode::Member),
-            "IN" => Ok(LockMode::Insert),
-            "DL" => Ok(LockMode::Delete),
-            _ => Err(colock_testkit::codec::CodecError::BadField {
-                field: field.to_string(),
-                expected: "LockMode",
-            }),
-        }
+        LockMode::parse(field).ok_or_else(|| colock_testkit::codec::CodecError::BadField {
+            field: field.to_string(),
+            expected: "LockMode",
+        })
     }
 }
 

@@ -313,6 +313,9 @@ pub struct LockManager<R: Resource> {
     /// Test probe run between validate and CAS (deterministic interleaving
     /// tests force version bumps there).
     fastpath_probe: Mutex<Option<FastpathProbe>>,
+    /// Stamped on every trace event this manager, its transactions and its
+    /// detector emit, so a scoped read returns this manager's events only.
+    trace_instance: u64,
 }
 
 impl<R: Resource> Default for LockManager<R> {
@@ -346,7 +349,14 @@ impl<R: Resource> LockManager<R> {
             draining: AtomicBool::new(false),
             probe_armed: AtomicBool::new(false),
             fastpath_probe: Mutex::new(None),
+            trace_instance: trace::next_instance(),
         }
+    }
+
+    /// The id stamped on this manager's trace events: pass it to
+    /// [`colock_trace::events_since_in`] to read them back.
+    pub fn trace_instance(&self) -> u64 {
+        self.trace_instance
     }
 
     /// Whether the optimistic intent fast path is currently enabled.
@@ -508,6 +518,7 @@ impl<R: Resource> LockManager<R> {
     ) {
         trace::emit(|| {
             Event::new(kind, txn.0)
+                .instance(self.trace_instance)
                 .shard(self.shard_of(h) as u32)
                 .mode(mode.to_string())
                 .resource(format!("{resource:?}"))

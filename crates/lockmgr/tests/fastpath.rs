@@ -16,9 +16,9 @@
 //! sequence (outcomes, stats, trace), and the three release entry points
 //! retire a mixed inventory identically.
 //!
-//! The trace ring is process-global and these tests run in parallel, so the
-//! only trace assertion here filters on transaction ids no other test uses;
-//! lint assertions stay with `tracing.rs` and the check crate.
+//! The only trace assertion here reads each manager's own events back
+//! (`events_since_in`); lint assertions stay with `tracing.rs` and the
+//! check crate.
 
 use colock_lockmgr::table::MAX_FASTPATH_ATTEMPTS;
 use colock_lockmgr::{
@@ -537,10 +537,13 @@ type Holds = Vec<(u8, u8)>;
 
 /// The trace events of `txn` in `window`, stripped of everything that tells
 /// two runs of the same requests apart (sequence, timestamp, the id itself).
-fn events_of(window: &[colock_trace::Event], txn: TxnId) -> Vec<colock_trace::Event> {
-    let mut events: Vec<_> = window.iter().filter(|e| e.txn == txn.0).cloned().collect();
+/// `m`'s events since `mark`, with the fields that differ between two
+/// managers doing the same thing cleared.
+fn events_of(m: &LockManager<u8>, mark: u64) -> Vec<colock_trace::Event> {
+    let mut events =
+        colock_trace::events_since_in(mark, &[m.trace_instance()]).expect("window kept");
     for e in &mut events {
-        (e.seq, e.t_us, e.txn) = (0, 0, 0);
+        (e.seq, e.t_us, e.txn, e.instance) = (0, 0, 0, 0);
     }
     events
 }
@@ -553,8 +556,7 @@ fn events_of(window: &[colock_trace::Event], txn: TxnId) -> Vec<colock_trace::Ev
 /// conflicting holds, with the fast path on and off.
 #[test]
 fn chain_equals_link_by_link_acquires() {
-    // Ids no other test in this binary uses: the trace ring is shared. The
-    // two managers under comparison act as `own[0]` and `own[1]`.
+    // The two managers under comparison act as `own[0]` and `own[1]`.
     let (own, other) = ([t(7_100_001), t(7_100_002)], t(7_100_003));
     colock_trace::enable();
     forall!(
@@ -590,9 +592,8 @@ fn chain_equals_link_by_link_acquires() {
                     .collect();
                 let by_chain =
                     batched.acquire_intent_chain(own[1], &chain, mode, LockRequestOptions::try_lock());
-                let window = colock_trace::events_since(mark);
                 let (by_link_events, by_chain_events) =
-                    (events_of(&window, own[0]), events_of(&window, own[1]));
+                    (events_of(&single, mark), events_of(&batched, mark));
 
                 ensure_eq!(by_chain, by_link, "outcomes (fastpath {fastpath})");
                 ensure_eq!(by_chain_events, by_link_events, "trace (fastpath {fastpath})");
@@ -615,7 +616,6 @@ fn chain_equals_link_by_link_acquires() {
             Ok(())
         }
     );
-    colock_trace::disable();
 }
 
 /// The other fold: releasing a mixed optimistic / real / long inventory

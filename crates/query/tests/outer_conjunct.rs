@@ -8,7 +8,6 @@
 
 mod common;
 
-use colock_check::{Certifier, Linter};
 use colock_core::optimizer::Optimizer;
 use colock_lockmgr::WaitPolicy;
 use colock_nf2::Value;
@@ -73,9 +72,8 @@ fn a_rejected_outer_row_takes_no_inner_locks_and_the_trace_stays_clean() {
     writer.commit().unwrap();
     reader.commit().unwrap();
 
-    let events = colock_trace::events_since(mark);
-    let lint = Linter::with_catalog(mgr.store().catalog()).lint(&events);
-    assert!(lint.is_clean(), "protocol violations:\n{}", lint.render());
-    let cert = Certifier::new().certify(&events);
-    assert!(cert.is_clean(), "not serializable:\n{}", cert.render_with_context(&events));
+    let events = colock_trace::events_since_in(mark, &[mgr.trace_instance()]).unwrap();
+    if let Err(e) = colock_check::verify_trace(mgr.store().catalog(), &events) {
+        panic!("{e}");
+    }
 }

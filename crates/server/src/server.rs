@@ -238,7 +238,14 @@ fn accept_loop(
             .name("colock-session".into())
             .spawn(move || serve_connection(stream, conn_shared));
         if let Ok(h) = handle {
-            workers.lock().unwrap_or_else(PoisonError::into_inner).push(h);
+            let mut ws = workers.lock().unwrap_or_else(PoisonError::into_inner);
+            // Reap the threads of connections that already ended, so a
+            // churning client population does not pile them up until
+            // shutdown (joining a finished thread returns at once).
+            for ended in ws.extract_if(.., |w| w.is_finished()) {
+                let _ = ended.join();
+            }
+            ws.push(h);
         }
     }
 }
@@ -283,7 +290,10 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
         }
     };
 
-    let mut writer = stream.try_clone().expect("clone stream for writing");
+    let Ok(mut writer) = stream.try_clone() else {
+        session.close(CloseReason::Disconnect);
+        return;
+    };
     let mut reader = FrameReader::new(stream);
     let mut last_activity = Instant::now();
 
@@ -397,6 +407,30 @@ mod tests {
         assert_eq!(cfg.max_sessions, default.max_sessions);
         assert_eq!(cfg.admission, default.admission);
         assert_eq!(cfg.idle_timeout, None);
+    }
+
+    #[test]
+    fn finished_session_threads_are_reaped_on_accept() {
+        use crate::client::Client;
+        use crate::wire::Role;
+        use colock_sim::{build_cells_store, CellsConfig};
+        let store = build_cells_store(&CellsConfig { n_cells: 1, ..Default::default() });
+        let mgr = TransactionManager::over_store(
+            store,
+            colock_core::authorization::Authorization::allow_all(),
+            colock_txn::ProtocolKind::Proposed,
+        );
+        let server = Server::start(Arc::new(mgr), ServerConfig::default()).expect("bind");
+        for i in 0..50 {
+            let mut c = Client::connect(server.addr(), &format!("churn{i}"), Role::Engineer)
+                .expect("connect");
+            c.quit();
+            colock_testkit::wait_until(Duration::from_secs(5), || server.session_count() == 0);
+        }
+        // Each accept reaps every ended connection's thread: what is left is
+        // at most the last few, still on their way out.
+        let kept = server.workers.lock().unwrap().len();
+        assert!(kept <= 4, "{kept} session threads kept after 50 connections");
     }
 
     #[test]

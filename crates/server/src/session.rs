@@ -324,7 +324,9 @@ impl<'m> Session<'m> {
         })?;
         let mark = colock_trace::current_seq();
         colock_trace::emit(|| {
-            Event::new(EventKind::SessionOpen, 0).detail(format!("sid={} peer={}", id.0, peer))
+            Event::new(EventKind::SessionOpen, 0)
+                .instance(mgr.trace_instance())
+                .detail(format!("sid={} peer={}", id.0, peer))
         });
         Ok(Session {
             mgr,
@@ -595,7 +597,7 @@ impl<'m> Session<'m> {
     fn explain(&mut self) -> Reply {
         let mine: Vec<_> = colock_trace::events_since(self.mark)
             .into_iter()
-            .filter(|e| self.txns.contains(&e.txn))
+            .filter(|e| e.instance == self.mgr.trace_instance() && self.txns.contains(&e.txn))
             .collect();
         let tl = colock_trace::explain::timeline(&mine);
         let rendered = colock_trace::explain::render_timeline(&tl);
@@ -673,6 +675,7 @@ impl<'m> Session<'m> {
         self.table.close(self.id);
         colock_trace::emit(|| {
             Event::new(EventKind::SessionClose, 0)
+                .instance(self.mgr.trace_instance())
                 .detail(format!("sid={} peer={} reason={}", self.id.0, self.peer, reason.as_str()))
         });
     }

@@ -170,10 +170,11 @@ fn served_traces_lint_clean() {
         c.commit().expect("commit");
         c.quit();
     }
-    let catalog = server.manager().store().catalog();
-    let events = colock_trace::events_since(mark);
+    let mgr = server.manager();
+    let events = colock_trace::events_since_in(mark, &[mgr.trace_instance()]).unwrap();
     assert!(!events.is_empty());
-    let report = colock_check::Linter::with_catalog(catalog).lint(&events);
-    assert!(report.is_clean(), "served trace must lint clean:\n{}", report.render());
+    if let Err(e) = colock_check::verify_trace(mgr.store().catalog(), &events) {
+        panic!("served trace: {e}");
+    }
     server.kill();
 }

@@ -166,8 +166,13 @@ pub fn run_threads(mgr: &Arc<TransactionManager>, cfg: &ThreadConfig) -> ThreadR
     });
 
     let elapsed = started.elapsed();
+    // Histograms are a measurement, so a window the ring overwrote in part
+    // still yields what it kept.
     let events = if colock_trace::is_enabled() {
-        colock_trace::events_since(trace_start)
+        let instance = mgr.trace_instance();
+        let mut events = colock_trace::events_since(trace_start);
+        events.retain(|e| e.instance == instance);
+        events
     } else {
         Vec::new()
     };
@@ -198,18 +203,33 @@ mod tests {
     use colock_core::authorization::{Authorization, Right};
     use colock_txn::ProtocolKind;
 
-    #[test]
-    fn threaded_run_commits_quota() {
+    fn cells_manager(protocol: ProtocolKind) -> Arc<TransactionManager> {
         let store = build_cells_store(&CellsConfig::default());
         let mut authz = Authorization::allow_all();
         authz.set_relation_default("effectors", Right::Read);
-        let mgr = Arc::new(TransactionManager::over_store(store, authz, ProtocolKind::Proposed));
+        Arc::new(TransactionManager::over_store(store, authz, protocol))
+    }
+
+    #[test]
+    fn threaded_run_commits_quota() {
+        let mgr = cells_manager(ProtocolKind::Proposed);
         let cfg = ThreadConfig { workers: 4, txns_per_worker: 10, ..Default::default() };
         let report = run_threads(&mgr, &cfg);
         assert_eq!(report.metrics.committed, 40);
         assert!(report.throughput_per_sec > 0.0);
         // Everything released at the end.
         assert_eq!(mgr.lock_manager().table_size(), 0);
+    }
+
+    /// Lints and certifies what `mgr` traced since `mark`, and checks the
+    /// window saw grants and commits.
+    fn verify_window(mgr: &TransactionManager, mark: u64, label: &str) {
+        let events = colock_trace::events_since_in(mark, &[mgr.trace_instance()])
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let (lint, cert) = colock_check::verify_trace(mgr.store().catalog(), &events)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert!(lint.grants_checked > 0, "{label}: no grants seen");
+        assert!(cert.txns_committed > 0, "{label}: no committed txns certified");
     }
 
     /// Seeded random workloads must produce protocol-conformant traces
@@ -221,30 +241,46 @@ mod tests {
         for (seed, protocol) in
             [(1, ProtocolKind::Proposed), (7, ProtocolKind::Proposed), (42, ProtocolKind::WholeObject)]
         {
-            let store = build_cells_store(&CellsConfig::default());
-            let linter = colock_check::Linter::with_catalog(store.catalog());
-            let mut authz = Authorization::allow_all();
-            authz.set_relation_default("effectors", Right::Read);
-            let mgr = Arc::new(TransactionManager::over_store(store, authz, protocol));
+            let mgr = cells_manager(protocol);
             let mark = colock_trace::current_seq();
             let cfg = ThreadConfig { workers: 4, txns_per_worker: 8, seed, ..Default::default() };
             run_threads(&mgr, &cfg);
-            let events = colock_trace::events_since(mark);
-            let report = linter.lint(&events);
-            assert!(
-                report.is_clean(),
-                "seed {seed} {protocol:?}:\n{}",
-                report.render_with_context(&events)
-            );
-            assert!(report.grants_checked > 0, "seed {seed}: no grants seen");
-            let cert = colock_check::Certifier::new().certify(&events);
-            assert!(
-                cert.is_clean(),
-                "seed {seed} {protocol:?} not conflict-serializable:\n{}",
-                cert.render_with_context(&events)
-            );
-            assert!(cert.txns_committed > 0, "seed {seed}: no committed txns certified");
+            verify_window(&mgr, mark, &format!("seed {seed} {protocol:?}"));
         }
+    }
+
+    /// Two managers traced at the same time in one process number their
+    /// transactions alike (both have a T1), so an unscoped window mixes
+    /// them; each one's scoped window must lint and certify clean on its
+    /// own and hold nothing of the other's.
+    #[test]
+    fn concurrent_managers_each_verify_clean() {
+        colock_trace::enable();
+        let mgrs = [cells_manager(ProtocolKind::Proposed), cells_manager(ProtocolKind::Proposed)];
+        let mark = colock_trace::current_seq();
+        thread::scope(|scope| {
+            for (i, mgr) in mgrs.iter().enumerate() {
+                scope.spawn(move || {
+                    let seed = 3 + i as u64;
+                    let cfg =
+                        ThreadConfig { workers: 2, txns_per_worker: 12, seed, ..Default::default() };
+                    run_threads(mgr, &cfg);
+                });
+            }
+        });
+        for (i, mgr) in mgrs.iter().enumerate() {
+            verify_window(mgr, mark, &format!("manager {i}"));
+        }
+        let begun = |mgr: &TransactionManager| -> Vec<u64> {
+            colock_trace::events_since_in(mark, &[mgr.trace_instance()])
+                .expect("window kept")
+                .iter()
+                .filter(|e| e.kind == colock_trace::EventKind::TxnBegin)
+                .map(|e| e.txn)
+                .collect()
+        };
+        let (a, b) = (begun(&mgrs[0]), begun(&mgrs[1]));
+        assert!(a.contains(&1) && b.contains(&1), "both managers begin a T1: {a:?} / {b:?}");
     }
 
     /// Read-mostly runs commit their quota, route every snapshot read past
@@ -252,10 +288,7 @@ mod tests {
     /// multiversion overlay (the ablation falls back to S locks).
     #[test]
     fn read_mostly_run_elides_locks_and_records_reader_waits() {
-        let store = build_cells_store(&CellsConfig::default());
-        let mut authz = Authorization::allow_all();
-        authz.set_relation_default("effectors", Right::Read);
-        let mgr = Arc::new(TransactionManager::over_store(store, authz, ProtocolKind::Proposed));
+        let mgr = cells_manager(ProtocolKind::Proposed);
         let cfg = ThreadConfig {
             workers: 4,
             txns_per_worker: 10,
@@ -280,10 +313,7 @@ mod tests {
     #[test]
     fn update_heavy_mix_still_completes_under_all_protocols() {
         for protocol in [ProtocolKind::Proposed, ProtocolKind::WholeObject, ProtocolKind::TupleLevel] {
-            let store = build_cells_store(&CellsConfig::default());
-            let mut authz = Authorization::allow_all();
-            authz.set_relation_default("effectors", Right::Read);
-            let mgr = Arc::new(TransactionManager::over_store(store, authz, protocol));
+            let mgr = cells_manager(protocol);
             let cfg = ThreadConfig {
                 workers: 3,
                 txns_per_worker: 5,

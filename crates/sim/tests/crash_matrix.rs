@@ -11,10 +11,17 @@
 //! from the old journal medium. The invariant: every long lock *acknowledged* before
 //! the crash is either fully recovered under its original owner or was
 //! cleanly released by an acknowledged check-in — never half-present, never
-//! leaked past a full round of post-crash aborts.
+//! leaked past a full round of post-crash aborts. Every third round (1, 4,
+//! 7, …) runs both servers with the fast path off. Every cycle is traced,
+//! and the crashed and the recovered server's events together are linted
+//! against the §4.4.2 rules and certified: recovered grants, probes and the
+//! post-recovery sweep must all be conformant. After every cycle each
+//! server's journal medium is within `CHECKPOINT_FLOOR + 2 × live bytes`.
 //!
 //! Knobs: `COLOCK_CRASH_SEED` seeds the position schedule,
-//! `COLOCK_RECOVERY_ROUNDS` sets the rounds per crash point.
+//! `COLOCK_RECOVERY_ROUNDS` sets the rounds per crash point (default 4;
+//! `scripts/check.sh` runs 15 in release with `--nocapture`, and each
+//! sweep prints what it recovered).
 
 use colock_core::authorization::{Authorization, Right};
 use colock_core::{AccessMode, InstanceTarget, ResourcePath};
@@ -22,8 +29,9 @@ use colock_lockmgr::persistent::CHECKPOINT_FLOOR;
 use colock_lockmgr::{Journal, TxnId};
 use colock_nf2::Value;
 use colock_sim::{build_cells_store, CellsConfig, Workstation};
+use colock_storage::Store;
 use colock_testkit::{CrashPoint, FaultPlan, Rng};
-use colock_txn::{ProtocolKind, TransactionManager, TxnKind};
+use colock_txn::{ProtocolKind, RecoveryReport, TransactionManager, TxnKind};
 use std::sync::Arc;
 
 const STATIONS: usize = 4;
@@ -37,10 +45,11 @@ fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
-fn server(store: &Arc<colock_storage::Store>) -> (TransactionManager, Arc<Journal<ResourcePath>>) {
+fn server(store: &Arc<Store>, fastpath: bool) -> (TransactionManager, Arc<Journal<ResourcePath>>) {
     let mut authz = Authorization::allow_all();
     authz.set_relation_default("effectors", Right::Read);
     let mgr = TransactionManager::over_store(Arc::clone(store), authz, ProtocolKind::Proposed);
+    mgr.lock_manager().set_fastpath(fastpath);
     let journal = Arc::new(Journal::<ResourcePath>::new());
     assert!(mgr.attach_journal(Arc::clone(&journal)));
     (mgr, journal)
@@ -68,6 +77,8 @@ enum Outcome {
 }
 
 struct CellRun {
+    /// The crashed server's trace instance.
+    instance: u64,
     outcomes: Vec<Outcome>,
     medium: String,
     appends: u64,
@@ -83,11 +94,12 @@ struct CellRun {
 /// leaking every open session at the end (the crash). Returns what each
 /// station knows plus the surviving medium.
 fn run_script(
-    store: &Arc<colock_storage::Store>,
+    store: &Arc<Store>,
     plan: Option<FaultPlan>,
     churn: usize,
+    fastpath: bool,
 ) -> CellRun {
-    let (mgr, journal) = server(store);
+    let (mgr, journal) = server(store, fastpath);
     if let Some(p) = plan {
         journal.arm(p);
     }
@@ -142,16 +154,11 @@ fn run_script(
             _ => {}
         }
     }
-    let medium = journal.contents();
-    if journal.crash_point() == Some(CrashPoint::MidCompaction) {
-        // The checkpoint was due and never replaced the old text.
-        assert!(medium.len() > CHECKPOINT_FLOOR.max(2 * journal.live_bytes()));
-    } else {
-        assert!(medium.len() <= CHECKPOINT_FLOOR + 2 * journal.live_bytes());
-    }
+    assert_bounded(&journal, "crashed server");
     CellRun {
+        instance: mgr.trace_instance(),
         outcomes,
-        medium,
+        medium: journal.contents(),
         appends: journal.appends(),
         crashed: journal.crashed(),
         checkpoints: journal.checkpoints(),
@@ -159,9 +166,26 @@ fn run_script(
     }
 }
 
+/// The medium stays within the checkpoint bound; only a crash in the
+/// middle of a due checkpoint leaves it over, with the old text.
+fn assert_bounded(journal: &Journal<ResourcePath>, label: &str) {
+    let (len, live) = (journal.contents().len(), journal.live_bytes());
+    if journal.crash_point() == Some(CrashPoint::MidCompaction) {
+        assert!(len > CHECKPOINT_FLOOR.max(2 * live), "{label}: crashed checkpoint was not due");
+    } else {
+        assert!(len <= CHECKPOINT_FLOOR + 2 * live, "{label}: medium {len} B, live {live} B");
+    }
+}
+
 /// Recovers a fresh server from `run`'s medium and checks the invariant.
-fn check_recovery(store: &Arc<colock_storage::Store>, run: &CellRun, label: &str) {
-    let (mgr, _journal2) = server(store);
+/// Returns the recovered server's trace instance and its recovery report.
+fn check_recovery(
+    store: &Arc<Store>,
+    run: &CellRun,
+    label: &str,
+    fastpath: bool,
+) -> (u64, RecoveryReport) {
+    let (mgr, journal) = server(store, fastpath);
     let report = mgr.recover(&run.medium).unwrap_or_else(|e| panic!("{label}: {e}"));
     assert!(report.dropped_tail <= 1, "{label}: at most the torn record drops");
 
@@ -217,6 +241,52 @@ fn check_recovery(store: &Arc<colock_storage::Store>, run: &CellRun, label: &str
             .unwrap_or_else(|e| panic!("{label}: ws{i} target still blocked: {e}"));
         probe.commit().unwrap();
     }
+    assert_bounded(&journal, label);
+    (mgr.trace_instance(), report)
+}
+
+/// One traced crash/recovery cycle on a fresh store: the script, a crash
+/// at `plan` (none for a control), recovery, and the lint + certify of both
+/// servers' events. The certifier reads a transaction id the recovered
+/// server begins again as a new incarnation.
+fn cycle(
+    plan: Option<FaultPlan>,
+    churn: usize,
+    fastpath: bool,
+    label: &str,
+) -> (CellRun, RecoveryReport) {
+    colock_trace::enable();
+    // Fresh store per cycle: recovered data must not leak across.
+    let store = build_cells_store(&CellsConfig::default());
+    let mark = colock_trace::current_seq();
+    let run = run_script(&store, plan, churn, fastpath);
+    let (recovered, report) = check_recovery(&store, &run, label, fastpath);
+    let events = colock_trace::events_since_in(mark, &[run.instance, recovered])
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    colock_check::verify_trace(store.catalog(), &events).unwrap_or_else(|e| panic!("{label}: {e}"));
+    (run, report)
+}
+
+/// Sweeps `rounds` crashes at `point`, each at a seeded append position in
+/// `1..=window`, every third round with the fast path off; prints a
+/// summary line.
+fn sweep(point: CrashPoint, churn: usize, window: u64, rounds: u64, rng: &mut Rng) {
+    let (mut owners, mut locks, mut torn, mut slow) = (0, 0, 0, 0);
+    for round in 0..rounds {
+        let fastpath = round % 3 != 1;
+        slow += u64::from(!fastpath);
+        let nth = rng.gen_range(1..window + 1);
+        let label = format!("{point}@{nth} round {round} (fast path {fastpath})");
+        let (run, report) = cycle(Some(FaultPlan::crash_at(point, nth)), churn, fastpath, &label);
+        assert!(run.crashed, "{label}: the plan must fire within the script");
+        owners += report.owners.len();
+        locks += report.locks;
+        torn += report.dropped_tail;
+    }
+    println!(
+        "{point}: {rounds} rounds ({slow} with the fast path off), {owners} owners / {locks} locks \
+         recovered, {torn} torn tails; every cycle linted and certified"
+    );
 }
 
 #[test]
@@ -226,23 +296,13 @@ fn crash_matrix_every_point_every_position_recovers_exactly() {
 
     // Dry run (no fault): learn the append count the script produces, and
     // verify the no-crash control — acked state only, nothing dropped.
-    let store = build_cells_store(&CellsConfig::default());
-    let dry = run_script(&store, None, 0);
+    let (dry, _) = cycle(None, 0, true, "control");
     assert!(!dry.crashed);
     assert!(dry.appends > 0, "script must journal long locks");
-    check_recovery(&store, &dry, "control");
 
     let mut rng = Rng::seed_from_u64(seed);
     for point in CrashPoint::ALL {
-        for round in 0..rounds {
-            // Fresh store per cell: recovered data must not leak across.
-            let store = build_cells_store(&CellsConfig::default());
-            let nth = rng.gen_range(1..dry.appends + 1);
-            let label = format!("{point}@{nth} round {round}");
-            let run = run_script(&store, Some(FaultPlan::crash_at(point, nth)), 0);
-            assert!(run.crashed, "{label}: plan must fire within the schedule");
-            check_recovery(&store, &run, &label);
-        }
+        sweep(point, 0, dry.appends, rounds, &mut rng);
     }
 }
 
@@ -253,20 +313,11 @@ fn crash_matrix_mid_compaction_recovers_exactly() {
 
     // Dry run: the churn compacts the journal several times beside the
     // stations' live long locks, and the compacted medium recovers them.
-    let store = build_cells_store(&CellsConfig::default());
-    let dry = run_script(&store, None, CHURN_CYCLES);
+    let (dry, _) = cycle(None, CHURN_CYCLES, true, "compacted control");
     assert!(!dry.crashed);
     assert!(dry.checkpoints >= 3, "churn wrote {} checkpoints", dry.checkpoints);
-    check_recovery(&store, &dry, "compacted control");
 
+    // A checkpoint follows every position in the window.
     let mut rng = Rng::seed_from_u64(seed ^ 0xC0_4AC7);
-    for round in 0..rounds {
-        let store = build_cells_store(&CellsConfig::default());
-        let nth = rng.gen_range(1..dry.compaction_window + 1);
-        let label = format!("{}@{nth} round {round}", CrashPoint::MidCompaction);
-        let plan = FaultPlan::crash_at(CrashPoint::MidCompaction, nth);
-        let run = run_script(&store, Some(plan), CHURN_CYCLES);
-        assert!(run.crashed, "{label}: a checkpoint follows every position in the window");
-        check_recovery(&store, &run, &label);
-    }
+    sweep(CrashPoint::MidCompaction, CHURN_CYCLES, dry.compaction_window, rounds, &mut rng);
 }

@@ -142,9 +142,8 @@ fn storage_fingerprint(mgr: &TransactionManager) -> String {
 }
 
 /// Runs the workload once on a fresh store with the fast path forced on or
-/// off, lints the trace window it produced, and re-derives the summary words. The scripted runs are
-/// sequential within the test, so each gets a disjoint `events_since`
-/// window of the process-global ring.
+/// off, lints the trace window its manager produced, and re-derives the
+/// summary words.
 fn run_one(w: &Workload, fastpath: bool) -> Result<Observation, String> {
     let mgr = TransactionManager::over_store(
         build_cells_store(&cfg()),
@@ -155,7 +154,8 @@ fn run_one(w: &Workload, fastpath: bool) -> Result<Observation, String> {
     trace::enable();
     let mark = trace::current_seq();
     let history = run_scripted(&mgr, w.0.clone());
-    let events = trace::events_since(mark);
+    let events =
+        trace::events_since_in(mark, &[mgr.trace_instance()]).map_err(|e| e.to_string())?;
     let report = Linter::with_catalog(mgr.store().catalog()).lint(&events);
     if !report.violations.is_empty() {
         return Err(format!("fastpath={fastpath}: trace not lint-clean:\n{}", report.render()));
@@ -238,7 +238,8 @@ fn run_mvcc(w: &Workload, mvcc: bool) -> Result<(Observation, String, u64), Stri
     reader.commit().map_err(|e| format!("mvcc={mvcc}: reader commit: {e}"))?;
     let elided = mgr.lock_manager().stats().snapshot().since(&before).reads_elided;
 
-    let events = trace::events_since(mark);
+    let events =
+        trace::events_since_in(mark, &[mgr.trace_instance()]).map_err(|e| e.to_string())?;
     let report = Linter::with_catalog(mgr.store().catalog()).lint(&events);
     if !report.violations.is_empty() {
         return Err(format!("mvcc={mvcc}: trace not lint-clean:\n{}", report.render()));

@@ -1,8 +1,15 @@
-//! Tier-1 integration of the interleaving explorer: small, bounded
-//! versions of the `stress_explore` scenarios so the gate proves the
-//! lock-table yield points, the cooperative scheduler, and the per-schedule
-//! certifier replay work together. The unbounded sweep lives in the
-//! `stress_explore` harness.
+//! The interleaving explorer over the real engine: the lock table's yield
+//! points, the cooperative scheduler and a per-schedule lint + certify
+//! replay, on five small scenarios. Every schedule reads back only its own
+//! manager's trace events, so the scenarios run beside the rest of the
+//! suite.
+//!
+//! The storm and the deadlock scenario run `STORM_SCHEDULES` schedules by
+//! default; `COLOCK_EXPLORE_MAX_SCHEDULES` (and the other
+//! [`ExploreConfig::with_env`] knobs) raise the budget for a longer sweep,
+//! e.g. `COLOCK_EXPLORE_MAX_SCHEDULES=600 cargo test --release -p
+//! colock-sim --test explore -- --nocapture` (what `scripts/check.sh`
+//! runs). Each test prints what it explored.
 
 use colock_core::authorization::Authorization;
 use colock_core::{AccessMode, InstanceTarget};
@@ -33,27 +40,45 @@ fn manager(cfg: &CellsConfig) -> Arc<TransactionManager> {
     ))
 }
 
-fn verify_trace(mgr: &TransactionManager, mark: u64) -> Result<(), String> {
-    let events = colock_trace::events_since(mark);
-    let lint = colock_check::Linter::with_catalog(mgr.store().catalog()).lint(&events);
-    if !lint.is_clean() {
-        return Err(format!("protocol violations:\n{}", lint.render()));
-    }
-    let cert = colock_check::Certifier::new().certify(&events);
-    if !cert.is_clean() {
-        return Err(format!("not serializable:\n{}", cert.render_with_context(&events)));
-    }
-    Ok(())
+/// Schedules the storm and the deadlock scenario explore unless the
+/// environment raises the budget.
+const STORM_SCHEDULES: usize = 64;
+
+/// The storm's and the deadlock scenario's bounds.
+fn budget() -> ExploreConfig {
+    ExploreConfig { max_schedules: STORM_SCHEDULES, ..ExploreConfig::default() }.with_env()
 }
 
-/// Two writers inserting distinct robots into the same container: every
-/// schedule must commit both and certify conflict-serializable.
-struct TwoInserters {
+/// Lints and certifies the events `mgr` traced since `mark`.
+fn verify_trace(mgr: &TransactionManager, mark: u64) -> Result<(), String> {
+    let events = colock_trace::events_since_in(mark, &[mgr.trace_instance()])
+        .map_err(|e| e.to_string())?;
+    colock_check::verify_trace(mgr.store().catalog(), &events).map(drop)
+}
+
+/// Writers in the hot container's storm.
+const INSERTERS: usize = 3;
+
+/// `INSERTERS` writers inserting distinct robots into the same container:
+/// every schedule must commit them all, grow the container by one member
+/// per inserter (none lost, none duplicated), and lint and certify clean.
+struct InsertStorm {
     mgr: Option<Arc<TransactionManager>>,
     mark: u64,
 }
 
-impl Explorable for TwoInserters {
+fn robots_of_c1(mgr: &TransactionManager) -> Result<usize, String> {
+    let t = mgr.begin(TxnKind::Short);
+    let container = InstanceTarget::object("cells", "c1").attr("robots");
+    let members = match t.read(&container).map_err(|e| e.to_string())? {
+        Value::Set(es) | Value::List(es) => es.len(),
+        other => return Err(format!("robots is not a collection: {other:?}")),
+    };
+    t.commit().map_err(|e| e.to_string())?;
+    Ok(members)
+}
+
+impl Explorable for InsertStorm {
     fn reset(&mut self) {
         self.mark = colock_trace::current_seq();
         self.mgr = Some(manager(&small_cells()));
@@ -61,7 +86,7 @@ impl Explorable for TwoInserters {
 
     fn threads(&mut self) -> Vec<Box<dyn FnOnce() + Send + 'static>> {
         let mgr = self.mgr.as_ref().expect("reset ran").clone();
-        (0..2)
+        (0..INSERTERS)
             .map(|w| {
                 let mgr = Arc::clone(&mgr);
                 Box::new(move || {
@@ -84,6 +109,12 @@ impl Explorable for TwoInserters {
         if mgr.active_count() != 0 {
             return Err("transactions survived".into());
         }
+        // The storm's own read of the container goes into the window too.
+        let members = robots_of_c1(&mgr)?;
+        let expected = small_cells().robots_per_cell + INSERTERS;
+        if members != expected {
+            return Err(format!("lost or duplicated inserts: {members} != {expected}"));
+        }
         verify_trace(&mgr, self.mark)
     }
 
@@ -97,14 +128,18 @@ impl Explorable for TwoInserters {
 #[test]
 fn explored_insert_schedules_certify_clean() {
     colock_trace::enable();
-    let cfg = ExploreConfig { max_schedules: 64, ..ExploreConfig::default() };
-    let mut scenario = TwoInserters { mgr: None, mark: 0 };
+    let cfg = budget();
+    let mut scenario = InsertStorm { mgr: None, mark: 0 };
     let report = explore(&cfg, &mut scenario);
+    println!("storm ({INSERTERS} inserters): {report}");
     if let Some(f) = &report.failure {
         panic!("schedule failed:\n{f}");
     }
     assert!(report.is_clean(), "{report}");
-    assert!(report.distinct_schedules >= 2, "only one schedule explored: {report}");
+    assert!(
+        report.distinct_schedules >= cfg.max_schedules.min(500) || !report.truncated,
+        "the storm explored too few schedules: {report}"
+    );
 }
 
 /// A short writer reads and then updates a robot's trajectory — an IS chain,
@@ -171,6 +206,7 @@ fn explored_conversions_against_drains_certify_clean() {
     colock_trace::enable();
     let mut scenario = ConvertAgainstDrain { mgr: None, mark: 0 };
     let report = explore(&ExploreConfig::default(), &mut scenario);
+    println!("conversion against drain: {report}");
     if let Some(f) = &report.failure {
         panic!("schedule failed:\n{f}");
     }
@@ -252,7 +288,7 @@ impl Explorable for OppositeOrder {
 #[test]
 fn explored_deadlocks_are_resolved_and_certify_clean() {
     colock_trace::enable();
-    let cfg = ExploreConfig { max_schedules: 64, ..ExploreConfig::default() };
+    let cfg = budget();
     let mut scenario = OppositeOrder {
         mgr: None,
         mark: 0,
@@ -260,13 +296,15 @@ fn explored_deadlocks_are_resolved_and_certify_clean() {
         deadlock_schedules: 0,
     };
     let report = explore(&cfg, &mut scenario);
+    println!("deadlock: {report}; {} schedules closed the cycle", scenario.deadlock_schedules);
     if let Some(f) = &report.failure {
         panic!("schedule failed:\n{f}");
     }
     assert!(report.is_clean(), "{report}");
+    assert!(report.distinct_schedules >= 2, "the deadlock scenario barely explored: {report}");
     assert!(
         scenario.deadlock_schedules > 0,
-        "no explored schedule reached the deadlock: {report}"
+        "no explored schedule closed the cycle, so the scenario proves nothing: {report}"
     );
 }
 
@@ -342,6 +380,7 @@ fn explore_insert_against(
     let dirty_reads = Arc::new(AtomicU64::new(0));
     let mut scenario = InsertAgainstRead { mgr: None, mark: 0, insert, read_new, dirty_reads };
     let report = explore(&ExploreConfig::default(), &mut scenario);
+    println!("insert against read: {report}");
     if let Some(f) = &report.failure {
         panic!("schedule failed:\n{f}");
     }

@@ -190,7 +190,7 @@ pub trait Explorable {
     fn rescue(&self) {}
 }
 
-/// Exploration bounds. [`ExploreConfig::from_env`] reads
+/// Exploration bounds. [`ExploreConfig::with_env`] reads
 /// `COLOCK_EXPLORE_DEPTH`, `COLOCK_EXPLORE_MAX_SCHEDULES` and
 /// `COLOCK_EXPLORE_HANG_MS`.
 #[derive(Debug, Clone)]
@@ -211,11 +211,12 @@ impl Default for ExploreConfig {
 }
 
 impl ExploreConfig {
-    /// The default bounds with `COLOCK_EXPLORE_DEPTH`,
+    /// These bounds with `COLOCK_EXPLORE_DEPTH`,
     /// `COLOCK_EXPLORE_MAX_SCHEDULES` and `COLOCK_EXPLORE_HANG_MS`
-    /// overrides applied.
-    pub fn from_env() -> Self {
-        let mut cfg = ExploreConfig::default();
+    /// overrides applied: a test keeps a small budget of its own, and a
+    /// longer sweep raises it from the environment.
+    pub fn with_env(self) -> Self {
+        let mut cfg = self;
         if let Some(d) = env_usize("COLOCK_EXPLORE_DEPTH") {
             cfg.depth = d;
         }

@@ -11,10 +11,11 @@
 //! * [`prop`] — a minimal property-testing harness ([`forall!`]) with case
 //!   counts, failing-seed reporting and integer/vec/string shrinking
 //!   (replaces `proptest`),
-//! * [`stress`] — a deterministic concurrency stressor: seeded
-//!   round-robin/random interleaving driver, a barrier-stepped multi-thread
-//!   runner and predicate waits with timeouts (replaces the
+//! * [`stress`] — a watchdogged multi-thread runner, a barrier-stepped
+//!   driver and predicate waits with timeouts (replaces the
 //!   `thread::sleep`-and-hope pattern),
+//! * [`explore`] — a DPOR interleaving explorer that runs real engine
+//!   threads one chosen schedule at a time,
 //! * [`bench`](mod@bench) — a micro-bench timer (warmup + N iterations,
 //!   min/median/p99, JSON lines on stdout — replaces `criterion`),
 //! * [`codec`] — a small hand-rolled line-oriented encode/decode (plus a
@@ -48,4 +49,4 @@ pub use explore::{Explorable, ExploreConfig, ExploreReport};
 pub use fault::{CrashPoint, FaultPlan};
 pub use prop::{run_forall, Config, Shrink};
 pub use rng::Rng;
-pub use stress::{lockstep, run_threads, wait_until, Interleaver, Schedule};
+pub use stress::{lockstep, run_threads, wait_until};

@@ -1,6 +1,6 @@
-//! Deterministic concurrency testing: predicate waits with timeouts, a
-//! watchdogged multi-thread runner, a barrier-stepped (lockstep) driver and
-//! a seeded single-threaded interleaving scheduler.
+//! Concurrency testing: predicate waits with timeouts, a watchdogged
+//! multi-thread runner and a barrier-stepped (lockstep) driver. Exhaustive
+//! interleaving search lives in [`crate::explore`].
 //!
 //! The seed tests used `thread::sleep(30ms)` to "wait" for another thread
 //! to reach a state — racy under load and slow everywhere. The primitives
@@ -12,14 +12,9 @@
 //!   waiter turns into a test failure (with the stuck thread ids) rather
 //!   than a hung CI job,
 //! * [`lockstep`] rendezvouses N threads at a barrier between rounds, so
-//!   every round's operations are genuinely concurrent,
-//! * [`Interleaver`] executes per-task step lists in a seeded round-robin
-//!   or random order on one thread — full determinism for non-blocking
-//!   (try-lock style) schedule exploration.
+//!   every round's operations are genuinely concurrent.
 
-use crate::rng::Rng;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -117,111 +112,10 @@ where
     });
 }
 
-/// Scheduling policy of an [`Interleaver`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Schedule {
-    /// Strict rotation over unfinished tasks.
-    RoundRobin,
-    /// Seeded uniform choice among unfinished tasks.
-    Random(u64),
-}
-
-/// A deterministic single-threaded interleaving driver.
-///
-/// Each task is a queue of steps; the interleaver repeatedly picks an
-/// unfinished task (round-robin or seeded-random) and executes its next
-/// step. Because everything runs on one thread, steps must be non-blocking
-/// (use try-lock flavors); in exchange the whole schedule is replayable
-/// from the seed.
-///
-/// ```
-/// use colock_testkit::{Interleaver, Schedule};
-/// let mut trace = Vec::new();
-/// let order = Interleaver::new(Schedule::RoundRobin)
-///     .run(vec![vec![1, 2], vec![10]], |task, step| trace.push((task, step)));
-/// assert_eq!(trace, vec![(0, 1), (1, 10), (0, 2)]);
-/// assert_eq!(order, vec![0, 1, 0]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Interleaver {
-    schedule: Schedule,
-}
-
-impl Interleaver {
-    /// Creates a driver with the given policy.
-    pub fn new(schedule: Schedule) -> Self {
-        Interleaver { schedule }
-    }
-
-    /// Executes every step of every task, one at a time, in the scheduled
-    /// order. Returns the task-id trace of the schedule that ran.
-    pub fn run<S>(
-        &self,
-        tasks: Vec<Vec<S>>,
-        mut exec: impl FnMut(usize, S),
-    ) -> Vec<usize> {
-        let mut queues: Vec<std::collections::VecDeque<S>> =
-            tasks.into_iter().map(Into::into).collect();
-        let mut rng = match self.schedule {
-            Schedule::Random(seed) => Some(Rng::seed_from_u64(seed)),
-            Schedule::RoundRobin => None,
-        };
-        let mut order = Vec::new();
-        let mut cursor = 0usize;
-        loop {
-            let live: Vec<usize> =
-                (0..queues.len()).filter(|&i| !queues[i].is_empty()).collect();
-            if live.is_empty() {
-                return order;
-            }
-            let task = match &mut rng {
-                Some(rng) => *rng.choose(&live).unwrap(),
-                None => {
-                    // Next live task at or after the rotating cursor.
-                    let t = *live
-                        .iter()
-                        .find(|&&i| i >= cursor)
-                        .unwrap_or(&live[0]);
-                    cursor = t + 1;
-                    t
-                }
-            };
-            let step = queues[task].pop_front().unwrap();
-            exec(task, step);
-            order.push(task);
-        }
-    }
-}
-
-/// A shared round counter for ad-hoc cross-thread checkpoints: threads
-/// [`Checkpoint::arrive`] at a phase and others [`Checkpoint::wait_for`]
-/// it without sleeping for fixed intervals.
-#[derive(Debug, Default)]
-pub struct Checkpoint {
-    phase: AtomicUsize,
-}
-
-impl Checkpoint {
-    /// A checkpoint at phase 0.
-    pub fn new() -> Self {
-        Checkpoint::default()
-    }
-
-    /// Marks `phase` (and any earlier phase) as reached.
-    pub fn arrive(&self, phase: usize) {
-        self.phase.fetch_max(phase, Ordering::SeqCst);
-    }
-
-    /// Blocks (polling) until `phase` has been reached; panics after
-    /// `timeout`.
-    pub fn wait_for(&self, phase: usize, timeout: Duration) {
-        wait_until(timeout, || self.phase.load(Ordering::SeqCst) >= phase);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn wait_until_observes_progress() {
@@ -285,36 +179,5 @@ mod tests {
                 assert!(r >= round && r <= round + 1, "round skew: {r} vs {round}");
             }
         });
-    }
-
-    #[test]
-    fn interleaver_round_robin_is_fair() {
-        let order = Interleaver::new(Schedule::RoundRobin)
-            .run(vec![vec![(); 3], vec![(); 3], vec![(); 3]], |_, _| {});
-        assert_eq!(order, vec![0, 1, 2, 0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
-    fn interleaver_random_is_seed_deterministic() {
-        let tasks = || vec![vec![(); 5], vec![(); 5], vec![(); 5]];
-        let a = Interleaver::new(Schedule::Random(11)).run(tasks(), |_, _| {});
-        let b = Interleaver::new(Schedule::Random(11)).run(tasks(), |_, _| {});
-        let c = Interleaver::new(Schedule::Random(12)).run(tasks(), |_, _| {});
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 15);
-        assert!(a != c || a.len() == 15, "different seeds usually differ");
-    }
-
-    #[test]
-    fn checkpoint_orders_phases() {
-        let cp = Arc::new(Checkpoint::new());
-        let cp2 = Arc::clone(&cp);
-        let h = thread::spawn(move || {
-            cp2.wait_for(1, Duration::from_secs(2));
-            cp2.arrive(2);
-        });
-        cp.arrive(1);
-        cp.wait_for(2, Duration::from_secs(2));
-        h.join().unwrap();
     }
 }

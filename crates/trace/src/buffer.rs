@@ -10,8 +10,32 @@
 //! are contiguous from there (modulo in-flight writers).
 
 use crate::event::Event;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+
+/// A scoped read whose window the ring has partly overwritten: linting
+/// what is left would judge transactions by half their events.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WindowOverwritten {
+    /// Events recorded since the window's mark, every instance together.
+    pub recorded: u64,
+    /// Ring capacity: how many of them it kept.
+    pub capacity: usize,
+}
+
+impl fmt::Display for WindowOverwritten {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "trace ring kept only the last {} of the {} events recorded since the mark; \
+             raise COLOCK_TRACE_CAP or shorten the window",
+            self.capacity, self.recorded
+        )
+    }
+}
+
+impl std::error::Error for WindowOverwritten {}
 
 /// A fixed-capacity, overwrite-oldest ring buffer of trace events.
 ///
@@ -77,11 +101,47 @@ impl TraceBuffer {
     /// number. Use [`TraceBuffer::next_seq`] before a run to scope a
     /// snapshot to that run.
     pub fn events_since(&self, since: u64) -> Vec<Event> {
+        self.collect(|e| e.seq >= since)
+    }
+
+    /// Like [`TraceBuffer::events_since`], keeping only the events stamped
+    /// with one of `instances`. Fails when the ring has overwritten part of
+    /// the window instead of returning what is left of it.
+    ///
+    /// ```
+    /// use colock_trace::{Event, EventKind, TraceBuffer};
+    /// let buf = TraceBuffer::with_capacity(4);
+    /// let mark = buf.next_seq();
+    /// buf.record(Event::new(EventKind::Request, 1).instance(7));
+    /// buf.record(Event::new(EventKind::Request, 1).instance(8));
+    /// assert_eq!(buf.events_since_in(mark, &[7]).unwrap().len(), 1);
+    /// for i in 0..4 {
+    ///     buf.record(Event::new(EventKind::Grant, i).instance(8));
+    /// }
+    /// assert!(buf.events_since_in(mark, &[7]).is_err());
+    /// ```
+    pub fn events_since_in(
+        &self,
+        since: u64,
+        instances: &[u64],
+    ) -> Result<Vec<Event>, WindowOverwritten> {
+        let out = self.collect(|e| e.seq >= since && instances.contains(&e.instance));
+        // Read after the copy: a slot of the window can only have been
+        // overwritten by a writer that claimed its seq one lap later.
+        let recorded = self.next_seq().saturating_sub(since);
+        if recorded > self.capacity() as u64 {
+            return Err(WindowOverwritten { recorded, capacity: self.capacity() });
+        }
+        Ok(out)
+    }
+
+    fn collect(&self, keep: impl Fn(&Event) -> bool) -> Vec<Event> {
         let mut out: Vec<Event> = self
             .slots
             .iter()
-            .filter_map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).clone())
-            .filter(|e| e.seq >= since)
+            .filter_map(|s| {
+                s.lock().unwrap_or_else(|e| e.into_inner()).as_ref().filter(|e| keep(e)).cloned()
+            })
             .collect();
         out.sort_by_key(|e| e.seq);
         out

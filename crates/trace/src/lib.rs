@@ -11,6 +11,9 @@
 //! * a process-global buffer behind an on/off switch ([`enable`],
 //!   [`disable`], [`emit`]) that compiles down to one relaxed atomic load
 //!   and a branch when tracing is off,
+//! * instance-scoped reads ([`next_instance`], [`events_since_in`]): every
+//!   lock manager stamps its events with an id of its own, so two managers
+//!   traced at once in one process read back only their own events,
 //! * [`WaitHistogram`] / [`wait_histograms`] — per-resource wait-time
 //!   distributions with power-of-two buckets,
 //! * [`WaitsForGraph`] — DOT export of the waits-for graph the deadlock
@@ -29,6 +32,9 @@
 //! let events = colock_trace::events_since(mark);
 //! colock_trace::disable();
 //! ```
+//!
+//! A process that traces several managers at once reads each one's window
+//! with [`events_since_in`] and the ids its managers were stamped with.
 
 #![warn(missing_docs)]
 
@@ -38,19 +44,22 @@ mod event;
 pub mod explain;
 mod hist;
 
-pub use buffer::TraceBuffer;
+pub use buffer::{TraceBuffer, WindowOverwritten};
 pub use dot::{dot_escape, dot_unescape, WaitEdge, WaitsForGraph};
 pub use event::{Event, EventKind, ParseError, RuleTag};
 pub use hist::{wait_histograms, WaitHistogram, BUCKETS};
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Global switch. `Relaxed` is enough: the only consequence of a stale
 /// read is one dropped or one extra event around the toggle.
 static ENABLED: AtomicBool = AtomicBool::new(false);
+
+/// Source of lock-manager instance ids; 0 means "no instance".
+static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
 
 /// Default capacity of the global buffer (overridable with
 /// `COLOCK_TRACE_CAP` before first use).
@@ -151,6 +160,32 @@ pub fn events_since(since: u64) -> Vec<Event> {
     global().events_since(since)
 }
 
+/// The buffered events with `seq >= since` that one of `instances`
+/// emitted, sorted — one manager's (or one crash/recovery cycle's
+/// managers') window, whatever else the process traces meanwhile. Fails
+/// when the ring has overwritten part of the window.
+///
+/// ```
+/// use colock_trace::{Event, EventKind};
+/// colock_trace::enable();
+/// let (mine, theirs) = (colock_trace::next_instance(), colock_trace::next_instance());
+/// let mark = colock_trace::current_seq();
+/// colock_trace::emit(|| Event::new(EventKind::TxnBegin, 1).instance(mine));
+/// colock_trace::emit(|| Event::new(EventKind::TxnBegin, 1).instance(theirs));
+/// let window = colock_trace::events_since_in(mark, &[mine]).unwrap();
+/// assert_eq!(window.len(), 1);
+/// assert_eq!(window[0].instance, mine);
+/// ```
+pub fn events_since_in(since: u64, instances: &[u64]) -> Result<Vec<Event>, WindowOverwritten> {
+    global().events_since_in(since, instances)
+}
+
+/// A fresh lock-manager instance id for [`Event::instance`], never 0 and
+/// never handed out twice in a process.
+pub fn next_instance() -> u64 {
+    NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed)
+}
+
 /// Sorted copy of every buffered event.
 pub fn snapshot() -> Vec<Event> {
     global().snapshot()
@@ -225,8 +260,13 @@ mod tests {
     // so cargo's parallel test runner cannot interleave enable/disable.
     #[test]
     fn global_switch_scopes_and_dots() {
-        // Disabled: emit is a no-op and the closure must not run.
+        // The env gate's "absent" path leaves the switch as it was; the
+        // "on" path is covered by examples setting COLOCK_TRACE themselves.
+        std::env::remove_var("COLOCK_TRACE");
         disable();
+        assert!(!enable_from_env());
+
+        // Disabled: emit is a no-op and the closure must not run.
         let mark = current_seq();
         emit(|| panic!("must not construct when disabled"));
         assert_eq!(current_seq(), mark);
@@ -266,14 +306,5 @@ mod tests {
         let dots = deadlock_dots();
         assert_eq!(dots.len(), DOT_KEEP);
         assert_eq!(dots.last().unwrap(), &format!("g{}", DOT_KEEP + 2));
-    }
-
-    #[test]
-    fn env_gate_parses_off_values() {
-        // Only checks the "absent/off" path deterministically; the "on"
-        // path is covered by examples setting COLOCK_TRACE themselves.
-        std::env::remove_var("COLOCK_TRACE");
-        disable();
-        assert!(!enable_from_env());
     }
 }

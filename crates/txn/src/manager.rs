@@ -259,6 +259,7 @@ impl TransactionManager {
             colock_trace::emit(|| {
                 let n = recovered.entries.iter().filter(|e| e.1 == owner).count();
                 colock_trace::Event::new(colock_trace::EventKind::TxnRecovered, owner.0)
+                    .instance(self.trace_instance())
                     .detail(format!("{n} long locks"))
             });
         }
@@ -289,6 +290,7 @@ impl TransactionManager {
         let id = self.hot.idgen.next();
         colock_trace::emit(|| {
             colock_trace::Event::new(colock_trace::EventKind::TxnBegin, id.0)
+                .instance(self.trace_instance())
                 .detail(if kind == TxnKind::Long { "long" } else { "short" })
         });
         self.open(id, TxnState::new(kind, None))
@@ -321,6 +323,7 @@ impl TransactionManager {
         };
         colock_trace::emit(|| {
             colock_trace::Event::new(colock_trace::EventKind::TxnBegin, id.0)
+                .instance(self.trace_instance())
                 .detail(if snap.is_some() { "readonly" } else { "readonly-locking" })
         });
         self.open(id, TxnState::new(TxnKind::ReadOnly, snap))
@@ -329,6 +332,12 @@ impl TransactionManager {
     /// The lock manager.
     pub fn lock_manager(&self) -> &Arc<LockManager<ResourcePath>> {
         &self.lm
+    }
+
+    /// The id stamped on every trace event this manager, its transactions
+    /// and its lock manager emit (see [`LockManager::trace_instance`]).
+    pub fn trace_instance(&self) -> u64 {
+        self.lm.trace_instance()
     }
 
     /// The protocol engine.
@@ -405,7 +414,7 @@ impl TransactionManager {
         colock_trace::emit(|| {
             let kind =
                 if commit { colock_trace::EventKind::TxnCommit } else { colock_trace::EventKind::TxnAbort };
-            let ev = colock_trace::Event::new(kind, txn.0);
+            let ev = colock_trace::Event::new(kind, txn.0).instance(self.trace_instance());
             // A version-installing commit stamps its clock timestamp so the
             // serializability certifier can order snapshot reads against it
             // (reads-from edges are `version ts ≤ snapshot ts`).

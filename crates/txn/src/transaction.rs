@@ -214,6 +214,7 @@ impl<'m> Transaction<'m> {
             self.mgr.store().get_at_snapshot(&target.relation, &key, &target.steps, ts)?;
         colock_trace::emit(|| {
             colock_trace::Event::new(colock_trace::EventKind::SnapshotRead, self.id.0)
+                .instance(self.mgr.trace_instance())
                 .resource(target.to_string())
                 .detail(format!("ts={ts}"))
         });
@@ -450,6 +451,7 @@ impl<'m> Transaction<'m> {
             .release_target_early(self.mgr.lock_manager(), self.id, target)?;
         colock_trace::emit(|| {
             colock_trace::Event::new(colock_trace::EventKind::TxnReleaseEarly, self.id.0)
+                .instance(self.mgr.trace_instance())
                 .resource(target.to_string())
                 .detail(format!("released {released} locks"))
         });

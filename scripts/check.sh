@@ -129,13 +129,14 @@ if cargo run --offline --release -q -p colock-bench --bin colock_check -- \
 fi
 echo "    ok: clean demo certified, forced cycle refused"
 
-echo "==> stress_explore (DPOR interleaving explorer, linted + certified)"
-# Enumerates distinct schedules of the 3-txn hot-HoLU insert storm and a
-# 2-txn guaranteed-deadlock scenario through the lock table's yield points;
-# every explored interleaving must lint clean and certify
+echo "==> explore at full budget (DPOR interleaving explorer, linted + certified)"
+# The workspace suite's explore test with the sweep's budget: 600 distinct
+# schedules of the 3-txn hot-HoLU insert storm (at least 500 required) and
+# of the 2-txn guaranteed-deadlock scenario (at least one must close the
+# cycle); every explored interleaving must lint clean and certify
 # conflict-serializable, and every explored deadlock must resolve live.
 COLOCK_EXPLORE_MAX_SCHEDULES="${COLOCK_EXPLORE_MAX_SCHEDULES:-600}" \
-    cargo run --offline --release -q -p colock-bench --bin stress_explore
+    cargo test --offline --release -q -p colock-sim --test explore -- --nocapture
 
 echo "==> stress_lockmgr (bounded rounds; fast-path-off rounds; linted + certified)"
 # Every harness below traces, lints and certifies every round. Each picks its
@@ -153,10 +154,11 @@ echo "==> stress_insert_storm (hot-HoLU commuting inserts; semantic-off rounds)"
 COLOCK_STRESS_ROUNDS="${COLOCK_STRESS_ROUNDS:-30}" \
     cargo run --offline --release -q -p colock-bench --bin stress_insert_storm
 
-echo "==> stress_recovery (bounded fault-injection sweep; fast-path-off rounds)"
-# 15 rounds per crash point: 10 fast path on, 5 off.
+echo "==> crash matrix at full budget (fault-injection sweep; fast-path-off rounds)"
+# The workspace suite's crash matrix with 15 rounds per crash point: 10
+# fast path on, 5 off; every crash/recovery cycle linted and certified.
 COLOCK_RECOVERY_ROUNDS="${COLOCK_RECOVERY_ROUNDS:-15}" \
-    cargo run --offline --release -q -p colock-bench --bin stress_recovery
+    cargo test --offline --release -q -p colock-sim --test crash_matrix -- --nocapture
 
 echo "==> disjoint_scaling (per-layer 1- vs 2-thread rates on disjoint cells; small budget)"
 # Every operation must succeed and never wait; the rates are printed, not

@@ -42,7 +42,7 @@ fn every_committed_txn_has_a_nonempty_timeline() {
     let report = run_threads(&mgr, &cfg);
     assert_eq!(report.metrics.committed, 20);
 
-    let events = colock::trace::events_since(mark);
+    let events = colock::trace::events_since_in(mark, &[mgr.trace_instance()]).unwrap();
     let lines = timeline(&events);
 
     // Every transaction that committed has a timeline, and it explains more
