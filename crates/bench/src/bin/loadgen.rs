@@ -31,7 +31,7 @@ use colock_server::wire::{parse_target, BeginKind, Role};
 use colock_server::{Server, ServerConfig};
 use colock_sim::{build_cells_store, CellsConfig};
 use colock_testkit::{Backoff, Rng};
-use colock_trace::WaitHistogram;
+use colock_trace::{TraceBuffer, WaitHistogram};
 use colock_txn::{ProtocolKind, TransactionManager};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -175,7 +175,6 @@ fn run_rmw(c: &mut Client, cell: usize, robot: usize) -> Outcome {
 }
 
 fn main() {
-    colock_trace::enable();
     let cfg = LoadConfig {
         sessions: env("COLOCK_LOAD_SESSIONS", 1000),
         workers: env("COLOCK_LOAD_WORKERS", 8),
@@ -193,6 +192,11 @@ fn main() {
     authz.set_relation_default("effectors", Right::Read);
     let manager =
         Arc::new(TransactionManager::over_store(store, authz, ProtocolKind::Proposed));
+    // Room for the whole window: the mix traces about 30 events per
+    // committed transaction, retries included, and two per session.
+    let trace = Arc::new(TraceBuffer::with_capacity(cfg.txns as usize * 64 + cfg.sessions * 2));
+    trace.enable();
+    manager.attach_trace(Arc::clone(&trace));
     let server = Server::start(
         manager,
         ServerConfig {
@@ -205,7 +209,7 @@ fn main() {
     )
     .expect("bind loopback");
     let addr = server.addr();
-    let mark = colock_trace::current_seq();
+    let mark = trace.next_seq();
 
     let budget = AtomicU64::new(cfg.txns);
     let started = Instant::now();
@@ -255,8 +259,7 @@ fn main() {
     assert_eq!(manager.active_count(), 0, "no transactions may survive the drain");
     assert!(committed + retries >= cfg.txns, "budget fully consumed");
 
-    let (lint, cert) =
-        verify_window("served trace", manager.store().catalog(), mark, &[manager.trace_instance()]);
+    let (lint, cert) = verify_window("served trace", manager.store().catalog(), &trace, mark);
     println!(
         "lint: {} events, {} grants checked, 0 violations",
         lint.events_seen, lint.grants_checked

@@ -32,8 +32,10 @@ use colock_core::{AccessMode, InstanceTarget};
 use colock_nf2::Value;
 use colock_sim::CellsConfig;
 use colock_testkit::Rng;
+use colock_trace::TraceBuffer;
 use colock_txn::{ProtocolKind, Transaction, TransactionManager, TxnKind};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 const WORKERS: usize = 4;
 const READERS: usize = 2;
@@ -140,12 +142,10 @@ fn reader(mgr: &TransactionManager, begun: &[AtomicU64], writers_done: &AtomicBo
 }
 
 fn main() {
-    // A round traces ~76k events, more than the default ring holds; the
+    // A round traces ~76k events, more than the default buffer holds; the
     // window of a whole round must fit, or its check fails.
-    if std::env::var_os("COLOCK_TRACE_CAP").is_none() {
-        std::env::set_var("COLOCK_TRACE_CAP", "131072");
-    }
-    colock_trace::enable();
+    let trace = Arc::new(TraceBuffer::with_capacity(131_072));
+    trace.enable();
     let rounds = stress_rounds();
     let cells = CellsConfig {
         n_cells: 2,
@@ -156,8 +156,9 @@ fn main() {
         ..Default::default()
     };
     for round in 0..rounds {
-        let mark = colock_trace::current_seq();
         let mgr = cells_manager_writable(&cells, ProtocolKind::Proposed);
+        mgr.attach_trace(Arc::clone(&trace));
+        let mark = trace.next_seq();
 
         // Counters start at 0 (the generated store holds free-form strings).
         let t = mgr.begin(TxnKind::Short);
@@ -227,7 +228,7 @@ fn main() {
             assert_eq!(entries, objects, "round {round}: {relation} chains not pruned to one entry each");
         }
 
-        verify_window(&format!("round {round}"), store.catalog(), mark, &[mgr.trace_instance()]);
+        verify_window(&format!("round {round}"), store.catalog(), &trace, mark);
         if round % 10 == 0 {
             let commits: u64 = expected.0.iter().chain(&expected.1).sum();
             println!(

@@ -7,6 +7,7 @@ use colock_check::{CertifyReport, LintReport};
 use colock_core::authorization::{Authorization, Right};
 use colock_nf2::Catalog;
 use colock_sim::{build_cells_store, CellsConfig};
+use colock_trace::TraceBuffer;
 use colock_txn::{ProtocolKind, TransactionManager};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -44,17 +45,16 @@ pub fn f1(v: f64) -> String {
     format!("{v:.1}")
 }
 
-/// Reads the events `instances` traced since `mark`, then lints and
+/// Reads the events `trace` recorded since `mark`, then lints and
 /// certifies them ([`colock_check::verify_trace`]); panics naming `label`
-/// with the offending timelines, or when the ring overwrote the window.
+/// with the offending timelines, or when the buffer overwrote the window.
 pub fn verify_window(
     label: &str,
     catalog: &Catalog,
+    trace: &TraceBuffer,
     mark: u64,
-    instances: &[u64],
 ) -> (LintReport, CertifyReport) {
-    let events = colock_trace::events_since_in(mark, instances)
-        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    let events = trace.events_since(mark).unwrap_or_else(|e| panic!("{label}: {e}"));
     colock_check::verify_trace(catalog, &events).unwrap_or_else(|e| panic!("{label}: {e}"))
 }
 
@@ -68,16 +68,16 @@ pub fn stress_rounds() -> u64 {
 const STALL: Duration = Duration::from_secs(8);
 
 /// The soak loop of the stress harnesses, with tracing on. Each of
-/// [`stress_rounds`] rounds builds its manager with `setup(round)`, runs
-/// `run(round, &mgr)` (the round's work and its invariants, returning the
-/// line to print) and then lints and certifies the manager's trace window.
+/// [`stress_rounds`] rounds builds its manager with `setup(round)`, turns
+/// its trace buffer on, runs `run(round, &mgr)` (the round's work and its
+/// invariants, returning the line to print) and then lints and certifies
+/// the manager's trace window.
 /// A watchdog thread prints the lock table of a round still running after
 /// 8 s, twice, 2 s apart, and parks the process for inspection.
 pub fn soak(
     mut setup: impl FnMut(u64) -> Arc<TransactionManager>,
     mut run: impl FnMut(u64, &Arc<TransactionManager>) -> String,
 ) {
-    colock_trace::enable();
     // The running round, its start, and its manager.
     let watched = Arc::new(Mutex::new((0, Instant::now(), None::<Arc<TransactionManager>>)));
     let watchdog = Arc::clone(&watched);
@@ -101,10 +101,11 @@ pub fn soak(
         let mgr = setup(round);
         *watched.lock().unwrap_or_else(PoisonError::into_inner) =
             (round, Instant::now(), Some(Arc::clone(&mgr)));
-        let mark = colock_trace::current_seq();
+        mgr.trace().enable();
+        let mark = mgr.trace().next_seq();
         let line = run(round, &mgr);
         let label = format!("round {round}");
-        verify_window(&label, mgr.store().catalog(), mark, &[mgr.trace_instance()]);
+        verify_window(&label, mgr.store().catalog(), mgr.trace(), mark);
         println!("{label} {line}");
     }
 }
@@ -116,17 +117,17 @@ pub fn soak(
 /// second acquisition, so the second requests close a waits-for cycle and
 /// the detector must abort one of them.
 ///
-/// Enables tracing and returns exactly the events this demo produced.
+/// Traces into the default buffer (its deadlock DOT exports included) and
+/// returns exactly the events this demo produced.
 pub fn contention_demo() -> Vec<colock_trace::Event> {
     use colock_core::{AccessMode, InstanceTarget};
     use colock_txn::TxnKind;
     use std::sync::Barrier;
 
-    colock_trace::enable();
-    let mark = colock_trace::current_seq();
-
     let cfg = CellsConfig { n_cells: 2, c_objects_per_cell: 4, ..Default::default() };
     let mgr = cells_manager(&cfg, ProtocolKind::Proposed);
+    mgr.trace().enable();
+    let mark = mgr.trace().next_seq();
 
     let reader = mgr.begin(TxnKind::Short);
     reader
@@ -158,7 +159,7 @@ pub fn contention_demo() -> Vec<colock_trace::Event> {
         }
     });
 
-    colock_trace::events_since_in(mark, &[mgr.trace_instance()]).expect("the demo fits the ring")
+    mgr.trace().events_since(mark).expect("the demo fits the buffer")
 }
 
 #[cfg(test)]

@@ -12,8 +12,8 @@
 //!
 //! Neither path touches engine internals, so a bug in the engine cannot hide
 //! itself from its own checker. The stress binaries and the sim tests drain
-//! the trace ring through the linter and the [`certify`] certifier after
-//! every run; `cargo run --bin colock_check` lints trace files offline.
+//! their managers' trace buffers through the linter and the [`certify`]
+//! certifier after every run; `cargo run --bin colock_check` lints trace files offline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

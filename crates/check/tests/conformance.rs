@@ -7,9 +7,7 @@
 //! paths and assert the linter stays silent — together they show the checks
 //! are neither vacuous nor trigger-happy.
 //!
-//! Tests run side by side on the one trace ring: each reads back only the
-//! events of its own manager instance (its synthetic events carry the same
-//! id) with `events_since_in`.
+//! Each test traces into a buffer of its own, so tests run side by side.
 
 use colock_check::{Linter, ViolationKind};
 use colock_core::authorization::{Authorization, Right};
@@ -20,19 +18,27 @@ use colock_lockmgr::{LockManager, LockMode, LockRequestOptions, TxnId};
 use colock_nf2::value::build::{list, set, tup};
 use colock_nf2::{ObjectKey, Value};
 use colock_storage::Store;
-use colock_trace::{self as trace, Event, EventKind, RuleTag};
+use colock_trace::{self as trace, Event, EventKind, RuleTag, TraceBuffer};
 use colock_txn::{ProtocolKind, TransactionManager, TxnKind};
 use std::sync::Arc;
 
-/// Enables tracing and hands the caller the sequence mark to read from.
-fn traced<T>(f: impl FnOnce(u64) -> T) -> T {
-    trace::enable();
-    f(trace::current_seq())
+/// A fresh trace buffer, switched on.
+fn traced() -> Arc<TraceBuffer> {
+    let buf = Arc::new(TraceBuffer::with_capacity(1 << 12));
+    buf.enable();
+    buf
 }
 
-/// The events `instance` emitted since `mark`.
-fn window(mark: u64, instance: u64) -> Vec<Event> {
-    trace::events_since_in(mark, &[instance]).expect("window kept")
+/// A lock manager tracing into a fresh buffer of its own.
+fn traced_lm() -> LockManager<ResourcePath> {
+    let lm = LockManager::new();
+    lm.attach_trace(traced());
+    lm
+}
+
+/// Everything `buf` recorded.
+fn window(buf: &TraceBuffer) -> Vec<Event> {
+    buf.events_since(0).expect("window kept")
 }
 
 fn kinds(report: &colock_check::LintReport) -> Vec<ViolationKind> {
@@ -46,119 +52,94 @@ fn cells_object(key: &str) -> ResourcePath {
         .child(PathStep::Object(ObjectKey::from(key)))
 }
 
-fn begin_short(instance: u64, txn: TxnId) {
-    trace::emit(|| Event::new(EventKind::TxnBegin, txn.0).instance(instance).detail("short"));
+fn begin_short(buf: &TraceBuffer, txn: TxnId) {
+    buf.emit(|| Event::new(EventKind::TxnBegin, txn.0).detail("short"));
 }
 
 #[test]
 fn mutant_skipping_ancestor_intents_is_caught() {
-    traced(|mark| {
-        // A broken protocol layer that grabs the explicit target lock
-        // without first intent-locking the path above it (rules 1/2).
-        let lm: LockManager<ResourcePath> = LockManager::new();
-        let txn = TxnId(7001);
-        begin_short(lm.trace_instance(), txn);
-        {
-            let _rule = trace::rule_scope(RuleTag::Target);
-            lm.acquire(txn, cells_object("c1"), LockMode::X, LockRequestOptions::default())
-                .unwrap();
-        }
-        let report = Linter::with_catalog(&fig1_catalog()).lint(&window(mark, lm.trace_instance()));
-        assert_eq!(kinds(&report), vec![ViolationKind::MissingAncestorIntent], "{}", report.render());
-        assert!(report.violations[0].detail.contains("db:db1"), "{}", report.violations[0]);
-    });
+    // A broken protocol layer that grabs the explicit target lock
+    // without first intent-locking the path above it (rules 1/2).
+    let lm = traced_lm();
+    let txn = TxnId(7001);
+    begin_short(lm.trace(), txn);
+    {
+        let _rule = trace::rule_scope(RuleTag::Target);
+        lm.acquire(txn, cells_object("c1"), LockMode::X, LockRequestOptions::default()).unwrap();
+    }
+    let report = Linter::with_catalog(&fig1_catalog()).lint(&window(lm.trace()));
+    assert_eq!(kinds(&report), vec![ViolationKind::MissingAncestorIntent], "{}", report.render());
+    assert!(report.violations[0].detail.contains("db:db1"), "{}", report.violations[0]);
 }
 
 #[test]
 fn mutant_releasing_mid_growth_is_caught() {
-    traced(|mark| {
-        // A broken engine that releases during the growing phase of a short
-        // transaction and then keeps acquiring (two-phase discipline).
-        let lm: LockManager<ResourcePath> = LockManager::new();
-        let txn = TxnId(7002);
-        let db = ResourcePath::database("db1");
-        begin_short(lm.trace_instance(), txn);
-        let scope = trace::rule_scope(RuleTag::AncestorIntent);
-        lm.acquire(txn, db.clone(), LockMode::IX, LockRequestOptions::default()).unwrap();
-        lm.release(txn, &db);
-        lm.acquire(txn, db, LockMode::IX, LockRequestOptions::default()).unwrap();
-        drop(scope);
-        let report = Linter::with_catalog(&fig1_catalog()).lint(&window(mark, lm.trace_instance()));
-        assert_eq!(kinds(&report), vec![ViolationKind::AcquireAfterRelease], "{}", report.render());
-    });
+    // A broken engine that releases during the growing phase of a short
+    // transaction and then keeps acquiring (two-phase discipline).
+    let lm = traced_lm();
+    let txn = TxnId(7002);
+    let db = ResourcePath::database("db1");
+    begin_short(lm.trace(), txn);
+    let scope = trace::rule_scope(RuleTag::AncestorIntent);
+    lm.acquire(txn, db.clone(), LockMode::IX, LockRequestOptions::default()).unwrap();
+    lm.release(txn, &db);
+    lm.acquire(txn, db, LockMode::IX, LockRequestOptions::default()).unwrap();
+    drop(scope);
+    let report = Linter::with_catalog(&fig1_catalog()).lint(&window(lm.trace()));
+    assert_eq!(kinds(&report), vec![ViolationKind::AcquireAfterRelease], "{}", report.render());
 }
 
 #[test]
 fn mutant_downgrading_conversion_is_caught() {
-    traced(|mark| {
-        // The real lock manager only converts along `join`; emit the exact
-        // event stream a lock manager with a downgrade bug would produce.
-        let (txn, instance) = (TxnId(7003), trace::next_instance());
-        begin_short(instance, txn);
-        trace::emit(|| {
-            Event::new(EventKind::Grant, txn.0)
-                .instance(instance)
-                .resource("db:db1")
-                .mode("X")
-                .rule(RuleTag::Target)
-                .detail("immediate")
-        });
-        trace::emit(|| {
-            Event::new(EventKind::Conversion, txn.0)
-                .instance(instance)
-                .resource("db:db1")
-                .mode("S")
-                .detail("X -> S")
-        });
-        let report = Linter::with_catalog(&fig1_catalog()).lint(&window(mark, instance));
-        assert_eq!(kinds(&report), vec![ViolationKind::IllegalConversion], "{}", report.render());
+    // The real lock manager only converts along `join`; emit the exact
+    // event stream a lock manager with a downgrade bug would produce.
+    let (txn, buf) = (TxnId(7003), traced());
+    begin_short(&buf, txn);
+    buf.emit(|| {
+        Event::new(EventKind::Grant, txn.0)
+            .resource("db:db1")
+            .mode("X")
+            .rule(RuleTag::Target)
+            .detail("immediate")
     });
+    buf.emit(|| {
+        Event::new(EventKind::Conversion, txn.0).resource("db:db1").mode("S").detail("X -> S")
+    });
+    let report = Linter::with_catalog(&fig1_catalog()).lint(&window(&buf));
+    assert_eq!(kinds(&report), vec![ViolationKind::IllegalConversion], "{}", report.render());
 }
 
 #[test]
 fn mutant_releasing_root_before_leaf_is_caught() {
-    traced(|mark| {
-        // A broken early-release path that walks root-to-leaf (rule 5
-        // demands leaf-to-root before EOT).
-        let lm: LockManager<ResourcePath> = LockManager::new();
-        let txn = TxnId(7004);
-        let db = ResourcePath::database("db1");
-        let seg = db.clone().child(PathStep::Segment("seg1".into()));
-        let instance = lm.trace_instance();
-        trace::emit(|| Event::new(EventKind::TxnBegin, txn.0).instance(instance).detail("long"));
-        let scope = trace::rule_scope(RuleTag::AncestorIntent);
-        lm.acquire(txn, db.clone(), LockMode::IX, LockRequestOptions::default()).unwrap();
-        lm.acquire(txn, seg.clone(), LockMode::IX, LockRequestOptions::default()).unwrap();
-        drop(scope);
-        lm.release(txn, &db);
-        lm.release(txn, &seg);
-        trace::emit(|| {
-            Event::new(EventKind::TxnReleaseEarly, txn.0)
-                .instance(instance)
-                .resource(format!("{seg:?}"))
-        });
-        let report = Linter::with_catalog(&fig1_catalog()).lint(&window(mark, instance));
-        assert_eq!(kinds(&report), vec![ViolationKind::ReleaseOrder], "{}", report.render());
-        assert_eq!(report.violations[0].resource, "db:db1");
-    });
+    // A broken early-release path that walks root-to-leaf (rule 5
+    // demands leaf-to-root before EOT).
+    let lm = traced_lm();
+    let txn = TxnId(7004);
+    let db = ResourcePath::database("db1");
+    let seg = db.clone().child(PathStep::Segment("seg1".into()));
+    lm.trace().emit(|| Event::new(EventKind::TxnBegin, txn.0).detail("long"));
+    let scope = trace::rule_scope(RuleTag::AncestorIntent);
+    lm.acquire(txn, db.clone(), LockMode::IX, LockRequestOptions::default()).unwrap();
+    lm.acquire(txn, seg.clone(), LockMode::IX, LockRequestOptions::default()).unwrap();
+    drop(scope);
+    lm.release(txn, &db);
+    lm.release(txn, &seg);
+    lm.trace().emit(|| Event::new(EventKind::TxnReleaseEarly, txn.0).resource(format!("{seg:?}")));
+    let report = Linter::with_catalog(&fig1_catalog()).lint(&window(lm.trace()));
+    assert_eq!(kinds(&report), vec![ViolationKind::ReleaseOrder], "{}", report.render());
+    assert_eq!(report.violations[0].resource, "db:db1");
 }
 
 #[test]
 fn mutant_detector_without_victim_is_caught() {
-    traced(|mark| {
-        // A detector that reports a live cycle and never resolves it. The
-        // later lock-manager event proves the stream continued past the
-        // detection with no victim in between.
-        let instance = trace::next_instance();
-        trace::emit(|| {
-            Event::new(EventKind::DeadlockDetected, 0).instance(instance).detail("T3, T8")
-        });
-        trace::emit(|| {
-            Event::new(EventKind::Release, 9001).instance(instance).resource("r").mode("X")
-        });
-        let report = Linter::new().lint(&window(mark, instance));
-        assert_eq!(kinds(&report), vec![ViolationKind::MissingVictim], "{}", report.render());
-    });
+    // A detector that reports a live cycle and never resolves it. The
+    // later lock-manager event proves the stream continued past the
+    // detection with no victim in between.
+    let buf = traced();
+    buf.emit(|| Event::new(EventKind::DeadlockDetected, 0).detail("T3, T8"));
+    buf.emit(|| Event::new(EventKind::Release, 9001).resource("r").mode("X"));
+    let report = Linter::new().lint(&window(&buf));
+    assert_eq!(kinds(&report), vec![ViolationKind::MissingVictim], "{}", report.render());
 }
 
 // --- conformant engine paths must lint clean -----------------------------
@@ -208,49 +189,47 @@ fn robot(r: &str) -> InstanceTarget {
 
 #[test]
 fn conformant_short_txns_lint_clean() {
-    traced(|mark| {
-        let mut authz = Authorization::allow_all();
-        authz.set_relation_default("effectors", Right::Read);
-        let store = populated_store();
-        let linter = Linter::with_catalog(store.catalog());
-        let mgr = TransactionManager::over_store(store, authz, ProtocolKind::Proposed);
+    let mut authz = Authorization::allow_all();
+    authz.set_relation_default("effectors", Right::Read);
+    let store = populated_store();
+    let linter = Linter::with_catalog(store.catalog());
+    let mgr = TransactionManager::over_store(store, authz, ProtocolKind::Proposed);
+    mgr.attach_trace(traced());
 
-        // Update with downward propagation into the shared effectors
-        // (rule 4′ weakens their entry points to S), then read them back.
-        let t = mgr.begin(TxnKind::Short);
-        t.update(&robot("r1").attr("trajectory"), Value::str("t9")).unwrap();
-        t.read(&robot("r1")).unwrap();
-        t.commit().unwrap();
+    // Update with downward propagation into the shared effectors
+    // (rule 4′ weakens their entry points to S), then read them back.
+    let t = mgr.begin(TxnKind::Short);
+    t.update(&robot("r1").attr("trajectory"), Value::str("t9")).unwrap();
+    t.read(&robot("r1")).unwrap();
+    t.commit().unwrap();
 
-        // An aborting reader.
-        let t = mgr.begin(TxnKind::Short);
-        t.read(&InstanceTarget::object("effectors", "e1")).unwrap();
-        t.abort().unwrap();
+    // An aborting reader.
+    let t = mgr.begin(TxnKind::Short);
+    t.read(&InstanceTarget::object("effectors", "e1")).unwrap();
+    t.abort().unwrap();
 
-        let events = window(mark, mgr.trace_instance());
-        let report = linter.lint(&events);
-        assert!(report.is_clean(), "{}", report.render_with_context(&events));
-        assert!(report.grants_checked > 0, "linter saw no grants — tracing broken?");
-        assert_eq!(report.txns_checked, 2);
-    });
+    let events = window(mgr.trace());
+    let report = linter.lint(&events);
+    assert!(report.is_clean(), "{}", report.render_with_context(&events));
+    assert!(report.grants_checked > 0, "linter saw no grants — tracing broken?");
+    assert_eq!(report.txns_checked, 2);
 }
 
 #[test]
 fn conformant_long_txn_with_early_release_lints_clean() {
-    traced(|mark| {
-        let store = populated_store();
-        let linter = Linter::with_catalog(store.catalog());
-        let mgr =
-            TransactionManager::over_store(store, Authorization::allow_all(), ProtocolKind::Proposed);
+    let store = populated_store();
+    let linter = Linter::with_catalog(store.catalog());
+    let mgr =
+        TransactionManager::over_store(store, Authorization::allow_all(), ProtocolKind::Proposed);
+    mgr.attach_trace(traced());
 
-        let t = mgr.begin(TxnKind::Long);
-        let value = t.checkout(&robot("r1"), AccessMode::Update).unwrap();
-        t.checkin(&robot("r1"), value).unwrap();
-        t.release_early(&robot("r1")).unwrap();
-        t.commit().unwrap();
+    let t = mgr.begin(TxnKind::Long);
+    let value = t.checkout(&robot("r1"), AccessMode::Update).unwrap();
+    t.checkin(&robot("r1"), value).unwrap();
+    t.release_early(&robot("r1")).unwrap();
+    t.commit().unwrap();
 
-        let events = window(mark, mgr.trace_instance());
-        let report = linter.lint(&events);
-        assert!(report.is_clean(), "{}", report.render_with_context(&events));
-    });
+    let events = window(mgr.trace());
+    let report = linter.lint(&events);
+    assert!(report.is_clean(), "{}", report.render_with_context(&events));
 }

@@ -31,7 +31,7 @@ impl<R: Resource> LockManager<R> {
         LockStats::bump(&self.stats.detector_runs);
         let mut guards: Vec<ShardGuard<'_, R>> =
             (0..self.shards.len()).map(|i| self.shard_locked(i)).collect();
-        let traced = trace::is_enabled();
+        let traced = self.trace().is_enabled();
         loop {
             // Snapshot: waits-for edges plus each waiter's location. When
             // tracing is on, the same pass collects labelled edges for the
@@ -87,10 +87,8 @@ impl<R: Resource> LockManager<R> {
                 // actually marked, so every DeadlockDetected is followed by
                 // exactly one VictimChosen (stale cycles carry the `stale`
                 // marker instead — see below).
-                trace::emit(|| {
-                    Event::new(EventKind::DeadlockDetected, 0)
-                        .instance(self.trace_instance())
-                        .detail(members_detail.clone())
+                self.trace().emit(|| {
+                    Event::new(EventKind::DeadlockDetected, 0).detail(members_detail.clone())
                 });
                 let h = Self::hash_of(vres);
                 self.trace_lock(EventKind::VictimChosen, victim, h, w.mode, vres, "");
@@ -100,7 +98,7 @@ impl<R: Resource> LockManager<R> {
                         cycle: cycle.iter().map(|t| t.0).collect(),
                         victim: Some(victim.0),
                     };
-                    trace::record_deadlock_dot(graph.to_dot());
+                    self.trace().record_deadlock_dot(graph.to_dot());
                 }
                 // The victim is a blocked waiter, so it installed the
                 // condvar before sleeping.
@@ -117,9 +115,8 @@ impl<R: Resource> LockManager<R> {
                 // nothing to do (and nothing left to loop on). The cycle is
                 // still recorded, marked `stale` so trace consumers know no
                 // victim was (or needed to be) chosen.
-                trace::emit(|| {
+                self.trace().emit(|| {
                     Event::new(EventKind::DeadlockDetected, 0)
-                        .instance(self.trace_instance())
                         .resource("stale")
                         .detail(members_detail.clone())
                 });

@@ -24,7 +24,7 @@ use crate::table::{
     AcquireOutcome, LockManager, Resource, MAX_FASTPATH_ATTEMPTS, SLOTS_PER_SHARD,
 };
 use crate::txnid::TxnId;
-use colock_trace::{self as trace, EventKind};
+use colock_trace::EventKind;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 impl<R: Resource> LockManager<R> {
@@ -49,7 +49,7 @@ impl<R: Resource> LockManager<R> {
     ) {
         // Per answered link, for the trace only: the mode held before the
         // request (`None` for a fresh optimistic grant).
-        let traced = trace::is_enabled();
+        let traced = self.trace().is_enabled();
         let mut before: Vec<Option<LockMode>> = Vec::new();
         let (mut answered, mut intents, mut hits, mut conversions) = (0, 0, 0, 0);
         let mut fell_back = false;

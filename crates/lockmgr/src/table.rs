@@ -50,7 +50,7 @@ use crate::request::Request;
 use crate::stats::LockStats;
 use crate::txnid::TxnId;
 use crate::Result;
-use colock_trace::{self as trace, Event, EventKind};
+use colock_trace::{self as trace, Event, EventKind, TraceBuffer};
 #[cfg(debug_assertions)]
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -313,9 +313,8 @@ pub struct LockManager<R: Resource> {
     /// Test probe run between validate and CAS (deterministic interleaving
     /// tests force version bumps there).
     fastpath_probe: Mutex<Option<FastpathProbe>>,
-    /// Stamped on every trace event this manager, its transactions and its
-    /// detector emit, so a scoped read returns this manager's events only.
-    trace_instance: u64,
+    /// Where this manager traces: the default buffer until one is attached.
+    trace: OnceLock<Arc<TraceBuffer>>,
 }
 
 impl<R: Resource> Default for LockManager<R> {
@@ -349,14 +348,19 @@ impl<R: Resource> LockManager<R> {
             draining: AtomicBool::new(false),
             probe_armed: AtomicBool::new(false),
             fastpath_probe: Mutex::new(None),
-            trace_instance: trace::next_instance(),
+            trace: OnceLock::new(),
         }
     }
 
-    /// The id stamped on this manager's trace events: pass it to
-    /// [`colock_trace::events_since_in`] to read them back.
-    pub fn trace_instance(&self) -> u64 {
-        self.trace_instance
+    /// Attaches the buffer this manager traces into; first wins (else `false`).
+    pub fn attach_trace(&self, buf: Arc<TraceBuffer>) -> bool {
+        self.trace.set(buf).is_ok()
+    }
+
+    /// The buffer this manager traces into.
+    #[inline(always)]
+    pub fn trace(&self) -> &TraceBuffer {
+        self.trace.get().map_or(trace::default_buffer(), Arc::as_ref)
     }
 
     /// Whether the optimistic intent fast path is currently enabled.
@@ -487,8 +491,8 @@ impl<R: Resource> LockManager<R> {
         ShardGuard { guard: recover(self.shards[idx].lock()), held: HeldShard::new() }
     }
 
-    /// Records one lock event about `resource` — if tracing is on. The
-    /// disabled path is one relaxed load and a branch at the call site; the
+    /// Records one lock event about `resource` — if its buffer is on. The
+    /// disabled path is the buffer lookup, one relaxed load and a branch; the
     /// mode, resource and `detail` are only formatted out of line.
     #[inline(always)]
     pub(crate) fn trace_lock(
@@ -500,7 +504,7 @@ impl<R: Resource> LockManager<R> {
         resource: &R,
         detail: impl fmt::Display,
     ) {
-        if trace::is_enabled() {
+        if self.trace().is_enabled() {
             self.record_lock_event(kind, txn, h, mode, resource, &detail);
         }
     }
@@ -516,9 +520,8 @@ impl<R: Resource> LockManager<R> {
         resource: &R,
         detail: &dyn fmt::Display,
     ) {
-        trace::emit(|| {
+        self.trace().emit(|| {
             Event::new(kind, txn.0)
-                .instance(self.trace_instance)
                 .shard(self.shard_of(h) as u32)
                 .mode(mode.to_string())
                 .resource(format!("{resource:?}"))

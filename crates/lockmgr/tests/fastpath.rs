@@ -16,9 +16,8 @@
 //! sequence (outcomes, stats, trace), and the three release entry points
 //! retire a mixed inventory identically.
 //!
-//! The only trace assertion here reads each manager's own events back
-//! (`events_since_in`); lint assertions stay with `tracing.rs` and the
-//! check crate.
+//! The only trace assertion here reads each manager's own buffer back;
+//! lint assertions stay with `tracing.rs` and the check crate.
 
 use colock_lockmgr::table::MAX_FASTPATH_ATTEMPTS;
 use colock_lockmgr::{
@@ -26,6 +25,7 @@ use colock_lockmgr::{
 };
 use colock_testkit::prop::vec_of;
 use colock_testkit::{ensure, ensure_eq, forall, run_threads};
+use colock_trace::TraceBuffer;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -535,15 +535,12 @@ const MODES: [LockMode; 5] = [LockMode::IS, LockMode::IX, LockMode::S, LockMode:
 /// `(resource, mode index)` pairs.
 type Holds = Vec<(u8, u8)>;
 
-/// The trace events of `txn` in `window`, stripped of everything that tells
-/// two runs of the same requests apart (sequence, timestamp, the id itself).
-/// `m`'s events since `mark`, with the fields that differ between two
-/// managers doing the same thing cleared.
-fn events_of(m: &LockManager<u8>, mark: u64) -> Vec<colock_trace::Event> {
-    let mut events =
-        colock_trace::events_since_in(mark, &[m.trace_instance()]).expect("window kept");
+/// `m`'s traced events, with the fields that differ between two managers
+/// doing the same thing (sequence, timestamp, transaction id) cleared.
+fn events_of(m: &LockManager<u8>) -> Vec<colock_trace::Event> {
+    let mut events = m.trace().events_since(0).expect("window kept");
     for e in &mut events {
-        (e.seq, e.t_us, e.txn, e.instance) = (0, 0, 0, 0);
+        (e.seq, e.t_us, e.txn) = (0, 0, 0);
     }
     events
 }
@@ -558,7 +555,6 @@ fn events_of(m: &LockManager<u8>, mark: u64) -> Vec<colock_trace::Event> {
 fn chain_equals_link_by_link_acquires() {
     // The two managers under comparison act as `own[0]` and `own[1]`.
     let (own, other) = ([t(7_100_001), t(7_100_002)], t(7_100_003));
-    colock_trace::enable();
     forall!(
         cases: 128,
         |rng| {
@@ -582,10 +578,13 @@ fn chain_equals_link_by_link_acquires() {
                         let mode = MODES[held as usize - 1];
                         let _ = m.acquire(own, r, mode, LockRequestOptions::try_lock());
                     }
+                    // Traced from here on: the requests under comparison.
+                    let trace = Arc::new(TraceBuffer::with_capacity(1 << 8));
+                    trace.enable();
+                    m.attach_trace(trace);
                     m
                 };
                 let (single, batched) = (prepared(own[0]), prepared(own[1]));
-                let mark = colock_trace::current_seq();
                 let by_link: Result<Vec<_>, _> = chain
                     .iter()
                     .map(|&r| single.acquire(own[0], r, mode, LockRequestOptions::try_lock()))
@@ -593,7 +592,7 @@ fn chain_equals_link_by_link_acquires() {
                 let by_chain =
                     batched.acquire_intent_chain(own[1], &chain, mode, LockRequestOptions::try_lock());
                 let (by_link_events, by_chain_events) =
-                    (events_of(&single, mark), events_of(&batched, mark));
+                    (events_of(&single), events_of(&batched));
 
                 ensure_eq!(by_chain, by_link, "outcomes (fastpath {fastpath})");
                 ensure_eq!(by_chain_events, by_link_events, "trace (fastpath {fastpath})");

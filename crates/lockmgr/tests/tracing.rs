@@ -1,13 +1,10 @@
 //! Integration test for the observability layer: a forced two-transaction
 //! deadlock must leave exactly one `DeadlockDetected` + `VictimChosen` pair
 //! in the trace and export a waits-for DOT graph naming both transactions.
-//!
-//! Lives in its own integration-test binary so the global trace switch is
-//! not shared with unrelated parallel tests.
 
 use colock_lockmgr::{LockError, LockManager, LockMode, LockRequestOptions, TxnId};
 use colock_testkit::wait_until;
-use colock_trace::EventKind;
+use colock_trace::{EventKind, TraceBuffer};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -16,10 +13,10 @@ const WAIT: Duration = Duration::from_secs(5);
 
 #[test]
 fn forced_deadlock_traces_one_detection_and_valid_dot() {
-    colock_trace::enable();
-    let mark = colock_trace::current_seq();
-
     let m = Arc::new(LockManager::<&'static str>::new());
+    let trace = Arc::new(TraceBuffer::with_capacity(1 << 10));
+    trace.enable();
+    m.attach_trace(Arc::clone(&trace));
     let x = LockMode::X;
     m.acquire(TxnId(1), "a", x, LockRequestOptions::default()).unwrap();
     m.acquire(TxnId(2), "b", x, LockRequestOptions::default()).unwrap();
@@ -38,7 +35,7 @@ fn forced_deadlock_traces_one_detection_and_valid_dot() {
     h1.join().unwrap().unwrap();
     m.release_all(TxnId(1));
 
-    let events = colock_trace::events_since(mark);
+    let events = trace.events_since(0).unwrap();
     let detections: Vec<_> =
         events.iter().filter(|e| e.kind == EventKind::DeadlockDetected).collect();
     let victims: Vec<_> = events.iter().filter(|e| e.kind == EventKind::VictimChosen).collect();
@@ -58,7 +55,7 @@ fn forced_deadlock_traces_one_detection_and_valid_dot() {
         .any(|e| e.kind == EventKind::Grant && e.txn == 1 && e.detail == "after-wait"));
 
     // The exported DOT names both transactions and marks the victim.
-    let dots = colock_trace::deadlock_dots();
+    let dots = trace.deadlock_dots();
     assert_eq!(dots.len(), 1, "one cycle → one DOT export");
     let dot = &dots[0];
     assert!(dot.starts_with("digraph waits_for {"), "{dot}");

@@ -3,8 +3,6 @@
 //! binds, so the row's inner element locks are never requested. Evaluating
 //! the whole WHERE clause on complete rows took them first and then
 //! discarded the rows.
-//!
-//! The only test in its binary: it reads the process-wide trace ring.
 
 mod common;
 
@@ -12,13 +10,16 @@ use colock_core::optimizer::Optimizer;
 use colock_lockmgr::WaitPolicy;
 use colock_nf2::Value;
 use colock_query::exec::run;
+use colock_trace::TraceBuffer;
 use colock_txn::TxnKind;
+use std::sync::Arc;
 
 #[test]
 fn a_rejected_outer_row_takes_no_inner_locks_and_the_trace_stays_clean() {
     let mgr = common::manager(common::populated(), common::engineer_authz());
-    colock_trace::enable();
-    let mark = colock_trace::current_seq();
+    let trace = Arc::new(TraceBuffer::with_capacity(1 << 12));
+    trace.enable();
+    mgr.attach_trace(Arc::clone(&trace));
 
     // `c.cell_id > 'c1'` is no key predicate: the scan binds c1 and c2,
     // S-locks the `cell_id` the conjunct reads on each, and the conjunct
@@ -72,7 +73,7 @@ fn a_rejected_outer_row_takes_no_inner_locks_and_the_trace_stays_clean() {
     writer.commit().unwrap();
     reader.commit().unwrap();
 
-    let events = colock_trace::events_since_in(mark, &[mgr.trace_instance()]).unwrap();
+    let events = trace.events_since(0).unwrap();
     if let Err(e) = colock_check::verify_trace(mgr.store().catalog(), &events) {
         panic!("{e}");
     }

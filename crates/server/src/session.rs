@@ -292,7 +292,7 @@ pub struct Session<'m> {
     name: String,
     role: Role,
     greeted: bool,
-    /// Trace sequence at session open; `EXPLAIN`/`TRACE` stream from here.
+    /// Manager's trace sequence at session open; `EXPLAIN`/`TRACE` stream from here.
     mark: u64,
     /// Ids of every transaction this session ran (newest last).
     txns: Vec<u64>,
@@ -322,10 +322,9 @@ impl<'m> Session<'m> {
                 format!("session table full ({} slots)", table.capacity()),
             )
         })?;
-        let mark = colock_trace::current_seq();
-        colock_trace::emit(|| {
+        let mark = mgr.trace().next_seq();
+        mgr.trace().emit(|| {
             Event::new(EventKind::SessionOpen, 0)
-                .instance(mgr.trace_instance())
                 .detail(format!("sid={} peer={}", id.0, peer))
         });
         Ok(Session {
@@ -595,10 +594,8 @@ impl<'m> Session<'m> {
     }
 
     fn explain(&mut self) -> Reply {
-        let mine: Vec<_> = colock_trace::events_since(self.mark)
-            .into_iter()
-            .filter(|e| e.instance == self.mgr.trace_instance() && self.txns.contains(&e.txn))
-            .collect();
+        let mut mine = self.mgr.trace().kept_since(self.mark);
+        mine.retain(|e| self.txns.contains(&e.txn));
         let tl = colock_trace::explain::timeline(&mine);
         let rendered = colock_trace::explain::render_timeline(&tl);
         let mut frames: Vec<Response> = rendered
@@ -612,7 +609,7 @@ impl<'m> Session<'m> {
     }
 
     fn trace(&mut self) -> Reply {
-        let events = colock_trace::events_since(self.mark);
+        let events = self.mgr.trace().kept_since(self.mark);
         let mut frames: Vec<Response> =
             events.iter().map(|e| Response::Event(e.to_line())).collect();
         let n = frames.len() as u64;
@@ -673,9 +670,8 @@ impl<'m> Session<'m> {
         }
         self.permit = None;
         self.table.close(self.id);
-        colock_trace::emit(|| {
+        self.mgr.trace().emit(|| {
             Event::new(EventKind::SessionClose, 0)
-                .instance(self.mgr.trace_instance())
                 .detail(format!("sid={} peer={} reason={}", self.id.0, self.peer, reason.as_str()))
         });
     }
@@ -978,8 +974,10 @@ mod tests {
 
     #[test]
     fn explain_and_trace_stream_with_end_counts() {
-        colock_trace::enable();
         let (mgr, table, gate) = harness();
+        let trace = Arc::new(colock_trace::TraceBuffer::with_capacity(1 << 10));
+        trace.enable();
+        mgr.attach_trace(trace);
         let mut s = session(&mgr, &table, &gate);
         s.handle(Request::Begin { kind: BeginKind::Short });
         s.handle(Request::Get { target: parse_target("rel:cells/obj:c1/attr:robots/elem:r1/attr:trajectory").unwrap() });

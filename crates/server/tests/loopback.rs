@@ -9,6 +9,7 @@ use colock_server::session::AdmissionPolicy;
 use colock_server::wire::{parse_target, BeginKind, ErrorCode, Role};
 use colock_server::{Server, ServerConfig};
 use colock_sim::{build_cells_store, CellsConfig};
+use colock_trace::TraceBuffer;
 use colock_txn::{ProtocolKind, TransactionManager};
 use std::sync::Arc;
 use std::time::Duration;
@@ -22,6 +23,15 @@ fn manager() -> Arc<TransactionManager> {
 
 fn start(cfg: ServerConfig) -> Server {
     Server::start(manager(), cfg).expect("bind loopback")
+}
+
+/// A server whose manager traces into a buffer of its own, switched on.
+fn traced_server() -> (Server, Arc<TraceBuffer>) {
+    let mgr = manager();
+    let trace = Arc::new(TraceBuffer::with_capacity(1 << 14));
+    trace.enable();
+    mgr.attach_trace(Arc::clone(&trace));
+    (Server::start(mgr, ServerConfig::default()).expect("bind loopback"), trace)
 }
 
 #[test]
@@ -155,9 +165,7 @@ fn drain_refuses_new_work_and_leaks_long_locks() {
 
 #[test]
 fn served_traces_lint_clean() {
-    colock_trace::enable();
-    let mark = colock_trace::current_seq();
-    let server = start(ServerConfig::default());
+    let (server, trace) = traced_server();
     for i in 0..4 {
         let mut c = Client::connect(server.addr(), "lintgen", Role::Engineer).expect("connect");
         c.begin(if i % 2 == 0 { BeginKind::Short } else { BeginKind::Long }).expect("begin");
@@ -171,10 +179,37 @@ fn served_traces_lint_clean() {
         c.quit();
     }
     let mgr = server.manager();
-    let events = colock_trace::events_since_in(mark, &[mgr.trace_instance()]).unwrap();
+    let events = trace.events_since(0).unwrap();
     assert!(!events.is_empty());
     if let Err(e) = colock_check::verify_trace(mgr.store().catalog(), &events) {
         panic!("served trace: {e}");
     }
     server.kill();
+}
+
+#[test]
+fn trace_streams_only_its_own_servers_events() {
+    let servers = [traced_server().0, traced_server().0];
+    let mut clients: Vec<Client> = servers
+        .iter()
+        .map(|s| Client::connect(s.addr(), "tracer", Role::Engineer).expect("connect"))
+        .collect();
+    // Each server's first transaction is its T1, on a cell of its own.
+    for (c, cell) in clients.iter_mut().zip([1, 3]) {
+        c.begin(BeginKind::Short).expect("begin");
+        let traj =
+            parse_target(&format!("rel:cells/obj:c{cell}/attr:robots/elem:r1/attr:trajectory"))
+                .unwrap();
+        c.get(&traj).expect("get");
+        c.commit().expect("commit");
+    }
+    for (c, (mine, theirs)) in clients.iter_mut().zip([("obj:c1", "obj:c3"), ("obj:c3", "obj:c1")]) {
+        let lines = c.trace().expect("trace");
+        assert!(lines.iter().any(|l| l.contains(mine)), "own events missing: {lines:#?}");
+        assert!(!lines.iter().any(|l| l.contains(theirs)), "the other server's events: {lines:#?}");
+        c.quit();
+    }
+    for s in servers {
+        s.kill();
+    }
 }

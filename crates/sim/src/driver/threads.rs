@@ -65,7 +65,7 @@ pub fn run_threads(mgr: &Arc<TransactionManager>, cfg: &ThreadConfig) -> ThreadR
     let start_scans = mgr.store().scan_visits();
     // When tracing is on, remember where the event stream stood so the
     // histograms below cover exactly this run.
-    let trace_start = colock_trace::current_seq();
+    let trace_start = mgr.trace().next_seq();
     let deadlocks = AtomicU64::new(0);
     let committed = AtomicU64::new(0);
     let reader_hist = Mutex::new(WaitHistogram::default());
@@ -168,11 +168,8 @@ pub fn run_threads(mgr: &Arc<TransactionManager>, cfg: &ThreadConfig) -> ThreadR
     let elapsed = started.elapsed();
     // Histograms are a measurement, so a window the ring overwrote in part
     // still yields what it kept.
-    let events = if colock_trace::is_enabled() {
-        let instance = mgr.trace_instance();
-        let mut events = colock_trace::events_since(trace_start);
-        events.retain(|e| e.instance == instance);
-        events
+    let events = if mgr.trace().is_enabled() {
+        mgr.trace().kept_since(trace_start)
     } else {
         Vec::new()
     };
@@ -201,6 +198,7 @@ mod tests {
     use super::*;
     use crate::workload::cells::build_cells_store;
     use colock_core::authorization::{Authorization, Right};
+    use colock_trace::TraceBuffer;
     use colock_txn::ProtocolKind;
 
     fn cells_manager(protocol: ProtocolKind) -> Arc<TransactionManager> {
@@ -221,11 +219,18 @@ mod tests {
         assert_eq!(mgr.lock_manager().table_size(), 0);
     }
 
-    /// Lints and certifies what `mgr` traced since `mark`, and checks the
-    /// window saw grants and commits.
-    fn verify_window(mgr: &TransactionManager, mark: u64, label: &str) {
-        let events = colock_trace::events_since_in(mark, &[mgr.trace_instance()])
-            .unwrap_or_else(|e| panic!("{label}: {e}"));
+    /// Attaches a fresh buffer of `capacity` slots, switched on, to `mgr`.
+    fn trace_into(mgr: &TransactionManager, capacity: usize) -> Arc<TraceBuffer> {
+        let trace = Arc::new(TraceBuffer::with_capacity(capacity));
+        trace.enable();
+        assert!(mgr.attach_trace(Arc::clone(&trace)));
+        trace
+    }
+
+    /// Lints and certifies what `mgr` traced, and checks the window saw
+    /// grants and commits.
+    fn verify_window(mgr: &TransactionManager, label: &str) {
+        let events = mgr.trace().events_since(0).unwrap_or_else(|e| panic!("{label}: {e}"));
         let (lint, cert) = colock_check::verify_trace(mgr.store().catalog(), &events)
             .unwrap_or_else(|e| panic!("{label}: {e}"));
         assert!(lint.grants_checked > 0, "{label}: no grants seen");
@@ -237,50 +242,53 @@ mod tests {
     /// trace must certify conflict-serializable (acyclic conflict graph).
     #[test]
     fn random_workloads_lint_clean() {
-        colock_trace::enable();
         for (seed, protocol) in
             [(1, ProtocolKind::Proposed), (7, ProtocolKind::Proposed), (42, ProtocolKind::WholeObject)]
         {
             let mgr = cells_manager(protocol);
-            let mark = colock_trace::current_seq();
+            trace_into(&mgr, 1 << 14);
             let cfg = ThreadConfig { workers: 4, txns_per_worker: 8, seed, ..Default::default() };
             run_threads(&mgr, &cfg);
-            verify_window(&mgr, mark, &format!("seed {seed} {protocol:?}"));
+            verify_window(&mgr, &format!("seed {seed} {protocol:?}"));
         }
     }
 
     /// Two managers traced at the same time in one process number their
-    /// transactions alike (both have a T1), so an unscoped window mixes
-    /// them; each one's scoped window must lint and certify clean on its
-    /// own and hold nothing of the other's.
+    /// transactions alike (both have a T1); each one's buffer must hold its
+    /// own events only and lint and certify clean. The second manager
+    /// records more events than the first one's buffer holds while the
+    /// first window is open, and cannot evict any of it.
     #[test]
     fn concurrent_managers_each_verify_clean() {
-        colock_trace::enable();
         let mgrs = [cells_manager(ProtocolKind::Proposed), cells_manager(ProtocolKind::Proposed)];
-        let mark = colock_trace::current_seq();
+        let (small, large) = (trace_into(&mgrs[0], 1 << 12), trace_into(&mgrs[1], 1 << 15));
         thread::scope(|scope| {
             for (i, mgr) in mgrs.iter().enumerate() {
                 scope.spawn(move || {
-                    let seed = 3 + i as u64;
-                    let cfg =
-                        ThreadConfig { workers: 2, txns_per_worker: 12, seed, ..Default::default() };
+                    let txns_per_worker = if i == 0 { 12 } else { 120 };
+                    let cfg = ThreadConfig {
+                        workers: 2,
+                        txns_per_worker,
+                        seed: 3 + i as u64,
+                        ..Default::default()
+                    };
                     run_threads(mgr, &cfg);
                 });
             }
         });
+        assert!(large.next_seq() > small.capacity() as u64, "the flood outgrew the small buffer");
         for (i, mgr) in mgrs.iter().enumerate() {
-            verify_window(mgr, mark, &format!("manager {i}"));
+            verify_window(mgr, &format!("manager {i}"));
         }
-        let begun = |mgr: &TransactionManager| -> Vec<u64> {
-            colock_trace::events_since_in(mark, &[mgr.trace_instance()])
-                .expect("window kept")
-                .iter()
-                .filter(|e| e.kind == colock_trace::EventKind::TxnBegin)
-                .map(|e| e.txn)
-                .collect()
+        let of_kind = |trace: &TraceBuffer, kind| -> Vec<u64> {
+            let events = trace.events_since(0).expect("window kept");
+            events.iter().filter(|e| e.kind == kind).map(|e| e.txn).collect()
         };
-        let (a, b) = (begun(&mgrs[0]), begun(&mgrs[1]));
+        use colock_trace::EventKind::{TxnBegin, TxnCommit};
+        let (a, b) = (of_kind(&small, TxnBegin), of_kind(&large, TxnBegin));
         assert!(a.contains(&1) && b.contains(&1), "both managers begin a T1: {a:?} / {b:?}");
+        assert_eq!(of_kind(&small, TxnCommit).len(), 24, "the small buffer holds foreign commits");
+        assert_eq!(of_kind(&large, TxnCommit).len(), 240, "the large buffer holds foreign commits");
     }
 
     /// Read-mostly runs commit their quota, route every snapshot read past

@@ -31,6 +31,7 @@ use colock_nf2::Value;
 use colock_sim::{build_cells_store, CellsConfig, Workstation};
 use colock_storage::Store;
 use colock_testkit::{CrashPoint, FaultPlan, Rng};
+use colock_trace::TraceBuffer;
 use colock_txn::{ProtocolKind, RecoveryReport, TransactionManager, TxnKind};
 use std::sync::Arc;
 
@@ -45,10 +46,15 @@ fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
-fn server(store: &Arc<Store>, fastpath: bool) -> (TransactionManager, Arc<Journal<ResourcePath>>) {
+fn server(
+    store: &Arc<Store>,
+    fastpath: bool,
+    trace: &Arc<TraceBuffer>,
+) -> (TransactionManager, Arc<Journal<ResourcePath>>) {
     let mut authz = Authorization::allow_all();
     authz.set_relation_default("effectors", Right::Read);
     let mgr = TransactionManager::over_store(Arc::clone(store), authz, ProtocolKind::Proposed);
+    mgr.attach_trace(Arc::clone(trace));
     mgr.lock_manager().set_fastpath(fastpath);
     let journal = Arc::new(Journal::<ResourcePath>::new());
     assert!(mgr.attach_journal(Arc::clone(&journal)));
@@ -77,8 +83,6 @@ enum Outcome {
 }
 
 struct CellRun {
-    /// The crashed server's trace instance.
-    instance: u64,
     outcomes: Vec<Outcome>,
     medium: String,
     appends: u64,
@@ -98,8 +102,9 @@ fn run_script(
     plan: Option<FaultPlan>,
     churn: usize,
     fastpath: bool,
+    trace: &Arc<TraceBuffer>,
 ) -> CellRun {
-    let (mgr, journal) = server(store, fastpath);
+    let (mgr, journal) = server(store, fastpath, trace);
     if let Some(p) = plan {
         journal.arm(p);
     }
@@ -156,7 +161,6 @@ fn run_script(
     }
     assert_bounded(&journal, "crashed server");
     CellRun {
-        instance: mgr.trace_instance(),
         outcomes,
         medium: journal.contents(),
         appends: journal.appends(),
@@ -178,14 +182,15 @@ fn assert_bounded(journal: &Journal<ResourcePath>, label: &str) {
 }
 
 /// Recovers a fresh server from `run`'s medium and checks the invariant.
-/// Returns the recovered server's trace instance and its recovery report.
+/// Returns the recovery report.
 fn check_recovery(
     store: &Arc<Store>,
     run: &CellRun,
     label: &str,
     fastpath: bool,
-) -> (u64, RecoveryReport) {
-    let (mgr, journal) = server(store, fastpath);
+    trace: &Arc<TraceBuffer>,
+) -> RecoveryReport {
+    let (mgr, journal) = server(store, fastpath, trace);
     let report = mgr.recover(&run.medium).unwrap_or_else(|e| panic!("{label}: {e}"));
     assert!(report.dropped_tail <= 1, "{label}: at most the torn record drops");
 
@@ -242,27 +247,26 @@ fn check_recovery(
         probe.commit().unwrap();
     }
     assert_bounded(&journal, label);
-    (mgr.trace_instance(), report)
+    report
 }
 
 /// One traced crash/recovery cycle on a fresh store: the script, a crash
 /// at `plan` (none for a control), recovery, and the lint + certify of both
-/// servers' events. The certifier reads a transaction id the recovered
-/// server begins again as a new incarnation.
+/// servers' events, which go to one buffer. The certifier reads a
+/// transaction id the recovered server begins again as a new incarnation.
 fn cycle(
     plan: Option<FaultPlan>,
     churn: usize,
     fastpath: bool,
     label: &str,
 ) -> (CellRun, RecoveryReport) {
-    colock_trace::enable();
     // Fresh store per cycle: recovered data must not leak across.
     let store = build_cells_store(&CellsConfig::default());
-    let mark = colock_trace::current_seq();
-    let run = run_script(&store, plan, churn, fastpath);
-    let (recovered, report) = check_recovery(&store, &run, label, fastpath);
-    let events = colock_trace::events_since_in(mark, &[run.instance, recovered])
-        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    let trace = Arc::new(TraceBuffer::with_capacity(colock_trace::DEFAULT_CAPACITY));
+    trace.enable();
+    let run = run_script(&store, plan, churn, fastpath, &trace);
+    let report = check_recovery(&store, &run, label, fastpath, &trace);
+    let events = trace.events_since(0).unwrap_or_else(|e| panic!("{label}: {e}"));
     colock_check::verify_trace(store.catalog(), &events).unwrap_or_else(|e| panic!("{label}: {e}"));
     (run, report)
 }

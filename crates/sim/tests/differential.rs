@@ -21,8 +21,9 @@ use colock_sim::consistency::{run_scripted, History, HOp};
 use colock_sim::{build_cells_store, CellsConfig};
 use colock_testkit::prop::Shrink;
 use colock_testkit::{ensure, ensure_eq, forall, Rng};
-use colock_trace as trace;
+use colock_trace::TraceBuffer;
 use colock_txn::{ProtocolKind, TransactionManager};
+use std::sync::Arc;
 
 fn cfg() -> CellsConfig {
     CellsConfig {
@@ -141,21 +142,27 @@ fn storage_fingerprint(mgr: &TransactionManager) -> String {
     out
 }
 
-/// Runs the workload once on a fresh store with the fast path forced on or
-/// off, lints the trace window its manager produced, and re-derives the
-/// summary words.
-fn run_one(w: &Workload, fastpath: bool) -> Result<Observation, String> {
+/// A manager over a fresh store, tracing into a buffer of its own.
+fn traced_manager() -> TransactionManager {
     let mgr = TransactionManager::over_store(
         build_cells_store(&cfg()),
         Authorization::allow_all(),
         ProtocolKind::Proposed,
     );
+    let trace = Arc::new(TraceBuffer::with_capacity(1 << 14));
+    trace.enable();
+    mgr.attach_trace(trace);
+    mgr
+}
+
+/// Runs the workload once on a fresh store with the fast path forced on or
+/// off, lints the trace window its manager produced, and re-derives the
+/// summary words.
+fn run_one(w: &Workload, fastpath: bool) -> Result<Observation, String> {
+    let mgr = traced_manager();
     mgr.lock_manager().set_fastpath(fastpath);
-    trace::enable();
-    let mark = trace::current_seq();
     let history = run_scripted(&mgr, w.0.clone());
-    let events =
-        trace::events_since_in(mark, &[mgr.trace_instance()]).map_err(|e| e.to_string())?;
+    let events = mgr.trace().events_since(0).map_err(|e| e.to_string())?;
     let report = Linter::with_catalog(mgr.store().catalog()).lint(&events);
     if !report.violations.is_empty() {
         return Err(format!("fastpath={fastpath}: trace not lint-clean:\n{}", report.render()));
@@ -206,14 +213,8 @@ fn optimistic_and_pessimistic_paths_are_observationally_equivalent() {
 /// no snapshot reads outside them).
 fn run_mvcc(w: &Workload, mvcc: bool) -> Result<(Observation, String, u64), String> {
     use std::fmt::Write;
-    let mgr = TransactionManager::over_store(
-        build_cells_store(&cfg()),
-        Authorization::allow_all(),
-        ProtocolKind::Proposed,
-    );
+    let mgr = traced_manager();
     mgr.set_mvcc(mvcc);
-    trace::enable();
-    let mark = trace::current_seq();
     let history = run_scripted(&mgr, w.0.clone());
     let writer_obs = observe(&history, &mgr);
 
@@ -238,8 +239,7 @@ fn run_mvcc(w: &Workload, mvcc: bool) -> Result<(Observation, String, u64), Stri
     reader.commit().map_err(|e| format!("mvcc={mvcc}: reader commit: {e}"))?;
     let elided = mgr.lock_manager().stats().snapshot().since(&before).reads_elided;
 
-    let events =
-        trace::events_since_in(mark, &[mgr.trace_instance()]).map_err(|e| e.to_string())?;
+    let events = mgr.trace().events_since(0).map_err(|e| e.to_string())?;
     let report = Linter::with_catalog(mgr.store().catalog()).lint(&events);
     if !report.violations.is_empty() {
         return Err(format!("mvcc={mvcc}: trace not lint-clean:\n{}", report.render()));

@@ -1,8 +1,7 @@
 //! The interleaving explorer over the real engine: the lock table's yield
 //! points, the cooperative scheduler and a per-schedule lint + certify
-//! replay, on five small scenarios. Every schedule reads back only its own
-//! manager's trace events, so the scenarios run beside the rest of the
-//! suite.
+//! replay, on five small scenarios. Every schedule's manager traces into a
+//! buffer of its own, so the scenarios run beside the rest of the suite.
 //!
 //! The storm and the deadlock scenario run `STORM_SCHEDULES` schedules by
 //! default; `COLOCK_EXPLORE_MAX_SCHEDULES` (and the other
@@ -17,6 +16,7 @@ use colock_nf2::value::build::{set, tup};
 use colock_nf2::Value;
 use colock_sim::{build_cells_store, CellsConfig};
 use colock_testkit::explore::{explore, Explorable, ExploreConfig};
+use colock_trace::TraceBuffer;
 use colock_txn::{ProtocolKind, Transaction, TransactionManager, TxnKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,12 +32,17 @@ fn small_cells() -> CellsConfig {
     }
 }
 
+/// A manager over a fresh store, tracing into a buffer of its own.
 fn manager(cfg: &CellsConfig) -> Arc<TransactionManager> {
-    Arc::new(TransactionManager::over_store(
+    let mgr = Arc::new(TransactionManager::over_store(
         build_cells_store(cfg),
         Authorization::allow_all(),
         ProtocolKind::Proposed,
-    ))
+    ));
+    let trace = Arc::new(TraceBuffer::with_capacity(1 << 12));
+    trace.enable();
+    mgr.attach_trace(trace);
+    mgr
 }
 
 /// Schedules the storm and the deadlock scenario explore unless the
@@ -49,10 +54,9 @@ fn budget() -> ExploreConfig {
     ExploreConfig { max_schedules: STORM_SCHEDULES, ..ExploreConfig::default() }.with_env()
 }
 
-/// Lints and certifies the events `mgr` traced since `mark`.
-fn verify_trace(mgr: &TransactionManager, mark: u64) -> Result<(), String> {
-    let events = colock_trace::events_since_in(mark, &[mgr.trace_instance()])
-        .map_err(|e| e.to_string())?;
+/// Lints and certifies the events `mgr` traced.
+fn verify_trace(mgr: &TransactionManager) -> Result<(), String> {
+    let events = mgr.trace().events_since(0).map_err(|e| e.to_string())?;
     colock_check::verify_trace(mgr.store().catalog(), &events).map(drop)
 }
 
@@ -64,7 +68,6 @@ const INSERTERS: usize = 3;
 /// per inserter (none lost, none duplicated), and lint and certify clean.
 struct InsertStorm {
     mgr: Option<Arc<TransactionManager>>,
-    mark: u64,
 }
 
 fn robots_of_c1(mgr: &TransactionManager) -> Result<usize, String> {
@@ -80,7 +83,6 @@ fn robots_of_c1(mgr: &TransactionManager) -> Result<usize, String> {
 
 impl Explorable for InsertStorm {
     fn reset(&mut self) {
-        self.mark = colock_trace::current_seq();
         self.mgr = Some(manager(&small_cells()));
     }
 
@@ -115,7 +117,7 @@ impl Explorable for InsertStorm {
         if members != expected {
             return Err(format!("lost or duplicated inserts: {members} != {expected}"));
         }
-        verify_trace(&mgr, self.mark)
+        verify_trace(&mgr)
     }
 
     fn rescue(&self) {
@@ -127,9 +129,8 @@ impl Explorable for InsertStorm {
 
 #[test]
 fn explored_insert_schedules_certify_clean() {
-    colock_trace::enable();
     let cfg = budget();
-    let mut scenario = InsertStorm { mgr: None, mark: 0 };
+    let mut scenario = InsertStorm { mgr: None };
     let report = explore(&cfg, &mut scenario);
     println!("storm ({INSERTERS} inserters): {report}");
     if let Some(f) = &report.failure {
@@ -151,12 +152,10 @@ fn explored_insert_schedules_certify_clean() {
 /// words and an empty table.
 struct ConvertAgainstDrain {
     mgr: Option<Arc<TransactionManager>>,
-    mark: u64,
 }
 
 impl Explorable for ConvertAgainstDrain {
     fn reset(&mut self) {
-        self.mark = colock_trace::current_seq();
         self.mgr = Some(manager(&small_cells()));
     }
 
@@ -191,7 +190,7 @@ impl Explorable for ConvertAgainstDrain {
             return Err(format!("locks left behind:\n{}", lm.debug_dump()));
         }
         lm.check_summary_consistency()?;
-        verify_trace(&mgr, self.mark)
+        verify_trace(&mgr)
     }
 
     fn rescue(&self) {
@@ -203,8 +202,7 @@ impl Explorable for ConvertAgainstDrain {
 
 #[test]
 fn explored_conversions_against_drains_certify_clean() {
-    colock_trace::enable();
-    let mut scenario = ConvertAgainstDrain { mgr: None, mark: 0 };
+    let mut scenario = ConvertAgainstDrain { mgr: None };
     let report = explore(&ExploreConfig::default(), &mut scenario);
     println!("conversion against drain: {report}");
     if let Some(f) = &report.failure {
@@ -219,14 +217,12 @@ fn explored_conversions_against_drains_certify_clean() {
 /// resolved (one victim, one survivor) in every schedule that closes it.
 struct OppositeOrder {
     mgr: Option<Arc<TransactionManager>>,
-    mark: u64,
     outcomes: Arc<(AtomicU64, AtomicU64)>, // (committed, deadlock aborts)
     deadlock_schedules: u64,
 }
 
 impl Explorable for OppositeOrder {
     fn reset(&mut self) {
-        self.mark = colock_trace::current_seq();
         self.mgr = Some(manager(&small_cells()));
         self.outcomes.0.store(0, Ordering::Relaxed);
         self.outcomes.1.store(0, Ordering::Relaxed);
@@ -275,7 +271,7 @@ impl Explorable for OppositeOrder {
         if mgr.active_count() != 0 {
             return Err("transactions survived".into());
         }
-        verify_trace(&mgr, self.mark)
+        verify_trace(&mgr)
     }
 
     fn rescue(&self) {
@@ -287,11 +283,9 @@ impl Explorable for OppositeOrder {
 
 #[test]
 fn explored_deadlocks_are_resolved_and_certify_clean() {
-    colock_trace::enable();
     let cfg = budget();
     let mut scenario = OppositeOrder {
         mgr: None,
-        mark: 0,
         outcomes: Arc::new((AtomicU64::new(0), AtomicU64::new(0))),
         deadlock_schedules: 0,
     };
@@ -317,7 +311,6 @@ fn explored_deadlocks_are_resolved_and_certify_clean() {
 /// cannot see, because no lock event covers it.
 struct InsertAgainstRead {
     mgr: Option<Arc<TransactionManager>>,
-    mark: u64,
     /// Inserts one object or element, then aborts.
     insert: fn(&Transaction),
     /// Whether the reader saw the inserted object or element.
@@ -327,7 +320,6 @@ struct InsertAgainstRead {
 
 impl Explorable for InsertAgainstRead {
     fn reset(&mut self) {
-        self.mark = colock_trace::current_seq();
         self.mgr = Some(manager(&small_cells()));
         self.dirty_reads.store(0, Ordering::Relaxed);
     }
@@ -362,7 +354,7 @@ impl Explorable for InsertAgainstRead {
         if mgr.active_count() != 0 {
             return Err("transactions survived".into());
         }
-        verify_trace(&mgr, self.mark)
+        verify_trace(&mgr)
     }
 
     fn rescue(&self) {
@@ -376,9 +368,8 @@ fn explore_insert_against(
     insert: fn(&Transaction),
     read_new: fn(&TransactionManager, &Transaction) -> bool,
 ) {
-    colock_trace::enable();
     let dirty_reads = Arc::new(AtomicU64::new(0));
-    let mut scenario = InsertAgainstRead { mgr: None, mark: 0, insert, read_new, dirty_reads };
+    let mut scenario = InsertAgainstRead { mgr: None, insert, read_new, dirty_reads };
     let report = explore(&ExploreConfig::default(), &mut scenario);
     println!("insert against read: {report}");
     if let Some(f) = &report.failure {

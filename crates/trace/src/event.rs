@@ -353,10 +353,6 @@ pub struct Event {
     pub resource: String,
     /// Free-form qualifier (grant path, cycle members, txn kind, ...).
     pub detail: String,
-    /// Which lock-manager instance emitted the event (see
-    /// [`crate::next_instance`]); 0 when none did. Process-local: not part
-    /// of the line format, so a parsed event reads 0.
-    pub instance: u64,
 }
 
 impl Event {
@@ -392,12 +388,6 @@ impl Event {
     /// Sets the free-form detail string.
     pub fn detail(mut self, detail: impl Into<String>) -> Event {
         self.detail = detail.into();
-        self
-    }
-
-    /// Stamps the emitting lock-manager instance.
-    pub fn instance(mut self, instance: u64) -> Event {
-        self.instance = instance;
         self
     }
 
@@ -454,7 +444,7 @@ impl Event {
             .ok_or_else(|| ParseError::UnknownRule(fields[6].to_string()))?;
         let resource = unescape_field(fields[7], "resource")?;
         let detail = unescape_field(fields[8], "detail")?;
-        Ok(Event { seq, t_us, kind, txn, shard, mode, rule, resource, detail, instance: 0 })
+        Ok(Event { seq, t_us, kind, txn, shard, mode, rule, resource, detail })
     }
 }
 

@@ -134,7 +134,7 @@ impl WaitHistogram {
 ///
 /// Waits that never resolve inside the event window (timeouts, deadlock
 /// victims, buffer wraparound) are dropped. Events must be sorted by `seq`,
-/// as [`crate::TraceBuffer::snapshot`] returns them.
+/// as [`crate::TraceBuffer::kept_since`] returns them.
 ///
 /// ```
 /// use colock_trace::{wait_histograms, Event, EventKind};

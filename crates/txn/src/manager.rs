@@ -9,6 +9,7 @@ use colock_lockmgr::txnid::TxnIdGen;
 use colock_lockmgr::{Journal, JournalSink, LockManager, TxnId};
 use colock_lockmgr::{CachePadded, LockStats};
 use colock_storage::Store;
+use colock_trace::{Event, EventKind, TraceBuffer};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -212,6 +213,18 @@ impl TransactionManager {
         self.journal.set(journal).is_ok() && self.lm.attach_journal(sink)
     }
 
+    /// Attaches the trace buffer this manager, its transactions and its
+    /// lock manager trace into ([`LockManager::attach_trace`]). First
+    /// buffer wins: returns `false` if one is already attached.
+    pub fn attach_trace(&self, buf: Arc<TraceBuffer>) -> bool {
+        self.lm.attach_trace(buf)
+    }
+
+    /// The buffer this manager traces into.
+    pub fn trace(&self) -> &TraceBuffer {
+        self.lm.trace()
+    }
+
     /// The attached journal, if any.
     pub fn journal(&self) -> Option<&Arc<Journal<ResourcePath>>> {
         self.journal.get()
@@ -256,11 +269,9 @@ impl TransactionManager {
             self.hot.idgen.ensure_above(max);
         }
         for &owner in &owners {
-            colock_trace::emit(|| {
+            self.trace().emit(|| {
                 let n = recovered.entries.iter().filter(|e| e.1 == owner).count();
-                colock_trace::Event::new(colock_trace::EventKind::TxnRecovered, owner.0)
-                    .instance(self.trace_instance())
-                    .detail(format!("{n} long locks"))
+                Event::new(EventKind::TxnRecovered, owner.0).detail(format!("{n} long locks"))
             });
         }
         Ok(RecoveryReport {
@@ -288,9 +299,8 @@ impl TransactionManager {
     /// Starts a transaction.
     pub fn begin(&self, kind: TxnKind) -> Transaction<'_> {
         let id = self.hot.idgen.next();
-        colock_trace::emit(|| {
-            colock_trace::Event::new(colock_trace::EventKind::TxnBegin, id.0)
-                .instance(self.trace_instance())
+        self.trace().emit(|| {
+            Event::new(EventKind::TxnBegin, id.0)
                 .detail(if kind == TxnKind::Long { "long" } else { "short" })
         });
         self.open(id, TxnState::new(kind, None))
@@ -321,9 +331,8 @@ impl TransactionManager {
         } else {
             None
         };
-        colock_trace::emit(|| {
-            colock_trace::Event::new(colock_trace::EventKind::TxnBegin, id.0)
-                .instance(self.trace_instance())
+        self.trace().emit(|| {
+            Event::new(EventKind::TxnBegin, id.0)
                 .detail(if snap.is_some() { "readonly" } else { "readonly-locking" })
         });
         self.open(id, TxnState::new(TxnKind::ReadOnly, snap))
@@ -332,12 +341,6 @@ impl TransactionManager {
     /// The lock manager.
     pub fn lock_manager(&self) -> &Arc<LockManager<ResourcePath>> {
         &self.lm
-    }
-
-    /// The id stamped on every trace event this manager, its transactions
-    /// and its lock manager emit (see [`LockManager::trace_instance`]).
-    pub fn trace_instance(&self) -> u64 {
-        self.lm.trace_instance()
     }
 
     /// The protocol engine.
@@ -411,10 +414,9 @@ impl TransactionManager {
         // Per-transaction rights die with the transaction (ids are never
         // reused; session-granted rule 4′ contexts must not accumulate).
         self.authz.retract(txn);
-        colock_trace::emit(|| {
-            let kind =
-                if commit { colock_trace::EventKind::TxnCommit } else { colock_trace::EventKind::TxnAbort };
-            let ev = colock_trace::Event::new(kind, txn.0).instance(self.trace_instance());
+        self.trace().emit(|| {
+            let kind = if commit { EventKind::TxnCommit } else { EventKind::TxnAbort };
+            let ev = Event::new(kind, txn.0);
             // A version-installing commit stamps its clock timestamp so the
             // serializability certifier can order snapshot reads against it
             // (reads-from edges are `version ts ≤ snapshot ts`).

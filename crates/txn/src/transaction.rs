@@ -212,9 +212,8 @@ impl<'m> Transaction<'m> {
         })?;
         let value =
             self.mgr.store().get_at_snapshot(&target.relation, &key, &target.steps, ts)?;
-        colock_trace::emit(|| {
+        self.mgr.trace().emit(|| {
             colock_trace::Event::new(colock_trace::EventKind::SnapshotRead, self.id.0)
-                .instance(self.mgr.trace_instance())
                 .resource(target.to_string())
                 .detail(format!("ts={ts}"))
         });
@@ -449,9 +448,8 @@ impl<'m> Transaction<'m> {
             .mgr
             .engine()
             .release_target_early(self.mgr.lock_manager(), self.id, target)?;
-        colock_trace::emit(|| {
+        self.mgr.trace().emit(|| {
             colock_trace::Event::new(colock_trace::EventKind::TxnReleaseEarly, self.id.0)
-                .instance(self.mgr.trace_instance())
                 .resource(target.to_string())
                 .detail(format!("released {released} locks"))
         });

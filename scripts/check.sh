@@ -71,6 +71,24 @@ if grep -rn 'env::var' crates/*/src | grep -v '/src/bin/\|^crates/bench/\|^crate
     exit 1
 fi
 
+echo "==> process-wide state is exactly the allow-list"
+# Every static and thread_local! of library code, as `crate NAME`. Traces
+# belong to the manager that produced them (its own TraceBuffer), so the
+# trace crate keeps only the default buffer of unattached managers, the
+# trace epoch and the thread's protocol-rule tag; the lock table keeps its
+# per-thread stats slot and held-shard count.
+statics=$(grep -rnE "(^|[^'[:alnum:]_])static[[:space:]]+(mut[[:space:]]+)?[A-Z_][A-Z0-9_]*[[:space:]]*:" \
+        --include='*.rs' crates/*/src | grep -v '/src/bin/\|^crates/testkit/' |
+    sed -E "s#^crates/([^/]+)/.*static[[:space:]]+(mut[[:space:]]+)?([A-Z_][A-Z0-9_]*)[[:space:]]*:.*#\1 \3#" |
+    LC_ALL=C sort)
+allowed=$(printf '%s\n' "lockmgr HELD_SHARDS" "lockmgr NEXT_SLOT" "lockmgr SLOT" \
+    "trace CURRENT_RULE" "trace DEFAULT" "trace EPOCH" | LC_ALL=C sort)
+if [ "$statics" != "$allowed" ]; then
+    echo "error: statics in crates/*/src (<) differ from the allow-list (>):" >&2
+    diff <(echo "$statics") <(echo "$allowed") >&2 || true
+    exit 1
+fi
+
 echo "==> the README knob table lists exactly the COLOCK_* names the code reads"
 code_knobs=$(grep -rhoE '"COLOCK_[A-Z0-9_]+"' crates examples | tr -d '"' | sort -u)
 readme_knobs=$(grep -E '^\| `COLOCK_' README.md | cut -d'|' -f2 | grep -oE 'COLOCK_[A-Z0-9_]+' | sort -u)

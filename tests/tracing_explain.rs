@@ -2,13 +2,10 @@
 //! must yield a non-empty trace-explain timeline for every committed
 //! transaction, and the wait histograms in the metrics must account for the
 //! run's waits.
-//!
-//! Own integration-test binary: the global trace switch must not be shared
-//! with unrelated parallel tests.
 
 use colock::sim::{run_threads, CellsConfig, QueryMix, ThreadConfig};
 use colock::trace::explain::{render_timeline, timeline};
-use colock::trace::EventKind;
+use colock::trace::{EventKind, TraceBuffer};
 use colock::txn::{ProtocolKind, TransactionManager};
 use std::sync::Arc;
 
@@ -20,9 +17,6 @@ fn standard_authz() -> colock::core::Authorization {
 
 #[test]
 fn every_committed_txn_has_a_nonempty_timeline() {
-    colock::trace::enable();
-    let mark = colock::trace::current_seq();
-
     let cells = CellsConfig { n_cells: 2, c_objects_per_cell: 8, ..Default::default() };
     let store = colock::sim::build_cells_store(&cells);
     let mgr = Arc::new(TransactionManager::over_store(
@@ -30,6 +24,9 @@ fn every_committed_txn_has_a_nonempty_timeline() {
         standard_authz(),
         ProtocolKind::Proposed,
     ));
+    let trace = Arc::new(TraceBuffer::with_capacity(1 << 14));
+    trace.enable();
+    mgr.attach_trace(Arc::clone(&trace));
     let cfg = ThreadConfig {
         workers: 4,
         txns_per_worker: 5,
@@ -42,7 +39,7 @@ fn every_committed_txn_has_a_nonempty_timeline() {
     let report = run_threads(&mgr, &cfg);
     assert_eq!(report.metrics.committed, 20);
 
-    let events = colock::trace::events_since_in(mark, &[mgr.trace_instance()]).unwrap();
+    let events = trace.events_since(0).unwrap();
     let lines = timeline(&events);
 
     // Every transaction that committed has a timeline, and it explains more
