@@ -64,8 +64,8 @@ fi
 echo "==> no environment reads in library code"
 # Engine settings are per-instance setters; only binaries, the harnesses in
 # crates/bench and the test kit read COLOCK_* variables. crates/trace is
-# exempt: the frozen benchmark sets COLOCK_TRACE_CAP before the trace ring's
-# first use.
+# exempt: the frozen benchmark sets COLOCK_TRACE_CAP before the default trace
+# buffer's first event.
 if grep -rn 'env::var' crates/*/src | grep -v '/src/bin/\|^crates/bench/\|^crates/testkit/\|^crates/trace/'; then
     echo "error: library code reads the environment" >&2
     exit 1
