@@ -10,6 +10,8 @@ use colock_txn::{ProtocolKind, TxnKind};
 
 const Q2: &str = "SELECT r FROM c IN cells, r IN c.robots WHERE c.cell_id = 'c1' AND r.robot_id = 'r1' FOR UPDATE";
 const Q1: &str = "SELECT o FROM c IN cells, o IN c.c_objects WHERE c.cell_id = 'c1' FOR READ";
+/// Fig. 7's Q3 as `fig7_queries` sends it: one trajectory update.
+const Q3_FIG7: &str = "UPDATE r.trajectory = 'w0-1' FROM c IN cells, r IN c.robots WHERE c.cell_id = 'c2' AND r.robot_id = 'r3'";
 
 fn bench_mixed_throughput(h: &mut BenchHarness) {
     let mut group = h.group("e6_mixed_throughput");
@@ -82,6 +84,18 @@ fn bench_plan_overhead(h: &mut BenchHarness) {
         },
         ProtocolKind::Proposed,
     );
+    let fig7_catalog = fig7.store().catalog().clone();
+    for (name, stmt) in
+        [("parse_analyze_plan_q1_fig7", Q1), ("parse_analyze_plan_q3_fig7", Q3_FIG7)]
+    {
+        group.bench(name, |b| {
+            b.iter(|| {
+                let parsed = parse(stmt).unwrap();
+                let a = analyze(&fig7_catalog, &parsed).unwrap();
+                plan_locks(&fig7_catalog, parsed, a, &Optimizer::default()).unwrap()
+            });
+        });
+    }
     group.bench("full_execution_q1_fig7", |b| {
         b.iter(|| {
             let t = fig7.begin(TxnKind::Short);

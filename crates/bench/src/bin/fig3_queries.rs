@@ -33,7 +33,7 @@ fn main() {
                 r.var,
                 r.relation,
                 r.path,
-                r.key_attr,
+                r.key_attr(&catalog),
                 r.key_predicate.as_ref().map(|k| k.to_string()),
             );
         }

@@ -8,28 +8,29 @@
 //! not themselves generate data locks — which is exactly why Fig. 7 shows no
 //! S lock on the `cell_id` BLU for Q2. All other accessed attributes
 //! (projections, update targets, non-key predicates) are lockable accesses.
+//!
+//! Names are shared with the statement (reference counts, not copies), and
+//! each absolute path is built once, at its final length.
 
 use crate::ast::*;
 use crate::error::QueryError;
 use crate::Result;
 use colock_core::optimizer::AccessEstimate;
 use colock_core::AccessMode;
-use colock_nf2::{AttrPath, AttrType, Catalog, ObjectKey, Value};
+use colock_nf2::{AttrPath, Catalog, Name, ObjectKey, Value};
 
 /// A range variable bound against the schema.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoundRange {
     /// Variable name.
-    pub var: String,
+    pub var: Name,
     /// The relation the variable ultimately ranges within.
-    pub relation: String,
+    pub relation: Name,
     /// Parent variable for dependent ranges.
-    pub parent: Option<String>,
+    pub parent: Option<Name>,
     /// Schema path from the complex-object root to the ranged container
     /// (empty for relation ranges).
     pub path: AttrPath,
-    /// Key attribute of the ranged tuples, if any.
-    pub key_attr: Option<String>,
     /// Key value from an equality predicate, if the WHERE clause pins one.
     pub key_predicate: Option<ObjectKey>,
 }
@@ -38,7 +39,7 @@ pub struct BoundRange {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Access {
     /// The variable it hangs off.
-    pub var: String,
+    pub var: Name,
     /// Absolute schema path from the object root (may equal the range path
     /// for whole-element access).
     pub path: AttrPath,
@@ -63,28 +64,34 @@ pub struct Analysis {
 impl Analysis {
     /// The bound range for a variable.
     pub fn range(&self, var: &str) -> Option<&BoundRange> {
-        self.ranges.iter().find(|r| r.var == var)
+        find_range(&self.ranges, var)
     }
+}
+
+impl BoundRange {
+    /// Key attribute of the ranged tuples, if any: the relation's key for a
+    /// relation range, the element tuples' key for a dependent one.
+    pub fn key_attr<'c>(&self, catalog: &'c Catalog) -> Option<&'c str> {
+        let rel = catalog.schema().relation(&self.relation).ok()?;
+        let key = if self.path.is_root() {
+            rel.key_attribute()
+        } else {
+            self.path.resolve(rel).ok()?.element()?.fields()?.iter().find(|a| a.key)
+        };
+        key.map(|a| a.name.as_str())
+    }
+}
+
+fn find_range<'b>(bound: &'b [BoundRange], var: &str) -> Option<&'b BoundRange> {
+    bound.iter().find(|r| *r.var == *var)
 }
 
 /// Analyzes a statement against the catalog.
 pub fn analyze(catalog: &Catalog, stmt: &Statement) -> Result<Analysis> {
-    let (ranges, condition, accesses_raw) = match stmt {
-        Statement::Select(q) => {
-            let mut acc = Vec::new();
-            for proj in &q.projections {
-                acc.push((operand_path(proj)?, mode_of(q.for_clause)));
-            }
-            (&q.ranges, &q.condition, acc)
-        }
-        Statement::Update { target, ranges, condition, .. } => {
-            let acc = vec![(operand_path(target)?, AccessMode::Update)];
-            (ranges, condition, acc)
-        }
-        Statement::Delete { var, ranges, condition } => {
-            let acc = vec![((var.clone(), Vec::new()), AccessMode::Update)];
-            (ranges, condition, acc)
-        }
+    let (ranges, condition) = match stmt {
+        Statement::Select(q) => (&q.ranges, &q.condition),
+        Statement::Update { ranges, condition, .. } => (ranges, condition),
+        Statement::Delete { ranges, condition, .. } => (ranges, condition),
         Statement::Insert { relation, .. } => {
             // Inserts have no ranges; the executor locks the new object.
             catalog
@@ -98,44 +105,23 @@ pub fn analyze(catalog: &Catalog, stmt: &Statement) -> Result<Analysis> {
     let mut bound = bind_ranges(catalog, ranges)?;
     extract_key_predicates(catalog, &mut bound, condition.as_ref());
 
-    let mut accesses = Vec::new();
     // Projection / update / delete target.
-    for ((var, subpath), mode) in accesses_raw {
-        if var == "*" {
-            let first = bound
-                .first()
-                .ok_or_else(|| QueryError::Analysis("no range for *".into()))?;
-            accesses.push(Access {
-                var: first.var.clone(),
-                path: first.path.clone(),
-                mode,
-                whole_element: true,
-            });
-            continue;
+    let mut accesses = Vec::new();
+    match stmt {
+        Statement::Select(q) => {
+            for proj in &q.projections {
+                let (var, path) = operand_path(proj)?;
+                accesses.push(target_access(catalog, &bound, var, path, mode_of(q.for_clause))?);
+            }
         }
-        let range = bound
-            .iter()
-            .find(|r| r.var == var)
-            .ok_or_else(|| QueryError::Analysis(format!("unknown variable `{var}`")))?;
-        let mut path = range.path.clone();
-        for s in &subpath {
-            path = path.child(s);
+        Statement::Update { target, .. } => {
+            let (var, path) = operand_path(target)?;
+            accesses.push(target_access(catalog, &bound, var, path, AccessMode::Update)?);
         }
-        // Validate the path resolves (unless it is the object root).
-        if !path.is_root() {
-            let rel = catalog
-                .schema()
-                .relation(&range.relation)
-                .map_err(|e| QueryError::Analysis(e.to_string()))?;
-            path.resolve(rel)
-                .map_err(|e| QueryError::Analysis(e.to_string()))?;
+        Statement::Delete { var, .. } => {
+            accesses.push(target_access(catalog, &bound, var, &[], AccessMode::Update)?);
         }
-        accesses.push(Access {
-            var: var.clone(),
-            path,
-            mode,
-            whole_element: subpath.is_empty(),
-        });
+        Statement::Insert { .. } => {}
     }
 
     // Non-key predicate attributes are read accesses.
@@ -154,43 +140,82 @@ fn mode_of(f: ForClause) -> AccessMode {
     }
 }
 
-fn operand_path(op: &Operand) -> Result<(String, Vec<String>)> {
+fn operand_path(op: &Operand) -> Result<(&Name, &[Name])> {
     match op {
-        Operand::Path { var, path } => Ok((var.clone(), path.clone())),
+        Operand::Path { var, path } => Ok((var, path)),
         Operand::Literal(_) => Err(QueryError::Analysis("expected a path, found literal".into())),
     }
 }
 
+/// `base` extended by `steps`, built at its final length.
+fn path_below(base: &AttrPath, steps: &[Name]) -> AttrPath {
+    let mut path = Vec::with_capacity(base.steps().len() + steps.len());
+    path.extend_from_slice(base.steps());
+    path.extend(steps.iter().map(|s| s.to_string()));
+    AttrPath::from_steps(path)
+}
+
+/// Fails unless `path` names a node of `relation` (the root always does).
+fn validate(catalog: &Catalog, relation: &str, path: &AttrPath) -> Result<()> {
+    if !path.is_root() {
+        let rel = catalog
+            .schema()
+            .relation(relation)
+            .map_err(|e| QueryError::Analysis(e.to_string()))?;
+        path.resolve(rel).map_err(|e| QueryError::Analysis(e.to_string()))?;
+    }
+    Ok(())
+}
+
+/// The access of a projection or UPDATE/DELETE target `var.subpath`.
+fn target_access(
+    catalog: &Catalog,
+    bound: &[BoundRange],
+    var: &Name,
+    subpath: &[Name],
+    mode: AccessMode,
+) -> Result<Access> {
+    if &**var == "*" {
+        let first = bound.first().ok_or_else(|| QueryError::Analysis("no range for *".into()))?;
+        return Ok(Access {
+            var: first.var.clone(),
+            path: first.path.clone(),
+            mode,
+            whole_element: true,
+        });
+    }
+    let range = find_range(bound, var)
+        .ok_or_else(|| QueryError::Analysis(format!("unknown variable `{var}`")))?;
+    let path = path_below(&range.path, subpath);
+    // The range's own path was resolved when it was bound.
+    if !subpath.is_empty() {
+        validate(catalog, &range.relation, &path)?;
+    }
+    Ok(Access { var: var.clone(), path, mode, whole_element: subpath.is_empty() })
+}
+
 fn bind_ranges(catalog: &Catalog, ranges: &[RangeDecl]) -> Result<Vec<BoundRange>> {
-    let mut bound: Vec<BoundRange> = Vec::new();
+    let mut bound: Vec<BoundRange> = Vec::with_capacity(ranges.len());
     for r in ranges {
-        match &r.source {
+        let range = match &r.source {
             RangeSource::Relation(rel) => {
-                let schema = catalog
+                catalog
                     .schema()
                     .relation(rel)
                     .map_err(|e| QueryError::Analysis(e.to_string()))?;
-                bound.push(BoundRange {
+                BoundRange {
                     var: r.var.clone(),
                     relation: rel.clone(),
                     parent: None,
                     path: AttrPath::root(),
-                    key_attr: schema.key_attribute().map(|a| a.name.clone()),
                     key_predicate: None,
-                });
+                }
             }
             RangeSource::Path { parent, path } => {
-                let parent_range = bound
-                    .iter()
-                    .find(|b| &b.var == parent)
-                    .ok_or_else(|| {
-                        QueryError::Analysis(format!("unknown parent variable `{parent}`"))
-                    })?
-                    .clone();
-                let mut abs = parent_range.path.clone();
-                for s in path {
-                    abs = abs.child(s);
-                }
+                let parent_range = find_range(&bound, parent).ok_or_else(|| {
+                    QueryError::Analysis(format!("unknown parent variable `{parent}`"))
+                })?;
+                let abs = path_below(&parent_range.path, path);
                 let rel = catalog
                     .schema()
                     .relation(&parent_range.relation)
@@ -202,37 +227,27 @@ fn bind_ranges(catalog: &Catalog, ranges: &[RangeDecl]) -> Result<Vec<BoundRange
                         r.var
                     )));
                 }
-                let key_attr = ty.element().and_then(|e| match e {
-                    AttrType::Tuple(fields) => {
-                        fields.iter().find(|a| a.key).map(|a| a.name.clone())
-                    }
-                    _ => None,
-                });
-                bound.push(BoundRange {
+                BoundRange {
                     var: r.var.clone(),
                     relation: parent_range.relation.clone(),
                     parent: Some(parent.clone()),
                     path: abs,
-                    key_attr,
                     key_predicate: None,
-                });
+                }
             }
-        }
+        };
+        bound.push(range);
     }
     Ok(bound)
 }
 
 /// Walks the top-level conjunction extracting `var.key = literal` predicates.
-fn extract_key_predicates(
-    _catalog: &Catalog,
-    bound: &mut [BoundRange],
-    cond: Option<&Condition>,
-) {
-    fn walk(cond: &Condition, bound: &mut [BoundRange]) {
+fn extract_key_predicates(catalog: &Catalog, bound: &mut [BoundRange], cond: Option<&Condition>) {
+    fn walk(catalog: &Catalog, cond: &Condition, bound: &mut [BoundRange]) {
         match cond {
             Condition::And(a, b) => {
-                walk(a, bound);
-                walk(b, bound);
+                walk(catalog, a, bound);
+                walk(catalog, b, bound);
             }
             Condition::Cmp { left, op: Comparison::Eq, right } => {
                 let (path_op, lit) = match (left, right) {
@@ -243,13 +258,13 @@ fn extract_key_predicates(
                 let Operand::Path { var, path } = path_op else {
                     return;
                 };
-                if path.len() != 1 {
-                    return;
-                }
-                let Some(range) = bound.iter_mut().find(|r| &r.var == var) else {
+                let [attr] = path.as_slice() else {
                     return;
                 };
-                if range.key_attr.as_deref() == Some(path[0].as_str()) {
+                let Some(range) = bound.iter_mut().find(|r| r.var == *var) else {
+                    return;
+                };
+                if range.key_attr(catalog) == Some(&**attr) {
                     if let Some(k) = lit.as_key() {
                         range.key_predicate = Some(k);
                     }
@@ -260,7 +275,7 @@ fn extract_key_predicates(
         }
     }
     if let Some(c) = cond {
-        walk(c, bound);
+        walk(catalog, c, bound);
     }
 }
 
@@ -282,28 +297,19 @@ fn collect_predicate_accesses(
                 let Operand::Path { var, path } = operand else {
                     continue;
                 };
-                let Some(range) = bound.iter().find(|r| &r.var == var) else {
+                let Some(range) = find_range(bound, var) else {
                     return Err(QueryError::Analysis(format!("unknown variable `{var}`")));
                 };
                 // Key-equality addressing generates no lockable access.
                 let is_key_addressing = *op == Comparison::Eq
-                    && path.len() == 1
-                    && range.key_attr.as_deref() == Some(path[0].as_str())
-                    && range.key_predicate.is_some();
+                    && range.key_predicate.is_some()
+                    && matches!(path.as_slice(),
+                        [attr] if range.key_attr(catalog) == Some(&**attr));
                 if is_key_addressing {
                     continue;
                 }
-                let mut abs = range.path.clone();
-                for s in path {
-                    abs = abs.child(s);
-                }
-                if !abs.is_root() {
-                    let rel = catalog
-                        .schema()
-                        .relation(&range.relation)
-                        .map_err(|e| QueryError::Analysis(e.to_string()))?;
-                    abs.resolve(rel).map_err(|e| QueryError::Analysis(e.to_string()))?;
-                }
+                let abs = path_below(&range.path, path);
+                validate(catalog, &range.relation, &abs)?;
                 if !out.iter().any(|a| a.var == *var && a.path == abs) {
                     out.push(Access {
                         var: var.clone(),
@@ -323,12 +329,12 @@ fn build_estimates(catalog: &Catalog, bound: &[BoundRange], accesses: &[Access])
     accesses
         .iter()
         .map(|a| {
-            let range = bound.iter().find(|r| r.var == a.var);
+            let range = find_range(bound, &a.var);
             let object_var = range.map(|r| outermost(bound, r)).unwrap_or(None);
             let objects_expected = match object_var {
                 Some(ov) if ov.key_predicate.is_some() => 1.0,
                 _ => catalog
-                    .relation_stats(range.map(|r| r.relation.as_str()).unwrap_or(""))
+                    .relation_stats(range.map(|r| &*r.relation).unwrap_or(""))
                     .cardinality
                     .max(1) as f64,
             };
@@ -341,7 +347,7 @@ fn build_estimates(catalog: &Catalog, bound: &[BoundRange], accesses: &[Access])
                 None => 1.0,
             };
             AccessEstimate {
-                relation: range.map(|r| r.relation.clone()).unwrap_or_default(),
+                relation: range.map(|r| r.relation.to_string()).unwrap_or_default(),
                 path: a.path.clone(),
                 access: a.mode,
                 objects_expected,
@@ -354,7 +360,7 @@ fn build_estimates(catalog: &Catalog, bound: &[BoundRange], accesses: &[Access])
 fn outermost<'b>(bound: &'b [BoundRange], r: &'b BoundRange) -> Option<&'b BoundRange> {
     let mut cur = r;
     while let Some(parent) = &cur.parent {
-        cur = bound.iter().find(|b| &b.var == parent)?;
+        cur = find_range(bound, parent)?;
     }
     Some(cur)
 }
@@ -433,11 +439,11 @@ mod tests {
             "SELECT r FROM c IN cells, r IN c.robots WHERE c.cell_id = 'c1' AND r.robot_id = 'r1' FOR UPDATE",
         );
         let c = a.range("c").unwrap();
-        assert_eq!(c.relation, "cells");
+        assert_eq!(&*c.relation, "cells");
         assert_eq!(c.key_predicate, Some(ObjectKey::from("c1")));
         let r = a.range("r").unwrap();
         assert_eq!(r.path.to_string(), "robots");
-        assert_eq!(r.key_attr.as_deref(), Some("robot_id"));
+        assert_eq!(r.key_attr(&fig1_catalog()), Some("robot_id"));
         assert_eq!(r.key_predicate, Some(ObjectKey::from("r1")));
         // Only the projection access (key predicates are addressing).
         assert_eq!(a.accesses.len(), 1);

@@ -1,13 +1,16 @@
 //! Abstract syntax of the query language.
+//!
+//! Names are nf2's shared [`Name`]s: the analysis and the plan hold the
+//! statement's names by reference count instead of copying them.
 
-use colock_nf2::Value;
+use colock_nf2::{Name, Value};
 use std::fmt;
 
 /// A range declaration: `c IN cells` or `r IN c.robots`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RangeDecl {
     /// Range variable name.
-    pub var: String,
+    pub var: Name,
     /// Source: a relation name, or a parent variable with a path.
     pub source: RangeSource,
 }
@@ -16,13 +19,13 @@ pub struct RangeDecl {
 #[derive(Debug, Clone, PartialEq)]
 pub enum RangeSource {
     /// A relation: `c IN cells`.
-    Relation(String),
+    Relation(Name),
     /// A path below another variable: `r IN c.robots`.
     Path {
         /// Parent range variable.
-        parent: String,
+        parent: Name,
         /// Dot path below the parent.
-        path: Vec<String>,
+        path: Vec<Name>,
     },
 }
 
@@ -49,9 +52,9 @@ pub enum Operand {
     /// `var.path` (path may be empty for the variable itself).
     Path {
         /// Range variable.
-        var: String,
+        var: Name,
         /// Dot path below it.
-        path: Vec<String>,
+        path: Vec<Name>,
     },
     /// A literal value.
     Literal(Value),
@@ -129,7 +132,7 @@ pub enum Statement {
     /// variable must range over a relation).
     Delete {
         /// Variable naming what to delete.
-        var: String,
+        var: Name,
         /// Ranges.
         ranges: Vec<RangeDecl>,
         /// Condition.
@@ -138,7 +141,7 @@ pub enum Statement {
     /// Programmatic insert (no literal syntax for nested values).
     Insert {
         /// Target relation.
-        relation: String,
+        relation: Name,
         /// The complex object.
         value: Value,
     },

@@ -12,9 +12,10 @@ pub enum QueryError {
         /// Description.
         message: String,
     },
-    /// Parse error.
+    /// Parse error at the offending token.
     Parse {
-        /// Token position (index).
+        /// Byte offset of the offending token in the input, or the input's
+        /// length when the statement ends too early.
         position: usize,
         /// Description.
         message: String,
@@ -31,7 +32,7 @@ impl fmt::Display for QueryError {
         match self {
             QueryError::Lex { position, message } => write!(f, "lex error @{position}: {message}"),
             QueryError::Parse { position, message } => {
-                write!(f, "parse error @token {position}: {message}")
+                write!(f, "parse error @{position}: {message}")
             }
             QueryError::Analysis(m) => write!(f, "analysis error: {m}"),
             QueryError::Execution(m) => write!(f, "execution error: {m}"),
@@ -51,5 +52,10 @@ mod tests {
         assert!(QueryError::Lex { position: 3, message: "bad".into() }
             .to_string()
             .contains("@3"));
+        assert_eq!(
+            QueryError::Parse { position: 43, message: "expected literal, found `FOR`".into() }
+                .to_string(),
+            "parse error @43: expected literal, found `FOR`"
+        );
     }
 }

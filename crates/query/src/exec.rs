@@ -18,7 +18,7 @@ use crate::Result;
 use colock_core::optimizer::{Granularity, Optimizer, PlannedLock};
 use colock_core::{AccessMode, InstanceTarget};
 use colock_lockmgr::LockMode;
-use colock_nf2::{AttrType, Catalog, ObjectKey, Value};
+use colock_nf2::{AttrType, Catalog, Name, ObjectKey, Value};
 use colock_storage::StorageError;
 use colock_txn::Transaction;
 use std::collections::HashSet;
@@ -121,13 +121,13 @@ fn compile<'p>(plan: &'p QueryPlan, catalog: &'p Catalog) -> Result<Compiled<'p>
         Statement::Select(q) => (q.condition.as_ref(), None, None),
         Statement::Update { target, condition, .. } => {
             let var = match target {
-                Operand::Path { var, .. } => Some(var.as_str()),
+                Operand::Path { var, .. } => Some(&**var),
                 Operand::Literal(_) => None,
             };
             (condition.as_ref(), var, None)
         }
         Statement::Delete { var, condition, .. } => {
-            (condition.as_ref(), Some(var.as_str()), Some(var.as_str()))
+            (condition.as_ref(), Some(&**var), Some(&**var))
         }
         Statement::Insert { .. } => (None, None, None),
     };
@@ -152,7 +152,7 @@ fn compile<'p>(plan: &'p QueryPlan, catalog: &'p Catalog) -> Result<Compiled<'p>
             parent,
             rel_steps,
             elem_ty,
-            needs_target: !rules.is_empty() || target_var == Some(range.var.as_str()),
+            needs_target: !rules.is_empty() || target_var == Some(&*range.var),
             rules,
             conjuncts: Vec::new(),
         });
@@ -178,7 +178,7 @@ fn compile<'p>(plan: &'p QueryPlan, catalog: &'p Catalog) -> Result<Compiled<'p>
 }
 
 fn slot_of(ranges: &[BoundRange], var: &str) -> Option<usize> {
-    ranges.iter().position(|r| r.var == var)
+    ranges.iter().position(|r| *r.var == *var)
 }
 
 /// The top-level `AND` conjuncts of `cond`, left to right.
@@ -252,12 +252,12 @@ fn binding_rules<'p>(
         while let Some(parent) = &cur.parent {
             cur = analysis.range(parent)?;
         }
-        Some(cur.var.as_str())
+        Some(&*cur.var)
     };
     let below_relation_range = |planned: &PlannedLock, access: &Access| {
         range.parent.is_none()
-            && planned.relation == range.relation
-            && outermost_var(&access.var) == Some(range.var.as_str())
+            && *planned.relation == *range.relation
+            && outermost_var(&access.var) == Some(&*range.var)
     };
     plan.lock_plan
         .locks
@@ -274,7 +274,7 @@ fn binding_rules<'p>(
                 }
                 _ => return None,
             };
-            Some(Rule { planned, steps, no_deref: delete_var == Some(access.var.as_str()) })
+            Some(Rule { planned, steps, no_deref: delete_var == Some(&*access.var) })
         })
         .collect()
 }
@@ -321,7 +321,7 @@ impl<'t> Executor<'t, '_> {
                     } else {
                         let mut fields = Vec::with_capacity(q.projections.len());
                         for p in &q.projections {
-                            fields.push((projection_name(p).into(), project(compiled, p, row)?));
+                            fields.push((projection_name(p), project(compiled, p, row)?));
                         }
                         rows.push(Value::Tuple(fields.into()));
                     }
@@ -426,7 +426,7 @@ impl<'t> Executor<'t, '_> {
                 for key in keys {
                     let target = slot
                         .needs_target
-                        .then(|| InstanceTarget::object(&range.relation, key.clone()));
+                        .then(|| InstanceTarget::object(&*range.relation, key.clone()));
                     if let Some(object) = &target {
                         self.fire_object_rules(slot, object)?;
                     }
@@ -559,17 +559,17 @@ fn container_of(element: &InstanceTarget) -> Option<InstanceTarget> {
     Some(container)
 }
 
-fn projection_name(p: &Operand) -> String {
+fn projection_name(p: &Operand) -> Name {
     match p {
         Operand::Path { var, path } if path.is_empty() => var.clone(),
-        Operand::Path { var, path } => format!("{var}.{}", path.join(".")),
-        Operand::Literal(_) => "literal".to_string(),
+        Operand::Path { var, path } => format!("{var}.{}", path.join(".")).into(),
+        Operand::Literal(_) => "literal".into(),
     }
 }
 
 fn project(compiled: &Compiled<'_>, projection: &Operand, row: &Bound) -> Result<Value> {
     match projection {
-        Operand::Path { var, path } if var == "*" && path.is_empty() => {
+        Operand::Path { var, path } if &**var == "*" && path.is_empty() => {
             row.values.first().cloned().ok_or_else(|| QueryError::Execution("empty frame".into()))
         }
         other => compiled.value(&row.values, other).cloned(),
@@ -589,10 +589,10 @@ fn bound_target<'r>(
 }
 
 /// `base` extended by attribute steps.
-fn with_steps(base: &InstanceTarget, steps: &[String]) -> InstanceTarget {
+fn with_steps(base: &InstanceTarget, steps: &[impl AsRef<str>]) -> InstanceTarget {
     let mut t = base.clone();
     for s in steps {
-        t = t.attr(s);
+        t = t.attr(s.as_ref());
     }
     t
 }

@@ -1,82 +1,134 @@
 //! Recursive-descent parser.
+//!
+//! The parser pulls borrowed tokens from the [`Lexer`] one at a time and
+//! looks one token ahead; it allocates only the names and literals the AST
+//! keeps. An error's position is the byte offset of the offending token, or
+//! the input's length at its end.
 
 use crate::ast::*;
 use crate::error::QueryError;
-use crate::lexer::{tokenize, Token};
+use crate::lexer::{Keyword, Lexeme, Lexer, Token};
 use crate::Result;
-use colock_nf2::Value;
+use colock_nf2::{Name, Value};
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The next token; `None` at the end of input or at a lexical error.
+    peeked: Option<Lexeme<'a>>,
+    /// The lexical error that ended the token stream, if one did.
+    lex_error: Option<QueryError>,
+    input_len: usize,
 }
 
 /// Parses one statement.
 pub fn parse(input: &str) -> Result<Statement> {
-    let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let lexer = Lexer::new(input);
+    let mut p = Parser { lexer, peeked: None, lex_error: None, input_len: input.len() };
+    p.advance();
     let stmt = p.statement()?;
-    if p.pos != p.tokens.len() {
-        return Err(p.err("trailing input after statement"));
+    if p.peeked.is_some() || p.lex_error.is_some() {
+        return Err(p.expected("end of statement"));
     }
     Ok(stmt)
 }
 
-impl Parser {
-    fn err(&self, message: impl Into<String>) -> QueryError {
-        QueryError::Parse { position: self.pos, message: message.into() }
+impl<'a> Parser<'a> {
+    fn advance(&mut self) {
+        self.peeked = match self.lexer.next() {
+            Some(Ok(lexeme)) => Some(lexeme),
+            Some(Err(e)) => {
+                self.lex_error = Some(e);
+                None
+            }
+            None => None,
+        };
     }
 
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
-    }
-
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
+    /// An error at the next token. A lexical error anywhere in the input
+    /// is reported instead, as if the whole input were tokenized first.
+    fn err(&mut self, message: String) -> QueryError {
+        if self.lex_error.is_none() {
+            self.lex_error = self.lexer.find_map(Result::err);
         }
-        t
+        if let Some(e) = self.lex_error.take() {
+            return e;
+        }
+        let position = self.peeked.map_or(self.input_len, |l| l.offset);
+        QueryError::Parse { position, message }
     }
 
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), Some(Token::Keyword(k)) if k == kw) {
-            self.pos += 1;
+    /// "expected `what`, found" the next token as written.
+    fn expected(&mut self, what: &str) -> QueryError {
+        let message = match self.peeked {
+            Some(l) => format!("expected {what}, found `{}`", l.text),
+            None => format!("expected {what}, found end of input"),
+        };
+        self.err(message)
+    }
+
+    fn peek(&self) -> Option<Token<'a>> {
+        self.peeked.map(|l| l.token)
+    }
+
+    fn eat(&mut self, token: Token<'_>) -> bool {
+        if self.peek() == Some(token) {
+            self.advance();
             true
         } else {
             false
         }
     }
 
-    fn expect_keyword(&mut self, kw: &str) -> Result<()> {
-        if self.eat_keyword(kw) {
+    fn expect(&mut self, token: Token<'_>, what: &str) -> Result<()> {
+        if self.eat(token) {
             Ok(())
         } else {
-            Err(self.err(format!("expected `{kw}`, found {:?}", self.peek())))
+            Err(self.expected(what))
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String> {
-        match self.next() {
-            Some(Token::Ident(i)) => Ok(i),
-            other => Err(self.err(format!("expected identifier, found {other:?}"))),
+    fn eat_keyword(&mut self, kw: Keyword) -> bool {
+        self.eat(Token::Keyword(kw))
+    }
+
+    fn expect_keyword(&mut self, kw: Keyword) -> Result<()> {
+        if self.eat_keyword(kw) {
+            Ok(())
+        } else {
+            Err(self.expected(&format!("`{kw}`")))
+        }
+    }
+
+    fn expect_ident(&mut self) -> Result<Name> {
+        self.expect_var(None)
+    }
+
+    /// An identifier naming a variable: the first of the `known` names it
+    /// spells, shared, or else a new name.
+    fn expect_var<'n>(&mut self, known: impl IntoIterator<Item = &'n Name>) -> Result<Name> {
+        match self.peek() {
+            Some(Token::Ident(i)) => {
+                self.advance();
+                Ok(known.into_iter().find(|n| ***n == *i).map_or_else(|| i.into(), Name::clone))
+            }
+            _ => Err(self.expected("identifier")),
         }
     }
 
     fn statement(&mut self) -> Result<Statement> {
-        if self.eat_keyword("SELECT") {
+        if self.eat_keyword(Keyword::Select) {
             return self.select();
         }
-        if self.eat_keyword("UPDATE") {
+        if self.eat_keyword(Keyword::Update) {
             return self.update();
         }
-        if self.eat_keyword("DELETE") {
+        if self.eat_keyword(Keyword::Delete) {
             return self.delete();
         }
-        if self.eat_keyword("INSERT") {
+        if self.eat_keyword(Keyword::Insert) {
             return self.insert();
         }
-        Err(self.err("expected SELECT, UPDATE, DELETE or INSERT"))
+        Err(self.expected("SELECT, UPDATE, DELETE or INSERT"))
     }
 
     fn select(&mut self) -> Result<Statement> {
@@ -84,44 +136,35 @@ impl Parser {
         let mut projections = Vec::new();
         if matches!(self.peek(), Some(Token::Ident(i)) if i.eq_ignore_ascii_case("COUNT")) {
             // COUNT ( * )
-            self.pos += 1;
-            if !matches!(self.next(), Some(Token::LParen)) {
-                return Err(self.err("expected `(` after COUNT"));
-            }
-            if !matches!(self.next(), Some(Token::Star)) {
-                return Err(self.err("expected `*` in COUNT(*)"));
-            }
-            if !matches!(self.next(), Some(Token::RParen)) {
-                return Err(self.err("expected `)` after COUNT(*"));
-            }
+            self.advance();
+            self.expect(Token::LParen, "`(` after COUNT")?;
+            self.expect(Token::Star, "`*` in COUNT(*)")?;
+            self.expect(Token::RParen, "`)` after COUNT(*")?;
             count = true;
             // COUNT still needs a range to bind; project the first var.
             projections.push(Operand::Path { var: "*".into(), path: Vec::new() });
         } else {
             loop {
-                if matches!(self.peek(), Some(Token::Star)) {
-                    self.pos += 1;
+                if self.eat(Token::Star) {
                     projections.push(Operand::Path { var: "*".into(), path: Vec::new() });
                 } else {
-                    projections.push(self.path_operand()?);
+                    projections.push(self.path_operand(&[])?);
                 }
-                if matches!(self.peek(), Some(Token::Comma)) {
-                    self.pos += 1;
-                } else {
+                if !self.eat(Token::Comma) {
                     break;
                 }
             }
         }
-        self.expect_keyword("FROM")?;
-        let ranges = self.ranges()?;
-        let condition = self.opt_where()?;
-        let for_clause = if self.eat_keyword("FOR") {
-            if self.eat_keyword("READ") {
+        self.expect_keyword(Keyword::From)?;
+        let ranges = self.ranges(projections.first().and_then(path_var))?;
+        let condition = self.opt_where(&ranges)?;
+        let for_clause = if self.eat_keyword(Keyword::For) {
+            if self.eat_keyword(Keyword::Read) {
                 ForClause::Read
-            } else if self.eat_keyword("UPDATE") {
+            } else if self.eat_keyword(Keyword::Update) {
                 ForClause::Update
             } else {
-                return Err(self.err("expected READ or UPDATE after FOR"));
+                return Err(self.expected("READ or UPDATE after FOR"));
             }
         } else {
             ForClause::Read
@@ -131,14 +174,12 @@ impl Parser {
 
     fn update(&mut self) -> Result<Statement> {
         // UPDATE var.path = literal FROM ranges [WHERE cond]
-        let target = self.path_operand()?;
-        if !matches!(self.next(), Some(Token::Eq)) {
-            return Err(self.err("expected `=` in UPDATE"));
-        }
+        let target = self.path_operand(&[])?;
+        self.expect(Token::Eq, "`=` in UPDATE")?;
         let value = self.literal()?;
-        self.expect_keyword("FROM")?;
-        let ranges = self.ranges()?;
-        let condition = self.opt_where()?;
+        self.expect_keyword(Keyword::From)?;
+        let ranges = self.ranges(path_var(&target))?;
+        let condition = self.opt_where(&ranges)?;
         Ok(Statement::Update { target, value, ranges, condition })
     }
 
@@ -146,141 +187,156 @@ impl Parser {
     /// nested complex objects are inserted through the API
     /// ([`Statement::Insert`] with a pre-built value).
     fn insert(&mut self) -> Result<Statement> {
-        self.expect_keyword("INTO")?;
+        self.expect_keyword(Keyword::Into)?;
         let relation = self.expect_ident()?;
-        self.expect_keyword("VALUES")?;
-        if !matches!(self.next(), Some(Token::LParen)) {
-            return Err(self.err("expected `(`"));
-        }
+        self.expect_keyword(Keyword::Values)?;
+        self.expect(Token::LParen, "`(`")?;
         let mut fields = Vec::new();
         loop {
             let name = self.expect_ident()?;
-            if !matches!(self.next(), Some(Token::Colon)) {
-                return Err(self.err("expected `:` after attribute name"));
-            }
+            self.expect(Token::Colon, "`:` after attribute name")?;
             let value = self.literal()?;
-            fields.push((name.into(), value));
-            match self.next() {
-                Some(Token::Comma) => continue,
-                Some(Token::RParen) => break,
-                other => return Err(self.err(format!("expected `,` or `)`, found {other:?}"))),
+            fields.push((name, value));
+            if self.eat(Token::RParen) {
+                break;
             }
+            self.expect(Token::Comma, "`,` or `)`")?;
         }
         Ok(Statement::Insert { relation, value: Value::Tuple(fields.into()) })
     }
 
     fn delete(&mut self) -> Result<Statement> {
         let var = self.expect_ident()?;
-        self.expect_keyword("FROM")?;
-        let ranges = self.ranges()?;
-        let condition = self.opt_where()?;
+        self.expect_keyword(Keyword::From)?;
+        let ranges = self.ranges(Some(&var))?;
+        let condition = self.opt_where(&ranges)?;
         Ok(Statement::Delete { var, ranges, condition })
     }
 
-    fn ranges(&mut self) -> Result<Vec<RangeDecl>> {
-        let mut out = vec![self.range()?];
-        while matches!(self.peek(), Some(Token::Comma)) {
-            self.pos += 1;
-            out.push(self.range()?);
+    /// The FROM list; a range named like the statement's `target`
+    /// variable shares its name.
+    fn ranges(&mut self, target: Option<&Name>) -> Result<Vec<RangeDecl>> {
+        let mut out = Vec::new();
+        loop {
+            let range = self.range(&out, target)?;
+            out.push(range);
+            if !self.eat(Token::Comma) {
+                return Ok(out);
+            }
         }
-        Ok(out)
     }
 
-    fn range(&mut self) -> Result<RangeDecl> {
-        let var = self.expect_ident()?;
-        self.expect_keyword("IN")?;
-        let first = self.expect_ident()?;
-        if matches!(self.peek(), Some(Token::Dot)) {
-            let mut path = Vec::new();
-            while matches!(self.peek(), Some(Token::Dot)) {
-                self.pos += 1;
-                path.push(self.expect_ident()?);
-            }
+    /// `var IN relation` or `var IN parent.path`, `parent` declared in
+    /// `scope`.
+    fn range(&mut self, scope: &[RangeDecl], target: Option<&Name>) -> Result<RangeDecl> {
+        let var = self.expect_var(target)?;
+        self.expect_keyword(Keyword::In)?;
+        let first = self.expect_var(vars(scope))?;
+        if self.peek() == Some(Token::Dot) {
+            let path = self.dot_path()?;
             Ok(RangeDecl { var, source: RangeSource::Path { parent: first, path } })
         } else {
             Ok(RangeDecl { var, source: RangeSource::Relation(first) })
         }
     }
 
-    fn opt_where(&mut self) -> Result<Option<Condition>> {
-        if self.eat_keyword("WHERE") {
-            Ok(Some(self.condition()?))
+    fn opt_where(&mut self, scope: &[RangeDecl]) -> Result<Option<Condition>> {
+        if self.eat_keyword(Keyword::Where) {
+            Ok(Some(self.condition(scope)?))
         } else {
             Ok(None)
         }
     }
 
-    fn condition(&mut self) -> Result<Condition> {
-        let mut left = self.conjunction()?;
-        while self.eat_keyword("OR") {
-            let right = self.conjunction()?;
+    fn condition(&mut self, scope: &[RangeDecl]) -> Result<Condition> {
+        let mut left = self.conjunction(scope)?;
+        while self.eat_keyword(Keyword::Or) {
+            let right = self.conjunction(scope)?;
             left = Condition::Or(Box::new(left), Box::new(right));
         }
         Ok(left)
     }
 
-    fn conjunction(&mut self) -> Result<Condition> {
-        let mut left = self.atom()?;
-        while self.eat_keyword("AND") {
-            let right = self.atom()?;
+    fn conjunction(&mut self, scope: &[RangeDecl]) -> Result<Condition> {
+        let mut left = self.atom(scope)?;
+        while self.eat_keyword(Keyword::And) {
+            let right = self.atom(scope)?;
             left = Condition::And(Box::new(left), Box::new(right));
         }
         Ok(left)
     }
 
-    fn atom(&mut self) -> Result<Condition> {
-        if self.eat_keyword("NOT") {
-            return Ok(Condition::Not(Box::new(self.atom()?)));
+    fn atom(&mut self, scope: &[RangeDecl]) -> Result<Condition> {
+        if self.eat_keyword(Keyword::Not) {
+            return Ok(Condition::Not(Box::new(self.atom(scope)?)));
         }
-        if matches!(self.peek(), Some(Token::LParen)) {
-            self.pos += 1;
-            let c = self.condition()?;
-            if !matches!(self.next(), Some(Token::RParen)) {
-                return Err(self.err("expected `)`"));
-            }
+        if self.eat(Token::LParen) {
+            let c = self.condition(scope)?;
+            self.expect(Token::RParen, "`)`")?;
             return Ok(c);
         }
-        let left = self.operand()?;
-        let op = match self.next() {
+        let left = self.operand(scope)?;
+        let op = match self.peek() {
             Some(Token::Eq) => Comparison::Eq,
             Some(Token::Neq) => Comparison::Neq,
             Some(Token::Lt) => Comparison::Lt,
             Some(Token::Le) => Comparison::Le,
             Some(Token::Gt) => Comparison::Gt,
             Some(Token::Ge) => Comparison::Ge,
-            other => return Err(self.err(format!("expected comparison, found {other:?}"))),
+            _ => return Err(self.expected("comparison")),
         };
-        let right = self.operand()?;
+        self.advance();
+        let right = self.operand(scope)?;
         Ok(Condition::Cmp { left, op, right })
     }
 
-    fn operand(&mut self) -> Result<Operand> {
+    fn operand(&mut self, scope: &[RangeDecl]) -> Result<Operand> {
         match self.peek() {
-            Some(Token::Ident(_)) => self.path_operand(),
+            Some(Token::Ident(_)) => self.path_operand(scope),
             _ => Ok(Operand::Literal(self.literal()?)),
         }
     }
 
-    fn path_operand(&mut self) -> Result<Operand> {
-        let var = self.expect_ident()?;
-        let mut path = Vec::new();
-        while matches!(self.peek(), Some(Token::Dot)) {
-            self.pos += 1;
-            path.push(self.expect_ident()?);
-        }
+    fn path_operand(&mut self, scope: &[RangeDecl]) -> Result<Operand> {
+        let var = self.expect_var(vars(scope))?;
+        let path = self.dot_path()?;
         Ok(Operand::Path { var, path })
     }
 
-    fn literal(&mut self) -> Result<Value> {
-        match self.next() {
-            Some(Token::Str(s)) => Ok(Value::Str(s)),
-            Some(Token::Int(i)) => Ok(Value::Int(i)),
-            Some(Token::Real(r)) => Ok(Value::Real(r)),
-            Some(Token::Keyword(k)) if k == "TRUE" => Ok(Value::Bool(true)),
-            Some(Token::Keyword(k)) if k == "FALSE" => Ok(Value::Bool(false)),
-            other => Err(self.err(format!("expected literal, found {other:?}"))),
+    /// The `.step` suffixes that follow a name.
+    fn dot_path(&mut self) -> Result<Vec<Name>> {
+        let mut path = Vec::new();
+        while self.eat(Token::Dot) {
+            path.push(self.expect_ident()?);
         }
+        Ok(path)
     }
+
+    fn literal(&mut self) -> Result<Value> {
+        let value = match self.peek() {
+            Some(Token::Str(s)) => Value::Str(s.to_string()),
+            Some(Token::Int(i)) => Value::Int(i),
+            Some(Token::Real(r)) => Value::Real(r),
+            Some(Token::Keyword(Keyword::True)) => Value::Bool(true),
+            Some(Token::Keyword(Keyword::False)) => Value::Bool(false),
+            _ => return Err(self.expected("literal")),
+        };
+        self.advance();
+        Ok(value)
+    }
+}
+
+/// The variable of a path operand.
+fn path_var(op: &Operand) -> Option<&Name> {
+    match op {
+        Operand::Path { var, .. } => Some(var),
+        Operand::Literal(_) => None,
+    }
+}
+
+/// The variables `scope` declares.
+fn vars(scope: &[RangeDecl]) -> impl Iterator<Item = &Name> {
+    scope.iter().map(|r| &r.var)
 }
 
 #[cfg(test)]

@@ -1,10 +1,11 @@
-//! Property-based tests: the lexer/parser never panic, valid shapes
-//! round-trip, condition evaluation is logically consistent, and the
-//! executor's conjunct placement returns the rows of naive filtering.
+//! Property-based tests: the lexer/parser never panic, keywords match in
+//! any case and any whitespace, valid shapes round-trip, condition
+//! evaluation is logically consistent, and the executor's conjunct
+//! placement returns the rows of naive filtering.
 
 use colock_nf2::Value;
 use colock_query::ast::{Comparison, Condition, Operand, Statement};
-use colock_query::lexer::tokenize;
+use colock_query::lexer::{tokenize, Token};
 use colock_query::parse;
 use colock_testkit::prop::{alpha_string, any_i64, any_string, string_of};
 use colock_testkit::{ensure, ensure_eq, forall, Rng};
@@ -43,6 +44,92 @@ fn parser_never_panics_on_queryish_text() {
             Ok(())
         }
     );
+}
+
+/// Every keyword of the language.
+const KEYWORDS: [&str; 17] = [
+    "SELECT", "FROM", "WHERE", "FOR", "READ", "UPDATE", "IN", "AND", "OR", "DELETE", "SET", "TRUE",
+    "FALSE", "NOT", "INSERT", "INTO", "VALUES",
+];
+
+/// Statements whose words are separated by single spaces, every keyword a
+/// word of its own and no literal holding a space.
+const CANONICAL: [&str; 6] = [
+    "SELECT o FROM c IN cells, o IN c.c_objects WHERE c.cell_id = 'c1' FOR READ",
+    "SELECT r FROM c IN cells, r IN c.robots WHERE c.cell_id = 'c1' AND r.robot_id = 'r2' FOR UPDATE",
+    "UPDATE r.trajectory = 'w0-1' FROM c IN cells, r IN c.robots WHERE c.cell_id = 'c2' AND r.robot_id = 'r3'",
+    "DELETE e FROM e IN effectors WHERE NOT ( e.eff_id = 'e1' OR e.n >= -3 ) AND e.live = TRUE",
+    "INSERT INTO effectors VALUES (eff_id: 'e9', live: FALSE , w: 2.5)",
+    "SELECT COUNT(*) FROM c IN cells WHERE c.size <> 4 FOR READ",
+];
+
+/// `word` with each letter upper- or lower-cased at random.
+fn random_case(rng: &mut Rng, word: &str) -> String {
+    word.chars()
+        .map(|c| if rng.gen_bool(0.5) { c.to_ascii_lowercase() } else { c.to_ascii_uppercase() })
+        .collect()
+}
+
+/// A canonical statement respelled: keywords in random case, words
+/// separated by runs of spaces, tabs and newlines.
+#[derive(Debug, Clone)]
+struct Respelled {
+    canonical: &'static str,
+    text: String,
+}
+
+colock_testkit::no_shrink!(Respelled);
+
+#[test]
+fn keywords_match_in_any_case_across_any_whitespace() {
+    forall!(
+        cases: 256,
+        |rng| {
+            let canonical = *rng.choose(&CANONICAL).unwrap();
+            let mut text = string_of(rng, " \t\n\r", 0..3);
+            for word in canonical.split(' ') {
+                if KEYWORDS.contains(&word) {
+                    text.push_str(&random_case(rng, word));
+                } else {
+                    text.push_str(word);
+                }
+                text.push_str(&string_of(rng, " \t\n\r", 1..5));
+            }
+            Respelled { canonical, text }
+        },
+        |case: &Respelled| {
+            let canonical = parse(case.canonical);
+            ensure!(canonical.is_ok(), "{}: {canonical:?}", case.canonical);
+            ensure_eq!(parse(&case.text), canonical);
+            Ok(())
+        }
+    );
+}
+
+#[test]
+fn words_that_start_with_a_keyword_are_identifiers() {
+    for word in ["selection", "format", "index", "order_in", "updated"] {
+        assert_eq!(tokenize(word), Ok(vec![Token::Ident(word)]), "`{word}` is one identifier");
+    }
+    forall!(
+        cases: 256,
+        |rng| {
+            let keyword = *rng.choose(&KEYWORDS).unwrap();
+            let suffix = string_of(rng, "abcdefghijklmnopqrstuvwxyz0123456789_", 1..5);
+            format!("{}{suffix}", random_case(rng, keyword))
+        },
+        |word: &String| {
+            ensure_eq!(tokenize(word), Ok(vec![Token::Ident(word.as_str())]));
+            Ok(())
+        }
+    );
+    let Ok(Statement::Select(q)) = parse(
+        "SELECT selection FROM selection IN format WHERE selection.index = 1 AND selection.updated = TRUE FOR UPDATE",
+    ) else {
+        panic!("identifiers that start with a keyword must parse")
+    };
+    assert_eq!(&*q.ranges[0].var, "selection");
+    assert_eq!(q.ranges[0].source, colock_query::ast::RangeSource::Relation("format".into()));
 }
 
 /// Draws a lowercase identifier with length in `len` that is not one of the

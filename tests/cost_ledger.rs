@@ -213,6 +213,57 @@ fn fig7_statements_execute_within_budget() {
     );
 }
 
+/// The five statement shapes `fig7_queries` sends, with the literals it
+/// draws: Q1, Q2's SELECT, Q3 (also Q2's UPDATE), the effector read and
+/// the effector update.
+const FIG7_SHAPES: [(&str, &str); 5] = [
+    ("q1", "SELECT o FROM c IN cells, o IN c.c_objects WHERE c.cell_id = 'c1' FOR READ"),
+    (
+        "q2_select",
+        "SELECT r FROM c IN cells, r IN c.robots WHERE c.cell_id = 'c1' AND r.robot_id = 'r2' FOR UPDATE",
+    ),
+    (
+        "q3",
+        "UPDATE r.trajectory = 'w0-1' FROM c IN cells, r IN c.robots WHERE c.cell_id = 'c2' AND r.robot_id = 'r3'",
+    ),
+    ("effector_read", "SELECT e FROM e IN effectors WHERE e.eff_id = 'e1' FOR READ"),
+    ("effector_update", "UPDATE e.tool = 'w0-2' FROM e IN effectors WHERE e.eff_id = 'e2'"),
+];
+
+/// Parse / analysis / plan allocations of each shape, in `FIG7_SHAPES`
+/// order (§4.6 disadvantage 1, the front end every statement pays).
+/// Lexing allocates nothing. Parsing makes the AST's names, path vectors,
+/// literals and condition boxes; a range variable shares the name of the
+/// target it repeats, a path's variable that of its range. Analysis makes
+/// the ranges' and accesses' paths, the pinned keys and the optimizer
+/// estimates (Q1's with the catalog's cardinality estimate); the plan is
+/// the optimizer's. The totals were 86, 91, 106, 42 and 55 while the lexer
+/// owned its tokens and the analysis copied names and paths.
+const FIG7_FRONT_END_BUDGETS: [(u64, u64, u64); 5] =
+    [(10, 19, 12), (15, 12, 12), (17, 14, 17), (7, 5, 2), (9, 9, 6)];
+
+#[test]
+fn fig7_statements_parse_analyze_and_plan_within_budget() {
+    let mgr = fig7_manager();
+    let catalog = mgr.store().catalog();
+    let optimizer = Optimizer::default();
+    let counts: Vec<(&str, (u64, u64, u64))> = FIG7_SHAPES
+        .iter()
+        .map(|&(name, stmt)| {
+            let (parse, parsed) = allocations(|| query::parse(stmt).unwrap());
+            let (analyze, analysis) =
+                allocations(|| query::analyze::analyze(catalog, &parsed).unwrap());
+            let (plan, planned) =
+                allocations(|| query::plan_locks(catalog, parsed, analysis, &optimizer).unwrap());
+            drop(planned);
+            (name, (parse, analyze, plan))
+        })
+        .collect();
+    let budgets: Vec<(&str, (u64, u64, u64))> =
+        FIG7_SHAPES.iter().map(|&(name, _)| name).zip(FIG7_FRONT_END_BUDGETS).collect();
+    assert_eq!(counts, budgets, "(parse, analyze, plan) allocations changed: edit the budgets");
+}
+
 /// Building the mix database (`CellsConfig { n_cells: 8, c_objects_per_cell:
 /// 8, .. }`, the repo benchmark's `parallel_disjoint` and `embedded_mix`
 /// database): the generated values, the stats-bearing catalog and the one
