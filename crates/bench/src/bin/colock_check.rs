@@ -1,6 +1,6 @@
-//! `colock-check` — offline conformance checker front end.
+//! `colock-check` — offline conformance checker and trace explainer.
 //!
-//! Three modes:
+//! Modes:
 //!
 //! * **`colock_check <file>`** — parses a trace previously dumped in the
 //!   tab-separated [`colock_trace::Event`] line format (one event per line,
@@ -14,11 +14,17 @@
 //!   committed transactions) is rebuilt and checked for cycles. Any cycle
 //!   is rendered with its per-transaction timeline and a DOT export, and
 //!   the exit code is non-zero.
+//! * **`colock_check --explain <file>|demo`** — replays a trace into
+//!   per-transaction timelines, each lock annotated with the §4.4.2 rule
+//!   that caused it. `demo` runs the shared contention demo (two
+//!   read/update transactions, then a forced two-transaction deadlock),
+//!   explains its trace and prints the waits-for DOT graph the detector
+//!   exported.
 //! * **`colock_check --self-test`** — exercises the whole checking stack
 //!   end to end: static analysis of the derived cells lock graph and the
-//!   compatibility matrix, a live traced run of the shared contention demo
-//!   (which must detect at least one deadlock, resolve every one of them,
-//!   lint clean, and certify conflict-serializable), a dump/re-parse/re-lint
+//!   compatibility matrix, a live traced run of the contention demo (which
+//!   must detect at least one deadlock, resolve every one of them, lint
+//!   clean, and certify conflict-serializable), a dump/re-parse/re-lint
 //!   round trip through the line format, and a seeded write-skew trace that
 //!   the linter passes but the certifier must flag.
 //! * **`colock_check --dump demo|skew <file>`** — writes a reference trace
@@ -30,6 +36,7 @@
 //! ```text
 //! cargo run --release --bin colock_check -- /tmp/run.trace
 //! cargo run --release --bin colock_check -- --certify /tmp/run.trace
+//! cargo run --release --bin colock_check -- --explain demo
 //! cargo run --release --bin colock_check -- --self-test
 //! ```
 
@@ -37,6 +44,7 @@ use colock_bench::contention_demo;
 use colock_check::{check_graph, check_matrix, Certifier, Linter};
 use colock_core::graph::derive_lock_graph;
 use colock_sim::{build_cells_store, CellsConfig};
+use colock_trace::explain::{render_timeline, timeline};
 use colock_trace::{Event, EventKind};
 
 fn main() {
@@ -47,6 +55,14 @@ fn main() {
             Some(path) => certify_file(path),
             None => {
                 eprintln!("usage: colock_check --certify <trace-file>");
+                std::process::exit(2);
+            }
+        },
+        Some("--explain") => match args.get(1).map(String::as_str) {
+            Some("demo") => explain_demo(),
+            Some(path) => explain_file(path),
+            None => {
+                eprintln!("usage: colock_check --explain <trace-file>|demo");
                 std::process::exit(2);
             }
         },
@@ -61,6 +77,7 @@ fn main() {
         None => {
             eprintln!(
                 "usage: colock_check <trace-file> | colock_check --certify <trace-file> | \
+                 colock_check --explain <trace-file>|demo | \
                  colock_check --dump demo|skew <trace-file> | colock_check --self-test"
             );
             std::process::exit(2);
@@ -72,7 +89,7 @@ fn main() {
 /// contention demo (clean) or the seeded write-skew (non-serializable).
 fn dump_trace(which: &str, path: &str) {
     let events = match which {
-        "demo" => contention_demo(),
+        "demo" => contention_demo().0,
         _ => write_skew_trace(),
     };
     let dump: String = events.iter().map(|e| e.to_line() + "\n").collect();
@@ -123,6 +140,30 @@ fn check_file(path: &str) {
     print!("{}", report.render_with_context(&events));
     if !report.is_clean() || bad_lines > 0 {
         std::process::exit(1);
+    }
+}
+
+/// Parses `path` and renders its per-transaction timelines.
+fn explain_file(path: &str) {
+    let (events, bad_lines) = parse_trace(path);
+    println!("colock-check: {} events from {path} ({bad_lines} malformed lines)\n", events.len());
+    print!("{}", render_timeline(&timeline(&events)));
+}
+
+/// Runs the contention demo and explains it: timelines, then the waits-for
+/// graph the detector saw.
+fn explain_demo() {
+    println!("colock-check — built-in contention demo (tracing enabled)\n");
+    let (events, dots) = contention_demo();
+    println!("captured {} events; per-transaction timelines:\n", events.len());
+    print!("{}", render_timeline(&timeline(&events)));
+    if dots.is_empty() {
+        println!("\n(no waits-for graph exported — detector never found a cycle)");
+    } else {
+        println!("\nwaits-for graph at detection time (render with `dot -Tsvg`):\n");
+        for dot in &dots {
+            println!("{dot}");
+        }
     }
 }
 
@@ -178,7 +219,7 @@ fn self_test() {
 
     // Stage 2: a live traced run of the contention demo must detect at
     // least one deadlock, resolve every one of them, and lint clean.
-    let events = contention_demo();
+    let (events, _) = contention_demo();
     let detected = events.iter().filter(|e| e.kind == EventKind::DeadlockDetected).count();
     let victims = events.iter().filter(|e| e.kind == EventKind::VictimChosen).count();
     if detected == 0 || victims == 0 {
@@ -214,13 +255,9 @@ fn self_test() {
     if let Err(e) = std::fs::write(&path, &dump) {
         fail("writing round-trip trace file", e);
     }
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| fail("re-reading trace file", e));
-    let mut reparsed = Vec::new();
-    for (no, line) in text.lines().enumerate() {
-        match Event::parse_line(line) {
-            Ok(ev) => reparsed.push(ev),
-            Err(e) => fail("round-trip parse", format!("line {}: {e}", no + 1)),
-        }
+    let (reparsed, bad_lines) = parse_trace(&path.to_string_lossy());
+    if bad_lines > 0 {
+        fail("round-trip parse", format!("{bad_lines} malformed lines"));
     }
     let _ = std::fs::remove_file(&path);
     if reparsed != events {

@@ -1,16 +1,19 @@
 #![forbid(unsafe_code)]
-//! Shared experiment machinery for the figure/experiment binaries and the
-//! Criterion benches. Every table printed by a binary in `src/bin/` is
-//! recorded (paper statement vs measured shape) in `EXPERIMENTS.md`.
+//! Shared experiment machinery for the paper's figures and claims
+//! ([`paper`]), the experiment and stress binaries and the benches. Every
+//! table they print is recorded (paper statement vs measured shape) in
+//! `EXPERIMENTS.md`.
 
 use colock_check::{CertifyReport, LintReport};
 use colock_core::authorization::{Authorization, Right};
 use colock_nf2::Catalog;
 use colock_sim::{build_cells_store, CellsConfig};
-use colock_trace::TraceBuffer;
+use colock_trace::{Event, TraceBuffer};
 use colock_txn::{ProtocolKind, TransactionManager};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
+
+pub mod paper;
 
 /// The standard rights of the paper's running example: everyone may update
 /// cells, nobody may update the effectors library (Fig. 7's assumption).
@@ -110,24 +113,24 @@ pub fn soak(
     }
 }
 
-/// Runs the built-in contention demo shared by `trace_explain` and
-/// `colock_check --self-test`: two well-behaved transactions (a reader and
-/// an updater) followed by a forced two-transaction deadlock — two threads
-/// X-lock whole cells in opposite order with a barrier between first and
-/// second acquisition, so the second requests close a waits-for cycle and
-/// the detector must abort one of them.
+/// Runs the built-in contention demo of `colock_check`: two well-behaved
+/// transactions (a reader and an updater) followed by a forced
+/// two-transaction deadlock — two transactions X-lock one whole cell each,
+/// then two threads request the other's cell, so the second requests close
+/// a waits-for cycle and the detector must abort one of them.
 ///
-/// Traces into the default buffer (its deadlock DOT exports included) and
-/// returns exactly the events this demo produced.
-pub fn contention_demo() -> Vec<colock_trace::Event> {
+/// The demo's manager traces into a buffer of its own, so the result is
+/// exactly the demo's events and the waits-for DOTs its detector exported,
+/// whatever else the process traces meanwhile.
+pub fn contention_demo() -> (Vec<Event>, Vec<String>) {
     use colock_core::{AccessMode, InstanceTarget};
     use colock_txn::TxnKind;
-    use std::sync::Barrier;
 
     let cfg = CellsConfig { n_cells: 2, c_objects_per_cell: 4, ..Default::default() };
     let mgr = cells_manager(&cfg, ProtocolKind::Proposed);
-    mgr.trace().enable();
-    let mark = mgr.trace().next_seq();
+    let trace = Arc::new(TraceBuffer::with_capacity(1 << 12));
+    trace.enable();
+    mgr.attach_trace(Arc::clone(&trace));
 
     let reader = mgr.begin(TxnKind::Short);
     reader
@@ -140,16 +143,19 @@ pub fn contention_demo() -> Vec<colock_trace::Event> {
         .expect("update lock");
     writer.commit().expect("commit");
 
-    let barrier = Barrier::new(2);
+    // Each of two transactions X-locks one cell, then each asks for the
+    // other's on a thread of its own. A first lock that is not granted at
+    // once fails the demo rather than leaving a thread waiting forever.
+    let first = |cell| {
+        let txn = mgr.begin(TxnKind::Short);
+        txn.try_lock(&InstanceTarget::object("cells", cell), AccessMode::Update)
+            .expect("first lock is uncontended");
+        txn
+    };
+    let crossed = [(first("c1"), "c2"), (first("c2"), "c1")];
     std::thread::scope(|scope| {
-        for (mine, theirs) in [("c1", "c2"), ("c2", "c1")] {
-            let mgr = &mgr;
-            let barrier = &barrier;
+        for (txn, theirs) in crossed {
             scope.spawn(move || {
-                let txn = mgr.begin(TxnKind::Short);
-                txn.lock(&InstanceTarget::object("cells", mine), AccessMode::Update)
-                    .expect("first lock is uncontended");
-                barrier.wait();
                 match txn.lock(&InstanceTarget::object("cells", theirs), AccessMode::Update) {
                     Ok(_) => txn.commit().expect("commit"),
                     Err(e) if e.is_deadlock() => txn.abort().expect("abort"),
@@ -159,7 +165,7 @@ pub fn contention_demo() -> Vec<colock_trace::Event> {
         }
     });
 
-    mgr.trace().events_since(mark).expect("the demo fits the buffer")
+    (trace.events_since(0).expect("the demo fits the buffer"), trace.deadlock_dots())
 }
 
 #[cfg(test)]

@@ -9,9 +9,9 @@
 //! (§4.4.2.1: "all immediate parents of an entry point … can be determined
 //! with help of catalog information").
 
-use crate::path::AttrPath;
+use crate::error::Nf2Error;
+use crate::path::{resolve_step, AttrPath};
 use crate::schema::DatabaseSchema;
-use crate::types::AttrType;
 use crate::Result;
 use std::collections::HashMap;
 
@@ -40,9 +40,10 @@ pub struct RelationStats {
 }
 
 impl RelationStats {
-    /// Statistics for a homogeneous attribute path, with default fallback.
-    pub fn attr(&self, path: &AttrPath) -> AttrStats {
-        self.attrs.get(&path.to_string()).copied().unwrap_or_default()
+    /// Statistics for a homogeneous attribute path (`robots.effectors`),
+    /// with default fallback.
+    pub fn attr(&self, path: &str) -> AttrStats {
+        self.attrs.get(path).copied().unwrap_or_default()
     }
 
     /// Records statistics for an attribute path.
@@ -70,9 +71,9 @@ impl Catalog {
         &self.schema
     }
 
-    /// Statistics of a relation (empty default if never recorded).
-    pub fn relation_stats(&self, relation: &str) -> RelationStats {
-        self.stats.get(relation).cloned().unwrap_or_default()
+    /// Statistics of a relation, if any were recorded.
+    pub fn relation_stats(&self, relation: &str) -> Option<&RelationStats> {
+        self.stats.get(relation)
     }
 
     /// Mutable statistics entry for a relation.
@@ -87,17 +88,31 @@ impl Catalog {
         let rel = self.schema.relation(relation)?;
         let stats = self.relation_stats(relation);
         let mut count = 1.0;
-        let mut cur_path = AttrPath::root();
-        let mut cur_ty: Option<&AttrType> = None;
+        // One walk: the type at each step, and the step's prefix
+        // (`robots`, `robots.effectors`) as the key of its statistics.
+        let mut prefix = String::new();
+        let mut ty = None;
         for step in path.steps() {
-            cur_path = cur_path.child(step);
-            let ty = cur_path.resolve(rel)?;
-            cur_ty = Some(ty);
-            if ty.is_homogeneous() {
-                count *= stats.attr(&cur_path).avg_cardinality;
+            if !prefix.is_empty() {
+                prefix.push('.');
             }
+            prefix.push_str(step);
+            let next = match ty {
+                None => &rel
+                    .attribute(step)
+                    .ok_or_else(|| Nf2Error::UnknownAttribute {
+                        relation: rel.name.clone(),
+                        attribute: step.clone(),
+                    })?
+                    .ty,
+                Some(ty) => resolve_step(ty, step)
+                    .ok_or_else(|| Nf2Error::BadPath { path: prefix.clone(), step: step.clone() })?,
+            };
+            if next.is_homogeneous() {
+                count *= stats.map_or_else(AttrStats::default, |s| s.attr(&prefix)).avg_cardinality;
+            }
+            ty = Some(next);
         }
-        let _ = cur_ty;
         Ok(count)
     }
 
@@ -209,5 +224,19 @@ mod tests {
     fn unknown_relation_errors() {
         let c = catalog();
         assert!(c.estimated_instances("nope", &AttrPath::parse("x")).is_err());
+        assert!(c.relation_stats("nope").is_none());
+    }
+
+    #[test]
+    fn bad_paths_error_at_the_first_bad_step() {
+        let c = catalog();
+        assert!(matches!(
+            c.estimated_instances("cells", &AttrPath::parse("nope.x")),
+            Err(Nf2Error::UnknownAttribute { attribute, .. }) if attribute == "nope"
+        ));
+        assert!(matches!(
+            c.estimated_instances("cells", &AttrPath::parse("robots.nope.x")),
+            Err(Nf2Error::BadPath { path, step }) if path == "robots.nope" && step == "nope"
+        ));
     }
 }

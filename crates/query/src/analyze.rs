@@ -333,9 +333,9 @@ fn build_estimates(catalog: &Catalog, bound: &[BoundRange], accesses: &[Access])
             let object_var = range.map(|r| outermost(bound, r)).unwrap_or(None);
             let objects_expected = match object_var {
                 Some(ov) if ov.key_predicate.is_some() => 1.0,
-                _ => catalog
-                    .relation_stats(range.map(|r| &*r.relation).unwrap_or(""))
-                    .cardinality
+                _ => range
+                    .and_then(|r| catalog.relation_stats(&r.relation))
+                    .map_or(0, |s| s.cardinality)
                     .max(1) as f64,
             };
             let elems_expected = match range {

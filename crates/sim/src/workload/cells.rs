@@ -170,7 +170,7 @@ mod tests {
         assert_eq!(s.len("cells").unwrap(), 3);
         assert_eq!(s.len("effectors").unwrap(), cfg.n_effectors);
         let cat = s.catalog();
-        assert_eq!(cat.relation_stats("cells").cardinality, 3);
+        assert_eq!(cat.relation_stats("cells").unwrap().cardinality, 3);
         let c_objects = cat
             .estimated_instances("cells", &colock_nf2::AttrPath::parse("c_objects"))
             .unwrap();

@@ -118,8 +118,8 @@ mod tests {
             .unwrap();
         }
         let cat = catalog_with_stats(&s);
-        assert_eq!(cat.relation_stats("cells").cardinality, 2);
-        assert_eq!(cat.relation_stats("effectors").cardinality, 1);
+        assert_eq!(cat.relation_stats("cells").unwrap().cardinality, 2);
+        assert_eq!(cat.relation_stats("effectors").unwrap().cardinality, 1);
         let robots = cat
             .estimated_instances("cells", &AttrPath::parse("robots"))
             .unwrap();
@@ -138,6 +138,6 @@ mod tests {
     fn empty_relations_keep_default_stats() {
         let s = Store::new(Arc::new(fig1_catalog()));
         let cat = catalog_with_stats(&s);
-        assert_eq!(cat.relation_stats("cells").cardinality, 0);
+        assert_eq!(cat.relation_stats("cells").unwrap().cardinality, 0);
     }
 }

@@ -12,7 +12,7 @@
 //!   attached to it, so its window holds its own events only;
 //! * the process's default buffer, for managers with none attached, behind
 //!   free functions ([`enable`], [`disable`], [`emit`], [`current_seq`],
-//!   [`events_since`], [`deadlock_dots`]); its ring is built by its first
+//!   [`events_since`]); its ring is built by its first
 //!   event, and an emit into it while it is off is one relaxed atomic load
 //!   and a branch,
 //! * [`WaitHistogram`] / [`wait_histograms`] — per-resource wait-time
@@ -135,11 +135,6 @@ pub fn current_seq() -> u64 {
 /// ([`TraceBuffer::kept_since`]).
 pub fn events_since(since: u64) -> Vec<Event> {
     DEFAULT.kept_since(since)
-}
-
-/// The default buffer's deadlock DOT exports, oldest first.
-pub fn deadlock_dots() -> Vec<String> {
-    DEFAULT.deadlock_dots()
 }
 
 thread_local! {

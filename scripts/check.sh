@@ -121,16 +121,16 @@ cargo check --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> colock_check --self-test (static analysis + linted contention demo)"
 # Exercises both the clean path and the detected-cycle accounting: the
-# self-test runs the trace_explain forced-deadlock demo under the linter and
+# self-test runs the forced-deadlock contention demo under the linter and
 # requires at least one detected and resolved deadlock with zero violations,
 # plus the certifier mutation check (a seeded write-skew the linter passes
 # must fail certification).
 cargo run --offline --release -q -p colock-bench --bin colock_check -- --self-test
 
-echo "==> colock_check --certify round trip (clean demo passes, forced cycle flagged)"
-# End-to-end file modes of the serializability certifier: the contention
-# demo trace must certify (its deadlock victim aborted; the committed
-# survivors are acyclic), the seeded write-skew trace must be refused with
+echo "==> colock_check file modes (demo lints, certifies and explains; forced cycle flagged)"
+# End-to-end file modes: the contention demo trace must lint clean, certify
+# (its deadlock victim aborted; the committed survivors are acyclic) and
+# explain; the seeded write-skew trace must be refused by the certifier with
 # a non-zero exit.
 certify_tmp=$(mktemp -d)
 trap 'rm -rf "$certify_tmp"' EXIT
@@ -139,13 +139,22 @@ cargo run --offline --release -q -p colock-bench --bin colock_check -- \
 cargo run --offline --release -q -p colock-bench --bin colock_check -- \
     --dump skew "$certify_tmp/skew.trace"
 cargo run --offline --release -q -p colock-bench --bin colock_check -- \
+    "$certify_tmp/demo.trace"
+cargo run --offline --release -q -p colock-bench --bin colock_check -- \
     --certify "$certify_tmp/demo.trace"
+cargo run --offline --release -q -p colock-bench --bin colock_check -- \
+    --explain "$certify_tmp/demo.trace" >/dev/null
 if cargo run --offline --release -q -p colock-bench --bin colock_check -- \
     --certify "$certify_tmp/skew.trace" >/dev/null 2>&1; then
     echo "error: the seeded write-skew trace must fail certification" >&2
     exit 1
 fi
-echo "    ok: clean demo certified, forced cycle refused"
+echo "    ok: clean demo linted, certified and explained, forced cycle refused"
+
+echo "==> paper all (every figure and deterministic claim renders in release)"
+# tests/goldens.rs pins each text in the debug suite; this renders them
+# from the release build.
+cargo run --offline --release -q -p colock-bench --bin paper -- all >/dev/null
 
 echo "==> explore at full budget (DPOR interleaving explorer, linted + certified)"
 # The workspace suite's explore test with the sweep's budget: 600 distinct

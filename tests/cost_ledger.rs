@@ -238,9 +238,10 @@ const FIG7_SHAPES: [(&str, &str); 5] = [
 /// the ranges' and accesses' paths, the pinned keys and the optimizer
 /// estimates (Q1's with the catalog's cardinality estimate); the plan is
 /// the optimizer's. The totals were 86, 91, 106, 42 and 55 while the lexer
-/// owned its tokens and the analysis copied names and paths.
+/// owned its tokens and the analysis copied names and paths. A catalog
+/// estimate borrows the relation's statistics and builds one prefix string.
 const FIG7_FRONT_END_BUDGETS: [(u64, u64, u64); 5] =
-    [(10, 19, 12), (15, 12, 12), (17, 14, 17), (7, 5, 2), (9, 9, 6)];
+    [(10, 12, 5), (15, 12, 5), (17, 14, 7), (7, 5, 2), (9, 9, 5)];
 
 #[test]
 fn fig7_statements_parse_analyze_and_plan_within_budget() {
