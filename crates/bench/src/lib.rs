@@ -1,17 +1,14 @@
 #![forbid(unsafe_code)]
 //! Shared experiment machinery for the paper's figures and claims
-//! ([`paper`]), the experiment and stress binaries and the benches. Every
-//! table they print is recorded (paper statement vs measured shape) in
+//! ([`paper`]), the experiment binaries and the benches. Every table they
+//! print is recorded (paper statement vs measured shape) in
 //! `EXPERIMENTS.md`.
 
-use colock_check::{CertifyReport, LintReport};
 use colock_core::authorization::{Authorization, Right};
-use colock_nf2::Catalog;
 use colock_sim::{build_cells_store, CellsConfig};
 use colock_trace::{Event, TraceBuffer};
 use colock_txn::{ProtocolKind, TransactionManager};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 pub mod paper;
 
@@ -46,71 +43,6 @@ pub fn cells_manager_writable(cfg: &CellsConfig, protocol: ProtocolKind) -> Arc<
 /// Formats a float with 1 decimal.
 pub fn f1(v: f64) -> String {
     format!("{v:.1}")
-}
-
-/// Reads the events `trace` recorded since `mark`, then lints and
-/// certifies them ([`colock_check::verify_trace`]); panics naming `label`
-/// with the offending timelines, or when the buffer overwrote the window.
-pub fn verify_window(
-    label: &str,
-    catalog: &Catalog,
-    trace: &TraceBuffer,
-    mark: u64,
-) -> (LintReport, CertifyReport) {
-    let events = trace.events_since(mark).unwrap_or_else(|e| panic!("{label}: {e}"));
-    colock_check::verify_trace(catalog, &events).unwrap_or_else(|e| panic!("{label}: {e}"))
-}
-
-/// Rounds a soak harness runs: `COLOCK_STRESS_ROUNDS`, default 100 000 —
-/// effectively until interrupted (the gate sets a small bound).
-pub fn stress_rounds() -> u64 {
-    std::env::var("COLOCK_STRESS_ROUNDS").ok().and_then(|v| v.parse().ok()).unwrap_or(100_000)
-}
-
-/// A round that runs longer than this is reported as a stall.
-const STALL: Duration = Duration::from_secs(8);
-
-/// The soak loop of the stress harnesses, with tracing on. Each of
-/// [`stress_rounds`] rounds builds its manager with `setup(round)`, turns
-/// its trace buffer on, runs `run(round, &mgr)` (the round's work and its
-/// invariants, returning the line to print) and then lints and certifies
-/// the manager's trace window.
-/// A watchdog thread prints the lock table of a round still running after
-/// 8 s, twice, 2 s apart, and parks the process for inspection.
-pub fn soak(
-    mut setup: impl FnMut(u64) -> Arc<TransactionManager>,
-    mut run: impl FnMut(u64, &Arc<TransactionManager>) -> String,
-) {
-    // The running round, its start, and its manager.
-    let watched = Arc::new(Mutex::new((0, Instant::now(), None::<Arc<TransactionManager>>)));
-    let watchdog = Arc::clone(&watched);
-    std::thread::spawn(move || loop {
-        std::thread::sleep(Duration::from_secs(1));
-        let (round, mgr) = match &*watchdog.lock().unwrap_or_else(PoisonError::into_inner) {
-            (round, since, Some(mgr)) if since.elapsed() > STALL => (*round, Arc::clone(mgr)),
-            _ => continue,
-        };
-        for dump in 1..=2 {
-            eprintln!("=== STALL at round {round} (dump {dump}) ===");
-            eprintln!("{}", mgr.lock_manager().debug_dump());
-            std::thread::sleep(Duration::from_secs(2));
-        }
-        eprintln!("=== parked for inspection (pid {}) ===", std::process::id());
-        loop {
-            std::thread::sleep(Duration::from_secs(60));
-        }
-    });
-    for round in 0..stress_rounds() {
-        let mgr = setup(round);
-        *watched.lock().unwrap_or_else(PoisonError::into_inner) =
-            (round, Instant::now(), Some(Arc::clone(&mgr)));
-        mgr.trace().enable();
-        let mark = mgr.trace().next_seq();
-        let line = run(round, &mgr);
-        let label = format!("round {round}");
-        verify_window(&label, mgr.store().catalog(), mgr.trace(), mark);
-        println!("{label} {line}");
-    }
 }
 
 /// Runs the built-in contention demo of `colock_check`: two well-behaved

@@ -599,8 +599,9 @@ fn exp7(o: &mut String) -> fmt::Result {
     writeln!(o, "proposed technique the robot check-out never blocks part readers —")?;
     writeln!(o, "'long locks on coarse granules may unnecessarily block a large amount")?;
     writeln!(o, "of data for a long time' (§3.2.1). Snapshot readers sidestep the")?;
-    writeln!(o, "trade-off: reader p99 is 0 ticks under either protocol because they")?;
-    writeln!(o, "read committed versions and never enter the lock table at all.")
+    writeln!(o, "trade-off: under either protocol `blocked` is 0 and reader p99 is the")?;
+    writeln!(o, "histogram's lowest bucket [0, 2), because they read committed versions")?;
+    writeln!(o, "and never enter the lock table at all.")
 }
 
 /// E8 (extension) — de-escalation, listed in §5 as future work: a

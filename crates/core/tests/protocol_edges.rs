@@ -8,7 +8,7 @@ use colock_core::{
     AccessMode, InstanceTarget, LockCtx, ProtocolEngine, ProtocolError, ProtocolKind,
     ProtocolOptions, ResourcePath,
 };
-use colock_lockmgr::{Journal, LockError, LockManager, LockMode, LongLockImage, TxnId};
+use colock_lockmgr::{Journal, LockError, LockManager, LockMode, TxnId};
 use colock_testkit::{CrashPoint, FaultPlan};
 use colock_nf2::AttrPath;
 use std::sync::Arc;
@@ -325,6 +325,18 @@ fn tuple_level_subtree_scopes_to_elements_below() {
     assert_eq!(tuple_locks, 5, "{}", report.render());
 }
 
+/// `lm`'s grants flagged long, in a replay's order (owner, mode, resource).
+fn long_grants(lm: &LockManager<ResourcePath>) -> Vec<(ResourcePath, TxnId, LockMode)> {
+    let mut grants = Vec::new();
+    lm.for_each_grant(|r, txn, mode, long| {
+        if long {
+            grants.push((r.clone(), txn, mode));
+        }
+    });
+    grants.sort_by_cached_key(|g| (g.1, g.2, format!("{:?}", g.0)));
+    grants
+}
+
 /// A long `lock` call is one lock-manager request: its grants reach the
 /// journal as one grant set when it returns — also when it fails midway,
 /// since the grants made before the error stay held.
@@ -342,7 +354,7 @@ fn a_long_lock_call_journals_one_grant_set_even_when_it_fails() {
     assert!(report.acquired.len() > 5, "{report:?}");
     assert_eq!(journal.appends(), 1, "one record for {} locks", report.acquired.len());
     let replayed = Journal::<ResourcePath>::replay(&journal.contents()).unwrap();
-    assert_eq!(replayed.entries, LongLockImage::capture(&lm).entries);
+    assert_eq!(replayed.entries, long_grants(&lm));
 
     // t3 holds e3 exclusively, so t2's long X on r2 fails at that entry
     // point under the try policy — after its ancestors and r2 are granted.
@@ -354,7 +366,7 @@ fn a_long_lock_call_journals_one_grant_set_even_when_it_fails() {
     assert!(matches!(err, ProtocolError::Lock(LockError::WouldBlock { .. })), "{err:?}");
     assert_eq!(journal.appends(), 2);
     let replayed = Journal::<ResourcePath>::replay(&journal.contents()).unwrap();
-    assert_eq!(replayed.entries, LongLockImage::capture(&lm).entries);
+    assert_eq!(replayed.entries, long_grants(&lm));
     assert!(replayed.owners().contains(&TxnId(2)), "t2's partial grants are durable");
 }
 

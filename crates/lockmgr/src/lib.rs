@@ -38,9 +38,7 @@ pub mod txnid;
 pub use error::LockError;
 pub use mode::LockMode;
 pub use pad::CachePadded;
-pub use persistent::{
-    Journal, JournalCrash, JournalError, JournalOp, JournalSink, LongLockImage, Recovered,
-};
+pub use persistent::{Journal, JournalCrash, JournalError, JournalOp, JournalSink, Recovered};
 pub use stats::{LockStats, StatsSnapshot};
 pub use request::Request;
 pub use table::{AcquireOutcome, LockManager, LockRequestOptions, WaitPolicy};

@@ -11,13 +11,10 @@
 //! ([`Recovered`]); a torn final record (the crash struck mid-write) is
 //! truncated and reported via [`Recovered::dropped_tail`], never silently
 //! re-adopted — for a grant set that means all of it or none. Its
-//! checkpoint is the live long-lock image in the journal's own format, so
-//! there is one persisted format.
-//!
-//! [`LongLockImage`] is an in-memory capture of every grant flagged `long`,
-//! restorable into a fresh [`LockManager`] — the oracle the journal's
-//! property test and examples compare against. It is not persisted, and it
-//! only holds locks that existed *at capture time*.
+//! checkpoint is the live long-lock set in the journal's own format, so
+//! there is one persisted format, and
+//! [`LockManager::install_recovered`](crate::LockManager::install_recovered)
+//! re-installs a replay into a fresh lock manager.
 //!
 //! Short locks — by design — are never journaled.
 //!
@@ -70,7 +67,7 @@
 //! cost per record.
 
 use crate::mode::LockMode;
-use crate::table::{FastMap, LockManager, Resource};
+use crate::table::{FastMap, Resource};
 use crate::txnid::TxnId;
 use colock_testkit::codec::{self, CodecError, FieldCodec};
 use colock_testkit::fault::{CrashPoint, FaultPlan};
@@ -97,54 +94,15 @@ const JOURNAL_HEADER_V1: &str = "colock-journal v1\n";
 pub const CHECKPOINT_FLOOR: usize = 64 * 1024;
 
 /// Sorts `(resource, owner, mode)` triples into the one deterministic order
-/// captures and replays share. The resource must participate: one owner
-/// holding several long locks in the same mode would otherwise come out in
-/// shard- or hash-iteration order.
+/// of a replay. The resource must participate: one owner holding several
+/// long locks in the same mode would otherwise come out in hash-iteration
+/// order.
 fn sort_entries<R: fmt::Debug>(entries: &mut [(R, TxnId, LockMode)]) {
     entries.sort_by_cached_key(|a| (a.1, a.2, format!("{:?}", a.0)));
 }
 
 fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Snapshot of all long locks in a lock manager.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct LongLockImage<R> {
-    /// `(resource, owner, mode)` triples.
-    pub entries: Vec<(R, TxnId, LockMode)>,
-}
-
-impl<R: Resource> LongLockImage<R> {
-    /// Captures all long locks currently granted in `mgr`.
-    pub fn capture(mgr: &LockManager<R>) -> Self {
-        let mut entries = Vec::new();
-        mgr.for_each_grant(|r, txn, mode, long| {
-            if long {
-                entries.push((r.clone(), txn, mode));
-            }
-        });
-        sort_entries(&mut entries);
-        LongLockImage { entries }
-    }
-
-    /// Re-installs the captured long locks into a (fresh) lock manager, one
-    /// owner at a time (entries are sorted by owner).
-    pub fn restore(&self, mgr: &LockManager<R>) {
-        for owner in self.entries.chunk_by(|a, b| a.1 == b.1) {
-            mgr.install_recovered(owner[0].1, owner.iter().map(|(r, _, m)| (r.clone(), *m)));
-        }
-    }
-
-    /// Number of persisted locks.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the image is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 // ----- journal --------------------------------------------------------------
@@ -261,8 +219,8 @@ impl std::error::Error for JournalError {}
 /// crash time, plus what had to be dropped from the torn tail.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Recovered<R> {
-    /// Surviving `(resource, owner, mode)` long locks, in the same
-    /// deterministic order as [`LongLockImage::capture`].
+    /// Surviving `(resource, owner, mode)` long locks, sorted by owner,
+    /// then mode, then resource.
     pub entries: Vec<(R, TxnId, LockMode)>,
     /// Complete, checksummed records that were applied.
     pub records: usize,
@@ -1038,79 +996,95 @@ fn decode_journal_line<R: FieldCodec>(lineno: usize, seg: &str) -> Unit<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::{AcquireOutcome, LockRequestOptions};
+    use crate::table::{AcquireOutcome, LockManager, LockRequestOptions};
     use crate::LockError;
     use colock_testkit::prop::{pick_weighted, vec_of};
     use colock_testkit::{ensure, ensure_eq, forall, no_shrink, Rng};
     use LockMode::*;
 
+    /// `mgr`'s grants flagged long, in replay order: what a replay of its
+    /// journal must equal.
+    fn long_grants<R: Resource>(mgr: &LockManager<R>) -> Vec<(R, TxnId, LockMode)> {
+        let mut entries = Vec::new();
+        mgr.for_each_grant(|r, txn, mode, long| {
+            if long {
+                entries.push((r.clone(), txn, mode));
+            }
+        });
+        sort_entries(&mut entries);
+        entries
+    }
+
+    /// A manager journaling into a fresh journal, and the journal.
+    fn journaled(shards: usize) -> (LockManager<String>, Arc<J>) {
+        let mgr = LockManager::with_shards(shards);
+        let j = Arc::new(J::new());
+        assert!(mgr.attach_journal(j.clone()));
+        (mgr, j)
+    }
+
     #[test]
     fn long_locks_survive_crash_short_locks_do_not() {
-        let mgr: LockManager<&'static str> = LockManager::new();
+        let (mgr, j) = journaled(16);
         let t1 = TxnId(1);
-        mgr.acquire(t1, "cell_c1", X, LockRequestOptions::long()).unwrap();
-        mgr.acquire(t1, "scratch", S, LockRequestOptions::default()).unwrap();
+        mgr.acquire(t1, "cell_c1".into(), X, LockRequestOptions::long()).unwrap();
+        mgr.acquire(t1, "scratch".into(), S, LockRequestOptions::default()).unwrap();
 
-        let image = LongLockImage::capture(&mgr);
-        assert_eq!(image.len(), 1);
+        let rec = J::replay(&j.contents()).unwrap();
+        assert_eq!(rec.entries.len(), 1);
 
         // "Crash": a brand-new lock manager.
-        let recovered: LockManager<&'static str> = LockManager::new();
-        image.restore(&recovered);
-        assert_eq!(recovered.held_mode(t1, &"cell_c1"), X);
-        assert_eq!(recovered.held_mode(t1, &"scratch"), NL);
+        let recovered: LockManager<String> = LockManager::new();
+        recovered.install_recovered(t1, rec.entries.into_iter().map(|(r, _, m)| (r, m)));
+        assert_eq!(recovered.held_mode(t1, &"cell_c1".to_string()), X);
+        assert_eq!(recovered.held_mode(t1, &"scratch".to_string()), NL);
 
         // The restored lock still excludes others.
         let err = recovered
-            .acquire(TxnId(2), "cell_c1", S, LockRequestOptions::try_lock())
+            .acquire(TxnId(2), "cell_c1".into(), S, LockRequestOptions::try_lock())
             .unwrap_err();
         assert!(matches!(err, LockError::WouldBlock { .. }));
     }
 
     #[test]
     fn empty_image_for_short_only_table() {
-        let mgr: LockManager<&'static str> = LockManager::new();
-        mgr.acquire(TxnId(1), "a", S, LockRequestOptions::default()).unwrap();
-        assert!(LongLockImage::capture(&mgr).is_empty());
+        let (mgr, j) = journaled(16);
+        mgr.acquire(TxnId(1), "a".into(), S, LockRequestOptions::default()).unwrap();
+        assert_eq!(j.appends(), 0);
+        assert!(long_grants(&mgr).is_empty());
     }
 
     #[test]
     fn conversion_of_long_lock_stays_long() {
-        let mgr: LockManager<&'static str> = LockManager::new();
+        let (mgr, j) = journaled(16);
         let t1 = TxnId(1);
-        mgr.acquire(t1, "a", S, LockRequestOptions::long()).unwrap();
-        mgr.acquire(t1, "a", X, LockRequestOptions::default()).unwrap();
-        let image = LongLockImage::capture(&mgr);
-        assert_eq!(image.entries, vec![("a", t1, X)]);
+        mgr.acquire(t1, "a".into(), S, LockRequestOptions::long()).unwrap();
+        mgr.acquire(t1, "a".into(), X, LockRequestOptions::default()).unwrap();
+        assert_eq!(long_grants(&mgr), vec![("a".to_string(), t1, X)]);
+        assert_eq!(J::replay(&j.contents()).unwrap().entries, long_grants(&mgr));
     }
 
     #[test]
     fn capture_order_is_deterministic_for_same_mode_locks() {
         // Regression: the sort key used to be (owner, mode) only, so two
         // same-mode locks of one txn came out in shard-iteration order and
-        // image equality across managers could flake.
+        // replays of equal sets could differ.
         let t1 = TxnId(1);
         let resources = ["cells/c1", "cells/c2", "lib/e9", "zz/last", "aa/first"];
-        let image_a = {
-            let mgr: LockManager<&'static str> = LockManager::new();
-            for r in resources {
-                mgr.acquire(t1, r, X, LockRequestOptions::long()).unwrap();
+        // Different tables and insertion orders (different shard and
+        // journal order) must replay to identical entries.
+        let replay = |shards: usize, order: &mut dyn Iterator<Item = &&str>| {
+            let (mgr, j) = journaled(shards);
+            for r in order {
+                mgr.acquire(t1, r.to_string(), X, LockRequestOptions::long()).unwrap();
             }
-            LongLockImage::capture(&mgr)
+            J::replay(&j.contents()).unwrap().entries
         };
-        let image_b = {
-            // Different table (different insertion order → different shard
-            // iteration) must still capture an identical image.
-            let mgr: LockManager<&'static str> = LockManager::with_shards(4);
-            for r in resources.iter().rev() {
-                mgr.acquire(t1, *r, X, LockRequestOptions::long()).unwrap();
-            }
-            LongLockImage::capture(&mgr)
-        };
-        assert_eq!(image_a, image_b);
-        let mut sorted = image_a.entries.clone();
+        let a = replay(16, &mut resources.iter());
+        assert_eq!(a, replay(4, &mut resources.iter().rev()));
+        let mut sorted = a.clone();
         sorted.sort_by_cached_key(|a| (a.1, a.2, format!("{:?}", a.0)));
-        assert_eq!(image_a.entries, sorted, "entries must come out fully sorted");
+        assert_eq!(a, sorted, "entries must come out fully sorted");
     }
 
     // ----- journal ---------------------------------------------------------
@@ -1291,7 +1265,7 @@ mod tests {
         let rec = J::replay(&j.contents()).unwrap();
         assert_eq!(rec.entries, vec![("cells/c2".to_string(), TxnId(2), X)]);
         // The journal's view agrees with a live capture.
-        assert_eq!(LongLockImage::capture(&mgr).entries, rec.entries);
+        assert_eq!(long_grants(&mgr), rec.entries);
         // release_all journals the long release too.
         mgr.release_all(TxnId(2));
         assert!(J::replay(&j.contents()).unwrap().entries.is_empty());
@@ -1344,7 +1318,7 @@ mod tests {
         assert_eq!(set.split('\t').count(), 3 + 2 * 5, "five locks, each once: {set}");
         assert!(set.contains("\tdb\tSIX\t") && set.contains("\tcells/c0\tX\t"), "{set}");
         let rec = J::replay(&text).unwrap();
-        assert_eq!(rec.entries, LongLockImage::capture(&mgr).entries);
+        assert_eq!(rec.entries, long_grants(&mgr));
         assert_eq!(rec.records, 2);
         mgr.request(t1).finish().unwrap();
         assert_eq!(j.appends(), 2, "an empty request writes nothing");
@@ -1573,7 +1547,7 @@ mod tests {
             assert!(mgr.locks_of(t1).iter().all(|l| l.2), "fast={fast}: all widened");
             let rec = J::replay(&j.contents()).unwrap();
             assert_eq!(rec.entries.len(), 2);
-            assert_eq!(rec.entries, LongLockImage::capture(&mgr).entries);
+            assert_eq!(rec.entries, long_grants(&mgr));
             // Widened grants survive the end of the session.
             assert_eq!(mgr.release_short(t1), 0);
             assert_eq!(mgr.held_mode(t1, &"db".to_string()), IX);
@@ -1701,7 +1675,7 @@ mod tests {
                 ensure_eq!(replayed, j.live_entries(), "step {i}: text vs live index");
                 ensure_eq!(
                     replayed,
-                    LongLockImage::capture(&mgr).entries,
+                    long_grants(&mgr),
                     "step {i}: text vs the manager's long grants"
                 );
                 ensure!(text.len() <= CHECKPOINT_FLOOR + 2 * j.live_bytes());

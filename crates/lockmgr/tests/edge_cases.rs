@@ -2,7 +2,7 @@
 //! queue hygiene after timeouts, recovery interplay.
 
 use colock_lockmgr::{
-    AcquireOutcome, LockError, LockManager, LockMode, LockRequestOptions, LongLockImage, TxnId,
+    AcquireOutcome, Journal, LockError, LockManager, LockMode, LockRequestOptions, TxnId,
     WaitPolicy,
 };
 use colock_testkit::wait_until;
@@ -145,38 +145,53 @@ fn waiters_are_woken_in_fifo_order() {
     assert_eq!(*order.lock().unwrap(), vec![2, 3, 4]);
 }
 
+/// A "crash": replays `journal` into a brand-new manager, one owner at a
+/// time (replayed entries are sorted by owner).
+fn recover_into_fresh(journal: &Journal<String>) -> LockManager<String> {
+    let fresh = LockManager::new();
+    let replayed = Journal::<String>::replay(&journal.contents()).unwrap();
+    for owner in replayed.entries.chunk_by(|a, b| a.1 == b.1) {
+        fresh.install_recovered(owner[0].1, owner.iter().map(|(r, _, m)| (r.clone(), *m)));
+    }
+    fresh
+}
+
+fn journaled() -> (LockManager<String>, Arc<Journal<String>>) {
+    let m = LockManager::new();
+    let journal = Arc::new(Journal::new());
+    assert!(m.attach_journal(journal.clone()));
+    (m, journal)
+}
+
 #[test]
 fn recovered_long_locks_participate_in_new_conflicts() {
-    let m = Mgr::new();
-    m.acquire(t(1), "cell", LockMode::X, LockRequestOptions::long()).unwrap();
-    m.acquire(t(1), "tmp", LockMode::S, LockRequestOptions::default()).unwrap();
-    let image = LongLockImage::capture(&m);
+    let (m, journal) = journaled();
+    m.acquire(t(1), "cell".into(), LockMode::X, LockRequestOptions::long()).unwrap();
+    m.acquire(t(1), "tmp".into(), LockMode::S, LockRequestOptions::default()).unwrap();
 
-    let fresh = Mgr::new();
-    image.restore(&fresh);
+    let fresh = recover_into_fresh(&journal);
     // The restored lock conflicts; the non-long one is gone.
-    assert!(fresh.acquire(t(2), "cell", LockMode::S, LockRequestOptions::try_lock()).is_err());
-    assert!(fresh.acquire(t(2), "tmp", LockMode::X, LockRequestOptions::try_lock()).is_ok());
+    assert!(fresh.acquire(t(2), "cell".into(), LockMode::S, LockRequestOptions::try_lock()).is_err());
+    assert!(fresh.acquire(t(2), "tmp".into(), LockMode::X, LockRequestOptions::try_lock()).is_ok());
     // The owner can continue where it left off (upgrade is a no-op).
     assert_eq!(
-        fresh.acquire(t(1), "cell", LockMode::X, LockRequestOptions::default()).unwrap(),
+        fresh.acquire(t(1), "cell".into(), LockMode::X, LockRequestOptions::default()).unwrap(),
         AcquireOutcome::AlreadyHeld
     );
 }
 
 #[test]
 fn captured_image_survives_crash() {
-    let m: LockManager<String> = LockManager::new();
+    let (m, journal) = journaled();
     m.acquire(t(1), "a".to_string(), LockMode::X, LockRequestOptions::long()).unwrap();
     m.acquire(t(2), "b".to_string(), LockMode::S, LockRequestOptions::long()).unwrap();
     m.acquire(t(2), "scratch".to_string(), LockMode::X, LockRequestOptions::default()).unwrap();
-    let image = LongLockImage::capture(&m);
-    assert_eq!(image.len(), 2, "short lock must not be captured");
+    let replayed = Journal::<String>::replay(&journal.contents()).unwrap();
+    assert_eq!(replayed.entries.len(), 2, "short lock must not be journaled");
 
-    // "Crash": restore into a brand-new manager and check the long locks are
+    // "Crash": recover into a brand-new manager and check the long locks are
     // live again (install_recovered under the hood) while short ones are gone.
-    let fresh: LockManager<String> = LockManager::new();
-    image.restore(&fresh);
+    let fresh = recover_into_fresh(&journal);
     assert_eq!(fresh.held_mode(t(1), &"a".to_string()), LockMode::X);
     assert_eq!(fresh.held_mode(t(2), &"b".to_string()), LockMode::S);
     assert_eq!(fresh.held_mode(t(2), &"scratch".to_string()), LockMode::NL);

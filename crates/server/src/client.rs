@@ -1,7 +1,7 @@
 //! A small blocking client over the wire protocol.
 //!
-//! This is the client the load generator, the stress harness and
-//! `colock_client` use: one [`Client`] per connection, one request in
+//! This is the client the repo benchmark's `served_mix`, the loopback
+//! tests and `colock_client` use: one [`Client`] per connection, one request in
 //! flight at a time (the typed helpers like [`Client::get`] hide the
 //! frame/record plumbing). It deliberately stays as thin as the protocol —
 //! no retries, no pooling — so the harnesses above it control those knobs.

@@ -16,8 +16,8 @@
 //! - [`server`] — the thread-per-connection listener, idle timeouts and
 //!   graceful drain (long locks are journaled, not released, so §3.1
 //!   recovery re-adopts them after restart);
-//! - [`client`] — a small blocking client used by the load generator, the
-//!   stress harness and `colock_client --demo`.
+//! - [`client`] — a small blocking client used by the repo benchmark, the
+//!   loopback tests and `colock_client --demo`.
 //!
 //! The wire protocol is text over TCP on purpose: you can drive a server
 //! with `nc` (see README "Run the server"), and every frame payload is a

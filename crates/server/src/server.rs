@@ -16,8 +16,8 @@
 //!   finish within the drain budget are closed anyway.
 //! - [`Server::kill`] — simulated crash. Connections are severed with no
 //!   protocol goodbye and *nothing* is released: exactly the state a real
-//!   crash leaves on the medium, which is what the stress harness feeds back
-//!   through recovery.
+//!   crash leaves on the medium, which is what the loopback kill/restart
+//!   test feeds back through recovery.
 
 use crate::frame::{encode_frame, FrameError, FrameReader};
 use crate::session::{AdmissionGate, AdmissionPolicy, CloseReason, Reply, Session, SessionTable};

@@ -618,31 +618,29 @@ fn escape_name(name: &str) -> String {
     out
 }
 
-/// Reverses [`escape_name`].
+/// Reverses [`escape_name`]. Each `%XX` is one byte, so a run of escapes
+/// decodes as UTF-8 (`caf%C3%A9` is `café`); bytes that are not UTF-8 are a
+/// `BadArg`.
 fn unescape_name(text: &str) -> Result<String, WireError> {
-    let mut out = String::with_capacity(text.len());
+    let bad = |reason: String| WireError::BadArg { verb: "target".into(), reason };
+    let mut out = Vec::with_capacity(text.len());
     let bytes = text.as_bytes();
     let mut i = 0;
     while i < bytes.len() {
         if bytes[i] != b'%' {
-            // Safe: we walk char boundaries by re-slicing below.
-            let c = text[i..].chars().next().expect("in-bounds index");
-            out.push(c);
-            i += c.len_utf8();
+            out.push(bytes[i]);
+            i += 1;
             continue;
         }
-        let hex = text.get(i + 1..i + 3).ok_or_else(|| WireError::BadArg {
-            verb: "target".into(),
-            reason: format!("dangling percent escape in {text:?}"),
-        })?;
-        let v = u8::from_str_radix(hex, 16).map_err(|_| WireError::BadArg {
-            verb: "target".into(),
-            reason: format!("bad percent escape %{hex} in {text:?}"),
-        })?;
-        out.push(v as char);
+        let hex = text
+            .get(i + 1..i + 3)
+            .ok_or_else(|| bad(format!("dangling percent escape in {text:?}")))?;
+        let v = u8::from_str_radix(hex, 16)
+            .map_err(|_| bad(format!("bad percent escape %{hex} in {text:?}")))?;
+        out.push(v);
         i += 3;
     }
-    Ok(out)
+    String::from_utf8(out).map_err(|_| bad(format!("percent escapes in {text:?} are not UTF-8")))
 }
 
 fn encode_key(tag: &str, key: &ObjectKey) -> String {

@@ -116,6 +116,22 @@ fn random_targets_roundtrip() {
     }
 }
 
+/// A run of percent escapes is UTF-8 bytes, not one Latin-1 char each;
+/// escapes that are not UTF-8 are refused, and ASCII escapes are unchanged.
+#[test]
+fn percent_escapes_decode_as_utf8_bytes() {
+    let key = |text: &str| parse_target(text).unwrap().object;
+    assert_eq!(key("rel:cells/obj:caf%C3%A9"), Some(ObjectKey::Str("café".into())));
+    assert_eq!(key("rel:cells/obj:caf\u{e9}"), Some(ObjectKey::Str("café".into())));
+    assert_eq!(key("rel:cells/obj:a%2Fb%25c%3A"), Some(ObjectKey::Str("a/b%c:".into())));
+    for bad in ["rel:cells/obj:%FF", "rel:cells/obj:caf%C3", "rel:cells/obj:%C3%28"] {
+        let err = parse_target(bad).expect_err(bad);
+        assert!(err.to_string().contains("not UTF-8"), "{bad}: {err}");
+    }
+    assert_eq!(parse_value("s:caf%C3%A9").unwrap(), Value::str("café"));
+    assert!(parse_value("s:%FF").is_err());
+}
+
 #[test]
 fn random_values_roundtrip() {
     let mut rng = Rng::seed_from_u64(13);

@@ -1,24 +1,41 @@
 //! End-to-end tests over real loopback TCP: server + blocking clients,
-//! admission control, drain semantics, and lint-clean served traces.
+//! admission control, drain semantics, lint-clean served traces under the
+//! E14 mix, and §3.1 durability across a server kill and restart.
 
 use colock_core::authorization::{Authorization, Right};
-use colock_core::AccessMode;
+use colock_core::{AccessMode, ResourcePath};
+use colock_lockmgr::{Journal, TxnId};
 use colock_nf2::Value;
-use colock_server::client::Client;
-use colock_server::session::AdmissionPolicy;
+use colock_server::client::{Client, ClientError};
+use colock_server::session::{AdmissionPolicy, BACKOFF_FLOOR_MS};
 use colock_server::wire::{parse_target, BeginKind, ErrorCode, Role};
 use colock_server::{Server, ServerConfig};
 use colock_sim::{build_cells_store, CellsConfig};
+use colock_storage::Store;
+use colock_testkit::{stress_rounds, Backoff, Rng};
 use colock_trace::TraceBuffer;
-use colock_txn::{ProtocolKind, TransactionManager};
-use std::sync::Arc;
+use colock_txn::{ProtocolKind, TransactionManager, TxnKind};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn manager() -> Arc<TransactionManager> {
-    let cfg = CellsConfig { n_cells: 4, c_objects_per_cell: 8, ..Default::default() };
+    manager_over(build_cells_store(&CellsConfig { n_cells: 4, c_objects_per_cell: 8, ..Default::default() }))
+}
+
+fn manager_over(store: Arc<Store>) -> Arc<TransactionManager> {
     let mut authz = Authorization::allow_all();
     authz.set_relation_default("effectors", Right::Read);
-    Arc::new(TransactionManager::over_store(build_cells_store(&cfg), authz, ProtocolKind::Proposed))
+    Arc::new(TransactionManager::over_store(store, authz, ProtocolKind::Proposed))
+}
+
+/// Lints and certifies `trace` from `mark` on against `mgr`'s schema.
+fn verify_window(label: &str, mgr: &TransactionManager, trace: &TraceBuffer, mark: u64) {
+    let events = trace.events_since(mark).unwrap_or_else(|e| panic!("{label}: {e}"));
+    assert!(!events.is_empty(), "{label}: nothing traced");
+    if let Err(e) = colock_check::verify_trace(mgr.store().catalog(), &events) {
+        panic!("{label}: {e}");
+    }
 }
 
 fn start(cfg: ServerConfig) -> Server {
@@ -178,13 +195,208 @@ fn served_traces_lint_clean() {
         c.commit().expect("commit");
         c.quit();
     }
-    let mgr = server.manager();
-    let events = trace.events_since(0).unwrap();
-    assert!(!events.is_empty());
-    if let Err(e) = colock_check::verify_trace(mgr.store().catalog(), &events) {
-        panic!("served trace: {e}");
-    }
+    verify_window("served trace", server.manager(), &trace, 0);
     server.kill();
+
+    // The E14 mix, concurrently (the repo benchmark's `served_mix` runs it
+    // at full scale): SESSIONS connections driven by LOAD_THREADS
+    // closed-loop threads; retryable refusals abort and retry on the same
+    // session. Every request must be served or retryable, the sessions
+    // drain, and the whole served window lints and certifies.
+    let store = build_cells_store(&CellsConfig { n_cells: LOAD_CELLS, c_objects_per_cell: 8, ..Default::default() });
+    let mgr = manager_over(store);
+    // Room for the window: about 30 events per transaction, retries
+    // included, and two per session.
+    let trace = Arc::new(TraceBuffer::with_capacity(LOAD_TXNS as usize * 64 + SESSIONS * 2));
+    trace.enable();
+    mgr.attach_trace(Arc::clone(&trace));
+    let cfg = ServerConfig {
+        max_sessions: SESSIONS + 64,
+        max_inflight: 256,
+        admission: AdmissionPolicy::Queue,
+        lock_wait: Duration::from_secs(2),
+        ..ServerConfig::default()
+    };
+    let server = Server::start(mgr, cfg).expect("bind loopback");
+    let budget = AtomicU64::new(LOAD_TXNS);
+    let (addr, budget) = (server.addr(), &budget);
+    let (committed, retries) = std::thread::scope(|scope| {
+        let threads: Vec<_> =
+            (0..LOAD_THREADS).map(|w| scope.spawn(move || load_thread(addr, w, budget))).collect();
+        threads.into_iter().map(|h| h.join().expect("load thread")).fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+    });
+    let mgr = Arc::clone(server.manager());
+    assert_eq!(server.drain(Duration::from_secs(5)), 0, "sessions must drain cleanly");
+    assert_eq!(mgr.active_count(), 0, "no transaction may survive the drain");
+    assert!(committed + retries >= LOAD_TXNS, "budget fully consumed");
+    verify_window("served load", &mgr, &trace, 0);
+    println!("served load: {committed} committed, {retries} retries over {SESSIONS} sessions");
+}
+
+/// The E14 load's scale: sessions, driving threads and transactions.
+const SESSIONS: usize = 40;
+const LOAD_THREADS: usize = 4;
+const LOAD_TXNS: u64 = 300;
+/// Cells of the load's store; the mix draws robots r1–r4 of each.
+const LOAD_CELLS: usize = 8;
+/// The mix: percent read-only snapshot reads, percent check-out/check-in
+/// (the rest are read-modify-writes), and percent pinned to cell 1.
+const READONLY_PCT: u64 = 30;
+const CHECKOUT_PCT: u64 = 20;
+const SKEW_PCT: u64 = 20;
+
+/// One closed-loop load thread: round-robins its share of sessions, one
+/// transaction at a time, until the shared budget is spent; returns its
+/// commits and retries.
+fn load_thread(addr: std::net::SocketAddr, w: usize, budget: &AtomicU64) -> (u64, u64) {
+    let mut clients: Vec<Client> = (0..SESSIONS / LOAD_THREADS)
+        .map(|i| Client::connect(addr, &format!("lg-{w}-{i}"), Role::Engineer).expect("connect"))
+        .collect();
+    let mut rng = Rng::seed_from_u64(42 ^ (w as u64).wrapping_mul(0x9E37_79B9));
+    // Deadlock and timeout retries draw pure jitter; admission refusals
+    // also honour the server's hint, floored so a 0 ms hint cannot make a
+    // tight retry herd.
+    let mut backoff = Backoff::new(42 ^ w as u64, 1, 8);
+    let (mut committed, mut retries) = (0, 0);
+    let mut next = 0;
+    while budget.fetch_sub(1, Ordering::Relaxed) as i64 > 0 {
+        let c = &mut clients[next % (SESSIONS / LOAD_THREADS)];
+        next += 1;
+        let cell = if rng.gen_range(0..100u64) < SKEW_PCT { 1 } else { rng.gen_range(0..LOAD_CELLS) + 1 };
+        let robot = format!("rel:cells/obj:c{cell}/attr:robots/elem:r{}", rng.gen_range(0..4usize) + 1);
+        let draw = rng.gen_range(0..100u64);
+        let outcome = if draw < READONLY_PCT {
+            snapshot_read(c, &robot)
+        } else if draw < READONLY_PCT + CHECKOUT_PCT {
+            checkout_checkin(c, &robot)
+        } else {
+            read_modify_write(c, &robot)
+        };
+        match outcome {
+            Ok(()) => {
+                committed += 1;
+                backoff.reset();
+            }
+            Err(e) => {
+                let _ = c.abort();
+                retries += 1;
+                assert!(e.is_retryable(), "non-retryable server error: {e}");
+                let hinted = match &e {
+                    ClientError::Server { backoff_ms: Some(ms), .. } => (*ms).max(BACKOFF_FLOOR_MS),
+                    _ => 0,
+                };
+                std::thread::sleep(Duration::from_millis(hinted + backoff.next_delay()));
+                budget.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+    for c in &mut clients {
+        c.quit();
+    }
+    (committed, retries)
+}
+
+fn snapshot_read(c: &mut Client, robot: &str) -> Result<(), ClientError> {
+    c.begin(BeginKind::ReadOnly)?;
+    c.get(&parse_target(&format!("{robot}/attr:trajectory")).unwrap())?;
+    c.commit()
+}
+
+fn checkout_checkin(c: &mut Client, robot: &str) -> Result<(), ClientError> {
+    c.begin(BeginKind::Long)?;
+    let target = parse_target(robot).unwrap();
+    let copy = c.checkout(&target, AccessMode::Update)?;
+    c.checkin(&target, copy)?;
+    c.commit()
+}
+
+fn read_modify_write(c: &mut Client, robot: &str) -> Result<(), ClientError> {
+    c.begin(BeginKind::Short)?;
+    let target = parse_target(&format!("{robot}/attr:trajectory")).unwrap();
+    let text = match c.get(&target)? {
+        Value::Str(s) => s,
+        other => colock_server::client::value_text(&other),
+    };
+    c.put(&target, Value::str(format!("{}+", text.chars().take(24).collect::<String>())))?;
+    c.commit()
+}
+
+/// §3.1 end to end over reconnecting TCP clients, each round
+/// (`COLOCK_STRESS_ROUNDS`, default 1):
+/// 1. a server with a durable long-lock journal serves `STATIONS` clients
+///    that each `BEGIN LONG` and `CHECKOUT` a robot, noting their acked ids;
+/// 2. the server is killed: connections sever, nothing is released;
+/// 3. a new manager over the same store recovers the surviving journal
+///    medium, and must re-adopt every acked long lock: a rival update
+///    still blocks, it is not re-granted;
+/// 4. a new server starts; the clients reconnect, `RESUME`, re-check-out,
+///    `CHECKIN` and `COMMIT`, and a stale `RESUME` is refused;
+/// 5. nothing survives, the table is empty, the sessions drain, and the
+///    crashed and the recovered server's events (one buffer) lint and
+///    certify.
+#[test]
+fn killed_server_recovers_every_acked_long_lock_for_resume() {
+    const STATIONS: usize = 4;
+    let robot = |i: usize| parse_target(&format!("rel:cells/obj:c{}/attr:robots/elem:r1", i + 1)).unwrap();
+    for round in 0..stress_rounds(1) {
+        let store = build_cells_store(&CellsConfig { n_cells: STATIONS, c_objects_per_cell: 8, ..Default::default() });
+        let medium = Arc::new(Mutex::new(String::new()));
+        let trace = Arc::new(TraceBuffer::with_capacity(1 << 14));
+        trace.enable();
+        let journaled = || {
+            let mgr = manager_over(Arc::clone(&store));
+            mgr.attach_trace(Arc::clone(&trace));
+            assert!(mgr.attach_journal(Arc::new(Journal::<ResourcePath>::over_medium(Arc::clone(&medium)))));
+            mgr
+        };
+
+        // Serve, check out long locks, then crash.
+        let server = Server::start(journaled(), ServerConfig::default()).expect("bind");
+        let mut acked: Vec<TxnId> = Vec::new();
+        let mut clients: Vec<Client> = (0..STATIONS)
+            .map(|i| Client::connect(server.addr(), &format!("ws{i}"), Role::Engineer).expect("connect"))
+            .collect();
+        for (i, c) in clients.iter_mut().enumerate() {
+            acked.push(c.begin(BeginKind::Long).expect("begin long"));
+            c.checkout(&robot(i), AccessMode::Update).expect("checkout acked");
+        }
+        server.kill();
+        drop(clients);
+
+        // Recover from the surviving medium.
+        let surviving = medium.lock().unwrap().clone();
+        let mgr = journaled();
+        let report = mgr.recover(&surviving).expect("journal must replay");
+        for (i, txn) in acked.iter().enumerate() {
+            assert!(report.owners.contains(txn), "round {round}: ws{i}'s acked long lock ({txn:?}) not re-adopted");
+            let rival = mgr.begin(TxnKind::Short);
+            rival.set_wait_policy(colock_lockmgr::WaitPolicy::Try);
+            let err = rival.lock(&robot(i), AccessMode::Update).unwrap_err();
+            assert!(err.is_would_block(), "round {round}: ws{i}'s lock lost in the crash: {err}");
+            rival.abort().expect("rival abort");
+        }
+
+        // Serve again: the clients reconnect and finish their conversations.
+        let server = Server::start(Arc::clone(&mgr), ServerConfig::default()).expect("rebind");
+        for (i, txn) in acked.iter().enumerate() {
+            let mut c = Client::connect(server.addr(), &format!("ws{i}-rc"), Role::Engineer).expect("reconnect");
+            c.resume(*txn).expect("resume the re-adopted txn");
+            // The private copy died with the workstation's session; the
+            // re-adopted long lock grants the re-checkout at once.
+            let copy = c.checkout(&robot(i), AccessMode::Update).expect("re-checkout");
+            c.checkin(&robot(i), copy).expect("checkin");
+            c.commit().expect("commit");
+            c.quit();
+        }
+        let mut c = Client::connect(server.addr(), "stale", Role::Engineer).expect("connect");
+        let err = c.resume(acked[0]).expect_err("a finished txn must not resume");
+        assert!(matches!(err.code(), Some(ErrorCode::UnknownTxn | ErrorCode::NotActive)), "{err}");
+        c.quit();
+        assert_eq!(mgr.active_count(), 0, "round {round}: txn states leaked");
+        assert_eq!(mgr.lock_manager().table_size(), 0, "round {round}: locks leaked");
+        assert_eq!(server.drain(Duration::from_secs(2)), 0, "round {round}: sessions must drain");
+        verify_window(&format!("round {round}"), &mgr, &trace, 0);
+    }
 }
 
 #[test]

@@ -198,14 +198,32 @@ mod tests {
     use super::*;
     use crate::workload::cells::build_cells_store;
     use colock_core::authorization::{Authorization, Right};
+    use colock_testkit::stress_rounds;
     use colock_trace::TraceBuffer;
     use colock_txn::ProtocolKind;
+    use std::time::Duration;
 
     fn cells_manager(protocol: ProtocolKind) -> Arc<TransactionManager> {
-        let store = build_cells_store(&CellsConfig::default());
+        manager(&CellsConfig::default(), protocol)
+    }
+
+    pub(super) fn manager(cells: &CellsConfig, protocol: ProtocolKind) -> Arc<TransactionManager> {
+        let store = build_cells_store(cells);
         let mut authz = Authorization::allow_all();
         authz.set_relation_default("effectors", Right::Read);
         Arc::new(TransactionManager::over_store(store, authz, protocol))
+    }
+
+    /// The soak tests' cells: four cells of 40 parts, shared effectors.
+    pub(super) fn soak_cells() -> CellsConfig {
+        CellsConfig {
+            n_cells: 4,
+            c_objects_per_cell: 40,
+            robots_per_cell: 4,
+            n_effectors: 6,
+            effectors_per_robot: 2,
+            ..Default::default()
+        }
     }
 
     #[test]
@@ -220,21 +238,57 @@ mod tests {
     }
 
     /// Attaches a fresh buffer of `capacity` slots, switched on, to `mgr`.
-    fn trace_into(mgr: &TransactionManager, capacity: usize) -> Arc<TraceBuffer> {
+    pub(super) fn trace_into(mgr: &TransactionManager, capacity: usize) -> Arc<TraceBuffer> {
         let trace = Arc::new(TraceBuffer::with_capacity(capacity));
         trace.enable();
         assert!(mgr.attach_trace(Arc::clone(&trace)));
         trace
     }
 
-    /// Lints and certifies what `mgr` traced, and checks the window saw
-    /// grants and commits.
-    fn verify_window(mgr: &TransactionManager, label: &str) {
-        let events = mgr.trace().events_since(0).unwrap_or_else(|e| panic!("{label}: {e}"));
+    /// Lints and certifies what `mgr` traced from `mark` on, and checks the
+    /// window saw grants and commits.
+    fn verify_window(mgr: &TransactionManager, label: &str, mark: u64) {
+        let events = mgr.trace().events_since(mark).unwrap_or_else(|e| panic!("{label}: {e}"));
         let (lint, cert) = colock_check::verify_trace(mgr.store().catalog(), &events)
             .unwrap_or_else(|e| panic!("{label}: {e}"));
         assert!(lint.grants_checked > 0, "{label}: no grants seen");
         assert!(cert.txns_committed > 0, "{label}: no committed txns certified");
+    }
+
+    /// One run of `cfg` on a manager that traces, as a soak round: under a
+    /// 60 s deadline (a stall fails with the lock table), it commits its
+    /// quota and drains the table; every fast-path gate entry is one CAS
+    /// publication or one shard-mutex fallback, the summary words re-derive
+    /// from the quiescent shards, and the run's trace window lints and
+    /// certifies.
+    pub(super) fn checked_run(
+        label: &str,
+        mgr: &Arc<TransactionManager>,
+        cfg: ThreadConfig,
+    ) -> ThreadReport {
+        let mark = mgr.trace().next_seq();
+        let (run, stalled) = (Arc::clone(mgr), Arc::clone(mgr));
+        let report = colock_testkit::soak_round(
+            label,
+            Duration::from_secs(60),
+            move || stalled.lock_manager().debug_dump(),
+            move || run_threads(&run, &cfg),
+        );
+        let lm = mgr.lock_manager();
+        let quota = (cfg.workers * cfg.txns_per_worker) as u64;
+        assert_eq!(report.metrics.committed, quota, "{label}");
+        assert_eq!(lm.table_size(), 0, "{label}: lock table not drained");
+        let stats = lm.stats().snapshot();
+        assert_eq!(
+            stats.fastpath_hits + stats.fastpath_fallbacks,
+            stats.intent_acquires,
+            "{label}: fast-path gate identity broken: {stats:?}"
+        );
+        if let Err(e) = lm.check_summary_consistency() {
+            panic!("{label}: summary words inconsistent: {e}");
+        }
+        verify_window(mgr, label, mark);
+        report
     }
 
     /// Seeded random workloads must produce protocol-conformant traces
@@ -249,7 +303,7 @@ mod tests {
             trace_into(&mgr, 1 << 14);
             let cfg = ThreadConfig { workers: 4, txns_per_worker: 8, seed, ..Default::default() };
             run_threads(&mgr, &cfg);
-            verify_window(&mgr, &format!("seed {seed} {protocol:?}"));
+            verify_window(&mgr, &format!("seed {seed} {protocol:?}"), 0);
         }
     }
 
@@ -278,7 +332,7 @@ mod tests {
         });
         assert!(large.next_seq() > small.capacity() as u64, "the flood outgrew the small buffer");
         for (i, mgr) in mgrs.iter().enumerate() {
-            verify_window(mgr, &format!("manager {i}"));
+            verify_window(mgr, &format!("manager {i}"), 0);
         }
         let of_kind = |trace: &TraceBuffer, kind| -> Vec<u64> {
             let events = trace.events_since(0).expect("window kept");
@@ -293,29 +347,52 @@ mod tests {
 
     /// Read-mostly runs commit their quota, route every snapshot read past
     /// the lock table, and record per-read latencies — with and without the
-    /// multiversion overlay (the ablation falls back to S locks).
+    /// multiversion overlay (the ablation falls back to S locks). Then the
+    /// soak rounds (`COLOCK_STRESS_ROUNDS`, default 2): 70 % snapshot
+    /// readers race the engineering mix's checkouts and updates, and every
+    /// fifth round (1, 6, 11, …) runs with MVCC off.
     #[test]
     fn read_mostly_run_elides_locks_and_records_reader_waits() {
+        let check = |label: &str, mgr: &TransactionManager, report: &ThreadReport| {
+            let (elided, waits) = (report.metrics.locks.reads_elided, report.metrics.reader_waits.count());
+            if mgr.mvcc_enabled() {
+                assert!(elided > 0, "{label}: no snapshot reads happened");
+                assert_eq!(waits, elided, "{label}: reader histogram disagrees with reads_elided");
+            } else {
+                assert_eq!(elided, 0, "{label}: the ablation elided a read");
+                assert!(waits > 0, "{label}: no reader latencies recorded");
+            }
+        };
         let mgr = cells_manager(ProtocolKind::Proposed);
+        trace_into(&mgr, 1 << 15);
         let cfg = ThreadConfig {
             workers: 4,
             txns_per_worker: 10,
             readonly_pct: 60,
             ..Default::default()
         };
-        let report = run_threads(&mgr, &cfg);
-        assert_eq!(report.metrics.committed, 40);
-        assert!(report.metrics.locks.reads_elided > 0, "no snapshot reads happened");
-        assert_eq!(report.metrics.reader_waits.count(), report.metrics.locks.reads_elided);
-        assert_eq!(mgr.lock_manager().table_size(), 0);
-
+        check("mvcc on", &mgr, &checked_run("mvcc on", &mgr, cfg));
         // Ablation: same shape, overlay off — readers lock instead.
         mgr.set_mvcc(false);
-        let report = run_threads(&mgr, &cfg);
-        assert_eq!(report.metrics.committed, 40);
-        assert_eq!(report.metrics.locks.reads_elided, 0);
-        assert!(report.metrics.reader_waits.count() > 0);
-        assert_eq!(mgr.lock_manager().table_size(), 0);
+        check("mvcc off", &mgr, &checked_run("mvcc off", &mgr, cfg));
+
+        let cells = soak_cells();
+        for round in 0..stress_rounds(2) {
+            let mgr = manager(&cells, ProtocolKind::Proposed);
+            trace_into(&mgr, 1 << 15);
+            mgr.set_mvcc(round % 5 != 1);
+            let label = format!("round {round} (mvcc {})", if mgr.mvcc_enabled() { "on" } else { "off" });
+            let cfg = ThreadConfig {
+                workers: 4,
+                txns_per_worker: 8,
+                ops_per_txn: 3,
+                mix: QueryMix::engineering(),
+                seed: round,
+                cells,
+                readonly_pct: 70,
+            };
+            check(&label, &mgr, &checked_run(&label, &mgr, cfg));
+        }
     }
 
     #[test]
@@ -336,11 +413,10 @@ mod tests {
 
 #[cfg(test)]
 mod liveness_tests {
+    use super::tests::{checked_run, manager, soak_cells, trace_into};
     use super::*;
-    use crate::workload::cells::build_cells_store;
-    use colock_core::authorization::{Authorization, Right};
+    use colock_testkit::stress_rounds;
     use colock_txn::ProtocolKind;
-    use std::sync::Arc;
 
     /// Regression test for the stale-victim deadlock hang: under the
     /// engineering mix (checkouts + upgrades + shared-data propagation) a
@@ -348,38 +424,37 @@ mod liveness_tests {
     /// victim's waiter had already been granted; the snapshot detector (run
     /// on every enqueue with all shards locked) and next-youngest fallback
     /// now guarantee progress. Sweep several seeds — before the fix this
-    /// hung within a handful of varied-seed rounds.
+    /// hung within a handful of varied-seed rounds. Then the soak rounds
+    /// (`COLOCK_STRESS_ROUNDS`, default 2), the harness that exposed the
+    /// lock manager's lost-grant and invisible-positional-block bugs
+    /// (DESIGN.md §5): twice the transactions, and every fifth round (1, 6,
+    /// 11, …) with the fast path off.
     #[test]
     fn engineering_mix_liveness_across_seeds() {
-        let cells = CellsConfig {
-            n_cells: 4,
-            c_objects_per_cell: 40,
-            robots_per_cell: 4,
-            n_effectors: 6,
-            effectors_per_robot: 2,
-            ..Default::default()
+        let cells = soak_cells();
+        let base = ThreadConfig {
+            workers: 4,
+            txns_per_worker: 4,
+            ops_per_txn: 3,
+            mix: QueryMix::engineering(),
+            seed: 0,
+            cells,
+            readonly_pct: 0,
+        };
+        let traced = || {
+            let mgr = manager(&cells, ProtocolKind::Proposed);
+            trace_into(&mgr, 1 << 15);
+            mgr
         };
         for seed in 0..12 {
-            let store = build_cells_store(&cells);
-            let mut authz = Authorization::allow_all();
-            authz.set_relation_default("effectors", Right::Read);
-            let mgr = Arc::new(TransactionManager::over_store(
-                store,
-                authz,
-                ProtocolKind::Proposed,
-            ));
-            let cfg = ThreadConfig {
-                workers: 4,
-                txns_per_worker: 4,
-                ops_per_txn: 3,
-                mix: QueryMix::engineering(),
-                seed,
-                cells,
-                readonly_pct: 0,
-            };
-            let report = run_threads(&mgr, &cfg);
-            assert_eq!(report.metrics.committed, 16, "seed {seed}");
-            assert_eq!(mgr.lock_manager().table_size(), 0, "seed {seed}");
+            checked_run(&format!("seed {seed}"), &traced(), ThreadConfig { seed, ..base });
+        }
+        for round in 0..stress_rounds(2) {
+            let mgr = traced();
+            mgr.lock_manager().set_fastpath(round % 5 != 1);
+            let fastpath = if mgr.lock_manager().fastpath_enabled() { "defaults" } else { "fastpath off" };
+            let cfg = ThreadConfig { seed: round, txns_per_worker: 8, ..base };
+            checked_run(&format!("round {round} ({fastpath})"), &mgr, cfg);
         }
     }
 }

@@ -2,11 +2,14 @@
 //! conflict-serializable histories; the relaxed naive protocol (§3.2.2)
 //! provably does not — the paper's inconsistency claim made mechanical.
 
+use colock_check::Certifier;
 use colock_core::authorization::Authorization;
 use colock_sim::consistency::{run_scripted, HOp, Violation};
 use colock_sim::{build_cells_store, CellsConfig};
 use colock_txn::{ProtocolKind, TransactionManager};
 use colock_testkit::{ensure, forall, Rng};
+use colock_trace::TraceBuffer;
+use std::sync::Arc;
 
 fn cfg() -> CellsConfig {
     CellsConfig {
@@ -78,6 +81,28 @@ fn relaxed_naive_produces_a_precedence_cycle() {
     assert_eq!(history.committed.len(), 2, "both must commit for the anomaly");
     let err = history.check().unwrap_err();
     assert!(matches!(err, Violation::NotSerializable { .. }), "{err}");
+}
+
+/// Why the data-level oracle (`History::check`) stays beside the trace
+/// certifier: the certifier builds its conflict graph from the locks the
+/// trace shows, and the relaxed naive protocol's §3.2.2 anomaly is a read
+/// that takes no lock. On the same run the history has the cycle while the
+/// trace certifies clean, with one edge between the two committed
+/// transactions.
+#[test]
+fn the_certifier_misses_the_relaxed_naive_cycle_the_history_sees() {
+    let mgr = manager(ProtocolKind::NaiveRelaxed);
+    let trace = Arc::new(TraceBuffer::with_capacity(1 << 12));
+    trace.enable();
+    mgr.attach_trace(Arc::clone(&trace));
+    let mut scripts = anomaly_scripts();
+    scripts[1][0] = HOp::WriteEffector { effector: first_effector_index(&mgr, 0, 0) };
+    let history = run_scripted(&mgr, scripts);
+    let err = history.check().unwrap_err();
+    assert!(matches!(err, Violation::NotSerializable { .. }), "{err}");
+    let cert = Certifier::new().certify(&trace.events_since(0).unwrap());
+    assert!(cert.is_clean(), "{}", cert.render());
+    assert_eq!((cert.txns_committed, cert.edges), (2, 1));
 }
 
 #[test]

@@ -12,8 +12,8 @@
 //!   counts, failing-seed reporting and integer/vec/string shrinking
 //!   (replaces `proptest`),
 //! * [`stress`] — a watchdogged multi-thread runner, a barrier-stepped
-//!   driver and predicate waits with timeouts (replaces the
-//!   `thread::sleep`-and-hope pattern),
+//!   driver, predicate waits with timeouts (replaces the
+//!   `thread::sleep`-and-hope pattern) and the soak tests' deadlined round,
 //! * [`explore`] — a DPOR interleaving explorer that runs real engine
 //!   threads one chosen schedule at a time,
 //! * [`bench`](mod@bench) — a micro-bench timer (warmup + N iterations,
@@ -49,4 +49,4 @@ pub use explore::{Explorable, ExploreConfig, ExploreReport};
 pub use fault::{CrashPoint, FaultPlan};
 pub use prop::{run_forall, Config, Shrink};
 pub use rng::Rng;
-pub use stress::{lockstep, run_threads, wait_until};
+pub use stress::{lockstep, run_threads, soak_round, stress_rounds, wait_until};

@@ -12,10 +12,13 @@
 //!   waiter turns into a test failure (with the stuck thread ids) rather
 //!   than a hung CI job,
 //! * [`lockstep`] rendezvouses N threads at a barrier between rounds, so
-//!   every round's operations are genuinely concurrent.
+//!   every round's operations are genuinely concurrent,
+//! * [`soak_round`] runs one round of a soak test under [`run_threads`]'
+//!   deadline and says what the round was stuck on; [`stress_rounds`] is
+//!   the one round budget (`COLOCK_STRESS_ROUNDS`) of every soak test.
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -112,6 +115,40 @@ where
     });
 }
 
+/// Rounds a soak test runs: `COLOCK_STRESS_ROUNDS` if set (the gate runs
+/// each soak test in release with a larger budget), `default` otherwise.
+pub fn stress_rounds(default: u64) -> u64 {
+    std::env::var("COLOCK_STRESS_ROUNDS").ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+}
+
+/// Runs one soak round `f` on a thread of its own under [`run_threads`]'
+/// deadline. A round still running after `timeout` fails with `label` and
+/// `dump()` (say, the lock table) in the panic message; a panic inside the
+/// round is re-raised as is.
+pub fn soak_round<T, F>(label: &str, timeout: Duration, dump: impl FnOnce() -> String, f: F) -> T
+where
+    T: Send + 'static,
+    F: FnOnce() -> T + Send + 'static,
+{
+    let f = Mutex::new(Some(f));
+    let run = panic::catch_unwind(AssertUnwindSafe(|| {
+        run_threads(1, timeout, move |_| {
+            let f = f.lock().unwrap_or_else(PoisonError::into_inner).take();
+            f.expect("a soak round runs once")()
+        })
+    }));
+    match run {
+        Ok(mut out) => out.pop().expect("one thread, one result"),
+        Err(payload) => {
+            let msg = payload.downcast_ref::<String>().map_or("", String::as_str);
+            if msg.starts_with("run_threads:") {
+                panic!("{label}: stalled ({msg})\n{}", dump());
+            }
+            panic::resume_unwind(payload)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,6 +200,19 @@ mod tests {
         .unwrap_err();
         let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
         assert_eq!(msg, "worker zero failed");
+    }
+
+    #[test]
+    fn soak_round_returns_or_reports_the_stall_with_its_dump() {
+        assert_eq!(soak_round("quick", Duration::from_secs(5), String::new, || 7), 7);
+        let err = panic::catch_unwind(|| {
+            soak_round("round 3", Duration::from_millis(20), || "table: T1 waits".into(), || {
+                thread::sleep(Duration::from_secs(1))
+            })
+        })
+        .unwrap_err();
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.starts_with("round 3: stalled") && msg.ends_with("table: T1 waits"), "{msg}");
     }
 
     #[test]

@@ -4,7 +4,8 @@
 use colock_core::authorization::{Authorization, Right};
 use colock_core::fixtures::fig1_catalog;
 use colock_core::{AccessMode, InstanceTarget};
-use colock_lockmgr::LongLockImage;
+use colock_core::ResourcePath;
+use colock_lockmgr::Journal;
 use colock_nf2::value::build::{list, set, tup};
 use colock_nf2::{ObjectKey, Value};
 use colock_storage::Store;
@@ -326,15 +327,17 @@ fn insert_locks_the_entry_points_its_object_references() {
 #[test]
 fn checkout_takes_long_locks_that_survive_crash() {
     let mgr = manager(ProtocolKind::Proposed);
+    let journal = Arc::new(Journal::<ResourcePath>::new());
+    assert!(mgr.attach_journal(journal.clone()));
     let t = mgr.begin(TxnKind::Long);
     let copy = t.checkout(&robot("r1"), AccessMode::Update).unwrap();
     assert_eq!(copy.field("robot_id"), Some(&Value::str("r1")));
 
-    // Snapshot long locks, simulate crash, restore into a fresh table.
-    let image = LongLockImage::capture(mgr.lock_manager());
-    assert!(!image.is_empty(), "check-out must have produced long locks");
+    // Simulate a crash: replay the journal into a fresh table.
+    let replayed = Journal::<ResourcePath>::replay(&journal.contents()).unwrap();
+    assert_eq!(replayed.owners(), vec![t.id()], "check-out must have produced long locks");
     let fresh = colock_lockmgr::LockManager::new();
-    image.restore(&fresh);
+    fresh.install_recovered(t.id(), replayed.entries.into_iter().map(|(r, _, m)| (r, m)));
     // The robot's X lock survived.
     let resource = mgr.engine().resource_for(&robot("r1")).unwrap();
     assert_eq!(fresh.held_mode(t.id(), &resource), colock_lockmgr::LockMode::X);

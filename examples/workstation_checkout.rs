@@ -6,17 +6,21 @@
 //! Run with: `cargo run --example workstation_checkout`
 
 use colock::core::authorization::{Authorization, Right};
-use colock::core::{AccessMode, InstanceTarget};
-use colock::lockmgr::{LockManager, LongLockImage};
+use colock::core::{AccessMode, InstanceTarget, ResourcePath};
+use colock::lockmgr::{Journal, LockManager};
 use colock::nf2::Value;
 use colock::sim::{build_cells_store, CellsConfig};
 use colock::txn::{ProtocolKind, TransactionManager, TxnKind};
+use std::sync::Arc;
 
 fn main() {
     let store = build_cells_store(&CellsConfig::default());
     let mut authz = Authorization::allow_all();
     authz.set_relation_default("effectors", Right::Read);
     let mgr = TransactionManager::over_store(store, authz, ProtocolKind::Proposed);
+    // Long locks are journaled before they are acknowledged.
+    let journal = Arc::new(Journal::<ResourcePath>::new());
+    mgr.attach_journal(journal.clone());
 
     // 1. The workstation user starts a LONG transaction and checks out
     //    robot r1 of cell c1 for update.
@@ -37,12 +41,12 @@ fn main() {
     println!("concurrent part reader proceeds during the checkout: {ok}");
     reader.commit().unwrap();
 
-    // 3. The server "crashes". Long locks survive via a persistent image;
-    //    short locks do not (§3.1).
-    let image = LongLockImage::capture(mgr.lock_manager());
-    println!("crash! persisted {} long lock(s)", image.len());
-    let recovered: LockManager<colock::core::ResourcePath> = LockManager::new();
-    image.restore(&recovered);
+    // 3. The server "crashes". Long locks survive in the journal; short
+    //    locks do not (§3.1). A fresh lock table re-installs the replay.
+    let replayed = Journal::<ResourcePath>::replay(&journal.contents()).unwrap();
+    println!("crash! the journal holds {} long lock(s)", replayed.entries.len());
+    let recovered: LockManager<ResourcePath> = LockManager::new();
+    recovered.install_recovered(station.id(), replayed.entries.into_iter().map(|(r, _, m)| (r, m)));
     let resource = mgr.engine().resource_for(&robot).unwrap();
     println!(
         "after recovery the workstation still holds {} on the robot",

@@ -165,21 +165,23 @@ echo "==> explore at full budget (DPOR interleaving explorer, linted + certified
 COLOCK_EXPLORE_MAX_SCHEDULES="${COLOCK_EXPLORE_MAX_SCHEDULES:-600}" \
     cargo test --offline --release -q -p colock-sim --test explore -- --nocapture
 
-echo "==> stress_lockmgr (bounded rounds; fast-path-off rounds; linted + certified)"
-# Every harness below traces, lints and certifies every round. Each picks its
-# own ablation rounds by round number and names the ablation in its output.
-# 50 rounds: 40 default, 10 fast-path-off.
+echo "==> lock-manager soak (engineering mix; fast-path-off rounds; linted + certified)"
+# Each soak test below runs in the workspace suite at COLOCK_STRESS_ROUNDS'
+# small default; here it runs in release at the gate's budget. Every round
+# traces, lints and certifies its window; each test picks its ablation rounds
+# by round number, and a stalled round fails with the lock table. After its
+# 12 fixed seeds: 50 rounds, 40 default, 10 fast path off.
 COLOCK_STRESS_ROUNDS="${COLOCK_STRESS_ROUNDS:-50}" \
-    cargo run --offline --release -q -p colock-bench --bin stress_lockmgr
+    cargo test --offline --release -q -p colock-sim --lib engineering_mix_liveness_across_seeds
 
-echo "==> stress_insert_storm (hot-HoLU commuting inserts; semantic-off rounds)"
+echo "==> insert storm (hot-HoLU commuting inserts; semantic-off rounds)"
 # The semantic-mode acceptance workload: N writers insert distinct elements
 # into ONE set-valued HoLU. With semantic modes on, inserters commute via
 # Insert on the container; on semantic-off rounds every insert X-locks it.
 # Every round must keep every per-round invariant. 30 rounds: 20 default, 10
 # semantic-off.
 COLOCK_STRESS_ROUNDS="${COLOCK_STRESS_ROUNDS:-30}" \
-    cargo run --offline --release -q -p colock-bench --bin stress_insert_storm
+    cargo test --offline --release -q -p colock-sim --test insert_storm
 
 echo "==> crash matrix at full budget (fault-injection sweep; fast-path-off rounds)"
 # The workspace suite's crash matrix with 15 rounds per crash point: 10
@@ -193,15 +195,15 @@ echo "==> disjoint_scaling (per-layer 1- vs 2-thread rates on disjoint cells; sm
 COLOCK_BENCH_MS="${COLOCK_BENCH_MS:-50}" \
     cargo run --offline --release -q -p colock-bench --bin disjoint_scaling
 
-echo "==> stress_snapshot (read-mostly storm against the MVCC overlay; MVCC-off rounds)"
+echo "==> read-mostly soak (snapshot readers against the MVCC overlay; MVCC-off rounds)"
 # 70% snapshot readers against writers: every MVCC round asserts
 # reads_elided matches the reader histogram, every MVCC-off round that
 # nothing is elided; the table drains, and the linter sees no snapshot txn
 # in any lock-manager event. 50 rounds: 40 MVCC on, 10 off.
 COLOCK_STRESS_ROUNDS="${COLOCK_STRESS_ROUNDS:-50}" \
-    cargo run --offline --release -q -p colock-bench --bin stress_snapshot
+    cargo test --offline --release -q -p colock-sim --lib read_mostly_run_elides_locks_and_records_reader_waits
 
-echo "==> stress_store (sub-object writers vs snapshots vs GC on shared objects)"
+echo "==> store storm (sub-object writers vs snapshots vs GC on shared objects)"
 # 4 writers on disjoint robots of the same two cells plus shared effectors
 # (so same-object writers share a store latch stripe, and every commit
 # installs into two stripes), one abort in eight, 2 snapshot-reader threads
@@ -210,21 +212,17 @@ echo "==> stress_store (sub-object writers vs snapshots vs GC on shared objects)
 # commit, nothing uncommitted, never going back), every chain one entry
 # after the final GC.
 COLOCK_STRESS_ROUNDS="${COLOCK_STRESS_ROUNDS:-40}" \
-    cargo run --offline --release -q -p colock-bench --bin stress_store
+    cargo test --offline --release -q -p colock-sim --test store_storm
 
-echo "==> loopback serving smoke (loadgen small budget)"
-# Real TCP over loopback at a bounded scale: 40 sessions, 300 txns through
-# the full mix. The entire served trace window is linted and certified —
-# served traffic must be as conformant as in-process traffic.
-COLOCK_LOAD_SESSIONS=40 COLOCK_LOAD_WORKERS=4 COLOCK_LOAD_TXNS=300 \
-    cargo run --offline --release -q -p colock-bench --bin loadgen
-
-echo "==> stress_server (one kill/restart recovery round over TCP)"
-# §3.1 durability end to end: clients check out long locks over TCP, the
-# server is killed, a new one recovers the journal, every acked lock must
-# be re-adopted and resumable by reconnecting clients.
-COLOCK_SERVER_ROUNDS="${COLOCK_SERVER_ROUNDS:-1}" \
-    cargo run --offline --release -q -p colock-bench --bin stress_server
+echo "==> loopback serving (E14 mix at 40 sessions x 300 txns; one kill/restart round)"
+# Real TCP over loopback: 40 sessions on 4 threads run 300 txns of the
+# 30/20/50 mix with a cell-1 hot spot, and the whole served trace window is
+# linted and certified — served traffic must be as conformant as in-process
+# traffic. Then §3.1 durability end to end: clients check out long locks
+# over TCP, the server is killed, a new one recovers the journal, every
+# acked lock must be re-adopted and resumable by reconnecting clients.
+COLOCK_STRESS_ROUNDS=1 \
+    cargo test --offline --release -q -p colock-server --test loopback
 
 echo "==> differential fast-path equivalence suite"
 # The optimistic/pessimistic differential harness runs both paths itself,
