@@ -50,6 +50,12 @@ impl RelationSchema {
         self.attributes.iter().find(|a| a.name == name)
     }
 
+    /// Whether any attribute of the relation holds a reference
+    /// ([`AttrType::holds_ref`]); allocates nothing.
+    pub fn holds_ref(&self) -> bool {
+        self.attributes.iter().any(|a| a.ty.holds_ref())
+    }
+
     /// All relations directly referenced from this relation's schema.
     pub fn direct_ref_targets(&self) -> Vec<&str> {
         let mut out = Vec::new();

@@ -122,6 +122,18 @@ impl AttrType {
         }
     }
 
+    /// Whether a reference sits anywhere in this type: only then can an
+    /// instance of it hold an entry point of a lower inner unit (a dashed
+    /// edge, Fig. 5). Walks the type tree and allocates nothing.
+    pub fn holds_ref(&self) -> bool {
+        match self {
+            AttrType::Atomic(_) => false,
+            AttrType::Ref(_) => true,
+            AttrType::Set(e) | AttrType::List(e) => e.holds_ref(),
+            AttrType::Tuple(fs) => fs.iter().any(|a| a.ty.holds_ref()),
+        }
+    }
+
     /// Collects the names of all relations referenced anywhere below this
     /// type (used for recursion and target validation).
     pub fn collect_ref_targets<'a>(&'a self, out: &mut Vec<&'a str>) {
@@ -288,6 +300,20 @@ mod tests {
         let mut targets = Vec::new();
         t.collect_ref_targets(&mut targets);
         assert_eq!(targets, vec!["effectors", "tools"]);
+    }
+
+    #[test]
+    fn holds_ref_looks_below_the_type_itself() {
+        assert!(ref_("effectors").holds_ref());
+        assert!(!str_().holds_ref());
+        assert!(!set(tuple(vec![attr("obj_id", str_()), attr("obj_name", str_())])).holds_ref());
+        // A reference nested in a set of tuples is found.
+        let robots = list(tuple(vec![
+            attr("robot_id", str_()),
+            attr("effectors", set(ref_("effectors"))),
+        ]));
+        assert!(robots.holds_ref());
+        assert!(!robots.element().unwrap().fields().unwrap()[0].ty.holds_ref());
     }
 
     #[test]

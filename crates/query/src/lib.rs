@@ -36,6 +36,7 @@ pub mod exec;
 pub mod lexer;
 pub mod parser;
 pub mod plan;
+pub mod rows;
 
 pub use analyze::{Analysis, BoundRange};
 pub use ast::{Comparison, Condition, Operand, Query, RangeDecl, Statement};
@@ -43,6 +44,7 @@ pub use error::QueryError;
 pub use exec::{execute, ExecOutcome, Row};
 pub use parser::parse;
 pub use plan::{plan_locks, QueryPlan};
+pub use rows::Rows;
 
 /// Result alias.
 pub type Result<T> = std::result::Result<T, QueryError>;

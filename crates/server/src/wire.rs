@@ -620,9 +620,11 @@ fn escape_name(name: &str) -> String {
 
 /// Reverses [`escape_name`]. Each `%XX` is one byte, so a run of escapes
 /// decodes as UTF-8 (`caf%C3%A9` is `café`); bytes that are not UTF-8 are a
-/// `BadArg`.
+/// `BadArg`. `XX` is exactly two ASCII hex digits: no sign, and no
+/// multi-byte character.
 fn unescape_name(text: &str) -> Result<String, WireError> {
     let bad = |reason: String| WireError::BadArg { verb: "target".into(), reason };
+    let hex = |b: u8| char::from(b).to_digit(16);
     let mut out = Vec::with_capacity(text.len());
     let bytes = text.as_bytes();
     let mut i = 0;
@@ -632,12 +634,14 @@ fn unescape_name(text: &str) -> Result<String, WireError> {
             i += 1;
             continue;
         }
-        let hex = text
+        let escape = bytes
             .get(i + 1..i + 3)
             .ok_or_else(|| bad(format!("dangling percent escape in {text:?}")))?;
-        let v = u8::from_str_radix(hex, 16)
-            .map_err(|_| bad(format!("bad percent escape %{hex} in {text:?}")))?;
-        out.push(v);
+        let (Some(high), Some(low)) = (hex(escape[0]), hex(escape[1])) else {
+            let escape = String::from_utf8_lossy(escape);
+            return Err(bad(format!("bad percent escape %{escape} in {text:?}")));
+        };
+        out.push((high * 16 + low) as u8);
         i += 3;
     }
     String::from_utf8(out).map_err(|_| bad(format!("percent escapes in {text:?} are not UTF-8")))

@@ -132,6 +132,30 @@ fn percent_escapes_decode_as_utf8_bytes() {
     assert!(parse_value("s:%FF").is_err());
 }
 
+/// An escape is exactly two ASCII hex digits: a sign is not a digit, and a
+/// multi-byte character after one digit is a bad escape, not a dangling one.
+/// Every valid escape decodes as before.
+#[test]
+fn percent_escapes_take_two_hex_digits_only() {
+    for bad in ["%+1", "%+F", "%-1", "%a\u{e9}", "%\u{e9}", "x%g0"] {
+        let text = format!("rel:cells/obj:{bad}");
+        let err = parse_target(&text).expect_err(&text);
+        assert!(err.to_string().contains("bad percent escape"), "{text}: {err}");
+        assert!(parse_value(&format!("s:{bad}")).is_err(), "{bad}");
+    }
+    for dangling in ["%", "%a", "ab%F"] {
+        let text = format!("rel:cells/obj:{dangling}");
+        let err = parse_target(&text).expect_err(&text);
+        assert!(err.to_string().contains("dangling"), "{text}: {err}");
+    }
+    let key = |text: &str| parse_target(&format!("rel:cells/obj:{text}")).unwrap().object;
+    for byte in 0..=0x7fu8 {
+        let want = Some(ObjectKey::Str(char::from(byte).to_string()));
+        assert_eq!(key(&format!("%{byte:02X}")), want);
+        assert_eq!(key(&format!("%{byte:02x}")), want);
+    }
+}
+
 #[test]
 fn random_values_roundtrip() {
     let mut rng = Rng::seed_from_u64(13);
