@@ -18,7 +18,11 @@
 //! Downward propagation discovers entry points by scanning the references in
 //! the data being accessed (which the query has to read anyway), so it adds
 //! no extra I/O; only the entry points themselves enter the lock table, which
-//! keeps the table growth moderate (§4.4.2.1).
+//! keeps the table growth moderate (§4.4.2.1). By the Fig. 5 derivation
+//! rules an entry point sits only behind a reference edge of the schema, so
+//! the scan runs only below one: a target whose type holds no `Ref`
+//! (Fig. 7's `c_objects`, a `trajectory`) has no entry point, and the store
+//! neither latches nor walks its instance for it.
 
 use crate::protocol::engine::{Ctx, ProtocolEngine, ProtocolError, Work};
 use crate::protocol::target::{refs_of, InstanceTarget};
