@@ -3,7 +3,8 @@
 //! up, and the writer-side commit that installs them.
 
 use colock_bench::cells_manager;
-use colock_core::InstanceTarget;
+use colock_core::{AccessMode, InstanceTarget, ResourcePath};
+use colock_lockmgr::{LockManager, LockMode, LockRequestOptions, TxnId};
 use colock_nf2::Value;
 use colock_sim::CellsConfig;
 use colock_testkit::{black_box, BenchHarness};
@@ -52,6 +53,37 @@ fn bench_snapshot_read(h: &mut BenchHarness) {
         let reader = mgr.begin_readonly();
         let target = robot_trajectory();
         b.iter(|| reader.snapshot_read(black_box(&target)).unwrap());
+    });
+    group.bench("txn_get_put_locks", |b| {
+        // The locks of a GET/PUT pair through `Transaction`: S on the
+        // trajectory, then X on it (six ancestor intents each), then commit.
+        let mgr = cells_manager(&cells, ProtocolKind::Proposed);
+        let target = robot_trajectory();
+        b.iter(|| {
+            let w = mgr.begin(TxnKind::Short);
+            w.lock(black_box(&target), AccessMode::Read).unwrap();
+            w.lock(black_box(&target), AccessMode::Update).unwrap();
+            w.commit().unwrap();
+        });
+    });
+    group.bench("lm_get_put_locks", |b| {
+        // The same grants on the bare lock manager, the floor of the row
+        // above: an IS chain and S, an IX chain and X, then release_all.
+        let mgr = cells_manager(&cells, ProtocolKind::Proposed);
+        let path = mgr.engine().resource_for(&robot_trajectory()).unwrap();
+        let chain: Vec<ResourcePath> = path.ancestors();
+        let lm: LockManager<ResourcePath> = LockManager::new();
+        let opts = LockRequestOptions::default();
+        let mut id = 0;
+        b.iter(|| {
+            id += 1;
+            let txn = TxnId(id);
+            lm.acquire_intent_chain(txn, black_box(&chain), LockMode::IS, opts).unwrap();
+            lm.acquire(txn, path.clone(), LockMode::S, opts).unwrap();
+            lm.acquire_intent_chain(txn, &chain, LockMode::IX, opts).unwrap();
+            lm.acquire(txn, path.clone(), LockMode::X, opts).unwrap();
+            lm.release_all(txn);
+        });
     });
     group.bench("update_commit_installs_version", |b| {
         // Writer-side price of the overlay: every committing update also

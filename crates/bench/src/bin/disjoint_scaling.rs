@@ -10,16 +10,20 @@
 //! fast path and semantic modes on). Whatever the second thread loses here
 //! is physical sharing inside the engine, not data contention.
 //!
-//! Operations: empty begin + commit; lock-only (an update lock on a
-//! trajectory, no data touched); locking read; snapshot read; short write
-//! (read, update, commit); long check-out + check-in of a robot; and a bare
-//! `Store::get_at` of a trajectory (no transaction at all).
+//! Operations: private work (arithmetic over the thread's own buffer, no
+//! engine call: the host's ceiling); empty begin + commit; lock-only (an
+//! update lock on a trajectory, no data touched); locking read; snapshot
+//! read; short write (read, update, commit); long check-out + check-in of a
+//! robot; and a bare `Store::get_at` of a trajectory (no transaction at
+//! all).
 //!
 //! Each (operation, T) cell runs `COLOCK_BENCH_MS` milliseconds (default
 //! 300) on a fresh manager, three times; the table shows the median rate in
-//! operations per second and the 2-thread ÷ 1-thread ratio. Every operation
-//! must succeed (the binary panics otherwise); the rates are printed, not
-//! checked.
+//! operations per second, the 2-thread ÷ 1-thread ratio, and that ratio
+//! over the private-work ratio of the same run: what a layer keeps of what
+//! the host gives a second thread at all (two vCPUs may share one core).
+//! Every operation must succeed (the binary panics otherwise); the rates
+//! are printed, not checked.
 //!
 //! ```text
 //! cargo run --release -p colock-bench --bin disjoint_scaling
@@ -46,6 +50,7 @@ fn mix_cells() -> CellsConfig {
 
 #[derive(Clone, Copy)]
 enum Op {
+    PrivateWork,
     Empty,
     LockOnly,
     LockingRead,
@@ -55,7 +60,8 @@ enum Op {
     StoreGetAt,
 }
 
-const OPS: [(Op, &str); 7] = [
+const OPS: [(Op, &str); 8] = [
+    (Op::PrivateWork, "private work"),
     (Op::Empty, "empty begin + commit"),
     (Op::LockOnly, "lock-only txn"),
     (Op::LockingRead, "locking read txn"),
@@ -89,9 +95,27 @@ fn manager() -> Arc<TransactionManager> {
     mgr
 }
 
-/// One operation on `robot` / its trajectory `traj`.
-fn run_op(mgr: &TransactionManager, op: Op, robot: &InstanceTarget, traj: &InstanceTarget) {
+/// Words of a thread's private buffer: 4 KiB, cache resident.
+const PRIVATE_WORDS: usize = 512;
+
+/// One operation on `robot` / its trajectory `traj`, or on the thread's
+/// `private` buffer.
+fn run_op(
+    mgr: &TransactionManager,
+    op: Op,
+    robot: &InstanceTarget,
+    traj: &InstanceTarget,
+    private: &mut [u64],
+) {
     match op {
+        Op::PrivateWork => {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for word in private.iter_mut() {
+                h = (h ^ *word).wrapping_mul(0x0100_0000_01b3);
+                *word = h;
+            }
+            black_box(h);
+        }
         Op::Empty => mgr.begin(TxnKind::Short).commit().expect("empty commit"),
         Op::LockOnly => {
             let txn = mgr.begin(TxnKind::Short);
@@ -141,11 +165,12 @@ fn rate(op: Op, threads: usize, budget: Duration) -> f64 {
             let (mgr, stop, start) = (Arc::clone(&mgr), Arc::clone(&stop), Arc::clone(&start));
             thread::spawn(move || {
                 let robots = own_robots(w, threads);
+                let mut private = vec![w as u64; PRIVATE_WORDS];
                 start.wait();
                 let mut done = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     let (robot, traj) = &robots[done as usize % robots.len()];
-                    run_op(&mgr, op, robot, traj);
+                    run_op(&mgr, op, robot, traj, &mut private);
                     done += 1;
                 }
                 done
@@ -179,10 +204,16 @@ fn main() {
         mix_cells().n_cells,
         thread::available_parallelism().map_or(1, |n| n.get()),
     );
-    println!("{:<26} {:>12} {:>12} {:>8}", "operation", "1T ops/s", "2T ops/s", "2T÷1T");
+    println!(
+        "{:<26} {:>12} {:>12} {:>8} {:>10}",
+        "operation", "1T ops/s", "2T ops/s", "2T÷1T", "÷ ceiling"
+    );
+    let mut ceiling = None;
     for (op, name) in OPS {
         let one = median((0..REPS).map(|_| rate(op, 1, budget)).collect());
         let two = median((0..REPS).map(|_| rate(op, 2, budget)).collect());
-        println!("{name:<26} {one:>12.0} {two:>12.0} {:>8.2}", two / one);
+        let scaling = two / one;
+        let ceiling = *ceiling.get_or_insert(scaling);
+        println!("{name:<26} {one:>12.0} {two:>12.0} {scaling:>8.2} {:>10.2}", scaling / ceiling);
     }
 }

@@ -6,9 +6,9 @@ use crate::authorization::Authorization;
 use crate::graph::derive::derive_lock_graph;
 use crate::graph::object::DbLockGraph;
 use crate::protocol::target::{AccessMode, InstanceSource, InstanceTarget};
-use crate::resource::ResourcePath;
+use crate::resource::{PathStep, ResourcePath};
 use colock_lockmgr::{
-    AcquireOutcome, LockError, LockManager, LockMode, LockRequestOptions, Request, TxnId,
+    AcquireOutcome, FastMap, LockError, LockManager, LockMode, LockRequestOptions, Request, TxnId,
     WaitPolicy,
 };
 use colock_trace::{rule_scope, RuleTag};
@@ -92,8 +92,11 @@ impl ProtocolOptions {
 /// Record of the locks a protocol run acquired, in acquisition order.
 #[derive(Debug, Clone, Default)]
 pub struct LockReport {
-    /// `(resource, mode)` per granted (non-redundant) request.
+    /// `(resource, mode)` per granted (non-redundant) request, in a context
+    /// that lists them ([`LockCtx::list_grants`]); empty otherwise.
     pub acquired: Vec<(ResourcePath, LockMode)>,
+    /// Granted (non-redundant) requests, listed or not.
+    pub granted: usize,
     /// Requests answered `AlreadyHeld` (covered by an earlier lock).
     pub redundant: u64,
     /// Requests that had to wait.
@@ -107,7 +110,7 @@ pub struct LockReport {
 impl LockReport {
     /// Number of lock-table touching requests (granted, non-redundant).
     pub fn lock_count(&self) -> usize {
-        self.acquired.len()
+        self.granted
     }
 
     /// Renders the report like Fig. 7 annotations: `resource: MODE` lines.
@@ -129,6 +132,7 @@ impl LockReport {
     /// Merges another report into this one.
     pub fn merge(&mut self, other: LockReport) {
         self.acquired.extend(other.acquired);
+        self.granted += other.granted;
         self.redundant += other.redundant;
         self.waited += other.waited;
         self.scan_cost += other.scan_cost;
@@ -144,7 +148,9 @@ pub struct ProtocolEngine {
     catalog: Arc<Catalog>,
     graph: DbLockGraph,
     common: HashSet<String>,
-    db_name: String,
+    /// Per relation, its path (database, segment, relation): every target's
+    /// resource extends one, copying its text and hashes.
+    relations: HashMap<String, ResourcePath>,
 }
 
 impl ProtocolEngine {
@@ -157,8 +163,14 @@ impl ProtocolEngine {
             .iter()
             .map(|r| r.name.clone())
             .collect();
-        let db_name = catalog.schema().name.clone();
-        ProtocolEngine { catalog, graph, common, db_name }
+        let schema = catalog.schema();
+        let relations = (schema.relations.iter())
+            .map(|r| {
+                let steps = [PathStep::Database(&*schema.name), PathStep::Segment(&r.segment), PathStep::Relation(&r.name)];
+                (r.name.clone(), ResourcePath::from_refs(steps.into_iter()))
+            })
+            .collect();
+        ProtocolEngine { catalog, graph, common, relations }
     }
 
     /// The catalog.
@@ -176,24 +188,19 @@ impl ProtocolEngine {
         self.common.contains(relation)
     }
 
-    /// The segment of a relation.
-    pub fn segment_of(&self, relation: &str) -> Result<&str, ProtocolError> {
-        self.catalog
-            .schema()
-            .relation(relation)
-            .map(|r| r.segment.as_str())
-            .map_err(|_| ProtocolError::UnknownRelation(relation.to_string()))
-    }
-
-    /// The instance resource for a target.
+    /// The instance resource for a target: a new spine, its relation's
+    /// prefix copied (no refcount of the engine's is touched).
     pub fn resource_for(&self, target: &InstanceTarget) -> Result<ResourcePath, ProtocolError> {
-        let seg = self.segment_of(&target.relation)?;
-        Ok(target.resource(&self.db_name, seg))
+        match self.relations.get(&target.relation) {
+            Some(relation) => Ok(relation.extended(target.refs().skip(1))),
+            None => Err(ProtocolError::UnknownRelation(target.relation.clone())),
+        }
     }
 }
 
 /// Per-transaction cache of locks already obtained, letting the protocol
-/// paths answer "is this request covered?" without a lock-table round-trip.
+/// paths answer "is this request covered?" without a lock-table round-trip,
+/// and of the last paths it resolved, so a repeated target costs no spine.
 ///
 /// Rules 1–5 re-request the same database/segment/relation intention locks
 /// on *every* access; before this cache each re-request paid a shard lock
@@ -207,10 +214,14 @@ impl ProtocolEngine {
 ///
 /// The cache is owned by the transaction handle — one thread, so no lock —
 /// and dropped at EOT, so invalidation is automatic; early (pre-EOT)
-/// releases must call [`TxnLockCache::clear`].
+/// releases must call [`TxnLockCache::clear`]. It serves one engine.
 #[derive(Debug, Default)]
 pub struct TxnLockCache {
-    held: RefCell<HashMap<ResourcePath, (LockMode, bool)>>,
+    held: RefCell<FastMap<ResourcePath, (LockMode, bool)>>,
+    /// The last paths resolved, newest first.
+    resolved: RefCell<[Option<ResourcePath>; 4]>,
+    /// A request's cache-missing ancestors, kept for the buffer.
+    chain: RefCell<Vec<ResourcePath>>,
 }
 
 impl TxnLockCache {
@@ -225,25 +236,36 @@ impl TxnLockCache {
     /// a conversion — upgrading the container to IX would re-serialize the
     /// commuting inserters the semantic mode exists to keep parallel.
     pub fn covers(&self, resource: &ResourcePath, mode: LockMode, long: bool) -> bool {
-        self.held
-            .borrow()
-            .get(resource)
-            .map(|&(m, l)| m.satisfies_parent_intent(mode) && (l || !long))
-            .unwrap_or(false)
+        self.held.borrow().get(resource).is_some_and(|&(m, l)| m.satisfies_parent_intent(mode) && (l || !long))
     }
 
     /// Records a lock obtained from the table (joins modes, widens short to
-    /// long).
+    /// long). The first one sizes the map for a short transaction's whole
+    /// footprint, in one allocation.
     pub fn record(&self, resource: &ResourcePath, mode: LockMode, long: bool) {
         let mut held = self.held.borrow_mut();
+        if held.capacity() == 0 {
+            held.reserve(8);
+        }
         let entry = held.entry(resource.clone()).or_insert((LockMode::NL, false));
         entry.0 = entry.0.join(mode);
         entry.1 = entry.1 || long;
     }
 
-    /// Forgets everything — required after any early (pre-EOT) release.
+    /// Forgets every cached lock — required after any early (pre-EOT)
+    /// release.
     pub fn clear(&self) {
         self.held.borrow_mut().clear();
+    }
+
+    /// The resource of `target`: a path resolved before, or a new one kept.
+    fn resolve(&self, engine: &ProtocolEngine, target: &InstanceTarget) -> Result<ResourcePath, ProtocolError> {
+        let mut resolved = self.resolved.borrow_mut();
+        if let Some(path) = resolved.iter().flatten().find(|p| target.is_named_by(p)) {
+            return Ok(path.clone());
+        }
+        resolved.rotate_right(1);
+        Ok(resolved[0].insert(engine.resource_for(target)?).clone())
     }
 }
 
@@ -314,18 +336,21 @@ pub struct LockCtx<'a> {
     pub opts: ProtocolOptions,
     /// Per-transaction cache of locks already obtained, if any.
     pub cache: Option<&'a TxnLockCache>,
+    /// Whether the report lists every grant ([`LockReport::acquired`]) or
+    /// only counts it, which costs no clone and no allocation.
+    pub list_grants: bool,
 }
 
 impl<'a> LockCtx<'a> {
-    /// A context with default options and no cache; override either with
-    /// struct-update syntax (`LockCtx { opts, ..cx }`).
+    /// A context with default options, no cache and a listing report;
+    /// override any with struct-update syntax (`LockCtx { opts, ..cx }`).
     pub fn new(
         lm: &'a LockManager<ResourcePath>,
         txn: TxnId,
         src: &'a dyn InstanceSource,
         authz: &'a Authorization,
     ) -> Self {
-        LockCtx { lm, txn, src, authz, opts: ProtocolOptions::default(), cache: None }
+        LockCtx { lm, txn, src, authz, opts: ProtocolOptions::default(), cache: None, list_grants: true }
     }
 }
 
@@ -398,7 +423,7 @@ impl ProtocolEngine {
         opts: ProtocolOptions,
         cache: Option<&TxnLockCache>,
     ) -> Result<LockReport, ProtocolError> {
-        let cx = LockCtx { lm, txn, src, authz, opts, cache };
+        let cx = LockCtx { lm, txn, src, authz, opts, cache, list_grants: true };
         self.lock(&cx, ProtocolKind::proposed(opts), target, mode)
     }
 }
@@ -426,6 +451,11 @@ impl Ctx<'_> {
         LockRequestOptions { policy: self.cx.opts.wait, long: self.cx.opts.long }
     }
 
+    /// The resource of `target`, through the cache's resolver if there is a cache.
+    pub(crate) fn resolve(&self, engine: &ProtocolEngine, target: &InstanceTarget) -> Result<ResourcePath, ProtocolError> {
+        self.cx.cache.map_or_else(|| engine.resource_for(target), |cache| cache.resolve(engine, target))
+    }
+
     /// Whether the per-transaction cache covers the request; a hit is
     /// answered as redundant without touching the lock table at all.
     fn covered(&mut self, resource: &ResourcePath, mode: LockMode) -> bool {
@@ -436,26 +466,27 @@ impl Ctx<'_> {
         hit
     }
 
-    /// Books one lock-table answer in the report and the cache; `true` for a
-    /// fresh grant (the caller appends it to `report.acquired`).
-    fn book(&mut self, resource: &ResourcePath, mode: LockMode, outcome: AcquireOutcome) -> bool {
-        let granted = match outcome {
+    /// Books one lock-table answer in the report.
+    fn book(cx: &LockCtx<'_>, report: &mut LockReport, resource: &ResourcePath, mode: LockMode, outcome: AcquireOutcome) {
+        match outcome {
             AcquireOutcome::Granted { waited } => {
-                self.report.waited += u64::from(waited);
-                true
+                report.waited += u64::from(waited);
+                report.granted += 1;
+                if cx.list_grants {
+                    report.acquired.push((resource.clone(), mode));
+                }
             }
-            AcquireOutcome::AlreadyHeld => {
-                self.report.redundant += 1;
-                false
-            }
-        };
+            AcquireOutcome::AlreadyHeld => report.redundant += 1,
+        }
+    }
+
+    /// Caches a lock the table answered. A long request is answered only
+    /// once the table's grant is long (a covering short grant is widened),
+    /// so either outcome is cached with the request's flag.
+    fn record(&self, resource: &ResourcePath, mode: LockMode) {
         if let Some(cache) = self.cx.cache {
-            // A long request is answered only once the table's grant is long
-            // (a covering short grant is widened), so either outcome is
-            // cached with the request's flag.
             cache.record(resource, mode, self.cx.opts.long);
         }
-        granted
     }
 
     /// Acquires `mode` on `resource`, recording the outcome.
@@ -469,9 +500,8 @@ impl Ctx<'_> {
         }
         let opts = self.request_opts();
         let outcome = self.request.acquire(resource.clone(), mode, opts)?;
-        if self.book(resource, mode, outcome) {
-            self.report.acquired.push((resource.clone(), mode));
-        }
+        Self::book(&self.cx, &mut self.report, resource, mode, outcome);
+        self.record(resource, mode);
         Ok(())
     }
 
@@ -482,7 +512,9 @@ impl Ctx<'_> {
     /// The cache-missing ancestors go to the lock manager as one batch
     /// ([`LockManager::acquire_intent_chain`]): compatible links share a
     /// single optimistic fast-path section instead of taking one shard mutex
-    /// each, which is what makes deep chains cheap.
+    /// each, which is what makes deep chains cheap. The batch is gathered in
+    /// the cache's buffer, so a request allocates no chain of its own, and
+    /// is cached only once the whole chain is granted.
     fn acquire_ancestor_intents(
         &mut self,
         resource: &ResourcePath,
@@ -490,19 +522,25 @@ impl Ctx<'_> {
     ) -> Result<(), ProtocolError> {
         let _rule = rule_scope(RuleTag::AncestorIntent);
         let intent = mode.required_parent_intent();
-        let mut chain = resource.ancestors();
-        chain.retain(|anc| !self.covered(anc, intent));
-        if chain.is_empty() {
-            return Ok(());
-        }
+        let mut chain = self.cx.cache.map(|c| c.chain.take()).unwrap_or_default();
+        chain.reserve(resource.len());
+        chain.extend(resource.prefixes().filter(|anc| !self.covered(anc, intent)));
         let opts = self.request_opts();
-        let outcomes = self.request.acquire_intent_chain(&chain, intent, opts)?;
-        for (anc, outcome) in chain.into_iter().zip(outcomes) {
-            if self.book(&anc, intent, outcome) {
-                self.report.acquired.push((anc, intent));
-            }
+        let (cx, report, mut links) = (&self.cx, &mut self.report, chain.iter());
+        let done = match chain.is_empty() {
+            true => Ok(()),
+            false => self.request.acquire_intent_chain(&chain, intent, opts, |outcome| {
+                Self::book(cx, report, links.next().expect("one answer per link"), intent, outcome)
+            }),
+        };
+        if done.is_ok() {
+            chain.iter().for_each(|anc| self.record(anc, intent));
         }
-        Ok(())
+        chain.clear();
+        if let Some(cache) = self.cx.cache {
+            cache.chain.replace(chain);
+        }
+        Ok(done?)
     }
 
     /// The node step every protocol shares: intent locks on all ancestors of

@@ -41,7 +41,7 @@ impl ProtocolEngine {
     ) -> Result<(), ProtocolError> {
         // Rules 1–4, first half: intent locks on all immediate parents,
         // root-to-leaf, then the target itself.
-        ctx.lock_node(&self.resource_for(target)?, mode, RuleTag::Target)?;
+        ctx.lock_node(&ctx.resolve(self, target)?, mode, RuleTag::Target)?;
 
         // Rules 3/4, second half: implicit downward propagation for S/X —
         // all entry points of lower inner units reachable via the locked
@@ -52,7 +52,7 @@ impl ProtocolEngine {
         }
         let initial = Self::entry_points(ctx, refs_of(ctx.cx.src, target), mode);
         ctx.walk(initial, |ctx, entry, mode, tag| {
-            ctx.lock_node(&self.resource_for(entry)?, mode, tag)?;
+            ctx.lock_node(&ctx.resolve(self, entry)?, mode, tag)?;
             ctx.report.entry_points_locked += 1;
             // Common data may again contain common data (§2): recurse into
             // references of the inner unit just locked.

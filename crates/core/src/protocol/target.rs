@@ -1,9 +1,10 @@
 //! Lock targets and the data-access interface used during locking.
 
-use crate::resource::{PathStep, ResourcePath};
+use crate::resource::{KeyRef, PathStep, ResourcePath, StepRef};
 use colock_lockmgr::LockMode;
 use colock_nf2::{ObjectKey, ObjectRef};
 use std::fmt;
+use std::iter;
 
 /// Kind of access a query performs (FOR READ / FOR UPDATE, Fig. 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -86,27 +87,20 @@ impl InstanceTarget {
         self.step(TargetStep::elem(name, key))
     }
 
-    /// Builds the [`ResourcePath`] for this target given database and segment
-    /// names (the engine supplies them from the catalog), in one pass: one
-    /// step vector, one spine.
-    pub fn resource(&self, database: &str, segment: &str) -> ResourcePath {
-        let inner = self.object.as_ref().map_or(0, |_| {
-            1 + self.steps.len() + self.steps.iter().filter(|s| s.elem.is_some()).count()
+    /// Whether `path` is this target's resource under some database and
+    /// segment (one engine derives both from the relation).
+    pub(crate) fn is_named_by(&self, path: &ResourcePath) -> bool {
+        path.refs().skip(2).eq(self.refs())
+    }
+
+    /// The steps of this target's resource below the segment: the relation,
+    /// then the object and per step its attribute and element.
+    pub(crate) fn refs(&self) -> impl Iterator<Item = StepRef<'_>> + Clone {
+        let object = self.object.as_ref().map(|k| PathStep::Object(KeyRef::from(k)));
+        let inner = self.object.iter().flat_map(|_| &self.steps).flat_map(|s| {
+            iter::once(PathStep::Attr(&*s.attr)).chain(s.elem.as_ref().map(|e| PathStep::Elem(e.into())))
         });
-        let mut steps = Vec::with_capacity(3 + inner);
-        steps.push(PathStep::Database(database.to_string()));
-        steps.push(PathStep::Segment(segment.to_string()));
-        steps.push(PathStep::Relation(self.relation.clone()));
-        if let Some(k) = &self.object {
-            steps.push(PathStep::Object(k.clone()));
-            for s in &self.steps {
-                steps.push(PathStep::Attr(s.attr.clone()));
-                if let Some(e) = &s.elem {
-                    steps.push(PathStep::Elem(e.clone()));
-                }
-            }
-        }
-        ResourcePath::from_steps(steps)
+        iter::once(PathStep::Relation(&*self.relation)).chain(object).chain(inner)
     }
 
     /// The schema-level attribute path of this target (element keys erased).
@@ -181,17 +175,23 @@ pub(crate) fn refs_of(src: &dyn InstanceSource, target: &InstanceTarget) -> Vec<
 mod tests {
     use super::*;
 
+    /// The target's resource under database `db` and segment `seg`.
+    fn resource(t: &InstanceTarget, db: &str, seg: &str) -> ResourcePath {
+        let top = [PathStep::Database(db), PathStep::Segment(seg)];
+        ResourcePath::from_refs(top.into_iter().chain(t.refs()))
+    }
+
     #[test]
     fn resource_path_construction() {
         let t = InstanceTarget::object("cells", "c1").elem("robots", "r1").attr("trajectory");
-        let r = t.resource("db1", "seg1");
+        let r = resource(&t, "db1", "seg1");
         assert_eq!(r.to_string(), "db:db1/seg:seg1/rel:cells/obj:c1/robots/[r1]/trajectory");
     }
 
     #[test]
     fn relation_target_has_short_path() {
         let t = InstanceTarget::relation("effectors");
-        let r = t.resource("db1", "seg2");
+        let r = resource(&t, "db1", "seg2");
         assert_eq!(r.to_string(), "db:db1/seg:seg2/rel:effectors");
     }
 

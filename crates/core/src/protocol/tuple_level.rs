@@ -50,14 +50,14 @@ impl ProtocolEngine {
         mode: LockMode,
     ) -> Result<(), ProtocolError> {
         for t in tuples {
-            let resource = self.resource_for(t)?;
+            let resource = ctx.resolve(self, t)?;
             {
                 // Intent locks on database/segment/relation only (the first
                 // three levels), then the tuple itself: System R's flat graph
                 // has no complex-object or sub-object granules.
                 let _rule = rule_scope(RuleTag::TupleIntent);
-                for level in resource.ancestors().iter().take(3) {
-                    ctx.acquire(level, mode.required_parent_intent())?;
+                for level in resource.prefixes().take(3) {
+                    ctx.acquire(&level, mode.required_parent_intent())?;
                 }
             }
             let _rule = rule_scope(RuleTag::Tuple);

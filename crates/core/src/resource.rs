@@ -16,26 +16,58 @@ use colock_testkit::codec::{self, CodecError, FieldCodec};
 use std::cmp::Ordering;
 use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::iter;
+use std::sync::{Arc, OnceLock};
 
-/// One step of an instance path.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum PathStep {
+/// One step of an instance path. The defaults are the owned step; the
+/// engine also builds paths from steps with borrowed names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum PathStep<S = String, K = ObjectKey> {
     /// The database node.
-    Database(String),
+    Database(S),
     /// A segment of the database.
-    Segment(String),
+    Segment(S),
     /// A relation within a segment.
-    Relation(String),
+    Relation(S),
     /// A complex object of the relation, by key.
-    Object(ObjectKey),
+    Object(K),
     /// An attribute node (HoLU/HeLU/BLU) within the current (sub)tuple.
-    Attr(String),
+    Attr(S),
     /// An element of a set/list, by element key.
-    Elem(ObjectKey),
+    Elem(K),
 }
 
-impl fmt::Display for PathStep {
+/// A step borrowing its names, what paths are built from and read back as.
+/// `str` hashes and orders as `String` does and [`KeyRef`] as `ObjectKey`,
+/// so the derived `Hash` and `Ord` are the owned step's.
+pub(crate) type StepRef<'a> = PathStep<&'a str, KeyRef<'a>>;
+
+/// A borrowed [`ObjectKey`] (the same variants in the same order).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub(crate) enum KeyRef<'a> {
+    Str(&'a str),
+    Int(i64),
+}
+
+impl<'a> From<&'a ObjectKey> for KeyRef<'a> {
+    fn from(key: &'a ObjectKey) -> Self {
+        match key {
+            ObjectKey::Str(s) => KeyRef::Str(s),
+            ObjectKey::Int(i) => KeyRef::Int(*i),
+        }
+    }
+}
+
+impl fmt::Display for KeyRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            KeyRef::Str(s) => f.write_str(s),
+            KeyRef::Int(i) => write!(f, "{i}"),
+        }
+    }
+}
+
+impl<S: fmt::Display, K: fmt::Display> fmt::Display for PathStep<S, K> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PathStep::Database(s) => write!(f, "db:{s}"),
@@ -48,15 +80,61 @@ impl fmt::Display for PathStep {
     }
 }
 
+impl<S, K> PathStep<S, K> {
+    /// The same step, its names mapped through `s` and its keys through `k`.
+    fn map<'a, T, L>(&'a self, s: impl FnOnce(&'a S) -> T, k: impl FnOnce(&'a K) -> L) -> PathStep<T, L> {
+        match self {
+            PathStep::Database(x) => PathStep::Database(s(x)),
+            PathStep::Segment(x) => PathStep::Segment(s(x)),
+            PathStep::Relation(x) => PathStep::Relation(s(x)),
+            PathStep::Object(x) => PathStep::Object(k(x)),
+            PathStep::Attr(x) => PathStep::Attr(s(x)),
+            PathStep::Elem(x) => PathStep::Elem(k(x)),
+        }
+    }
+}
+
+impl PathStep {
+    pub(crate) fn borrowed(&self) -> StepRef<'_> {
+        self.map(String::as_str, KeyRef::from)
+    }
+}
+
+impl<'a> StepRef<'a> {
+    /// The step's string name (its key's, if a string key; else empty).
+    fn name(self) -> &'a str {
+        match self {
+            PathStep::Database(s) | PathStep::Segment(s) | PathStep::Relation(s) | PathStep::Attr(s) => s,
+            PathStep::Object(KeyRef::Str(s)) | PathStep::Elem(KeyRef::Str(s)) => s,
+            PathStep::Object(KeyRef::Int(_)) | PathStep::Elem(KeyRef::Int(_)) => "",
+        }
+    }
+
+    /// The same step with `name` for its string name.
+    fn named<'b>(self, name: &'b str) -> StepRef<'b> {
+        let key = |k: &KeyRef<'_>| if let KeyRef::Int(i) = *k { KeyRef::Int(i) } else { KeyRef::Str(name) };
+        self.map(|_| name, key)
+    }
+
+    fn owned(self) -> PathStep {
+        let key = |k: &KeyRef<'_>| match *k {
+            KeyRef::Str(s) => ObjectKey::Str(s.to_string()),
+            KeyRef::Int(i) => ObjectKey::Int(i),
+        };
+        self.map(|s| s.to_string(), key)
+    }
+}
+
 /// A hierarchical instance path identifying one lockable unit.
 ///
 /// A path is a view — the first `len` steps — of a shared, immutable
-/// `Spine`. Every prefix's identity hash is computed once, when the spine
-/// is built, so `clone`, [`parent`](Self::parent),
-/// [`ancestors`](Self::ancestors) and [`object_prefix`](Self::object_prefix)
-/// only bump a refcount, and hashing a path into the lock table writes one
-/// cached `u64`. Equality, ordering and hashing depend on the steps alone,
-/// never on which spine backs a view.
+/// `Spine`, which holds every step's name in one string and, per step, the
+/// identity hash of the prefix it ends. Building one makes three
+/// allocations whatever the depth (the spine, its names and its step
+/// table); `clone`, [`parent`](Self::parent) and
+/// [`object_prefix`](Self::object_prefix) only bump a refcount, and hashing
+/// a path into the lock table writes one cached `u64`. Equality, ordering
+/// and hashing depend on the steps alone, never on which spine backs a view.
 #[derive(Clone)]
 pub struct ResourcePath {
     spine: Arc<Spine>,
@@ -64,20 +142,32 @@ pub struct ResourcePath {
     len: usize,
 }
 
-/// The steps of the path a spine was built for, and per prefix its hash.
 struct Spine {
-    steps: Box<[PathStep]>,
-    /// `hashes[i]` identifies `steps[..=i]`: [`prefix_hash`] folded over the
-    /// steps, so equal step slices hash equal on any spine.
-    hashes: Box<[u64]>,
+    /// The steps' string names, back to back.
+    names: String,
+    /// Per step: its shape (the step with an empty string name), where its
+    /// name ends in `names`, and [`prefix_hash`] of the prefix it ends — so
+    /// equal step prefixes have equal nodes on any spine.
+    nodes: Vec<(StepRef<'static>, usize, u64)>,
+    /// The steps as owned values, built by the first [`ResourcePath::steps`].
+    steps: OnceLock<Box<[PathStep]>>,
+}
+
+impl Spine {
+    /// Step `i`, its name borrowed from `names`.
+    fn step(&self, i: usize) -> StepRef<'_> {
+        let start = i.checked_sub(1).map_or(0, |j| self.nodes[j].1);
+        let (shape, end, _) = self.nodes[i];
+        shape.named(&self.names[start..end])
+    }
 }
 
 /// FNV-1a over the bytes a step's derived `Hash` writes: deterministic (no
 /// per-process seed), so a prefix hashes the same on every spine that
-/// spells it. It is not the lock table's `FastHasher` because that one is
-/// private to `colock-lockmgr`, and exporting it would widen the lock
-/// manager's API; std's seedless SipHash would serve, but costs a locking
-/// read about a quarter more on `bench_snapshot`.
+/// spells it. It is not the lock table's `FastHasher`, which folds whole
+/// words: the shards resources land on would move. std's seedless SipHash
+/// would serve, but costs a locking read about a quarter more on
+/// `bench_snapshot`.
 struct StepHasher(u64);
 
 impl Hasher for StepHasher {
@@ -95,7 +185,7 @@ impl Hasher for StepHasher {
 /// The hash of a prefix ending in `step`, given the hash of the prefix
 /// before it (`None` at the database). The splitmix64 finaliser spreads
 /// every input bit over the low bits, which pick the lock-table shard.
-fn prefix_hash(before: Option<u64>, step: &PathStep) -> u64 {
+fn prefix_hash(before: Option<u64>, step: StepRef<'_>) -> u64 {
     let mut h = StepHasher(before.unwrap_or(0xcbf2_9ce4_8422_2325));
     step.hash(&mut h);
     let mut z = h.finish();
@@ -115,7 +205,7 @@ impl fmt::Debug for ResourcePath {
 
 /// Views of one spine with the same length are equal without a look at the
 /// steps; across spines, the cached hashes reject almost every mismatch
-/// before the step slices are compared.
+/// before the step tables and names are compared.
 impl PartialEq for ResourcePath {
     fn eq(&self, other: &Self) -> bool {
         self.len == other.len && self.spells_start_of(other)
@@ -138,63 +228,86 @@ impl PartialOrd for ResourcePath {
 
 impl Ord for ResourcePath {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.steps().cmp(other.steps())
+        self.refs().cmp(other.refs())
     }
 }
 
 impl ResourcePath {
     /// The database root resource.
     pub fn database(name: impl Into<String>) -> Self {
-        Self::from_steps(vec![PathStep::Database(name.into())])
+        Self::from_refs(iter::once(PathStep::Database(name.into().as_str())))
     }
 
-    /// Builds a path from raw steps (must start with `Database`), hashing
-    /// every prefix once.
+    /// Builds a path from raw steps (must start with `Database`).
     pub fn from_steps(steps: Vec<PathStep>) -> Self {
-        debug_assert!(matches!(steps.first(), Some(PathStep::Database(_))));
-        let mut hashes = Vec::with_capacity(steps.len());
-        for step in &steps {
-            hashes.push(prefix_hash(hashes.last().copied(), step));
+        Self::from_refs(steps.iter().map(PathStep::borrowed))
+    }
+
+    /// Builds a path from borrowed steps (the first a `Database`).
+    pub(crate) fn from_refs<'a>(steps: impl Iterator<Item = StepRef<'a>> + Clone) -> Self {
+        debug_assert!(matches!(steps.clone().next(), Some(PathStep::Database(_))));
+        Self::build(("", &[]), steps)
+    }
+
+    /// This path extended by `steps`, on a new spine: this one's names and
+    /// step table are copied (no refcount of it is touched, no hash redone).
+    pub(crate) fn extended<'a>(&self, steps: impl Iterator<Item = StepRef<'a>> + Clone) -> Self {
+        let names = &self.spine.names[..self.spine.nodes[self.len - 1].1];
+        Self::build((names, &self.spine.nodes[..self.len]), steps)
+    }
+
+    /// A spine of `base`'s names and nodes, then `steps`, hashing each
+    /// prefix once; its buffers are sized in a first pass over `steps`.
+    fn build<'a>(base: (&str, &[(StepRef<'static>, usize, u64)]), steps: impl Iterator<Item = StepRef<'a>> + Clone) -> Self {
+        let size = steps.clone().fold((base.0.len(), base.1.len()), |(b, n), s| (b + s.name().len(), n + 1));
+        let mut spine =
+            Spine { names: String::with_capacity(size.0), nodes: Vec::with_capacity(size.1), steps: OnceLock::new() };
+        spine.names.push_str(base.0);
+        spine.nodes.extend_from_slice(base.1);
+        for step in steps {
+            spine.names.push_str(step.name());
+            let hash = prefix_hash(spine.nodes.last().map(|n| n.2), step);
+            spine.nodes.push((step.named(""), spine.names.len(), hash));
         }
-        let len = steps.len();
-        ResourcePath {
-            spine: Arc::new(Spine { steps: steps.into_boxed_slice(), hashes: hashes.into() }),
-            len,
-        }
+        ResourcePath { spine: Arc::new(spine), len: size.1 }
     }
 
     /// The view of this path's first `len` steps, sharing its spine.
-    fn prefix(&self, len: usize) -> ResourcePath {
+    pub(crate) fn prefix(&self, len: usize) -> ResourcePath {
         ResourcePath { spine: Arc::clone(&self.spine), len }
     }
 
     /// Whether `other`'s first `self.len` steps (it must have as many) are
     /// `self`'s: a shared spine decides at once, otherwise the cached prefix
-    /// hashes, then the steps.
+    /// hashes, then the step tables and the names.
     fn spells_start_of(&self, other: &ResourcePath) -> bool {
+        let (n, nodes) = (self.len, &self.spine.nodes);
         Arc::ptr_eq(&self.spine, &other.spine)
-            || (other.spine.hashes[self.len - 1] == self.hash_value()
-                && other.spine.steps[..self.len] == *self.steps())
+            || (other.spine.nodes[n - 1].2 == self.hash_value()
+                && other.spine.nodes[..n] == nodes[..n]
+                && other.spine.names[..nodes[n - 1].1] == self.spine.names[..nodes[n - 1].1])
     }
 
     /// The cached identity hash of this path.
     fn hash_value(&self) -> u64 {
-        self.spine.hashes[self.len - 1]
+        self.spine.nodes[self.len - 1].2
     }
 
-    /// The steps of this path.
+    /// The steps of this path, borrowing their names from the spine.
+    pub(crate) fn refs(&self) -> impl Iterator<Item = StepRef<'_>> + Clone {
+        (0..self.len).map(|i| self.spine.step(i))
+    }
+
+    /// The steps of this path as owned values, built once per spine.
     pub fn steps(&self) -> &[PathStep] {
-        &self.spine.steps[..self.len]
+        let spine = &*self.spine;
+        &spine.steps.get_or_init(|| (0..spine.nodes.len()).map(|i| spine.step(i).owned()).collect())[..self.len]
     }
 
     /// Extends by one step (a new spine: the steps are copied).
     pub fn child(&self, step: PathStep) -> Self {
-        let mut steps = Vec::with_capacity(self.len + 1);
-        steps.extend_from_slice(self.steps());
-        steps.push(step);
-        Self::from_steps(steps)
+        self.extended(iter::once(step.borrowed()))
     }
-
     /// Convenience: segment child.
     pub fn segment(&self, name: impl Into<String>) -> Self {
         self.child(PathStep::Segment(name.into()))
@@ -227,7 +340,12 @@ impl ResourcePath {
 
     /// All proper ancestors, root first (database, segment, …).
     pub fn ancestors(&self) -> Vec<ResourcePath> {
-        (1..self.len).map(|n| self.prefix(n)).collect()
+        self.prefixes().collect()
+    }
+
+    /// The proper prefixes, root first, as views of this spine.
+    pub(crate) fn prefixes(&self) -> impl Iterator<Item = ResourcePath> + '_ {
+        (1..self.len).map(|n| self.prefix(n))
     }
 
     /// Number of steps.
@@ -247,8 +365,8 @@ impl ResourcePath {
 
     /// The relation name on this path, if the path descends into one.
     pub fn relation_name(&self) -> Option<&str> {
-        self.steps().iter().find_map(|s| match s {
-            PathStep::Relation(r) => Some(r.as_str()),
+        self.refs().find_map(|s| match s {
+            PathStep::Relation(r) => Some(r),
             _ => None,
         })
     }
@@ -263,7 +381,7 @@ impl ResourcePath {
 
     /// The prefix of this path ending at the complex-object step, if present.
     pub fn object_prefix(&self) -> Option<ResourcePath> {
-        let idx = self.steps().iter().position(|s| matches!(s, PathStep::Object(_)))?;
+        let idx = self.refs().position(|s| matches!(s, PathStep::Object(_)))?;
         Some(self.prefix(idx + 1))
     }
 
@@ -272,10 +390,10 @@ impl ResourcePath {
     pub fn attr_steps(&self) -> Vec<&str> {
         let mut out = Vec::new();
         let mut past_object = false;
-        for s in self.steps() {
+        for s in self.refs() {
             match s {
                 PathStep::Object(_) => past_object = true,
-                PathStep::Attr(a) if past_object => out.push(a.as_str()),
+                PathStep::Attr(a) if past_object => out.push(a),
                 _ => {}
             }
         }
@@ -285,7 +403,7 @@ impl ResourcePath {
 
 impl fmt::Display for ResourcePath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, s) in self.steps().iter().enumerate() {
+        for (i, s) in self.refs().enumerate() {
             if i > 0 {
                 f.write_str("/")?;
             }
@@ -344,32 +462,31 @@ fn unescape_name(text: &str) -> Result<String, CodecError> {
 
 /// Appends `step`'s persisted syntax to `out`, names through `plain` (see
 /// [`push_name`]).
-fn push_step(step: &PathStep, out: &mut String, plain: fn(&str, &mut String)) {
-    let (tag, name) = match step {
-        PathStep::Database(s) => ("db:", s),
-        PathStep::Segment(s) => ("seg:", s),
-        PathStep::Relation(s) => ("rel:", s),
-        PathStep::Attr(s) => ("attr:", s),
-        PathStep::Object(ObjectKey::Str(s)) => ("obj:", s),
-        PathStep::Elem(ObjectKey::Str(s)) => ("elem:", s),
-        PathStep::Object(ObjectKey::Int(i)) => {
-            let _ = write!(out, "obj#{i}");
-            return;
-        }
-        PathStep::Elem(ObjectKey::Int(i)) => {
-            let _ = write!(out, "elem#{i}");
-            return;
-        }
+fn push_step(step: StepRef<'_>, out: &mut String, plain: fn(&str, &mut String)) {
+    let (tag, key) = match step {
+        PathStep::Database(s) => ("db:", KeyRef::Str(s)),
+        PathStep::Segment(s) => ("seg:", KeyRef::Str(s)),
+        PathStep::Relation(s) => ("rel:", KeyRef::Str(s)),
+        PathStep::Attr(s) => ("attr:", KeyRef::Str(s)),
+        PathStep::Object(k) => ("obj:", k),
+        PathStep::Elem(k) => ("elem:", k),
     };
-    out.push_str(tag);
-    push_name(name, out, plain);
+    match key {
+        KeyRef::Str(name) => {
+            out.push_str(tag);
+            push_name(name, out, plain);
+        }
+        KeyRef::Int(i) => {
+            let _ = write!(out, "{}#{i}", &tag[..tag.len() - 1]);
+        }
+    }
 }
 
 impl ResourcePath {
     /// Appends the persisted path syntax, `/`-separated, names through
     /// `plain`.
     fn push_field(&self, out: &mut String, plain: fn(&str, &mut String)) {
-        for (i, step) in self.steps().iter().enumerate() {
+        for (i, step) in self.refs().enumerate() {
             if i > 0 {
                 out.push('/');
             }
@@ -380,31 +497,21 @@ impl ResourcePath {
 
 fn parse_step(seg: &str) -> Result<PathStep, CodecError> {
     let bad = || CodecError::BadField { field: seg.to_string(), expected: "resource path step" };
-    if let Some(rest) = seg.strip_prefix("db:") {
-        return Ok(PathStep::Database(unescape_name(rest)?));
-    }
-    if let Some(rest) = seg.strip_prefix("seg:") {
-        return Ok(PathStep::Segment(unescape_name(rest)?));
-    }
-    if let Some(rest) = seg.strip_prefix("rel:") {
-        return Ok(PathStep::Relation(unescape_name(rest)?));
-    }
-    if let Some(rest) = seg.strip_prefix("attr:") {
-        return Ok(PathStep::Attr(unescape_name(rest)?));
-    }
-    if let Some(rest) = seg.strip_prefix("obj#") {
-        return rest.parse().map(|i| PathStep::Object(ObjectKey::Int(i))).map_err(|_| bad());
-    }
-    if let Some(rest) = seg.strip_prefix("obj:") {
-        return Ok(PathStep::Object(ObjectKey::Str(unescape_name(rest)?)));
-    }
-    if let Some(rest) = seg.strip_prefix("elem#") {
-        return rest.parse().map(|i| PathStep::Elem(ObjectKey::Int(i))).map_err(|_| bad());
-    }
-    if let Some(rest) = seg.strip_prefix("elem:") {
-        return Ok(PathStep::Elem(ObjectKey::Str(unescape_name(rest)?)));
-    }
-    Err(bad())
+    let at = seg.find([':', '#']).ok_or_else(bad)?;
+    let (tag, int, rest) = (&seg[..at], seg.as_bytes()[at] == b'#', &seg[at + 1..]);
+    let key = || match int {
+        true => rest.parse().map(ObjectKey::Int).map_err(|_| bad()),
+        false => unescape_name(rest).map(ObjectKey::Str),
+    };
+    Ok(match (tag, int) {
+        ("db", false) => PathStep::Database(unescape_name(rest)?),
+        ("seg", false) => PathStep::Segment(unescape_name(rest)?),
+        ("rel", false) => PathStep::Relation(unescape_name(rest)?),
+        ("attr", false) => PathStep::Attr(unescape_name(rest)?),
+        ("obj", _) => PathStep::Object(key()?),
+        ("elem", _) => PathStep::Elem(key()?),
+        _ => return Err(bad()),
+    })
 }
 
 impl FieldCodec for ResourcePath {
@@ -442,6 +549,42 @@ mod tests {
             .object("c1")
             .attr("robots")
             .elem("r1")
+    }
+
+    /// FNV-1a over the plain byte stream of `PathStep`'s derived `Hash`,
+    /// the definition the lock table's placement was built on.
+    fn reference_hashes(steps: &[PathStep]) -> Vec<u64> {
+        struct Bytes(Vec<u8>);
+        impl Hasher for Bytes {
+            fn finish(&self) -> u64 {
+                0
+            }
+            fn write(&mut self, bytes: &[u8]) {
+                self.0.extend_from_slice(bytes);
+            }
+        }
+        let mut prefix = None;
+        steps
+            .iter()
+            .map(|step| {
+                let mut bytes = Bytes(Vec::new());
+                step.hash(&mut bytes);
+                let mut h = StepHasher(prefix.unwrap_or(0xcbf2_9ce4_8422_2325));
+                h.write(&bytes.0);
+                let mut z = h.finish();
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                prefix = Some(z ^ (z >> 31));
+                prefix.unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn prefix_hashes_are_fnv_over_the_derived_step_hash() {
+        let p = robot_r1().attr("trajectory").elem(ObjectKey::Int(-7)).child(PathStep::Object(ObjectKey::Int(3)));
+        let cached: Vec<u64> = (1..=p.len()).map(|n| p.prefix(n).hash_value()).collect();
+        assert_eq!(cached, reference_hashes(p.steps()));
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub use pad::CachePadded;
 pub use persistent::{Journal, JournalCrash, JournalError, JournalOp, JournalSink, Recovered};
 pub use stats::{LockStats, StatsSnapshot};
 pub use request::Request;
-pub use table::{AcquireOutcome, LockManager, LockRequestOptions, WaitPolicy};
+pub use table::{AcquireOutcome, FastMap, LockManager, LockRequestOptions, WaitPolicy};
 pub use txnid::{TxnId, TxnIdGen};
 
 /// Result alias for lock operations.

@@ -1299,7 +1299,7 @@ mod tests {
         assert_eq!(j.appends(), 1);
         let mut rq = mgr.request(t1);
         let chain: Vec<String> = ["db", "seg", "cells"].map(String::from).to_vec();
-        rq.acquire_intent_chain(&chain, IX, long).unwrap();
+        rq.acquire_intent_chain(&chain, IX, long, |_| {}).unwrap();
         rq.acquire("cells/c1".into(), X, long).unwrap();
         // A conversion and a widening of locks the request took itself, and
         // one of an earlier request's lock, all in the same set.

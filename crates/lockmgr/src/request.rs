@@ -68,14 +68,16 @@ impl<'a, R: Resource> Request<'a, R> {
     /// link the gate refuses (conversion, summary conflict) is delegated to
     /// the pessimistic path and the batch resumes after it. With the gate
     /// closed (long request, fast path disabled) the chain is the plain
-    /// sequence of [`Request::acquire`] calls. Outcomes come back per link,
-    /// in order; an error keeps earlier grants, exactly like that sequence.
+    /// sequence of [`Request::acquire`] calls. `answer` gets the outcome of
+    /// each link, in order (a fast-path answer while the stripe is locked);
+    /// an error keeps earlier grants, exactly like that sequence.
     pub fn acquire_intent_chain(
         &mut self,
         chain: &[R],
         mode: LockMode,
         opts: LockRequestOptions,
-    ) -> Result<Vec<AcquireOutcome>> {
+        mut answer: impl FnMut(AcquireOutcome),
+    ) -> Result<()> {
         debug_assert!(mode.is_intent(), "chain batching is for intent modes");
         explore::yield_point(|| {
             let mut label = format!("chain {mode}");
@@ -87,20 +89,25 @@ impl<'a, R: Resource> Request<'a, R> {
         });
         let (lm, txn) = (self.lm, self.txn);
         if !lm.gate_open(mode, opts) {
-            return chain.iter().map(|r| self.acquire(r.clone(), mode, opts)).collect();
+            for r in chain {
+                answer(self.acquire(r.clone(), mode, opts)?);
+            }
+            return Ok(());
         }
-        let mut out = Vec::with_capacity(chain.len());
-        while out.len() < chain.len() {
-            lm.gate_links(txn, &chain[out.len()..], mode, |o| out.push(o));
-            if let Some(refused) = chain.get(out.len()) {
+        let mut answered = 0;
+        while answered < chain.len() {
+            lm.gate_links(txn, &chain[answered..], mode, |o| {
+                answered += 1;
+                answer(o);
+            });
+            if let Some(refused) = chain.get(answered) {
                 // Delegate directly (not via `acquire`): the gate already
                 // counted this link, so re-entering it would double-count.
-                let outcome =
-                    lm.acquire_pessimistic(txn, refused.clone(), mode, opts, &mut self.staged)?;
-                out.push(outcome);
+                answer(lm.acquire_pessimistic(txn, refused.clone(), mode, opts, &mut self.staged)?);
+                answered += 1;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Ends the request: journals every long grant it staged as one grant

@@ -67,7 +67,7 @@ use std::time::Duration;
 /// DoS resistance buys nothing for an in-process table keyed by internal
 /// resource ids.
 #[derive(Default)]
-pub(crate) struct FastHasher(u64);
+pub struct FastHasher(u64);
 
 impl FastHasher {
     const K: u64 = 0x517c_c1b7_2722_0a95;
@@ -123,7 +123,7 @@ impl Hasher for FastHasher {
 }
 
 /// Hot maps (shard resources, txn inventories) keyed through [`FastHasher`].
-pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
+pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
 /// Marker trait for lock-table resource keys.
 pub trait Resource: Eq + Hash + Clone + fmt::Debug {}
@@ -651,9 +651,10 @@ impl<R: Resource> LockManager<R> {
         mode: LockMode,
         opts: LockRequestOptions,
     ) -> Result<Vec<AcquireOutcome>> {
+        let mut outcomes = Vec::with_capacity(chain.len());
         let mut request = self.request(txn);
-        let outcomes = request.acquire_intent_chain(chain, mode, opts);
-        request.finish().and(outcomes)
+        let done = request.acquire_intent_chain(chain, mode, opts, |o| outcomes.push(o));
+        request.finish().and(done).map(|()| outcomes)
     }
 
     /// Opens a request for `txn`: the journal boundary of one protocol

@@ -8,8 +8,8 @@
 
 use crate::frame::{encode_frame, FrameError, FrameReader};
 use crate::wire::{
-    encode_target, encode_value, parse_value, BeginKind, ErrorCode, Request, Response, Role,
-    WireError, PROTOCOL_VERSION,
+    encode_target, encode_value, parse_txn_id, parse_value, BeginKind, ErrorCode, Request, Response,
+    Role, WireError, PROTOCOL_VERSION,
 };
 use colock_core::{AccessMode, InstanceTarget};
 use colock_lockmgr::TxnId;
@@ -263,10 +263,8 @@ impl Client {
 
 fn parse_txn_field(field: Option<&String>) -> Result<TxnId, ClientError> {
     let text = field.ok_or(ClientError::Disconnected)?;
-    text.trim_start_matches('T')
-        .parse::<u64>()
-        .map(TxnId)
-        .map_err(|_| ClientError::Wire(WireError::BadCommand(format!("bad txn id {text:?}"))))
+    parse_txn_id(text)
+        .ok_or_else(|| ClientError::Wire(WireError::BadCommand(format!("bad txn id {text:?}"))))
 }
 
 fn parse_value_field(field: Option<&String>) -> Result<Value, ClientError> {

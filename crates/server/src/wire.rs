@@ -287,11 +287,9 @@ impl Request {
             "ABORT" => arity(&[0]).map(|_| Request::Abort),
             "RESUME" => {
                 arity(&[1])?;
-                let id = args[0]
-                    .trim_start_matches('T')
-                    .parse::<u64>()
-                    .map_err(|_| bad_arg(verb, format!("bad txn id {:?}", args[0])))?;
-                Ok(Request::Resume { txn: TxnId(id) })
+                let txn = parse_txn_id(&args[0])
+                    .ok_or_else(|| bad_arg(verb, format!("bad txn id {:?}", args[0])))?;
+                Ok(Request::Resume { txn })
             }
             "EXPLAIN" => arity(&[0]).map(|_| Request::Explain),
             "TRACE" => arity(&[0]).map(|_| Request::Trace),
@@ -596,6 +594,16 @@ impl Response {
 // Target codec (PROTOCOL.md §5.1)
 // ---------------------------------------------------------------------------
 
+/// A transaction id as PROTOCOL.md §3 spells it: decimal digits after at
+/// most one `T` (`17`, `T17`; not `TT17`, `t17` or `+17`).
+pub fn parse_txn_id(text: &str) -> Option<TxnId> {
+    let digits = text.strip_prefix('T').unwrap_or(text);
+    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    digits.parse().ok().map(TxnId)
+}
+
 /// Percent-escapes the characters that delimit target and value syntax.
 fn escape_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
@@ -620,11 +628,12 @@ fn escape_name(name: &str) -> String {
 
 /// Reverses [`escape_name`]. Each `%XX` is one byte, so a run of escapes
 /// decodes as UTF-8 (`caf%C3%A9` is `café`); bytes that are not UTF-8 are a
-/// `BadArg`. `XX` is exactly two ASCII hex digits: no sign, and no
-/// multi-byte character.
+/// `BadArg`. `XX` is exactly two uppercase hex digits, as the encoder writes
+/// them (PROTOCOL.md §5): no sign, no lowercase, and no multi-byte
+/// character.
 fn unescape_name(text: &str) -> Result<String, WireError> {
     let bad = |reason: String| WireError::BadArg { verb: "target".into(), reason };
-    let hex = |b: u8| char::from(b).to_digit(16);
+    let hex = |b: u8| char::from(b).to_digit(16).filter(|_| !b.is_ascii_lowercase());
     let mut out = Vec::with_capacity(text.len());
     let bytes = text.as_bytes();
     let mut i = 0;

@@ -9,8 +9,8 @@ use colock_nf2::value::build;
 use colock_nf2::{ObjectKey, Value};
 use colock_server::frame::{encode_frame, FrameError, FrameReader, FRAME_MAX};
 use colock_server::wire::{
-    encode_target, encode_value, parse_target, parse_value, BeginKind, ErrorCode, Request,
-    Response, Role, ALL_ERROR_CODES, PROTOCOL_VERSION,
+    encode_target, encode_value, parse_target, parse_txn_id, parse_value, BeginKind, ErrorCode,
+    Request, Response, Role, ALL_ERROR_CODES, PROTOCOL_VERSION,
 };
 use colock_testkit::Rng;
 use std::io::Cursor;
@@ -132,9 +132,10 @@ fn percent_escapes_decode_as_utf8_bytes() {
     assert!(parse_value("s:%FF").is_err());
 }
 
-/// An escape is exactly two ASCII hex digits: a sign is not a digit, and a
-/// multi-byte character after one digit is a bad escape, not a dangling one.
-/// Every valid escape decodes as before.
+/// An escape is exactly two uppercase hex digits: a sign is not a digit, a
+/// multi-byte character after one digit is a bad escape, not a dangling one,
+/// and lowercase hex, which the encoder never writes, is refused
+/// (PROTOCOL.md §5). Every uppercase escape decodes.
 #[test]
 fn percent_escapes_take_two_hex_digits_only() {
     for bad in ["%+1", "%+F", "%-1", "%a\u{e9}", "%\u{e9}", "x%g0"] {
@@ -152,8 +153,38 @@ fn percent_escapes_take_two_hex_digits_only() {
     for byte in 0..=0x7fu8 {
         let want = Some(ObjectKey::Str(char::from(byte).to_string()));
         assert_eq!(key(&format!("%{byte:02X}")), want);
-        assert_eq!(key(&format!("%{byte:02x}")), want);
     }
+}
+
+/// `%5E` is `^`; its lowercase spelling `%5e` is not an escape the protocol
+/// has, in a target or in a value.
+#[test]
+fn lowercase_percent_escapes_are_refused() {
+    assert_eq!(
+        parse_target("rel:cells/obj:%5E").unwrap().object,
+        Some(ObjectKey::Str("^".into()))
+    );
+    for bad in ["%5e", "%2f", "%c3%a9", "%C3%a9"] {
+        let text = format!("rel:cells/obj:{bad}");
+        let err = parse_target(&text).expect_err(&text);
+        assert!(err.to_string().contains("bad percent escape"), "{text}: {err}");
+        assert!(parse_value(&format!("s:{bad}")).is_err(), "{bad}");
+    }
+}
+
+/// `RESUME` takes a transaction id with at most one `T` (PROTOCOL.md §3),
+/// and so does the client reading `OK T<txnid>`: `T17` and `17` are T17.
+#[test]
+fn a_txn_id_has_at_most_one_t() {
+    assert_eq!(parse_txn_id("T17"), Some(TxnId(17)));
+    assert_eq!(parse_txn_id("17"), Some(TxnId(17)));
+    for bad in ["TT17", "t17", "+17", "T+17", "T", "", "T1 7", "T-1", "T18446744073709551616"] {
+        assert_eq!(parse_txn_id(bad), None, "{bad:?}");
+    }
+    assert_eq!(Request::parse("RESUME\tT17").unwrap(), Request::Resume { txn: TxnId(17) });
+    assert_eq!(Request::parse("RESUME\t17").unwrap(), Request::Resume { txn: TxnId(17) });
+    let err = Request::parse("RESUME\tTT17").unwrap_err();
+    assert!(err.to_string().contains("bad txn id"), "{err}");
 }
 
 #[test]

@@ -143,6 +143,7 @@ impl<'m> Transaction<'m> {
             authz: mgr.authorization(),
             opts,
             cache: Some(&self.st.cache),
+            list_grants: false,
         };
         Ok(mgr.engine().lock(&cx, mgr.protocol(), target, mode)?)
     }
