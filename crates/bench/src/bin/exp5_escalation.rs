@@ -57,7 +57,7 @@ fn main() {
         for i in 0..k.min(16) {
             let target = InstanceTarget::object("cells", "c1")
                 .elem("c_objects", format!("c1-o{i}"));
-            locks += t.lock(&target, AccessMode::Read).unwrap().lock_count();
+            locks += t.lock(&target, AccessMode::Read).unwrap().granted;
         }
         if k > 16 {
             // Escalate: coarse lock + release of the element locks.

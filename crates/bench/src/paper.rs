@@ -300,7 +300,7 @@ fn exp1(o: &mut String) -> fmt::Result {
             // Lock footprint of Q1 alone.
             let t = mgr.begin(TxnKind::Short);
             let (target, access) = Op::ReadParts { cell: 0 }.target();
-            let locks = t.lock(&target, access).expect("Q1 locks").lock_count();
+            let locks = t.lock(&target, access).expect("Q1 locks").granted;
             t.commit().unwrap();
 
             // Interleaving of Q1 ∥ Q2 under the deterministic driver.
@@ -350,7 +350,7 @@ fn exp2(o: &mut String) -> fmt::Result {
                 n_cells.to_string(),
                 format!("{:.1}", cfg.sharing_degree()),
                 protocol.name().to_string(),
-                report.lock_count().to_string(),
+                report.granted.to_string(),
                 report.scan_cost.to_string(),
                 report.entry_points_locked.to_string(),
             ]);
@@ -535,7 +535,7 @@ fn exp6(o: &mut String) -> fmt::Result {
         let mgr = cells_manager(&cfg, protocol);
         let t = mgr.begin(TxnKind::Short);
         let report = t.lock(&InstanceTarget::object("cells", "c1"), AccessMode::Update).unwrap();
-        table.row(vec![protocol.name().to_string(), report.lock_count().to_string()]);
+        table.row(vec![protocol.name().to_string(), report.granted.to_string()]);
         t.commit().unwrap();
     }
     writeln!(o, "{}", table.render())?;

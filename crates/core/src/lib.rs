@@ -57,7 +57,7 @@ pub use authorization::{Authorization, Right};
 pub use graph::{derive_lock_graph, Category, ConceptGraph, DbLockGraph, NodeId, Units};
 pub use optimizer::{AccessEstimate, Granularity, LockPlan, Optimizer, PlannedLock};
 pub use protocol::{
-    AccessMode, InstanceSource, InstanceTarget, LockCtx, LockReport, ProtocolEngine, ProtocolError,
+    AccessMode, InstanceSource, InstanceTarget, LockCounts, LockCtx, LockReport, ProtocolEngine, ProtocolError,
     ProtocolKind, ProtocolOptions, ReverseScan, TargetStep, TxnLockCache,
 };
 pub use resource::{PathStep, ResourcePath};

@@ -92,11 +92,10 @@ impl ProtocolOptions {
 /// Record of the locks a protocol run acquired, in acquisition order.
 #[derive(Debug, Clone, Default)]
 pub struct LockReport {
-    /// `(resource, mode)` per granted (non-redundant) request, in a context
-    /// that lists them ([`LockCtx::list_grants`]); empty otherwise.
+    /// `(resource, mode)` per granted (non-redundant) request.
     pub acquired: Vec<(ResourcePath, LockMode)>,
-    /// Granted (non-redundant) requests, listed or not.
-    pub granted: usize,
+    /// Granted requests, counted also in a run that does not list them.
+    pub(crate) granted: usize,
     /// Requests answered `AlreadyHeld` (covered by an earlier lock).
     pub redundant: u64,
     /// Requests that had to wait.
@@ -110,7 +109,7 @@ pub struct LockReport {
 impl LockReport {
     /// Number of lock-table touching requests (granted, non-redundant).
     pub fn lock_count(&self) -> usize {
-        self.granted
+        self.acquired.len()
     }
 
     /// Renders the report like Fig. 7 annotations: `resource: MODE` lines.
@@ -140,6 +139,22 @@ impl LockReport {
     }
 }
 
+/// A [`LockReport`] without its list of grants: what
+/// [`ProtocolEngine::lock_counted`] returns.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LockCounts {
+    /// Granted (non-redundant) requests.
+    pub granted: usize,
+    /// Requests answered `AlreadyHeld` (covered by an earlier lock).
+    pub redundant: u64,
+    /// Requests that had to wait.
+    pub waited: u64,
+    /// Complex objects visited by reverse scans (naive-DAG baseline only).
+    pub scan_cost: u64,
+    /// Entry points locked by downward propagation.
+    pub entry_points_locked: u64,
+}
+
 /// The protocol engine: catalog + derived lock graph + common-data set.
 ///
 /// One engine serves all protocols; each protocol is a method (see the
@@ -148,9 +163,6 @@ pub struct ProtocolEngine {
     catalog: Arc<Catalog>,
     graph: DbLockGraph,
     common: HashSet<String>,
-    /// Per relation, its path (database, segment, relation): every target's
-    /// resource extends one, copying its text and hashes.
-    relations: HashMap<String, ResourcePath>,
 }
 
 impl ProtocolEngine {
@@ -163,14 +175,7 @@ impl ProtocolEngine {
             .iter()
             .map(|r| r.name.clone())
             .collect();
-        let schema = catalog.schema();
-        let relations = (schema.relations.iter())
-            .map(|r| {
-                let steps = [PathStep::Database(&*schema.name), PathStep::Segment(&r.segment), PathStep::Relation(&r.name)];
-                (r.name.clone(), ResourcePath::from_refs(steps.into_iter()))
-            })
-            .collect();
-        ProtocolEngine { catalog, graph, common, relations }
+        ProtocolEngine { catalog, graph, common }
     }
 
     /// The catalog.
@@ -188,19 +193,21 @@ impl ProtocolEngine {
         self.common.contains(relation)
     }
 
-    /// The instance resource for a target: a new spine, its relation's
-    /// prefix copied (no refcount of the engine's is touched).
+    /// The instance resource for a target, on a new spine whose names are
+    /// copied from the catalog and the target (no shared refcount moves).
     pub fn resource_for(&self, target: &InstanceTarget) -> Result<ResourcePath, ProtocolError> {
-        match self.relations.get(&target.relation) {
-            Some(relation) => Ok(relation.extended(target.refs().skip(1))),
-            None => Err(ProtocolError::UnknownRelation(target.relation.clone())),
-        }
+        let schema = self.catalog.schema();
+        let relation = (schema.relation(&target.relation))
+            .map_err(|_| ProtocolError::UnknownRelation(target.relation.clone()))?;
+        let top = [PathStep::Database(&*schema.name), PathStep::Segment(&*relation.segment)];
+        Ok(ResourcePath::from_refs(top.into_iter().chain(target.refs())))
     }
 }
 
 /// Per-transaction cache of locks already obtained, letting the protocol
 /// paths answer "is this request covered?" without a lock-table round-trip,
-/// and of the last paths it resolved, so a repeated target costs no spine.
+/// and of the last request's target path, so the same target requested
+/// again (an S→X conversion, a covered re-request) costs no spine.
 ///
 /// Rules 1–5 re-request the same database/segment/relation intention locks
 /// on *every* access; before this cache each re-request paid a shard lock
@@ -218,8 +225,8 @@ impl ProtocolEngine {
 #[derive(Debug, Default)]
 pub struct TxnLockCache {
     held: RefCell<FastMap<ResourcePath, (LockMode, bool)>>,
-    /// The last paths resolved, newest first.
-    resolved: RefCell<[Option<ResourcePath>; 4]>,
+    /// The last request's target path.
+    target: RefCell<Option<ResourcePath>>,
     /// A request's cache-missing ancestors, kept for the buffer.
     chain: RefCell<Vec<ResourcePath>>,
 }
@@ -258,14 +265,14 @@ impl TxnLockCache {
         self.held.borrow_mut().clear();
     }
 
-    /// The resource of `target`: a path resolved before, or a new one kept.
+    /// The resource of a request's `target`: the last request's if it names
+    /// the same target, else a new path, kept for the next request.
     fn resolve(&self, engine: &ProtocolEngine, target: &InstanceTarget) -> Result<ResourcePath, ProtocolError> {
-        let mut resolved = self.resolved.borrow_mut();
-        if let Some(path) = resolved.iter().flatten().find(|p| target.is_named_by(p)) {
-            return Ok(path.clone());
+        let mut last = self.target.borrow_mut();
+        match &*last {
+            Some(path) if target.is_named_by(path) => Ok(path.clone()),
+            _ => Ok(last.insert(engine.resource_for(target)?).clone()),
         }
-        resolved.rotate_right(1);
-        Ok(resolved[0].insert(engine.resource_for(target)?).clone())
     }
 }
 
@@ -336,21 +343,18 @@ pub struct LockCtx<'a> {
     pub opts: ProtocolOptions,
     /// Per-transaction cache of locks already obtained, if any.
     pub cache: Option<&'a TxnLockCache>,
-    /// Whether the report lists every grant ([`LockReport::acquired`]) or
-    /// only counts it, which costs no clone and no allocation.
-    pub list_grants: bool,
 }
 
 impl<'a> LockCtx<'a> {
-    /// A context with default options, no cache and a listing report;
-    /// override any with struct-update syntax (`LockCtx { opts, ..cx }`).
+    /// A context with default options and no cache; override either with
+    /// struct-update syntax (`LockCtx { opts, ..cx }`).
     pub fn new(
         lm: &'a LockManager<ResourcePath>,
         txn: TxnId,
         src: &'a dyn InstanceSource,
         authz: &'a Authorization,
     ) -> Self {
-        LockCtx { lm, txn, src, authz, opts: ProtocolOptions::default(), cache: None, list_grants: true }
+        LockCtx { lm, txn, src, authz, opts: ProtocolOptions::default(), cache: None }
     }
 }
 
@@ -374,6 +378,31 @@ impl ProtocolEngine {
         target: &InstanceTarget,
         mode: LockMode,
     ) -> Result<LockReport, ProtocolError> {
+        self.run(cx, protocol, target, mode, true)
+    }
+
+    /// [`lock`](Self::lock) for a caller that reads only counts: no grant
+    /// is cloned into a list, so a request allocates no report.
+    pub fn lock_counted(
+        &self,
+        cx: &LockCtx<'_>,
+        protocol: ProtocolKind,
+        target: &InstanceTarget,
+        mode: LockMode,
+    ) -> Result<LockCounts, ProtocolError> {
+        let r = self.run(cx, protocol, target, mode, false)?;
+        let (granted, redundant, waited, scan_cost) = (r.granted, r.redundant, r.waited, r.scan_cost);
+        Ok(LockCounts { granted, redundant, waited, scan_cost, entry_points_locked: r.entry_points_locked })
+    }
+
+    fn run(
+        &self,
+        cx: &LockCtx<'_>,
+        protocol: ProtocolKind,
+        target: &InstanceTarget,
+        mode: LockMode,
+        list: bool,
+    ) -> Result<LockReport, ProtocolError> {
         // Write-side modes are exactly those whose parents must announce IX:
         // semantic Insert/Delete sit *below* IX in the lattice yet authorize
         // mutation, so `covers(IX)` would misclassify them as reads.
@@ -391,6 +420,7 @@ impl ProtocolEngine {
         let mut ctx = Ctx {
             cx: LockCtx { opts: ProtocolOptions { rule4_prime, ..cx.opts }, ..*cx },
             report: LockReport::default(),
+            list,
             request: cx.lm.request(txn),
         };
         let coarse = LockMode::from(access);
@@ -423,7 +453,7 @@ impl ProtocolEngine {
         opts: ProtocolOptions,
         cache: Option<&TxnLockCache>,
     ) -> Result<LockReport, ProtocolError> {
-        let cx = LockCtx { lm, txn, src, authz, opts, cache, list_grants: true };
+        let cx = LockCtx { lm, txn, src, authz, opts, cache };
         self.lock(&cx, ProtocolKind::proposed(opts), target, mode)
     }
 }
@@ -438,11 +468,12 @@ pub(crate) fn work_for(refs: Vec<ObjectRef>, mode: LockMode, tag: RuleTag) -> Ve
 }
 
 /// Mutable per-call state of a protocol body: the bound [`LockCtx`], the
-/// accumulating report and the lock-manager request every lock of the call
-/// goes through.
+/// accumulating report (listing its grants if `list`) and the lock-manager
+/// request every lock of the call goes through.
 pub(crate) struct Ctx<'a> {
     pub cx: LockCtx<'a>,
     pub report: LockReport,
+    list: bool,
     pub request: Request<'a, ResourcePath>,
 }
 
@@ -451,7 +482,7 @@ impl Ctx<'_> {
         LockRequestOptions { policy: self.cx.opts.wait, long: self.cx.opts.long }
     }
 
-    /// The resource of `target`, through the cache's resolver if there is a cache.
+    /// The resource of a request's target, through the cache if there is one.
     pub(crate) fn resolve(&self, engine: &ProtocolEngine, target: &InstanceTarget) -> Result<ResourcePath, ProtocolError> {
         self.cx.cache.map_or_else(|| engine.resource_for(target), |cache| cache.resolve(engine, target))
     }
@@ -467,12 +498,12 @@ impl Ctx<'_> {
     }
 
     /// Books one lock-table answer in the report.
-    fn book(cx: &LockCtx<'_>, report: &mut LockReport, resource: &ResourcePath, mode: LockMode, outcome: AcquireOutcome) {
+    fn book(list: bool, report: &mut LockReport, resource: &ResourcePath, mode: LockMode, outcome: AcquireOutcome) {
         match outcome {
             AcquireOutcome::Granted { waited } => {
                 report.waited += u64::from(waited);
                 report.granted += 1;
-                if cx.list_grants {
+                if list {
                     report.acquired.push((resource.clone(), mode));
                 }
             }
@@ -500,7 +531,7 @@ impl Ctx<'_> {
         }
         let opts = self.request_opts();
         let outcome = self.request.acquire(resource.clone(), mode, opts)?;
-        Self::book(&self.cx, &mut self.report, resource, mode, outcome);
+        Self::book(self.list, &mut self.report, resource, mode, outcome);
         self.record(resource, mode);
         Ok(())
     }
@@ -526,11 +557,11 @@ impl Ctx<'_> {
         chain.reserve(resource.len());
         chain.extend(resource.prefixes().filter(|anc| !self.covered(anc, intent)));
         let opts = self.request_opts();
-        let (cx, report, mut links) = (&self.cx, &mut self.report, chain.iter());
+        let (list, report, mut links) = (self.list, &mut self.report, chain.iter());
         let done = match chain.is_empty() {
             true => Ok(()),
             false => self.request.acquire_intent_chain(&chain, intent, opts, |outcome| {
-                Self::book(cx, report, links.next().expect("one answer per link"), intent, outcome)
+                Self::book(list, report, links.next().expect("one answer per link"), intent, outcome)
             }),
         };
         if done.is_ok() {

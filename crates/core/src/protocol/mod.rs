@@ -22,6 +22,6 @@ pub mod tuple_level;
 pub mod whole_object;
 
 pub use engine::{
-    LockCtx, LockReport, ProtocolEngine, ProtocolError, ProtocolKind, ProtocolOptions, TxnLockCache,
+    LockCounts, LockCtx, LockReport, ProtocolEngine, ProtocolError, ProtocolKind, ProtocolOptions, TxnLockCache,
 };
 pub use target::{AccessMode, InstanceSource, InstanceTarget, ReverseScan, TargetStep};

@@ -69,7 +69,7 @@ impl ProtocolEngine {
             let mut shared_parents = Vec::new();
             for parent in scan.referencing {
                 // The referencing subobject and all its ancestors in IX.
-                ctx.lock_node(&ctx.resolve(self, &parent)?, mode, tag)?;
+                ctx.lock_node(&self.resource_for(&parent)?, mode, tag)?;
                 // If the referencing object itself lives in common data, its
                 // parents must be locked as well (transitive rule).
                 if self.is_common(&parent.relation) {

@@ -52,7 +52,7 @@ impl ProtocolEngine {
         }
         let initial = Self::entry_points(ctx, refs_of(ctx.cx.src, target), mode);
         ctx.walk(initial, |ctx, entry, mode, tag| {
-            ctx.lock_node(&ctx.resolve(self, entry)?, mode, tag)?;
+            ctx.lock_node(&self.resource_for(entry)?, mode, tag)?;
             ctx.report.entry_points_locked += 1;
             // Common data may again contain common data (§2): recurse into
             // references of the inner unit just locked.

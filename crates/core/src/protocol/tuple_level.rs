@@ -50,7 +50,7 @@ impl ProtocolEngine {
         mode: LockMode,
     ) -> Result<(), ProtocolError> {
         for t in tuples {
-            let resource = ctx.resolve(self, t)?;
+            let resource = self.resource_for(t)?;
             {
                 // Intent locks on database/segment/relation only (the first
                 // three levels), then the tuple itself: System R's flat graph

@@ -26,7 +26,7 @@ impl ProtocolEngine {
         let whole = InstanceTarget { steps: Vec::new(), ..target.clone() };
         ctx.lock_node(&ctx.resolve(self, &whole)?, mode, tag)?;
         ctx.walk(work_for(refs_of(ctx.cx.src, &whole), mode, tag), |ctx, object, mode, tag| {
-            ctx.lock_node(&ctx.resolve(self, object)?, mode, tag)?;
+            ctx.lock_node(&self.resource_for(object)?, mode, tag)?;
             Ok(work_for(ctx.cx.src.refs_under(object), mode, tag))
         })
     }

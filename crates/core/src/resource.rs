@@ -100,6 +100,15 @@ impl PathStep {
     }
 }
 
+impl KeyRef<'_> {
+    fn owned(self) -> ObjectKey {
+        match self {
+            KeyRef::Str(s) => ObjectKey::Str(s.to_string()),
+            KeyRef::Int(i) => ObjectKey::Int(i),
+        }
+    }
+}
+
 impl<'a> StepRef<'a> {
     /// The step's string name (its key's, if a string key; else empty).
     fn name(self) -> &'a str {
@@ -110,18 +119,25 @@ impl<'a> StepRef<'a> {
         }
     }
 
-    /// The same step with `name` for its string name.
-    fn named<'b>(self, name: &'b str) -> StepRef<'b> {
-        let key = |k: &KeyRef<'_>| if let KeyRef::Int(i) = *k { KeyRef::Int(i) } else { KeyRef::Str(name) };
-        self.map(|_| name, key)
+    /// The step without its string name.
+    fn shape(self) -> Shape {
+        self.map(|_| (), |k| if let KeyRef::Int(i) = *k { Some(i) } else { None })
     }
 
     fn owned(self) -> PathStep {
-        let key = |k: &KeyRef<'_>| match *k {
-            KeyRef::Str(s) => ObjectKey::Str(s.to_string()),
-            KeyRef::Int(i) => ObjectKey::Int(i),
-        };
-        self.map(|s| s.to_string(), key)
+        self.map(|s| s.to_string(), |k| k.owned())
+    }
+}
+
+/// A step's kind, and its key if that is an integer: what a spine keeps per
+/// step besides the name. Comparing shapes compares no string; two empty
+/// `&str` compare through `memcmp`, at ~170 ns a call on some x86 hosts.
+type Shape = PathStep<(), Option<i64>>;
+
+impl Shape {
+    /// The step of this shape named `name`.
+    fn named(self, name: &str) -> StepRef<'_> {
+        self.map(|_| name, |k| k.map_or(KeyRef::Str(name), KeyRef::Int))
     }
 }
 
@@ -145,10 +161,10 @@ pub struct ResourcePath {
 struct Spine {
     /// The steps' string names, back to back.
     names: String,
-    /// Per step: its shape (the step with an empty string name), where its
-    /// name ends in `names`, and [`prefix_hash`] of the prefix it ends — so
-    /// equal step prefixes have equal nodes on any spine.
-    nodes: Vec<(StepRef<'static>, usize, u64)>,
+    /// Per step: its shape, where its name ends in `names`, and
+    /// [`prefix_hash`] of the prefix it ends — so equal step prefixes have
+    /// equal nodes on any spine.
+    nodes: Vec<(Shape, usize, u64)>,
     /// The steps as owned values, built by the first [`ResourcePath::steps`].
     steps: OnceLock<Box<[PathStep]>>,
 }
@@ -243,31 +259,18 @@ impl ResourcePath {
         Self::from_refs(steps.iter().map(PathStep::borrowed))
     }
 
-    /// Builds a path from borrowed steps (the first a `Database`).
+    /// Builds a path from borrowed steps (the first a `Database`) on a new
+    /// spine, hashing each prefix once; its buffers are sized in a first
+    /// pass over `steps`.
     pub(crate) fn from_refs<'a>(steps: impl Iterator<Item = StepRef<'a>> + Clone) -> Self {
         debug_assert!(matches!(steps.clone().next(), Some(PathStep::Database(_))));
-        Self::build(("", &[]), steps)
-    }
-
-    /// This path extended by `steps`, on a new spine: this one's names and
-    /// step table are copied (no refcount of it is touched, no hash redone).
-    pub(crate) fn extended<'a>(&self, steps: impl Iterator<Item = StepRef<'a>> + Clone) -> Self {
-        let names = &self.spine.names[..self.spine.nodes[self.len - 1].1];
-        Self::build((names, &self.spine.nodes[..self.len]), steps)
-    }
-
-    /// A spine of `base`'s names and nodes, then `steps`, hashing each
-    /// prefix once; its buffers are sized in a first pass over `steps`.
-    fn build<'a>(base: (&str, &[(StepRef<'static>, usize, u64)]), steps: impl Iterator<Item = StepRef<'a>> + Clone) -> Self {
-        let size = steps.clone().fold((base.0.len(), base.1.len()), |(b, n), s| (b + s.name().len(), n + 1));
+        let size = steps.clone().fold((0, 0), |(b, n), s| (b + s.name().len(), n + 1));
         let mut spine =
             Spine { names: String::with_capacity(size.0), nodes: Vec::with_capacity(size.1), steps: OnceLock::new() };
-        spine.names.push_str(base.0);
-        spine.nodes.extend_from_slice(base.1);
         for step in steps {
             spine.names.push_str(step.name());
             let hash = prefix_hash(spine.nodes.last().map(|n| n.2), step);
-            spine.nodes.push((step.named(""), spine.names.len(), hash));
+            spine.nodes.push((step.shape(), spine.names.len(), hash));
         }
         ResourcePath { spine: Arc::new(spine), len: size.1 }
     }
@@ -298,7 +301,8 @@ impl ResourcePath {
         (0..self.len).map(|i| self.spine.step(i))
     }
 
-    /// The steps of this path as owned values, built once per spine.
+    /// The steps of this path as owned values, built once per spine (the
+    /// lock path reads [`refs`](Self::refs) instead).
     pub fn steps(&self) -> &[PathStep] {
         let spine = &*self.spine;
         &spine.steps.get_or_init(|| (0..spine.nodes.len()).map(|i| spine.step(i).owned()).collect())[..self.len]
@@ -306,7 +310,7 @@ impl ResourcePath {
 
     /// Extends by one step (a new spine: the steps are copied).
     pub fn child(&self, step: PathStep) -> Self {
-        self.extended(iter::once(step.borrowed()))
+        Self::from_refs(self.refs().chain(iter::once(step.borrowed())))
     }
     /// Convenience: segment child.
     pub fn segment(&self, name: impl Into<String>) -> Self {
@@ -372,9 +376,9 @@ impl ResourcePath {
     }
 
     /// The complex-object key on this path, if any.
-    pub fn object_key(&self) -> Option<&ObjectKey> {
-        self.steps().iter().find_map(|s| match s {
-            PathStep::Object(k) => Some(k),
+    pub fn object_key(&self) -> Option<ObjectKey> {
+        self.refs().find_map(|s| match s {
+            PathStep::Object(k) => Some(k.owned()),
             _ => None,
         })
     }
@@ -383,21 +387,6 @@ impl ResourcePath {
     pub fn object_prefix(&self) -> Option<ResourcePath> {
         let idx = self.refs().position(|s| matches!(s, PathStep::Object(_)))?;
         Some(self.prefix(idx + 1))
-    }
-
-    /// The attribute steps after the complex-object step (schema path within
-    /// the object, ignoring element keys).
-    pub fn attr_steps(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        let mut past_object = false;
-        for s in self.refs() {
-            match s {
-                PathStep::Object(_) => past_object = true,
-                PathStep::Attr(a) if past_object => out.push(a),
-                _ => {}
-            }
-        }
-        out
     }
 }
 
@@ -609,12 +598,11 @@ mod tests {
     fn relation_and_object_extraction() {
         let p = robot_r1();
         assert_eq!(p.relation_name(), Some("cells"));
-        assert_eq!(p.object_key(), Some(&ObjectKey::Str("c1".into())));
+        assert_eq!(p.object_key(), Some(ObjectKey::Str("c1".into())));
         assert_eq!(
             p.object_prefix().unwrap().to_string(),
             "db:db1/seg:seg1/rel:cells/obj:c1"
         );
-        assert_eq!(p.attr_steps(), vec!["robots"]);
     }
 
     #[test]
@@ -631,7 +619,7 @@ mod tests {
         let c = a.child(PathStep::Attr("trajectory".into()));
         assert_ne!(a, c);
         assert!(a.is_prefix_of(&c));
-        assert_eq!(c.attr_steps(), vec!["robots", "trajectory"]);
+        assert_eq!(c.parent(), Some(a));
     }
 
     #[test]

@@ -413,9 +413,9 @@ impl<'t> Executor<'t, '_> {
         Ok(())
     }
 
-    fn absorb(&mut self, report: &colock_core::LockReport) {
-        self.outcome.lock_requests += report.lock_count();
-        self.outcome.entry_points_locked += report.entry_points_locked;
+    fn absorb(&mut self, counts: &colock_core::LockCounts) {
+        self.outcome.lock_requests += counts.granted;
+        self.outcome.entry_points_locked += counts.entry_points_locked;
     }
 
     /// Nested-loop iteration over the slots from `idx` on, below the row

@@ -5,7 +5,7 @@ use crate::manager::TransactionManager;
 use crate::undo::UndoRecord;
 use crate::Result;
 use colock_core::{
-    AccessMode, InstanceTarget, LockCtx, LockReport, ProtocolOptions, TargetStep, TxnLockCache,
+    AccessMode, InstanceTarget, LockCounts, LockCtx, ProtocolOptions, TargetStep, TxnLockCache,
 };
 use colock_lockmgr::{LockMode, TxnId, WaitPolicy};
 use colock_nf2::{ObjectKey, Value};
@@ -128,7 +128,7 @@ impl<'m> Transaction<'m> {
         target: &InstanceTarget,
         mode: LockMode,
         opts: ProtocolOptions,
-    ) -> Result<LockReport> {
+    ) -> Result<LockCounts> {
         if self.st.snap.is_some() {
             return Err(TxnError::ReadOnlyTxn(self.id));
         }
@@ -143,9 +143,8 @@ impl<'m> Transaction<'m> {
             authz: mgr.authorization(),
             opts,
             cache: Some(&self.st.cache),
-            list_grants: false,
         };
-        Ok(mgr.engine().lock(&cx, mgr.protocol(), target, mode)?)
+        Ok(mgr.engine().lock_counted(&cx, mgr.protocol(), target, mode)?)
     }
 
     /// Any write on a read-only transaction is rejected, snapshot or not.
@@ -157,13 +156,13 @@ impl<'m> Transaction<'m> {
     }
 
     /// Locks `target` for `access` without touching data (explicit lock
-    /// request). Returns the lock report.
-    pub fn lock(&self, target: &InstanceTarget, access: AccessMode) -> Result<LockReport> {
+    /// request). Returns the lock counts.
+    pub fn lock(&self, target: &InstanceTarget, access: AccessMode) -> Result<LockCounts> {
         self.request(target, access.into(), self.opts())
     }
 
     /// Non-blocking lock (used by deterministic schedulers).
-    pub fn try_lock(&self, target: &InstanceTarget, access: AccessMode) -> Result<LockReport> {
+    pub fn try_lock(&self, target: &InstanceTarget, access: AccessMode) -> Result<LockCounts> {
         self.request(target, access.into(), self.opts().try_lock())
     }
 
@@ -173,13 +172,13 @@ impl<'m> Transaction<'m> {
         &self,
         target: &InstanceTarget,
         mode: LockMode,
-    ) -> Result<LockReport> {
+    ) -> Result<LockCounts> {
         self.request(target, mode, self.opts())
     }
 
     /// Locks without downward propagation — for accesses whose semantics
     /// provably never dereference the contained references (§4.5).
-    pub fn lock_no_deref(&self, target: &InstanceTarget, access: AccessMode) -> Result<LockReport> {
+    pub fn lock_no_deref(&self, target: &InstanceTarget, access: AccessMode) -> Result<LockCounts> {
         self.request(target, access.into(), ProtocolOptions { deref_refs: false, ..self.opts() })
     }
 

@@ -46,12 +46,16 @@ fn main() {
     // TWO superunit boundaries — S-locks its parts and their materials.
     let t = mgr.begin(TxnKind::Short);
     let target = InstanceTarget::object("assemblies", assembly_key(0));
-    let report = t.lock(&target, AccessMode::Update).unwrap();
-    println!("locks for X on assembly a1:");
-    print!("{}", report.render());
+    let counts = t.lock(&target, AccessMode::Update).unwrap();
+    let mut held = mgr.lock_manager().locks_of(t.id());
+    held.sort();
+    println!("locks held after X on assembly a1:");
+    for (resource, mode, _) in &held {
+        println!("{resource}: {mode}");
+    }
     println!(
         "\nentry points locked transitively (parts + materials): {}",
-        report.entry_points_locked
+        counts.entry_points_locked
     );
 
     // A second designer updates another assembly sharing parts: concurrent.
@@ -60,15 +64,15 @@ fn main() {
         .try_lock(&InstanceTarget::object("assemblies", assembly_key(1)), AccessMode::Update)
         .is_ok();
     println!("second designer works concurrently on a2: {ok}");
+    assert!(ok, "updaters of assemblies sharing parts must not conflict");
 
     // A librarian WITH update rights on parts tries to modify a part both
     // assemblies use — properly blocked by the S entry-point locks.
     let librarian_mgr = mgr.lock_manager();
-    let part = report
-        .acquired
+    let part = held
         .iter()
-        .find(|(r, m)| r.relation_name() == Some("parts") && *m == LockMode::S)
-        .map(|(r, _)| r.clone())
+        .find(|(r, m, _)| r.relation_name() == Some("parts") && *m == LockMode::S)
+        .map(|(r, _, _)| r.clone())
         .expect("a part entry lock");
     let holders = librarian_mgr.holders(&part);
     println!(
@@ -76,6 +80,7 @@ fn main() {
         part,
         holders.len()
     );
+    assert!(holders.contains(&(t.id(), LockMode::S)), "the designer holds the part's entry lock");
 
     t.commit().unwrap();
     t2.commit().unwrap();
@@ -83,19 +88,24 @@ fn main() {
     // The §4.5 semantic exploitation: deleting an assembly never reads its
     // parts, so no locks on the libraries are taken at all.
     let t3 = mgr.begin(TxnKind::Short);
-    let report = t3
-        .lock_no_deref(&InstanceTarget::object("assemblies", assembly_key(2)), AccessMode::Update)
+    t3.lock_no_deref(&InstanceTarget::object("assemblies", assembly_key(2)), AccessMode::Update)
         .unwrap();
-    let lib_locks = report
-        .acquired
-        .iter()
-        .filter(|(r, _)| matches!(r.relation_name(), Some("parts") | Some("materials")))
+    let lib_locks = (mgr.lock_manager().locks_of(t3.id()).iter())
+        .filter(|(r, _, _)| matches!(r.relation_name(), Some("parts") | Some("materials")))
         .count();
     println!("\ndelete-style access to a3 took {lib_locks} locks on the libraries (semantics exploited)");
+    assert_eq!(lib_locks, 0, "an access that never dereferences locks no library entry");
     t3.commit().unwrap();
 
     if tracing {
         println!("\n--- trace-explain (COLOCK_TRACE was set) ---\n");
         print!("{}", render_timeline(&timeline(&colock::trace::events_since(mark))));
     }
+}
+
+/// `cargo test` runs the example (its `[[example]]` entry sets `test`), so
+/// the claims it prints are checked, not only shown.
+#[test]
+fn the_part_library_walkthrough_holds_its_claims() {
+    main();
 }

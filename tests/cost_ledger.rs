@@ -159,14 +159,14 @@ fn lock_requests_through_a_transaction_stay_within_budget() {
     let mgr = mix_manager();
     let target = trajectory();
     let robot = InstanceTarget::object("cells", "c1").elem("robots", "r1");
-    let s = |t: &Transaction<'_>| drop(t.lock(&target, AccessMode::Read).unwrap());
-    let x = |t: &Transaction<'_>| drop(t.lock(&target, AccessMode::Update).unwrap());
+    let s = |t: &Transaction<'_>| _ = t.lock(&target, AccessMode::Read).unwrap();
+    let x = |t: &Transaction<'_>| _ = t.lock(&target, AccessMode::Update).unwrap();
     let counts = (
         request_allocations(&mgr, |_| {}, s),
         request_allocations(&mgr, |_| {}, x),
         request_allocations(&mgr, x, x),
         request_allocations(&mgr, s, x),
-        request_allocations(&mgr, |_| {}, |t| drop(t.lock(&robot, AccessMode::Update).unwrap())),
+        request_allocations(&mgr, |_| {}, |t| _ = t.lock(&robot, AccessMode::Update).unwrap()),
     );
     assert_eq!(
         counts,
@@ -395,12 +395,10 @@ fn fig7_statements_parse_analyze_and_plan_within_budget() {
 /// populated store; then the manager over it (lock manager, protocol
 /// engine, rights). What a set-up repetition of the benchmark allocates
 /// besides the journal. The store was 2 557 while the catalog statistics
-/// were measured on a second, staging store. The manager was 128 before
-/// the protocol engine kept each relation's resource path (database,
-/// segment, relation), which every target's path copies: a spine and a
-/// name per relation, 4 allocations each.
+/// were measured on a second, staging store. The manager was 128 while the
+/// protocol engine kept a copy of the database name.
 const MIX_STORE_BUDGET: u64 = 2_390;
-const MIX_MANAGER_BUDGET: u64 = 136;
+const MIX_MANAGER_BUDGET: u64 = 127;
 
 #[test]
 fn building_the_mix_store_and_manager_stays_within_budget() {

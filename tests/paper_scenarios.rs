@@ -31,7 +31,7 @@ fn advantage1_granules_within_hierarchy() {
         let mgr = manager(&cfg, ProtocolKind::Proposed);
         let t = mgr.begin(TxnKind::Short);
         let (target, access) = Op::ReadParts { cell: 0 }.target();
-        proposed_counts.push(t.lock(&target, access).unwrap().lock_count());
+        proposed_counts.push(t.lock(&target, access).unwrap().granted);
         t.commit().unwrap();
 
         let driver_p = manager(&cfg, ProtocolKind::Proposed);
@@ -73,7 +73,7 @@ fn advantage2_cheap_exclusive_common_data() {
             let t = mgr.begin(TxnKind::Short);
             let report =
                 t.lock(&InstanceTarget::object("effectors", "e1"), AccessMode::Update).unwrap();
-            out.push((report.lock_count(), report.scan_cost));
+            out.push((report.granted, report.scan_cost));
             t.commit().unwrap();
         }
     }
@@ -207,7 +207,7 @@ fn disadvantage2_disjoint_degenerates_to_traditional() {
         let t = mgr.begin(TxnKind::Short);
         let report =
             t.lock(&InstanceTarget::object("cells", "c1"), AccessMode::Update).unwrap();
-        counts.push(report.lock_count());
+        counts.push(report.granted);
         t.commit().unwrap();
     }
     assert_eq!(counts[0], counts[1]);
