@@ -71,7 +71,6 @@ impl ProtocolEngine {
         let request = LockRequestOptions { policy: cx.opts.wait, long: cx.opts.long };
         cx.lm.acquire(cx.txn, coarse_resource.clone(), intent, request)?;
         total.acquired.push((coarse_resource, intent));
-        total.granted += 1;
         Ok(total)
     }
 }

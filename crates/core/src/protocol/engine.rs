@@ -94,8 +94,6 @@ impl ProtocolOptions {
 pub struct LockReport {
     /// `(resource, mode)` per granted (non-redundant) request.
     pub acquired: Vec<(ResourcePath, LockMode)>,
-    /// Granted requests, counted also in a run that does not list them.
-    pub(crate) granted: usize,
     /// Requests answered `AlreadyHeld` (covered by an earlier lock).
     pub redundant: u64,
     /// Requests that had to wait.
@@ -131,16 +129,21 @@ impl LockReport {
     /// Merges another report into this one.
     pub fn merge(&mut self, other: LockReport) {
         self.acquired.extend(other.acquired);
-        self.granted += other.granted;
         self.redundant += other.redundant;
         self.waited += other.waited;
         self.scan_cost += other.scan_cost;
         self.entry_points_locked += other.entry_points_locked;
     }
+
+    /// The report's counts.
+    pub fn counts(&self) -> LockCounts {
+        let (redundant, waited, scan_cost) = (self.redundant, self.waited, self.scan_cost);
+        let entry_points_locked = self.entry_points_locked;
+        LockCounts { granted: self.acquired.len(), redundant, waited, scan_cost, entry_points_locked }
+    }
 }
 
-/// A [`LockReport`] without its list of grants: what
-/// [`ProtocolEngine::lock_counted`] returns.
+/// A [`LockReport`]'s counts, without its list of grants.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LockCounts {
     /// Granted (non-redundant) requests.
@@ -229,6 +232,8 @@ pub struct TxnLockCache {
     target: RefCell<Option<ResourcePath>>,
     /// A request's cache-missing ancestors, kept for the buffer.
     chain: RefCell<Vec<ResourcePath>>,
+    /// An emptied grant list, the next report's ([`TxnLockCache::recycle`]).
+    grants: RefCell<Vec<(ResourcePath, LockMode)>>,
 }
 
 impl TxnLockCache {
@@ -263,6 +268,21 @@ impl TxnLockCache {
     /// release.
     pub fn clear(&self) {
         self.held.borrow_mut().clear();
+    }
+
+    /// Takes back a report's grant list, emptied, for the next report made
+    /// with this cache: a transaction that reads only counts allocates one
+    /// list, not one per request.
+    pub fn recycle(&self, mut grants: Vec<(ResourcePath, LockMode)>) {
+        grants.clear();
+        self.grants.replace(grants);
+    }
+
+    /// The next report's grant list: the one recycled last, or a new one
+    /// sized for a short transaction's footprint.
+    fn grant_list(&self) -> Vec<(ResourcePath, LockMode)> {
+        let grants = self.grants.take();
+        if grants.capacity() == 0 { Vec::with_capacity(8) } else { grants }
     }
 
     /// The resource of a request's `target`: the last request's if it names
@@ -378,31 +398,6 @@ impl ProtocolEngine {
         target: &InstanceTarget,
         mode: LockMode,
     ) -> Result<LockReport, ProtocolError> {
-        self.run(cx, protocol, target, mode, true)
-    }
-
-    /// [`lock`](Self::lock) for a caller that reads only counts: no grant
-    /// is cloned into a list, so a request allocates no report.
-    pub fn lock_counted(
-        &self,
-        cx: &LockCtx<'_>,
-        protocol: ProtocolKind,
-        target: &InstanceTarget,
-        mode: LockMode,
-    ) -> Result<LockCounts, ProtocolError> {
-        let r = self.run(cx, protocol, target, mode, false)?;
-        let (granted, redundant, waited, scan_cost) = (r.granted, r.redundant, r.waited, r.scan_cost);
-        Ok(LockCounts { granted, redundant, waited, scan_cost, entry_points_locked: r.entry_points_locked })
-    }
-
-    fn run(
-        &self,
-        cx: &LockCtx<'_>,
-        protocol: ProtocolKind,
-        target: &InstanceTarget,
-        mode: LockMode,
-        list: bool,
-    ) -> Result<LockReport, ProtocolError> {
         // Write-side modes are exactly those whose parents must announce IX:
         // semantic Insert/Delete sit *below* IX in the lattice yet authorize
         // mutation, so `covers(IX)` would misclassify them as reads.
@@ -419,8 +414,10 @@ impl ProtocolEngine {
         let rule4_prime = protocol == ProtocolKind::Proposed;
         let mut ctx = Ctx {
             cx: LockCtx { opts: ProtocolOptions { rule4_prime, ..cx.opts }, ..*cx },
-            report: LockReport::default(),
-            list,
+            report: LockReport {
+                acquired: cx.cache.map(TxnLockCache::grant_list).unwrap_or_default(),
+                ..LockReport::default()
+            },
             request: cx.lm.request(txn),
         };
         let coarse = LockMode::from(access);
@@ -468,12 +465,11 @@ pub(crate) fn work_for(refs: Vec<ObjectRef>, mode: LockMode, tag: RuleTag) -> Ve
 }
 
 /// Mutable per-call state of a protocol body: the bound [`LockCtx`], the
-/// accumulating report (listing its grants if `list`) and the lock-manager
-/// request every lock of the call goes through.
+/// accumulating report and the lock-manager request every lock of the call
+/// goes through.
 pub(crate) struct Ctx<'a> {
     pub cx: LockCtx<'a>,
     pub report: LockReport,
-    list: bool,
     pub request: Request<'a, ResourcePath>,
 }
 
@@ -498,14 +494,11 @@ impl Ctx<'_> {
     }
 
     /// Books one lock-table answer in the report.
-    fn book(list: bool, report: &mut LockReport, resource: &ResourcePath, mode: LockMode, outcome: AcquireOutcome) {
+    fn book(report: &mut LockReport, resource: &ResourcePath, mode: LockMode, outcome: AcquireOutcome) {
         match outcome {
             AcquireOutcome::Granted { waited } => {
                 report.waited += u64::from(waited);
-                report.granted += 1;
-                if list {
-                    report.acquired.push((resource.clone(), mode));
-                }
+                report.acquired.push((resource.clone(), mode));
             }
             AcquireOutcome::AlreadyHeld => report.redundant += 1,
         }
@@ -531,7 +524,7 @@ impl Ctx<'_> {
         }
         let opts = self.request_opts();
         let outcome = self.request.acquire(resource.clone(), mode, opts)?;
-        Self::book(self.list, &mut self.report, resource, mode, outcome);
+        Self::book(&mut self.report, resource, mode, outcome);
         self.record(resource, mode);
         Ok(())
     }
@@ -557,11 +550,11 @@ impl Ctx<'_> {
         chain.reserve(resource.len());
         chain.extend(resource.prefixes().filter(|anc| !self.covered(anc, intent)));
         let opts = self.request_opts();
-        let (list, report, mut links) = (self.list, &mut self.report, chain.iter());
+        let (report, mut links) = (&mut self.report, chain.iter());
         let done = match chain.is_empty() {
             true => Ok(()),
             false => self.request.acquire_intent_chain(&chain, intent, opts, |outcome| {
-                Self::book(list, report, links.next().expect("one answer per link"), intent, outcome)
+                Self::book(report, links.next().expect("one answer per link"), intent, outcome)
             }),
         };
         if done.is_ok() {

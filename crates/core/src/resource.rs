@@ -302,7 +302,7 @@ impl ResourcePath {
     }
 
     /// The steps of this path as owned values, built once per spine (the
-    /// lock path reads [`refs`](Self::refs) instead).
+    /// lock path reads the borrowed steps instead).
     pub fn steps(&self) -> &[PathStep] {
         let spine = &*self.spine;
         &spine.steps.get_or_init(|| (0..spine.nodes.len()).map(|i| spine.step(i).owned()).collect())[..self.len]

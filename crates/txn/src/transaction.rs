@@ -144,7 +144,12 @@ impl<'m> Transaction<'m> {
             opts,
             cache: Some(&self.st.cache),
         };
-        Ok(mgr.engine().lock_counted(&cx, mgr.protocol(), target, mode)?)
+        // Callers read counts only: the report's grant list goes back to the
+        // cache, so the transaction's requests share one list.
+        let report = mgr.engine().lock(&cx, mgr.protocol(), target, mode)?;
+        let counts = report.counts();
+        self.st.cache.recycle(report.acquired);
+        Ok(counts)
     }
 
     /// Any write on a read-only transaction is rejected, snapshot or not.
